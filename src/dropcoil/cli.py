@@ -62,7 +62,6 @@ class RunConfig:
     grid: str = ""
     threads: int = 1
     out: str = ""
-    seed: int = 0
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -75,8 +74,10 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in d.items() if k in known})
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise errors.DomainError(f"unknown config keys: {', '.join(unknown)}")
+        return cls(**d)
 
 
 def _resolve_config(args) -> RunConfig:
@@ -86,7 +87,7 @@ def _resolve_config(args) -> RunConfig:
             base = json.load(fh)
     base["command"] = args.command
     cfg = RunConfig.from_dict(base)
-    for name in ("a", "a_range", "n", "n_list", "m", "tol", "grid", "threads", "out", "seed"):
+    for name in ("a", "a_range", "n", "n_list", "m", "tol", "grid", "threads", "out"):
         val = getattr(args, name, None)
         if val is not None:
             setattr(cfg, name, val)
@@ -259,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=None, help="ODE tolerance")
         p.add_argument("--grid", type=str, default=None, help="NTHETAxN3 mesh grid")
         p.add_argument("--threads", type=int, default=None, help="worker cap")
-        p.add_argument("--seed", type=int, default=None, help="seed for test fields")
         p.add_argument("--out", type=str, default=None, help="output path")
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--dry-run", action="store_true",

@@ -20,6 +20,7 @@ Duffy core around the evaluation point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -27,11 +28,14 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import simpson
 from scipy.optimize import brentq
 
-from .errors import DomainError, QuadratureDivergence, RootNotBracketed
-from .fields import SymmetricField, on_axis_derivatives
+from .errors import DomainError, NonConvergence, QuadratureDivergence, RootNotBracketed
+from .fields import SymmetricField, cos_coeffs, on_axis_derivatives
 from .profile import ConformalChart, DelaunayProfile
 
 DEFAULT_RESOLUTION = (24, 32, 48)  # (n_r, n_phi, n_z)
+# Largest axial residual |y - shift - x3| accepted from the normal-graph
+# Newton inversion; the radius interpolant reproduces it to the same 1e-9.
+NEWTON_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +82,6 @@ class NormalGraphBoundary:
         PHI, X3 = np.meshgrid(phi_s, x3_s, indexing="ij")
         rho = self._radius_newton(PHI, X3)
         # project: FFT over phi, cosine coefficients over x3
-        from .fields import cos_coeffs
         spec = np.fft.rfft(rho, axis=0)
         kmax_b = nphi // 2 - 1
         mode_profiles = np.zeros((kmax_b + 1, mz + 1))
@@ -106,21 +109,28 @@ class NormalGraphBoundary:
             rad, shift, shift3 = self._graph(phi, y)
             y = y - (y - shift - x3) / (1.0 - shift3)
         rad, shift, _ = self._graph(phi, y)
+        resid = float(np.max(np.abs(y - shift - x3)))
+        if not resid <= NEWTON_TOL:
+            raise NonConvergence(
+                f"normal-graph axial inversion residual {resid:.3e} > {NEWTON_TOL:.0e} "
+                f"after {self.newton_iters} Newton steps")
         return rad
 
     def radius(self, phi, x3):
+        """rho_h at broadcast (phi, x3).
+
+        The interpolant is separable: the x3 factors are evaluated on x3's
+        own shape and the phi factors on phi's, so open grids
+        (``x[:, None]``, ``p[None, :]``) pay for their distinct values only.
+        """
         phi = np.asarray(phi, dtype=float)
         x3 = np.asarray(x3, dtype=float)
-        phi, x3 = np.broadcast_arrays(phi, x3)
-        shape = x3.shape
-        basis = np.cos(np.outer(self._freq, x3.ravel()))   # (m+1, N)
-        profs = self._coef @ basis                          # (k+1, N)
-        phf = phi.ravel()
-        out = np.zeros(phf.shape)
-        for k in range(self._kmax_b + 1):
-            trig = np.cos(k * phf) if k % 2 == 0 else np.sin(k * phf)
-            out += profs[k] * trig
-        return out.reshape(shape)
+        profs = np.cos(x3[..., None] * self._freq) @ self._coef.T  # x3.shape + (k+1,)
+        ks = np.arange(self._kmax_b + 1)
+        trig = np.empty(phi.shape + ks.shape)
+        trig[..., 0::2] = np.cos(phi[..., None] * ks[0::2])
+        trig[..., 1::2] = np.sin(phi[..., None] * ks[1::2])
+        return np.einsum("...k,...k->...", profs, trig)
 
     def surface_point(self, theta, y3):
         rad, shift, _ = self._graph(np.asarray(theta, dtype=float), np.asarray(y3, dtype=float))
@@ -177,9 +187,6 @@ def _column_values(P, r_eval, chi, phi, y2, R, ak, P_lo=None):
 # ---------------------------------------------------------------------------
 # 1D rules
 # ---------------------------------------------------------------------------
-
-from functools import lru_cache
-
 
 @lru_cache(maxsize=64)
 def _gl(q):
@@ -264,9 +271,9 @@ class BlockQuadrature:
     def nodes2d(self, y3_center: float, boundary):
         """Flattened (x3, phi, rho_b, w) product rule centered at y3_center."""
         x3 = y3_center + self.z_nodes
+        rho = boundary.radius(self.phi_nodes[None, :], x3[:, None])
         X3, PHI = np.meshgrid(x3, self.phi_nodes, indexing="ij")
         W = np.outer(self.z_weights, self.phi_weights)
-        rho = boundary.radius(PHI, X3)
         return X3.ravel(), PHI.ravel(), rho.ravel(), W.ravel()
 
     def nodes3d(self, y3_center: float, boundary):
@@ -326,7 +333,7 @@ def _self_block(boundary, R, T, theta, y3c, r_eval, cfg: SelfBlockSettings,
     y2 = r_eval * np.sin(theta)
 
     def columns(xi, wxi, chi, wchi, gap=None):
-        XI, CHI = np.meshgrid(xi, chi, indexing="ij")
+        XI, CHI = xi[:, None], chi[None, :]
         WW = np.outer(wxi, wchi)
         phi = theta + CHI
         rho_b = boundary.radius(phi, y3c + XI)
@@ -401,8 +408,8 @@ def _duffy_core(boundary, R, theta, y3c, r_eval, y2, d_xi, d_chi,
         spans = [(lo[a], hi[a]) for a in others]
         S1 = spans[0][0] + (spans[0][1] - spans[0][0]) * s
         S2 = spans[1][0] + (spans[1][1] - spans[1][0]) * v
-        U, A, B = np.meshgrid(u, S1, S2, indexing="ij")
-        rel = {axis: np.full_like(U, D), others[0]: A, others[1]: B}
+        U = u[:, None, None]
+        rel = {axis: D, others[0]: S1[None, :, None], others[1]: S2[None, None, :]}
         xi = U * rel[0]
         chi = U * rel[1]
         eta = eta0 + U * rel[2]
@@ -680,8 +687,7 @@ def coil_volume(profile: DelaunayProfile, n: int, h: SymmetricField = None,
     wz = wxi * T
     phi = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
     wphi = np.full(n_phi, 2.0 * np.pi / n_phi)
-    X3, PHI = np.meshgrid(x3, phi, indexing="ij")
     W = np.outer(wz, wphi)
-    rho = boundary.radius(PHI, X3)
-    vals = rho**2 / 2.0 + np.sin(PHI) * rho**3 / (3.0 * R)
+    rho = boundary.radius(phi[None, :], x3[:, None])
+    vals = rho**2 / 2.0 + np.sin(phi)[None, :] * rho**3 / (3.0 * R)
     return float(n * np.sum(W * vals))

@@ -233,15 +233,7 @@ def on_axis_derivatives(h: SymmetricField, chart, theta, y3, order: int = 2):
     theta_b, y3_b = np.broadcast_arrays(theta, y3)
     shape = y3_b.shape
     t = np.asarray(chart.t_of_y3(y3_b.ravel()))
-
-    from scipy.interpolate import CubicSpline
-    key = "_axis_splines"
-    sp = getattr(chart, key, None)
-    if sp is None:
-        sp = (CubicSpline(chart.tgrid, chart.x), CubicSpline(chart.tgrid, chart.xp))
-        object.__setattr__(chart, key, sp)
-    x = sp[0](t)
-    xp = sp[1](t)
+    x, xp = chart.x_of_t(t)
     q = chart.a * (1.0 - chart.a)
     zp = q + x * x
     tp = 1.0 / zp

@@ -47,20 +47,6 @@ class SurfacePatch:
     chart: Optional[ConformalChart] = None
     _kappa_max: float = field(default=0.0, repr=False)
 
-    def to_descriptor(self) -> dict:
-        """JSON-able description of the patch (grids excluded)."""
-        d = {"kind": self.kind}
-        if self.profile is not None:
-            d["a"] = self.profile.a
-            d["T"] = self.profile.T
-        if self.kind == "coiled":
-            d["n"] = self.n
-            d["R"] = self.R
-        if self.radius is not None:
-            d["radius"] = self.radius
-        d["perturbed"] = self.h is not None
-        return d
-
     def y3_domain(self):
         if self.kind == "sphere":
             r = self.radius

@@ -240,12 +240,10 @@ class JacobiSolver:
         (t, values) on t <= t_max_frac * tau, away from the nu3 zero at tau.
         """
         from scipy.integrate import cumulative_simpson
-        from scipy.interpolate import CubicSpline
 
         n_fine = 16 * self.m
         tf = np.linspace(0.0, t_max_frac * self.tau, n_fine + 1)
-        x = CubicSpline(self.chart.tgrid, self.chart.x)(tf)
-        xp = CubicSpline(self.chart.tgrid, self.chart.xp)(tf)
+        x, xp = self.chart.x_of_t(tf)
         nu3 = -xp / x
         inner = cumulative_simpson(x * x * nu3, x=tf, initial=0.0)
         integrand = np.zeros_like(tf)
@@ -258,17 +256,6 @@ class JacobiSolver:
         integrand[0] = -x0**3 / (2.0 * xpp0)
         outer = cumulative_simpson(integrand, x=tf, initial=0.0)
         return tf, nu3 * outer
-
-
-def dump_profiles_csv(solver: JacobiSolver, path) -> None:
-    """CSV dump of the hbar and nu_j radial profiles on the solver grid."""
-    from .serialize import write_csv
-
-    rows = zip(solver.t, solver.hbar, solver.kernel.nu1, solver.kernel.nu2,
-               solver.kernel.nu3, solver.p, solver.x)
-    write_csv(path, ["t", "hbar", "nu1", "nu2", "nu3", "p", "x"], rows,
-              extra_meta={"a": solver.chart.a, "tau": solver.tau,
-                          "int_hbar": solver.int_hbar})
 
 
 # ---- module-level convenience wrappers ------------------------------------

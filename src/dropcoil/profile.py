@@ -73,11 +73,10 @@ class DelaunayProfile:
     V: float
     Ia: float
     tol: float = DEFAULT_TOL
-    _dense: object = field(default=None, repr=False, compare=False)
     _spline: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self._spline is None and self._dense is None:
+        if self._spline is None:
             # clamped ends: f'(0) = f'(T/2) = 0 exactly
             self._spline = CubicSpline(self.grid, self.f, bc_type=((1, 0.0), (1, 0.0)))
 
@@ -86,12 +85,6 @@ class DelaunayProfile:
         if self.a == CYLINDER_NECK:
             f = np.full_like(u, 0.5)
             return f, np.zeros_like(u)
-        if self._dense is not None:
-            flat = np.atleast_1d(u).ravel()
-            f, fp = self._dense(flat)
-            if np.ndim(u) == 0:
-                return f[0], fp[0]
-            return f.reshape(u.shape), fp.reshape(u.shape)
         return self._spline(u), self._spline(u, 1)
 
     def evaluate(self, s, order: int = 2):
@@ -179,6 +172,7 @@ class ConformalChart:
     p: np.ndarray
     tol: float = DEFAULT_TOL
     _t_of_z: object = field(default=None, repr=False, compare=False)
+    _x_of_t: object = field(default=None, repr=False, compare=False)
 
     @property
     def half_size(self) -> int:
@@ -198,6 +192,12 @@ class ConformalChart:
         half = np.abs(self.z[-1])
         u = np.mod(y3 + half, 2.0 * half) - half
         return self._t_of_z(u)
+
+    def x_of_t(self, t):
+        """(x, x') at arbitrary t in [-tau, tau] (spline-based)."""
+        if self._x_of_t is None:
+            self._x_of_t = (CubicSpline(self.tgrid, self.x), CubicSpline(self.tgrid, self.xp))
+        return self._x_of_t[0](t), self._x_of_t[1](t)
 
     def isothermal_residual(self) -> float:
         return float(np.max(np.abs(self.x**2 - self.xp**2 - self.zp**2)))

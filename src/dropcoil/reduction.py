@@ -19,8 +19,8 @@ import warnings
 from dataclasses import dataclass, field as dfield
 import numpy as np
 
-from .coulomb import (BlockQuadrature, SelfBlockSettings, coil_volume,
-                      potential_perturbed)
+from .coulomb import (BlockQuadrature, NormalGraphBoundary, SelfBlockSettings,
+                      coil_volume, potential_perturbed)
 from .errors import BracketFailure, DomainError, NoContraction, RootNotBracketed
 from .fields import SymmetricField, cos_coeffs, cos_eval
 from .geometry import build_coil, evaluate_forms
@@ -117,21 +117,31 @@ class EquationEval:
 
 
 def _coulomb_samples(ctx: ReductionContext, h: SymmetricField, final: bool) -> np.ndarray:
-    """N at (theta_i, t in sub-grid), cosine-upsampled to the full t grid."""
-    from .coulomb import NormalGraphBoundary
+    """N at (theta_i, t in sub-grid), cosine-upsampled to the full t grid.
 
+    Every admissible h, and so N, is even under theta -> pi - theta, which
+    maps column i to column (ntheta/2 - i) mod ntheta when ntheta is even.
+    The loop then integrates one column of each mirror pair and copies it to
+    the other.  The final report integrates every column, so that its
+    symmetry_residual measures the quadrature, not the mirroring.
+    """
     quad = ctx.final_quad if final else ctx.quad
     cfg = ctx.final_self_cfg if final else ctx.self_cfg
     boundary = None
     if h is not None and np.any(h.modes):
         boundary = NormalGraphBoundary(ctx.profile, ctx.chart, h)
-    sub = np.empty((len(ctx.theta), len(ctx.y3_sub)))
-    for i, th in enumerate(ctx.theta):
+    ntheta = len(ctx.theta)
+    cols = np.arange(ntheta)
+    mirror = cols if final or ntheta % 2 else (ntheta // 2 - cols) % ntheta
+    own = cols[mirror >= cols]
+    sub = np.empty((ntheta, len(ctx.y3_sub)))
+    for i in own:
         for j, y3 in enumerate(ctx.y3_sub):
             sub[i, j] = potential_perturbed(
-                ctx.profile, ctx.n, h, (th, y3), chart=ctx.chart, quad=quad,
+                ctx.profile, ctx.n, h, (ctx.theta[i], y3), chart=ctx.chart, quad=quad,
                 self_cfg=cfg, error_estimate=False, with_base=False,
                 boundary=boundary).value
+    sub[mirror[own]] = sub[own]
     if len(ctx.y3_sub) == len(ctx.t_nodes):
         return sub
     coef = cos_coeffs(sub)

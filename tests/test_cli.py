@@ -21,7 +21,7 @@ def test_parse_range():
 
 def test_config_roundtrip():
     cfg = RunConfig(command="ia-scan", a=0.2, a_range="0.1:0.2:0.05", n=8,
-                    tol=1e-9, out="x.csv", threads=2, seed=5)
+                    tol=1e-9, out="x.csv", threads=2)
     again = RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
     assert again == cfg
 
@@ -31,6 +31,20 @@ def test_dry_run(capsys):
     out = capsys.readouterr().out
     cfg = json.loads(out)
     assert cfg["command"] == "ia-scan" and cfg["a_range"] == "0.1:0.2:0.1"
+
+
+def test_seed_is_rejected(tmp_path, capsys):
+    # no command draws random numbers, so a seed would be accepted and ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["ia-scan", "--a-range", "0.1:0.2:0.1", "--seed", "3",
+              "--out", str(tmp_path / "o.csv")])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"a_range": "0.1:0.2:0.1", "seed": 3}))
+    assert main(["ia-scan", "--config", str(cfgfile), "--out", str(tmp_path / "o.csv")]) == 2
+    assert "unknown config keys: seed" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_missing_out_is_usage_error():

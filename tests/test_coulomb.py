@@ -9,7 +9,7 @@ from dropcoil.coulomb import (BALL_UNIT_COULOMB, AxisymBoundary,
                               coil_volume, coulomb_energy, critical_mass,
                               potential_coil, potential_perturbed,
                               toroidal_potential_reference)
-from dropcoil.errors import DomainError, QuadratureDivergence
+from dropcoil.errors import DomainError, NonConvergence, QuadratureDivergence
 from dropcoil.profile import solve_profile
 
 
@@ -168,6 +168,48 @@ def test_normal_graph_boundary_accuracy(prof03, chart03, solver03):
     # T-periodic and reflection symmetric
     assert np.max(np.abs(bnd.radius(phi, x3 + prof03.T) - direct)) < 1e-9
     assert np.max(np.abs(bnd.radius(np.pi - phi, -x3) - direct)) < 1e-9
+
+
+def test_normal_graph_newton_residual_checked(prof03, chart03, solver03):
+    h = solver03.zero_field(kmax=1)
+    h.modes[0] = 0.02
+    NormalGraphBoundary(prof03, chart03, h)  # three steps reach the tolerance
+    with pytest.raises(NonConvergence):
+        NormalGraphBoundary(prof03, chart03, h, newton_iters=0)
+
+
+def test_radius_open_grid_matches_dense(prof03, chart03, solver03):
+    h = solver03.zero_field(kmax=3)
+    h.modes[0] = 0.01
+    h.modes[1] = 0.004 * solver03.kernel.nu2
+    h.modes[2] = 0.003
+    x3 = np.linspace(-prof03.T, 1.5 * prof03.T, 23)
+    phi = np.linspace(0.1, 2 * np.pi, 17)
+    u = x3[:7, None, None]
+    open_grids = [(phi[None, :], x3[:, None]),        # nodes2d, coil_volume
+                  (u * phi[None, :5, None], u),       # a Duffy-core face
+                  (np.float64(0.7), x3)]
+    for bnd in (AxisymBoundary(prof03), NormalGraphBoundary(prof03, chart03, h)):
+        for p, z in open_grids:
+            P, Z = np.broadcast_arrays(p, z)
+            dense = bnd.radius(P.copy(), Z.copy())
+            sparse = bnd.radius(p, z)
+            assert sparse.shape == dense.shape
+            assert np.max(np.abs(sparse - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+
+def test_perturbed_potential_mirror_symmetric(prof03, chart03, solver03):
+    # the reduction loop copies column theta to pi - theta on this symmetry
+    h = solver03.zero_field(kmax=4)
+    h.modes[0] = 0.02 * np.cos(np.pi * solver03.t / solver03.tau)
+    h.modes[1] = 0.004 * solver03.kernel.nu2
+    h.modes[2] = 0.01 * np.cos(2 * np.pi * solver03.t / solver03.tau) + 0.005
+    h.modes[3] = 0.002
+    for theta, y3 in ((0.3, 0.4), (1.1, -0.25)):
+        v = [potential_perturbed(prof03, 8, h, (th, y3), chart=chart03,
+                                 error_estimate=False, with_base=False).value
+             for th in (theta, np.pi - theta)]
+        assert abs(v[1] - v[0]) <= 1e-12 * abs(v[0])
 
 
 def test_coil_volume_unperturbed(prof03):

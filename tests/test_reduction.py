@@ -1,4 +1,6 @@
 import warnings
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,10 +9,12 @@ from dropcoil.coulomb import ball_potential_exact
 from dropcoil.errors import BracketFailure, DomainError
 from dropcoil.geometry import build_sphere, evaluate_forms
 from dropcoil.profile import solve_profile
+import dropcoil.reduction as reduction
 from dropcoil.reduction import (ReductionContext, ReductionSettings,
-                                evaluate_equation, find_neck_for_mass,
-                                fixed_point_solve, gamma_leading, mass_map,
-                                select_block_count, solve_gamma)
+                                _coulomb_samples, evaluate_equation,
+                                find_neck_for_mass, fixed_point_solve,
+                                gamma_leading, mass_map, select_block_count,
+                                solve_gamma)
 
 FAST = ReductionSettings(kmax=4, ntheta=12, m_t=24, chart_grid=768,
                          quad_resolution=(6, 12, 14),
@@ -99,7 +103,6 @@ def test_fixed_point_contracts(prof03, ctx32):
 
 
 def test_gamma_window_warning(prof03, ctx32):
-    from dataclasses import replace
     lead = gamma_leading(prof03, 32)
     window = FAST.gamma_window_M / np.log(32) ** 2
     cheap = replace(FAST, max_iter=1)
@@ -177,3 +180,41 @@ def test_settings_validation():
         ReductionSettings(m_t=50, chart_grid=768)
     with pytest.raises(DomainError):
         ReductionSettings(m_t=48, chart_grid=768, coulomb_t_stride=5)
+
+
+def test_mirrored_samples_match_full_grid(prof03):
+    # loop and final quadratures made equal: final=True integrates every
+    # theta column, the loop only one of each mirror pair
+    same = replace(FAST, final_quad_resolution=FAST.quad_resolution,
+                   final_self_q=FAST.self_panel_q)
+    ctx = ReductionContext(prof03, 16, same)
+    assert ctx.final_self_cfg == ctx.self_cfg
+    h = ctx.zero_field()
+    h.modes[0] = 0.01 * np.cos(np.pi * ctx.t_nodes / ctx.solver.tau)
+    h.modes[1] = 0.004 * ctx.solver.kernel.nu2
+    h.modes[2] = 0.005
+    full = _coulomb_samples(ctx, h, final=True)
+    mirrored = _coulomb_samples(ctx, h, final=False)
+    assert np.max(np.abs(mirrored - full)) <= 1e-12 * np.max(np.abs(full))
+
+
+@pytest.mark.parametrize("ntheta,final,columns", [
+    (12, False, [0, 1, 2, 3, 7, 8, 9]),
+    (12, True, list(range(12))),
+    (11, False, list(range(11))),   # pi - theta_i is off an odd grid
+])
+def test_mirror_columns_need_even_ntheta(prof03, monkeypatch, ntheta, final, columns):
+    ctx = ReductionContext(prof03, 16, replace(FAST, ntheta=ntheta))
+    seen = []
+
+    def fake_potential(profile, n, h, y, **kw):
+        seen.append(int(round(y[0] * ntheta / (2 * np.pi))))
+        return SimpleNamespace(value=np.sin(y[0]) ** 2 + 0.5 * np.sin(y[0]))
+
+    monkeypatch.setattr(reduction, "potential_perturbed", fake_potential)
+    samples = _coulomb_samples(ctx, ctx.zero_field(), final=final)
+    assert sorted(set(seen)) == columns
+    assert len(seen) == len(columns) * len(ctx.y3_sub)
+    # an even function of theta -> pi - theta, constant in y3
+    s = np.sin(ctx.theta)[:, None]
+    assert np.max(np.abs(samples - (s * s + 0.5 * s))) < 1e-12
