@@ -80,6 +80,10 @@ class RunConfig:
         return cls(**d)
 
 
+# the commands that spread their work over cfg.threads workers (ordered_map)
+THREADED = ("ia-scan", "nonlocal-check")
+
+
 def _resolve_config(args) -> RunConfig:
     base = {}
     if getattr(args, "config", None):
@@ -91,6 +95,9 @@ def _resolve_config(args) -> RunConfig:
         val = getattr(args, name, None)
         if val is not None:
             setattr(cfg, name, val)
+    if cfg.threads != 1 and cfg.command not in THREADED:
+        raise errors.DomainError(f"--threads {cfg.threads}: {cfg.command} runs serially; "
+                                 f"only {' and '.join(THREADED)} use worker threads")
     return cfg
 
 

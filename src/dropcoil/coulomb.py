@@ -161,9 +161,10 @@ def _radial_moments(P, r_eval, cos_chi, sin_chi, blin, cadd_pos):
     disc = (4.0 * (r_eval * sin_chi) ** 2
             + 4.0 * cadd_pos + 4.0 * r_eval * cos_chi * blin - blin * blin)
     disc = np.maximum(disc, 1e-300)
-    M0 = np.where(b >= 0.0,
-                  np.log(np.maximum(up, 1e-300) / np.maximum(lo_direct, 1e-300)),
-                  np.log(np.maximum(up * (2.0 * sc - b), 1e-300) / disc))
+    # one log of the selected argument (the b < 0 form rationalizes 2 sqrt(c) + b)
+    M0 = np.log(np.where(b >= 0.0,
+                         np.maximum(up, 1e-300) / np.maximum(lo_direct, 1e-300),
+                         np.maximum(up * (2.0 * sc - b), 1e-300) / disc))
     M1 = sQP - sc - 0.5 * b * M0
     M2 = ((2.0 * P - 3.0 * b) * sQP + 3.0 * b * sc) / 4.0 - ((4.0 * c - 3.0 * b * b) / 8.0) * M0
     return M0, M1, M2
@@ -431,16 +432,30 @@ def _duffy_core(boundary, R, theta, y3c, r_eval, y2, d_xi, d_chi,
 # potentials
 # ---------------------------------------------------------------------------
 
+# Elements per tile of the regular-block k-sweep: every temporary of one tile
+# holds at most TILE doubles (96 KiB), whatever n and the node count are.
+TILE = 12288
+
+
 def _regular_blocks(boundary, quad, n, R, T, theta, y3c, r_eval):
-    """I_k for k = 1..n-1 via the analytic-r column rule (vectorized in k)."""
+    """I_k for k = 1..n-1 via the analytic-r column rule.
+
+    k is swept in tiles of max(1, TILE // nodes) rows; each row keeps its own
+    reduction over the nodes, so the tiling does not change a single bit.
+    """
     x3, phi, rho_b, w = quad.nodes2d(y3c, boundary)
     chi = phi - theta
     y2 = r_eval * np.sin(theta)
-    k = np.arange(1, n)[:, None]
-    ak = 2.0 * R * np.sin((k * T + (x3 - y3c)[None, :]) / (2.0 * R))
-    vals = _column_values(rho_b[None, :], r_eval, chi[None, :], phi[None, :],
-                          y2, R, ak)
-    return (vals * w[None, :]).sum(axis=1)
+    dx3 = x3 - y3c
+    rows = max(1, TILE // len(w))
+    ks = np.arange(1, n)[:, None]
+    Ik = np.empty(n - 1)
+    for lo in range(0, n - 1, rows):
+        ak = 2.0 * R * np.sin((ks[lo:lo + rows] * T + dx3[None, :]) / (2.0 * R))
+        vals = _column_values(rho_b[None, :], r_eval, chi[None, :], phi[None, :],
+                              y2, R, ak)
+        Ik[lo:lo + rows] = (vals * w[None, :]).sum(axis=1)
+    return Ik
 
 
 def potential_coil(profile: DelaunayProfile, n: int, y, quad: BlockQuadrature = None,

@@ -47,6 +47,20 @@ def test_seed_is_rejected(tmp_path, capsys):
     assert not (tmp_path / "o.csv").exists()
 
 
+def test_threads_rejected_where_ignored(tmp_path, capsys):
+    # only ia-scan and nonlocal-check use worker threads
+    out = tmp_path / "run.json"
+    assert main(["reduce", "--threads", "2", "--out", str(out)]) == 2
+    assert "--threads 2: reduce runs serially" in capsys.readouterr().err
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"threads": 4}))
+    assert main(["appendix", "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert "appendix runs serially" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["reduce", "--threads", "1", "--dry-run"]) == 0
+    assert main(["nonlocal-check", "--threads", "2", "--dry-run"]) == 0
+
+
 def test_missing_out_is_usage_error():
     assert main(["ia-scan", "--a-range", "0.1:0.2:0.1"]) == 2
 

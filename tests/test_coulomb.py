@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import integrate
 
-from dropcoil.coulomb import (BALL_UNIT_COULOMB, AxisymBoundary,
+from dropcoil.coulomb import (BALL_UNIT_COULOMB, TILE, AxisymBoundary,
                               BlockQuadrature, CRITICAL_MASS_CLOSED_FORM,
                               NormalGraphBoundary, SelfBlockSettings,
+                              _column_values, _radial_moments, _regular_blocks,
                               ball_coulomb_energy, ball_energy,
                               ball_potential_exact, ball_potential_radial,
                               coil_volume, coulomb_energy, critical_mass,
@@ -95,6 +99,78 @@ def test_y2_coefficient_log_law(prof03):
         assert coefs[n] < 0  # negative coefficient
         assert coefs[n] / pred == pytest.approx(1.0, abs=0.3)
     assert abs(coefs[128]) < abs(coefs[64])
+
+
+def _one_shot_regular_blocks(boundary, quad, n, R, T, theta, y3c, r_eval):
+    """Untiled reference sweep: all n - 1 values of k in one array."""
+    x3, phi, rho_b, w = quad.nodes2d(y3c, boundary)
+    k = np.arange(1, n)[:, None]
+    ak = 2.0 * R * np.sin((k * T + (x3 - y3c)[None, :]) / (2.0 * R))
+    vals = _column_values(rho_b[None, :], r_eval, (phi - theta)[None, :], phi[None, :],
+                          r_eval * np.sin(theta), R, ak)
+    return (vals * w[None, :]).sum(axis=1)
+
+
+@pytest.mark.parametrize("resolution, n, rows", [
+    ((24, 32, 48), 30, 8),   # 1536 nodes: k = 1..29 in 3 full tiles and one of 5
+    ((4, 128, 100), 6, 1),   # 12800 nodes > TILE: one row a tile
+])
+def test_regular_blocks_tiles_match_one_shot_sweep(prof03, resolution, n, rows):
+    quad = BlockQuadrature(prof03, resolution)
+    assert max(1, TILE // (resolution[1] * resolution[2])) == rows
+    boundary = AxisymBoundary(prof03)
+    T = prof03.T
+    R = n * T / (2.0 * np.pi)
+    theta, y3 = 0.7, 0.4
+    r_eval, y3c = boundary.surface_point(theta, y3)
+    tiled = _regular_blocks(boundary, quad, n, R, T, theta, y3c, r_eval)
+    ref = _one_shot_regular_blocks(boundary, quad, n, R, T, theta, y3c, r_eval)
+    assert np.array_equal(tiled, ref)
+
+
+def test_regular_blocks_memory_bounded(prof03):
+    y = (np.pi / 2, 0.0)
+    potential_coil(prof03, 16, y)  # fill the rule caches first
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        potential_coil(prof03, 1024, y)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    # the one-shot sweep peaked at 432 MiB here: 1023 x 3456 doubles a temporary
+    assert peak < 16 * 2**20
+
+
+def _moments_by_quad(P, r_eval, chi, blin, cadd):
+    """M_0..M_2 by adaptive quadrature, split geometrically toward r = r_eval."""
+    def Q(r):  # 1 - cos(chi) as 2 sin^2(chi/2): no cancellation at small chi
+        return (r - r_eval) ** 2 + 4.0 * r * r_eval * np.sin(chi / 2.0) ** 2 + blin * r + cadd
+    width = r_eval * abs(np.sin(chi))
+    cuts = {r_eval + s * width * 2.0**j for j in range(16) for s in (-1.0, 1.0)}
+    edges = sorted({0.0, P, r_eval} | cuts)
+    edges = [e for e in edges if 0.0 <= e <= P]
+    return [sum(integrate.quad(lambda r: r**m / np.sqrt(Q(r)), lo, hi, epsabs=0.0,
+                               epsrel=1e-13, limit=200)[0]
+                for lo, hi in zip(edges[:-1], edges[1:]))
+            for m in range(3)]
+
+
+@pytest.mark.parametrize("P, r_eval, chi, blin, cadd, b_nonneg", [
+    (1.1, 0.8, 2.5, 0.01, 0.05, True),        # column behind the axis: b >= 0
+    (1.2, 0.8, 0.3, -0.02, 0.03, False),      # b < 0, rationalized log argument
+    (0.8001, 0.8, 1e-3, 0.0, 0.0, False),     # near-singular k = 0 column
+])
+def test_radial_moments_match_quadrature(P, r_eval, chi, blin, cadd, b_nonneg):
+    assert (-2.0 * r_eval * np.cos(chi) + blin >= 0.0) == b_nonneg
+    M = _radial_moments(np.array(P), r_eval, np.cos(chi), np.sin(chi), blin, cadd)
+    ref = _moments_by_quad(P, r_eval, chi, blin, cadd)
+    for got, want in zip(M, ref):
+        assert abs(float(got) / want - 1.0) < 1e-11
 
 
 def test_perturbed_reduces_to_coil_at_zero(prof03, chart03, solver03):
