@@ -101,12 +101,6 @@ def _resolve_config(args) -> RunConfig:
     return cfg
 
 
-def _reduction_settings(cfg: RunConfig):
-    from .reduction import ReductionSettings
-
-    return ReductionSettings()
-
-
 # ---- subcommand bodies ----------------------------------------------------
 
 def cmd_profile(cfg: RunConfig):
@@ -181,11 +175,12 @@ def cmd_nonlocal_check(cfg: RunConfig):
 
 def cmd_reduce(cfg: RunConfig):
     from .profile import solve_profile
-    from .reduction import ReductionContext, gamma_leading, mass_map, solve_gamma
+    from .reduction import (ReductionContext, ReductionSettings, gamma_leading, mass_map,
+                            solve_gamma)
 
     n = cfg.n or 32
     prof = solve_profile(cfg.a, tol=cfg.tol)
-    settings = _reduction_settings(cfg)
+    settings = ReductionSettings()
     ctx = ReductionContext(prof, n, settings)
     state = solve_gamma(prof, n, settings, ctx)
     mm = mass_map(prof, n, settings, state=state, ctx=ctx)
@@ -211,12 +206,13 @@ def cmd_reduce(cfg: RunConfig):
 
 def cmd_mass_map(cfg: RunConfig):
     from .profile import solve_profile
-    from .reduction import find_neck_for_mass, mass_map, select_block_count
+    from .reduction import (ReductionSettings, find_neck_for_mass, mass_map,
+                            select_block_count)
 
-    settings = _reduction_settings(cfg)
+    settings = ReductionSettings()
     ref = solve_profile(cfg.a, tol=cfg.tol)
     n = cfg.n or select_block_count(cfg.m, ref)
-    b = find_neck_for_mass(cfg.m, n, settings=settings)
+    b = find_neck_for_mass(cfg.m, n, settings=settings, profile_tol=cfg.tol)
     prof = solve_profile(b, tol=cfg.tol)
     mm = mass_map(prof, n, settings)
     write_json(cfg.out, {"m_target": cfg.m, "n": n, "b": b, "m": mm.m,
@@ -264,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n-list", dest="n_list", type=str, default=None,
                        help="start:stop:step list of block counts")
         p.add_argument("--m", type=float, default=None, help="target mass")
-        p.add_argument("--tol", type=float, default=None, help="ODE tolerance")
+        p.add_argument("--tol", type=float, default=None, help="profile ODE tolerance")
         p.add_argument("--grid", type=str, default=None, help="NTHETAxN3 mesh grid")
         p.add_argument("--threads", type=int, default=None, help="worker cap")
         p.add_argument("--out", type=str, default=None, help="output path")

@@ -29,13 +29,15 @@ from scipy.integrate import simpson
 from scipy.optimize import brentq
 
 from .errors import DomainError, NonConvergence, QuadratureDivergence, RootNotBracketed
-from .fields import SymmetricField, cos_coeffs, on_axis_derivatives
+from .fields import SymmetricField, on_axis_derivatives, series_eval
 from .profile import ConformalChart, DelaunayProfile
 
 DEFAULT_RESOLUTION = (24, 32, 48)  # (n_r, n_phi, n_z)
 # Largest axial residual |y - shift - x3| accepted from the normal-graph
 # Newton inversion; the radius interpolant reproduces it to the same 1e-9.
 NEWTON_TOL = 1e-9
+# Axial intervals of the half period [0, T/2] on which rho_h is sampled.
+GRAPH_MZ = 48
 
 
 # ---------------------------------------------------------------------------
@@ -69,30 +71,19 @@ class NormalGraphBoundary:
     """
 
     def __init__(self, profile: DelaunayProfile, chart: ConformalChart,
-                 h: SymmetricField, newton_iters: int = 3,
-                 nphi: int = None, mz: int = 48):
+                 h: SymmetricField, newton_iters: int = 3):
         self.profile = profile
         self.chart = chart
         self.h = h
         self.newton_iters = newton_iters
-        nphi = nphi or max(4 * (h.kmax + 1) + 8, 24)
-        T = profile.T
+        nphi = max(4 * (h.kmax + 1) + 8, 24)
+        self._tau = 0.5 * profile.T
         phi_s = 2.0 * np.pi * np.arange(nphi) / nphi
-        x3_s = 0.5 * T * np.arange(mz + 1) / mz
+        x3_s = self._tau * np.arange(GRAPH_MZ + 1) / GRAPH_MZ
         PHI, X3 = np.meshgrid(phi_s, x3_s, indexing="ij")
-        rho = self._radius_newton(PHI, X3)
-        # project: FFT over phi, cosine coefficients over x3
-        spec = np.fft.rfft(rho, axis=0)
-        kmax_b = nphi // 2 - 1
-        mode_profiles = np.zeros((kmax_b + 1, mz + 1))
-        for k in range(kmax_b + 1):
-            scale = 1.0 / nphi if k == 0 else 2.0 / nphi
-            ck = spec[k].real * scale
-            sk = -spec[k].imag * scale
-            mode_profiles[k] = ck if k % 2 == 0 else sk
-        self._kmax_b = kmax_b
-        self._coef = cos_coeffs(mode_profiles)  # (k, m) cosine coefficients
-        self._freq = np.arange(mz + 1) * (2.0 * np.pi / T)
+        rho, _ = SymmetricField.from_samples(self._radius_newton(PHI, X3), self._tau,
+                                             nphi // 2 - 1)
+        self._coef = rho.coeffs()
 
     def _graph(self, phi, y):
         f, fp, fpp = self.profile.evaluate(y, order=2)
@@ -117,20 +108,8 @@ class NormalGraphBoundary:
         return rad
 
     def radius(self, phi, x3):
-        """rho_h at broadcast (phi, x3).
-
-        The interpolant is separable: the x3 factors are evaluated on x3's
-        own shape and the phi factors on phi's, so open grids
-        (``x[:, None]``, ``p[None, :]``) pay for their distinct values only.
-        """
-        phi = np.asarray(phi, dtype=float)
-        x3 = np.asarray(x3, dtype=float)
-        profs = np.cos(x3[..., None] * self._freq) @ self._coef.T  # x3.shape + (k+1,)
-        ks = np.arange(self._kmax_b + 1)
-        trig = np.empty(phi.shape + ks.shape)
-        trig[..., 0::2] = np.cos(phi[..., None] * ks[0::2])
-        trig[..., 1::2] = np.sin(phi[..., None] * ks[1::2])
-        return np.einsum("...k,...k->...", profs, trig)
+        """rho_h at broadcast (phi, x3); open grids pay for distinct values only."""
+        return series_eval(self._coef, self._tau, phi, x3)[0]
 
     def surface_point(self, theta, y3):
         rad, shift, _ = self._graph(np.asarray(theta, dtype=float), np.asarray(y3, dtype=float))
@@ -141,25 +120,28 @@ class NormalGraphBoundary:
 # closed-form radial moments
 # ---------------------------------------------------------------------------
 
-def _radial_moments(P, r_eval, cos_chi, sin_chi, blin, cadd_pos):
+def _radial_moments(P, r_eval, vers_chi, sin_chi, blin, cadd_pos):
     """(M0, M1, M2) with M_m = int_0^P r^m / sqrt(r^2 + b r + c) dr.
 
     b = -2 r_eval cos_chi + blin, c = r_eval^2 + cadd_pos, with
-    cadd_pos >= 0 and blin the (signed, small) linear kappa term.  All
-    expressions are grouped so near-singular columns keep full precision.
+    cadd_pos >= 0 and blin the (signed, small) linear kappa term.
+    ``vers_chi`` = 1 - cos_chi, passed as 2 sin^2(chi/2) so that it keeps
+    full precision at small chi.  All expressions are grouped so
+    near-singular columns keep full precision.
     """
-    b = -2.0 * r_eval * cos_chi + blin
+    b = -2.0 * r_eval * (1.0 - vers_chi) + blin
     c = r_eval * r_eval + cadd_pos
     # Q(P) assembled from nonnegative geometric pieces
-    QP = (P - r_eval) ** 2 + 2.0 * P * r_eval * (1.0 - cos_chi) + blin * P + cadd_pos
+    QP = (P - r_eval) ** 2 + 2.0 * P * r_eval * vers_chi + blin * P + cadd_pos
     QP = np.maximum(QP, 0.0)
     sQP = np.sqrt(QP)
     sc = np.sqrt(c)
-    up = 2.0 * sQP + 2.0 * P + b
+    # 2P + b without the cancellation of P against r_eval cos_chi
+    up = 2.0 * sQP + 2.0 * (P - r_eval + r_eval * vers_chi) + blin
     lo_direct = 2.0 * sc + b
     # 4c - b^2 = 4 [r sin(chi)]^2 + positive kappa terms (stable when b < 0)
     disc = (4.0 * (r_eval * sin_chi) ** 2
-            + 4.0 * cadd_pos + 4.0 * r_eval * cos_chi * blin - blin * blin)
+            + 4.0 * cadd_pos + 4.0 * r_eval * (1.0 - vers_chi) * blin - blin * blin)
     disc = np.maximum(disc, 1e-300)
     # one log of the selected argument (the b < 0 form rationalizes 2 sqrt(c) + b)
     M0 = np.log(np.where(b >= 0.0,
@@ -172,15 +154,15 @@ def _radial_moments(P, r_eval, cos_chi, sin_chi, blin, cadd_pos):
 
 def _column_values(P, r_eval, chi, phi, y2, R, ak, P_lo=None):
     """Column integral int_{P_lo}^{P} (1 + r sin(phi)/R) r / sqrt(Q) dr."""
-    cos_chi = np.cos(chi)
+    vers_chi = 2.0 * np.sin(0.5 * chi) ** 2
     sin_chi = np.sin(chi)
     sin_phi = np.sin(phi)
     blin = ak * ak * sin_phi * (1.0 + y2 / R) / R
     cadd = ak * ak * (1.0 + y2 / R)
-    _, M1, M2 = _radial_moments(P, r_eval, cos_chi, sin_chi, blin, cadd)
+    _, M1, M2 = _radial_moments(P, r_eval, vers_chi, sin_chi, blin, cadd)
     val = M1 + sin_phi * M2 / R
     if P_lo is not None:
-        _, M1l, M2l = _radial_moments(P_lo, r_eval, cos_chi, sin_chi, blin, cadd)
+        _, M1l, M2l = _radial_moments(P_lo, r_eval, vers_chi, sin_chi, blin, cadd)
         val = val - (M1l + sin_phi * M2l / R)
     return val
 
@@ -419,7 +401,7 @@ def _duffy_core(boundary, R, theta, y3c, r_eval, y2, d_xi, d_chi,
         r = rho_b - eta
         ak = 2.0 * R * np.sin(xi / (2.0 * R))
         kap = 1.0 + (r * np.sin(phi) + y2) / R + r * np.sin(phi) * y2 / R**2
-        dist2 = (r - r_eval) ** 2 + 2.0 * r * r_eval * (1.0 - np.cos(chi)) + ak * ak * kap
+        dist2 = (r - r_eval) ** 2 + 4.0 * r * r_eval * np.sin(0.5 * chi) ** 2 + ak * ak * kap
         kern = (1.0 + r * np.sin(phi) / R) * r / np.sqrt(np.maximum(dist2, 1e-300))
         WW = (wu[:, None, None] * ws[None, :, None] * wv[None, None, :]
               * U * U * abs(D)
@@ -688,21 +670,17 @@ def critical_mass(bracket=(1.0, 8.0)):
 
 
 def coil_volume(profile: DelaunayProfile, n: int, h: SymmetricField = None,
-                chart: ConformalChart = None, resolution: tuple = (64, 48)) -> float:
-    """|Omega~^n_h| by the exact-in-r rule: n int (rho^2/2 + sin(phi) rho^3/(3R)) dphi dx3."""
-    T = profile.T
-    R = n * T / (2.0 * np.pi)
+                chart: ConformalChart = None) -> float:
+    """|Omega~^n_h| by the exact-in-r rule: n int (rho^2/2 + sin(phi) rho^3/(3R)) dphi dx3.
+
+    The (phi, x3) rule is the block rule with 64 midpoints in phi and 48
+    Gauss nodes in x3 (its r nodes are not used).
+    """
+    R = n * profile.T / (2.0 * np.pi)
     if h is None or not np.any(h.modes):
         boundary = AxisymBoundary(profile)
     else:
         boundary = NormalGraphBoundary(profile, chart, h)
-    n_phi, n_z = resolution
-    xi, wxi = _gl(n_z)
-    x3 = (xi - 0.5) * T
-    wz = wxi * T
-    phi = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
-    wphi = np.full(n_phi, 2.0 * np.pi / n_phi)
-    W = np.outer(wz, wphi)
-    rho = boundary.radius(phi[None, :], x3[:, None])
-    vals = rho**2 / 2.0 + np.sin(phi)[None, :] * rho**3 / (3.0 * R)
-    return float(n * np.sum(W * vals))
+    _, phi, rho, w = BlockQuadrature(profile, (2, 64, 48)).nodes2d(0.0, boundary)
+    vals = rho**2 / 2.0 + np.sin(phi) * rho**3 / (3.0 * R)
+    return float(n * np.sum(w * vals))

@@ -37,25 +37,55 @@ def cos_coeffs(values: np.ndarray) -> np.ndarray:
     return A
 
 
+def _cos_factor(t: np.ndarray, tau: float, m: int, j: int) -> np.ndarray:
+    """d^j/dt^j cos(freq t) = freq^j cos(freq t + j pi/2), freq = 0, pi/tau, .., m pi/tau.
+
+    The only place cosine-series factors are built; shape t.shape + (m+1,).
+    """
+    freq = np.arange(m + 1) * (np.pi / tau)
+    arg = t[..., None] * freq
+    if j == 0:
+        return np.cos(arg)
+    return freq**j * np.cos(arg + j * (np.pi / 2.0))
+
+
+def _theta_factor(theta: np.ndarray, kmax: int, i: int) -> np.ndarray:
+    """d^i/dtheta^i theta_basis(k, theta) for k = 0..kmax; shape theta.shape + (kmax+1,)."""
+    ks = np.arange(kmax + 1)
+    arg = theta[..., None] * ks
+    if i:
+        arg += i * (np.pi / 2.0)
+    out = np.empty(arg.shape)
+    out[..., 0::2] = np.cos(arg[..., 0::2])
+    out[..., 1::2] = np.sin(arg[..., 1::2])
+    return out if i == 0 else ks**i * out
+
+
 def cos_eval(coeffs: np.ndarray, t, tau: float, deriv: int = 0) -> np.ndarray:
     """Evaluate a cosine series (or its t-derivatives) at arbitrary t.
 
     Returns an array with shape coeffs.shape[:-1] + t.shape.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    m = coeffs.shape[-1] - 1
-    freq = np.arange(m + 1) * (np.pi / tau)
-    phase = np.outer(freq, t.ravel())  # (m+1, nt)
-    if deriv == 0:
-        basis = np.cos(phase)
-    elif deriv == 1:
-        basis = -freq[:, None] * np.sin(phase)
-    elif deriv == 2:
-        basis = -(freq**2)[:, None] * np.cos(phase)
-    else:
-        raise ValueError("deriv must be 0, 1 or 2")
-    out = coeffs @ basis
-    return out.reshape(coeffs.shape[:-1] + t.shape)
+    basis = _cos_factor(t, tau, coeffs.shape[-1] - 1, deriv)
+    return np.tensordot(coeffs, basis, axes=(-1, -1))
+
+
+def series_eval(coef: np.ndarray, tau: float, theta, t, derivs=((0, 0),)) -> list:
+    """Partials d^i/dtheta^i d^j/dt^j of sum_k theta_basis(k, theta) p_k(t).
+
+    p_k is the cosine series (half-period tau) with coefficients ``coef[k]``;
+    one array of shape broadcast(theta, t) is returned per (i, j) in
+    ``derivs``.  The angular factors are built on theta's own shape and the
+    cosine factors on t's, then contracted over k, so open grids
+    (``x[:, None]``, ``p[None, :]``) pay for their distinct values only.
+    """
+    theta = np.asarray(theta, dtype=float)
+    t = np.asarray(t, dtype=float)
+    kmax, m = coef.shape[0] - 1, coef.shape[1] - 1
+    ang = {i: _theta_factor(theta, kmax, i) for i in {i for i, _ in derivs}}
+    prof = {j: _cos_factor(t, tau, m, j) @ coef.T for j in {j for _, j in derivs}}
+    return [np.einsum("...k,...k->...", ang[i], prof[j]) for i, j in derivs]
 
 
 @dataclass
@@ -128,33 +158,9 @@ class SymmetricField:
         # recomputed on demand: modes may be mutated in place by callers
         return cos_coeffs(self.modes)
 
-    def _fold_t(self, t):
-        """Fold arbitrary t to [0, tau] using evenness and 2*tau periodicity."""
-        t = np.asarray(t, dtype=float)
-        u = np.mod(t, 2.0 * self.tau)
-        return np.where(u > self.tau, 2.0 * self.tau - u, u)
-
-    def profiles_at(self, t, deriv: int = 0) -> np.ndarray:
-        """All mode profiles (and derivatives) at arbitrary t; (kmax+1, nt)."""
-        tf = self._fold_t(np.atleast_1d(t))
-        vals = cos_eval(self.coeffs(), tf, self.tau, deriv=deriv)
-        if deriv == 1:
-            # odd derivative flips sign on the reflected half
-            u = np.mod(np.atleast_1d(t), 2.0 * self.tau)
-            sign = np.where(u > self.tau, -1.0, 1.0)
-            vals = vals * sign
-        return vals
-
     def evaluate(self, theta, t) -> np.ndarray:
         """Pointwise values at broadcast (theta, t)."""
-        theta = np.asarray(theta, dtype=float)
-        t = np.asarray(t, dtype=float)
-        theta_b, t_b = np.broadcast_arrays(theta, t)
-        profs = self.profiles_at(t_b.ravel())  # (k+1, N)
-        out = np.zeros(t_b.size)
-        for k in range(self.kmax + 1):
-            out += profs[k] * theta_basis(k, theta_b.ravel())
-        return out.reshape(t_b.shape)
+        return series_eval(self.coeffs(), self.tau, theta, t)[0]
 
     def grid_values(self, ntheta: int = 64) -> np.ndarray:
         """Values on the tensor grid theta_i = 2 pi i/ntheta x stored t grid."""
@@ -228,41 +234,15 @@ def on_axis_derivatives(h: SymmetricField, chart, theta, y3, order: int = 2):
     follow from t'(y3) = 1/z'(t) and t''(y3) = -2 x x' / (z')^3.
     Returns (h, h_th, h_3[, h_thth, h_th3, h_33]) broadcast over (theta, y3).
     """
-    theta = np.asarray(theta, dtype=float)
-    y3 = np.asarray(y3, dtype=float)
-    theta_b, y3_b = np.broadcast_arrays(theta, y3)
-    shape = y3_b.shape
-    t = np.asarray(chart.t_of_y3(y3_b.ravel()))
+    t = chart.t_of_y3(np.asarray(y3, dtype=float))
     x, xp = chart.x_of_t(t)
-    q = chart.a * (1.0 - chart.a)
-    zp = q + x * x
+    zp = chart.a * (1.0 - chart.a) + x * x
     tp = 1.0 / zp
-    tpp = -2.0 * x * xp / zp**3
-
-    tf = h._fold_t(t)
-    sign = np.where(np.mod(t, 2.0 * h.tau) > h.tau, -1.0, 1.0)
-    c = h.coeffs()
-    p0 = cos_eval(c, tf, h.tau, 0)
-    p1 = cos_eval(c, tf, h.tau, 1) * sign
-    p2 = cos_eval(c, tf, h.tau, 2) if order >= 2 else None
-
-    ks = np.arange(h.kmax + 1)
-    thr = theta_b.ravel()
-    bas = np.stack([theta_basis(k, thr) for k in ks])        # (k+1, N)
-    dbas = np.stack([
-        -k * np.sin(k * thr) if k % 2 == 0 else k * np.cos(k * thr) for k in ks
-    ])
-    h0 = np.sum(p0 * bas, axis=0)
-    h_th = np.sum(p0 * dbas, axis=0)
-    h_t = np.sum(p1 * bas, axis=0)
-    h_3 = h_t * tp
-    out = [h0.reshape(shape), h_th.reshape(shape), h_3.reshape(shape)]
+    derivs = ((0, 0), (1, 0), (0, 1)) + (((2, 0), (1, 1), (0, 2)) if order >= 2 else ())
+    h0, h_th, h_t, *second = series_eval(h.coeffs(), h.tau, theta, t, derivs)
+    out = [h0, h_th, h_t * tp]
     if order >= 2:
-        d2bas = -(ks**2)[:, None] * bas
-        h_thth = np.sum(p0 * d2bas, axis=0)
-        h_tht = np.sum(p1 * dbas, axis=0)
-        h_tt = np.sum(p2 * bas, axis=0)
-        h_th3 = h_tht * tp
-        h_33 = h_tt * tp * tp + h_t * tpp
-        out += [h_thth.reshape(shape), h_th3.reshape(shape), h_33.reshape(shape)]
+        h_thth, h_tht, h_tt = second
+        tpp = -2.0 * x * xp / zp**3
+        out += [h_thth, h_tht * tp, h_tt * tp * tp + h_t * tpp]
     return tuple(out)

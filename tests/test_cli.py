@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dropcoil.cli import RunConfig, main, parse_grid, parse_range
-from dropcoil.errors import DomainError
+from dropcoil.errors import BracketFailure, DomainError
 
 
 def test_parse_range():
@@ -154,7 +154,7 @@ def test_threads_flag_matches_serial(tmp_path):
 
 
 def test_reduce_cli_schema(tmp_path, monkeypatch):
-    import dropcoil.cli as cli
+    import dropcoil.reduction as reduction
     from dropcoil.reduction import ReductionSettings
 
     fast = ReductionSettings(kmax=4, ntheta=12, m_t=24, chart_grid=768,
@@ -162,7 +162,7 @@ def test_reduce_cli_schema(tmp_path, monkeypatch):
                              final_quad_resolution=(6, 16, 20),
                              self_panel_q=4, self_core_q=4, self_column_q=5,
                              final_self_q=5, coulomb_t_stride=3)
-    monkeypatch.setattr(cli, "_reduction_settings", lambda cfg: fast)
+    monkeypatch.setattr(reduction, "ReductionSettings", lambda: fast)
     out = tmp_path / "run.json"
     import warnings
     with warnings.catch_warnings():
@@ -194,3 +194,19 @@ def test_mass_map_cli_layer(tmp_path, monkeypatch):
     assert main(["mass-map", "--m", "40", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["b"] == 0.31 and doc["n"] >= 4 and doc["m_target"] == 40
+
+
+def test_mass_map_passes_tol(tmp_path, monkeypatch):
+    # --tol is the profile ODE tolerance of the neck bisection too
+    import dropcoil.reduction as reduction
+
+    seen = {}
+
+    def fake_find_neck(m, n, settings=None, profile_tol=None, **kw):
+        seen["profile_tol"] = profile_tol
+        raise BracketFailure("stubbed")
+
+    monkeypatch.setattr(reduction, "find_neck_for_mass", fake_find_neck)
+    assert main(["mass-map", "--m", "40", "--tol", "1e-9",
+                 "--out", str(tmp_path / "mass.json")]) == 3
+    assert seen["profile_tol"] == 1e-9

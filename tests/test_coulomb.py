@@ -1,5 +1,6 @@
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -160,17 +161,36 @@ def _moments_by_quad(P, r_eval, chi, blin, cadd):
             for m in range(3)]
 
 
+def _moments_mp(P, r_eval, chi, blin, cadd):
+    """M_0..M_2 from the antiderivatives at 50 digits (the float inputs taken as exact)."""
+    with mpmath.workdps(50):
+        P, r, chi, blin, cadd = (mpmath.mpf(v) for v in (P, r_eval, chi, blin, cadd))
+        b = -2 * r * mpmath.cos(chi) + blin
+        c = r * r + cadd
+        sQ, sc = mpmath.sqrt(P * P + b * P + c), mpmath.sqrt(c)
+        M0 = mpmath.log((2 * sQ + 2 * P + b) / (2 * sc + b))
+        M1 = sQ - sc - b * M0 / 2
+        M2 = ((2 * P - 3 * b) * sQ + 3 * b * sc) / 4 - (4 * c - 3 * b * b) / 8 * M0
+        return [float(M0), float(M1), float(M2)]
+
+
 @pytest.mark.parametrize("P, r_eval, chi, blin, cadd, b_nonneg", [
     (1.1, 0.8, 2.5, 0.01, 0.05, True),        # column behind the axis: b >= 0
     (1.2, 0.8, 0.3, -0.02, 0.03, False),      # b < 0, rationalized log argument
     (0.8001, 0.8, 1e-3, 0.0, 0.0, False),     # near-singular k = 0 column
+    (0.80001, 0.8, 1e-4, 0.0, 0.0, False),    # 1 - cos(chi) cancels in float
+    (0.8000001, 0.8, 1e-6, 0.0, 1e-14, False),
 ])
 def test_radial_moments_match_quadrature(P, r_eval, chi, blin, cadd, b_nonneg):
     assert (-2.0 * r_eval * np.cos(chi) + blin >= 0.0) == b_nonneg
-    M = _radial_moments(np.array(P), r_eval, np.cos(chi), np.sin(chi), blin, cadd)
-    ref = _moments_by_quad(P, r_eval, chi, blin, cadd)
-    for got, want in zip(M, ref):
-        assert abs(float(got) / want - 1.0) < 1e-11
+    M = _radial_moments(np.array(P), r_eval, 2.0 * np.sin(chi / 2.0) ** 2, np.sin(chi),
+                        blin, cadd)
+    refs = [_moments_mp(P, r_eval, chi, blin, cadd)]
+    if chi >= 1e-3:  # narrower columns are beyond the adaptive quadrature
+        refs.append(_moments_by_quad(P, r_eval, chi, blin, cadd))
+    for ref in refs:
+        for got, want in zip(M, ref):
+            assert abs(float(got) / want - 1.0) < 1e-11
 
 
 def test_perturbed_reduces_to_coil_at_zero(prof03, chart03, solver03):
@@ -265,11 +285,12 @@ def test_radius_open_grid_matches_dense(prof03, chart03, solver03):
     open_grids = [(phi[None, :], x3[:, None]),        # nodes2d, coil_volume
                   (u * phi[None, :5, None], u),       # a Duffy-core face
                   (np.float64(0.7), x3)]
-    for bnd in (AxisymBoundary(prof03), NormalGraphBoundary(prof03, chart03, h)):
+    for fn in (AxisymBoundary(prof03).radius, NormalGraphBoundary(prof03, chart03, h).radius,
+               h.evaluate):
         for p, z in open_grids:
             P, Z = np.broadcast_arrays(p, z)
-            dense = bnd.radius(P.copy(), Z.copy())
-            sparse = bnd.radius(p, z)
+            dense = fn(P.copy(), Z.copy())
+            sparse = fn(p, z)
             assert sparse.shape == dense.shape
             assert np.max(np.abs(sparse - dense)) <= 1e-14 * np.max(np.abs(dense))
 

@@ -6,7 +6,8 @@ from scipy.interpolate import CubicSpline
 
 from conftest import random_symmetric_modes
 from dropcoil.errors import GridMismatch, SingularSystem
-from dropcoil.fields import SymmetricField, cos_coeffs, cos_eval, theta_basis
+from dropcoil.fields import (SymmetricField, cos_coeffs, cos_eval, on_axis_derivatives,
+                             theta_basis)
 from dropcoil.jacobi import (JacobiSolver, apply_jacobi, hbar_solve,
                              project_coeffs, solve_projected)
 from dropcoil.profile import build_chart
@@ -66,6 +67,27 @@ def test_cosine_series_derivatives():
     exact = -(2 * np.pi / tau) * np.sin(2 * np.pi * tq / tau) \
         - 0.3 * (3 * np.pi / tau) * np.sin(3 * np.pi * tq / tau)
     assert np.max(np.abs(cos_eval(c, tq, tau, deriv=1) - exact)) < 1e-10
+
+
+def test_on_axis_derivatives_match_differences(chart03, solver03):
+    # y3 on both sides of 0: the cosine series is evaluated at negative t unfolded
+    h = random_symmetric_modes(solver03, 4, np.random.default_rng(11))
+    th = np.array([0.3, 1.2, 2.0, 4.4])[:, None]
+    y3 = np.array([-0.9, -0.4, -0.05, 0.05, 0.4, 0.9])[None, :]
+    e = 1e-4
+
+    def f(dth, dy3):
+        return on_axis_derivatives(h, chart03, th + dth, y3 + dy3, order=1)[0]
+
+    h0, h_th, h_3, h_thth, h_th3, h_33 = on_axis_derivatives(h, chart03, th, y3)
+    differences = [(h_th, (f(e, 0) - f(-e, 0)) / (2 * e)),
+                   (h_3, (f(0, e) - f(0, -e)) / (2 * e)),
+                   (h_thth, (f(e, 0) - 2 * h0 + f(-e, 0)) / e**2),
+                   (h_th3, (f(e, e) - f(e, -e) - f(-e, e) + f(-e, -e)) / (4 * e * e)),
+                   (h_33, (f(0, e) - 2 * h0 + f(0, -e)) / e**2)]
+    for exact, fd in differences:
+        assert exact.shape == (4, 6)
+        assert np.max(np.abs(exact - fd)) < 1e-6 * np.max(np.abs(exact))
 
 
 # ---- Jacobi operator ------------------------------------------------------
