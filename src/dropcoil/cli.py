@@ -197,11 +197,10 @@ def cmd_reduce(cfg: RunConfig):
         "h": state.h.to_dict(),
     }
     write_json(cfg.out, report, config=cfg.hashable_dict())
-    trace_rows = [(row["iter"], row["delta_norm"], row["c"], row["d"],
-                   row["residual"], row["step"]) for row in state.history]
-    write_csv(str(cfg.out) + ".trace.csv",
-              ["iter", "delta_norm", "c", "d", "residual", "step"],
-              trace_rows, config=cfg.hashable_dict())
+    columns = ["iter", "gamma", "delta_norm", "c", "d", "residual", "step"]
+    write_csv(str(cfg.out) + ".trace.csv", columns,
+              [tuple(row[k] for k in columns) for row in state.history],
+              config=cfg.hashable_dict())
 
 
 def cmd_mass_map(cfg: RunConfig):

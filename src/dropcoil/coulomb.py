@@ -38,6 +38,10 @@ DEFAULT_RESOLUTION = (24, 32, 48)  # (n_r, n_phi, n_z)
 NEWTON_TOL = 1e-9
 # Axial intervals of the half period [0, T/2] on which rho_h is sampled.
 GRAPH_MZ = 48
+# Elements per tile of the regular-block k-sweep and of the self-block
+# columns over a batch of points: every temporary of one tile holds at most
+# TILE doubles (96 KiB), whatever n, the node count and the batch size are.
+TILE = 12288
 
 
 # ---------------------------------------------------------------------------
@@ -56,8 +60,10 @@ class AxisymBoundary:
         return np.broadcast_to(f, np.broadcast(phi, x3).shape).copy()
 
     def surface_point(self, theta, y3):
-        f = self.profile.evaluate(y3, order=0)[0]
-        return float(f), float(y3)
+        """(r, x3) of the surface points over broadcast (theta, y3)."""
+        theta, y3 = np.broadcast_arrays(np.asarray(theta, dtype=float),
+                                        np.asarray(y3, dtype=float))
+        return self.profile.evaluate(y3, order=0)[0], y3
 
 
 class NormalGraphBoundary:
@@ -112,8 +118,10 @@ class NormalGraphBoundary:
         return series_eval(self._coef, self._tau, phi, x3)[0]
 
     def surface_point(self, theta, y3):
-        rad, shift, _ = self._graph(np.asarray(theta, dtype=float), np.asarray(y3, dtype=float))
-        return float(rad), float(y3 - shift)
+        """(r, x3) of the graph points over broadcast (theta, y3)."""
+        y3 = np.asarray(y3, dtype=float)
+        rad, shift, _ = self._graph(np.asarray(theta, dtype=float), y3)
+        return rad, y3 - shift
 
 
 # ---------------------------------------------------------------------------
@@ -152,19 +160,15 @@ def _radial_moments(P, r_eval, vers_chi, sin_chi, blin, cadd_pos):
     return M0, M1, M2
 
 
-def _column_values(P, r_eval, chi, phi, y2, R, ak, P_lo=None):
-    """Column integral int_{P_lo}^{P} (1 + r sin(phi)/R) r / sqrt(Q) dr."""
+def _column_values(P, r_eval, chi, phi, y2, R, ak):
+    """Column integral int_0^P (1 + r sin(phi)/R) r / sqrt(Q) dr."""
     vers_chi = 2.0 * np.sin(0.5 * chi) ** 2
     sin_chi = np.sin(chi)
     sin_phi = np.sin(phi)
     blin = ak * ak * sin_phi * (1.0 + y2 / R) / R
     cadd = ak * ak * (1.0 + y2 / R)
     _, M1, M2 = _radial_moments(P, r_eval, vers_chi, sin_chi, blin, cadd)
-    val = M1 + sin_phi * M2 / R
-    if P_lo is not None:
-        _, M1l, M2l = _radial_moments(P_lo, r_eval, vers_chi, sin_chi, blin, cadd)
-        val = val - (M1l + sin_phi * M2l / R)
-    return val
+    return M1 + sin_phi * M2 / R
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +182,16 @@ def _gl(q):
 
 
 def _panel_rule(edges, q):
-    """Composite Gauss-Legendre nodes/weights on consecutive [e_i, e_{i+1}]."""
+    """Composite Gauss-Legendre nodes/weights on consecutive [e_i, e_{i+1}].
+
+    Edges run along the last axis; leading axes are separate rules.
+    """
     x01, w01 = _gl(q)
     edges = np.asarray(edges, dtype=float)
-    widths = np.diff(edges)
-    nodes = (edges[:-1][:, None] + widths[:, None] * x01[None, :]).ravel()
-    weights = (widths[:, None] * w01[None, :]).ravel()
+    widths = np.diff(edges, axis=-1)[..., None]
+    shape = edges.shape[:-1] + (-1,)
+    nodes = (edges[..., :-1, None] + widths * x01).reshape(shape)
+    weights = (widths * w01).reshape(shape)
     return nodes, weights
 
 
@@ -200,11 +208,26 @@ def _graded_edges(start, stop, h0, ratio=2.0):
     return np.asarray(edges)
 
 
-def _sym_graded_rule(delta, outer, h0, q):
+def _sym_graded_rule(delta, outer, h0, q, ratio=2.0):
     """Nodes on [-outer, -delta] u [delta, outer], graded toward +-delta."""
-    e = _graded_edges(delta, outer, h0)
+    e = _graded_edges(delta, outer, h0, ratio)
     n, w = _panel_rule(e, q)
     return np.concatenate((-n[::-1], n)), np.concatenate((w[::-1], w))
+
+
+def _stack_rules(rules):
+    """(P, L) nodes and weights of P 1-D rules of up to L nodes.
+
+    Each shorter row is padded with zero-weight copies of its last node.
+    """
+    L = max(len(x) for x, _ in rules)
+    nodes = np.empty((len(rules), L))
+    weights = np.zeros((len(rules), L))
+    for i, (x, w) in enumerate(rules):
+        nodes[i, :len(x)] = x
+        nodes[i, len(x):] = x[-1]
+        weights[i, :len(w)] = w
+    return nodes, weights
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +243,9 @@ class SelfBlockSettings:
     core_q: int = 7
     column_q: int = 8
     grade_ratio: float = 2.0
+
+    def core_size(self, a_neck: float, T: float) -> float:
+        return self.rho if self.rho is not None else min(a_neck, T / 8.0) / 4.0
 
     def refined(self) -> "SelfBlockSettings":
         return SelfBlockSettings(rho=self.rho, panel_q=self.panel_q + 2,
@@ -299,103 +325,119 @@ class CoulombResult:
         return d
 
 
-def _self_block(boundary, R, T, theta, y3c, r_eval, cfg: SelfBlockSettings,
-                a_neck: float, eta0: float = 0.0):
-    """Singular k = 0 block integral.
+def _columns(boundary, R, theta, y3c, r_eval, xi, wxi, chi, wchi, depth=None):
+    """Analytic-r columns of the k = 0 block summed on a (xi, chi) rule, one value a point.
 
-    On-surface points (eta0 = 0): graded analytic-r columns away from the
-    evaluation point, closed-form column gaps over the footprint, and a
-    Duffy-pyramid core in depth coordinates eta = rho_b - r around the
-    singular point.  Off-surface points (interior / base values): the
-    columns are exact in r, so deep geometric grading of (xi, chi) toward
-    the singular column suffices.
+    theta, y3c, r_eval (and ``depth``) hold one value a point and chi, wchi
+    one row a point; the xi rule is shared.  Each column runs from the axis
+    to rho_b, or to rho_b - depth.  Points are taken in tiles of
+    max(1, TILE // (xi nodes x chi nodes)), so, as in the regular blocks,
+    every temporary holds at most TILE doubles whatever the batch size.
     """
-    rho = cfg.rho if cfg.rho is not None else min(a_neck, T / 8.0) / 4.0
+    XI = xi[:, None]
+    ak = 2.0 * R * np.sin(XI / (2.0 * R))
+    rows = max(1, TILE // (len(xi) * chi.shape[1]))
+    out = np.empty(len(chi))
+    for lo in range(0, len(chi), rows):
+        p = slice(lo, lo + rows)
+        th, z3, r = (v[p, None, None] for v in (theta, y3c, r_eval))
+        CHI = chi[p, None, :]
+        phi = th + CHI
+        rho_b = boundary.radius(phi, z3 + XI)
+        if depth is not None:
+            rho_b = np.maximum(rho_b - depth[p, None, None], 0.0)
+        vals = _column_values(rho_b, r, CHI, phi, r * np.sin(th), R, ak)
+        out[p] = (vals * (wxi[:, None] * wchi[p, None, :])).sum(axis=(1, 2))
+    return out
+
+
+def _self_block(boundary, R, T, theta, y3c, r_eval, cfg: SelfBlockSettings, a_neck: float):
+    """Singular k = 0 block integral at on-surface points, one value a point.
+
+    theta, y3c and r_eval are 1-D arrays of points.  Graded analytic-r
+    columns away from the evaluation point, closed-form columns with the
+    depth window [0, d_eta] removed over the footprint, and a Duffy-pyramid
+    core in depth coordinates eta = rho_b - r around the singular point.
+    The xi rules are shared by every point; the chi rules scale with
+    d_chi(r_eval) and are stacked one row a point.
+    """
+    rho = cfg.core_size(a_neck, T)
     d_xi = min(rho, T / 4.0)
-    d_chi = min(rho / max(r_eval, rho), np.pi / 2.0)
-    y2 = r_eval * np.sin(theta)
-
-    def columns(xi, wxi, chi, wchi, gap=None):
-        XI, CHI = xi[:, None], chi[None, :]
-        WW = np.outer(wxi, wchi)
-        phi = theta + CHI
-        rho_b = boundary.radius(phi, y3c + XI)
-        ak = 2.0 * R * np.sin(XI / (2.0 * R))
-        if gap is None:
-            vals = _column_values(rho_b, r_eval, CHI, phi, y2, R, ak)
-        else:
-            lo, hi = gap
-            vals = _column_values(np.maximum(rho_b - hi, 0.0), r_eval, CHI, phi, y2, R, ak)
-            if lo > 0.0:
-                vals = vals + _column_values(rho_b, r_eval, CHI, phi, y2, R, ak,
-                                             P_lo=np.clip(rho_b - lo, 0.0, None))
-        return float(np.sum(WW * vals))
-
+    d_chi = np.minimum(rho / np.maximum(r_eval, rho), np.pi / 2.0)
     q = cfg.panel_q
-    if abs(eta0) > 1e-12 * max(1.0, r_eval):
-        # off-surface: no core, resolve the 2D log singularity by deep grading
-        depth = rho * 2.0**-8
-        xi_r = _sym_graded_rule(depth, T / 2.0, depth, q)
-        chi_r = _sym_graded_rule(depth / max(r_eval, rho), np.pi,
-                                 depth / max(r_eval, rho), q)
-        return columns(xi_r[0], xi_r[1], chi_r[0], chi_r[1]) + columns(
-            *_panel_rule(np.array([-depth, 0.0, depth]), 3),
-            *_panel_rule(np.array([-depth, 0.0, depth]) / max(r_eval, rho), 3))
 
-    xi_out, wxi_out = _sym_graded_rule(d_xi, T / 2.0, d_xi, q)
-    chi_full_e = _graded_edges(0.0, np.pi, d_chi, cfg.grade_ratio)
-    chi_half, wchi_half = _panel_rule(chi_full_e, q)
-    chi_full = np.concatenate((-chi_half[::-1], chi_half))
-    wchi_full = np.concatenate((wchi_half[::-1], wchi_half))
-    total = columns(xi_out, wxi_out, chi_full, wchi_full)
+    def columns(xi_rule, chi_rule, depth=None):
+        return _columns(boundary, R, theta, y3c, r_eval, *xi_rule, *chi_rule, depth)
 
-    xi_in, wxi_in = _panel_rule(np.array([-d_xi, 0.0, d_xi]), cfg.column_q)
-    chi_out, wchi_out = _sym_graded_rule(d_chi, np.pi, d_chi, q)
-    total += columns(xi_in, wxi_in, chi_out, wchi_out)
+    xi_out = _sym_graded_rule(d_xi, T / 2.0, d_xi, q)
+    chi_full = _stack_rules([_sym_graded_rule(0.0, np.pi, d, q, cfg.grade_ratio)
+                             for d in d_chi])
+    total = columns(xi_out, chi_full)
+
+    xi_in = _panel_rule(np.array([-d_xi, 0.0, d_xi]), cfg.column_q)
+    chi_out = _stack_rules([_sym_graded_rule(d, np.pi, d, q) for d in d_chi])
+    total += columns(xi_in, chi_out)
 
     # footprint: columns with the depth window [0, d_eta] removed ...
-    fp_chi, fp_wchi = _panel_rule(np.array([-d_chi, 0.0, d_chi]), cfg.column_q)
-    fp_rho = boundary.radius(theta + fp_chi[None, :], y3c + xi_in[:, None])
-    rho_min_fp = float(np.min(fp_rho))
-    d_eta = min(rho, 0.45 * rho_min_fp)
-    total += columns(xi_in, wxi_in, fp_chi, fp_wchi, gap=(0.0, d_eta))
+    fp_chi = _panel_rule(np.stack((-d_chi, np.zeros_like(d_chi), d_chi), axis=-1),
+                         cfg.column_q)
+    fp_rho = boundary.radius(theta[:, None, None] + fp_chi[0][:, None, :],
+                             y3c[:, None, None] + xi_in[0][:, None])
+    d_eta = np.minimum(rho, 0.45 * fp_rho.min(axis=(1, 2)))
+    total += columns(xi_in, fp_chi, depth=d_eta)
 
     # ... and the Duffy core over the window, apex at the singular point
-    total += _duffy_core(boundary, R, theta, y3c, r_eval, y2,
-                         d_xi, d_chi, 0.0, d_eta, 0.0, cfg.core_q)
+    total += _duffy_core(boundary, R, theta, y3c, r_eval, d_xi, d_chi, d_eta, cfg.core_q)
     return total
 
 
-def _duffy_core(boundary, R, theta, y3c, r_eval, y2, d_xi, d_chi,
-                eta_lo, eta_hi, eta0, q):
-    """Pyramid decomposition of the core box in (xi, chi, eta) coordinates."""
-    u, wu = _gl(q)
-    s, ws = _gl(q)
-    v, wv = _gl(q)
-    tiny = 1e-14 * max(d_xi, eta_hi - eta_lo)
+def _interior_self_block(boundary, R, T, theta, y3c, r_eval, cfg: SelfBlockSettings,
+                         a_neck: float) -> float:
+    """k = 0 block integral at one point off the surface (interior or base values).
 
-    faces = []
-    lo = {0: -d_xi, 1: -d_chi, 2: eta_lo - eta0}
-    hi = {0: d_xi, 1: d_chi, 2: eta_hi - eta0}
-    for axis in (0, 1):
-        faces.append((axis, lo[axis]))
-        faces.append((axis, hi[axis]))
-    if hi[2] > tiny:
-        faces.append((2, hi[2]))
-    if lo[2] < -tiny:
-        faces.append((2, lo[2]))
+    The columns are exact in r, so deep geometric grading of (xi, chi)
+    toward the singular column suffices; no core.
+    """
+    rho = cfg.core_size(a_neck, T)
+    depth = rho * 2.0**-8
+    scale = max(r_eval, rho)
+    q = cfg.panel_q
+    core = np.array([-depth, 0.0, depth])
+    rules = [(_sym_graded_rule(depth, T / 2.0, depth, q),
+              _sym_graded_rule(depth / scale, np.pi, depth / scale, q)),
+             (_panel_rule(core, 3), _panel_rule(core / scale, 3))]
+    point = [np.atleast_1d(v) for v in (theta, y3c, r_eval)]
+    return float(sum(_columns(boundary, R, *point, *xi_rule, chi[None], wchi[None])[0]
+                     for xi_rule, (chi, wchi) in rules))
+
+
+def _duffy_core(boundary, R, theta, y3c, r_eval, d_xi, d_chi, d_eta, q):
+    """Pyramid decomposition of the core box in (xi, chi, eta) coordinates.
+
+    The box is |xi| <= d_xi, |chi| <= d_chi, 0 <= eta <= d_eta with the
+    apex at the singular point; theta, y3c, r_eval, d_chi and d_eta hold
+    one value a point, and the faces carry a leading point axis.
+    """
+    u, wu = _gl(q)
+    theta, y3c, r_eval, d_chi, d_eta = (np.reshape(v, (-1, 1, 1, 1))
+                                        for v in (theta, y3c, r_eval, d_chi, d_eta))
+    y2 = r_eval * np.sin(theta)
+    U = u[:, None, None]
+    W = wu[:, None, None] * wu[None, :, None] * wu[None, None, :] * U * U
+    lo = (-d_xi, -d_chi, 0.0)
+    hi = (d_xi, d_chi, d_eta)
+    # the eta = d_eta face only when the depth window is not degenerate
+    keep = (d_eta > 1e-14 * np.maximum(d_xi, d_eta)).ravel()
 
     total = 0.0
-    for axis, D in faces:
+    for axis, D in ((0, lo[0]), (0, hi[0]), (1, lo[1]), (1, hi[1]), (2, hi[2])):
         others = [a for a in (0, 1, 2) if a != axis]
-        spans = [(lo[a], hi[a]) for a in others]
-        S1 = spans[0][0] + (spans[0][1] - spans[0][0]) * s
-        S2 = spans[1][0] + (spans[1][1] - spans[1][0]) * v
-        U = u[:, None, None]
-        rel = {axis: D, others[0]: S1[None, :, None], others[1]: S2[None, None, :]}
+        rel = {axis: D}
+        for a, s in zip(others, (u[:, None], u)):  # the face's two free axes
+            rel[a] = lo[a] + (hi[a] - lo[a]) * s
         xi = U * rel[0]
         chi = U * rel[1]
-        eta = eta0 + U * rel[2]
+        eta = U * rel[2]
         phi = theta + chi
         rho_b = boundary.radius(phi, y3c + xi)
         r = rho_b - eta
@@ -403,21 +445,16 @@ def _duffy_core(boundary, R, theta, y3c, r_eval, y2, d_xi, d_chi,
         kap = 1.0 + (r * np.sin(phi) + y2) / R + r * np.sin(phi) * y2 / R**2
         dist2 = (r - r_eval) ** 2 + 4.0 * r * r_eval * np.sin(0.5 * chi) ** 2 + ak * ak * kap
         kern = (1.0 + r * np.sin(phi) / R) * r / np.sqrt(np.maximum(dist2, 1e-300))
-        WW = (wu[:, None, None] * ws[None, :, None] * wv[None, None, :]
-              * U * U * abs(D)
-              * (spans[0][1] - spans[0][0]) * (spans[1][1] - spans[1][0]))
-        total += float(np.sum(kern * WW))
+        WW = (W * np.abs(D)
+              * (hi[others[0]] - lo[others[0]]) * (hi[others[1]] - lo[others[1]]))
+        face = np.sum(kern * WW, axis=(1, 2, 3))
+        total = total + (np.where(keep, face, 0.0) if axis == 2 else face)
     return total
 
 
 # ---------------------------------------------------------------------------
 # potentials
 # ---------------------------------------------------------------------------
-
-# Elements per tile of the regular-block k-sweep: every temporary of one tile
-# holds at most TILE doubles (96 KiB), whatever n and the node count are.
-TILE = 12288
-
 
 def _regular_blocks(boundary, quad, n, R, T, theta, y3c, r_eval):
     """I_k for k = 1..n-1 via the analytic-r column rule.
@@ -450,8 +487,6 @@ def potential_coil(profile: DelaunayProfile, n: int, y, quad: BlockQuadrature = 
     at one refinement step and the difference reported (the refined value is
     returned).
     """
-    if n < 4:
-        raise DomainError("coil potential needs n >= 4")
     theta, y3 = float(y[0]), float(y[1])
     quad = quad or BlockQuadrature(profile)
     self_cfg = self_cfg or SelfBlockSettings()
@@ -463,8 +498,7 @@ def potential_coil(profile: DelaunayProfile, n: int, y, quad: BlockQuadrature = 
 def potential_perturbed(profile: DelaunayProfile, n: int, h: SymmetricField, y,
                         chart: ConformalChart = None, quad: BlockQuadrature = None,
                         self_cfg: SelfBlockSettings = None, error_estimate: bool = True,
-                        divergence_rtol: float = 1e-3, with_base: bool = True,
-                        boundary: "NormalGraphBoundary" = None) -> CoulombResult:
+                        divergence_rtol: float = 1e-3, with_base: bool = True) -> CoulombResult:
     """Potential of the normal-graph solid at the moved point X(y_h).
 
     h = 0 reduces exactly to potential_coil (same code path).  With
@@ -472,41 +506,54 @@ def potential_perturbed(profile: DelaunayProfile, n: int, h: SymmetricField, y,
     same moved point, so value - base is the shell correction of the graph
     layer.
     """
-    if n < 4:
-        raise DomainError("coil potential needs n >= 4")
     theta, y3 = float(y[0]), float(y[1])
     quad = quad or BlockQuadrature(profile)
     self_cfg = self_cfg or SelfBlockSettings()
-    if boundary is None:
-        if h is None or not np.any(h.modes):
-            return potential_coil(profile, n, y, quad, self_cfg, error_estimate,
-                                  divergence_rtol)
-        if chart is None:
-            raise DomainError("potential_perturbed needs the conformal chart")
-        boundary = NormalGraphBoundary(profile, chart, h)
+    if h is None or not np.any(h.modes):
+        return potential_coil(profile, n, y, quad, self_cfg, error_estimate, divergence_rtol)
+    if chart is None:
+        raise DomainError("potential_perturbed needs the conformal chart")
+    boundary = NormalGraphBoundary(profile, chart, h)
     res = _potential_at(boundary, profile, n, theta, y3, quad, self_cfg,
                         error_estimate, divergence_rtol)
     if with_base:
         T = profile.T
         R = n * T / (2.0 * np.pi)
-        r_eval, y3c = boundary.surface_point(theta, y3)
+        r_eval, y3c = (float(v) for v in boundary.surface_point(theta, y3))
         base_bnd = AxisymBoundary(profile)
         res.base = _interior_potential(base_bnd, profile, n, R, T, theta, y3c,
                                        r_eval, quad, self_cfg)
     return res
 
 
-def _potential_at(boundary, profile, n, theta, y3, quad, self_cfg,
-                  error_estimate, divergence_rtol):
+def surface_potentials(profile: DelaunayProfile, n: int, boundary, theta, y3,
+                       quad: BlockQuadrature, self_cfg: SelfBlockSettings) -> np.ndarray:
+    """Block integrals I_k, k = 0..n-1, at the surface points over (theta, y3).
+
+    theta and y3 broadcast to a batch of points; row p of the (points, n)
+    result is the breakdown of point p, whose potential is the row sum.
+    The surface points come from one ``surface_point`` call; the regular
+    blocks run point by point (their k-sweep is tiled per point) and the
+    singular self block once for the whole batch.
+    """
+    if n < 4:
+        raise DomainError("coil potential needs n >= 4")
+    theta, y3 = (v.ravel() for v in np.broadcast_arrays(np.asarray(theta, dtype=float),
+                                                         np.asarray(y3, dtype=float)))
     T = profile.T
     R = n * T / (2.0 * np.pi)
     r_eval, y3c = boundary.surface_point(theta, y3)
+    Ik = np.empty((len(theta), n))
+    for p in range(len(theta)):
+        Ik[p, 1:] = _regular_blocks(boundary, quad, n, R, T, theta[p], y3c[p], r_eval[p])
+    Ik[:, 0] = _self_block(boundary, R, T, theta, y3c, r_eval, self_cfg, profile.a)
+    return Ik
 
+
+def _potential_at(boundary, profile, n, theta, y3, quad, self_cfg,
+                  error_estimate, divergence_rtol):
     def one_pass(q2d, cfg):
-        Ik = np.empty(n)
-        Ik[1:] = _regular_blocks(boundary, q2d, n, R, T, theta, y3c, r_eval)
-        Ik[0] = _self_block(boundary, R, T, theta, y3c, r_eval, cfg, profile.a)
-        return Ik
+        return surface_potentials(profile, n, boundary, theta, y3, q2d, cfg)[0]
 
     Ik = one_pass(quad, self_cfg)
     err = None
@@ -523,23 +570,26 @@ def _potential_at(boundary, profile, n, theta, y3, quad, self_cfg,
                          breakdown=Ik, err_est=err)
 
 
-def toroidal_potential_reference(profile: DelaunayProfile, n: int, y,
-                                 levels: int = 9, q: int = 4) -> float:
+def toroidal_potential_reference(profile: DelaunayProfile, n: int, y, q: int = 4,
+                                 boundary=None) -> float:
     """Brute-force oracle: raw R^3 quadrature over the full coiled solid.
 
     Global toroidal coordinates (ring angle, cross-section polar), graded
     midpoint-free panels toward the evaluation point, no block decomposition
     and no chordal identity.  Accuracy ~0.1-1%; independent of the block path.
+    ``boundary`` (default the unperturbed one) gives the section radius
+    rho_b(polar angle, R * ring angle) and the surface point over y.
     """
     theta, y3 = float(y[0]), float(y[1])
+    boundary = boundary or AxisymBoundary(profile)
     T = profile.T
     R = n * T / (2.0 * np.pi)
-    f_y = profile.evaluate(y3, order=0)[0]
+    r_y, y3c = boundary.surface_point(theta, y3)
     # evaluation point in R^3
-    ang_y = y3 / R
-    P0 = np.array([f_y * np.cos(theta),
-                   (R + f_y * np.sin(theta)) * np.cos(ang_y),
-                   (R + f_y * np.sin(theta)) * np.sin(ang_y)])
+    ang_y = y3c / R
+    P0 = np.array([r_y * np.cos(theta),
+                   (R + r_y * np.sin(theta)) * np.cos(ang_y),
+                   (R + r_y * np.sin(theta)) * np.sin(ang_y)])
 
     # ring angle panels graded toward ang_y (period 2 pi)
     span = np.pi * 2.0
@@ -556,12 +606,11 @@ def toroidal_potential_reference(profile: DelaunayProfile, n: int, y,
     e3 = 1.0 - _graded_edges(0.0, 1.0, 0.02, 1.6)[::-1]
     rr, rr_w = _panel_rule(e3, q)
 
-    x3 = R * ang  # axial arc position determines the section radius
-    fsec = profile.evaluate(x3, order=0)[0]
+    # section radius at axial arc position R * ang and polar angle tt
+    F = boundary.radius(tt[None, :], R * ang[:, None])
 
     A, Tt = np.meshgrid(ang, tt, indexing="ij")
     WA, WTt = np.meshgrid(ang_w, tt_w, indexing="ij")
-    F = np.meshgrid(fsec, tt, indexing="ij")[0]
     total = 0.0
     for j, r01 in enumerate(rr):
         rho = F * r01
@@ -649,7 +698,11 @@ def _interior_potential(boundary, profile, n, R, T, theta, y3, r_eval, quad, cfg
     Ik = np.empty(n)
     Ik[1:] = _regular_blocks(boundary, quad, n, R, T, theta, y3, r_eval)
     eta0 = float(boundary.radius(np.asarray(theta), np.asarray(y3)) - r_eval)
-    Ik[0] = _self_block(boundary, R, T, theta, y3, r_eval, cfg, profile.a, eta0=eta0)
+    if abs(eta0) > 1e-12 * max(1.0, r_eval):
+        Ik[0] = _interior_self_block(boundary, R, T, theta, y3, r_eval, cfg, profile.a)
+    else:  # on the surface after all
+        Ik[0] = _self_block(boundary, R, T, *(np.atleast_1d(v) for v in (theta, y3, r_eval)),
+                            cfg, profile.a)[0]
     return float(Ik.sum())
 
 

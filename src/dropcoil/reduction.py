@@ -19,8 +19,8 @@ import warnings
 from dataclasses import dataclass, field as dfield
 import numpy as np
 
-from .coulomb import (BlockQuadrature, NormalGraphBoundary, SelfBlockSettings,
-                      coil_volume, potential_perturbed)
+from .coulomb import (AxisymBoundary, BlockQuadrature, NormalGraphBoundary,
+                      SelfBlockSettings, coil_volume, surface_potentials)
 from .errors import BracketFailure, DomainError, NoContraction, RootNotBracketed
 from .fields import SymmetricField, cos_coeffs, cos_eval
 from .geometry import build_coil, evaluate_forms
@@ -123,24 +123,23 @@ def _coulomb_samples(ctx: ReductionContext, h: SymmetricField, final: bool) -> n
     maps column i to column (ntheta/2 - i) mod ntheta when ntheta is even.
     The loop then integrates one column of each mirror pair and copies it to
     the other.  The final report integrates every column, so that its
-    symmetry_residual measures the quadrature, not the mirroring.
+    symmetry_residual measures the quadrature, not the mirroring.  Each
+    integrated column is one batch of the on-surface kernel.
     """
     quad = ctx.final_quad if final else ctx.quad
     cfg = ctx.final_self_cfg if final else ctx.self_cfg
-    boundary = None
     if h is not None and np.any(h.modes):
         boundary = NormalGraphBoundary(ctx.profile, ctx.chart, h)
+    else:
+        boundary = AxisymBoundary(ctx.profile)
     ntheta = len(ctx.theta)
     cols = np.arange(ntheta)
     mirror = cols if final or ntheta % 2 else (ntheta // 2 - cols) % ntheta
     own = cols[mirror >= cols]
     sub = np.empty((ntheta, len(ctx.y3_sub)))
     for i in own:
-        for j, y3 in enumerate(ctx.y3_sub):
-            sub[i, j] = potential_perturbed(
-                ctx.profile, ctx.n, h, (ctx.theta[i], y3), chart=ctx.chart, quad=quad,
-                self_cfg=cfg, error_estimate=False, with_base=False,
-                boundary=boundary).value
+        sub[i] = surface_potentials(ctx.profile, ctx.n, boundary, ctx.theta[i], ctx.y3_sub,
+                                    quad, cfg).sum(axis=1)
     sub[mirror[own]] = sub[own]
     if len(ctx.y3_sub) == len(ctx.t_nodes):
         return sub
@@ -186,7 +185,7 @@ class ReductionState:
     converged: bool
     h_norm: float
     symmetry_residual: float
-    history: list = dfield(default_factory=list)
+    history: list = dfield(default_factory=list)  # solve_gamma: every solve's steps
     lambda_convention: str = "lambda = d-projection of G against hbar"
     residual_final: float = None  # sup |G - d| at the full-resolution report
     c_final: float = None
@@ -248,7 +247,11 @@ def fixed_point_solve(profile: DelaunayProfile, n: int, gamma: float,
 def solve_gamma(profile: DelaunayProfile, n: int,
                 settings: ReductionSettings = None,
                 ctx: ReductionContext = None) -> ReductionState:
-    """Secant iteration on gamma driving the nu_2-projection c to zero."""
+    """Secant iteration on gamma driving the nu_2-projection c to zero.
+
+    The returned state's history holds the Picard steps of every
+    fixed-gamma solve, each row tagged with its gamma.
+    """
     settings = settings or ReductionSettings()
     if n < 16:
         raise DomainError("solve_gamma needs n >= 16")
@@ -256,14 +259,20 @@ def solve_gamma(profile: DelaunayProfile, n: int,
     lead = gamma_leading(profile, n)
     window = max(settings.gamma_window_M / np.log(n) ** 2, 0.6 * lead.gamma)
     lo, hi = lead.gamma - window, lead.gamma + window
+    history = []
+
+    def solve(gamma, h0=None):
+        st = fixed_point_solve(profile, n, gamma, settings, ctx, h0=h0)
+        history.extend(dict(row, gamma=st.gamma) for row in st.history)
+        return st
 
     g_prev = lead.gamma
-    state = fixed_point_solve(profile, n, g_prev, settings, ctx)
+    state = solve(g_prev)
     c_prev = state.c
     g_cur = lead.gamma * 1.1
     seen = [(g_prev, c_prev)]
     for _ in range(settings.max_secant):
-        state = fixed_point_solve(profile, n, g_cur, settings, ctx, h0=state.h)
+        state = solve(g_cur, state.h)
         c_cur = state.c
         seen.append((g_cur, c_cur))
         if abs(c_cur) < settings.tol_c_rel * max(abs(state.d), 1e-30):
@@ -272,6 +281,7 @@ def solve_gamma(profile: DelaunayProfile, n: int,
                                     ctx=ctx, final=True)
             state.residual_final = fin.residual
             state.c_final = fin.c
+            state.history = history
             return state
         if c_cur == c_prev:
             break

@@ -175,6 +175,10 @@ def test_reduce_cli_schema(tmp_path, monkeypatch):
     assert abs(doc["c"]) < 1e-6 * abs(doc["lambda"])
     trace = (tmp_path / "run.json.trace.csv").read_text().splitlines()
     assert trace[2].split(",")[0] == "iter"
+    # every fixed-gamma solve is kept, each step with its gamma
+    assert trace[2].split(",")[:2] == ["iter", "gamma"]
+    assert len({line.split(",")[1] for line in trace[3:]}) >= 2
+    assert len(trace) - 3 > doc["iterations"]
 
 
 def test_mass_map_cli_layer(tmp_path, monkeypatch):

@@ -9,6 +9,7 @@ from dropcoil.coulomb import (BALL_UNIT_COULOMB, TILE, AxisymBoundary,
                               BlockQuadrature, CRITICAL_MASS_CLOSED_FORM,
                               NormalGraphBoundary, SelfBlockSettings,
                               _column_values, _radial_moments, _regular_blocks,
+                              _self_block, _sym_graded_rule,
                               ball_coulomb_energy, ball_energy,
                               ball_potential_exact, ball_potential_radial,
                               coil_volume, coulomb_energy, critical_mass,
@@ -58,6 +59,30 @@ def test_small_n_brute_force_oracle(prof03):
     res2 = potential_coil(prof03, 6, (0.7, 0.4))
     ref2 = toroidal_potential_reference(prof03, 6, (0.7, 0.4), q=6)
     assert abs(res2.value - ref2) / ref2 < 1e-2
+
+
+@pytest.mark.parametrize("amp", [0.03, 0.08])
+@pytest.mark.parametrize("n", [4, 8])
+def test_perturbed_brute_force_oracle(prof03, chart03, solver03, amp, n):
+    # the oracle integrates the normal-graph solid through rho_h alone; the
+    # mean bump keeps the shell correction at 4-12% of the potential
+    h = solver03.zero_field(kmax=4)
+    c = np.cos(np.pi * solver03.t / solver03.tau)
+    h.modes[0] = 1.0 + 0.5 * c
+    h.modes[1] = 0.5 * solver03.kernel.nu2
+    h.modes[2] = 0.5 * np.cos(2 * np.pi * solver03.t / solver03.tau)
+    h.modes[3] = 0.3 * c
+    h.modes[4] = 0.3
+    h = h * (amp / h.norm_sup())
+    bnd = NormalGraphBoundary(prof03, chart03, h)
+    for y in ((np.pi / 2, 0.0), (0.7, 0.4)):
+        val = potential_perturbed(prof03, n, h, y, chart=chart03, with_base=False).value
+        ref = toroidal_potential_reference(prof03, n, y, q=6, boundary=bnd)
+        assert abs(val - ref) / ref < 1e-2
+        # the change the graph layer makes, against the unperturbed solid
+        shell = val - potential_coil(prof03, n, y).value
+        shell_ref = ref - toroidal_potential_reference(prof03, n, y, q=6)
+        assert abs(shell - shell_ref) / abs(shell_ref) < 5e-2
 
 
 def test_n_validation(prof03):
@@ -293,6 +318,78 @@ def test_radius_open_grid_matches_dense(prof03, chart03, solver03):
             sparse = fn(p, z)
             assert sparse.shape == dense.shape
             assert np.max(np.abs(sparse - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+
+def _batch_boundaries(prof03, chart03, solver03):
+    h = solver03.zero_field(kmax=3)
+    h.modes[0] = 0.01
+    h.modes[1] = 0.004 * solver03.kernel.nu2
+    h.modes[3] = 0.002
+    return AxisymBoundary(prof03), NormalGraphBoundary(prof03, chart03, h)
+
+
+# neck (r = 0.3 at y3 = T/2) and bulge (r = 0.7 at y3 = 0) points in one batch
+BATCH_THETA = np.array([0.3, 1.2, 2.0, 4.0, 5.5, 0.9])
+BATCH_Y3_OVER_T = np.array([0.0, 0.5, -0.066, 0.3, 0.033, -0.45])
+
+
+def test_surface_point_array_matches_scalar(prof03, chart03, solver03):
+    theta, y3 = BATCH_THETA, BATCH_Y3_OVER_T * prof03.T
+    for boundary in _batch_boundaries(prof03, chart03, solver03):
+        r, x3 = boundary.surface_point(theta[:, None], y3[None, :])
+        assert r.shape == x3.shape == (len(theta), len(y3))
+        for i, th in enumerate(theta):
+            for j, z in enumerate(y3):
+                rs, x3s = boundary.surface_point(th, z)
+                assert np.ndim(rs) == 0
+                assert abs(r[i, j] - rs) <= 1e-15 * rs
+                assert abs(x3[i, j] - x3s) <= 1e-15 * max(abs(x3s), 1.0)
+
+
+def test_self_block_batch_matches_single_points(prof03, chart03, solver03):
+    T = prof03.T
+    n = 16
+    R = n * T / (2.0 * np.pi)
+    cfg = SelfBlockSettings()
+    rho = cfg.core_size(prof03.a, T)
+    for boundary in _batch_boundaries(prof03, chart03, solver03):
+        r_eval, y3c = boundary.surface_point(BATCH_THETA, BATCH_Y3_OVER_T * T)
+        # the chi rules scale with r_eval: neck and bulge rows differ in
+        # length, so the stacked rule pads the shorter rows
+        d_chi = rho / np.maximum(r_eval, rho)
+        lengths = {len(_sym_graded_rule(0.0, np.pi, d, cfg.panel_q, cfg.grade_ratio)[0])
+                   for d in d_chi}
+        assert len(lengths) > 1
+        batch = _self_block(boundary, R, T, BATCH_THETA, y3c, r_eval, cfg, prof03.a)
+        single = [_self_block(boundary, R, T, BATCH_THETA[p:p + 1], y3c[p:p + 1],
+                              r_eval[p:p + 1], cfg, prof03.a)[0]
+                  for p in range(len(BATCH_THETA))]
+        assert batch.shape == (len(BATCH_THETA),)
+        assert np.max(np.abs(batch / single - 1.0)) <= 1e-14
+
+
+def test_self_block_batch_memory_bounded(prof03):
+    # the columns take the points in tiles of TILE elements; one 64-point
+    # sweep (a 64 x 70 x 70 grid a temporary) peaked at 31.5 MiB
+    T = prof03.T
+    R = 16 * T / (2.0 * np.pi)
+    boundary = AxisymBoundary(prof03)
+    theta = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    r_eval, y3c = boundary.surface_point(theta, np.linspace(-T / 2, T / 2, 64))
+    cfg = SelfBlockSettings()
+    _self_block(boundary, R, T, theta[:2], y3c[:2], r_eval[:2], cfg, prof03.a)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        _self_block(boundary, R, T, theta, y3c, r_eval, cfg, prof03.a)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_perturbed_potential_mirror_symmetric(prof03, chart03, solver03):

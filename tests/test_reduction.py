@@ -1,6 +1,7 @@
+import json
 import warnings
 from dataclasses import replace
-from types import SimpleNamespace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +120,18 @@ def test_solve_gamma_root(prof03, ctx32, state32):
         solve_gamma(prof03, 8, FAST)
 
 
+def test_solve_gamma_keeps_every_solve(state32):
+    rows = state32.history
+    gammas = list(dict.fromkeys(row["gamma"] for row in rows))
+    assert len(gammas) >= 2 and gammas[-1] == state32.gamma
+    # each fixed-gamma solve's steps stay together, numbered from 0
+    starts = [i for i, row in enumerate(rows) if row["iter"] == 0]
+    assert [rows[i]["gamma"] for i in starts] == gammas
+    last = rows[starts[-1]:]
+    assert [row["iter"] for row in last] == list(range(state32.iterations))
+    assert all(row["gamma"] == state32.gamma for row in last)
+
+
 def test_h_norm_scaling(prof03, state32):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -207,14 +220,44 @@ def test_mirror_columns_need_even_ntheta(prof03, monkeypatch, ntheta, final, col
     ctx = ReductionContext(prof03, 16, replace(FAST, ntheta=ntheta))
     seen = []
 
-    def fake_potential(profile, n, h, y, **kw):
-        seen.append(int(round(y[0] * ntheta / (2 * np.pi))))
-        return SimpleNamespace(value=np.sin(y[0]) ** 2 + 0.5 * np.sin(y[0]))
+    def fake_kernel(profile, n, boundary, theta, y3, quad, self_cfg):
+        # one row a point; the row sum is the potential
+        seen.extend([int(round(theta * ntheta / (2 * np.pi)))] * len(y3))
+        return np.full((len(y3), 1), np.sin(theta) ** 2 + 0.5 * np.sin(theta))
 
-    monkeypatch.setattr(reduction, "potential_perturbed", fake_potential)
+    monkeypatch.setattr(reduction, "surface_potentials", fake_kernel)
     samples = _coulomb_samples(ctx, ctx.zero_field(), final=final)
     assert sorted(set(seen)) == columns
     assert len(seen) == len(columns) * len(ctx.y3_sub)
     # an even function of theta -> pi - theta, constant in y3
     s = np.sin(ctx.theta)[:, None]
     assert np.max(np.abs(samples - (s * s + 0.5 * s))) < 1e-12
+
+
+def _loop_test_field(ctx):
+    h = ctx.zero_field()
+    t, tau = ctx.t_nodes, ctx.solver.tau
+    c = np.cos(np.pi * t / tau)
+    h.modes[0] = 0.01 * c + 0.004
+    h.modes[1] = 0.004 * ctx.solver.kernel.nu2
+    h.modes[2] = 0.005 * np.cos(2 * np.pi * t / tau)
+    h.modes[3] = 0.002 * c
+    h.modes[4] = 0.001
+    return h
+
+
+@pytest.mark.parametrize("name,settings,perturbed", [
+    ("desk", ReductionSettings(), True),
+    ("fast", FAST, True),
+    ("fast_zero", FAST, False),
+])
+def test_coulomb_samples_match_frozen(prof03, name, settings, perturbed):
+    # frozen from the per-point loop (one potential_perturbed call a point)
+    # that the batched theta-column kernel replaced
+    with open(Path(__file__).parent / "data" / "coulomb_samples_frozen.json") as fh:
+        want = np.array(json.load(fh)[name])
+    ctx = ReductionContext(prof03, 32, settings)
+    h = _loop_test_field(ctx) if perturbed else ctx.zero_field()
+    got = _coulomb_samples(ctx, h, final=False)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got / want - 1.0)) < 1e-13
