@@ -86,9 +86,9 @@ class NormalGraphBoundary:
         self._tau = 0.5 * profile.T
         phi_s = 2.0 * np.pi * np.arange(nphi) / nphi
         x3_s = self._tau * np.arange(GRAPH_MZ + 1) / GRAPH_MZ
-        PHI, X3 = np.meshgrid(phi_s, x3_s, indexing="ij")
-        rho, _ = SymmetricField.from_samples(self._radius_newton(PHI, X3), self._tau,
-                                             nphi // 2 - 1)
+        # phi as an open axis: the exp(i k phi) tables hold its nphi values only
+        rho, _ = SymmetricField.from_samples(
+            self._radius_newton(phi_s[:, None], x3_s[None, :]), self._tau, nphi // 2 - 1)
         self._coef = rho.coeffs()
 
     def _graph(self, phi, y):
@@ -277,13 +277,19 @@ class BlockQuadrature:
         self.phi_weights = np.full(n_phi, 2.0 * np.pi / n_phi)
         self.r_nodes, self.r_weights = _gl(n_r)
 
-    def nodes2d(self, y3_center: float, boundary):
-        """Flattened (x3, phi, rho_b, w) product rule centered at y3_center."""
-        x3 = y3_center + self.z_nodes
-        rho = boundary.radius(self.phi_nodes[None, :], x3[:, None])
-        X3, PHI = np.meshgrid(x3, self.phi_nodes, indexing="ij")
-        W = np.outer(self.z_weights, self.phi_weights)
-        return X3.ravel(), PHI.ravel(), rho.ravel(), W.ravel()
+    def nodes2d(self, y3_center, boundary):
+        """Flattened (x3, phi, rho_b, w) product rule centered at y3_center.
+
+        An array of centres puts its shape in front of x3 and rho_b, which
+        come from one ``radius`` call; phi and w are shared by every centre.
+        """
+        c = np.asarray(y3_center, dtype=float)
+        x3 = c[..., None] + self.z_nodes
+        rho = boundary.radius(self.phi_nodes[None, :], x3[..., None])
+        return (np.repeat(x3, len(self.phi_nodes), axis=-1),
+                np.tile(self.phi_nodes, len(self.z_nodes)),
+                rho.reshape(c.shape + (-1,)),
+                np.outer(self.z_weights, self.phi_weights).ravel())
 
     def nodes3d(self, y3_center: float, boundary):
         """Flattened interior nodes (x3, phi, r, w) with sum(w) = block volume."""
@@ -293,11 +299,6 @@ class BlockQuadrature:
         x3 = np.repeat(x3f[:, None], len(self.r_nodes), axis=1)
         phi = np.repeat(phif[:, None], len(self.r_nodes), axis=1)
         return x3.ravel(), phi.ravel(), r.ravel(), w.ravel()
-
-    def block_volume(self, boundary, y3_center: float = 0.0) -> float:
-        """Straight-block volume int dx (the coil Jacobian is applied by callers)."""
-        _, _, _, w = self.nodes3d(y3_center, boundary)
-        return float(np.sum(w))
 
 
 @dataclass
@@ -456,13 +457,15 @@ def _duffy_core(boundary, R, theta, y3c, r_eval, d_xi, d_chi, d_eta, q):
 # potentials
 # ---------------------------------------------------------------------------
 
-def _regular_blocks(boundary, quad, n, R, T, theta, y3c, r_eval):
+def _regular_blocks(nodes, n, R, T, theta, y3c, r_eval):
     """I_k for k = 1..n-1 via the analytic-r column rule.
 
-    k is swept in tiles of max(1, TILE // nodes) rows; each row keeps its own
-    reduction over the nodes, so the tiling does not change a single bit.
+    ``nodes`` is the (x3, phi, rho_b, w) rule of ``BlockQuadrature.nodes2d``
+    centred at y3c.  k is swept in tiles of max(1, TILE // nodes) rows; each
+    row keeps its own reduction over the nodes, so the tiling does not
+    change a single bit.
     """
-    x3, phi, rho_b, w = quad.nodes2d(y3c, boundary)
+    x3, phi, rho_b, w = nodes
     chi = phi - theta
     y2 = r_eval * np.sin(theta)
     dx3 = x3 - y3c
@@ -532,9 +535,10 @@ def surface_potentials(profile: DelaunayProfile, n: int, boundary, theta, y3,
 
     theta and y3 broadcast to a batch of points; row p of the (points, n)
     result is the breakdown of point p, whose potential is the row sum.
-    The surface points come from one ``surface_point`` call; the regular
-    blocks run point by point (their k-sweep is tiled per point) and the
-    singular self block once for the whole batch.
+    The surface points come from one ``surface_point`` call and their
+    regular-block nodes from one ``nodes2d`` call; the regular blocks run
+    point by point (their k-sweep is tiled per point) and the singular self
+    block once for the whole batch.
     """
     if n < 4:
         raise DomainError("coil potential needs n >= 4")
@@ -543,9 +547,11 @@ def surface_potentials(profile: DelaunayProfile, n: int, boundary, theta, y3,
     T = profile.T
     R = n * T / (2.0 * np.pi)
     r_eval, y3c = boundary.surface_point(theta, y3)
+    x3, phi, rho_b, w = quad.nodes2d(y3c, boundary)
     Ik = np.empty((len(theta), n))
     for p in range(len(theta)):
-        Ik[p, 1:] = _regular_blocks(boundary, quad, n, R, T, theta[p], y3c[p], r_eval[p])
+        Ik[p, 1:] = _regular_blocks((x3[p], phi, rho_b[p], w), n, R, T,
+                                    theta[p], y3c[p], r_eval[p])
     Ik[:, 0] = _self_block(boundary, R, T, theta, y3c, r_eval, self_cfg, profile.a)
     return Ik
 
@@ -696,7 +702,7 @@ def coulomb_energy(region, quad: BlockQuadrature = None,
 def _interior_potential(boundary, profile, n, R, T, theta, y3, r_eval, quad, cfg):
     """Potential at an interior point (same block machinery, apex below surface)."""
     Ik = np.empty(n)
-    Ik[1:] = _regular_blocks(boundary, quad, n, R, T, theta, y3, r_eval)
+    Ik[1:] = _regular_blocks(quad.nodes2d(y3, boundary), n, R, T, theta, y3, r_eval)
     eta0 = float(boundary.radius(np.asarray(theta), np.asarray(y3)) - r_eval)
     if abs(eta0) > 1e-12 * max(1.0, r_eval):
         Ik[0] = _interior_self_block(boundary, R, T, theta, y3, r_eval, cfg, profile.a)

@@ -18,12 +18,6 @@ from scipy.fft import dct
 from .errors import GridMismatch
 
 
-def theta_basis(k: int, theta):
-    """Admissible angular basis function for mode k."""
-    theta = np.asarray(theta, dtype=float)
-    return np.cos(k * theta) if k % 2 == 0 else np.sin(k * theta)
-
-
 def cos_coeffs(values: np.ndarray) -> np.ndarray:
     """Cosine-series coefficients a_m with v_j = sum_m a_m cos(pi m j / M)."""
     v = np.asarray(values, dtype=float)
@@ -37,28 +31,55 @@ def cos_coeffs(values: np.ndarray) -> np.ndarray:
     return A
 
 
-def _cos_factor(t: np.ndarray, tau: float, m: int, j: int) -> np.ndarray:
+def _powers(x: np.ndarray, m: int) -> np.ndarray:
+    """exp(i k x) for k = 0..m by angle addition; shape x.shape + (m+1,).
+
+    One exp per element of x; each further multiply fills the next block of
+    columns, exp(i (k-1+j) x) = exp(i j x) exp(i (k-1) x), so about log2(m)
+    blocked multiplies fill the table.  The only place cos and sin of
+    multiples of an angle are formed.
+    """
+    out = np.empty(x.shape + (m + 1,), dtype=complex)
+    out[..., 0] = 1.0
+    if m:
+        out[..., 1] = np.exp(1j * x)
+    k = 2  # columns 0..k-1 are filled
+    while k <= m:
+        n = min(k - 1, m + 1 - k)
+        np.multiply(out[..., 1:n + 1], out[..., k - 1:k], out=out[..., k:k + n])
+        k += n
+    return out
+
+
+def _quarter_turn(E: np.ndarray, j: int) -> np.ndarray:
+    """Re(i^j E) for E = exp(i a): cos(a + j pi/2) = (cos, -sin, -cos, sin)[j mod 4] of a."""
+    part = E.imag if j % 2 else E.real
+    return -part if j % 4 in (1, 2) else part.copy()
+
+
+def _cos_factor(E: np.ndarray, tau: float, j: int) -> np.ndarray:
     """d^j/dt^j cos(freq t) = freq^j cos(freq t + j pi/2), freq = 0, pi/tau, .., m pi/tau.
 
-    The only place cosine-series factors are built; shape t.shape + (m+1,).
+    E = _powers(t pi / tau, m) is the table of exp(i freq t); the result
+    has its shape t.shape + (m+1,).
     """
-    freq = np.arange(m + 1) * (np.pi / tau)
-    arg = t[..., None] * freq
-    if j == 0:
-        return np.cos(arg)
-    return freq**j * np.cos(arg + j * (np.pi / 2.0))
+    out = _quarter_turn(E, j)
+    if j:
+        out *= (np.arange(E.shape[-1]) * (np.pi / tau)) ** j
+    return out
 
 
-def _theta_factor(theta: np.ndarray, kmax: int, i: int) -> np.ndarray:
-    """d^i/dtheta^i theta_basis(k, theta) for k = 0..kmax; shape theta.shape + (kmax+1,)."""
-    ks = np.arange(kmax + 1)
-    arg = theta[..., None] * ks
+def _theta_factor(E: np.ndarray, i: int) -> np.ndarray:
+    """d^i/dtheta^i of the angular basis, k = 0..kmax, from E = _powers(theta, kmax).
+
+    sin(a + i pi/2) = cos(a + (i-1) pi/2), so odd k take the turn i - 1.
+    """
+    out = np.empty(E.shape)
+    out[..., 0::2] = _quarter_turn(E[..., 0::2], i)
+    out[..., 1::2] = _quarter_turn(E[..., 1::2], i + 3)
     if i:
-        arg += i * (np.pi / 2.0)
-    out = np.empty(arg.shape)
-    out[..., 0::2] = np.cos(arg[..., 0::2])
-    out[..., 1::2] = np.sin(arg[..., 1::2])
-    return out if i == 0 else ks**i * out
+        out *= np.arange(E.shape[-1]) ** i
+    return out
 
 
 def cos_eval(coeffs: np.ndarray, t, tau: float, deriv: int = 0) -> np.ndarray:
@@ -67,24 +88,30 @@ def cos_eval(coeffs: np.ndarray, t, tau: float, deriv: int = 0) -> np.ndarray:
     Returns an array with shape coeffs.shape[:-1] + t.shape.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    basis = _cos_factor(t, tau, coeffs.shape[-1] - 1, deriv)
+    basis = _cos_factor(_powers(t * (np.pi / tau), coeffs.shape[-1] - 1), tau, deriv)
     return np.tensordot(coeffs, basis, axes=(-1, -1))
 
 
 def series_eval(coef: np.ndarray, tau: float, theta, t, derivs=((0, 0),)) -> list:
-    """Partials d^i/dtheta^i d^j/dt^j of sum_k theta_basis(k, theta) p_k(t).
+    """Partials d^i/dtheta^i d^j/dt^j of sum_k b_k(theta) p_k(t).
 
-    p_k is the cosine series (half-period tau) with coefficients ``coef[k]``;
-    one array of shape broadcast(theta, t) is returned per (i, j) in
-    ``derivs``.  The angular factors are built on theta's own shape and the
-    cosine factors on t's, then contracted over k, so open grids
+    b_k is cos(k theta) for even k and sin(k theta) for odd k, and p_k is
+    the cosine series (half-period tau) with coefficients ``coef[k]``; one
+    array of shape broadcast(theta, t) is returned per (i, j) in ``derivs``.
+    One exp(i k theta) table on theta's own shape and one exp(i freq t)
+    table on t's serve every partial; the cosine factors are contracted with
+    the coefficients, then with the angular factors over k, so open grids
     (``x[:, None]``, ``p[None, :]``) pay for their distinct values only.
     """
     theta = np.asarray(theta, dtype=float)
     t = np.asarray(t, dtype=float)
     kmax, m = coef.shape[0] - 1, coef.shape[1] - 1
-    ang = {i: _theta_factor(theta, kmax, i) for i in {i for i, _ in derivs}}
-    prof = {j: _cos_factor(t, tau, m, j) @ coef.T for j in {j for _, j in derivs}}
+    E_theta = _powers(theta, kmax)
+    E_t = _powers(t * (np.pi / tau), m).reshape(-1, m + 1)
+    coef_t = np.ascontiguousarray(coef.T)  # (m+1, kmax+1)
+    ang = {i: _theta_factor(E_theta, i) for i in {i for i, _ in derivs}}
+    prof = {j: (_cos_factor(E_t, tau, j) @ coef_t).reshape(t.shape + (kmax + 1,))
+            for j in {j for _, j in derivs}}
     return [np.einsum("...k,...k->...", ang[i], prof[j]) for i, j in derivs]
 
 
@@ -93,8 +120,9 @@ class SymmetricField:
     """Fourier-in-theta x cosine-in-t representation of an admissible field.
 
     ``modes[k]`` holds the t-profile of the k-th angular mode on the uniform
-    grid [0, tau]; the angular factor is theta_basis(k, .).  With
-    ``even_y2`` set, only even-k (cosine) modes may be populated.
+    grid [0, tau]; its angular factor is cos(k theta) for even k and
+    sin(k theta) for odd k.  With ``even_y2`` set, only even-k (cosine)
+    modes may be populated.
     """
 
     kmax: int
@@ -165,18 +193,10 @@ class SymmetricField:
     def grid_values(self, ntheta: int = 64) -> np.ndarray:
         """Values on the tensor grid theta_i = 2 pi i/ntheta x stored t grid."""
         th = np.linspace(0.0, 2.0 * np.pi, ntheta, endpoint=False)
-        out = np.zeros((ntheta, self.m + 1))
-        for k in range(self.kmax + 1):
-            out += np.outer(theta_basis(k, th), self.modes[k])
-        return out
+        return _theta_factor(_powers(th, self.kmax), 0) @ self.modes
 
     def norm_sup(self, ntheta: int = 64) -> float:
         return float(np.max(np.abs(self.grid_values(ntheta))))
-
-    def even_part(self) -> "SymmetricField":
-        modes = self.modes.copy()
-        modes[1::2] = 0.0
-        return SymmetricField(self.kmax, self.tau, modes, even_y2=True)
 
     def odd_part(self) -> "SymmetricField":
         modes = self.modes.copy()

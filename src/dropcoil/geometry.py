@@ -200,10 +200,6 @@ def evaluate_forms(patch: SurfacePatch, theta, y3) -> FundamentalForms:
     return FundamentalForms(g=g, A=A, H=H, normal=nu)
 
 
-def mean_curvature(patch: SurfacePatch, theta, y3) -> np.ndarray:
-    return evaluate_forms(patch, theta, y3).H
-
-
 def straight_normal(profile: DelaunayProfile, theta, y3):
     """Closed-form outward normal of the unperturbed straight patch."""
     f, fp = profile.evaluate(y3, order=1)

@@ -149,7 +149,7 @@ def test_regular_blocks_tiles_match_one_shot_sweep(prof03, resolution, n, rows):
     R = n * T / (2.0 * np.pi)
     theta, y3 = 0.7, 0.4
     r_eval, y3c = boundary.surface_point(theta, y3)
-    tiled = _regular_blocks(boundary, quad, n, R, T, theta, y3c, r_eval)
+    tiled = _regular_blocks(quad.nodes2d(y3c, boundary), n, R, T, theta, y3c, r_eval)
     ref = _one_shot_regular_blocks(boundary, quad, n, R, T, theta, y3c, r_eval)
     assert np.array_equal(tiled, ref)
 
@@ -344,6 +344,28 @@ def test_surface_point_array_matches_scalar(prof03, chart03, solver03):
                 assert np.ndim(rs) == 0
                 assert abs(r[i, j] - rs) <= 1e-15 * rs
                 assert abs(x3[i, j] - x3s) <= 1e-15 * max(abs(x3s), 1.0)
+
+
+def test_nodes2d_centres_match_single_calls(prof03, chart03, solver03):
+    quad = BlockQuadrature(prof03, (8, 16, 20))
+    centres = BATCH_Y3_OVER_T * prof03.T
+    for boundary in _batch_boundaries(prof03, chart03, solver03):
+        # a scalar centre: the flattened meshgrid rule, as 1-D arrays
+        x3 = centres[1] + quad.z_nodes
+        X3, PHI = np.meshgrid(x3, quad.phi_nodes, indexing="ij")
+        want = (X3.ravel(), PHI.ravel(),
+                boundary.radius(quad.phi_nodes[None, :], x3[:, None]).ravel(),
+                np.outer(quad.z_weights, quad.phi_weights).ravel())
+        got = quad.nodes2d(centres[1], boundary)
+        for g, w in zip(got, want):
+            assert g.shape == (16 * 20,) and np.array_equal(g, w)
+        # a vector of centres: x3 and rho_b gain a leading centre axis
+        x3s, phi, rho, w = quad.nodes2d(centres, boundary)
+        assert x3s.shape == rho.shape == (len(centres), 16 * 20)
+        for p, c in enumerate(centres):
+            one = quad.nodes2d(c, boundary)
+            for g, o in zip((x3s[p], phi, rho[p], w), one):
+                assert np.array_equal(g, o)
 
 
 def test_self_block_batch_matches_single_points(prof03, chart03, solver03):

@@ -6,8 +6,7 @@ from scipy.interpolate import CubicSpline
 
 from conftest import random_symmetric_modes
 from dropcoil.errors import GridMismatch, SingularSystem
-from dropcoil.fields import (SymmetricField, cos_coeffs, cos_eval, on_axis_derivatives,
-                             theta_basis)
+from dropcoil.fields import SymmetricField, cos_coeffs, cos_eval, on_axis_derivatives
 from dropcoil.jacobi import (JacobiSolver, apply_jacobi, hbar_solve,
                              project_coeffs, solve_projected)
 from dropcoil.profile import build_chart
