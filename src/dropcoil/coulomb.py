@@ -128,47 +128,116 @@ class NormalGraphBoundary:
 # closed-form radial moments
 # ---------------------------------------------------------------------------
 
-def _radial_moments(P, r_eval, vers_chi, sin_chi, blin, cadd_pos):
-    """(M0, M1, M2) with M_m = int_0^P r^m / sqrt(r^2 + b r + c) dr.
+def _node_factors(P, r_eval, chi, phi):
+    """The factors of the column kernel that do not involve a_k.
 
-    b = -2 r_eval cos_chi + blin, c = r_eval^2 + cadd_pos, with
-    cadd_pos >= 0 and blin the (signed, small) linear kappa term.
-    ``vers_chi`` = 1 - cos_chi, passed as 2 sin^2(chi/2) so that it keeps
-    full precision at small chi.  All expressions are grouped so
-    near-singular columns keep full precision.
+    Computed once per node set and shared by every a_k row of a sweep:
+    sin(phi), P and, with vers = 1 - cos(chi) taken as 2 sin^2(chi/2) so that
+    it keeps full precision at small chi, the kappa-free parts of b, Q(P),
+    2P + b, 4c - b^2 and the kappa cross term of 4c - b^2.
     """
-    b = -2.0 * r_eval * (1.0 - vers_chi) + blin
-    c = r_eval * r_eval + cadd_pos
+    vers = 2.0 * np.sin(0.5 * chi) ** 2
+    two_p = 2.0 * P
+    return {"sin_phi": np.sin(phi), "P": P, "two_p": two_p, "r2": r_eval * r_eval,
+            "b0": -2.0 * r_eval * (1.0 - vers),
+            "Q0": (P - r_eval) ** 2 + two_p * r_eval * vers,
+            "up0": 2.0 * (P - r_eval + r_eval * vers),
+            "disc0": 4.0 * (r_eval * np.sin(chi)) ** 2,
+            "disc1": 4.0 * r_eval * (1.0 - vers)}
+
+
+def _scratch(shape):
+    """Work arrays of one tile of ``_column_values``: eight float and one bool.
+
+    Callers allocate them once per sweep and keep them in their own frame,
+    so concurrent sweeps (worker threads) never share them.
+    """
+    return [np.empty(shape) for _ in range(8)] + [np.empty(shape, dtype=bool)]
+
+
+def _radial_moments(g, blin, cadd, s):
+    """(M0, M1, M2) with M_m = int_0^P r^m / sqrt(r^2 + b r + c) dr, in scratch ``s``.
+
+    b = -2 r_eval cos_chi + blin, c = r_eval^2 + cadd, with cadd >= 0 and
+    blin the (signed, small) linear kappa term; ``g`` holds the node factors
+    of ``_node_factors``.  ``blin`` and ``cadd`` may be ``s[1]`` and ``s[0]``
+    themselves, and are overwritten then.  All expressions are grouped so
+    near-singular columns keep full precision, and each is evaluated in the
+    operation order of the allocating reference kept in the tests, so the
+    bits do not depend on the buffering.
+    """
+    A, B, C, D, E, F, G, H, neg = s
+    np.add(g["b0"], blin, out=C)                                   # b
+    np.add(g["r2"], cadd, out=D)                                   # c
     # Q(P) assembled from nonnegative geometric pieces
-    QP = (P - r_eval) ** 2 + 2.0 * P * r_eval * vers_chi + blin * P + cadd_pos
-    QP = np.maximum(QP, 0.0)
-    sQP = np.sqrt(QP)
-    sc = np.sqrt(c)
+    np.multiply(blin, g["P"], out=E)
+    np.add(g["Q0"], E, out=E)
+    np.add(E, cadd, out=E)
+    np.maximum(E, 0.0, out=E)
+    np.sqrt(E, out=E)                                              # sqrt(Q(P))
+    np.sqrt(D, out=F)                                              # sqrt(c)
     # 2P + b without the cancellation of P against r_eval cos_chi
-    up = 2.0 * sQP + 2.0 * (P - r_eval + r_eval * vers_chi) + blin
-    lo_direct = 2.0 * sc + b
+    np.multiply(E, 2.0, out=G)
+    np.add(G, g["up0"], out=G)
+    np.add(G, blin, out=G)                                         # up
     # 4c - b^2 = 4 [r sin(chi)]^2 + positive kappa terms (stable when b < 0)
-    disc = (4.0 * (r_eval * sin_chi) ** 2
-            + 4.0 * cadd_pos + 4.0 * r_eval * (1.0 - vers_chi) * blin - blin * blin)
-    disc = np.maximum(disc, 1e-300)
+    np.multiply(cadd, 4.0, out=A)
+    np.add(g["disc0"], A, out=A)
+    np.multiply(g["disc1"], blin, out=H)
+    np.add(A, H, out=A)
+    np.multiply(blin, blin, out=B)
+    np.subtract(A, B, out=A)
+    np.maximum(A, 1e-300, out=A)                                   # disc
     # one log of the selected argument (the b < 0 form rationalizes 2 sqrt(c) + b)
-    M0 = np.log(np.where(b >= 0.0,
-                         np.maximum(up, 1e-300) / np.maximum(lo_direct, 1e-300),
-                         np.maximum(up * (2.0 * sc - b), 1e-300) / disc))
-    M1 = sQP - sc - 0.5 * b * M0
-    M2 = ((2.0 * P - 3.0 * b) * sQP + 3.0 * b * sc) / 4.0 - ((4.0 * c - 3.0 * b * b) / 8.0) * M0
-    return M0, M1, M2
+    np.multiply(F, 2.0, out=H)
+    np.add(H, C, out=H)
+    np.maximum(H, 1e-300, out=H)
+    np.maximum(G, 1e-300, out=B)
+    np.divide(B, H, out=B)                                         # b >= 0
+    np.multiply(F, 2.0, out=H)
+    np.subtract(H, C, out=H)
+    np.multiply(G, H, out=H)
+    np.maximum(H, 1e-300, out=H)
+    np.divide(H, A, out=H)                                         # b < 0
+    np.less(C, 0.0, out=neg)
+    np.copyto(B, H, where=neg)
+    np.log(B, out=B)                                               # M0
+    np.subtract(E, F, out=A)
+    np.multiply(C, 0.5, out=G)
+    np.multiply(G, B, out=G)
+    np.subtract(A, G, out=A)                                       # M1
+    np.multiply(C, 3.0, out=H)                                     # 3b
+    np.subtract(g["two_p"], H, out=G)
+    np.multiply(G, E, out=G)
+    np.multiply(H, F, out=F)
+    np.add(G, F, out=G)
+    np.divide(G, 4.0, out=G)
+    np.multiply(D, 4.0, out=D)
+    np.multiply(H, C, out=H)
+    np.subtract(D, H, out=D)
+    np.divide(D, 8.0, out=D)
+    np.multiply(D, B, out=D)
+    np.subtract(G, D, out=G)                                       # M2
+    return B, A, G
 
 
-def _column_values(P, r_eval, chi, phi, y2, R, ak):
-    """Column integral int_0^P (1 + r sin(phi)/R) r / sqrt(Q) dr."""
-    vers_chi = 2.0 * np.sin(0.5 * chi) ** 2
-    sin_chi = np.sin(chi)
-    sin_phi = np.sin(phi)
-    blin = ak * ak * sin_phi * (1.0 + y2 / R) / R
-    cadd = ak * ak * (1.0 + y2 / R)
-    _, M1, M2 = _radial_moments(P, r_eval, vers_chi, sin_chi, blin, cadd)
-    return M1 + sin_phi * M2 / R
+def _column_values(g, ak, kap, R, s):
+    """Column integrals int_0^P (1 + r sin(phi)/R) r / sqrt(Q) dr, into ``s[0]``.
+
+    ``g`` holds the node factors, ``ak`` the block offsets a_k (it may be
+    ``s[0]`` itself) and kap = 1 + y2 / R; ``s`` is a ``_scratch`` set of
+    the broadcast shape.
+    """
+    A, B = s[0], s[1]
+    np.multiply(ak, ak, out=A)
+    np.multiply(A, g["sin_phi"], out=B)
+    np.multiply(B, kap, out=B)
+    np.divide(B, R, out=B)                                         # blin
+    np.multiply(A, kap, out=A)                                     # cadd
+    _, M1, M2 = _radial_moments(g, B, A, s)
+    np.multiply(g["sin_phi"], M2, out=M2)
+    np.divide(M2, R, out=M2)
+    return np.add(M1, M2, out=M1)
 
 
 # ---------------------------------------------------------------------------
@@ -326,29 +395,35 @@ class CoulombResult:
         return d
 
 
-def _columns(boundary, R, theta, y3c, r_eval, xi, wxi, chi, wchi, depth=None):
+def _columns(boundary, R, theta, y3c, r_eval, xi, wxi, chi, wchi, depth=None, rho_b=None):
     """Analytic-r columns of the k = 0 block summed on a (xi, chi) rule, one value a point.
 
     theta, y3c, r_eval (and ``depth``) hold one value a point and chi, wchi
     one row a point; the xi rule is shared.  Each column runs from the axis
-    to rho_b, or to rho_b - depth.  Points are taken in tiles of
-    max(1, TILE // (xi nodes x chi nodes)), so, as in the regular blocks,
-    every temporary holds at most TILE doubles whatever the batch size.
+    to rho_b, or to rho_b - depth; ``rho_b`` (points, xi, chi) passes radii
+    the caller already has, else they come from ``boundary``.  Points are
+    taken in tiles of max(1, TILE // (xi nodes x chi nodes)), so, as in the
+    regular blocks, every temporary holds at most TILE doubles whatever the
+    batch size, and one ``_scratch`` set serves every tile.
     """
     XI = xi[:, None]
     ak = 2.0 * R * np.sin(XI / (2.0 * R))
     rows = max(1, TILE // (len(xi) * chi.shape[1]))
+    scratch = _scratch((min(rows, len(chi)), len(xi), chi.shape[1]))
     out = np.empty(len(chi))
     for lo in range(0, len(chi), rows):
         p = slice(lo, lo + rows)
         th, z3, r = (v[p, None, None] for v in (theta, y3c, r_eval))
         CHI = chi[p, None, :]
         phi = th + CHI
-        rho_b = boundary.radius(phi, z3 + XI)
+        P = boundary.radius(phi, z3 + XI) if rho_b is None else rho_b[p]
         if depth is not None:
-            rho_b = np.maximum(rho_b - depth[p, None, None], 0.0)
-        vals = _column_values(rho_b, r, CHI, phi, r * np.sin(th), R, ak)
-        out[p] = (vals * (wxi[:, None] * wchi[p, None, :])).sum(axis=(1, 2))
+            P = np.maximum(P - depth[p, None, None], 0.0)
+        s = [v[:len(chi) - lo] for v in scratch]
+        vals = _column_values(_node_factors(P, r, CHI, phi), ak, 1.0 + r * np.sin(th) / R,
+                              R, s)
+        np.multiply(vals, wxi[:, None] * wchi[p, None, :], out=vals)
+        out[p] = vals.sum(axis=(1, 2))
     return out
 
 
@@ -367,8 +442,8 @@ def _self_block(boundary, R, T, theta, y3c, r_eval, cfg: SelfBlockSettings, a_ne
     d_chi = np.minimum(rho / np.maximum(r_eval, rho), np.pi / 2.0)
     q = cfg.panel_q
 
-    def columns(xi_rule, chi_rule, depth=None):
-        return _columns(boundary, R, theta, y3c, r_eval, *xi_rule, *chi_rule, depth)
+    def columns(xi_rule, chi_rule, depth=None, rho_b=None):
+        return _columns(boundary, R, theta, y3c, r_eval, *xi_rule, *chi_rule, depth, rho_b)
 
     xi_out = _sym_graded_rule(d_xi, T / 2.0, d_xi, q)
     chi_full = _stack_rules([_sym_graded_rule(0.0, np.pi, d, q, cfg.grade_ratio)
@@ -385,7 +460,7 @@ def _self_block(boundary, R, T, theta, y3c, r_eval, cfg: SelfBlockSettings, a_ne
     fp_rho = boundary.radius(theta[:, None, None] + fp_chi[0][:, None, :],
                              y3c[:, None, None] + xi_in[0][:, None])
     d_eta = np.minimum(rho, 0.45 * fp_rho.min(axis=(1, 2)))
-    total += columns(xi_in, fp_chi, depth=d_eta)
+    total += columns(xi_in, fp_chi, depth=d_eta, rho_b=fp_rho)
 
     # ... and the Duffy core over the window, apex at the singular point
     total += _duffy_core(boundary, R, theta, y3c, r_eval, d_xi, d_chi, d_eta, cfg.core_q)
@@ -461,22 +536,29 @@ def _regular_blocks(nodes, n, R, T, theta, y3c, r_eval):
     """I_k for k = 1..n-1 via the analytic-r column rule.
 
     ``nodes`` is the (x3, phi, rho_b, w) rule of ``BlockQuadrature.nodes2d``
-    centred at y3c.  k is swept in tiles of max(1, TILE // nodes) rows; each
-    row keeps its own reduction over the nodes, so the tiling does not
-    change a single bit.
+    centred at y3c.  The node factors are formed once; k is swept in tiles
+    of max(1, TILE // nodes) rows through one ``_scratch`` set.  Each row
+    keeps its own reduction over the nodes, so the tiling does not change a
+    single bit.
     """
     x3, phi, rho_b, w = nodes
-    chi = phi - theta
-    y2 = r_eval * np.sin(theta)
-    dx3 = x3 - y3c
+    g = _node_factors(rho_b, r_eval, phi - theta, phi)
+    kap = 1.0 + r_eval * np.sin(theta) / R
     rows = max(1, TILE // len(w))
-    ks = np.arange(1, n)[:, None]
+    kT = np.arange(1, n)[:, None] * T
+    dx3 = x3 - y3c
+    scratch = _scratch((min(rows, n - 1), len(w)))
     Ik = np.empty(n - 1)
     for lo in range(0, n - 1, rows):
-        ak = 2.0 * R * np.sin((ks[lo:lo + rows] * T + dx3[None, :]) / (2.0 * R))
-        vals = _column_values(rho_b[None, :], r_eval, chi[None, :], phi[None, :],
-                              y2, R, ak)
-        Ik[lo:lo + rows] = (vals * w[None, :]).sum(axis=1)
+        s = [v[:n - 1 - lo] for v in scratch]
+        ak = s[0]
+        np.add(kT[lo:lo + rows], dx3, out=ak)
+        np.divide(ak, 2.0 * R, out=ak)
+        np.sin(ak, out=ak)
+        np.multiply(ak, 2.0 * R, out=ak)
+        vals = _column_values(g, ak, kap, R, s)
+        np.multiply(vals, w, out=vals)
+        vals.sum(axis=1, out=Ik[lo:lo + rows])
     return Ik
 
 

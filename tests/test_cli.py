@@ -153,6 +153,19 @@ def test_threads_flag_matches_serial(tmp_path):
     assert body1 == body2
 
 
+def test_nonlocal_threads_match_serial(tmp_path):
+    # worker threads each sweep their own scratch arrays: a shared buffer
+    # would mix the potentials of concurrent rows
+    s1, s2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
+    main(["nonlocal-check", "--n-list", "8:32:8", "--threads", "1", "--out", str(s1)])
+    main(["nonlocal-check", "--n-list", "8:32:8", "--threads", "2", "--out", str(s2)])
+    # only the config hash line differs: it hashes --threads
+    lines1, lines2 = s1.read_text().splitlines(), s2.read_text().splitlines()
+    assert [l for l in lines1 if "config-hash" not in l] == \
+        [l for l in lines2 if "config-hash" not in l]
+    assert len(lines1) == len(lines2) == 11  # 6 metadata lines, header, 4 rows
+
+
 def test_reduce_cli_schema(tmp_path, monkeypatch):
     import dropcoil.reduction as reduction
     from dropcoil.reduction import ReductionSettings

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import dropcoil.coulomb as coulomb
 from dropcoil.coulomb import (BALL_UNIT_COULOMB, TILE, AxisymBoundary,
                               BlockQuadrature, CRITICAL_MASS_CLOSED_FORM,
                               NormalGraphBoundary, SelfBlockSettings,
-                              _column_values, _radial_moments, _regular_blocks,
+                              _interior_self_block, _node_factors,
+                              _radial_moments, _regular_blocks, _scratch,
                               _self_block, _sym_graded_rule,
                               ball_coulomb_energy, ball_energy,
                               ball_potential_exact, ball_potential_radial,
@@ -127,13 +129,94 @@ def test_y2_coefficient_log_law(prof03):
     assert abs(coefs[128]) < abs(coefs[64])
 
 
+# ---------------------------------------------------------------------------
+# frozen reference: the allocating column kernel the buffered one replaced,
+# with its tiled k-sweep and its self-block columns; the buffered kernel must
+# reproduce every bit of it
+# ---------------------------------------------------------------------------
+
+def _radial_moments_ref(P, r_eval, vers_chi, sin_chi, blin, cadd_pos):
+    b = -2.0 * r_eval * (1.0 - vers_chi) + blin
+    c = r_eval * r_eval + cadd_pos
+    QP = (P - r_eval) ** 2 + 2.0 * P * r_eval * vers_chi + blin * P + cadd_pos
+    QP = np.maximum(QP, 0.0)
+    sQP = np.sqrt(QP)
+    sc = np.sqrt(c)
+    up = 2.0 * sQP + 2.0 * (P - r_eval + r_eval * vers_chi) + blin
+    lo_direct = 2.0 * sc + b
+    disc = (4.0 * (r_eval * sin_chi) ** 2
+            + 4.0 * cadd_pos + 4.0 * r_eval * (1.0 - vers_chi) * blin - blin * blin)
+    disc = np.maximum(disc, 1e-300)
+    M0 = np.log(np.where(b >= 0.0,
+                         np.maximum(up, 1e-300) / np.maximum(lo_direct, 1e-300),
+                         np.maximum(up * (2.0 * sc - b), 1e-300) / disc))
+    M1 = sQP - sc - 0.5 * b * M0
+    M2 = ((2.0 * P - 3.0 * b) * sQP + 3.0 * b * sc) / 4.0 - ((4.0 * c - 3.0 * b * b) / 8.0) * M0
+    return M0, M1, M2
+
+
+def _column_values_ref(P, r_eval, chi, phi, y2, R, ak):
+    vers_chi = 2.0 * np.sin(0.5 * chi) ** 2
+    sin_chi = np.sin(chi)
+    sin_phi = np.sin(phi)
+    blin = ak * ak * sin_phi * (1.0 + y2 / R) / R
+    cadd = ak * ak * (1.0 + y2 / R)
+    _, M1, M2 = _radial_moments_ref(P, r_eval, vers_chi, sin_chi, blin, cadd)
+    return M1 + sin_phi * M2 / R
+
+
+def _regular_blocks_ref(nodes, n, R, T, theta, y3c, r_eval):
+    x3, phi, rho_b, w = nodes
+    chi = phi - theta
+    y2 = r_eval * np.sin(theta)
+    dx3 = x3 - y3c
+    rows = max(1, TILE // len(w))
+    ks = np.arange(1, n)[:, None]
+    Ik = np.empty(n - 1)
+    for lo in range(0, n - 1, rows):
+        ak = 2.0 * R * np.sin((ks[lo:lo + rows] * T + dx3[None, :]) / (2.0 * R))
+        vals = _column_values_ref(rho_b[None, :], r_eval, chi[None, :], phi[None, :],
+                                  y2, R, ak)
+        Ik[lo:lo + rows] = (vals * w[None, :]).sum(axis=1)
+    return Ik
+
+
+def _columns_ref(boundary, R, theta, y3c, r_eval, xi, wxi, chi, wchi, depth=None,
+                 rho_b=None):
+    # rho_b is not read: the radii come from the boundary on every tile
+    XI = xi[:, None]
+    ak = 2.0 * R * np.sin(XI / (2.0 * R))
+    rows = max(1, TILE // (len(xi) * chi.shape[1]))
+    out = np.empty(len(chi))
+    for lo in range(0, len(chi), rows):
+        p = slice(lo, lo + rows)
+        th, z3, r = (v[p, None, None] for v in (theta, y3c, r_eval))
+        CHI = chi[p, None, :]
+        phi = th + CHI
+        rb = boundary.radius(phi, z3 + XI)
+        if depth is not None:
+            rb = np.maximum(rb - depth[p, None, None], 0.0)
+        vals = _column_values_ref(rb, r, CHI, phi, r * np.sin(th), R, ak)
+        out[p] = (vals * (wxi[:, None] * wchi[p, None, :])).sum(axis=(1, 2))
+    return out
+
+
+@pytest.fixture
+def frozen_kernel(monkeypatch):
+    """Swap the frozen reference in for the buffered column kernel."""
+    def use():
+        monkeypatch.setattr(coulomb, "_regular_blocks", _regular_blocks_ref)
+        monkeypatch.setattr(coulomb, "_columns", _columns_ref)
+    return use
+
+
 def _one_shot_regular_blocks(boundary, quad, n, R, T, theta, y3c, r_eval):
     """Untiled reference sweep: all n - 1 values of k in one array."""
     x3, phi, rho_b, w = quad.nodes2d(y3c, boundary)
     k = np.arange(1, n)[:, None]
     ak = 2.0 * R * np.sin((k * T + (x3 - y3c)[None, :]) / (2.0 * R))
-    vals = _column_values(rho_b[None, :], r_eval, (phi - theta)[None, :], phi[None, :],
-                          r_eval * np.sin(theta), R, ak)
+    vals = _column_values_ref(rho_b[None, :], r_eval, (phi - theta)[None, :], phi[None, :],
+                              r_eval * np.sin(theta), R, ak)
     return (vals * w[None, :]).sum(axis=1)
 
 
@@ -152,6 +235,40 @@ def test_regular_blocks_tiles_match_one_shot_sweep(prof03, resolution, n, rows):
     tiled = _regular_blocks(quad.nodes2d(y3c, boundary), n, R, T, theta, y3c, r_eval)
     ref = _one_shot_regular_blocks(boundary, quad, n, R, T, theta, y3c, r_eval)
     assert np.array_equal(tiled, ref)
+
+
+def test_self_block_matches_frozen_kernel(prof03, chart03, solver03, frozen_kernel):
+    # one neck and one bulge point, on both boundaries; the footprint columns
+    # reuse the caller's radii, the frozen columns evaluate them again
+    T = prof03.T
+    R = 16 * T / (2.0 * np.pi)
+    theta, y3 = np.array([1.2, 0.3]), np.array([0.5, 0.0]) * T
+    cfg = SelfBlockSettings()
+    boundaries = _batch_boundaries(prof03, chart03, solver03)
+    points = [b.surface_point(theta, y3) for b in boundaries]
+    assert points[0][0][0] < 0.31 < 0.69 < points[0][0][1]
+    got = [_self_block(b, R, T, theta, y3c, r, c, prof03.a)
+           for b, (r, y3c) in zip(boundaries, points) for c in (cfg, cfg.refined())]
+    inner = _interior_self_block(boundaries[0], R, T, 0.7, 0.1, 0.4, cfg, prof03.a)
+    frozen_kernel()
+    want = [_self_block(b, R, T, theta, y3c, r, c, prof03.a)
+            for b, (r, y3c) in zip(boundaries, points) for c in (cfg, cfg.refined())]
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    assert inner == _interior_self_block(boundaries[0], R, T, 0.7, 0.1, 0.4, cfg, prof03.a)
+
+
+def test_potential_coil_matches_frozen_kernel(prof03, frozen_kernel):
+    ns = [16, 32, 64, 128, 256, 512, 1024]
+    y = (0.7, 0.4)
+
+    def hexes():
+        res = [potential_coil(prof03, n, y) for n in ns]
+        return [[float(v).hex() for v in (r.err_est, *r.breakdown)] for r in res]
+
+    got = hexes()
+    frozen_kernel()
+    assert got == hexes()
 
 
 def test_regular_blocks_memory_bounded(prof03):
@@ -208,8 +325,8 @@ def _moments_mp(P, r_eval, chi, blin, cadd):
 ])
 def test_radial_moments_match_quadrature(P, r_eval, chi, blin, cadd, b_nonneg):
     assert (-2.0 * r_eval * np.cos(chi) + blin >= 0.0) == b_nonneg
-    M = _radial_moments(np.array(P), r_eval, 2.0 * np.sin(chi / 2.0) ** 2, np.sin(chi),
-                        blin, cadd)
+    M = _radial_moments(_node_factors(np.array(P), r_eval, chi, 0.0), blin, cadd,
+                        _scratch(()))
     refs = [_moments_mp(P, r_eval, chi, blin, cadd)]
     if chi >= 1e-3:  # narrower columns are beyond the adaptive quadrature
         refs.append(_moments_by_quad(P, r_eval, chi, blin, cadd))
