@@ -205,16 +205,12 @@ def cmd_reduce(cfg: RunConfig):
 
 def cmd_mass_map(cfg: RunConfig):
     from .profile import solve_profile
-    from .reduction import (ReductionSettings, find_neck_for_mass, mass_map,
-                            select_block_count)
+    from .reduction import ReductionSettings, find_neck_for_mass, select_block_count
 
-    settings = ReductionSettings()
     ref = solve_profile(cfg.a, tol=cfg.tol)
     n = cfg.n or select_block_count(cfg.m, ref)
-    b = find_neck_for_mass(cfg.m, n, settings=settings, profile_tol=cfg.tol)
-    prof = solve_profile(b, tol=cfg.tol)
-    mm = mass_map(prof, n, settings)
-    write_json(cfg.out, {"m_target": cfg.m, "n": n, "b": b, "m": mm.m,
+    mm = find_neck_for_mass(cfg.m, n, settings=ReductionSettings(), profile_tol=cfg.tol)
+    write_json(cfg.out, {"m_target": cfg.m, "n": n, "b": mm.a, "m": mm.m,
                          "gamma": mm.gamma, "volume": mm.volume,
                          "volume_ratio": mm.volume_ratio}, config=cfg.hashable_dict())
 

@@ -15,11 +15,15 @@ in r (the kappa factor is linear in x2 = r sin phi), so each column integral
 int r^m / sqrt(Q(r)) dr has a closed form; blocks need only a 2D (x3, phi)
 rule, and the k = 0 log singularity is handled by graded panels plus a small
 Duffy core around the evaluation point.
+
+Every potential here is taken on the surface, by ``surface_potentials``.  The
+coil energy needs no other kernel: scaling (Pohozaev) gives
+D = 1/2 int int dx dy / |x - y| = (1/5) int_Sigma u (x . nu) dsigma.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -30,6 +34,7 @@ from scipy.optimize import brentq
 
 from .errors import DomainError, NonConvergence, QuadratureDivergence, RootNotBracketed
 from .fields import SymmetricField, on_axis_derivatives, series_eval
+from .geometry import build_coil, evaluate_forms
 from .profile import ConformalChart, DelaunayProfile
 
 DEFAULT_RESOLUTION = (24, 32, 48)  # (n_r, n_phi, n_z)
@@ -42,6 +47,9 @@ GRAPH_MZ = 48
 # columns over a batch of points: every temporary of one tile holds at most
 # TILE doubles (96 KiB), whatever n, the node count and the batch size are.
 TILE = 12288
+# (theta, y3) trapezoid nodes over one period of the coil energy's surface rule;
+# the integrand is smooth and periodic, and 32 x 48 moves D by 5e-12.
+ENERGY_GRID = (16, 24)
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +130,16 @@ class NormalGraphBoundary:
         y3 = np.asarray(y3, dtype=float)
         rad, shift, _ = self._graph(np.asarray(theta, dtype=float), y3)
         return rad, y3 - shift
+
+
+def solid_boundary(profile: DelaunayProfile, h: SymmetricField = None,
+                   chart: ConformalChart = None):
+    """The block boundary of the solid: the profile's for a zero h, else h's normal graph."""
+    if h is None or not np.any(h.modes):
+        return AxisymBoundary(profile)
+    if chart is None:
+        raise DomainError("a nonzero normal graph h needs the conformal chart")
+    return NormalGraphBoundary(profile, chart, h)
 
 
 # ---------------------------------------------------------------------------
@@ -305,19 +323,18 @@ def _stack_rules(rules):
 
 @dataclass
 class SelfBlockSettings:
-    """Singular k = 0 block: core size rho and quadrature orders."""
+    """Singular k = 0 block: quadrature orders and chi grading."""
 
-    rho: Optional[float] = None  # default min(a, T/8)/4
     panel_q: int = 7
     core_q: int = 7
     column_q: int = 8
     grade_ratio: float = 2.0
 
     def core_size(self, a_neck: float, T: float) -> float:
-        return self.rho if self.rho is not None else min(a_neck, T / 8.0) / 4.0
+        return min(a_neck, T / 8.0) / 4.0
 
     def refined(self) -> "SelfBlockSettings":
-        return SelfBlockSettings(rho=self.rho, panel_q=self.panel_q + 2,
+        return SelfBlockSettings(panel_q=self.panel_q + 2,
                                  core_q=self.core_q + 2, column_q=self.column_q + 2,
                                  grade_ratio=min(self.grade_ratio, 1.7))
 
@@ -326,9 +343,8 @@ class SelfBlockSettings:
 class BlockQuadrature:
     """Quadrature over one block of the solid in cylindrical coordinates.
 
-    ``resolution`` = (n_r, n_phi, n_z).  Potentials integrate r analytically
-    and use the (n_phi, n_z) product rule; the full 3D node set (with
-    sum(weights) = V) backs volume and energy integrals.
+    ``resolution`` = (n_r, n_phi, n_z).  Every integral over the solid takes
+    r in closed form on the (n_phi, n_z) product rule, so no rule reads n_r.
     """
 
     profile: DelaunayProfile
@@ -344,7 +360,6 @@ class BlockQuadrature:
         self.z_weights = wxi * T
         self.phi_nodes = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
         self.phi_weights = np.full(n_phi, 2.0 * np.pi / n_phi)
-        self.r_nodes, self.r_weights = _gl(n_r)
 
     def nodes2d(self, y3_center, boundary):
         """Flattened (x3, phi, rho_b, w) product rule centered at y3_center.
@@ -360,39 +375,12 @@ class BlockQuadrature:
                 rho.reshape(c.shape + (-1,)),
                 np.outer(self.z_weights, self.phi_weights).ravel())
 
-    def nodes3d(self, y3_center: float, boundary):
-        """Flattened interior nodes (x3, phi, r, w) with sum(w) = block volume."""
-        x3f, phif, rhof, w2 = self.nodes2d(y3_center, boundary)
-        r = rhof[:, None] * self.r_nodes[None, :]
-        w = (w2 * rhof**2)[:, None] * (self.r_nodes * self.r_weights)[None, :]
-        x3 = np.repeat(x3f[:, None], len(self.r_nodes), axis=1)
-        phi = np.repeat(phif[:, None], len(self.r_nodes), axis=1)
-        return x3.ravel(), phi.ravel(), r.ravel(), w.ravel()
-
 
 @dataclass
 class CoulombResult:
     value: float
-    n: int
-    y: tuple
     breakdown: np.ndarray
     err_est: Optional[float] = None
-    base: Optional[float] = None  # perturbed runs: unperturbed-domain value at X(y_h)
-
-    @property
-    def shell_correction(self) -> Optional[float]:
-        return None if self.base is None else self.value - self.base
-
-    def to_dict(self, quad: "BlockQuadrature" = None) -> dict:
-        """JSON result bundle with quadrature metadata."""
-        d = {"value": self.value, "n": self.n,
-             "y": [float(self.y[0]), float(self.y[1])],
-             "breakdown": [float(v) for v in self.breakdown],
-             "err_est": self.err_est, "base": self.base,
-             "shell_correction": self.shell_correction}
-        if quad is not None:
-            d["quadrature"] = {"resolution": list(quad.resolution)}
-        return d
 
 
 def _columns(boundary, R, theta, y3c, r_eval, xi, wxi, chi, wchi, depth=None, rho_b=None):
@@ -465,26 +453,6 @@ def _self_block(boundary, R, T, theta, y3c, r_eval, cfg: SelfBlockSettings, a_ne
     # ... and the Duffy core over the window, apex at the singular point
     total += _duffy_core(boundary, R, theta, y3c, r_eval, d_xi, d_chi, d_eta, cfg.core_q)
     return total
-
-
-def _interior_self_block(boundary, R, T, theta, y3c, r_eval, cfg: SelfBlockSettings,
-                         a_neck: float) -> float:
-    """k = 0 block integral at one point off the surface (interior or base values).
-
-    The columns are exact in r, so deep geometric grading of (xi, chi)
-    toward the singular column suffices; no core.
-    """
-    rho = cfg.core_size(a_neck, T)
-    depth = rho * 2.0**-8
-    scale = max(r_eval, rho)
-    q = cfg.panel_q
-    core = np.array([-depth, 0.0, depth])
-    rules = [(_sym_graded_rule(depth, T / 2.0, depth, q),
-              _sym_graded_rule(depth / scale, np.pi, depth / scale, q)),
-             (_panel_rule(core, 3), _panel_rule(core / scale, 3))]
-    point = [np.atleast_1d(v) for v in (theta, y3c, r_eval)]
-    return float(sum(_columns(boundary, R, *point, *xi_rule, chi[None], wchi[None])[0]
-                     for xi_rule, (chi, wchi) in rules))
 
 
 def _duffy_core(boundary, R, theta, y3c, r_eval, d_xi, d_chi, d_eta, q):
@@ -572,43 +540,23 @@ def potential_coil(profile: DelaunayProfile, n: int, y, quad: BlockQuadrature = 
     at one refinement step and the difference reported (the refined value is
     returned).
     """
-    theta, y3 = float(y[0]), float(y[1])
-    quad = quad or BlockQuadrature(profile)
-    self_cfg = self_cfg or SelfBlockSettings()
-    boundary = AxisymBoundary(profile)
-    return _potential_at(boundary, profile, n, theta, y3, quad, self_cfg,
+    return _potential_at(AxisymBoundary(profile), profile, n, y, quad, self_cfg,
                          error_estimate, divergence_rtol)
 
 
 def potential_perturbed(profile: DelaunayProfile, n: int, h: SymmetricField, y,
                         chart: ConformalChart = None, quad: BlockQuadrature = None,
                         self_cfg: SelfBlockSettings = None, error_estimate: bool = True,
-                        divergence_rtol: float = 1e-3, with_base: bool = True) -> CoulombResult:
+                        divergence_rtol: float = 1e-3) -> CoulombResult:
     """Potential of the normal-graph solid at the moved point X(y_h).
 
-    h = 0 reduces exactly to potential_coil (same code path).  With
-    ``with_base`` the result also carries the unperturbed-domain value at the
-    same moved point, so value - base is the shell correction of the graph
-    layer.
+    h = 0 reduces exactly to potential_coil (same code path).
     """
-    theta, y3 = float(y[0]), float(y[1])
-    quad = quad or BlockQuadrature(profile)
-    self_cfg = self_cfg or SelfBlockSettings()
-    if h is None or not np.any(h.modes):
+    boundary = solid_boundary(profile, h, chart)
+    if isinstance(boundary, AxisymBoundary):
         return potential_coil(profile, n, y, quad, self_cfg, error_estimate, divergence_rtol)
-    if chart is None:
-        raise DomainError("potential_perturbed needs the conformal chart")
-    boundary = NormalGraphBoundary(profile, chart, h)
-    res = _potential_at(boundary, profile, n, theta, y3, quad, self_cfg,
-                        error_estimate, divergence_rtol)
-    if with_base:
-        T = profile.T
-        R = n * T / (2.0 * np.pi)
-        r_eval, y3c = (float(v) for v in boundary.surface_point(theta, y3))
-        base_bnd = AxisymBoundary(profile)
-        res.base = _interior_potential(base_bnd, profile, n, R, T, theta, y3c,
-                                       r_eval, quad, self_cfg)
-    return res
+    return _potential_at(boundary, profile, n, y, quad, self_cfg,
+                         error_estimate, divergence_rtol)
 
 
 def surface_potentials(profile: DelaunayProfile, n: int, boundary, theta, y3,
@@ -638,10 +586,12 @@ def surface_potentials(profile: DelaunayProfile, n: int, boundary, theta, y3,
     return Ik
 
 
-def _potential_at(boundary, profile, n, theta, y3, quad, self_cfg,
-                  error_estimate, divergence_rtol):
+def _potential_at(boundary, profile, n, y, quad, self_cfg, error_estimate, divergence_rtol):
+    quad = quad or BlockQuadrature(profile)
+    self_cfg = self_cfg or SelfBlockSettings()
+
     def one_pass(q2d, cfg):
-        return surface_potentials(profile, n, boundary, theta, y3, q2d, cfg)[0]
+        return surface_potentials(profile, n, boundary, float(y[0]), float(y[1]), q2d, cfg)[0]
 
     Ik = one_pass(quad, self_cfg)
     err = None
@@ -654,8 +604,7 @@ def _potential_at(boundary, profile, n, theta, y3, quad, self_cfg,
             raise QuadratureDivergence(
                 f"potential refinement moved by {err:.3e} (value {Ik_f.sum():.6e})")
         Ik = Ik_f
-    return CoulombResult(value=float(Ik.sum()), n=n, y=(theta, y3),
-                         breakdown=Ik, err_est=err)
+    return CoulombResult(value=float(Ik.sum()), breakdown=Ik, err_est=err)
 
 
 def toroidal_potential_reference(profile: DelaunayProfile, n: int, y, q: int = 4,
@@ -750,13 +699,14 @@ def ball_energy(m: float) -> float:
 
 
 def coulomb_energy(region, quad: BlockQuadrature = None,
-                   pot_resolution: tuple = (10, 12, 16),
                    self_cfg: SelfBlockSettings = None) -> float:
     """D(Omega) = 1/2 int int dx dy / |x - y|.
 
     region is ("ball", radius) or ("coil", profile, n).  Ball by the radial
-    closed form; coil by one outer block quadrature against interior
-    potentials (block pairs enter through the same a_{Rk} kernel).
+    closed form; coil by the Pohozaev identity D = (1/5) int_Sigma u (x . nu)
+    dsigma, with u from ``surface_potentials`` on the ENERGY_GRID trapezoid
+    rule over one period and x measured from the coil centre, so every block
+    contributes the same.
     """
     kind = region[0]
     if kind == "ball":
@@ -764,34 +714,20 @@ def coulomb_energy(region, quad: BlockQuadrature = None,
     if kind != "coil":
         raise DomainError(f"unknown region kind {kind!r}")
     profile, n = region[1], int(region[2])
-    if n < 4:
-        raise DomainError("coil energy needs n >= 4")
-    quad = quad or BlockQuadrature(profile, pot_resolution)
-    self_cfg = self_cfg or SelfBlockSettings(panel_q=5, core_q=5, column_q=6)
-    boundary = AxisymBoundary(profile)
+    quad = quad or BlockQuadrature(profile)
+    self_cfg = self_cfg or SelfBlockSettings()
+    n_th, n_z = ENERGY_GRID
     T = profile.T
-    R = n * T / (2.0 * np.pi)
-    x3, phi, r, w = quad.nodes3d(0.0, boundary)
-    pot_quad = BlockQuadrature(profile, pot_resolution)
-    total = 0.0
-    for j in range(len(w)):
-        u = _interior_potential(boundary, profile, n, R, T, phi[j], x3[j], r[j],
-                                pot_quad, self_cfg)
-        total += w[j] * (1.0 + r[j] * np.sin(phi[j]) / R) * u
-    return 0.5 * n * total
-
-
-def _interior_potential(boundary, profile, n, R, T, theta, y3, r_eval, quad, cfg):
-    """Potential at an interior point (same block machinery, apex below surface)."""
-    Ik = np.empty(n)
-    Ik[1:] = _regular_blocks(quad.nodes2d(y3, boundary), n, R, T, theta, y3, r_eval)
-    eta0 = float(boundary.radius(np.asarray(theta), np.asarray(y3)) - r_eval)
-    if abs(eta0) > 1e-12 * max(1.0, r_eval):
-        Ik[0] = _interior_self_block(boundary, R, T, theta, y3, r_eval, cfg, profile.a)
-    else:  # on the surface after all
-        Ik[0] = _self_block(boundary, R, T, *(np.atleast_1d(v) for v in (theta, y3, r_eval)),
-                            cfg, profile.a)[0]
-    return float(Ik.sum())
+    theta, y3 = np.meshgrid(2.0 * np.pi * np.arange(n_th) / n_th,
+                            T * (np.arange(n_z) / n_z - 0.5), indexing="ij")
+    u = surface_potentials(profile, n, AxisymBoundary(profile), theta, y3, quad,
+                           self_cfg).sum(axis=1).reshape(theta.shape)
+    patch = build_coil(profile, n)
+    forms = evaluate_forms(patch, theta, y3)
+    x_nu = np.sum(patch.position(theta, y3) * forms.normal, axis=-1)
+    dsigma = np.sqrt(np.linalg.det(forms.g))
+    w = 2.0 * np.pi * T / (n_th * n_z)
+    return float(n * w * np.sum(u * x_nu * dsigma) / 5.0)
 
 
 CRITICAL_MASS_CLOSED_FORM = 5.0 * (2.0 ** (1.0 / 3.0) - 1.0) / (1.0 - 2.0 ** (-2.0 / 3.0))
@@ -818,10 +754,7 @@ def coil_volume(profile: DelaunayProfile, n: int, h: SymmetricField = None,
     Gauss nodes in x3 (its r nodes are not used).
     """
     R = n * profile.T / (2.0 * np.pi)
-    if h is None or not np.any(h.modes):
-        boundary = AxisymBoundary(profile)
-    else:
-        boundary = NormalGraphBoundary(profile, chart, h)
+    boundary = solid_boundary(profile, h, chart)
     _, phi, rho, w = BlockQuadrature(profile, (2, 64, 48)).nodes2d(0.0, boundary)
     vals = rho**2 / 2.0 + np.sin(phi) * rho**3 / (3.0 * R)
     return float(n * np.sum(w * vals))

@@ -19,8 +19,8 @@ import warnings
 from dataclasses import dataclass, field as dfield
 import numpy as np
 
-from .coulomb import (AxisymBoundary, BlockQuadrature, NormalGraphBoundary,
-                      SelfBlockSettings, coil_volume, surface_potentials)
+from .coulomb import (BlockQuadrature, SelfBlockSettings, coil_volume, solid_boundary,
+                      surface_potentials)
 from .errors import BracketFailure, DomainError, NoContraction, RootNotBracketed
 from .fields import SymmetricField, cos_coeffs, cos_eval
 from .geometry import build_coil, evaluate_forms
@@ -128,10 +128,7 @@ def _coulomb_samples(ctx: ReductionContext, h: SymmetricField, final: bool) -> n
     """
     quad = ctx.final_quad if final else ctx.quad
     cfg = ctx.final_self_cfg if final else ctx.self_cfg
-    if h is not None and np.any(h.modes):
-        boundary = NormalGraphBoundary(ctx.profile, ctx.chart, h)
-    else:
-        boundary = AxisymBoundary(ctx.profile)
+    boundary = solid_boundary(ctx.profile, h, ctx.chart)
     ntheta = len(ctx.theta)
     cols = np.arange(ntheta)
     mirror = cols if final or ntheta % 2 else (ntheta // 2 - cols) % ntheta
@@ -332,8 +329,12 @@ def select_block_count(m: float, profile: DelaunayProfile) -> int:
 def find_neck_for_mass(m: float, n: int, bracket=(0.1, 0.42),
                        settings: ReductionSettings = None,
                        profile_tol: float = 1e-10, max_bisect: int = 12,
-                       rtol: float = 1e-3):
-    """Bisection on the neck parameter b so that mass_map(b, n).m = m."""
+                       rtol: float = 1e-3) -> MassMap:
+    """Bisection on the neck parameter b so that mass_map(b, n).m = m.
+
+    Returns the accepted neck's MassMap (its ``a`` is b), or the one at the
+    midpoint of the last bracket when the bisection runs out.
+    """
     from .profile import solve_profile
 
     settings = settings or ReductionSettings()
@@ -342,10 +343,10 @@ def find_neck_for_mass(m: float, n: int, bracket=(0.1, 0.42),
         prof = solve_profile(b, tol=profile_tol)
         ctx = ReductionContext(prof, n, settings)
         st = solve_gamma(prof, n, settings, ctx)
-        return mass_map(prof, n, settings, state=st, ctx=ctx).m
+        return mass_map(prof, n, settings, state=st, ctx=ctx)
 
     lo, hi = bracket
-    m_lo, m_hi = mass_of(lo), mass_of(hi)
+    m_lo, m_hi = mass_of(lo).m, mass_of(hi).m
     if m_lo >= m_hi:
         raise BracketFailure(f"mass map not increasing on [{lo}, {hi}]: "
                              f"{m_lo:.4f} >= {m_hi:.4f}")
@@ -353,11 +354,11 @@ def find_neck_for_mass(m: float, n: int, bracket=(0.1, 0.42),
         raise BracketFailure(f"target mass {m} outside [{m_lo:.4f}, {m_hi:.4f}]")
     for _ in range(max_bisect):
         mid = 0.5 * (lo + hi)
-        m_mid = mass_of(mid)
-        if abs(m_mid - m) < rtol * m:
-            return mid
-        if m_mid < m:
+        mm = mass_of(mid)
+        if abs(mm.m - m) < rtol * m:
+            return mm
+        if mm.m < m:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return mass_of(0.5 * (lo + hi))

@@ -194,23 +194,40 @@ def test_reduce_cli_schema(tmp_path, monkeypatch):
     assert len(trace) - 3 > doc["iterations"]
 
 
+def _fake_find_neck(m, n, settings=None, **kw):
+    """The accepted neck's MassMap, as find_neck_for_mass returns it."""
+    from dropcoil.reduction import MassMap
+
+    return MassMap(a=0.31, n=n, gamma=0.4, volume=100.0, m=40.0, volume_ratio=1.01)
+
+
 def test_mass_map_cli_layer(tmp_path, monkeypatch):
     # exercise the command plumbing with the expensive solves stubbed out
     import dropcoil.cli as cli
     import dropcoil.reduction as reduction
 
-    monkeypatch.setattr(reduction, "find_neck_for_mass",
-                        lambda m, n, settings=None, **kw: 0.31)
-
-    def fake_mass_map(prof, n, settings=None, **kw):
-        return reduction.MassMap(a=prof.a, n=n, gamma=0.4, volume=100.0,
-                                 m=40.0, volume_ratio=1.01)
-
-    monkeypatch.setattr(reduction, "mass_map", fake_mass_map)
+    monkeypatch.setattr(reduction, "find_neck_for_mass", _fake_find_neck)
     out = tmp_path / "mass.json"
     assert main(["mass-map", "--m", "40", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["b"] == 0.31 and doc["n"] >= 4 and doc["m_target"] == 40
+    assert (doc["m"], doc["gamma"], doc["volume"], doc["volume_ratio"]) == (40.0, 0.4, 100.0, 1.01)
+
+
+def test_mass_map_solves_final_neck_once(tmp_path, monkeypatch):
+    # the report comes from the neck search's own MassMap: a second solve of
+    # the accepted neck would reach one of these stubs and fail the command
+    import dropcoil.reduction as reduction
+
+    def second_solve(*args, **kw):
+        raise AssertionError("mass-map solved the accepted neck again")
+
+    monkeypatch.setattr(reduction, "find_neck_for_mass", _fake_find_neck)
+    monkeypatch.setattr(reduction, "mass_map", second_solve)
+    monkeypatch.setattr(reduction, "solve_gamma", second_solve)
+    out = tmp_path / "mass.json"
+    assert main(["mass-map", "--m", "40", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["b"] == 0.31
 
 
 def test_mass_map_passes_tol(tmp_path, monkeypatch):

@@ -9,15 +9,15 @@ import dropcoil.coulomb as coulomb
 from dropcoil.coulomb import (BALL_UNIT_COULOMB, TILE, AxisymBoundary,
                               BlockQuadrature, CRITICAL_MASS_CLOSED_FORM,
                               NormalGraphBoundary, SelfBlockSettings,
-                              _interior_self_block, _node_factors,
-                              _radial_moments, _regular_blocks, _scratch,
-                              _self_block, _sym_graded_rule,
+                              _node_factors, _radial_moments, _regular_blocks,
+                              _scratch, _self_block, _sym_graded_rule,
                               ball_coulomb_energy, ball_energy,
                               ball_potential_exact, ball_potential_radial,
                               coil_volume, coulomb_energy, critical_mass,
                               potential_coil, potential_perturbed,
-                              toroidal_potential_reference)
+                              solid_boundary, toroidal_potential_reference)
 from dropcoil.errors import DomainError, NonConvergence, QuadratureDivergence
+from dropcoil.geometry import build_coil, evaluate_forms
 from dropcoil.profile import solve_profile
 
 
@@ -27,8 +27,9 @@ def quad03(prof03):
 
 
 def test_block_quadrature_volume(prof03, quad03):
-    _, _, _, w = quad03.nodes3d(0.0, AxisymBoundary(prof03))
-    assert np.sum(w) == pytest.approx(prof03.V, rel=1e-10)
+    # r in closed form: the block volume is the (phi, x3) sum of rho_b^2 / 2
+    _, _, rho, w = quad03.nodes2d(0.0, AxisymBoundary(prof03))
+    assert np.sum(w * rho**2 / 2.0) == pytest.approx(prof03.V, rel=1e-10)
     with pytest.raises(DomainError):
         BlockQuadrature(prof03, (1, 2, 2))
 
@@ -78,7 +79,7 @@ def test_perturbed_brute_force_oracle(prof03, chart03, solver03, amp, n):
     h = h * (amp / h.norm_sup())
     bnd = NormalGraphBoundary(prof03, chart03, h)
     for y in ((np.pi / 2, 0.0), (0.7, 0.4)):
-        val = potential_perturbed(prof03, n, h, y, chart=chart03, with_base=False).value
+        val = potential_perturbed(prof03, n, h, y, chart=chart03).value
         ref = toroidal_potential_reference(prof03, n, y, q=6, boundary=bnd)
         assert abs(val - ref) / ref < 1e-2
         # the change the graph layer makes, against the unperturbed solid
@@ -249,13 +250,11 @@ def test_self_block_matches_frozen_kernel(prof03, chart03, solver03, frozen_kern
     assert points[0][0][0] < 0.31 < 0.69 < points[0][0][1]
     got = [_self_block(b, R, T, theta, y3c, r, c, prof03.a)
            for b, (r, y3c) in zip(boundaries, points) for c in (cfg, cfg.refined())]
-    inner = _interior_self_block(boundaries[0], R, T, 0.7, 0.1, 0.4, cfg, prof03.a)
     frozen_kernel()
     want = [_self_block(b, R, T, theta, y3c, r, c, prof03.a)
             for b, (r, y3c) in zip(boundaries, points) for c in (cfg, cfg.refined())]
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
-    assert inner == _interior_self_block(boundaries[0], R, T, 0.7, 0.1, 0.4, cfg, prof03.a)
 
 
 def test_potential_coil_matches_frozen_kernel(prof03, frozen_kernel):
@@ -351,9 +350,9 @@ def test_perturbed_linearity_orders(prof03, chart03, solver03):
 
     def parts(field):
         p = potential_perturbed(prof03, 8, field, y, chart=chart03,
-                                error_estimate=False, with_base=False).value
+                                error_estimate=False).value
         m = potential_perturbed(prof03, 8, -1.0 * field, y, chart=chart03,
-                                error_estimate=False, with_base=False).value
+                                error_estimate=False).value
         return (p - m) / 2, (p + m) / 2
 
     base = potential_coil(prof03, 8, y, error_estimate=False).value
@@ -371,25 +370,15 @@ def test_perturbed_response_grows_like_log_n(prof03, chart03, solver03):
     resp = {}
     for n in (16, 64, 256):
         p = potential_perturbed(prof03, n, h, y, chart=chart03,
-                                error_estimate=False, with_base=False).value
+                                error_estimate=False).value
         m = potential_perturbed(prof03, n, -1.0 * h, y, chart=chart03,
-                                error_estimate=False, with_base=False).value
+                                error_estimate=False).value
         resp[n] = (p - m) / 2
     pred = (2.0 / prof03.T) * int_h
     s1 = (resp[64] - resp[16]) / np.log(4)
     s2 = (resp[256] - resp[64]) / np.log(4)
     assert s1 / pred == pytest.approx(1.0, abs=0.15)
     assert abs(s2 / pred - 1.0) < abs(s1 / pred - 1.0)  # approaching the law
-
-
-def test_shell_correction_reported(prof03, chart03, solver03):
-    h = solver03.zero_field(kmax=1)
-    h.modes[0] = 0.01
-    res = potential_perturbed(prof03, 8, h, (0.3, 0.1), chart=chart03,
-                              error_estimate=False, with_base=True)
-    assert res.base is not None
-    assert res.shell_correction == pytest.approx(res.value - res.base)
-    assert res.shell_correction > 0  # h > 0 adds matter
 
 
 def test_normal_graph_boundary_accuracy(prof03, chart03, solver03):
@@ -540,7 +529,7 @@ def test_perturbed_potential_mirror_symmetric(prof03, chart03, solver03):
     h.modes[3] = 0.002
     for theta, y3 in ((0.3, 0.4), (1.1, -0.25)):
         v = [potential_perturbed(prof03, 8, h, (th, y3), chart=chart03,
-                                 error_estimate=False, with_base=False).value
+                                 error_estimate=False).value
              for th in (theta, np.pi - theta)]
         assert abs(v[1] - v[0]) <= 1e-12 * abs(v[0])
 
@@ -555,6 +544,16 @@ def test_coil_volume_perturbed_grows(prof03, chart03, solver03):
     h.modes[0] = 0.01
     v = coil_volume(prof03, 8, h, chart03)
     assert v > 8 * prof03.V  # positive bump adds volume
+
+
+def test_nonzero_h_needs_chart(prof03, solver03):
+    h = solver03.zero_field(kmax=0)
+    assert isinstance(solid_boundary(prof03, h), AxisymBoundary)  # zero h: no chart read
+    h.modes[0] = 0.01
+    with pytest.raises(DomainError):
+        coil_volume(prof03, 8, h)
+    with pytest.raises(DomainError):
+        potential_perturbed(prof03, 8, h, (0.3, 0.1), error_estimate=False)
 
 
 # ---- balls and energies ----------------------------------------------------
@@ -602,11 +601,49 @@ def test_critical_mass():
 
 
 def test_coil_energy_consistency(prof03):
-    quad = BlockQuadrature(prof03, (6, 8, 10))
-    e1 = coulomb_energy(("coil", prof03, 4), quad=quad, pot_resolution=(6, 8, 10))
-    quad2 = BlockQuadrature(prof03, (8, 10, 12))
-    e2 = coulomb_energy(("coil", prof03, 4), quad=quad2, pot_resolution=(8, 10, 12))
-    assert e1 > 0
-    assert abs(e1 - e2) / e2 < 0.02
+    # the Pohozaev energy at the default quadrature against a refined one
+    e1 = coulomb_energy(("coil", prof03, 4))
+    e2 = coulomb_energy(("coil", prof03, 4), quad=BlockQuadrature(prof03, (24, 48, 72)),
+                        self_cfg=SelfBlockSettings().refined())
+    assert abs(e1 - e2) / e2 <= 1e-7
     with pytest.raises(DomainError):
         coulomb_energy(("pyramid", 1.0))
+
+
+def _coil_energy_boundary_integral(prof, n, n_th, n_z):
+    """D = -(1/16) int int [(nu_x.d)(nu_y.d)/|d| + |d| nu_x.nu_y] over Sigma x Sigma, d = x - y.
+
+    Trapezoid rule with (n_th, n_z) nodes a period over the whole coil; it
+    evaluates no potential.  The integrand is continuous and vanishes at
+    d = 0, and every block sees the same coil, so x runs over one period.
+    """
+    T = prof.T
+    theta, y3 = np.meshgrid(2.0 * np.pi * np.arange(n_th) / n_th,
+                            T * (np.arange(n * n_z) / n_z - 0.5), indexing="ij")
+    patch = build_coil(prof, n)
+    forms = evaluate_forms(patch, theta, y3)
+    x = patch.position(theta, y3).reshape(-1, 3)
+    nu = forms.normal.reshape(-1, 3)
+    ds = np.sqrt(np.linalg.det(forms.g)).ravel() * 2.0 * np.pi * T / (n_th * n_z)
+    own = np.flatnonzero((y3 < T / 2.0).ravel())
+    total = 0.0
+    for lo in range(0, len(own), 64):
+        i = own[lo:lo + 64]
+        d = x[i, None, :] - x[None, :, :]
+        r = np.sqrt(np.sum(d * d, axis=-1))
+        nud_x = np.sum(nu[i, None, :] * d, axis=-1)
+        nud_y = np.sum(nu[None, :, :] * d, axis=-1)
+        f = nud_x * nud_y / np.where(r > 0.0, r, 1.0) + r * (nu[i] @ nu.T)
+        total += ds[i] @ f @ ds
+    return -n * total / 16.0
+
+
+def test_coil_energy_boundary_oracle(prof03):
+    # the integrand is only Lipschitz at d = 0, so the trapezoid error is
+    # O(h^3): the differences over the 16 x 24, 24 x 36 and 32 x 48 grids
+    # shrink 4.2x (h^3 predicts 4.1x), and one p = 3 Richardson step removes it
+    coarse = _coil_energy_boundary_integral(prof03, 4, 16, 24)
+    fine = _coil_energy_boundary_integral(prof03, 4, 24, 36)
+    oracle = fine + (fine - coarse) / (1.5**3 - 1.0)
+    energy = coulomb_energy(("coil", prof03, 4))
+    assert abs(energy - oracle) / oracle <= 1e-5

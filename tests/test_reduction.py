@@ -179,9 +179,11 @@ def test_find_neck_for_mass(prof03):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         target = mass_map(prof03, 16, FAST).m
-        b = find_neck_for_mass(target, 16, bracket=(0.2, 0.4), settings=FAST,
-                               max_bisect=4, rtol=0.02)
-    assert 0.2 < b < 0.4
+        mm = find_neck_for_mass(target, 16, bracket=(0.2, 0.4), settings=FAST,
+                                max_bisect=4, rtol=0.02)
+    # the accepted neck's own mass map: its a is the neck b
+    assert 0.2 < mm.a < 0.4 and mm.n == 16
+    assert abs(mm.m - target) < 0.02 * target
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(BracketFailure):
