@@ -33,7 +33,7 @@ from scipy.integrate import simpson
 from scipy.optimize import brentq
 
 from .errors import DomainError, NonConvergence, QuadratureDivergence, RootNotBracketed
-from .fields import SymmetricField, on_axis_derivatives, series_eval
+from .fields import SymmetricField, is_zero_field, on_axis_derivatives, series_eval
 from .geometry import build_coil, evaluate_forms
 from .profile import ConformalChart, DelaunayProfile
 
@@ -48,7 +48,8 @@ GRAPH_MZ = 48
 # TILE doubles (96 KiB), whatever n, the node count and the batch size are.
 TILE = 12288
 # (theta, y3) trapezoid nodes over one period of the coil energy's surface rule;
-# the integrand is smooth and periodic, and 32 x 48 moves D by 5e-12.
+# the integrand is smooth and periodic, and 32 x 48 moves D by 5e-12.  Both
+# counts are even and the first a multiple of 4, so the rule folds onto a quarter.
 ENERGY_GRID = (16, 24)
 
 
@@ -135,7 +136,7 @@ class NormalGraphBoundary:
 def solid_boundary(profile: DelaunayProfile, h: SymmetricField = None,
                    chart: ConformalChart = None):
     """The block boundary of the solid: the profile's for a zero h, else h's normal graph."""
-    if h is None or not np.any(h.modes):
+    if is_zero_field(h):
         return AxisymBoundary(profile)
     if chart is None:
         raise DomainError("a nonzero normal graph h needs the conformal chart")
@@ -165,12 +166,17 @@ def _node_factors(P, r_eval, chi, phi):
 
 
 def _scratch(shape):
-    """Work arrays of one tile of ``_column_values``: eight float and one bool.
+    """Work arrays of one tile of ``_column_values``.
 
+    Eight float arrays and one bool of the tile shape, then five float
+    arrays of its lattice: the tile shape with the last (phi or chi) axis
+    collapsed, over which a_k and every factor of a_k alone are constant.
     Callers allocate them once per sweep and keep them in their own frame,
     so concurrent sweeps (worker threads) never share them.
     """
-    return [np.empty(shape) for _ in range(8)] + [np.empty(shape, dtype=bool)]
+    lattice = shape[:-1] + (1,) if shape else ()
+    return ([np.empty(shape) for _ in range(8)] + [np.empty(shape, dtype=bool)]
+            + [np.empty(lattice) for _ in range(5)])
 
 
 def _radial_moments(g, blin, cadd, s):
@@ -178,61 +184,62 @@ def _radial_moments(g, blin, cadd, s):
 
     b = -2 r_eval cos_chi + blin, c = r_eval^2 + cadd, with cadd >= 0 and
     blin the (signed, small) linear kappa term; ``g`` holds the node factors
-    of ``_node_factors``.  ``blin`` and ``cadd`` may be ``s[1]`` and ``s[0]``
-    themselves, and are overwritten then.  All expressions are grouped so
-    near-singular columns keep full precision, and each is evaluated in the
-    operation order of the allocating reference kept in the tests, so the
-    bits do not depend on the buffering.
+    of ``_node_factors``.  ``blin`` may be ``s[1]`` and is overwritten then;
+    ``cadd`` holds lattice values (it may be ``s[10]``), and c, sqrt(c),
+    2 sqrt(c), 4 cadd and 4c stay on the lattice too, broadcast only where a
+    node factor enters.  All expressions are grouped so near-singular columns
+    keep full precision, and each is evaluated in the operation order of the
+    allocating reference kept in the tests, so the bits do not depend on the
+    buffering or on the lattice.
     """
-    A, B, C, D, E, F, G, H, neg = s
+    A, B, C, D, E, F, G, H, neg, cadd4, _, c, sc, sc2 = s
     np.add(g["b0"], blin, out=C)                                   # b
-    np.add(g["r2"], cadd, out=D)                                   # c
+    np.add(g["r2"], cadd, out=c)                                   # c
     # Q(P) assembled from nonnegative geometric pieces
     np.multiply(blin, g["P"], out=E)
     np.add(g["Q0"], E, out=E)
     np.add(E, cadd, out=E)
     np.maximum(E, 0.0, out=E)
     np.sqrt(E, out=E)                                              # sqrt(Q(P))
-    np.sqrt(D, out=F)                                              # sqrt(c)
+    np.sqrt(c, out=sc)                                             # sqrt(c)
     # 2P + b without the cancellation of P against r_eval cos_chi
     np.multiply(E, 2.0, out=G)
     np.add(G, g["up0"], out=G)
     np.add(G, blin, out=G)                                         # up
     # 4c - b^2 = 4 [r sin(chi)]^2 + positive kappa terms (stable when b < 0)
-    np.multiply(cadd, 4.0, out=A)
-    np.add(g["disc0"], A, out=A)
+    np.multiply(cadd, 4.0, out=cadd4)
+    np.add(g["disc0"], cadd4, out=A)
     np.multiply(g["disc1"], blin, out=H)
     np.add(A, H, out=A)
     np.multiply(blin, blin, out=B)
     np.subtract(A, B, out=A)
     np.maximum(A, 1e-300, out=A)                                   # disc
     # one log of the selected argument (the b < 0 form rationalizes 2 sqrt(c) + b)
-    np.multiply(F, 2.0, out=H)
-    np.add(H, C, out=H)
+    np.multiply(sc, 2.0, out=sc2)
+    np.add(sc2, C, out=H)
     np.maximum(H, 1e-300, out=H)
     np.maximum(G, 1e-300, out=B)
     np.divide(B, H, out=B)                                         # b >= 0
-    np.multiply(F, 2.0, out=H)
-    np.subtract(H, C, out=H)
+    np.subtract(sc2, C, out=H)
     np.multiply(G, H, out=H)
     np.maximum(H, 1e-300, out=H)
     np.divide(H, A, out=H)                                         # b < 0
     np.less(C, 0.0, out=neg)
     np.copyto(B, H, where=neg)
     np.log(B, out=B)                                               # M0
-    np.subtract(E, F, out=A)
+    np.subtract(E, sc, out=A)
     np.multiply(C, 0.5, out=G)
     np.multiply(G, B, out=G)
     np.subtract(A, G, out=A)                                       # M1
     np.multiply(C, 3.0, out=H)                                     # 3b
     np.subtract(g["two_p"], H, out=G)
     np.multiply(G, E, out=G)
-    np.multiply(H, F, out=F)
+    np.multiply(H, sc, out=F)
     np.add(G, F, out=G)
     np.divide(G, 4.0, out=G)
-    np.multiply(D, 4.0, out=D)
+    np.multiply(c, 4.0, out=c)                                     # 4c
     np.multiply(H, C, out=H)
-    np.subtract(D, H, out=D)
+    np.subtract(c, H, out=D)
     np.divide(D, 8.0, out=D)
     np.multiply(D, B, out=D)
     np.subtract(G, D, out=G)                                       # M2
@@ -242,17 +249,18 @@ def _radial_moments(g, blin, cadd, s):
 def _column_values(g, ak, kap, R, s):
     """Column integrals int_0^P (1 + r sin(phi)/R) r / sqrt(Q) dr, into ``s[0]``.
 
-    ``g`` holds the node factors, ``ak`` the block offsets a_k (it may be
-    ``s[0]`` itself) and kap = 1 + y2 / R; ``s`` is a ``_scratch`` set of
-    the broadcast shape.
+    ``g`` holds the node factors, ``ak`` the block offsets a_k on the
+    lattice (it may be ``s[9]`` itself) and kap = 1 + y2 / R; ``s`` is a
+    ``_scratch`` set of the broadcast shape.  a_k^2 and cadd = a_k^2 kap
+    are formed on the lattice.
     """
-    A, B = s[0], s[1]
-    np.multiply(ak, ak, out=A)
-    np.multiply(A, g["sin_phi"], out=B)
+    B, a2, cadd = s[1], s[9], s[10]
+    np.multiply(ak, ak, out=a2)
+    np.multiply(a2, g["sin_phi"], out=B)
     np.multiply(B, kap, out=B)
     np.divide(B, R, out=B)                                         # blin
-    np.multiply(A, kap, out=A)                                     # cadd
-    _, M1, M2 = _radial_moments(g, B, A, s)
+    np.multiply(a2, kap, out=cadd)
+    _, M1, M2 = _radial_moments(g, B, cadd, s)
     np.multiply(g["sin_phi"], M2, out=M2)
     np.divide(M2, R, out=M2)
     return np.add(M1, M2, out=M1)
@@ -503,30 +511,34 @@ def _duffy_core(boundary, R, theta, y3c, r_eval, d_xi, d_chi, d_eta, q):
 def _regular_blocks(nodes, n, R, T, theta, y3c, r_eval):
     """I_k for k = 1..n-1 via the analytic-r column rule.
 
-    ``nodes`` is the (x3, phi, rho_b, w) rule of ``BlockQuadrature.nodes2d``
-    centred at y3c.  The node factors are formed once; k is swept in tiles
-    of max(1, TILE // nodes) rows through one ``_scratch`` set.  Each row
-    keeps its own reduction over the nodes, so the tiling does not change a
-    single bit.
+    ``nodes`` is the flat (x3, phi, rho_b, w) rule of
+    ``BlockQuadrature.nodes2d`` centred at y3c, which repeats each axial node
+    over the n_phi phi nodes; the sweep views it on its (n_z, n_phi) lattice.
+    The node factors are formed once, and a_k = 2R sin((kT + x3 - y3c)/(2R))
+    once per (k, z node), broadcast over phi; k is swept in tiles of
+    max(1, TILE // nodes) rows through one ``_scratch`` set.  Each row keeps
+    its own reduction over the flat node axis, so neither the tiling nor the
+    lattice changes a single bit.
     """
-    x3, phi, rho_b, w = nodes
+    n_phi = int(np.count_nonzero(nodes[0] == nodes[0][0]))
+    x3, phi, rho_b, w = (v.reshape(-1, n_phi) for v in nodes)
     g = _node_factors(rho_b, r_eval, phi - theta, phi)
     kap = 1.0 + r_eval * np.sin(theta) / R
-    rows = max(1, TILE // len(w))
-    kT = np.arange(1, n)[:, None] * T
-    dx3 = x3 - y3c
-    scratch = _scratch((min(rows, n - 1), len(w)))
+    rows = max(1, TILE // w.size)
+    kT = np.arange(1, n)[:, None, None] * T
+    dx3 = x3[:, :1] - y3c
+    scratch = _scratch((min(rows, n - 1),) + w.shape)
     Ik = np.empty(n - 1)
     for lo in range(0, n - 1, rows):
         s = [v[:n - 1 - lo] for v in scratch]
-        ak = s[0]
+        ak = s[9]
         np.add(kT[lo:lo + rows], dx3, out=ak)
         np.divide(ak, 2.0 * R, out=ak)
         np.sin(ak, out=ak)
         np.multiply(ak, 2.0 * R, out=ak)
         vals = _column_values(g, ak, kap, R, s)
         np.multiply(vals, w, out=vals)
-        vals.sum(axis=1, out=Ik[lo:lo + rows])
+        vals.reshape(len(vals), -1).sum(axis=1, out=Ik[lo:lo + rows])
     return Ik
 
 
@@ -706,7 +718,10 @@ def coulomb_energy(region, quad: BlockQuadrature = None,
     closed form; coil by the Pohozaev identity D = (1/5) int_Sigma u (x . nu)
     dsigma, with u from ``surface_potentials`` on the ENERGY_GRID trapezoid
     rule over one period and x measured from the coil centre, so every block
-    contributes the same.
+    contributes the same.  The integrand is even under theta -> pi - theta
+    and y3 -> -y3, so the rule runs over the quarter theta in [pi/2, 3pi/2],
+    y3 in [-T/2, 0], counting each node once on the lines a map fixes and
+    twice elsewhere.
     """
     kind = region[0]
     if kind == "ball":
@@ -718,8 +733,11 @@ def coulomb_energy(region, quad: BlockQuadrature = None,
     self_cfg = self_cfg or SelfBlockSettings()
     n_th, n_z = ENERGY_GRID
     T = profile.T
-    theta, y3 = np.meshgrid(2.0 * np.pi * np.arange(n_th) / n_th,
-                            T * (np.arange(n_z) / n_z - 0.5), indexing="ij")
+    i = np.arange(n_th // 4, 3 * n_th // 4 + 1)
+    j = np.arange(n_z // 2 + 1)
+    theta, y3 = np.meshgrid(2.0 * np.pi * i / n_th, T * (j / n_z - 0.5), indexing="ij")
+    mult = np.outer(np.where((i == i[0]) | (i == i[-1]), 1.0, 2.0),
+                    np.where((j == j[0]) | (j == j[-1]), 1.0, 2.0))
     u = surface_potentials(profile, n, AxisymBoundary(profile), theta, y3, quad,
                            self_cfg).sum(axis=1).reshape(theta.shape)
     patch = build_coil(profile, n)
@@ -727,7 +745,7 @@ def coulomb_energy(region, quad: BlockQuadrature = None,
     x_nu = np.sum(patch.position(theta, y3) * forms.normal, axis=-1)
     dsigma = np.sqrt(np.linalg.det(forms.g))
     w = 2.0 * np.pi * T / (n_th * n_z)
-    return float(n * w * np.sum(u * x_nu * dsigma) / 5.0)
+    return float(n * w * np.sum(mult * u * x_nu * dsigma) / 5.0)
 
 
 CRITICAL_MASS_CLOSED_FORM = 5.0 * (2.0 ** (1.0 / 3.0) - 1.0) / (1.0 - 2.0 ** (-2.0 / 3.0))

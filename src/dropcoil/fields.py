@@ -247,6 +247,11 @@ class SymmetricField:
         return cls.from_dict(json.loads(text))
 
 
+def is_zero_field(h: SymmetricField) -> bool:
+    """True when h is absent or has no nonzero mode: the unperturbed surface."""
+    return h is None or not np.any(h.modes)
+
+
 def on_axis_derivatives(h: SymmetricField, chart, theta, y3, order: int = 2):
     """Evaluate h and its (theta, y3) derivatives through the chart.
 

@@ -73,18 +73,25 @@ class DelaunayProfile:
     V: float
     Ia: float
     tol: float = DEFAULT_TOL
-    _spline: object = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self._spline is None:
-            # clamped ends: f'(0) = f'(T/2) = 0 exactly
-            self._spline = CubicSpline(self.grid, self.f, bc_type=((1, 0.0), (1, 0.0)))
+    _dense: object = field(default=None, repr=False, compare=False)
+    _spline: object = field(default=None, init=False, repr=False, compare=False)
 
     def _half_eval(self, u):
-        """(f, f') on the folded half-period coordinate u in [0, T/2]."""
+        """(f, f') on the folded half-period coordinate u in [0, T/2].
+
+        The clamped spline (f'(0) = f'(T/2) = 0 exactly) is built on the
+        first call: from the dense ODE solution ``_dense`` sampled 4x finer
+        than the grid when the profile was solved, else from the grid.
+        """
         if self.a == CYLINDER_NECK:
             f = np.full_like(u, 0.5)
             return f, np.zeros_like(u)
+        if self._spline is None:
+            s, f = self.grid, self.f
+            if self._dense is not None:
+                s = np.linspace(0.0, self.grid[-1], 4 * (len(self.grid) - 1) + 1)
+                f = self._dense(s)[0]
+            self._spline = CubicSpline(s, f, bc_type=((1, 0.0), (1, 0.0)))
         return self._spline(u), self._spline(u, 1)
 
     def evaluate(self, s, order: int = 2):
@@ -286,12 +293,9 @@ def solve_profile(a: float, tol: float = DEFAULT_TOL, grid_size: int = DEFAULT_G
     T = 2.0 * half
     V = 2.0 * np.pi * simpson(f * f, x=s)
 
-    # fast clamped spline on a finer sampling replaces the (slow) dense output
-    sf = np.linspace(0.0, half, 4 * grid_size + 1)
-    spline = CubicSpline(sf, sol.sol(sf)[0], bc_type=((1, 0.0), (1, 0.0)))
-
+    # the (slow) dense output is kept for the fast spline of the first evaluation
     prof = DelaunayProfile(a=a, grid=s, f=f, fp=fp, fpp=fpp, T=T, V=V, Ia=np.nan,
-                           tol=tol, _spline=spline)
+                           tol=tol, _dense=sol.sol)
     prof.Ia = compute_Ia(prof)
     return prof
 

@@ -22,7 +22,7 @@ import numpy as np
 from .coulomb import (BlockQuadrature, SelfBlockSettings, coil_volume, solid_boundary,
                       surface_potentials)
 from .errors import BracketFailure, DomainError, NoContraction, RootNotBracketed
-from .fields import SymmetricField, cos_coeffs, cos_eval
+from .fields import SymmetricField, cos_coeffs, cos_eval, is_zero_field
 from .geometry import build_coil, evaluate_forms
 from .jacobi import JacobiSolver
 from .profile import DelaunayProfile, build_chart
@@ -154,7 +154,7 @@ def evaluate_equation(profile: DelaunayProfile, n: int, h: SymmetricField,
     sup |G - d| over the grid (c reported separately).
     """
     ctx = ctx or ReductionContext(profile, n, settings or ReductionSettings())
-    perturb = h if (h is not None and np.any(h.modes)) else None
+    perturb = None if is_zero_field(h) else h
     patch = build_coil(ctx.profile, ctx.n, perturb, chart=ctx.chart)
     TH, Y3 = np.meshgrid(ctx.theta, ctx.y3_nodes, indexing="ij")
     H = evaluate_forms(patch, TH, Y3).H

@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate
 
 import dropcoil.coulomb as coulomb
-from dropcoil.coulomb import (BALL_UNIT_COULOMB, TILE, AxisymBoundary,
+from dropcoil.coulomb import (BALL_UNIT_COULOMB, ENERGY_GRID, TILE, AxisymBoundary,
                               BlockQuadrature, CRITICAL_MASS_CLOSED_FORM,
                               NormalGraphBoundary, SelfBlockSettings,
                               _node_factors, _radial_moments, _regular_blocks,
@@ -15,7 +15,8 @@ from dropcoil.coulomb import (BALL_UNIT_COULOMB, TILE, AxisymBoundary,
                               ball_potential_exact, ball_potential_radial,
                               coil_volume, coulomb_energy, critical_mass,
                               potential_coil, potential_perturbed,
-                              solid_boundary, toroidal_potential_reference)
+                              solid_boundary, surface_potentials,
+                              toroidal_potential_reference)
 from dropcoil.errors import DomainError, NonConvergence, QuadratureDivergence
 from dropcoil.geometry import build_coil, evaluate_forms
 from dropcoil.profile import solve_profile
@@ -263,6 +264,35 @@ def test_potential_coil_matches_frozen_kernel(prof03, frozen_kernel):
 
     def hexes():
         res = [potential_coil(prof03, n, y) for n in ns]
+        return [[float(v).hex() for v in (r.err_est, *r.breakdown)] for r in res]
+
+    got = hexes()
+    frozen_kernel()
+    assert got == hexes()
+
+
+@pytest.mark.parametrize("resolution, self_cfg", [
+    ((8, 16, 20), SelfBlockSettings(panel_q=5, core_q=5, column_q=6)),  # desk loop rule
+    ((6, 12, 14), SelfBlockSettings(panel_q=4, core_q=4, column_q=5)),  # FAST loop rule
+    ((2, 3, 5), SelfBlockSettings()),  # n_phi != n_z: a z/phi mix-up changes the bits
+])
+def test_potential_perturbed_matches_frozen_kernel(prof03, chart03, solver03, frozen_kernel,
+                                                   resolution, self_cfg):
+    # both boundaries at the reduction loop's rules; the error estimate adds
+    # the 1.5x refined rule of each, and its divergence guard is not under test
+    quad = BlockQuadrature(prof03, resolution)
+    h = solver03.zero_field(kmax=4)
+    c = np.cos(np.pi * solver03.t / solver03.tau)
+    h.modes[0] = 0.02 * c + 0.01
+    h.modes[1] = 0.004 * solver03.kernel.nu2
+    h.modes[3] = 0.003 * c
+    h.modes[4] = 0.002
+    fields = (solver03.zero_field(kmax=4), h)
+
+    def hexes():
+        res = [potential_perturbed(prof03, n, f, y, chart=chart03, quad=quad, self_cfg=self_cfg,
+                                   divergence_rtol=np.inf)
+               for n in (16, 32, 128) for f in fields for y in ((0.7, 0.4), (np.pi / 2, 0.0))]
         return [[float(v).hex() for v in (r.err_est, *r.breakdown)] for r in res]
 
     got = hexes()
@@ -608,6 +638,24 @@ def test_coil_energy_consistency(prof03):
     assert abs(e1 - e2) / e2 <= 1e-7
     with pytest.raises(DomainError):
         coulomb_energy(("pyramid", 1.0))
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_coil_energy_quarter_matches_full_grid(prof03, n):
+    # the energy folds the ENERGY_GRID rule onto one symmetry quarter (117 of
+    # 384 points); the full-period sum of the same rule is the reference
+    n_th, n_z = ENERGY_GRID
+    T = prof03.T
+    theta, y3 = np.meshgrid(2.0 * np.pi * np.arange(n_th) / n_th,
+                            T * (np.arange(n_z) / n_z - 0.5), indexing="ij")
+    u = surface_potentials(prof03, n, AxisymBoundary(prof03), theta, y3,
+                           BlockQuadrature(prof03), SelfBlockSettings()).sum(axis=1)
+    patch = build_coil(prof03, n)
+    forms = evaluate_forms(patch, theta, y3)
+    x_nu = np.sum(patch.position(theta, y3) * forms.normal, axis=-1)
+    dsigma = np.sqrt(np.linalg.det(forms.g))
+    full = n * 2.0 * np.pi * T / (n_th * n_z) * np.sum(u.reshape(theta.shape) * x_nu * dsigma) / 5.0
+    assert abs(coulomb_energy(("coil", prof03, n)) / full - 1.0) <= 1e-13
 
 
 def _coil_energy_boundary_integral(prof, n, n_th, n_z):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.interpolate import CubicSpline
 
 from dropcoil.errors import DomainError
 from dropcoil.profile import (CYLINDER_IA, CYLINDER_PERIOD, CYLINDER_VOLUME,
-                              ConformalChart, DelaunayProfile, build_chart,
+                              DEFAULT_GRID, ConformalChart, DelaunayProfile, build_chart,
                               compute_Ia, compute_Ia_conformal, profile_scan,
                               solve_profile)
 
@@ -152,3 +153,24 @@ def test_evaluate_periodic_fold(prof03):
     assert np.max(np.abs(H - 2)) < 1e-9
     fT = prof03.evaluate(s + prof03.T, order=0)[0]
     assert np.max(np.abs(fT - f)) < 1e-12
+
+
+def test_profile_spline_built_on_first_evaluate():
+    # solving keeps the dense ODE solution; the first evaluation builds the
+    # clamped spline on it, sampled 4x finer than the grid
+    p = solve_profile(0.3)
+    assert p._spline is None and p._dense is not None
+    s = np.linspace(-1.0, 2.0, 57)
+    f, fp = p.evaluate(s, order=1)
+    assert p._spline is not None
+    half = 0.5 * p.T
+    sf = np.linspace(0.0, half, 4 * DEFAULT_GRID + 1)
+    eager = CubicSpline(sf, p._dense(sf)[0], bc_type=((1, 0.0), (1, 0.0)))
+    assert np.array_equal(p._spline.x, eager.x) and np.array_equal(p._spline.c, eager.c)
+    u = np.mod(s + half, p.T) - half
+    assert np.array_equal(f, eager(np.abs(u)))
+    assert np.array_equal(fp, np.where(u >= 0.0, 1.0, -1.0) * eager(np.abs(u), 1))
+    # later evaluations reuse it
+    spline = p._spline
+    p.evaluate(s, order=0)
+    assert p._spline is spline

@@ -8,6 +8,7 @@ import pytest
 
 from dropcoil.coulomb import ball_potential_exact
 from dropcoil.errors import BracketFailure, DomainError
+from dropcoil.fields import is_zero_field
 from dropcoil.geometry import build_sphere, evaluate_forms
 from dropcoil.profile import solve_profile
 import dropcoil.reduction as reduction
@@ -67,6 +68,20 @@ def test_equation_at_zero_perturbation(prof03, ctx32):
     assert ev.c == pytest.approx(2 * prof03.Ia * c4 / 32, rel=0.02)
     # includes admissible harmonics beyond kmax, hence only ~1e-8 at kmax=4
     assert ev.symmetry_residual < 1e-6
+
+
+def test_zero_field_equation_equals_no_field(prof03, ctx32):
+    # one zero-field rule picks the unperturbed patch and Coulomb boundary
+    zero = ctx32.zero_field()
+    assert is_zero_field(None) and is_zero_field(zero)
+    bump = zero.copy()
+    bump.modes[0] += 1e-3
+    assert not is_zero_field(bump)
+    a = evaluate_equation(prof03, 32, zero, 0.1, ctx=ctx32)
+    b = evaluate_equation(prof03, 32, None, 0.1, ctx=ctx32)
+    assert np.array_equal(a.field.modes, b.field.modes)
+    assert (a.c, a.d, a.residual, a.symmetry_residual) == (b.c, b.d, b.residual,
+                                                           b.symmetry_residual)
 
 
 def test_sphere_sanity_bypasses_coil():
