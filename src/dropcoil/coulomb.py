@@ -43,9 +43,11 @@ DEFAULT_RESOLUTION = (24, 32, 48)  # (n_r, n_phi, n_z)
 NEWTON_TOL = 1e-9
 # Axial intervals of the half period [0, T/2] on which rho_h is sampled.
 GRAPH_MZ = 48
-# Elements per tile of the regular-block k-sweep and of the self-block
-# columns over a batch of points: every temporary of one tile holds at most
-# TILE doubles (96 KiB), whatever n, the node count and the batch size are.
+# Elements per tile of the regular-block sweep and of the self-block columns
+# over a batch of points: every temporary of one tile holds at most TILE
+# doubles (96 KiB), whatever n, the node count and the batch size are.  The
+# Duffy core and the normal graph's radius tables, which pay a call a tile,
+# allow 4 TILE.
 TILE = 12288
 # (theta, y3) trapezoid nodes over one period of the coil energy's surface rule;
 # the integrand is smooth and periodic, and 32 x 48 moves D by 5e-12.  Both
@@ -123,8 +125,24 @@ class NormalGraphBoundary:
         return rad
 
     def radius(self, phi, x3):
-        """rho_h at broadcast (phi, x3); open grids pay for distinct values only."""
-        return series_eval(self._coef, self._tau, phi, x3)[0]
+        """rho_h at broadcast (phi, x3); open grids pay for distinct values only.
+
+        The axial exp table holds GRAPH_MZ + 1 complex values for each x3
+        value, so the leading axis of a larger call is taken in tiles whose
+        tables hold at most 4 TILE doubles.
+        """
+        phi, x3 = np.asarray(phi, dtype=float), np.asarray(x3, dtype=float)
+        if 2 * (GRAPH_MZ + 1) * x3.size <= 4 * TILE:
+            return series_eval(self._coef, self._tau, phi, x3)[0]
+        shape = np.broadcast_shapes(phi.shape, x3.shape)
+        phi, x3 = (v.reshape((1,) * (len(shape) - v.ndim) + v.shape) for v in (phi, x3))
+        rows = max(1, 2 * TILE * len(x3) // ((GRAPH_MZ + 1) * x3.size))
+        out = np.empty(shape)
+        for lo in range(0, shape[0], rows):
+            p = slice(lo, lo + rows)
+            out[p] = series_eval(self._coef, self._tau, phi[p] if len(phi) > 1 else phi,
+                                 x3[p] if len(x3) > 1 else x3)[0]
+        return out
 
     def surface_point(self, theta, y3):
         """(r, x3) of the graph points over broadcast (theta, y3)."""
@@ -370,18 +388,15 @@ class BlockQuadrature:
         self.phi_weights = np.full(n_phi, 2.0 * np.pi / n_phi)
 
     def nodes2d(self, y3_center, boundary):
-        """Flattened (x3, phi, rho_b, w) product rule centered at y3_center.
+        """(x3, phi, rho_b, w) product rule centred at y3_center, on its lattice.
 
-        An array of centres puts its shape in front of x3 and rho_b, which
-        come from one ``radius`` call; phi and w are shared by every centre.
+        x3 has shape centres + (n_z,) and rho_b centres + (n_z, n_phi), from
+        one ``radius`` call; phi (n_phi,) and the weights w (n_z, n_phi) are
+        shared by every centre.
         """
-        c = np.asarray(y3_center, dtype=float)
-        x3 = c[..., None] + self.z_nodes
-        rho = boundary.radius(self.phi_nodes[None, :], x3[..., None])
-        return (np.repeat(x3, len(self.phi_nodes), axis=-1),
-                np.tile(self.phi_nodes, len(self.z_nodes)),
-                rho.reshape(c.shape + (-1,)),
-                np.outer(self.z_weights, self.phi_weights).ravel())
+        x3 = np.asarray(y3_center, dtype=float)[..., None] + self.z_nodes
+        return (x3, self.phi_nodes, boundary.radius(self.phi_nodes[None, :], x3[..., None]),
+                np.outer(self.z_weights, self.phi_weights))
 
 
 @dataclass
@@ -468,14 +483,34 @@ def _duffy_core(boundary, R, theta, y3c, r_eval, d_xi, d_chi, d_eta, q):
 
     The box is |xi| <= d_xi, |chi| <= d_chi, 0 <= eta <= d_eta with the
     apex at the singular point; theta, y3c, r_eval, d_chi and d_eta hold
-    one value a point, and the faces carry a leading point axis.
+    one value a point, and the faces carry a leading point axis.  A face's
+    largest temporary is the exp table of its ``radius`` call on the normal
+    graph: GRAPH_MZ + 1 complex values for each of the face's q^2 axial
+    positions, 2 (GRAPH_MZ + 1) q^2 doubles a point, where the face grid
+    holds q^3.  A tile pays one radius call and some thirty array operations
+    a face whatever its size, so it is allowed 4 TILE doubles of table, the
+    bound ``NormalGraphBoundary.radius`` keeps: tiles of
+    max(1, 2 TILE // ((GRAPH_MZ + 1) q^2)) points, 10 at q = 7 and 31 at
+    q = 4.  A point's face sums do not depend on the tile it falls in.
     """
     u, wu = _gl(q)
+    U = u[:, None, None]
+    W = wu[:, None, None] * wu[None, :, None] * wu[None, None, :] * U * U
+    rows = max(1, 2 * TILE // ((GRAPH_MZ + 1) * q * q))
+    out = np.empty(len(theta))
+    for lo in range(0, len(theta), rows):
+        p = slice(lo, lo + rows)
+        out[p] = _duffy_faces(boundary, R, theta[p], y3c[p], r_eval[p], d_xi, d_chi[p],
+                              d_eta[p], u, W)
+    return out
+
+
+def _duffy_faces(boundary, R, theta, y3c, r_eval, d_xi, d_chi, d_eta, u, W):
+    """Sum of the five pyramid faces of ``_duffy_core`` over one tile of points."""
     theta, y3c, r_eval, d_chi, d_eta = (np.reshape(v, (-1, 1, 1, 1))
                                         for v in (theta, y3c, r_eval, d_chi, d_eta))
     y2 = r_eval * np.sin(theta)
     U = u[:, None, None]
-    W = wu[:, None, None] * wu[None, :, None] * wu[None, None, :] * U * U
     lo = (-d_xi, -d_chi, 0.0)
     hi = (d_xi, d_chi, d_eta)
     # the eta = d_eta face only when the depth window is not degenerate
@@ -509,36 +544,42 @@ def _duffy_core(boundary, R, theta, y3c, r_eval, d_xi, d_chi, d_eta, q):
 # ---------------------------------------------------------------------------
 
 def _regular_blocks(nodes, n, R, T, theta, y3c, r_eval):
-    """I_k for k = 1..n-1 via the analytic-r column rule.
+    """I_k for k = 1..n-1 via the analytic-r column rule, one row a point.
 
-    ``nodes`` is the flat (x3, phi, rho_b, w) rule of
-    ``BlockQuadrature.nodes2d`` centred at y3c, which repeats each axial node
-    over the n_phi phi nodes; the sweep views it on its (n_z, n_phi) lattice.
-    The node factors are formed once, and a_k = 2R sin((kT + x3 - y3c)/(2R))
-    once per (k, z node), broadcast over phi; k is swept in tiles of
-    max(1, TILE // nodes) rows through one ``_scratch`` set.  Each row keeps
-    its own reduction over the flat node axis, so neither the tiling nor the
-    lattice changes a single bit.
+    theta, y3c and r_eval are 1-D arrays of points, and ``nodes`` is the
+    lattice rule of ``BlockQuadrature.nodes2d`` centred at y3c: x3 (points,
+    n_z), phi (n_phi,), rho_b (points, n_z, n_phi), w (n_z, n_phi).  A tile
+    is (points, k, n_z, n_phi): when a point's whole sweep, (n - 1) x
+    nodes, fits in TILE, a tile carries max(1, TILE // ((n - 1) x nodes))
+    points; otherwise it holds one point and k is swept in
+    max(1, TILE // nodes) rows.  The node factors are formed once per tile
+    of points, and a_k = 2R sin((kT + x3 - y3c)/(2R)) once per (point, k,
+    z node), broadcast over phi, all through one ``_scratch`` set.  Each
+    row keeps its own reduction over the flat node axis, so neither the
+    tiling nor the lattice changes a single bit.
     """
-    n_phi = int(np.count_nonzero(nodes[0] == nodes[0][0]))
-    x3, phi, rho_b, w = (v.reshape(-1, n_phi) for v in nodes)
-    g = _node_factors(rho_b, r_eval, phi - theta, phi)
-    kap = 1.0 + r_eval * np.sin(theta) / R
-    rows = max(1, TILE // w.size)
+    x3, phi, rho_b, w = nodes
+    rows = min(n - 1, max(1, TILE // w.size))
+    pts = min(len(theta), max(1, TILE // (rows * w.size)))
     kT = np.arange(1, n)[:, None, None] * T
-    dx3 = x3[:, :1] - y3c
-    scratch = _scratch((min(rows, n - 1),) + w.shape)
-    Ik = np.empty(n - 1)
-    for lo in range(0, n - 1, rows):
-        s = [v[:n - 1 - lo] for v in scratch]
-        ak = s[9]
-        np.add(kT[lo:lo + rows], dx3, out=ak)
-        np.divide(ak, 2.0 * R, out=ak)
-        np.sin(ak, out=ak)
-        np.multiply(ak, 2.0 * R, out=ak)
-        vals = _column_values(g, ak, kap, R, s)
-        np.multiply(vals, w, out=vals)
-        vals.reshape(len(vals), -1).sum(axis=1, out=Ik[lo:lo + rows])
+    scratch = _scratch((pts, rows) + w.shape)
+    Ik = np.empty((len(theta), n - 1))
+    for p0 in range(0, len(theta), pts):
+        p = slice(p0, p0 + pts)
+        th, r = theta[p, None, None, None], r_eval[p, None, None, None]
+        g = _node_factors(rho_b[p, None], r, phi - th, phi)
+        kap = 1.0 + r * np.sin(th) / R
+        dx3 = (x3[p] - y3c[p, None])[:, None, :, None]
+        for lo in range(0, n - 1, rows):
+            s = [v[:len(theta) - p0, :n - 1 - lo] for v in scratch]
+            ak = s[9]
+            np.add(kT[lo:lo + rows], dx3, out=ak)
+            np.divide(ak, 2.0 * R, out=ak)
+            np.sin(ak, out=ak)
+            np.multiply(ak, 2.0 * R, out=ak)
+            vals = _column_values(g, ak, kap, R, s)
+            np.multiply(vals, w, out=vals)
+            vals.reshape(vals.shape[:2] + (-1,)).sum(axis=2, out=Ik[p, lo:lo + rows])
     return Ik
 
 
@@ -578,9 +619,9 @@ def surface_potentials(profile: DelaunayProfile, n: int, boundary, theta, y3,
     theta and y3 broadcast to a batch of points; row p of the (points, n)
     result is the breakdown of point p, whose potential is the row sum.
     The surface points come from one ``surface_point`` call and their
-    regular-block nodes from one ``nodes2d`` call; the regular blocks run
-    point by point (their k-sweep is tiled per point) and the singular self
-    block once for the whole batch.
+    regular-block nodes from one ``nodes2d`` call; the regular blocks and
+    the singular self block each run once over the whole batch, in tiles of
+    points.
     """
     if n < 4:
         raise DomainError("coil potential needs n >= 4")
@@ -589,11 +630,8 @@ def surface_potentials(profile: DelaunayProfile, n: int, boundary, theta, y3,
     T = profile.T
     R = n * T / (2.0 * np.pi)
     r_eval, y3c = boundary.surface_point(theta, y3)
-    x3, phi, rho_b, w = quad.nodes2d(y3c, boundary)
     Ik = np.empty((len(theta), n))
-    for p in range(len(theta)):
-        Ik[p, 1:] = _regular_blocks((x3[p], phi, rho_b[p], w), n, R, T,
-                                    theta[p], y3c[p], r_eval[p])
+    Ik[:, 1:] = _regular_blocks(quad.nodes2d(y3c, boundary), n, R, T, theta, y3c, r_eval)
     Ik[:, 0] = _self_block(boundary, R, T, theta, y3c, r_eval, self_cfg, profile.a)
     return Ik
 

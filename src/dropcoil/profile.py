@@ -76,36 +76,39 @@ class DelaunayProfile:
     _dense: object = field(default=None, repr=False, compare=False)
     _spline: object = field(default=None, init=False, repr=False, compare=False)
 
-    def _half_eval(self, u):
-        """(f, f') on the folded half-period coordinate u in [0, T/2].
+    def _half_eval(self, u, order):
+        """f, and f' when ``order`` >= 1, on the folded coordinate u in [0, T/2].
 
         The clamped spline (f'(0) = f'(T/2) = 0 exactly) is built on the
         first call: from the dense ODE solution ``_dense`` sampled 4x finer
         than the grid when the profile was solved, else from the grid.
         """
         if self.a == CYLINDER_NECK:
-            f = np.full_like(u, 0.5)
-            return f, np.zeros_like(u)
+            return np.full_like(u, 0.5), np.zeros_like(u)
         if self._spline is None:
             s, f = self.grid, self.f
             if self._dense is not None:
                 s = np.linspace(0.0, self.grid[-1], 4 * (len(self.grid) - 1) + 1)
                 f = self._dense(s)[0]
             self._spline = CubicSpline(s, f, bc_type=((1, 0.0), (1, 0.0)))
+        if order == 0:
+            return (self._spline(u),)
         return self._spline(u), self._spline(u, 1)
 
     def evaluate(self, s, order: int = 2):
         """Evaluate (f, f', ..., up to ``order``) at arbitrary axial positions.
 
         Uses the even/periodic symmetries of the profile: f is even about
-        every neck and bulge and T-periodic.
+        every neck and bulge and T-periodic.  Order 0 evaluates f alone.
         """
         s = np.asarray(s, dtype=float)
         half = 0.5 * self.T
         u = np.mod(s + half, self.T) - half
-        sign = np.where(u >= 0.0, 1.0, -1.0)
-        f, fp = self._half_eval(np.abs(u))
-        fp = sign * fp
+        parts = self._half_eval(np.abs(u), order)
+        if order == 0:
+            return parts[:1]
+        f, fp = parts
+        fp = np.where(u >= 0.0, 1.0, -1.0) * fp
         out = [f, fp]
         if order >= 2:
             out.append(_fpp_from(f, fp))

@@ -123,8 +123,8 @@ def _coulomb_samples(ctx: ReductionContext, h: SymmetricField, final: bool) -> n
     maps column i to column (ntheta/2 - i) mod ntheta when ntheta is even.
     The loop then integrates one column of each mirror pair and copies it to
     the other.  The final report integrates every column, so that its
-    symmetry_residual measures the quadrature, not the mirroring.  Each
-    integrated column is one batch of the on-surface kernel.
+    symmetry_residual measures the quadrature, not the mirroring.  Every
+    integrated (theta, y3) point goes to the on-surface kernel in one batch.
     """
     quad = ctx.final_quad if final else ctx.quad
     cfg = ctx.final_self_cfg if final else ctx.self_cfg
@@ -134,9 +134,9 @@ def _coulomb_samples(ctx: ReductionContext, h: SymmetricField, final: bool) -> n
     mirror = cols if final or ntheta % 2 else (ntheta // 2 - cols) % ntheta
     own = cols[mirror >= cols]
     sub = np.empty((ntheta, len(ctx.y3_sub)))
-    for i in own:
-        sub[i] = surface_potentials(ctx.profile, ctx.n, boundary, ctx.theta[i], ctx.y3_sub,
-                                    quad, cfg).sum(axis=1)
+    Ik = surface_potentials(ctx.profile, ctx.n, boundary, ctx.theta[own, None],
+                            ctx.y3_sub[None, :], quad, cfg)
+    sub[own] = Ik.sum(axis=1).reshape(len(own), len(ctx.y3_sub))
     sub[mirror[own]] = sub[own]
     if len(ctx.y3_sub) == len(ctx.t_nodes):
         return sub

@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -18,8 +20,10 @@ from dropcoil.coulomb import (BALL_UNIT_COULOMB, ENERGY_GRID, TILE, AxisymBounda
                               solid_boundary, surface_potentials,
                               toroidal_potential_reference)
 from dropcoil.errors import DomainError, NonConvergence, QuadratureDivergence
+from dropcoil.fields import SymmetricField
 from dropcoil.geometry import build_coil, evaluate_forms
 from dropcoil.profile import solve_profile
+from dropcoil.reduction import ReductionContext, ReductionSettings, evaluate_equation
 
 
 @pytest.fixture(scope="module")
@@ -203,18 +207,31 @@ def _columns_ref(boundary, R, theta, y3c, r_eval, xi, wxi, chi, wchi, depth=None
     return out
 
 
+def _flat_rule(x3, phi, rho_b, w):
+    """One centre's lattice rule from ``nodes2d`` as the flat rule the references take."""
+    return (np.repeat(x3, len(phi)), np.tile(phi, len(x3)), rho_b.ravel(), w.ravel())
+
+
+def _regular_blocks_ref_batch(nodes, n, R, T, theta, y3c, r_eval):
+    """The frozen sweep point by point, on each point's flattened lattice."""
+    x3, phi, rho_b, w = nodes
+    return np.array([_regular_blocks_ref(_flat_rule(x3[p], phi, rho_b[p], w), n, R, T,
+                                         theta[p], y3c[p], r_eval[p])
+                     for p in range(len(theta))])
+
+
 @pytest.fixture
 def frozen_kernel(monkeypatch):
     """Swap the frozen reference in for the buffered column kernel."""
     def use():
-        monkeypatch.setattr(coulomb, "_regular_blocks", _regular_blocks_ref)
+        monkeypatch.setattr(coulomb, "_regular_blocks", _regular_blocks_ref_batch)
         monkeypatch.setattr(coulomb, "_columns", _columns_ref)
     return use
 
 
 def _one_shot_regular_blocks(boundary, quad, n, R, T, theta, y3c, r_eval):
     """Untiled reference sweep: all n - 1 values of k in one array."""
-    x3, phi, rho_b, w = quad.nodes2d(y3c, boundary)
+    x3, phi, rho_b, w = _flat_rule(*quad.nodes2d(y3c, boundary))
     k = np.arange(1, n)[:, None]
     ak = 2.0 * R * np.sin((k * T + (x3 - y3c)[None, :]) / (2.0 * R))
     vals = _column_values_ref(rho_b[None, :], r_eval, (phi - theta)[None, :], phi[None, :],
@@ -234,9 +251,38 @@ def test_regular_blocks_tiles_match_one_shot_sweep(prof03, resolution, n, rows):
     R = n * T / (2.0 * np.pi)
     theta, y3 = 0.7, 0.4
     r_eval, y3c = boundary.surface_point(theta, y3)
-    tiled = _regular_blocks(quad.nodes2d(y3c, boundary), n, R, T, theta, y3c, r_eval)
+    tiled = _regular_blocks(quad.nodes2d(np.array([y3c]), boundary), n, R, T,
+                            np.array([theta]), np.array([y3c]), np.array([r_eval]))[0]
     ref = _one_shot_regular_blocks(boundary, quad, n, R, T, theta, y3c, r_eval)
     assert np.array_equal(tiled, ref)
+
+
+@pytest.mark.parametrize("resolution, n, pts, tiles", [
+    ((6, 12, 14), 32, 2, 1),   # the FAST loop rule: 31 x 168 = 5208 nodes, 2 points a tile
+    ((24, 32, 48), 30, 1, 4),  # 29 x 1536 > TILE: one point spans 4 tiles of k
+])
+def test_regular_blocks_batch_matches_single_points(prof03, chart03, solver03, resolution,
+                                                    n, pts, tiles):
+    quad = BlockQuadrature(prof03, resolution)
+    nodes = resolution[1] * resolution[2]
+    rows = min(n - 1, TILE // nodes)
+    assert max(1, TILE // (rows * nodes)) == pts and -(-(n - 1) // rows) == tiles
+    T = prof03.T
+    R = n * T / (2.0 * np.pi)
+    theta = BATCH_THETA[:5]  # an odd count: the last two-point tile is cut short
+    for boundary in _batch_boundaries(prof03, chart03, solver03):
+        r_eval, y3c = boundary.surface_point(theta, BATCH_Y3_OVER_T[:5] * T)
+        batch = _regular_blocks(quad.nodes2d(y3c, boundary), n, R, T, theta, y3c, r_eval)
+        assert batch.shape == (len(theta), n - 1)
+        for p in range(len(theta)):
+            one = slice(p, p + 1)
+            single = _regular_blocks(quad.nodes2d(y3c[one], boundary), n, R, T,
+                                     theta[one], y3c[one], r_eval[one])
+            x3, phi, rho_b, w = quad.nodes2d(y3c[p], boundary)
+            ref = _regular_blocks_ref(_flat_rule(x3, phi, rho_b, w), n, R, T,
+                                      theta[p], y3c[p], r_eval[p])
+            assert np.array_equal(batch[p], single[0])
+            assert np.array_equal(batch[p], ref)
 
 
 def test_self_block_matches_frozen_kernel(prof03, chart03, solver03, frozen_kernel):
@@ -492,12 +538,12 @@ def test_nodes2d_centres_match_single_calls(prof03, chart03, solver03):
         want = (X3.ravel(), PHI.ravel(),
                 boundary.radius(quad.phi_nodes[None, :], x3[:, None]).ravel(),
                 np.outer(quad.z_weights, quad.phi_weights).ravel())
-        got = quad.nodes2d(centres[1], boundary)
+        got = _flat_rule(*quad.nodes2d(centres[1], boundary))
         for g, w in zip(got, want):
             assert g.shape == (16 * 20,) and np.array_equal(g, w)
         # a vector of centres: x3 and rho_b gain a leading centre axis
         x3s, phi, rho, w = quad.nodes2d(centres, boundary)
-        assert x3s.shape == rho.shape == (len(centres), 16 * 20)
+        assert x3s.shape + (16,) == rho.shape == (len(centres), 20, 16)
         for p, c in enumerate(centres):
             one = quad.nodes2d(c, boundary)
             for g, o in zip((x3s[p], phi, rho[p], w), one):
@@ -548,6 +594,48 @@ def test_self_block_batch_memory_bounded(prof03):
         if started:
             tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def _traced_peak(call):
+    """Peak traced memory of one call, in bytes, above what was allocated before it."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_self_block_desk_final_batch_memory_bounded(prof03, chart03, solver03):
+    # the desk final report's 272 points (16 theta x 17 y3) in one batch at
+    # panel/core q = 7; the untiled Duffy core alone peaked at 26 MiB here
+    T = prof03.T
+    R = 32 * T / (2.0 * np.pi)
+    theta = np.repeat(2.0 * np.pi * np.arange(16) / 16, 17)
+    y3 = np.tile(np.linspace(-T / 2, T / 2, 17), 16)
+    cfg = SelfBlockSettings(panel_q=7, core_q=7, column_q=8)
+    for boundary in _batch_boundaries(prof03, chart03, solver03):
+        r_eval, y3c = boundary.surface_point(theta, y3)
+        _self_block(boundary, R, T, theta[:2], y3c[:2], r_eval[:2], cfg, prof03.a)
+        assert _traced_peak(lambda: _self_block(boundary, R, T, theta, y3c, r_eval, cfg,
+                                                prof03.a)) < 4 * 2**20
+
+
+def test_desk_evaluation_memory_bounded(prof03):
+    # one loop evaluation of `reduce --a 0.3 --n 32` at its stored solution:
+    # 153 points in one batch; with the Duffy core untiled it peaked at 9 MiB
+    with open(Path(__file__).resolve().parents[1] / "results" / "reduce_a0.3_n32.json") as fh:
+        stored = json.load(fh)
+    ctx = ReductionContext(prof03, 32, ReductionSettings())
+    h = SymmetricField.from_dict(stored["h"])
+    evaluate_equation(prof03, 32, h, stored["gamma"], ctx=ctx)
+    assert _traced_peak(lambda: evaluate_equation(prof03, 32, h, stored["gamma"],
+                                                  ctx=ctx)) < 6 * 2**20
 
 
 def test_perturbed_potential_mirror_symmetric(prof03, chart03, solver03):

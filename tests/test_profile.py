@@ -174,3 +174,12 @@ def test_profile_spline_built_on_first_evaluate():
     spline = p._spline
     p.evaluate(s, order=0)
     assert p._spline is spline
+
+
+def test_evaluate_order_zero_matches_order_one(prof03, prof_cyl):
+    # order 0 evaluates f alone, with the same bits as the f of order 1
+    s = np.linspace(-3.0, 4.0, 301)
+    for p in (prof03, DelaunayProfile.from_dict(prof03.to_dict()), prof_cyl):
+        f0 = p.evaluate(s, order=0)
+        assert len(f0) == 1
+        assert np.array_equal(f0[0], p.evaluate(s, order=1)[0])

@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dropcoil.coulomb import ball_potential_exact
+from dropcoil.coulomb import ball_potential_exact, solid_boundary, surface_potentials
 from dropcoil.errors import BracketFailure, DomainError
-from dropcoil.fields import is_zero_field
+from dropcoil.fields import cos_coeffs, cos_eval, is_zero_field
 from dropcoil.geometry import build_sphere, evaluate_forms
 from dropcoil.profile import solve_profile
 import dropcoil.reduction as reduction
@@ -236,14 +236,18 @@ def test_mirrored_samples_match_full_grid(prof03):
 def test_mirror_columns_need_even_ntheta(prof03, monkeypatch, ntheta, final, columns):
     ctx = ReductionContext(prof03, 16, replace(FAST, ntheta=ntheta))
     seen = []
+    calls = []
 
     def fake_kernel(profile, n, boundary, theta, y3, quad, self_cfg):
-        # one row a point; the row sum is the potential
-        seen.extend([int(round(theta * ntheta / (2 * np.pi)))] * len(y3))
-        return np.full((len(y3), 1), np.sin(theta) ** 2 + 0.5 * np.sin(theta))
+        # one row a point over broadcast (theta, y3); the row sum is the potential
+        theta, y3 = np.broadcast_arrays(theta, y3)
+        calls.append(theta.size)
+        seen.extend(int(round(th * ntheta / (2 * np.pi))) for th in theta.ravel())
+        return (np.sin(theta) ** 2 + 0.5 * np.sin(theta)).reshape(-1, 1)
 
     monkeypatch.setattr(reduction, "surface_potentials", fake_kernel)
     samples = _coulomb_samples(ctx, ctx.zero_field(), final=final)
+    assert len(calls) == 1  # one kernel call an evaluation
     assert sorted(set(seen)) == columns
     assert len(seen) == len(columns) * len(ctx.y3_sub)
     # an even function of theta -> pi - theta, constant in y3
@@ -278,3 +282,31 @@ def test_coulomb_samples_match_frozen(prof03, name, settings, perturbed):
     got = _coulomb_samples(ctx, h, final=False)
     assert got.shape == want.shape
     assert np.max(np.abs(got / want - 1.0)) < 1e-13
+
+
+def _column_loop_samples(ctx, h, final):
+    """N on the sub-grid, one surface_potentials call per integrated theta column."""
+    quad = ctx.final_quad if final else ctx.quad
+    cfg = ctx.final_self_cfg if final else ctx.self_cfg
+    boundary = solid_boundary(ctx.profile, h, ctx.chart)
+    ntheta = len(ctx.theta)
+    cols = np.arange(ntheta)
+    mirror = cols if final or ntheta % 2 else (ntheta // 2 - cols) % ntheta
+    sub = np.empty((ntheta, len(ctx.y3_sub)))
+    for i in cols[mirror >= cols]:
+        sub[i] = surface_potentials(ctx.profile, ctx.n, boundary, ctx.theta[i], ctx.y3_sub,
+                                    quad, cfg).sum(axis=1)
+        sub[mirror[i]] = sub[i]
+    return cos_eval(cos_coeffs(sub), ctx.t_nodes, ctx.solver.tau)
+
+
+@pytest.mark.parametrize("settings", [ReductionSettings(), FAST], ids=["desk", "fast"])
+def test_coulomb_samples_batch_matches_column_loop(prof03, settings):
+    # one batch of every integrated point gives every bit of the column loop
+    ctx = ReductionContext(prof03, 32, settings)
+    for h in (_loop_test_field(ctx), ctx.zero_field()):
+        for final in (False, True):
+            got = _coulomb_samples(ctx, h, final=final)
+            want = _column_loop_samples(ctx, h, final)
+            assert [float(v).hex() for v in got.ravel()] == \
+                [float(v).hex() for v in want.ravel()]
