@@ -19,6 +19,15 @@ Duffy core around the evaluation point.
 Every potential here is taken on the surface, by ``surface_potentials``.  The
 coil energy needs no other kernel: scaling (Pohozaev) gives
 D = 1/2 int int dx dy / |x - y| = (1/5) int_Sigma u (x . nu) dsigma.
+
+Far blocks come from a multipole expansion.  Block k is the evaluation
+point's window block turned by kT/R about the coil axis, so from n = FAR_MIN_N
+on, each point forms the window's moments once, to order FAR_ORDER = 8, about
+X(0, 0, y3c), on the same (x3, phi) lattice with r by a Gauss rule that is
+exact for them, and the blocks FAR_K0 = 8 .. n - FAR_K0 are that expansion
+evaluated at the point turned by -kT/R: O(L^2) work a block instead of
+O(nodes), with a truncation below 1e-13 a block.  The near blocks stay on the
+closed-form column kernel.
 """
 
 from __future__ import annotations
@@ -53,6 +62,12 @@ TILE = 12288
 # the integrand is smooth and periodic, and 32 x 48 moves D by 5e-12.  Both
 # counts are even and the first a multiple of 4, so the rule folds onto a quarter.
 ENERGY_GRID = (16, 24)
+# Far field of the regular blocks (``_far_blocks``, where the three are derived
+# from measured truncation and cost): the multipole order L, the first far
+# block k0 (blocks k0..n-k0 are far) and the smallest n that uses it.
+FAR_ORDER = 8
+FAR_K0 = 8
+FAR_MIN_N = 128
 
 
 # ---------------------------------------------------------------------------
@@ -321,26 +336,43 @@ def _graded_edges(start, stop, h0, ratio=2.0):
     return np.asarray(edges)
 
 
-def _sym_graded_rule(delta, outer, h0, q, ratio=2.0):
-    """Nodes on [-outer, -delta] u [delta, outer], graded toward +-delta."""
-    e = _graded_edges(delta, outer, h0, ratio)
-    n, w = _panel_rule(e, q)
-    return np.concatenate((-n[::-1], n)), np.concatenate((w[::-1], w))
+def _sym_graded_rules(delta, outer, h0, q, ratio=2.0):
+    """Rows of nodes/weights on [-outer, -delta] u [delta, outer], graded toward +-delta.
 
-
-def _stack_rules(rules):
-    """(P, L) nodes and weights of P 1-D rules of up to L nodes.
-
-    Each shorter row is padded with zero-weight copies of its last node.
+    delta and h0 broadcast to one value a row.  Each row's panel edges
+    are those of ``_graded_edges(delta, outer, h0, ratio)``: the widths
+    h0 ratio^i by a running product and the edges by a running sum, both
+    sequential, so each row is bitwise its one-row rule.  The rule of a
+    row is its mirrored panels, then its panels; shorter rows are padded
+    with zero-weight copies of their last node.
     """
-    L = max(len(x) for x, _ in rules)
-    nodes = np.empty((len(rules), L))
-    weights = np.zeros((len(rules), L))
-    for i, (x, w) in enumerate(rules):
-        nodes[i, :len(x)] = x
-        nodes[i, len(x):] = x[-1]
-        weights[i, :len(w)] = w
-    return nodes, weights
+    delta, h0 = (np.atleast_1d(v).astype(float) for v in np.broadcast_arrays(delta, h0))
+    x01, w01 = _gl(q)
+    # enough widths that every row's edges pass outer: h0 (ratio^i - 1) / (ratio - 1) >= span
+    span = (outer - delta) / h0
+    steps = int(np.ceil(np.max(np.log1p(span * (ratio - 1.0)) / np.log(ratio) if ratio > 1.0
+                               else span))) + 2
+    widths = np.empty((len(h0), steps))
+    widths[:, 0], widths[:, 1:] = h0, ratio
+    np.cumprod(widths, axis=1, out=widths)
+    edges = np.empty((len(h0), steps + 2))
+    edges[:, 0], edges[:, 1:-1] = delta, widths
+    np.cumsum(edges[:, :-1], axis=1, out=edges[:, :-1])
+    inner = np.count_nonzero(edges[:, 1:-1] < outer, axis=1)       # edges below outer
+    panels = inner + 1
+    edges[np.arange(steps + 2) > inner[:, None]] = outer
+    edges = edges[:, :panels.max() + 1]
+    span = np.diff(edges, axis=1)[..., None]
+    nodes = (edges[:, :-1, None] + span * x01).reshape(len(h0), -1)
+    weights = (span * w01).reshape(len(h0), -1)
+    # row j: nodes[K - 1 - j] mirrored, then nodes[j - K], then copies of nodes[K - 1]
+    K = (panels * q)[:, None]
+    j = np.arange(2 * nodes.shape[1])
+    idx = np.where(j < K, K - 1 - j, np.where(j < 2 * K, j - K, K - 1))
+    out_nodes = np.take_along_axis(nodes, idx, axis=1)
+    np.negative(out_nodes, out=out_nodes, where=j < K)
+    out_weights = np.where(j < 2 * K, np.take_along_axis(weights, idx, axis=1), 0.0)
+    return out_nodes, out_weights
 
 
 # ---------------------------------------------------------------------------
@@ -456,14 +488,11 @@ def _self_block(boundary, R, T, theta, y3c, r_eval, cfg: SelfBlockSettings, a_ne
     def columns(xi_rule, chi_rule, depth=None, rho_b=None):
         return _columns(boundary, R, theta, y3c, r_eval, *xi_rule, *chi_rule, depth, rho_b)
 
-    xi_out = _sym_graded_rule(d_xi, T / 2.0, d_xi, q)
-    chi_full = _stack_rules([_sym_graded_rule(0.0, np.pi, d, q, cfg.grade_ratio)
-                             for d in d_chi])
-    total = columns(xi_out, chi_full)
+    xi_out = [v[0] for v in _sym_graded_rules(d_xi, T / 2.0, d_xi, q)]
+    total = columns(xi_out, _sym_graded_rules(0.0, np.pi, d_chi, q, cfg.grade_ratio))
 
     xi_in = _panel_rule(np.array([-d_xi, 0.0, d_xi]), cfg.column_q)
-    chi_out = _stack_rules([_sym_graded_rule(d, np.pi, d, q) for d in d_chi])
-    total += columns(xi_in, chi_out)
+    total += columns(xi_in, _sym_graded_rules(d_chi, np.pi, d_chi, q))
 
     # footprint: columns with the depth window [0, d_eta] removed ...
     fp_chi = _panel_rule(np.stack((-d_chi, np.zeros_like(d_chi), d_chi), axis=-1),
@@ -543,35 +572,36 @@ def _duffy_faces(boundary, R, theta, y3c, r_eval, d_xi, d_chi, d_eta, u, W):
 # potentials
 # ---------------------------------------------------------------------------
 
-def _regular_blocks(nodes, n, R, T, theta, y3c, r_eval):
-    """I_k for k = 1..n-1 via the analytic-r column rule, one row a point.
+def _regular_blocks(nodes, ks, R, T, theta, y3c, r_eval):
+    """I_k for the blocks ``ks`` via the analytic-r column rule, one row a point.
 
     theta, y3c and r_eval are 1-D arrays of points, and ``nodes`` is the
     lattice rule of ``BlockQuadrature.nodes2d`` centred at y3c: x3 (points,
     n_z), phi (n_phi,), rho_b (points, n_z, n_phi), w (n_z, n_phi).  A tile
-    is (points, k, n_z, n_phi): when a point's whole sweep, (n - 1) x
-    nodes, fits in TILE, a tile carries max(1, TILE // ((n - 1) x nodes))
+    is (points, k, n_z, n_phi): when a point's whole sweep, len(ks) x
+    nodes, fits in TILE, a tile carries max(1, TILE // (len(ks) x nodes))
     points; otherwise it holds one point and k is swept in
     max(1, TILE // nodes) rows.  The node factors are formed once per tile
     of points, and a_k = 2R sin((kT + x3 - y3c)/(2R)) once per (point, k,
     z node), broadcast over phi, all through one ``_scratch`` set.  Each
     row keeps its own reduction over the flat node axis, so neither the
-    tiling nor the lattice changes a single bit.
+    tiling, the lattice nor the other blocks of ``ks`` change a single bit.
     """
     x3, phi, rho_b, w = nodes
-    rows = min(n - 1, max(1, TILE // w.size))
+    nk = len(ks)
+    rows = min(nk, max(1, TILE // w.size))
     pts = min(len(theta), max(1, TILE // (rows * w.size)))
-    kT = np.arange(1, n)[:, None, None] * T
+    kT = np.asarray(ks)[:, None, None] * T
     scratch = _scratch((pts, rows) + w.shape)
-    Ik = np.empty((len(theta), n - 1))
+    Ik = np.empty((len(theta), nk))
     for p0 in range(0, len(theta), pts):
         p = slice(p0, p0 + pts)
         th, r = theta[p, None, None, None], r_eval[p, None, None, None]
         g = _node_factors(rho_b[p, None], r, phi - th, phi)
         kap = 1.0 + r * np.sin(th) / R
         dx3 = (x3[p] - y3c[p, None])[:, None, :, None]
-        for lo in range(0, n - 1, rows):
-            s = [v[:len(theta) - p0, :n - 1 - lo] for v in scratch]
+        for lo in range(0, nk, rows):
+            s = [v[:len(theta) - p0, :nk - lo] for v in scratch]
             ak = s[9]
             np.add(kT[lo:lo + rows], dx3, out=ak)
             np.divide(ak, 2.0 * R, out=ak)
@@ -581,6 +611,174 @@ def _regular_blocks(nodes, n, R, T, theta, y3c, r_eval):
             np.multiply(vals, w, out=vals)
             vals.reshape(vals.shape[:2] + (-1,)).sum(axis=2, out=Ik[p, lo:lo + rows])
     return Ik
+
+
+def _window_moments(nodes, R, y3c):
+    """Multipole moments of each point's window block, (points, L + 1, L + 1) complex.
+
+    M[p, l, m] = sum_nodes wt conj(R_l^m(d)) for m <= l <= L = FAR_ORDER,
+    d = X(x) - X(0, 0, y3c) in the frame turned by -y3c/R about the coil
+    axis, so that d = (r cos phi, (R + r sin phi) e^{i x3'/R} - R) with
+    x3' = x3 - y3c, written (zeta, xi): the coil axis is the polar axis.
+    R_l^m(d) = |d|^l P_l^m(cos) e^{i m azimuth} / (l + m)! is the regular
+    solid harmonic, (-xi / 2)^m / m! times a real polynomial of zeta and
+    |d|^2 taken here as s_l^m Q_l^m, with Q_m^m = 1, Q_{m+1}^m = zeta,
+    Q_l^m = zeta Q_{l-1}^m - c_l^m |d|^2 Q_{l-2}^m,
+    c_l^m = (l - 1 + m)(l - 1 - m) / ((2l - 1)(2l - 3)) and
+    s_l^m = prod_{j = m+2..l} (2j - 1) / ((j + m)(j - m)): the Legendre
+    recurrence with its factors moved into one scale a moment.  The nodes
+    are the window's (x3, phi) lattice from ``nodes2d`` times a Gauss rule
+    in r on [0, rho_b] with FAR_ORDER // 2 + 2 nodes and weight
+    r (1 + r sin(phi)/R): exact for these polynomials of degree l + 2 in r.
+    A point's nodes are taken in tiles of z rows of at most TILE / 2 nodes
+    (complex temporaries), several points a tile when a whole lattice
+    fits, with one scratch set a call.
+    """
+    x3, phi, rho_b, w = nodes
+    L = FAR_ORDER
+    t, g = _gl(L // 2 + 2)
+    n_z, n_phi = w.shape
+    row = n_phi * len(t)
+    rows = min(n_z, max(1, TILE // (2 * row)))
+    pts = min(len(y3c), max(1, TILE // (2 * n_z * row)) if rows == n_z else 1)
+    c, scale = np.zeros((L + 1, L + 1)), np.zeros((L + 1, L + 1))
+    s_mm = 1.0
+    for m in range(L + 1):
+        s_mm *= -0.5 / m if m else 1.0
+        s = s_mm
+        for l in range(m, L + 1):
+            if l > m + 1:
+                s *= (2 * l - 1) / ((l + m) * (l - m))
+                c[l, m] = (l - 1 + m) * (l - 1 - m) / ((2 * l - 1) * (2 * l - 3))
+            scale[l, m] = s
+    sin_phi, cos_phi = np.sin(phi)[:, None], np.cos(phi)[:, None]
+    shape = (pts, rows, n_phi, len(t))
+    real = [np.empty(shape) for _ in range(8)]
+    ones = np.ones(shape)
+    W, xib = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+    part = np.zeros((pts, L + 1, L + 1, 1, 2))
+    S = np.zeros((len(y3c), L + 1, L + 1, 2))
+    for p0 in range(0, len(y3c), pts):
+        for z0 in range(0, n_z, rows):
+            P, Z = slice(p0, p0 + pts), slice(z0, z0 + rows)
+            ti = (slice(0, len(y3c[P])), slice(0, len(w[Z])))
+            r, u, zeta, rho2, a, *pool = (v[ti] for v in real)
+            W_, xib_ = W[ti], xib[ti]
+            xp = ((x3[P, Z] - y3c[P, None]) / R)[..., None, None]
+            rb = rho_b[P, Z, :, None]
+            np.multiply(rb, t, out=r)
+            np.multiply(r, sin_phi, out=u)
+            np.multiply(r, cos_phi, out=zeta)
+            # xi = d2 + i d3: d2 = u cos(x3'/R) - 2R sin^2(x3'/2R), d3 = (R + u) sin(x3'/R)
+            d2, d3 = pool[0], pool[1]
+            np.multiply(u, np.cos(xp), out=d2)
+            np.subtract(d2, 2.0 * R * np.sin(0.5 * xp) ** 2, out=d2)
+            np.add(u, R, out=d3)
+            np.multiply(d3, np.sin(xp), out=d3)
+            xib_.real = d2
+            np.negative(d3, out=xib_.imag)                          # conj(xi)
+            np.multiply(d2, d2, out=rho2)
+            np.multiply(d3, d3, out=d3)
+            np.add(rho2, d3, out=rho2)
+            np.multiply(zeta, zeta, out=a)
+            np.add(rho2, a, out=rho2)                               # |d|^2
+            # W = wt = w rho_b g r (1 + u / R), times conj(xi)^m below
+            np.divide(u, R, out=a)
+            np.add(a, 1.0, out=a)
+            np.multiply(a, r, out=a)
+            np.multiply(a, rb * g, out=a)
+            np.multiply(a, w[Z, :, None], out=a)
+            W_.real, W_.imag = a, 0.0
+            # every real factor as (points, 1, nodes), so q @ W sums a point's nodes
+            flat = (len(r), 1, -1)
+            Wv = W_.view(float).reshape(len(r), -1, 2)
+            one, zeta, rho2, a = (v.reshape(flat) for v in (ones[ti], zeta, rho2, a))
+            pool = [v.reshape(flat) for v in pool]
+            out = part[:len(r)]
+            for m in range(L + 1):
+                if m:
+                    np.multiply(W_, xib_, out=W_)
+                q_prev, q = None, one
+                for l in range(m, L + 1):
+                    if l == m + 1:
+                        q_prev, q = q, zeta
+                    elif l > m + 1:
+                        nxt = pool[l % 3]
+                        np.multiply(q, zeta, out=a)
+                        np.multiply(q_prev, rho2, out=nxt)
+                        np.multiply(nxt, c[l, m], out=nxt)
+                        np.subtract(a, nxt, out=nxt)
+                        q_prev, q = q, nxt
+                    np.matmul(q, Wv, out=out[:, l, m])
+            S[P] += out[..., 0, :]
+    return scale * (S[..., 0] + 1j * S[..., 1])
+
+
+def _far_blocks(nodes, ks, R, T, theta, y3c, r_eval):
+    """I_k for the far blocks ``ks`` from each point's window multipole, one row a point.
+
+    Block k is the window block turned by kT/R about the coil axis, so I_k
+    is the window's potential at the point turned by -kT/R:
+    Re sum_{l, m} c_m M_l^m I_l^m(p_k - C), c_0 = 1 and c_m = 2, with
+    M from ``_window_moments`` and I_l^m(d) = (l - m)! P_l^m(cos)
+    e^{i m azimuth} / |d|^{l+1} the irregular solid harmonic.  In the frame
+    of ``_window_moments`` p_k - C = (y1, (R + y2) e^{-ikT/R} - R).  I_l^m is
+    I_m^m times a real J_l^m, with I_m^m = -(2m - 1) xi I_{m-1}^{m-1} / |d|^2,
+    J_m^m = 1, J_l^m = 0 for l < m and
+    J_l^m = ((2l - 1) zeta J_{l-1}^m - (l - 1 + m)(l - 1 - m) J_{l-2}^m) / |d|^2,
+    formed for every m at once.  Tiles of (m, point, k) hold at most TILE
+    doubles.
+
+    The constants were chosen by measurement at a = 0.3 on a 2-core host,
+    one thread.  Truncation, against the same lattice with r by 30-node
+    Gauss (both log-law rules (32, 48) and (48, 72), both boundaries,
+    n = 128 and 1024, blocks k and n - k at two points), largest relative
+    error a block: L = 6: 1.6e-11 at k = 8, 9.8e-14 at k = 16; L = 8: 1.2e-12
+    at k = 6, 8.8e-14 at k = 8, 1.2e-14 at k = 10; L = 10: 8.4e-15 at k = 6.
+    On that reference the column kernel is off by 1e-13 to 4e-9 on the
+    blocks a quarter coil away (its M1/M2 cancellation).  Odd L gain little
+    over the even order below.  Cost at one point, n = 1024, the expansion
+    plus the 2 (k0 - 1) near blocks on the column kernel, (32, 48) and
+    (48, 72): L = 6, k0 = 16: 5.0 and 8.8 ms; L = 8, k0 = 8: 4.7 and 7.8 ms;
+    L = 10, k0 = 6: 5.8 and 9.6 ms.  So L = 8, k0 = 8.  The expansion's
+    fixed cost (the moments) beats the column kernel on blocks 8..n-8 at one
+    point on all four rules in use, the Tier-1 loop (12, 14), the desk loop
+    (16, 20) and the log law's two, by a time ratio of 0.83, 0.59, 0.26 and
+    0.25 at n = 128; at n = 112 the (12, 14) ratio was 0.89 and 0.94 in two
+    runs, at n = 96 0.98 and 1.04.  So FAR_MIN_N = 128.
+    """
+    L = FAR_ORDER
+    M = _window_moments(nodes, R, y3c)
+    m = np.arange(L + 1)[:, None, None]
+    c_m = np.where(m == 0, 1.0, 2.0)
+    y1, y2 = r_eval * np.cos(theta), r_eval * np.sin(theta)
+    ang = np.asarray(ks) * T / R
+    cols = min(len(ks), max(1, TILE // (2 * (L + 1))))
+    pts = min(len(theta), max(1, TILE // (2 * (L + 1) * cols)))
+    out = np.empty((len(theta), len(ks)))
+    for p0 in range(0, len(theta), pts):
+        P = slice(p0, p0 + pts)
+        zeta = y1[P, None]
+        for k0 in range(0, len(ks), cols):
+            K = slice(k0, k0 + cols)
+            # xi = (R + y2) e^{-i ang} - R without the cancellation at small angles
+            xi = (y2[P, None] * np.cos(ang[K]) - 2.0 * R * np.sin(0.5 * ang[K]) ** 2
+                  - 1j * (R + y2[P, None]) * np.sin(ang[K]))
+            inv = 1.0 / (zeta * zeta + xi.real ** 2 + xi.imag ** 2)
+            zr = zeta * inv
+            diag = np.empty((L + 1,) + xi.shape, dtype=complex)
+            diag[0] = np.sqrt(inv)
+            diag[1:] = (1 - 2 * m[1:]) * (xi * inv)
+            np.cumprod(diag, axis=0, out=diag)                      # I_m^m
+            j2 = j1 = np.zeros(diag.shape)
+            A = np.zeros(diag.shape, dtype=complex)
+            for l in range(L + 1):
+                j = (2 * l - 1) * zr * j1 - ((l - 1 + m) * (l - 1 - m)) * inv * j2
+                j[l] = 1.0
+                A += M[P, l].T[:, :, None] * j
+                j2, j1 = j1, j
+            out[P, K] = np.sum(c_m * (diag * A).real, axis=0)
+    return out
 
 
 def potential_coil(profile: DelaunayProfile, n: int, y, quad: BlockQuadrature = None,
@@ -621,7 +819,9 @@ def surface_potentials(profile: DelaunayProfile, n: int, boundary, theta, y3,
     The surface points come from one ``surface_point`` call and their
     regular-block nodes from one ``nodes2d`` call; the regular blocks and
     the singular self block each run once over the whole batch, in tiles of
-    points.
+    points.  From n = FAR_MIN_N on, the blocks FAR_K0..n-FAR_K0 come from
+    the window's multipole expansion (``_far_blocks``) and the rest from
+    the column kernel.
     """
     if n < 4:
         raise DomainError("coil potential needs n >= 4")
@@ -630,8 +830,14 @@ def surface_potentials(profile: DelaunayProfile, n: int, boundary, theta, y3,
     T = profile.T
     R = n * T / (2.0 * np.pi)
     r_eval, y3c = boundary.surface_point(theta, y3)
+    nodes = quad.nodes2d(y3c, boundary)
     Ik = np.empty((len(theta), n))
-    Ik[:, 1:] = _regular_blocks(quad.nodes2d(y3c, boundary), n, R, T, theta, y3c, r_eval)
+    near = np.arange(1, n)
+    if n >= FAR_MIN_N:
+        near = np.r_[1:FAR_K0, n - FAR_K0 + 1:n]
+        far = np.arange(FAR_K0, n - FAR_K0 + 1)
+        Ik[:, far] = _far_blocks(nodes, far, R, T, theta, y3c, r_eval)
+    Ik[:, near] = _regular_blocks(nodes, near, R, T, theta, y3c, r_eval)
     Ik[:, 0] = _self_block(boundary, R, T, theta, y3c, r_eval, self_cfg, profile.a)
     return Ik
 

@@ -25,7 +25,7 @@ from .errors import BracketFailure, DomainError, NoContraction, RootNotBracketed
 from .fields import SymmetricField, cos_coeffs, cos_eval, is_zero_field
 from .geometry import build_coil, evaluate_forms
 from .jacobi import JacobiSolver
-from .profile import DelaunayProfile, build_chart
+from .profile import DelaunayProfile, build_chart, solve_profile
 
 
 @dataclass
@@ -335,8 +335,6 @@ def find_neck_for_mass(m: float, n: int, bracket=(0.1, 0.42),
     Returns the accepted neck's MassMap (its ``a`` is b), or the one at the
     midpoint of the last bracket when the bisection runs out.
     """
-    from .profile import solve_profile
-
     settings = settings or ReductionSettings()
 
     def mass_of(b):

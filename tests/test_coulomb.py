@@ -11,8 +11,9 @@ import dropcoil.coulomb as coulomb
 from dropcoil.coulomb import (BALL_UNIT_COULOMB, ENERGY_GRID, TILE, AxisymBoundary,
                               BlockQuadrature, CRITICAL_MASS_CLOSED_FORM,
                               NormalGraphBoundary, SelfBlockSettings,
-                              _node_factors, _radial_moments, _regular_blocks,
-                              _scratch, _self_block, _sym_graded_rule,
+                              _graded_edges, _node_factors, _panel_rule,
+                              _radial_moments, _regular_blocks, _scratch, _self_block,
+                              _sym_graded_rules,
                               ball_coulomb_energy, ball_energy,
                               ball_potential_exact, ball_potential_radial,
                               coil_volume, coulomb_energy, critical_mass,
@@ -171,15 +172,15 @@ def _column_values_ref(P, r_eval, chi, phi, y2, R, ak):
     return M1 + sin_phi * M2 / R
 
 
-def _regular_blocks_ref(nodes, n, R, T, theta, y3c, r_eval):
+def _regular_blocks_ref(nodes, ks, R, T, theta, y3c, r_eval):
     x3, phi, rho_b, w = nodes
     chi = phi - theta
     y2 = r_eval * np.sin(theta)
     dx3 = x3 - y3c
     rows = max(1, TILE // len(w))
-    ks = np.arange(1, n)[:, None]
-    Ik = np.empty(n - 1)
-    for lo in range(0, n - 1, rows):
+    Ik = np.empty(len(ks))
+    ks = np.asarray(ks)[:, None]
+    for lo in range(0, len(ks), rows):
         ak = 2.0 * R * np.sin((ks[lo:lo + rows] * T + dx3[None, :]) / (2.0 * R))
         vals = _column_values_ref(rho_b[None, :], r_eval, chi[None, :], phi[None, :],
                                   y2, R, ak)
@@ -207,15 +208,55 @@ def _columns_ref(boundary, R, theta, y3c, r_eval, xi, wxi, chi, wchi, depth=None
     return out
 
 
+def _sym_graded_rule(delta, outer, h0, q, ratio=2.0):
+    """One point's graded rule, as the self block built it point by point."""
+    e = _graded_edges(delta, outer, h0, ratio)
+    n, w = _panel_rule(e, q)
+    return np.concatenate((-n[::-1], n)), np.concatenate((w[::-1], w))
+
+
+def _stack_rules(rules):
+    """(P, L) rows of P rules, shorter rows padded with zero-weight copies of their last node."""
+    L = max(len(x) for x, _ in rules)
+    nodes = np.empty((len(rules), L))
+    weights = np.zeros((len(rules), L))
+    for i, (x, w) in enumerate(rules):
+        nodes[i, :len(x)] = x
+        nodes[i, len(x):] = x[-1]
+        weights[i, :len(w)] = w
+    return nodes, weights
+
+
+@pytest.mark.parametrize("ratio", [2.0, 1.7])
+def test_sym_graded_rules_match_per_point_rules(prof03, ratio):
+    # the self block's chi rules (from 0 and from d_chi, up to pi) and its xi
+    # rule, over the d_chi of a neck-to-bulge batch and the extremes pi/2 and 1e-9
+    cfg = SelfBlockSettings()
+    rho = cfg.core_size(prof03.a, prof03.T)
+    r_eval = np.linspace(0.29, 0.71, 23)
+    d_chi = np.r_[np.minimum(rho / np.maximum(r_eval, rho), np.pi / 2.0), np.pi / 2.0, 1e-9]
+    for q in (4, 7):
+        for delta in (0.0, d_chi):
+            got = _sym_graded_rules(delta, np.pi, d_chi, q, ratio)
+            want = _stack_rules([_sym_graded_rule(dl, np.pi, d, q, ratio)
+                                 for dl, d in zip(np.broadcast_to(delta, d_chi.shape), d_chi)])
+            assert got[0].shape == want[0].shape
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        d_xi = min(rho, prof03.T / 4.0)
+        got = _sym_graded_rules(d_xi, prof03.T / 2.0, d_xi, q, ratio)
+        want = _sym_graded_rule(d_xi, prof03.T / 2.0, d_xi, q, ratio)
+        assert np.array_equal(got[0][0], want[0]) and np.array_equal(got[1][0], want[1])
+
+
 def _flat_rule(x3, phi, rho_b, w):
     """One centre's lattice rule from ``nodes2d`` as the flat rule the references take."""
     return (np.repeat(x3, len(phi)), np.tile(phi, len(x3)), rho_b.ravel(), w.ravel())
 
 
-def _regular_blocks_ref_batch(nodes, n, R, T, theta, y3c, r_eval):
+def _regular_blocks_ref_batch(nodes, ks, R, T, theta, y3c, r_eval):
     """The frozen sweep point by point, on each point's flattened lattice."""
     x3, phi, rho_b, w = nodes
-    return np.array([_regular_blocks_ref(_flat_rule(x3[p], phi, rho_b[p], w), n, R, T,
+    return np.array([_regular_blocks_ref(_flat_rule(x3[p], phi, rho_b[p], w), ks, R, T,
                                          theta[p], y3c[p], r_eval[p])
                      for p in range(len(theta))])
 
@@ -251,7 +292,7 @@ def test_regular_blocks_tiles_match_one_shot_sweep(prof03, resolution, n, rows):
     R = n * T / (2.0 * np.pi)
     theta, y3 = 0.7, 0.4
     r_eval, y3c = boundary.surface_point(theta, y3)
-    tiled = _regular_blocks(quad.nodes2d(np.array([y3c]), boundary), n, R, T,
+    tiled = _regular_blocks(quad.nodes2d(np.array([y3c]), boundary), np.arange(1, n), R, T,
                             np.array([theta]), np.array([y3c]), np.array([r_eval]))[0]
     ref = _one_shot_regular_blocks(boundary, quad, n, R, T, theta, y3c, r_eval)
     assert np.array_equal(tiled, ref)
@@ -272,14 +313,15 @@ def test_regular_blocks_batch_matches_single_points(prof03, chart03, solver03, r
     theta = BATCH_THETA[:5]  # an odd count: the last two-point tile is cut short
     for boundary in _batch_boundaries(prof03, chart03, solver03):
         r_eval, y3c = boundary.surface_point(theta, BATCH_Y3_OVER_T[:5] * T)
-        batch = _regular_blocks(quad.nodes2d(y3c, boundary), n, R, T, theta, y3c, r_eval)
+        ks = np.arange(1, n)
+        batch = _regular_blocks(quad.nodes2d(y3c, boundary), ks, R, T, theta, y3c, r_eval)
         assert batch.shape == (len(theta), n - 1)
         for p in range(len(theta)):
             one = slice(p, p + 1)
-            single = _regular_blocks(quad.nodes2d(y3c[one], boundary), n, R, T,
+            single = _regular_blocks(quad.nodes2d(y3c[one], boundary), ks, R, T,
                                      theta[one], y3c[one], r_eval[one])
             x3, phi, rho_b, w = quad.nodes2d(y3c[p], boundary)
-            ref = _regular_blocks_ref(_flat_rule(x3, phi, rho_b, w), n, R, T,
+            ref = _regular_blocks_ref(_flat_rule(x3, phi, rho_b, w), ks, R, T,
                                       theta[p], y3c[p], r_eval[p])
             assert np.array_equal(batch[p], single[0])
             assert np.array_equal(batch[p], ref)
@@ -344,6 +386,137 @@ def test_potential_perturbed_matches_frozen_kernel(prof03, chart03, solver03, fr
     got = hexes()
     frozen_kernel()
     assert got == hexes()
+
+
+def _blocks_by_gauss_in_r(nodes, p, ks, R, T, theta, y3c, r_eval, q=8):
+    """Blocks ks at point p on its own (x3, phi) lattice, r by q-node Gauss, 1/|x - y| summed.
+
+    Independent of the column kernel and of the expansion.  A far block's
+    r-integrand is analytic with its singularities 19 or more away from
+    r in [0, 0.75], so 8 nodes agree with 30 to 1.1e-15 on every block here.
+    """
+    x3, phi, rho_b, w = nodes
+    t, g = coulomb._gl(q)
+    r = rho_b[p][..., None] * t
+    u = r * np.sin(phi)[:, None]
+    xp = ((x3[p] - y3c) / R)[:, None, None]
+    wt = (w[..., None] * rho_b[p][..., None] * g * r * (1.0 + u / R)).ravel()
+    # source and evaluation points relative to X(0, 0, y3c), turned by -y3c/R
+    Z = np.stack([r * np.cos(phi)[:, None], u * np.cos(xp) - 2.0 * R * np.sin(0.5 * xp) ** 2,
+                  (R + u) * np.sin(xp)], axis=-1).reshape(-1, 3)
+    a = np.asarray(ks) * T / R
+    y2 = r_eval * np.sin(theta)
+    P = np.stack([np.full(a.shape, r_eval * np.cos(theta)),
+                  y2 * np.cos(a) - 2.0 * R * np.sin(0.5 * a) ** 2, -(R + y2) * np.sin(a)], axis=-1)
+    out = np.empty(len(ks))
+    step = max(1, 2**18 // len(wt))
+    for lo in range(0, len(ks), step):
+        Pk = P[lo:lo + step]
+        d2 = np.sum(Pk * Pk, axis=1)[:, None] + np.sum(Z * Z, axis=1) - 2.0 * (Pk @ Z.T)
+        out[lo:lo + step] = (1.0 / np.sqrt(d2)) @ wt
+    return out
+
+
+def test_far_blocks_match_gauss_in_r_reference(prof03, chart03, solver03):
+    # the log law's two rules, a point whose window is cut near the period's end
+    T = prof03.T
+    theta, y3 = np.array([0.7, 4.0]), np.array([0.4, -0.45 * T])
+    for resolution in ((24, 32, 48), (24, 48, 72)):
+        quad = BlockQuadrature(prof03, resolution)
+        for boundary in _batch_boundaries(prof03, chart03, solver03):
+            r_eval, y3c = boundary.surface_point(theta, y3)
+            nodes = quad.nodes2d(y3c, boundary)
+            for n in (32, 128, 1024):
+                R = n * T / (2.0 * np.pi)
+                ks = np.arange(coulomb.FAR_K0, n - coulomb.FAR_K0 + 1)
+                far = coulomb._far_blocks(nodes, ks, R, T, theta, y3c, r_eval)
+                for p in range(len(theta)):
+                    ref = _blocks_by_gauss_in_r(nodes, p, ks, R, T, theta[p], y3c[p], r_eval[p])
+                    err = np.abs(far[p] / ref - 1.0)
+                    assert err.max() < 1e-12
+                    if n == 1024:
+                        # the blocks a quarter coil or more away, where the
+                        # column kernel's M1/M2 cancellation is largest
+                        sel = np.minimum(ks, n - ks) >= n // 4
+                        one = (nodes[0][p:p + 1], nodes[1], nodes[2][p:p + 1], nodes[3])
+                        direct = _regular_blocks(one, ks[sel], R, T, theta[p:p + 1],
+                                                 y3c[p:p + 1], r_eval[p:p + 1])[0]
+                        assert np.all(err[sel] < np.abs(direct / ref[sel] - 1.0))
+
+
+def test_window_moments_match_legendre_reference(prof03, chart03, solver03):
+    # R_l^m = |d|^l P_l^m(cos) e^{i m az} / (l + m)! from scipy's P_l^m (with
+    # the Condon-Shortley phase), r by 12-node Gauss: the moments' own r rule
+    # must be exact for every order up to FAR_ORDER
+    from scipy.special import factorial, lpmv
+    L = coulomb.FAR_ORDER
+    T = prof03.T
+    n = 256
+    R = n * T / (2.0 * np.pi)
+    quad = BlockQuadrature(prof03, (6, 12, 14))
+    theta, y3 = np.array([0.7, 4.0]), np.array([0.4, -0.45 * T])
+    t, g = coulomb._gl(12)
+    for boundary in _batch_boundaries(prof03, chart03, solver03):
+        r_eval, y3c = boundary.surface_point(theta, y3)
+        x3, phi, rho_b, w = nodes = quad.nodes2d(y3c, boundary)
+        M = coulomb._window_moments(nodes, R, y3c)
+        for p in range(len(theta)):
+            r = rho_b[p][..., None] * t
+            u = r * np.sin(phi)[:, None]
+            ang = ((x3[p] - y3c[p]) / R)[:, None, None]
+            wt = w[..., None] * rho_b[p][..., None] * g * r * (1.0 + u / R)
+            zeta = r * np.cos(phi)[:, None]
+            xi = (R + u) * np.exp(1j * ang) - R
+            dist = np.sqrt(zeta**2 + np.abs(xi) ** 2)
+            for l in range(L + 1):
+                for m in range(l + 1):
+                    harm = (dist**l * lpmv(m, l, zeta / dist) * np.exp(1j * m * np.angle(xi))
+                            / factorial(l + m))
+                    ref = np.sum(wt * np.conj(harm))
+                    assert abs(M[p, l, m] - ref) <= 1e-13 * np.sum(wt * np.abs(harm))
+
+
+@pytest.mark.parametrize("resolution", [(6, 12, 14), (24, 32, 48)])
+def test_far_blocks_batch_matches_single_points(prof03, resolution):
+    # 6 points share a moment tile at (12, 14); one point spans two at (32, 48)
+    quad = BlockQuadrature(prof03, resolution)
+    boundary = AxisymBoundary(prof03)
+    T = prof03.T
+    n = 256
+    R = n * T / (2.0 * np.pi)
+    ks = np.arange(coulomb.FAR_K0, n - coulomb.FAR_K0 + 1)
+    theta = BATCH_THETA[:5]
+    r_eval, y3c = boundary.surface_point(theta, BATCH_Y3_OVER_T[:5] * T)
+    batch = coulomb._far_blocks(quad.nodes2d(y3c, boundary), ks, R, T, theta, y3c, r_eval)
+    for p in range(len(theta)):
+        one = slice(p, p + 1)
+        single = coulomb._far_blocks(quad.nodes2d(y3c[one], boundary), ks, R, T, theta[one],
+                                     y3c[one], r_eval[one])
+        assert np.array_equal(batch[p], single[0])
+
+
+def test_surface_potentials_far_field_above_crossover(prof03):
+    # below FAR_MIN_N every block comes from the column kernel; from it on,
+    # blocks FAR_K0..n-FAR_K0 come from the expansion and the rest do not move
+    boundary = AxisymBoundary(prof03)
+    quad = BlockQuadrature(prof03, (6, 12, 14))
+    cfg = SelfBlockSettings(panel_q=4, core_q=4, column_q=5)
+    T = prof03.T
+    theta, y3 = np.array([0.7, 2.0]), np.array([0.4, -0.3])
+    r_eval, y3c = boundary.surface_point(theta, y3)
+    nodes = quad.nodes2d(y3c, boundary)
+    for n in (coulomb.FAR_MIN_N - 16, coulomb.FAR_MIN_N):
+        R = n * T / (2.0 * np.pi)
+        Ik = surface_potentials(prof03, n, boundary, theta, y3, quad, cfg)
+        direct = _regular_blocks(nodes, np.arange(1, n), R, T, theta, y3c, r_eval)
+        far = np.zeros(n - 1, dtype=bool)
+        if n >= coulomb.FAR_MIN_N:
+            far[coulomb.FAR_K0 - 1:n - coulomb.FAR_K0] = True
+            ks = np.arange(coulomb.FAR_K0, n - coulomb.FAR_K0 + 1)
+            assert np.array_equal(Ik[:, 1:][:, far],
+                                  coulomb._far_blocks(nodes, ks, R, T, theta, y3c, r_eval))
+            assert np.max(np.abs(Ik[:, 1:][:, far] / direct[:, far] - 1.0)) < 1e-10
+        assert np.array_equal(Ik[:, 1:][:, ~far], direct[:, ~far])
 
 
 def test_regular_blocks_memory_bounded(prof03):
