@@ -2,7 +2,7 @@
 
 Modules
 -------
-profile      unduloid profile ODE, conformal chart, stability integral I_a
+profile      unduloid profile and conformal chart in closed form, stability integral I_a
 geometry     straight/coiled surface patches, curvature, OBJ export
 coulomb      block-decomposed Newton potentials and energies of the coil
 fields       symmetric scalar fields on one Delaunay period

@@ -58,7 +58,6 @@ class RunConfig:
     n: int = 0  # 0 = command default (reduce: 32; mass-map: heuristic)
     n_list: str = "8:64:8"
     m: float = 40.0
-    tol: float = 1e-10
     grid: str = ""
     threads: int = 1
     out: str = ""
@@ -91,7 +90,7 @@ def _resolve_config(args) -> RunConfig:
             base = json.load(fh)
     base["command"] = args.command
     cfg = RunConfig.from_dict(base)
-    for name in ("a", "a_range", "n", "n_list", "m", "tol", "grid", "threads", "out"):
+    for name in ("a", "a_range", "n", "n_list", "m", "grid", "threads", "out"):
         val = getattr(args, name, None)
         if val is not None:
             setattr(cfg, name, val)
@@ -106,8 +105,8 @@ def _resolve_config(args) -> RunConfig:
 def cmd_profile(cfg: RunConfig):
     from .profile import build_chart, solve_profile
 
-    prof = solve_profile(cfg.a, tol=cfg.tol)
-    chart = build_chart(cfg.a, tol=cfg.tol)
+    prof = solve_profile(cfg.a)
+    chart = build_chart(cfg.a)
     write_json(cfg.out, {"profile": prof.to_dict(), "chart": chart.to_dict()},
                config=cfg.hashable_dict())
 
@@ -118,7 +117,7 @@ def cmd_ia_scan(cfg: RunConfig):
     a_values = parse_range(cfg.a_range or str(cfg.a))
 
     def row(a):
-        p = solve_profile(a, tol=cfg.tol)
+        p = solve_profile(a)
         return (p.a, p.T, p.V, p.Ia)
 
     rows = ordered_map(row, a_values, cfg.threads)
@@ -130,7 +129,7 @@ def cmd_coil_mesh(cfg: RunConfig):
     from .profile import solve_profile
 
     n = cfg.n or 12
-    prof = solve_profile(cfg.a, tol=cfg.tol)
+    prof = solve_profile(cfg.a)
     res = parse_grid(cfg.grid) if cfg.grid else (32, 32 * n)
     export_mesh(build_coil(prof, n), res, cfg.out)
 
@@ -140,7 +139,7 @@ def cmd_curvature_check(cfg: RunConfig):
     from .profile import solve_profile
 
     n_list = [int(v) for v in parse_range(cfg.n_list)]
-    prof = solve_profile(cfg.a, tol=cfg.tol)
+    prof = solve_profile(cfg.a)
     rep = curvature_expansion_check(prof, n_list)
     rows = list(zip(rep.n_list, rep.max_err, rep.phi_fit_rel_err))
     write_csv(cfg.out, ["n", "max_err", "phi_fit_rel_err"], rows,
@@ -153,7 +152,7 @@ def cmd_nonlocal_check(cfg: RunConfig):
     from .profile import solve_profile
 
     n_list = [int(v) for v in parse_range(cfg.n_list)]
-    prof = solve_profile(cfg.a, tol=cfg.tol)
+    prof = solve_profile(cfg.a)
     y = (np.pi / 2.0, 0.0)
 
     def row(n):
@@ -179,7 +178,7 @@ def cmd_reduce(cfg: RunConfig):
                             solve_gamma)
 
     n = cfg.n or 32
-    prof = solve_profile(cfg.a, tol=cfg.tol)
+    prof = solve_profile(cfg.a)
     settings = ReductionSettings()
     ctx = ReductionContext(prof, n, settings)
     state = solve_gamma(prof, n, settings, ctx)
@@ -207,9 +206,9 @@ def cmd_mass_map(cfg: RunConfig):
     from .profile import solve_profile
     from .reduction import ReductionSettings, find_neck_for_mass, select_block_count
 
-    ref = solve_profile(cfg.a, tol=cfg.tol)
+    ref = solve_profile(cfg.a)
     n = cfg.n or select_block_count(cfg.m, ref)
-    mm = find_neck_for_mass(cfg.m, n, settings=ReductionSettings(), profile_tol=cfg.tol)
+    mm = find_neck_for_mass(cfg.m, n, settings=ReductionSettings())
     write_json(cfg.out, {"m_target": cfg.m, "n": n, "b": mm.a, "m": mm.m,
                          "gamma": mm.gamma, "volume": mm.volume,
                          "volume_ratio": mm.volume_ratio}, config=cfg.hashable_dict())
@@ -222,7 +221,7 @@ def cmd_appendix(cfg: RunConfig):
     table = sech_moments()
     rows = [(k, table.values[k], table.exact[k]) for k in sorted(table.values)]
     rows.append(("grand_combination", table.grand_combination, table.grand_exact))
-    scan = profile_scan([0.002, 0.005, 0.01], tol=cfg.tol)
+    scan = profile_scan([0.002, 0.005, 0.01])
     fit = ia_slope_check(scan)
     write_csv(cfg.out, ["moment", "value", "exact"], rows, config=cfg.hashable_dict(),
               extra_meta={"ia_slope": fit.slope, "ia_intercept": fit.intercept,
@@ -255,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n-list", dest="n_list", type=str, default=None,
                        help="start:stop:step list of block counts")
         p.add_argument("--m", type=float, default=None, help="target mass")
-        p.add_argument("--tol", type=float, default=None, help="profile ODE tolerance")
         p.add_argument("--grid", type=str, default=None, help="NTHETAxN3 mesh grid")
         p.add_argument("--threads", type=int, default=None, help="worker cap")
         p.add_argument("--out", type=str, default=None, help="output path")

@@ -10,7 +10,7 @@ class DomainError(DropcoilError):
 
 
 class NonConvergence(DropcoilError):
-    """An iterative process (ODE event search, refinement) failed to settle."""
+    """An iterative process (Newton inversion, refinement) failed to settle."""
 
 
 class QuadratureDivergence(NonConvergence):

@@ -1,31 +1,50 @@
 """Delaunay unduloid profiles, conformal charts, and the stability integral.
 
-The unduloid with neck radius ``a`` (0 < a <= 1/2, mean curvature fixed to 2)
-is described by the even, T-periodic profile f solving
+The unduloid with neck radius ``a`` (0 < a <= 1/2, mean curvature 2) is the
+even, T-periodic profile f with -f''/(1+f'^2)^{3/2} + 1/(f sqrt(1+f'^2)) = 2,
+f(0) = 1-a, f'(0) = 0 and first integral f^2 - f/sqrt(1+f'^2) = -q, q = a(1-a).
+Isothermally it is (x(t) cos th, x(t) sin th, z(t)) with x'' = (1 - 2q) x - 2x^3,
+z' = q + x^2 and x^2 = x'^2 + z'^2.  a = 1/2 is the cylinder (f = 1/2, T = pi).
 
-    -f'' / (1+f'^2)^{3/2} + 1 / (f sqrt(1+f'^2)) = 2,   f(0) = 1-a, f'(0) = 0,
+Both come in closed form from Delaunay's roulette angle phi (J. Math. Pures
+Appl. 6, 1841), 0 at the bulge and pi at the neck.  With b = 1/2 - a,
+f = x = 1/2 + b cos phi gives f - f^2 - q = b^2 sin^2 phi, so by the first integral
 
-with the conserved quantity f^2 - f/sqrt(1+f'^2) = -a(1-a).  The same surface
-in isothermal coordinates is (x(t) cos th, x(t) sin th, z(t)) with
+    ds/dphi = (f^2 + q) / sqrt(f^2 + f + q),   dt/dphi = 1 / sqrt(f^2 + f + q),
+    x' = -b sin phi sqrt(f^2 + f + q),   f' = x' / (f^2 + q).
 
-    x'' = (1 - 2a(1-a)) x - 2 x^3,   z' = a(1-a) + x^2,
+One DCT-I on phi_j = j pi / M gives both as series sum'' A_k cos k phi, hence
+T = 2 pi C_0, tau = pi C_0 (C_0 = A_0 / 2) and s, t = C_0 phi + sum (A_k / k) sin k phi.
+V = 2 pi int f^2 ds and I_a are trapezoid sums on the same nodes.  The
+arclength I_a integrand (``compute_Ia``) cancels from O(1) to I_a ~ 2a at
+small a.  Subtracting d/dt (x^3 x') (integral 0: x' = 0 at t = 0, tau) from its
+isothermal form z' (4x^2 + 2q - 5z'^2 + q z'^2 / x^2) leaves
 
-and the conformal identity x^2 = (x')^2 + (z')^2.  a = 1/2 degenerates the
-neck event and is served by cylinder closed forms (f = 1/2, T = pi).
+    I_a = q int_0^tau [6x^2 (1 - x^2) - 9q x^2 + 2q (1 - q) + q^3 / x^2] dt.
+
+Node count M: the trapezoid rule on a periodic analytic integrand converges
+geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014), here at the rate of
+the zero f = -a of f^2 + f + q = (f + a)(f + 1 - a), at cos phi = -1 - 2a/b:
+A_k ~ exp(-k eta), cosh eta = 1 + 2a/b.  M is the least power of two (>= 8)
+with M eta >= 53 ln 2, so every dropped or aliased coefficient is below double
+rounding, the sine series give s and t between nodes to rounding, and the sums
+(error ~ exp(-2 M eta)) are exact: 32 nodes at a = 0.3, 512 at a = 0.002.
+The profile grid is uniform in phi, with s from one DST-I; the chart keeps a
+uniform t grid by Newton inversion of t(phi).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.integrate import simpson, solve_ivp
+from scipy.fft import dct, dst
+from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, NonConvergence
 
-DEFAULT_TOL = 1e-10
 DEFAULT_GRID = 2048  # samples per half-period (panel count; +1 nodes)
 
 CYLINDER_NECK = 0.5
@@ -33,13 +52,15 @@ CYLINDER_PERIOD = np.pi
 CYLINDER_VOLUME = np.pi**2 / 4.0
 CYLINDER_IA = np.pi / 4.0
 
+NEWTON_MAX = 8
+NEWTON_STOP = 1e-8  # then the next error is below 1e-14 (quadratic factor <= 80 at a >= 1e-4)
 
-def check_neck(a: float, allow_cylinder: bool = True) -> float:
+
+def check_neck(a: float) -> float:
     """Validate the neck parameter and return it as a float."""
     a = float(a)
-    hi = 0.5 if allow_cylinder else 0.5 - 1e-12
-    if not (0.0 < a <= hi):
-        raise DomainError(f"neck parameter a={a} outside (0, {'1/2]' if allow_cylinder else '1/2)'}")
+    if not (0.0 < a <= 0.5):
+        raise DomainError(f"neck parameter a={a} outside (0, 1/2]")
     return a
 
 
@@ -55,15 +76,78 @@ def _fppp_from(f, fp, fpp):
     return 2.0 * fp * fpp / f - one * fp / f**2 - 6.0 * fp * fpp * np.sqrt(one)
 
 
-@dataclass
-class DelaunayProfile:
-    """One solved unduloid profile on [0, T/2] plus derived block data.
+def _modes(a: float) -> int:
+    """Roulette node count M: least power of two (>= 8) with M eta >= 53 ln 2."""
+    eta = np.arccosh(1.0 + 2.0 * a / (0.5 - a))
+    return max(8, 1 << int(np.ceil(np.log2(53.0 * np.log(2.0) / eta))))
 
-    ``grid`` holds event-aligned samples s_i in [0, T/2]; f/fp/fpp are the
-    profile and its derivatives there.  V is the block volume |Omega_0| and
-    Ia the stability integral, both filled by quadrature on the grid.
+
+def _radius(a, phi):
+    return 0.5 + (0.5 - a) * np.cos(phi)
+
+
+def _radicand(a, f):
+    return f * f + f + a * (1.0 - a)
+
+
+def _xprime(a, phi, f):
+    """x' = -b sin phi sqrt(f^2 + f + q), exactly 0 at the bulge and neck."""
+    xp = -(0.5 - a) * np.sin(phi) * np.sqrt(_radicand(a, f))
+    xp[0] = xp[-1] = 0.0
+    return xp
+
+
+def _antiderivative(anti, n: int):
+    """(phi, G) at phi_j = j pi / n for G = anti[0] phi + sum_k anti[k] sin k phi: one
+    DST-I of anti[1:] zero-padded onto the r-fold finer grid (r n >= M), every r-th node."""
+    r = -(-(anti.shape[-1] - 1) // n)
+    x = np.zeros(anti.shape[:-1] + (n * r - 1,))
+    keep = min(anti.shape[-1] - 1, n * r - 1)
+    x[..., :keep] = anti[..., 1:keep + 1]
+    phi = np.linspace(0.0, np.pi, n * r + 1)
+    G = anti[..., :1] * phi
+    G[..., 1:-1] += 0.5 * dst(x, type=1, axis=-1)
+    return phi[::r], G[..., ::r]
+
+
+class _Record:
+    """to_dict/from_dict and JSON over the public dataclass fields, arrays as lists.
+
+    Keys that are not fields (such as the ``tol`` of older files) are ignored.
     """
 
+    KIND = ""
+
+    def to_dict(self) -> dict:
+        d = {f.name: getattr(self, f.name) for f in fields(self) if not f.name.startswith("_")}
+        d = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in d.items()}
+        return dict(d, kind=self.KIND)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        names = [f.name for f in fields(cls) if not f.name.startswith("_")]
+        return cls(**{k: np.asarray(d[k]) if isinstance(d[k], list) else d[k] for k in names})
+
+    @classmethod
+    def from_json(cls, text: str):
+        return cls.from_dict(json.loads(text))
+
+
+@dataclass
+class DelaunayProfile(_Record):
+    """One solved unduloid profile on [0, T/2] plus derived block data.
+
+    ``grid`` holds the arclength s_j in [0, T/2] at uniform roulette angle
+    phi_j = j pi / (len(grid) - 1); f/fp/fpp are the profile and its
+    derivatives there.  V is the block volume |Omega_0| and Ia the stability
+    integral, both trapezoid sums in phi.  ``_anti`` holds the coefficients of
+    s(phi) (``_antiderivative``; None once loaded from JSON).
+    """
+
+    KIND = "delaunay-profile"
     a: float
     grid: np.ndarray
     f: np.ndarray
@@ -72,24 +156,24 @@ class DelaunayProfile:
     T: float
     V: float
     Ia: float
-    tol: float = DEFAULT_TOL
-    _dense: object = field(default=None, repr=False, compare=False)
+    _anti: np.ndarray = field(default=None, repr=False, compare=False)
     _spline: object = field(default=None, init=False, repr=False, compare=False)
 
     def _half_eval(self, u, order):
         """f, and f' when ``order`` >= 1, on the folded coordinate u in [0, T/2].
 
         The clamped spline (f'(0) = f'(T/2) = 0 exactly) is built on the
-        first call: from the dense ODE solution ``_dense`` sampled 4x finer
-        than the grid when the profile was solved, else from the grid.
+        first call: when the profile was solved, on samples at uniform phi 4x
+        finer than the grid (non-uniform knots s from ``_anti``, f in
+        closed form), else on the grid.
         """
         if self.a == CYLINDER_NECK:
             return np.full_like(u, 0.5), np.zeros_like(u)
         if self._spline is None:
             s, f = self.grid, self.f
-            if self._dense is not None:
-                s = np.linspace(0.0, self.grid[-1], 4 * (len(self.grid) - 1) + 1)
-                f = self._dense(s)[0]
+            if self._anti is not None:
+                phi, s = _antiderivative(self._anti, 4 * (len(self.grid) - 1))
+                f = _radius(self.a, phi)
             self._spline = CubicSpline(s, f, bc_type=((1, 0.0), (1, 0.0)))
         if order == 0:
             return (self._spline(u),)
@@ -127,44 +211,9 @@ class DelaunayProfile:
         H = -self.fpp / one**1.5 + 1.0 / (self.f * np.sqrt(one))
         return float(np.max(np.abs(H - 2.0)))
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "delaunay-profile",
-            "a": self.a,
-            "T": self.T,
-            "V": self.V,
-            "Ia": self.Ia,
-            "tol": self.tol,
-            "grid": self.grid.tolist(),
-            "f": self.f.tolist(),
-            "fp": self.fp.tolist(),
-            "fpp": self.fpp.tolist(),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DelaunayProfile":
-        return cls(
-            a=d["a"],
-            grid=np.asarray(d["grid"]),
-            f=np.asarray(d["f"]),
-            fp=np.asarray(d["fp"]),
-            fpp=np.asarray(d["fpp"]),
-            T=d["T"],
-            V=d["V"],
-            Ia=d["Ia"],
-            tol=d.get("tol", DEFAULT_TOL),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "DelaunayProfile":
-        return cls.from_dict(json.loads(text))
-
 
 @dataclass
-class ConformalChart:
+class ConformalChart(_Record):
     """Isothermal parametrization of one unduloid period.
 
     tgrid is a uniform symmetric grid on [-tau, tau] (odd length); x is even,
@@ -172,6 +221,7 @@ class ConformalChart:
     of the Jacobi operator J[h] = x^{-2}(h_thth + h_tt + p h).
     """
 
+    KIND = "conformal-chart"
     a: float
     tgrid: np.ndarray
     x: np.ndarray
@@ -180,7 +230,6 @@ class ConformalChart:
     zp: np.ndarray
     tau: float
     p: np.ndarray
-    tol: float = DEFAULT_TOL
     _t_of_z: object = field(default=None, repr=False, compare=False)
     _x_of_t: object = field(default=None, repr=False, compare=False)
 
@@ -212,99 +261,54 @@ class ConformalChart:
     def isothermal_residual(self) -> float:
         return float(np.max(np.abs(self.x**2 - self.xp**2 - self.zp**2)))
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "conformal-chart",
-            "a": self.a,
-            "tau": self.tau,
-            "tol": self.tol,
-            "tgrid": self.tgrid.tolist(),
-            "x": self.x.tolist(),
-            "xp": self.xp.tolist(),
-            "z": self.z.tolist(),
-            "zp": self.zp.tolist(),
-            "p": self.p.tolist(),
-        }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ConformalChart":
-        return cls(
-            a=d["a"],
-            tgrid=np.asarray(d["tgrid"]),
-            x=np.asarray(d["x"]),
-            xp=np.asarray(d["xp"]),
-            z=np.asarray(d["z"]),
-            zp=np.asarray(d["zp"]),
-            tau=d["tau"],
-            p=np.asarray(d["p"]),
-            tol=d.get("tol", DEFAULT_TOL),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ConformalChart":
-        return cls.from_dict(json.loads(text))
-
-
-def _cylinder_profile(grid_size: int, tol: float) -> DelaunayProfile:
+def _cylinder_profile(grid_size: int) -> DelaunayProfile:
     s = np.linspace(0.0, CYLINDER_PERIOD / 2.0, grid_size + 1)
     f = np.full_like(s, 0.5)
     zero = np.zeros_like(s)
     return DelaunayProfile(
         a=CYLINDER_NECK, grid=s, f=f, fp=zero, fpp=zero,
-        T=CYLINDER_PERIOD, V=CYLINDER_VOLUME, Ia=CYLINDER_IA, tol=tol,
+        T=CYLINDER_PERIOD, V=CYLINDER_VOLUME, Ia=CYLINDER_IA,
     )
 
 
-def solve_profile(a: float, tol: float = DEFAULT_TOL, grid_size: int = DEFAULT_GRID) -> DelaunayProfile:
-    """Integrate the profile Cauchy problem up to the first neck.
+def _block_sums(a: float, m: int):
+    """(anti, V, Ia) on m + 1 nodes; ``anti`` holds C_0 and the sine coefficients of s
+    and t (rows), V and Ia are trapezoid sums, Ia by the reduced integrand."""
+    phi = np.linspace(0.0, np.pi, m + 1)
+    q = a * (1.0 - a)
+    f = _radius(a, phi)
+    f2 = f * f
+    dt = 1.0 / np.sqrt(_radicand(a, f))
+    ds = (f2 + q) * dt
+    anti = dct(np.stack((ds, dt)), type=1, axis=-1) / m / np.r_[2.0, np.arange(1, m), 2.0 * m]
+    w = np.full(m + 1, np.pi / m)
+    w[[0, -1]] *= 0.5
+    V = 2.0 * np.pi * float(w @ (f2 * ds))
+    Ia = q * float(w @ ((6.0 * f2 * (1.0 - f2) - 9.0 * q * f2 + 2.0 * q * (1.0 - q)
+                         + q**3 / f2) * dt))
+    return anti, V, Ia
 
-    The half-period T/2 is located by event detection on the sign change of
-    f' (refined by the integrator's root finder); V and Ia are then filled by
-    composite Simpson quadrature on a uniform event-aligned grid.
+
+def solve_profile(a: float, grid_size: int = DEFAULT_GRID) -> DelaunayProfile:
+    """The profile on [0, T/2] from the roulette quadratures (module docstring).
+
+    T, V and Ia come from the roulette series on ``_modes(a)`` + 1 nodes; the
+    stored grid is ``grid_size`` + 1 samples at uniform phi.
     """
     a = check_neck(a)
     if a == CYLINDER_NECK:
-        return _cylinder_profile(grid_size, tol)
-
-    def rhs(s, y):
-        f, fp = y
-        one = 1.0 + fp * fp
-        return (fp, one / f - 2.0 * one**1.5)
-
-    def neck(s, y):
-        return y[1]
-
-    neck.terminal = True
-    neck.direction = 1.0  # f' rises back through zero only at the neck
-
-    horizon = 20.0
-    sol = solve_ivp(rhs, (0.0, horizon), (1.0 - a, 0.0), method="DOP853",
-                    rtol=tol, atol=tol * 1e-2, events=neck, dense_output=True)
-    if sol.status != 1 or len(sol.t_events[0]) == 0:
-        raise NonConvergence(f"neck event not found for a={a} within horizon {horizon}")
-    half = float(sol.t_events[0][0])
-
-    s = np.linspace(0.0, half, grid_size + 1)
-    f, fp = sol.sol(s)
-    fp[0] = 0.0
-    fp[-1] = 0.0  # event point: f' = 0 exactly
-    fpp = _fpp_from(f, fp)
-
-    T = 2.0 * half
-    V = 2.0 * np.pi * simpson(f * f, x=s)
-
-    # the (slow) dense output is kept for the fast spline of the first evaluation
-    prof = DelaunayProfile(a=a, grid=s, f=f, fp=fp, fpp=fpp, T=T, V=V, Ia=np.nan,
-                           tol=tol, _dense=sol.sol)
-    prof.Ia = compute_Ia(prof)
-    return prof
+        return _cylinder_profile(grid_size)
+    anti, V, Ia = _block_sums(a, _modes(a))
+    phi, s = _antiderivative(anti[0], grid_size)
+    f = _radius(a, phi)
+    fp = _xprime(a, phi, f) / (f * f + a * (1.0 - a))
+    return DelaunayProfile(a=a, grid=s, f=f, fp=fp, fpp=_fpp_from(f, fp), T=float(2.0 * s[-1]),
+                           V=V, Ia=Ia, _anti=anti[0])
 
 
 def compute_Ia(profile: DelaunayProfile) -> float:
-    """Stability integral by composite quadrature on the profile grid:
+    """Stability integral by composite Simpson quadrature on the profile grid:
 
     I_a = int_0^{T/2} f/(1+f'^2)^{5/2} [ f f'' (2 - f'^2) + (1+3f'^2)(1+f'^2) ] ds
     """
@@ -332,62 +336,61 @@ def _chart_potential(a, x):
     return 2.0 * x * x + 2.0 * q * q / (x * x)
 
 
-def _cylinder_chart(grid_size: int, tol: float) -> ConformalChart:
+def _cylinder_chart(grid_size: int) -> ConformalChart:
     tau = np.pi
     t = np.linspace(-tau, tau, 2 * grid_size + 1)
     x = np.full_like(t, 0.5)
     return ConformalChart(
         a=CYLINDER_NECK, tgrid=t, x=x, xp=np.zeros_like(t), z=0.5 * t,
-        zp=np.full_like(t, 0.5), tau=tau, p=np.full_like(t, 1.0), tol=tol,
+        zp=np.full_like(t, 0.5), tau=tau, p=np.full_like(t, 1.0),
     )
 
 
-def build_chart(a: float, tol: float = DEFAULT_TOL, grid_size: int = 1024) -> ConformalChart:
-    """Integrate the conformal system up to the neck time tau and sample it.
+def build_chart(a: float, grid_size: int = 1024) -> ConformalChart:
+    """The conformal chart on a uniform t grid from the roulette (module docstring).
 
     ``grid_size`` is the number of uniform panels on [0, tau]; the stored grid
-    covers [-tau, tau] by the even/odd symmetries of x and z.
+    covers [-tau, tau] by the even/odd symmetries of x and z.  phi(t_i) is the
+    Newton root of t(phi) = t_i, started from linear interpolation of t at
+    uniform phi; x and x' are closed forms in phi, and z = s(phi).
     """
     a = check_neck(a)
     if a == CYLINDER_NECK:
-        return _cylinder_chart(grid_size, tol)
-    q = a * (1.0 - a)
-
-    def rhs(t, y):
-        x, xp, z = y
-        return (xp, (1.0 - 2.0 * q) * x - 2.0 * x**3, q + x * x)
-
-    def neck(t, y):
-        return y[1]
-
-    neck.terminal = True
-    neck.direction = 1.0
-
-    horizon = max(60.0, -4.0 * np.log(a))
-    sol = solve_ivp(rhs, (0.0, horizon), (1.0 - a, 0.0, 0.0), method="DOP853",
-                    rtol=tol, atol=tol * 1e-2, events=neck, dense_output=True)
-    if sol.status != 1 or len(sol.t_events[0]) == 0:
-        raise NonConvergence(f"conformal neck event not found for a={a}")
-    tau = float(sol.t_events[0][0])
-
+        return _cylinder_chart(grid_size)
+    anti = _block_sums(a, _modes(a))[0]
+    phi, G = _antiderivative(anti, grid_size)
+    tau = float(G[1, -1])
     th = np.linspace(0.0, tau, grid_size + 1)
-    x, xp, z = sol.sol(th)
-    xp[0] = 0.0
-    xp[-1] = 0.0
+    phi = np.interp(th, G[1], phi)
+    k = np.arange(1, anti.shape[1])
+
+    def s_and_t(phi):
+        return anti[:, :1] * phi + anti[:, 1:] @ np.sin(np.outer(k, phi))
+
+    for _ in range(NEWTON_MAX):
+        step = (s_and_t(phi)[1] - th) * np.sqrt(_radicand(a, _radius(a, phi)))
+        phi = phi - step
+        if np.max(np.abs(step)) < NEWTON_STOP:
+            break
+    else:
+        raise NonConvergence(f"t(phi) = t_i for a={a}: no convergence in {NEWTON_MAX} steps")
+    phi[0], phi[-1] = 0.0, np.pi
+    z = s_and_t(phi)[0]
+    x = _radius(a, phi)
+    xp = _xprime(a, phi, x)
     # extend to [-tau, tau]: x even, x' odd, z odd
     t = np.concatenate((-th[::-1][:-1], th))
     x = np.concatenate((x[::-1][:-1], x))
     xp = np.concatenate((-xp[::-1][:-1], xp))
     z = np.concatenate((-z[::-1][:-1], z))
-    zp = q + x * x
-    return ConformalChart(a=a, tgrid=t, x=x, xp=xp, z=z, zp=zp, tau=tau,
-                          p=_chart_potential(a, x), tol=tol)
+    return ConformalChart(a=a, tgrid=t, x=x, xp=xp, z=z, zp=a * (1.0 - a) + x * x, tau=tau,
+                          p=_chart_potential(a, x))
 
 
-def profile_scan(a_values, tol: float = DEFAULT_TOL, grid_size: int = DEFAULT_GRID):
+def profile_scan(a_values, grid_size: int = DEFAULT_GRID):
     """Rows (a, T, V, Ia) for a list of neck parameters."""
     rows = []
     for a in a_values:
-        p = solve_profile(a, tol=tol, grid_size=grid_size)
+        p = solve_profile(a, grid_size=grid_size)
         rows.append((p.a, p.T, p.V, p.Ia))
     return rows

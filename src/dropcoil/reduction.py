@@ -36,7 +36,6 @@ class ReductionSettings:
     ntheta: int = 16
     m_t: int = 48
     chart_grid: int = 768
-    chart_tol: float = 1e-11
     quad_resolution: tuple = (8, 16, 20)
     final_quad_resolution: tuple = (8, 28, 40)
     self_panel_q: int = 5
@@ -86,8 +85,7 @@ class ReductionContext:
         self.profile = profile
         self.n = int(n)
         self.settings = settings
-        self.chart = build_chart(profile.a, tol=settings.chart_tol,
-                                 grid_size=settings.chart_grid)
+        self.chart = build_chart(profile.a, grid_size=settings.chart_grid)
         self.solver = JacobiSolver(self.chart, kmax=settings.kmax, m=settings.m_t)
         self.quad = BlockQuadrature(profile, settings.quad_resolution)
         self.final_quad = BlockQuadrature(profile, settings.final_quad_resolution)
@@ -311,8 +309,7 @@ def mass_map(profile: DelaunayProfile, n: int, settings: ReductionSettings = Non
     if state is None:
         ctx = ctx or ReductionContext(profile, n, settings)
         state = solve_gamma(profile, n, settings, ctx)
-    chart = ctx.chart if ctx is not None else build_chart(
-        profile.a, tol=settings.chart_tol, grid_size=settings.chart_grid)
+    chart = ctx.chart if ctx is not None else build_chart(profile.a, grid_size=settings.chart_grid)
     vol = coil_volume(profile, n, state.h, chart)
     return MassMap(a=profile.a, n=int(n), gamma=state.gamma, volume=vol,
                    m=state.gamma * vol, volume_ratio=vol / (n * profile.V))
@@ -328,7 +325,7 @@ def select_block_count(m: float, profile: DelaunayProfile) -> int:
 
 def find_neck_for_mass(m: float, n: int, bracket=(0.1, 0.42),
                        settings: ReductionSettings = None,
-                       profile_tol: float = 1e-10, max_bisect: int = 12,
+                       max_bisect: int = 12,
                        rtol: float = 1e-3) -> MassMap:
     """Bisection on the neck parameter b so that mass_map(b, n).m = m.
 
@@ -338,7 +335,7 @@ def find_neck_for_mass(m: float, n: int, bracket=(0.1, 0.42),
     settings = settings or ReductionSettings()
 
     def mass_of(b):
-        prof = solve_profile(b, tol=profile_tol)
+        prof = solve_profile(b)
         ctx = ReductionContext(prof, n, settings)
         st = solve_gamma(prof, n, settings, ctx)
         return mass_map(prof, n, settings, state=st, ctx=ctx)

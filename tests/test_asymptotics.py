@@ -94,7 +94,7 @@ def test_phi_correction_domain():
 def test_reconstruction_against_chart():
     a = 0.02
     exp = phi_correction(a)
-    chart = build_chart(a, tol=1e-12)
+    chart = build_chart(a)
     xs = CubicSpline(chart.tgrid, chart.x)
     keep = exp.tgrid <= 5.0
     err = np.max(np.abs(exp.reconstruct_x()[keep] - xs(exp.tgrid[keep])))

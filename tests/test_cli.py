@@ -21,7 +21,7 @@ def test_parse_range():
 
 def test_config_roundtrip():
     cfg = RunConfig(command="ia-scan", a=0.2, a_range="0.1:0.2:0.05", n=8,
-                    tol=1e-9, out="x.csv", threads=2)
+                    m=12.5, out="x.csv", threads=2)
     again = RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
     assert again == cfg
 
@@ -135,7 +135,7 @@ def test_appendix_cli(tmp_path):
 
 def test_config_file_and_flag_override(tmp_path):
     cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"a_range": "0.1:0.2:0.1", "tol": 1e-9}))
+    cfgfile.write_text(json.dumps({"a_range": "0.1:0.2:0.1", "threads": 2}))
     out = tmp_path / "o.csv"
     assert main(["ia-scan", "--config", str(cfgfile), "--a-range", "0.2:0.3:0.1",
                  "--out", str(out)]) == 0
@@ -230,17 +230,16 @@ def test_mass_map_solves_final_neck_once(tmp_path, monkeypatch):
     assert json.loads(out.read_text())["b"] == 0.31
 
 
-def test_mass_map_passes_tol(tmp_path, monkeypatch):
-    # --tol is the profile ODE tolerance of the neck bisection too
-    import dropcoil.reduction as reduction
-
-    seen = {}
-
-    def fake_find_neck(m, n, settings=None, profile_tol=None, **kw):
-        seen["profile_tol"] = profile_tol
-        raise BracketFailure("stubbed")
-
-    monkeypatch.setattr(reduction, "find_neck_for_mass", fake_find_neck)
-    assert main(["mass-map", "--m", "40", "--tol", "1e-9",
-                 "--out", str(tmp_path / "mass.json")]) == 3
-    assert seen["profile_tol"] == 1e-9
+def test_tol_is_rejected(tmp_path, capsys):
+    # the profile and chart are closed forms with no solver tolerance, so a
+    # --tol would be accepted and ignored
+    out = tmp_path / "mass.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["mass-map", "--m", "40", "--tol", "1e-9", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"a_range": "0.1:0.2:0.1", "tol": 1e-9}))
+    assert main(["ia-scan", "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert "unknown config keys: tol" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
 from dropcoil.errors import DomainError
 from dropcoil.profile import (CYLINDER_IA, CYLINDER_PERIOD, CYLINDER_VOLUME,
-                              DEFAULT_GRID, ConformalChart, DelaunayProfile, build_chart,
+                              DEFAULT_GRID, ConformalChart, DelaunayProfile,
+                              _antiderivative, _block_sums, _modes, build_chart,
                               compute_Ia, compute_Ia_conformal, profile_scan,
                               solve_profile)
 
@@ -45,7 +47,7 @@ def test_small_neck_limit_sphere_profile():
 
 
 def test_conserved_quantity_a03(prof03):
-    assert prof03.conserved_residual() < 10 * prof03.tol
+    assert prof03.conserved_residual() < 1e-12
 
 
 @settings(max_examples=12, deadline=None)
@@ -59,7 +61,7 @@ def test_profile_invariants_random_neck(a):
     assert p.f.max() == pytest.approx(1 - a, abs=1e-7)
     assert np.all(p.f >= a - 1e-9) and np.all(p.f <= 1 - a + 1e-9)
     # mean curvature identity H = 2 at every sample
-    assert p.mean_curvature_residual() < 10 * p.tol
+    assert p.mean_curvature_residual() < 1e-12
     # neck hit: f(T/2) = a
     assert abs(p.f[-1] - a) < 1e-8
 
@@ -83,7 +85,7 @@ def test_positivity_scan():
 
 def test_chart_isothermal_identity():
     c = build_chart(0.2)
-    assert c.isothermal_residual() < 10 * c.tol
+    assert c.isothermal_residual() < 1e-12
     # x even, z odd on the grid
     assert np.max(np.abs(c.x - c.x[::-1])) < 1e-12
     assert np.max(np.abs(c.z + c.z[::-1])) < 1e-12
@@ -118,17 +120,96 @@ def test_fstar_positivity_proven_range():
 
 
 def test_quadrature_refinement_order():
-    # over two grid halvings the Ia error must drop at least as fast as the
-    # nominal 4th order (16^2); measured against a deeply refined reference
-    ref = solve_profile(0.02, grid_size=4096).Ia
-    err32 = abs(solve_profile(0.02, grid_size=32).Ia - ref)
-    err128 = abs(solve_profile(0.02, grid_size=128).Ia - ref)
+    # the phi trapezoid converges geometrically in the node count M, at the
+    # rate exp(-2 M eta) set by the singularity of 1/sqrt(f^2 + f + q)
+    a = 0.02
+    eta = np.arccosh(1.0 + 2.0 * a / (0.5 - a))
+    coef, V, Ia = _block_sums(a, 2 * _modes(a))
+    for m in (8, 16):
+        c, Vm, Im = _block_sums(a, m)
+        for got, want in ((c[0, 0], coef[0, 0]), (Vm, V), (Im, Ia)):
+            assert abs(got / want - 1.0) < 20.0 * np.exp(-2.0 * m * eta)
+    # compute_Ia (Simpson on the stored grid) keeps its nominal 4th order over
+    # two grid halvings (16^2), against the trapezoid value
+    ref = solve_profile(a).Ia
+    err32 = abs(compute_Ia(solve_profile(a, grid_size=32)) - ref)
+    err128 = abs(compute_Ia(solve_profile(a, grid_size=128)) - ref)
     assert err32 / max(err128, 1e-15) > 200.0
     assert err128 < 1e-6
 
 
+def test_mode_count_resolves_block_sums():
+    # doubling M moves T, V and Ia only at rounding, from a near the sphere
+    # limit to a near the cylinder
+    for a in (1e-4, 0.002, 0.3, 0.49):
+        m = _modes(a)
+        c1, V1, I1 = _block_sums(a, m)
+        c2, V2, I2 = _block_sums(a, 2 * m)
+        for x, y in ((c1[0, 0], c2[0, 0]), (V1, V2), (I1, I2)):
+            assert abs(x / y - 1.0) < 1e-14
+    assert (_modes(0.3), _modes(0.002)) == (32, 512)
+
+
+def _ode_profile_oracle(a, s_eval):
+    """T, V, Ia and (f, f') at s_eval by DOP853 on the profile ODE (rtol 1e-13)."""
+    def rhs(s, y):
+        f, fp = y[:2]
+        one = 1.0 + fp * fp
+        fpp = one / f - 2.0 * one**1.5
+        ia = f / one**2.5 * (f * fpp * (2.0 - fp * fp) + (1.0 + 3.0 * fp * fp) * one)
+        return (fp, fpp, 2.0 * np.pi * f * f, ia)
+
+    def neck(s, y):
+        return y[1]
+
+    neck.terminal, neck.direction = True, 1.0
+    kw = dict(method="DOP853", rtol=1e-13, atol=1e-15, max_step=3e-3)
+    sol = solve_ivp(rhs, (0.0, 20.0), (1.0 - a, 0.0, 0.0, 0.0), events=neck, **kw)
+    _, _, V, Ia = sol.y_events[0][0]
+    on_grid = solve_ivp(rhs, (0.0, s_eval[-1]), (1.0 - a, 0.0, 0.0, 0.0), t_eval=s_eval, **kw)
+    return 2.0 * sol.t_events[0][0], V, Ia, on_grid.y[0], on_grid.y[1]
+
+
+def _ode_chart_oracle(a, t_eval):
+    """tau and (x, z) at t_eval by DOP853 on the conformal system (rtol 1e-13)."""
+    q = a * (1.0 - a)
+
+    def rhs(t, y):
+        x, xp, z = y
+        return (xp, (1.0 - 2.0 * q) * x - 2.0 * x**3, q + x * x)
+
+    def neck(t, y):
+        return y[1]
+
+    neck.terminal, neck.direction = True, 1.0
+    kw = dict(method="DOP853", rtol=1e-13, atol=1e-15, max_step=3e-3)
+    sol = solve_ivp(rhs, (0.0, 60.0), (1.0 - a, 0.0, 0.0), events=neck, **kw)
+    on_grid = solve_ivp(rhs, (0.0, t_eval[-1]), (1.0 - a, 0.0, 0.0), t_eval=t_eval, **kw)
+    return sol.t_events[0][0], on_grid.y[0], on_grid.y[2]
+
+
+@pytest.mark.parametrize("a", [0.01, 0.1, 0.3, 0.45])
+def test_roulette_matches_ode_oracle(a):
+    # the ODE path the roulette replaced, integrated tighter, as the oracle
+    p = solve_profile(a, grid_size=256)
+    T, V, Ia, f, fp = _ode_profile_oracle(a, p.grid)
+    for got, want in ((p.T, T), (p.V, V), (p.Ia, Ia)):
+        assert abs(got / want - 1.0) < 1e-11
+    assert np.max(np.abs(p.f - f)) < 1e-11
+    assert np.max(np.abs(p.fp - fp)) < 1e-11
+    c = build_chart(a, grid_size=256)
+    t, x, _, z, _, _ = c.half_view()
+    tau, xo, zo = _ode_chart_oracle(a, t)
+    assert abs(c.tau / tau - 1.0) < 1e-11
+    assert np.max(np.abs(x - xo)) < 1e-11
+    assert np.max(np.abs(z - zo)) < 1e-11
+
+
 def test_profile_json_roundtrip(prof03):
     p2 = DelaunayProfile.from_json(prof03.to_json())
+    # files written while profiles carried an ODE tolerance still load
+    old = dict(prof03.to_dict(), tol=1e-10)
+    assert DelaunayProfile.from_dict(old).to_dict() == p2.to_dict()
     assert p2.a == prof03.a and p2.T == prof03.T
     assert np.allclose(p2.f, prof03.f)
     s = np.linspace(-1.0, 2.0, 57)
@@ -140,6 +221,7 @@ def test_profile_json_roundtrip(prof03):
 
 def test_chart_json_roundtrip(chart03):
     c2 = ConformalChart.from_json(chart03.to_json())
+    assert ConformalChart.from_dict(dict(chart03.to_dict(), tol=1e-11)).tau == c2.tau
     assert c2.tau == chart03.tau
     y3 = np.linspace(-1.0, 1.0, 11)
     assert np.max(np.abs(c2.t_of_y3(y3) - chart03.t_of_y3(y3))) < 1e-10
@@ -156,16 +238,18 @@ def test_evaluate_periodic_fold(prof03):
 
 
 def test_profile_spline_built_on_first_evaluate():
-    # solving keeps the dense ODE solution; the first evaluation builds the
-    # clamped spline on it, sampled 4x finer than the grid
+    # solving keeps the antiderivative coefficients of s(phi); the first evaluation
+    # builds the clamped spline on samples at uniform phi, 4x finer than the
+    # grid, with non-uniform knots s and f in closed form
     p = solve_profile(0.3)
-    assert p._spline is None and p._dense is not None
+    assert p._spline is None and p._anti is not None
     s = np.linspace(-1.0, 2.0, 57)
     f, fp = p.evaluate(s, order=1)
     assert p._spline is not None
     half = 0.5 * p.T
-    sf = np.linspace(0.0, half, 4 * DEFAULT_GRID + 1)
-    eager = CubicSpline(sf, p._dense(sf)[0], bc_type=((1, 0.0), (1, 0.0)))
+    phi, sf = _antiderivative(p._anti, 4 * DEFAULT_GRID)
+    assert sf[-1] == half and np.max(np.abs(sf[::4] - p.grid)) < 1e-15
+    eager = CubicSpline(sf, 0.5 + 0.2 * np.cos(phi), bc_type=((1, 0.0), (1, 0.0)))
     assert np.array_equal(p._spline.x, eager.x) and np.array_equal(p._spline.c, eager.c)
     u = np.mod(s + half, p.T) - half
     assert np.array_equal(f, eager(np.abs(u)))
