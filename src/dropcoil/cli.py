@@ -189,6 +189,7 @@ def cmd_reduce(cfg: RunConfig):
         "residual": state.residual, "residual_final": state.residual_final,
         "c_final": state.c_final, "h_norm": state.h_norm,
         "iterations": state.iterations,
+        "coulomb_integrations": state.coulomb_integrations,
         "gamma_leading": gamma_leading(prof, n).gamma,
         "volume": mm.volume, "volume_ratio": mm.volume_ratio, "m": mm.m,
         "symmetry_residual": state.symmetry_residual,

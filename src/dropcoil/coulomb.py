@@ -100,13 +100,15 @@ class NormalGraphBoundary:
     rho_h inherits the symmetry class of h (theta -> pi - theta, x3 -> -x3,
     T-periodic), so it is sampled once on a tensor grid and stored as a
     Fourier-in-phi x cosine-in-x3 interpolant for fast batched evaluation.
+    The boundary keeps a copy of h, so ``surface_point`` and ``radius``
+    describe the same solid whatever the caller later does to its field.
     """
 
     def __init__(self, profile: DelaunayProfile, chart: ConformalChart,
                  h: SymmetricField, newton_iters: int = 3):
         self.profile = profile
         self.chart = chart
-        self.h = h
+        self.h = h.copy()
         self.newton_iters = newton_iters
         nphi = max(4 * (h.kmax + 1) + 8, 24)
         self._tau = 0.5 * profile.T
@@ -1009,14 +1011,16 @@ def critical_mass(bracket=(1.0, 8.0)):
 
 
 def coil_volume(profile: DelaunayProfile, n: int, h: SymmetricField = None,
-                chart: ConformalChart = None) -> float:
+                chart: ConformalChart = None, boundary=None) -> float:
     """|Omega~^n_h| by the exact-in-r rule: n int (rho^2/2 + sin(phi) rho^3/(3R)) dphi dx3.
 
     The (phi, x3) rule is the block rule with 64 midpoints in phi and 48
-    Gauss nodes in x3 (its r nodes are not used).
+    Gauss nodes in x3 (its r nodes are not used).  A caller that already
+    holds ``solid_boundary(profile, h, chart)`` passes it as ``boundary``.
     """
     R = n * profile.T / (2.0 * np.pi)
-    boundary = solid_boundary(profile, h, chart)
+    if boundary is None:
+        boundary = solid_boundary(profile, h, chart)
     _, phi, rho, w = BlockQuadrature(profile, (2, 64, 48)).nodes2d(0.0, boundary)
     vals = rho**2 / 2.0 + np.sin(phi) * rho**3 / (3.0 * R)
     return float(n * np.sum(w * vals))

@@ -11,6 +11,13 @@ Since the linearization of G in h is -J to leading order, adding the
 preconditioned residual contracts; the d-projection plays the role of the
 Lagrange multiplier lambda and the outer secant loop tunes gamma until the
 nu_2-projection c vanishes.
+
+Each Coulomb integral N is paid once per (h, quadrature rule).  An
+evaluation keeps H and N as separate samples, so a fixed-gamma solve that
+starts at the previous solve's state forms its first G = H + gamma N from
+that state's samples: G is affine in gamma.  The normal-graph boundary of
+the solved h serves the last loop evaluation, the final-resolution report
+and the mass map's volume.
 """
 
 from __future__ import annotations
@@ -112,24 +119,27 @@ class EquationEval:
     d: float
     residual: float            # sup |G - d| over the sample grid
     symmetry_residual: float   # angular components outside the class
+    H: np.ndarray = dfield(repr=False)          # mean curvature samples
+    N: np.ndarray = dfield(repr=False)          # Coulomb samples; None at gamma = 0
+    boundary: object = dfield(repr=False)       # solid_boundary of the evaluated h
 
 
-def _coulomb_samples(ctx: ReductionContext, h: SymmetricField, final: bool) -> np.ndarray:
+def _coulomb_samples(ctx: ReductionContext, boundary, final: bool) -> np.ndarray:
     """N at (theta_i, t in sub-grid), cosine-upsampled to the full t grid.
 
     Every admissible h, and so N, is even under theta -> pi - theta, which
     maps column i to column (ntheta/2 - i) mod ntheta when ntheta is even.
-    The loop then integrates one column of each mirror pair and copies it to
-    the other.  The final report integrates every column, so that its
-    symmetry_residual measures the quadrature, not the mirroring.  Every
-    integrated (theta, y3) point goes to the on-surface kernel in one batch.
+    The loop and the final report then integrate one column of each mirror
+    pair and copy it to the other; a mirrored column differs from its
+    integrated one by rounding only (2e-14 relative at the desk and Tier-1
+    settings).  Every integrated (theta, y3) point goes to the on-surface
+    kernel in one batch on the solid's ``boundary``.
     """
     quad = ctx.final_quad if final else ctx.quad
     cfg = ctx.final_self_cfg if final else ctx.self_cfg
-    boundary = solid_boundary(ctx.profile, h, ctx.chart)
     ntheta = len(ctx.theta)
     cols = np.arange(ntheta)
-    mirror = cols if final or ntheta % 2 else (ntheta // 2 - cols) % ntheta
+    mirror = cols if ntheta % 2 else (ntheta // 2 - cols) % ntheta
     own = cols[mirror >= cols]
     sub = np.empty((ntheta, len(ctx.y3_sub)))
     Ik = surface_potentials(ctx.profile, ctx.n, boundary, ctx.theta[own, None],
@@ -142,29 +152,37 @@ def _coulomb_samples(ctx: ReductionContext, h: SymmetricField, final: bool) -> n
     return cos_eval(coef, ctx.t_nodes, ctx.solver.tau)
 
 
+def _project_equation(ctx: ReductionContext, H: np.ndarray, N: np.ndarray, gamma: float,
+                      boundary) -> EquationEval:
+    """G = H + gamma N (G = H at gamma = 0) and its projections on the sample grid."""
+    G = H + gamma * N if gamma != 0.0 else H
+    fld, drop = SymmetricField.from_samples(G, ctx.solver.tau, ctx.settings.kmax)
+    c, d = ctx.solver.project_coeffs(fld)
+    residual = float(np.max(np.abs(G - d)))
+    return EquationEval(field=fld, c=c, d=d, residual=residual, symmetry_residual=drop,
+                        H=H, N=N, boundary=boundary)
+
+
 def evaluate_equation(profile: DelaunayProfile, n: int, h: SymmetricField,
                       gamma: float, ctx: ReductionContext = None,
                       settings: ReductionSettings = None,
-                      final: bool = False) -> EquationEval:
+                      final: bool = False, boundary=None) -> EquationEval:
     """G = H + gamma N on the symmetric sample grid, with projections.
 
     lambda is identified with the d-projection; the returned residual is
-    sup |G - d| over the grid (c reported separately).
+    sup |G - d| over the grid (c reported separately).  N is integrated on
+    every call with gamma != 0, on ``boundary`` when the caller already holds
+    h's solid boundary, else on one built here and returned with the samples.
     """
     ctx = ctx or ReductionContext(profile, n, settings or ReductionSettings())
     perturb = None if is_zero_field(h) else h
     patch = build_coil(ctx.profile, ctx.n, perturb, chart=ctx.chart)
     TH, Y3 = np.meshgrid(ctx.theta, ctx.y3_nodes, indexing="ij")
     H = evaluate_forms(patch, TH, Y3).H
-    if gamma != 0.0:
-        N = _coulomb_samples(ctx, h if h is not None else ctx.zero_field(), final)
-        G = H + gamma * N
-    else:
-        G = H
-    fld, drop = SymmetricField.from_samples(G, ctx.solver.tau, ctx.settings.kmax)
-    c, d = ctx.solver.project_coeffs(fld)
-    residual = float(np.max(np.abs(G - d)))
-    return EquationEval(field=fld, c=c, d=d, residual=residual, symmetry_residual=drop)
+    if boundary is None:
+        boundary = solid_boundary(ctx.profile, perturb, ctx.chart)
+    N = _coulomb_samples(ctx, boundary, final) if gamma != 0.0 else None
+    return _project_equation(ctx, H, N, gamma, boundary)
 
 
 @dataclass
@@ -180,6 +198,8 @@ class ReductionState:
     converged: bool
     h_norm: float
     symmetry_residual: float
+    equation: EquationEval = dfield(repr=False, compare=False)  # the evaluation at h
+    coulomb_integrations: int = 0  # Coulomb sample sets integrated, loop and final
     history: list = dfield(default_factory=list)  # solve_gamma: every solve's steps
     lambda_convention: str = "lambda = d-projection of G against hbar"
     residual_final: float = None  # sup |G - d| at the full-resolution report
@@ -193,8 +213,14 @@ class ReductionState:
 def fixed_point_solve(profile: DelaunayProfile, n: int, gamma: float,
                       settings: ReductionSettings = None,
                       ctx: ReductionContext = None,
-                      h0: SymmetricField = None) -> ReductionState:
-    """Damped Picard iteration h <- h + T(G(h, gamma)) at fixed gamma."""
+                      start: ReductionState = None) -> ReductionState:
+    """Damped Picard iteration h <- h + T(G(h, gamma)) at fixed gamma.
+
+    The iteration starts at h = 0, or at ``start.h`` when a solve at another
+    gamma (same context) is continued: its first G is then re-weighted from
+    the H and N samples of ``start.equation``, with no Coulomb integration.
+    A start solved at gamma = 0 holds no N, so its h is evaluated afresh.
+    """
     settings = settings or ReductionSettings()
     ctx = ctx or ReductionContext(profile, n, settings)
     lead = gamma_leading(profile, n)
@@ -203,15 +229,20 @@ def fixed_point_solve(profile: DelaunayProfile, n: int, gamma: float,
         warnings.warn(f"gamma={gamma:.5f} outside the leading window "
                       f"{lead.gamma:.5f} +- {window:.5f}", stacklevel=2)
 
-    h = h0.copy() if h0 is not None else ctx.zero_field()
+    h = start.h.copy() if start is not None else ctx.zero_field()
+    if start is not None and start.equation.N is not None:
+        prev = start.equation
+        ev = _project_equation(ctx, prev.H, prev.N, gamma, prev.boundary)
+        evals = 0
+    else:
+        ev = evaluate_equation(profile, n, h, gamma, ctx=ctx)
+        evals = 1
     history = []
     nd_prev = None
     grow = 0
     step = 1.0
     converged = False
-    ev = None
     for it in range(settings.max_iter):
-        ev = evaluate_equation(profile, n, h, gamma, ctx=ctx)
         delta, c, d = ctx.solver.solve_projected(ev.field)
         nd = delta.norm_sup()
         if nd_prev is not None and nd > nd_prev:
@@ -227,15 +258,18 @@ def fixed_point_solve(profile: DelaunayProfile, n: int, gamma: float,
         history.append({"iter": it, "delta_norm": nd, "c": c, "d": d,
                         "residual": ev.residual, "step": step})
         nd_prev = nd
+        ev = evaluate_equation(profile, n, h, gamma, ctx=ctx)
+        evals += 1
         if nd < settings.tol_h * max(1.0, h.norm_sup()):
             converged = True
             break
-    ev = evaluate_equation(profile, n, h, gamma, ctx=ctx)
     return ReductionState(a=profile.a, n=int(n), gamma=float(gamma), h=h,
                           c=ev.c, d=ev.d, residual=ev.residual,
                           iterations=len(history), converged=converged,
                           h_norm=h.norm_sup(),
                           symmetry_residual=ev.symmetry_residual,
+                          equation=ev,
+                          coulomb_integrations=evals if gamma != 0.0 else 0,
                           history=history)
 
 
@@ -244,8 +278,11 @@ def solve_gamma(profile: DelaunayProfile, n: int,
                 ctx: ReductionContext = None) -> ReductionState:
     """Secant iteration on gamma driving the nu_2-projection c to zero.
 
-    The returned state's history holds the Picard steps of every
-    fixed-gamma solve, each row tagged with its gamma.
+    Each fixed-gamma solve after the first continues from the previous
+    solve's state.  The returned state's history holds the Picard steps of
+    every fixed-gamma solve, each row tagged with its gamma, and its
+    ``coulomb_integrations`` counts the Coulomb sample sets of every solve
+    and of the final report.
     """
     settings = settings or ReductionSettings()
     if n < 16:
@@ -255,10 +292,13 @@ def solve_gamma(profile: DelaunayProfile, n: int,
     window = max(settings.gamma_window_M / np.log(n) ** 2, 0.6 * lead.gamma)
     lo, hi = lead.gamma - window, lead.gamma + window
     history = []
+    integrations = 0
 
-    def solve(gamma, h0=None):
-        st = fixed_point_solve(profile, n, gamma, settings, ctx, h0=h0)
+    def solve(gamma, start=None):
+        nonlocal integrations
+        st = fixed_point_solve(profile, n, gamma, settings, ctx, start=start)
         history.extend(dict(row, gamma=st.gamma) for row in st.history)
+        integrations += st.coulomb_integrations
         return st
 
     g_prev = lead.gamma
@@ -267,15 +307,16 @@ def solve_gamma(profile: DelaunayProfile, n: int,
     g_cur = lead.gamma * 1.1
     seen = [(g_prev, c_prev)]
     for _ in range(settings.max_secant):
-        state = solve(g_cur, state.h)
+        state = solve(g_cur, state)
         c_cur = state.c
         seen.append((g_cur, c_cur))
         if abs(c_cur) < settings.tol_c_rel * max(abs(state.d), 1e-30):
             # full-resolution residual report (the loop ran at reduced quadrature)
-            fin = evaluate_equation(profile, n, state.h, state.gamma,
-                                    ctx=ctx, final=True)
+            fin = evaluate_equation(profile, n, state.h, state.gamma, ctx=ctx, final=True,
+                                    boundary=state.equation.boundary)
             state.residual_final = fin.residual
             state.c_final = fin.c
+            state.coulomb_integrations = integrations + 1
             state.history = history
             return state
         if c_cur == c_prev:
@@ -309,8 +350,7 @@ def mass_map(profile: DelaunayProfile, n: int, settings: ReductionSettings = Non
     if state is None:
         ctx = ctx or ReductionContext(profile, n, settings)
         state = solve_gamma(profile, n, settings, ctx)
-    chart = ctx.chart if ctx is not None else build_chart(profile.a, grid_size=settings.chart_grid)
-    vol = coil_volume(profile, n, state.h, chart)
+    vol = coil_volume(profile, n, state.h, boundary=state.equation.boundary)
     return MassMap(a=profile.a, n=int(n), gamma=state.gamma, volume=vol,
                    m=state.gamma * vol, volume_ratio=vol / (n * profile.V))
 

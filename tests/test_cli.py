@@ -192,6 +192,8 @@ def test_reduce_cli_schema(tmp_path, monkeypatch):
     assert trace[2].split(",")[:2] == ["iter", "gamma"]
     assert len({line.split(",")[1] for line in trace[3:]}) >= 2
     assert len(trace) - 3 > doc["iterations"]
+    # one Coulomb integration at h = 0, one after each Picard step, one final
+    assert doc["coulomb_integrations"] == len(trace) - 3 + 2
 
 
 def _fake_find_neck(m, n, settings=None, **kw):

@@ -646,6 +646,23 @@ def test_normal_graph_boundary_accuracy(prof03, chart03, solver03):
     assert np.max(np.abs(bnd.radius(np.pi - phi, -x3) - direct)) < 1e-9
 
 
+def test_normal_graph_boundary_keeps_its_h(prof03, chart03, solver03):
+    # the boundary copies h: an in-place edit of the caller's field after the
+    # build moves neither the interpolated radius nor the graph points
+    h = solver03.zero_field(kmax=2)
+    h.modes[0] = 0.01
+    h.modes[2] = 0.004
+    bnd = NormalGraphBoundary(prof03, chart03, h)
+    phi = np.linspace(0.1, 2 * np.pi, 9)[:, None]
+    x3 = np.linspace(-0.5, 0.5, 7)[None, :] * prof03.T
+    before = [bnd.radius(phi, x3), *bnd.surface_point(phi, x3)]
+    h.modes *= 3.0
+    h.modes[1] = 0.02
+    after = [bnd.radius(phi, x3), *bnd.surface_point(phi, x3)]
+    for b, a in zip(before, after):
+        assert [float(v).hex() for v in a.ravel()] == [float(v).hex() for v in b.ravel()]
+
+
 def test_normal_graph_newton_residual_checked(prof03, chart03, solver03):
     h = solver03.zero_field(kmax=1)
     h.modes[0] = 0.02

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dropcoil.coulomb import ball_potential_exact, solid_boundary, surface_potentials
+from dropcoil.coulomb import (NormalGraphBoundary, ball_potential_exact, solid_boundary,
+                              surface_potentials)
 from dropcoil.errors import BracketFailure, DomainError
 from dropcoil.fields import cos_coeffs, cos_eval, is_zero_field
 from dropcoil.geometry import build_sphere, evaluate_forms
@@ -213,24 +214,21 @@ def test_settings_validation():
 
 
 def test_mirrored_samples_match_full_grid(prof03):
-    # loop and final quadratures made equal: final=True integrates every
-    # theta column, the loop only one of each mirror pair
-    same = replace(FAST, final_quad_resolution=FAST.quad_resolution,
-                   final_self_q=FAST.self_panel_q)
-    ctx = ReductionContext(prof03, 16, same)
-    assert ctx.final_self_cfg == ctx.self_cfg
-    h = ctx.zero_field()
-    h.modes[0] = 0.01 * np.cos(np.pi * ctx.t_nodes / ctx.solver.tau)
-    h.modes[1] = 0.004 * ctx.solver.kernel.nu2
-    h.modes[2] = 0.005
-    full = _coulomb_samples(ctx, h, final=True)
-    mirrored = _coulomb_samples(ctx, h, final=False)
-    assert np.max(np.abs(mirrored - full)) <= 1e-12 * np.max(np.abs(full))
+    # the loop and the final report integrate one theta column of each
+    # mirror pair; integrating every column gives the same samples to rounding
+    for settings in (ReductionSettings(), FAST):
+        ctx = ReductionContext(prof03, 32, settings)
+        for h in (_loop_test_field(ctx), ctx.zero_field()):
+            boundary = solid_boundary(prof03, h, ctx.chart)
+            for final in (False, True):
+                full = _column_loop_samples(ctx, h, final, mirror=False)
+                mirrored = _coulomb_samples(ctx, boundary, final)
+                assert np.max(np.abs(mirrored - full)) <= 1e-12 * np.max(np.abs(full))
 
 
 @pytest.mark.parametrize("ntheta,final,columns", [
     (12, False, [0, 1, 2, 3, 7, 8, 9]),
-    (12, True, list(range(12))),
+    (12, True, [0, 1, 2, 3, 7, 8, 9]),
     (11, False, list(range(11))),   # pi - theta_i is off an odd grid
 ])
 def test_mirror_columns_need_even_ntheta(prof03, monkeypatch, ntheta, final, columns):
@@ -246,7 +244,7 @@ def test_mirror_columns_need_even_ntheta(prof03, monkeypatch, ntheta, final, col
         return (np.sin(theta) ** 2 + 0.5 * np.sin(theta)).reshape(-1, 1)
 
     monkeypatch.setattr(reduction, "surface_potentials", fake_kernel)
-    samples = _coulomb_samples(ctx, ctx.zero_field(), final=final)
+    samples = _coulomb_samples(ctx, solid_boundary(prof03), final=final)
     assert len(calls) == 1  # one kernel call an evaluation
     assert sorted(set(seen)) == columns
     assert len(seen) == len(columns) * len(ctx.y3_sub)
@@ -279,19 +277,23 @@ def test_coulomb_samples_match_frozen(prof03, name, settings, perturbed):
         want = np.array(json.load(fh)[name])
     ctx = ReductionContext(prof03, 32, settings)
     h = _loop_test_field(ctx) if perturbed else ctx.zero_field()
-    got = _coulomb_samples(ctx, h, final=False)
+    got = _coulomb_samples(ctx, solid_boundary(prof03, h, ctx.chart), final=False)
     assert got.shape == want.shape
     assert np.max(np.abs(got / want - 1.0)) < 1e-13
 
 
-def _column_loop_samples(ctx, h, final):
-    """N on the sub-grid, one surface_potentials call per integrated theta column."""
+def _column_loop_samples(ctx, h, final, mirror=True):
+    """N on the sub-grid, one surface_potentials call per integrated theta column.
+
+    With ``mirror`` one column of each theta -> pi - theta pair is integrated
+    and copied to the other; without, every column is integrated.
+    """
     quad = ctx.final_quad if final else ctx.quad
     cfg = ctx.final_self_cfg if final else ctx.self_cfg
     boundary = solid_boundary(ctx.profile, h, ctx.chart)
     ntheta = len(ctx.theta)
     cols = np.arange(ntheta)
-    mirror = cols if final or ntheta % 2 else (ntheta // 2 - cols) % ntheta
+    mirror = (ntheta // 2 - cols) % ntheta if mirror and ntheta % 2 == 0 else cols
     sub = np.empty((ntheta, len(ctx.y3_sub)))
     for i in cols[mirror >= cols]:
         sub[i] = surface_potentials(ctx.profile, ctx.n, boundary, ctx.theta[i], ctx.y3_sub,
@@ -305,8 +307,74 @@ def test_coulomb_samples_batch_matches_column_loop(prof03, settings):
     # one batch of every integrated point gives every bit of the column loop
     ctx = ReductionContext(prof03, 32, settings)
     for h in (_loop_test_field(ctx), ctx.zero_field()):
+        boundary = solid_boundary(prof03, h, ctx.chart)
         for final in (False, True):
-            got = _coulomb_samples(ctx, h, final=final)
+            got = _coulomb_samples(ctx, boundary, final=final)
             want = _column_loop_samples(ctx, h, final)
             assert [float(v).hex() for v in got.ravel()] == \
                 [float(v).hex() for v in want.ravel()]
+
+
+def test_continued_solve_reweights_stored_samples(prof03, ctx32):
+    # G = H + gamma N is affine in gamma: a solve continued at a new gamma
+    # forms its first G from the previous state's H and N, with no Coulomb
+    # integration, and gets every bit of a fresh evaluation there
+    lead = gamma_leading(prof03, 32).gamma
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        st = fixed_point_solve(prof03, 32, lead, replace(FAST, max_iter=2), ctx32)
+        cont = fixed_point_solve(prof03, 32, 1.1 * lead, replace(FAST, max_iter=0), ctx32,
+                                 start=st)
+    fresh = evaluate_equation(prof03, 32, st.h, 1.1 * lead, ctx=ctx32)
+    assert cont.coulomb_integrations == 0 and st.coulomb_integrations == 3
+    assert np.array_equal(cont.h.modes, st.h.modes) and cont.equation.N is st.equation.N
+    got, want = cont.equation, fresh
+    assert [float(v).hex() for v in got.field.modes.ravel()] == \
+        [float(v).hex() for v in want.field.modes.ravel()]
+    assert [float(getattr(got, k)).hex() for k in ("c", "d", "residual", "symmetry_residual")] \
+        == [float(getattr(want, k)).hex() for k in ("c", "d", "residual", "symmetry_residual")]
+
+
+def test_one_integration_per_h_and_rule(prof03, ctx32, monkeypatch):
+    # a gamma solve integrates N once for each (h, rule) it evaluates and
+    # builds each nonzero h's normal-graph boundary once; the mass map
+    # takes the solved h's boundary and builds none
+    integrated, built = [], []
+    kernel = reduction.surface_potentials
+    init = NormalGraphBoundary.__init__
+
+    def counting_kernel(profile, n, boundary, theta, y3, quad, self_cfg):
+        h = getattr(boundary, "h", None)
+        integrated.append((None if h is None else h.modes.tobytes(), quad.resolution))
+        return kernel(profile, n, boundary, theta, y3, quad, self_cfg)
+
+    def counting_init(self, profile, chart, h, *args, **kwargs):
+        built.append(h.modes.tobytes())
+        init(self, profile, chart, h, *args, **kwargs)
+
+    monkeypatch.setattr(reduction, "surface_potentials", counting_kernel)
+    monkeypatch.setattr(NormalGraphBoundary, "__init__", counting_init)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        st = solve_gamma(prof03, 32, FAST, ctx32)
+    # h = 0, the h after each Picard step, and the solved h on the final rule
+    steps = len(st.history)
+    assert len(integrated) == len(set(integrated)) == steps + 2 == st.coulomb_integrations
+    assert len(built) == len(set(built)) == steps
+    assert set(built) == {h for h, _ in integrated if h is not None}
+    mass_map(prof03, 32, FAST, state=st, ctx=ctx32)
+    assert len(built) == steps
+
+
+def test_equal_evaluations_each_integrate(prof03, ctx32, monkeypatch):
+    # the reuse rides on a solve's own states: no cache keyed by the inputs
+    calls = []
+    kernel = reduction.surface_potentials
+    monkeypatch.setattr(reduction, "surface_potentials",
+                        lambda *args: calls.append(1) or kernel(*args))
+    h = _loop_test_field(ctx32)
+    a = evaluate_equation(prof03, 32, h, 0.4, ctx=ctx32)
+    assert len(calls) == 1
+    b = evaluate_equation(prof03, 32, h, 0.4, ctx=ctx32)
+    assert len(calls) == 2
+    assert np.array_equal(a.field.modes, b.field.modes) and a.c == b.c
