@@ -16,7 +16,9 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import errors
+# modules, not their names: a call looks the function up on its module, so
+# wrappers and test doubles set there are seen
+from . import asymptotics, coulomb, errors, geometry, profile, reduction
 from .serialize import canonical_json, write_csv, write_json
 
 
@@ -79,8 +81,20 @@ class RunConfig:
         return cls(**d)
 
 
-# the commands that spread their work over cfg.threads workers (ordered_map)
-THREADED = ("ia-scan", "nonlocal-check")
+# the RunConfig fields each command reads besides ``command`` and ``out``;
+# setting any other field away from its default is refused, so no flag is
+# accepted and then ignored.  ``threads`` marks the commands that spread
+# their work over worker threads (ordered_map).
+READS = {
+    "profile": ("a",),
+    "ia-scan": ("a", "a_range", "threads"),
+    "coil-mesh": ("a", "n", "grid"),
+    "curvature-check": ("a", "n_list"),
+    "nonlocal-check": ("a", "n_list", "threads"),
+    "reduce": ("a", "n"),
+    "mass-map": ("a", "n", "m"),
+    "appendix": (),
+}
 
 
 def _resolve_config(args) -> RunConfig:
@@ -94,30 +108,36 @@ def _resolve_config(args) -> RunConfig:
         val = getattr(args, name, None)
         if val is not None:
             setattr(cfg, name, val)
-    if cfg.threads != 1 and cfg.command not in THREADED:
-        raise errors.DomainError(f"--threads {cfg.threads}: {cfg.command} runs serially; "
-                                 f"only {' and '.join(THREADED)} use worker threads")
+    default = RunConfig(command=cfg.command)
+    for f in fields(RunConfig):
+        val = getattr(cfg, f.name)
+        if f.name in ("command", "out") + READS[cfg.command] or val == getattr(default, f.name):
+            continue
+        if f.name == "threads":
+            threaded = [c for c, read in READS.items() if "threads" in read]
+            why = f"runs serially; only {' and '.join(threaded)} use worker threads"
+        else:
+            why = f"does not read it (it reads {', '.join(READS[cfg.command]) or 'no field'})"
+        raise errors.DomainError(f"--{f.name.replace('_', '-')} {val}: {cfg.command} {why}")
+    if cfg.a_range and cfg.a != default.a:  # a scan reads --a only without --a-range
+        raise errors.DomainError(f"--a {cfg.a}: {cfg.command} scans --a-range {cfg.a_range}")
     return cfg
 
 
 # ---- subcommand bodies ----------------------------------------------------
 
 def cmd_profile(cfg: RunConfig):
-    from .profile import build_chart, solve_profile
-
-    prof = solve_profile(cfg.a)
-    chart = build_chart(cfg.a)
+    prof = profile.solve_profile(cfg.a)
+    chart = profile.build_chart(cfg.a)
     write_json(cfg.out, {"profile": prof.to_dict(), "chart": chart.to_dict()},
                config=cfg.hashable_dict())
 
 
 def cmd_ia_scan(cfg: RunConfig):
-    from .profile import solve_profile
-
     a_values = parse_range(cfg.a_range or str(cfg.a))
 
     def row(a):
-        p = solve_profile(a)
+        p = profile.solve_profile(a)
         return (p.a, p.T, p.V, p.Ia)
 
     rows = ordered_map(row, a_values, cfg.threads)
@@ -125,22 +145,16 @@ def cmd_ia_scan(cfg: RunConfig):
 
 
 def cmd_coil_mesh(cfg: RunConfig):
-    from .geometry import build_coil, export_mesh
-    from .profile import solve_profile
-
     n = cfg.n or 12
-    prof = solve_profile(cfg.a)
+    prof = profile.solve_profile(cfg.a)
     res = parse_grid(cfg.grid) if cfg.grid else (32, 32 * n)
-    export_mesh(build_coil(prof, n), res, cfg.out)
+    geometry.export_mesh(geometry.build_coil(prof, n), res, cfg.out)
 
 
 def cmd_curvature_check(cfg: RunConfig):
-    from .geometry import curvature_expansion_check
-    from .profile import solve_profile
-
     n_list = [int(v) for v in parse_range(cfg.n_list)]
-    prof = solve_profile(cfg.a)
-    rep = curvature_expansion_check(prof, n_list)
+    prof = profile.solve_profile(cfg.a)
+    rep = geometry.curvature_expansion_check(prof, n_list)
     rows = list(zip(rep.n_list, rep.max_err, rep.phi_fit_rel_err))
     write_csv(cfg.out, ["n", "max_err", "phi_fit_rel_err"], rows,
               config=cfg.hashable_dict(),
@@ -148,16 +162,13 @@ def cmd_curvature_check(cfg: RunConfig):
 
 
 def cmd_nonlocal_check(cfg: RunConfig):
-    from .coulomb import potential_coil, toroidal_potential_reference
-    from .profile import solve_profile
-
     n_list = [int(v) for v in parse_range(cfg.n_list)]
-    prof = solve_profile(cfg.a)
+    prof = profile.solve_profile(cfg.a)
     y = (np.pi / 2.0, 0.0)
 
     def row(n):
-        res = potential_coil(prof, n, y)
-        ref = toroidal_potential_reference(prof, n, y) if n <= 8 else ""
+        res = coulomb.potential_coil(prof, n, y)
+        ref = coulomb.toroidal_potential_reference(prof, n, y) if n <= 8 else ""
         return (n, res.value, res.err_est, ref)
 
     rows = ordered_map(row, n_list, cfg.threads)
@@ -173,16 +184,12 @@ def cmd_nonlocal_check(cfg: RunConfig):
 
 
 def cmd_reduce(cfg: RunConfig):
-    from .profile import solve_profile
-    from .reduction import (ReductionContext, ReductionSettings, gamma_leading, mass_map,
-                            solve_gamma)
-
     n = cfg.n or 32
-    prof = solve_profile(cfg.a)
-    settings = ReductionSettings()
-    ctx = ReductionContext(prof, n, settings)
-    state = solve_gamma(prof, n, settings, ctx)
-    mm = mass_map(prof, n, settings, state=state, ctx=ctx)
+    prof = profile.solve_profile(cfg.a)
+    settings = reduction.ReductionSettings()
+    ctx = reduction.ReductionContext(prof, n, settings)
+    state = reduction.solve_gamma(prof, n, settings, ctx)
+    mm = reduction.mass_map(prof, n, settings, state=state, ctx=ctx)
     report = {
         "a": prof.a, "n": n,
         "gamma": state.gamma, "lambda": state.lam, "c": state.c,
@@ -190,7 +197,7 @@ def cmd_reduce(cfg: RunConfig):
         "c_final": state.c_final, "h_norm": state.h_norm,
         "iterations": state.iterations,
         "coulomb_integrations": state.coulomb_integrations,
-        "gamma_leading": gamma_leading(prof, n).gamma,
+        "gamma_leading": reduction.gamma_leading(prof, n).gamma,
         "volume": mm.volume, "volume_ratio": mm.volume_ratio, "m": mm.m,
         "symmetry_residual": state.symmetry_residual,
         "lambda_convention": state.lambda_convention,
@@ -204,26 +211,20 @@ def cmd_reduce(cfg: RunConfig):
 
 
 def cmd_mass_map(cfg: RunConfig):
-    from .profile import solve_profile
-    from .reduction import ReductionSettings, find_neck_for_mass, select_block_count
-
-    ref = solve_profile(cfg.a)
-    n = cfg.n or select_block_count(cfg.m, ref)
-    mm = find_neck_for_mass(cfg.m, n, settings=ReductionSettings())
+    ref = profile.solve_profile(cfg.a)
+    n = cfg.n or reduction.select_block_count(cfg.m, ref)
+    mm = reduction.find_neck_for_mass(cfg.m, n, settings=reduction.ReductionSettings())
     write_json(cfg.out, {"m_target": cfg.m, "n": n, "b": mm.a, "m": mm.m,
                          "gamma": mm.gamma, "volume": mm.volume,
                          "volume_ratio": mm.volume_ratio}, config=cfg.hashable_dict())
 
 
 def cmd_appendix(cfg: RunConfig):
-    from .asymptotics import ia_slope_check, sech_moments
-    from .profile import profile_scan
-
-    table = sech_moments()
+    table = asymptotics.sech_moments()
     rows = [(k, table.values[k], table.exact[k]) for k in sorted(table.values)]
     rows.append(("grand_combination", table.grand_combination, table.grand_exact))
-    scan = profile_scan([0.002, 0.005, 0.01])
-    fit = ia_slope_check(scan)
+    scan = profile.profile_scan([0.002, 0.005, 0.01])
+    fit = asymptotics.ia_slope_check(scan)
     write_csv(cfg.out, ["moment", "value", "exact"], rows, config=cfg.hashable_dict(),
               extra_meta={"ia_slope": fit.slope, "ia_intercept": fit.intercept,
                           "ia_curvature": fit.curvature})

@@ -42,15 +42,19 @@ from scipy.integrate import simpson
 from scipy.optimize import brentq
 
 from .errors import DomainError, NonConvergence, QuadratureDivergence, RootNotBracketed
-from .fields import SymmetricField, is_zero_field, on_axis_derivatives, series_eval
+from .fields import (SymmetricField, is_zero_field, on_axis_derivatives, series_eval,
+                     theta_mirror)
 from .geometry import build_coil, evaluate_forms
 from .profile import ConformalChart, DelaunayProfile
 
 DEFAULT_RESOLUTION = (24, 32, 48)  # (n_r, n_phi, n_z)
 # Largest axial residual |y - shift - x3| accepted from the normal-graph
-# Newton inversion; the radius interpolant reproduces it to the same 1e-9.
+# Newton inversion, and largest tail of the radius interpolant's series (the
+# sum of |c| over its last angular row or its last axial column), which
+# tracked the interpolant's error to within a factor of 3-10 where measured.
 NEWTON_TOL = 1e-9
-# Axial intervals of the half period [0, T/2] on which rho_h is sampled.
+# Axial intervals of the half period [0, T/2] on which rho_h is sampled
+# (doubled once when the axial tail of its series exceeds NEWTON_TOL).
 GRAPH_MZ = 48
 # Elements per tile of the regular-block sweep and of the self-block columns
 # over a batch of points: every temporary of one tile holds at most TILE
@@ -77,6 +81,10 @@ FAR_MIN_N = 128
 class AxisymBoundary:
     """Unperturbed block boundary r = f(x3)."""
 
+    # ``_duffy_core`` tiles its faces as for a normal graph of full
+    # GRAPH_MZ + 1 axial modes
+    axial_modes = GRAPH_MZ + 1
+
     def __init__(self, profile: DelaunayProfile):
         self.profile = profile
 
@@ -98,10 +106,17 @@ class NormalGraphBoundary:
     The graph point over (theta, y3) sits at radius f + h W and axial position
     y3 - f' h W; the radius function inverts the axial shift by Newton steps.
     rho_h inherits the symmetry class of h (theta -> pi - theta, x3 -> -x3,
-    T-periodic), so it is sampled once on a tensor grid and stored as a
-    Fourier-in-phi x cosine-in-x3 interpolant for fast batched evaluation.
-    The boundary keeps a copy of h, so ``surface_point`` and ``radius``
-    describe the same solid whatever the caller later does to its field.
+    T-periodic), so it is sampled once on a tensor grid over [0, T/2], by
+    Newton on the phi columns that own their mirror (``theta_mirror``) and
+    copied to the others, and stored as a Fourier-in-phi x cosine-in-x3
+    interpolant.  A direction whose series tail (``_series_tails``) exceeds
+    NEWTON_TOL is sampled again at twice the count; a tail still above it
+    raises NonConvergence.  The series is then chopped to the angular rows
+    and axial columns up to the last holding a coefficient above
+    8 eps max|c|: what it drops is rounding, and it keeps ``axial_modes``
+    columns.  The boundary keeps a copy of h, so ``surface_point`` and
+    ``radius`` describe the same solid whatever the caller later does to
+    its field.
     """
 
     def __init__(self, profile: DelaunayProfile, chart: ConformalChart,
@@ -110,14 +125,32 @@ class NormalGraphBoundary:
         self.chart = chart
         self.h = h.copy()
         self.newton_iters = newton_iters
-        nphi = max(4 * (h.kmax + 1) + 8, 24)
         self._tau = 0.5 * profile.T
-        phi_s = 2.0 * np.pi * np.arange(nphi) / nphi
-        x3_s = self._tau * np.arange(GRAPH_MZ + 1) / GRAPH_MZ
-        # phi as an open axis: the exp(i k phi) tables hold its nphi values only
-        rho, _ = SymmetricField.from_samples(
-            self._radius_newton(phi_s[:, None], x3_s[None, :]), self._tau, nphi // 2 - 1)
-        self._coef = rho.coeffs()
+        shape = (max(4 * (h.kmax + 1) + 8, 24), GRAPH_MZ)
+        coef = self._interpolant(*shape)
+        tails = _series_tails(coef)
+        if max(tails) > NEWTON_TOL:
+            coef = self._interpolant(*(2 * n if t > NEWTON_TOL else n
+                                       for n, t in zip(shape, tails)))
+            tails = _series_tails(coef)
+        if not max(tails) <= NEWTON_TOL:
+            raise NonConvergence(f"normal-graph radius series tails {tails[0]:.3e} (phi), "
+                                 f"{tails[1]:.3e} (x3) after doubling: rho_h is not "
+                                 f"resolved to {NEWTON_TOL:.0e}")
+        big = np.abs(coef) > 8.0 * np.finfo(float).eps * np.abs(coef).max()
+        rows, cols = (np.flatnonzero(big.any(axis=a))[-1] + 1 for a in (1, 0))
+        self._coef = np.ascontiguousarray(coef[:rows, :cols])
+        self.axial_modes = self._coef.shape[1]
+
+    def _interpolant(self, nphi, mz):
+        """Full (nphi/2, mz + 1) series of rho_h from Newton samples over [0, T/2]."""
+        own, mirror = theta_mirror(nphi)
+        phi_s = 2.0 * np.pi * own / nphi
+        x3_s = self._tau * np.arange(mz + 1) / mz
+        samples = np.empty((nphi, mz + 1))
+        samples[own] = self._radius_newton(phi_s[:, None], x3_s[None, :])
+        samples[mirror[own]] = samples[own]
+        return SymmetricField.from_samples(samples, self._tau, nphi // 2 - 1)[0].coeffs()
 
     def _graph(self, phi, y):
         f, fp, fpp = self.profile.evaluate(y, order=2)
@@ -144,16 +177,17 @@ class NormalGraphBoundary:
     def radius(self, phi, x3):
         """rho_h at broadcast (phi, x3); open grids pay for distinct values only.
 
-        The axial exp table holds GRAPH_MZ + 1 complex values for each x3
-        value, so the leading axis of a larger call is taken in tiles whose
-        tables hold at most 4 TILE doubles.
+        The axial exp table holds ``axial_modes`` complex values for each
+        x3 value, so the leading axis of a larger call is taken in tiles
+        whose tables hold at most 4 TILE doubles.  x3 on axis -2 and phi on
+        axis -1 is the open grid ``series_eval`` contracts by one matmul.
         """
         phi, x3 = np.asarray(phi, dtype=float), np.asarray(x3, dtype=float)
-        if 2 * (GRAPH_MZ + 1) * x3.size <= 4 * TILE:
+        if 2 * self.axial_modes * x3.size <= 4 * TILE:
             return series_eval(self._coef, self._tau, phi, x3)[0]
         shape = np.broadcast_shapes(phi.shape, x3.shape)
         phi, x3 = (v.reshape((1,) * (len(shape) - v.ndim) + v.shape) for v in (phi, x3))
-        rows = max(1, 2 * TILE * len(x3) // ((GRAPH_MZ + 1) * x3.size))
+        rows = max(1, 2 * TILE * len(x3) // (self.axial_modes * x3.size))
         out = np.empty(shape)
         for lo in range(0, shape[0], rows):
             p = slice(lo, lo + rows)
@@ -166,6 +200,11 @@ class NormalGraphBoundary:
         y3 = np.asarray(y3, dtype=float)
         rad, shift, _ = self._graph(np.asarray(theta, dtype=float), y3)
         return rad, y3 - shift
+
+
+def _series_tails(coef):
+    """Sums of |c| over the last angular row and the last axial column of a series."""
+    return np.abs(coef[-1]).sum(), np.abs(coef[:, -1]).sum()
 
 
 def solid_boundary(profile: DelaunayProfile, h: SymmetricField = None,
@@ -516,18 +555,19 @@ def _duffy_core(boundary, R, theta, y3c, r_eval, d_xi, d_chi, d_eta, q):
     apex at the singular point; theta, y3c, r_eval, d_chi and d_eta hold
     one value a point, and the faces carry a leading point axis.  A face's
     largest temporary is the exp table of its ``radius`` call on the normal
-    graph: GRAPH_MZ + 1 complex values for each of the face's q^2 axial
-    positions, 2 (GRAPH_MZ + 1) q^2 doubles a point, where the face grid
-    holds q^3.  A tile pays one radius call and some thirty array operations
-    a face whatever its size, so it is allowed 4 TILE doubles of table, the
-    bound ``NormalGraphBoundary.radius`` keeps: tiles of
-    max(1, 2 TILE // ((GRAPH_MZ + 1) q^2)) points, 10 at q = 7 and 31 at
-    q = 4.  A point's face sums do not depend on the tile it falls in.
+    graph: ``boundary.axial_modes`` complex values for each of the face's
+    q^2 axial positions, 2 axial_modes q^2 doubles a point, where the face
+    grid holds q^3.  A tile pays one radius call and some thirty array
+    operations a face whatever its size, so it is allowed 4 TILE doubles of
+    table, the bound ``NormalGraphBoundary.radius`` keeps: tiles of
+    max(1, 2 TILE // (axial_modes q^2)) points, 17 at q = 7 with the 28
+    modes kept at the desk solution and 64 at q = 4 with the 24 of the
+    Tier-1 one.  A point's face sums do not depend on the tile it falls in.
     """
     u, wu = _gl(q)
     U = u[:, None, None]
     W = wu[:, None, None] * wu[None, :, None] * wu[None, None, :] * U * U
-    rows = max(1, 2 * TILE // ((GRAPH_MZ + 1) * q * q))
+    rows = max(1, 2 * TILE // (boundary.axial_modes * q * q))
     out = np.empty(len(theta))
     for lo in range(0, len(theta), rows):
         p = slice(lo, lo + rows)

@@ -102,6 +102,10 @@ def series_eval(coef: np.ndarray, tau: float, theta, t, derivs=((0, 0),)) -> lis
     table on t's serve every partial; the cosine factors are contracted with
     the coefficients, then with the angular factors over k, so open grids
     (``x[:, None]``, ``p[None, :]``) pay for their distinct values only.
+    An open grid with t on axis -2 and theta on axis -1 (t.shape[-1] = 1,
+    theta.shape[-2] = 1; the leading axes broadcast) is contracted over k
+    by one matmul, (..., n_t, k) @ (..., k, n_theta); other shapes by an
+    elementwise product summed over k.
     """
     theta = np.asarray(theta, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -112,7 +116,27 @@ def series_eval(coef: np.ndarray, tau: float, theta, t, derivs=((0, 0),)) -> lis
     ang = {i: _theta_factor(E_theta, i) for i in {i for i, _ in derivs}}
     prof = {j: (_cos_factor(E_t, tau, j) @ coef_t).reshape(t.shape + (kmax + 1,))
             for j in {j for _, j in derivs}}
+    if t.shape[-1:] == (1,) and theta.ndim and theta.shape[-2:-1] in ((), (1,)):
+        shape = np.broadcast_shapes(theta.shape, t.shape)
+        ang = {i: np.swapaxes(a.reshape(theta.shape[:-2] + a.shape[-2:]), -1, -2)
+               for i, a in ang.items()}
+        prof = {j: p.reshape(t.shape[:-1] + (kmax + 1,)) for j, p in prof.items()}
+        return [(prof[j] @ ang[i]).reshape(shape) for i, j in derivs]
     return [np.einsum("...k,...k->...", ang[i], prof[j]) for i, j in derivs]
+
+
+def theta_mirror(ntheta: int):
+    """(own, mirror) for the angular grid theta_i = 2 pi i / ntheta.
+
+    theta -> pi - theta maps column i to mirror[i] = (ntheta/2 - i) mod
+    ntheta when ntheta is even; ``own`` lists one column of each mirror pair
+    (and the columns the map fixes), so a field even under the map is known
+    on the grid from its ``own`` columns.  For odd ntheta no column maps onto
+    another, and every column is its own.
+    """
+    cols = np.arange(ntheta)
+    mirror = cols if ntheta % 2 else (ntheta // 2 - cols) % ntheta
+    return cols[mirror >= cols], mirror
 
 
 @dataclass

@@ -29,7 +29,7 @@ import numpy as np
 from .coulomb import (BlockQuadrature, SelfBlockSettings, coil_volume, solid_boundary,
                       surface_potentials)
 from .errors import BracketFailure, DomainError, NoContraction, RootNotBracketed
-from .fields import SymmetricField, cos_coeffs, cos_eval, is_zero_field
+from .fields import SymmetricField, cos_coeffs, cos_eval, is_zero_field, theta_mirror
 from .geometry import build_coil, evaluate_forms
 from .jacobi import JacobiSolver
 from .profile import DelaunayProfile, build_chart, solve_profile
@@ -127,21 +127,17 @@ class EquationEval:
 def _coulomb_samples(ctx: ReductionContext, boundary, final: bool) -> np.ndarray:
     """N at (theta_i, t in sub-grid), cosine-upsampled to the full t grid.
 
-    Every admissible h, and so N, is even under theta -> pi - theta, which
-    maps column i to column (ntheta/2 - i) mod ntheta when ntheta is even.
-    The loop and the final report then integrate one column of each mirror
-    pair and copy it to the other; a mirrored column differs from its
+    Every admissible h, and so N, is even under theta -> pi - theta, so the
+    loop and the final report integrate one column of each mirror pair
+    (``theta_mirror``) and copy it to the other; a mirrored column differs from its
     integrated one by rounding only (2e-14 relative at the desk and Tier-1
     settings).  Every integrated (theta, y3) point goes to the on-surface
     kernel in one batch on the solid's ``boundary``.
     """
     quad = ctx.final_quad if final else ctx.quad
     cfg = ctx.final_self_cfg if final else ctx.self_cfg
-    ntheta = len(ctx.theta)
-    cols = np.arange(ntheta)
-    mirror = cols if ntheta % 2 else (ntheta // 2 - cols) % ntheta
-    own = cols[mirror >= cols]
-    sub = np.empty((ntheta, len(ctx.y3_sub)))
+    own, mirror = theta_mirror(len(ctx.theta))
+    sub = np.empty((len(ctx.theta), len(ctx.y3_sub)))
     Ik = surface_potentials(ctx.profile, ctx.n, boundary, ctx.theta[own, None],
                             ctx.y3_sub[None, :], quad, cfg)
     sub[own] = Ik.sum(axis=1).reshape(len(own), len(ctx.y3_sub))

@@ -245,3 +245,46 @@ def test_tol_is_rejected(tmp_path, capsys):
     assert main(["ia-scan", "--config", str(cfgfile), "--out", str(out)]) == 2
     assert "unknown config keys: tol" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, name, value", [
+    ("profile", "n", 8),
+    ("ia-scan", "n_list", "8:16:8"),
+    ("coil-mesh", "m", 12.0),
+    ("curvature-check", "grid", "8x8"),
+    ("nonlocal-check", "n", 16),
+    ("reduce", "grid", "8x8"),
+    ("mass-map", "a_range", "0.1:0.2:0.1"),
+    ("appendix", "a", 0.2),
+])
+def test_unread_field_rejected(tmp_path, capsys, command, name, value):
+    # a field the command does not read is refused, from a flag or from
+    # --config, before anything runs; its default value is accepted
+    flag = "--" + name.replace("_", "-")
+    out = tmp_path / "o.json"
+    assert main([command, flag, str(value), "--out", str(out)]) == 2
+    assert f"{flag} {value}: {command} does not read it" in capsys.readouterr().err
+    assert not out.exists()
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({name: value}))
+    assert main([command, "--config", str(cfgfile), "--dry-run"]) == 2
+    assert f"{command} does not read it" in capsys.readouterr().err
+    cfgfile.write_text(json.dumps({name: getattr(RunConfig(command=command), name)}))
+    assert main([command, "--config", str(cfgfile), "--dry-run"]) == 0
+
+
+def test_reduce_rejects_grid_and_m(tmp_path, capsys):
+    # `reduce --grid 8x8 --m 3` used to run and drop both flags
+    out = tmp_path / "x.json"
+    assert main(["reduce", "--grid", "8x8", "--m", "3", "--out", str(out)]) == 2
+    assert "reduce does not read it (it reads a, n)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ia_scan_rejects_a_beside_a_range(tmp_path, capsys):
+    # the scan reads --a only when --a-range is empty
+    out = tmp_path / "ia.csv"
+    assert main(["ia-scan", "--a", "0.2", "--a-range", "0.1:0.2:0.1", "--out", str(out)]) == 2
+    assert "--a 0.2: ia-scan scans --a-range 0.1:0.2:0.1" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["ia-scan", "--a", "0.2", "--dry-run"]) == 0

@@ -8,8 +8,8 @@ import pytest
 from scipy import integrate
 
 import dropcoil.coulomb as coulomb
-from dropcoil.coulomb import (BALL_UNIT_COULOMB, ENERGY_GRID, TILE, AxisymBoundary,
-                              BlockQuadrature, CRITICAL_MASS_CLOSED_FORM,
+from dropcoil.coulomb import (BALL_UNIT_COULOMB, ENERGY_GRID, NEWTON_TOL, TILE,
+                              AxisymBoundary, BlockQuadrature, CRITICAL_MASS_CLOSED_FORM,
                               NormalGraphBoundary, SelfBlockSettings,
                               _graded_edges, _node_factors, _panel_rule,
                               _radial_moments, _regular_blocks, _scratch, _self_block,
@@ -70,11 +70,8 @@ def test_small_n_brute_force_oracle(prof03):
     assert abs(res2.value - ref2) / ref2 < 1e-2
 
 
-@pytest.mark.parametrize("amp", [0.03, 0.08])
-@pytest.mark.parametrize("n", [4, 8])
-def test_perturbed_brute_force_oracle(prof03, chart03, solver03, amp, n):
-    # the oracle integrates the normal-graph solid through rho_h alone; the
-    # mean bump keeps the shell correction at 4-12% of the potential
+def _oracle_field(solver03, amp):
+    """The brute-force oracle's field: a mean bump and four modes, sup |h| = amp."""
     h = solver03.zero_field(kmax=4)
     c = np.cos(np.pi * solver03.t / solver03.tau)
     h.modes[0] = 1.0 + 0.5 * c
@@ -82,7 +79,15 @@ def test_perturbed_brute_force_oracle(prof03, chart03, solver03, amp, n):
     h.modes[2] = 0.5 * np.cos(2 * np.pi * solver03.t / solver03.tau)
     h.modes[3] = 0.3 * c
     h.modes[4] = 0.3
-    h = h * (amp / h.norm_sup())
+    return h * (amp / h.norm_sup())
+
+
+@pytest.mark.parametrize("amp", [0.03, 0.08])
+@pytest.mark.parametrize("n", [4, 8])
+def test_perturbed_brute_force_oracle(prof03, chart03, solver03, amp, n):
+    # the oracle integrates the normal-graph solid through rho_h alone; the
+    # mean bump keeps the shell correction at 4-12% of the potential
+    h = _oracle_field(solver03, amp)
     bnd = NormalGraphBoundary(prof03, chart03, h)
     for y in ((np.pi / 2, 0.0), (0.7, 0.4)):
         val = potential_perturbed(prof03, n, h, y, chart=chart03).value
@@ -669,6 +674,49 @@ def test_normal_graph_newton_residual_checked(prof03, chart03, solver03):
     NormalGraphBoundary(prof03, chart03, h)  # three steps reach the tolerance
     with pytest.raises(NonConvergence):
         NormalGraphBoundary(prof03, chart03, h, newton_iters=0)
+
+
+def test_normal_graph_unresolved_radius_raises(prof03, chart03, solver03):
+    # random mode values on the 24-interval t grid of the Tier-1 settings put
+    # content at the grid scale: the interpolant was 1e-3 from the Newton
+    # inversion, and its series tail stays above NEWTON_TOL after doubling
+    rough = SymmetricField.zero(4, solver03.tau, 24)
+    rough.modes[:] = np.random.default_rng(1).standard_normal(rough.modes.shape)
+    rough = rough * (0.028 / rough.norm_sup())
+    with pytest.raises(NonConvergence, match="not resolved"):
+        NormalGraphBoundary(prof03, chart03, rough)
+    # the stored desk solution and the oracle's fields are resolved; at
+    # amp = 0.08 the angular tail needs the doubled phi grid
+    with open(Path(__file__).resolve().parents[1] / "results" / "reduce_a0.3_n32.json") as fh:
+        desk = SymmetricField.from_dict(json.load(fh)["h"])
+    rng = np.random.default_rng(2)
+    phi, x3 = rng.uniform(0.0, 2.0 * np.pi, 400), rng.uniform(-prof03.T, prof03.T, 400)
+    rows = []
+    for h in (desk, _oracle_field(solver03, 0.03), _oracle_field(solver03, 0.08)):
+        bnd = NormalGraphBoundary(prof03, chart03, h)
+        assert np.max(np.abs(bnd.radius(phi, x3) - bnd._radius_newton(phi, x3))) <= NEWTON_TOL
+        rows.append(bnd._coef.shape[0])
+    assert rows[1] <= 14 < rows[2] <= 28
+
+
+def test_normal_graph_radius_tables_bounded(prof03, chart03, solver03, monkeypatch):
+    # a call with x3 on its leading axis, open grid or dense, is taken in
+    # tiles whose axial exp tables (axial_modes complex values an x3 value)
+    # hold at most 4 TILE doubles; the tiles give the values of one call
+    bnd = _batch_boundaries(prof03, chart03, solver03)[1]
+    centres = np.linspace(-0.5, 0.5, 153)[:, None] * prof03.T
+    grids = [(np.linspace(0.1, 2 * np.pi, 16)[None, :],
+              (centres + BlockQuadrature(prof03, (8, 16, 20)).z_nodes)[..., None])]
+    grids.append(tuple(v.copy() for v in np.broadcast_arrays(*grids[0])))
+    one_shot = [coulomb.series_eval(bnd._coef, bnd._tau, p, z)[0] for p, z in grids]
+    sizes = []
+    real = coulomb.series_eval
+    monkeypatch.setattr(coulomb, "series_eval",
+                        lambda coef, tau, p, z: sizes.append(np.size(z)) or real(coef, tau, p, z))
+    tiled = [bnd.radius(p, z) for p, z in grids]
+    assert len(sizes) > 2 and 2 * bnd.axial_modes * max(sizes) <= 4 * TILE
+    for t, o in zip(tiled, one_shot):
+        assert np.array_equal(t, o)
 
 
 def test_radius_open_grid_matches_dense(prof03, chart03, solver03):

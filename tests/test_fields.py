@@ -58,3 +58,25 @@ def test_series_eval_partials_match_single_calls_and_double_sum():
         cos = freq**j * np.cos(t[..., None] * freq + j * (np.pi / 2.0))
         direct = np.einsum("...k,km,...m->...", ang, coef, cos)
         assert np.max(np.abs(got - direct)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("t_shape, theta_shape", [
+    ((5, 1), (1, 7)),          # nodes2d at one centre
+    ((3, 5, 1), (1, 7)),       # nodes2d at three centres
+    ((3, 5, 1), (3, 1, 7)),    # self-block columns: a point axis on both
+    ((5, 1), (7,)),            # a 1-D theta
+    ((1,), (2, 1, 7)),         # one t value under a deeper theta
+])
+def test_series_eval_open_grid_matmul_matches_dense(t_shape, theta_shape):
+    # t on axis -2 and theta on axis -1 take the matmul contraction; the
+    # same points broadcast to full arrays take the elementwise one
+    rng = np.random.default_rng(6)
+    kmax, m, tau = 5, 16, 2.3
+    coef = rng.standard_normal((kmax + 1, m + 1)) * np.exp(-0.3 * np.arange(m + 1))
+    t = rng.uniform(-2.0 * tau, 2.0 * tau, t_shape)
+    theta = rng.uniform(0.0, 2.0 * np.pi, theta_shape)
+    T, TH = np.broadcast_arrays(t, theta)
+    for got, dense in zip(series_eval(coef, tau, theta, t, PARTIALS),
+                          series_eval(coef, tau, TH.copy(), T.copy(), PARTIALS)):
+        assert got.shape == dense.shape == T.shape
+        assert np.max(np.abs(got - dense)) <= 1e-14 * np.max(np.abs(dense))

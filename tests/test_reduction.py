@@ -6,10 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dropcoil.coulomb import (NormalGraphBoundary, ball_potential_exact, solid_boundary,
-                              surface_potentials)
+from dropcoil.coulomb import (GRAPH_MZ, NormalGraphBoundary, ball_potential_exact,
+                              solid_boundary, surface_potentials)
 from dropcoil.errors import BracketFailure, DomainError
-from dropcoil.fields import cos_coeffs, cos_eval, is_zero_field
+from dropcoil.fields import SymmetricField, cos_coeffs, cos_eval, is_zero_field, series_eval
 from dropcoil.geometry import build_sphere, evaluate_forms
 from dropcoil.profile import solve_profile
 import dropcoil.reduction as reduction
@@ -378,3 +378,34 @@ def test_equal_evaluations_each_integrate(prof03, ctx32, monkeypatch):
     b = evaluate_equation(prof03, 32, h, 0.4, ctx=ctx32)
     assert len(calls) == 2
     assert np.array_equal(a.field.modes, b.field.modes) and a.c == b.c
+
+
+@pytest.mark.parametrize("which, nphi", [("desk", 36), ("fast", 28)])
+def test_normal_graph_radius_matches_direct_inversion(prof03, ctx32, state32, which, nphi):
+    # oracle of the interpolant: the Newton inversion it samples, at 1000
+    # random off-grid points over two periods, for the stored `reduce --a 0.3
+    # --n 32` solution and the FAST solve's h (both on 768-panel charts);
+    # nphi = max(4 (kmax + 1) + 8, 24) is the angular sample count
+    if which == "desk":
+        with open(Path(__file__).resolve().parents[1] / "results" / "reduce_a0.3_n32.json") as fh:
+            h = SymmetricField.from_dict(json.load(fh)["h"])
+    else:
+        h = state32.h
+    bnd = NormalGraphBoundary(prof03, ctx32.chart, h)
+    rng = np.random.default_rng(17)
+    phi = rng.uniform(0.0, 2.0 * np.pi, 1000)
+    x3 = rng.uniform(-prof03.T, prof03.T, 1000)
+    direct = bnd._radius_newton(phi, x3)
+    got = bnd.radius(phi, x3)
+    assert np.max(np.abs(got / direct - 1.0)) <= 1e-12
+    # the chop keeps a leading block of the full series and drops rounding only
+    full = bnd._interpolant(nphi, GRAPH_MZ)
+    rows, cols = bnd._coef.shape
+    assert full.shape == (nphi // 2, GRAPH_MZ + 1) and rows < nphi // 2 and cols <= GRAPH_MZ
+    assert np.array_equal(bnd._coef, full[:rows, :cols]) and bnd.axial_modes == cols
+    unchopped = series_eval(full, 0.5 * prof03.T, phi, x3)[0]
+    assert np.max(np.abs(got / unchopped - 1.0)) <= 1e-13
+    if which == "desk":
+        # ten times the desk h has content in every mode: the chop drops none
+        big = NormalGraphBoundary(prof03, ctx32.chart, 10.0 * h)
+        assert np.array_equal(big._coef, big._interpolant(nphi, GRAPH_MZ))
