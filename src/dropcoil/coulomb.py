@@ -178,21 +178,23 @@ class NormalGraphBoundary:
         """rho_h at broadcast (phi, x3); open grids pay for distinct values only.
 
         The axial exp table holds ``axial_modes`` complex values for each
-        x3 value, so the leading axis of a larger call is taken in tiles
-        whose tables hold at most 4 TILE doubles.  x3 on axis -2 and phi on
-        axis -1 is the open grid ``series_eval`` contracts by one matmul.
+        x3 value, so a larger call is taken in tiles along the leading axis
+        x3 varies on, whose tables hold at most 4 TILE doubles.  x3 on axis
+        -2 and phi on axis -1 is the open grid ``series_eval`` contracts by
+        one matmul.
         """
         phi, x3 = np.asarray(phi, dtype=float), np.asarray(x3, dtype=float)
         if 2 * self.axial_modes * x3.size <= 4 * TILE:
             return series_eval(self._coef, self._tau, phi, x3)[0]
         shape = np.broadcast_shapes(phi.shape, x3.shape)
         phi, x3 = (v.reshape((1,) * (len(shape) - v.ndim) + v.shape) for v in (phi, x3))
-        rows = max(1, 2 * TILE * len(x3) // (self.axial_modes * x3.size))
+        ax = next(a for a, m in enumerate(x3.shape) if m > 1)
+        rows = max(1, 2 * TILE * x3.shape[ax] // (self.axial_modes * x3.size))
         out = np.empty(shape)
-        for lo in range(0, shape[0], rows):
-            p = slice(lo, lo + rows)
-            out[p] = series_eval(self._coef, self._tau, phi[p] if len(phi) > 1 else phi,
-                                 x3[p] if len(x3) > 1 else x3)[0]
+        for lo in range(0, shape[ax], rows):
+            p = (slice(None),) * ax + (slice(lo, lo + rows),)
+            out[p] = series_eval(self._coef, self._tau, phi[p] if phi.shape[ax] > 1 else phi,
+                                 x3[p])[0]
         return out
 
     def surface_point(self, theta, y3):
@@ -242,7 +244,7 @@ def _node_factors(P, r_eval, chi, phi):
 def _scratch(shape):
     """Work arrays of one tile of ``_column_values``.
 
-    Eight float arrays and one bool of the tile shape, then five float
+    Eight float arrays and one bool of the tile shape, then four float
     arrays of its lattice: the tile shape with the last (phi or chi) axis
     collapsed, over which a_k and every factor of a_k alone are constant.
     Callers allocate them once per sweep and keep them in their own frame,
@@ -250,7 +252,7 @@ def _scratch(shape):
     """
     lattice = shape[:-1] + (1,) if shape else ()
     return ([np.empty(shape) for _ in range(8)] + [np.empty(shape, dtype=bool)]
-            + [np.empty(lattice) for _ in range(5)])
+            + [np.empty(lattice) for _ in range(4)])
 
 
 def _radial_moments(g, blin, cadd, s):
@@ -260,13 +262,16 @@ def _radial_moments(g, blin, cadd, s):
     blin the (signed, small) linear kappa term; ``g`` holds the node factors
     of ``_node_factors``.  ``blin`` may be ``s[1]`` and is overwritten then;
     ``cadd`` holds lattice values (it may be ``s[10]``), and c, sqrt(c),
-    2 sqrt(c), 4 cadd and 4c stay on the lattice too, broadcast only where a
-    node factor enters.  All expressions are grouped so near-singular columns
-    keep full precision, and each is evaluated in the operation order of the
-    allocating reference kept in the tests, so the bits do not depend on the
-    buffering or on the lattice.
+    4 cadd and 4c stay on the lattice too, broadcast only where a node
+    factor enters; 2 sqrt(c), read twice on the tile, is broadcast there
+    once, and sqrt(c) there is its half.  All expressions are grouped so
+    near-singular columns keep full precision, and each is evaluated in the
+    operation order of the allocating reference kept in the tests, or by an
+    exact substitute (x * 0.25 and x * 0.125 round as x/4 and x/8, doubling
+    and halving are exact, ``np.putmask`` copies as the select does), so the
+    bits do not depend on the buffering or on the lattice.
     """
-    A, B, C, D, E, F, G, H, neg, cadd4, _, c, sc, sc2 = s
+    A, B, C, D, E, F, G, H, neg, cadd4, _, c, sc = s
     np.add(g["b0"], blin, out=C)                                   # b
     np.add(g["r2"], cadd, out=c)                                   # c
     # Q(P) assembled from nonnegative geometric pieces
@@ -275,7 +280,9 @@ def _radial_moments(g, blin, cadd, s):
     np.add(E, cadd, out=E)
     np.maximum(E, 0.0, out=E)
     np.sqrt(E, out=E)                                              # sqrt(Q(P))
-    np.sqrt(c, out=sc)                                             # sqrt(c)
+    np.sqrt(c, out=sc)
+    np.multiply(sc, 2.0, out=D)                                    # 2 sqrt(c)
+    np.multiply(D, 0.5, out=F)                                     # sqrt(c)
     # 2P + b without the cancellation of P against r_eval cos_chi
     np.multiply(E, 2.0, out=G)
     np.add(G, g["up0"], out=G)
@@ -289,32 +296,31 @@ def _radial_moments(g, blin, cadd, s):
     np.subtract(A, B, out=A)
     np.maximum(A, 1e-300, out=A)                                   # disc
     # one log of the selected argument (the b < 0 form rationalizes 2 sqrt(c) + b)
-    np.multiply(sc, 2.0, out=sc2)
-    np.add(sc2, C, out=H)
+    np.add(D, C, out=H)
     np.maximum(H, 1e-300, out=H)
     np.maximum(G, 1e-300, out=B)
     np.divide(B, H, out=B)                                         # b >= 0
-    np.subtract(sc2, C, out=H)
+    np.subtract(D, C, out=H)
     np.multiply(G, H, out=H)
     np.maximum(H, 1e-300, out=H)
     np.divide(H, A, out=H)                                         # b < 0
     np.less(C, 0.0, out=neg)
-    np.copyto(B, H, where=neg)
+    np.putmask(B, neg, H)
     np.log(B, out=B)                                               # M0
-    np.subtract(E, sc, out=A)
+    np.subtract(E, F, out=A)
     np.multiply(C, 0.5, out=G)
     np.multiply(G, B, out=G)
     np.subtract(A, G, out=A)                                       # M1
     np.multiply(C, 3.0, out=H)                                     # 3b
     np.subtract(g["two_p"], H, out=G)
     np.multiply(G, E, out=G)
-    np.multiply(H, sc, out=F)
+    np.multiply(H, F, out=F)
     np.add(G, F, out=G)
-    np.divide(G, 4.0, out=G)
+    np.multiply(G, 0.25, out=G)
     np.multiply(c, 4.0, out=c)                                     # 4c
     np.multiply(H, C, out=H)
     np.subtract(c, H, out=D)
-    np.divide(D, 8.0, out=D)
+    np.multiply(D, 0.125, out=D)
     np.multiply(D, B, out=D)
     np.subtract(G, D, out=G)                                       # M2
     return B, A, G
@@ -620,19 +626,21 @@ def _regular_blocks(nodes, ks, R, T, theta, y3c, r_eval):
     theta, y3c and r_eval are 1-D arrays of points, and ``nodes`` is the
     lattice rule of ``BlockQuadrature.nodes2d`` centred at y3c: x3 (points,
     n_z), phi (n_phi,), rho_b (points, n_z, n_phi), w (n_z, n_phi).  A tile
-    is (points, k, n_z, n_phi): when a point's whole sweep, len(ks) x
-    nodes, fits in TILE, a tile carries max(1, TILE // (len(ks) x nodes))
-    points; otherwise it holds one point and k is swept in
-    max(1, TILE // nodes) rows.  The node factors are formed once per tile
-    of points, and a_k = 2R sin((kT + x3 - y3c)/(2R)) once per (point, k,
-    z node), broadcast over phi, all through one ``_scratch`` set.  Each
-    row keeps its own reduction over the flat node axis, so neither the
-    tiling, the lattice nor the other blocks of ``ks`` change a single bit.
+    is (points, k, n_z, n_phi), filled with points first: max(1, TILE //
+    nodes) points, at most the batch, then as many rows of k as fit.  So a
+    batch sweeps each a_k row over a tile of points whose rho_b factors have
+    the tile's shape, and the kernel passes run flat, not broadcast along k;
+    one point keeps k tiles of max(1, TILE // nodes) rows.  The node factors
+    are formed once per tile of points, and a_k = 2R sin((kT + x3 -
+    y3c)/(2R)) once per (point, k, z node), broadcast over phi, all through
+    one ``_scratch`` set.  Each (point, k) row keeps its own reduction over
+    the flat node axis, so neither the tiling, the lattice nor the other
+    blocks of ``ks`` change a single bit.
     """
     x3, phi, rho_b, w = nodes
     nk = len(ks)
-    rows = min(nk, max(1, TILE // w.size))
-    pts = min(len(theta), max(1, TILE // (rows * w.size)))
+    pts = min(len(theta), max(1, TILE // w.size))
+    rows = min(nk, max(1, TILE // (pts * w.size)))
     kT = np.asarray(ks)[:, None, None] * T
     scratch = _scratch((pts, rows) + w.shape)
     Ik = np.empty((len(theta), nk))

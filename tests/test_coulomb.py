@@ -303,21 +303,27 @@ def test_regular_blocks_tiles_match_one_shot_sweep(prof03, resolution, n, rows):
     assert np.array_equal(tiled, ref)
 
 
-@pytest.mark.parametrize("resolution, n, pts, tiles", [
-    ((6, 12, 14), 32, 2, 1),   # the FAST loop rule: 31 x 168 = 5208 nodes, 2 points a tile
-    ((24, 32, 48), 30, 1, 4),  # 29 x 1536 > TILE: one point spans 4 tiles of k
-])
+@pytest.mark.parametrize("resolution, n, count, pts, tiles", [
+    # the desk loop rule, 153 points: tiles of 38 points (38 x 320 nodes),
+    # the last of 1, each swept in 31 rows of one k
+    ((8, 16, 20), 32, 153, 38, 5 * 31),
+    # one point: 29 x 1536 > TILE, so its k sweep spans 4 tiles of 8 rows
+    ((24, 32, 48), 30, 1, 1, 4),
+], ids=["desk_loop_153_points", "one_point_4_k_tiles"])
 def test_regular_blocks_batch_matches_single_points(prof03, chart03, solver03, resolution,
-                                                    n, pts, tiles):
+                                                    n, count, pts, tiles):
     quad = BlockQuadrature(prof03, resolution)
     nodes = resolution[1] * resolution[2]
-    rows = min(n - 1, TILE // nodes)
-    assert max(1, TILE // (rows * nodes)) == pts and -(-(n - 1) // rows) == tiles
+    rows = min(n - 1, TILE // (pts * nodes))
+    assert min(count, TILE // nodes) == pts
+    assert -(-count // pts) * -(-(n - 1) // rows) == tiles
     T = prof03.T
     R = n * T / (2.0 * np.pi)
-    theta = BATCH_THETA[:5]  # an odd count: the last two-point tile is cut short
+    # neck-to-bulge points, all distinct
+    theta = np.resize(BATCH_THETA, count)
+    y3 = np.resize(BATCH_Y3_OVER_T, count) * T * np.linspace(1.0, 0.9, count)
     for boundary in _batch_boundaries(prof03, chart03, solver03):
-        r_eval, y3c = boundary.surface_point(theta, BATCH_Y3_OVER_T[:5] * T)
+        r_eval, y3c = boundary.surface_point(theta, y3)
         ks = np.arange(1, n)
         batch = _regular_blocks(quad.nodes2d(y3c, boundary), ks, R, T, theta, y3c, r_eval)
         assert batch.shape == (len(theta), n - 1)
@@ -330,6 +336,29 @@ def test_regular_blocks_batch_matches_single_points(prof03, chart03, solver03, r
                                       theta[p], y3c[p], r_eval[p])
             assert np.array_equal(batch[p], single[0])
             assert np.array_equal(batch[p], ref)
+
+
+def test_radial_moments_match_frozen_reference():
+    # the buffered kernel on a (point, k, z, phi) tile against the allocating
+    # reference, bit for bit: chi around the circle gives b < 0 and b >= 0
+    # columns, and P within 1e-9 of r_eval at chi down to 1e-7 with cadd
+    # down to 0 gives near-singular ones
+    rng = np.random.default_rng(7)
+    shape = (3, 4, 5, 16)
+    r_eval = np.array([0.3, 0.55, 0.8])[:, None, None, None]
+    chi = np.r_[-np.pi + 0.1 * rng.random(2), np.linspace(-2.5, 2.5, 8),
+                -1e-7, 1e-7, 1e-5, -1e-3, 3.0, np.pi - 1e-3]
+    P = r_eval * (1.0 + rng.choice([-1.0, 1.0], (3, 1, 5, 16))
+                  * 10.0 ** rng.uniform(-9.0, -0.3, (3, 1, 5, 16)))
+    cadd = np.array([0.0, 1e-14, 1e-3, 0.05])[None, :, None, None] * rng.random((3, 1, 5, 1))
+    blin = 0.02 * rng.standard_normal(shape) * np.sqrt(cadd)
+    b = -2.0 * r_eval * np.cos(chi) + blin
+    assert (b < 0.0).any() and (b >= 0.0).any()
+    got = _radial_moments(_node_factors(P, r_eval, chi, chi), blin, cadd, _scratch(shape))
+    want = _radial_moments_ref(P, r_eval, 2.0 * np.sin(0.5 * chi) ** 2, np.sin(chi), blin,
+                               cadd)
+    for g, w in zip(got, want):
+        assert np.all(np.isfinite(w)) and np.array_equal(g, w)
 
 
 def test_self_block_matches_frozen_kernel(prof03, chart03, solver03, frozen_kernel):
@@ -700,14 +729,18 @@ def test_normal_graph_unresolved_radius_raises(prof03, chart03, solver03):
 
 
 def test_normal_graph_radius_tables_bounded(prof03, chart03, solver03, monkeypatch):
-    # a call with x3 on its leading axis, open grid or dense, is taken in
-    # tiles whose axial exp tables (axial_modes complex values an x3 value)
-    # hold at most 4 TILE doubles; the tiles give the values of one call
+    # a call with x3 on its leading axis, open grid or dense, and one with
+    # phi on its leading axis, where x3 varies along a later axis only, are
+    # taken in tiles whose axial exp tables (axial_modes complex values an
+    # x3 value) hold at most 4 TILE doubles; the tiles give the values of
+    # one call
     bnd = _batch_boundaries(prof03, chart03, solver03)[1]
     centres = np.linspace(-0.5, 0.5, 153)[:, None] * prof03.T
-    grids = [(np.linspace(0.1, 2 * np.pi, 16)[None, :],
-              (centres + BlockQuadrature(prof03, (8, 16, 20)).z_nodes)[..., None])]
+    phi = np.linspace(0.1, 2 * np.pi, 16)
+    x3 = centres + BlockQuadrature(prof03, (8, 16, 20)).z_nodes
+    grids = [(phi[None, :], x3[..., None])]
     grids.append(tuple(v.copy() for v in np.broadcast_arrays(*grids[0])))
+    grids.append((phi[:, None, None], x3))
     one_shot = [coulomb.series_eval(bnd._coef, bnd._tau, p, z)[0] for p, z in grids]
     sizes = []
     real = coulomb.series_eval
@@ -864,16 +897,29 @@ def test_self_block_desk_final_batch_memory_bounded(prof03, chart03, solver03):
                                                 prof03.a)) < 4 * 2**20
 
 
-def test_desk_evaluation_memory_bounded(prof03):
-    # one loop evaluation of `reduce --a 0.3 --n 32` at its stored solution:
-    # 153 points in one batch; with the Duffy core untiled it peaked at 9 MiB
+def _desk_evaluation_peak(prof03, final):
+    """Traced peak of one `reduce --a 0.3 --n 32` evaluation at its stored solution."""
     with open(Path(__file__).resolve().parents[1] / "results" / "reduce_a0.3_n32.json") as fh:
         stored = json.load(fh)
     ctx = ReductionContext(prof03, 32, ReductionSettings())
     h = SymmetricField.from_dict(stored["h"])
-    evaluate_equation(prof03, 32, h, stored["gamma"], ctx=ctx)
-    assert _traced_peak(lambda: evaluate_equation(prof03, 32, h, stored["gamma"],
-                                                  ctx=ctx)) < 6 * 2**20
+    evaluate_equation(prof03, 32, h, stored["gamma"], ctx=ctx, final=final)
+    return _traced_peak(lambda: evaluate_equation(prof03, 32, h, stored["gamma"], ctx=ctx,
+                                                  final=final))
+
+
+def test_desk_evaluation_memory_bounded(prof03):
+    # one loop evaluation: 153 points in one batch; with the Duffy core
+    # untiled it peaked at 9 MiB
+    assert _desk_evaluation_peak(prof03, final=False) < 6 * 2**20
+
+
+def test_desk_final_report_memory_bounded(prof03):
+    # the final report: 153 points on the (28, 40) lattice, in points-first
+    # regular-block tiles of 10 points, traced 3.1 MiB at its peak; untiled,
+    # one regular-block temporary alone would hold 153 x 31 x 1120 doubles
+    # (41 MiB)
+    assert _desk_evaluation_peak(prof03, final=True) < 5 * 2**20
 
 
 def test_perturbed_potential_mirror_symmetric(prof03, chart03, solver03):
