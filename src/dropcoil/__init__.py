@@ -22,8 +22,7 @@ from .fields import SymmetricField  # noqa: F401
 from .geometry import (FundamentalForms, SurfacePatch, build_coil,  # noqa: F401
                        build_cylinder, build_sphere, build_straight,
                        curvature_expansion_check, evaluate_forms, export_mesh)
-from .jacobi import (JacobiSolver, KernelFields, apply_jacobi, hbar_solve,  # noqa: F401
-                     project_coeffs, solve_projected)
+from .jacobi import JacobiSolver, KernelFields  # noqa: F401
 from .profile import (ConformalChart, DelaunayProfile, build_chart,  # noqa: F401
                       compute_Ia, compute_Ia_conformal, profile_scan,
                       solve_profile)

@@ -46,7 +46,7 @@ class NoContraction(NonConvergence):
 
 
 class RootNotBracketed(DropcoilError):
-    """Scalar root not bracketed inside the admissible window."""
+    """Scalar root absent from its admissible range."""
 
 
 class BracketFailure(RootNotBracketed):

@@ -9,7 +9,6 @@ a cosine series on the uniform grid t_j = j tau / m, j = 0..m.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,9 +240,6 @@ class SymmetricField:
     def __add__(self, other):
         return self._binary(other, np.add)
 
-    def __sub__(self, other):
-        return self._binary(other, np.subtract)
-
     def __mul__(self, scalar):
         return SymmetricField(self.kmax, self.tau, self.modes * float(scalar), self.even_y2)
 
@@ -258,17 +254,10 @@ class SymmetricField:
             "modes": self.modes.tolist(),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     @classmethod
     def from_dict(cls, d: dict) -> "SymmetricField":
         return cls(kmax=d["kmax"], tau=d["tau"], modes=np.asarray(d["modes"]),
                    even_y2=d.get("even_y2", False))
-
-    @classmethod
-    def from_json(cls, text: str) -> "SymmetricField":
-        return cls.from_dict(json.loads(text))
 
 
 def is_zero_field(h: SymmetricField) -> bool:

@@ -235,7 +235,7 @@ class JacobiSolver:
 
         This is the object carrying the pointwise properties h(0) = 0,
         h > 0 on (0, tau); it differs from the even *periodic* solution
-        returned by ``hbar_solve`` by an even homogeneous solution (the
+        held in ``hbar`` by an even homogeneous solution (the
         periodic one is what the projection duality needs).  Returns
         (t, values) on t <= t_max_frac * tau, away from the nu3 zero at tau.
         """
@@ -257,26 +257,3 @@ class JacobiSolver:
         outer = cumulative_simpson(integrand, x=tf, initial=0.0)
         return tf, nu3 * outer
 
-
-# ---- module-level convenience wrappers ------------------------------------
-
-def apply_jacobi(chart: ConformalChart, h: SymmetricField, solver: JacobiSolver = None) -> SymmetricField:
-    """J[h] on the chart grid, mode by mode."""
-    solver = solver or JacobiSolver(chart, kmax=max(h.kmax, 1), m=h.m)
-    return solver.apply(h)
-
-
-def hbar_solve(chart: ConformalChart, solver: JacobiSolver = None):
-    """Solve h'' + p h = x^2 (even, periodic); returns (profile, int_{Sigma_0} hbar)."""
-    solver = solver or JacobiSolver(chart, kmax=1)
-    return solver.hbar, solver.int_hbar
-
-
-def project_coeffs(chart: ConformalChart, E: SymmetricField, solver: JacobiSolver = None):
-    solver = solver or JacobiSolver(chart, kmax=max(E.kmax, 1), m=E.m)
-    return solver.project_coeffs(E)
-
-
-def solve_projected(chart: ConformalChart, E: SymmetricField, solver: JacobiSolver = None):
-    solver = solver or JacobiSolver(chart, kmax=max(E.kmax, 1), m=E.m)
-    return solver.solve_projected(E)

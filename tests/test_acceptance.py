@@ -4,8 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; the whole module runs at the default (desk) resolutions.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -133,12 +131,10 @@ def test_criterion_10_jacobi_solver(chart03, solver03):
 def reduction_states(prof03):
     settings = ReductionSettings()
     out = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for n in (32, 64, 128):
-            ctx = ReductionContext(prof03, n, settings)
-            state = solve_gamma(prof03, n, settings, ctx)
-            out[n] = (state, mass_map(prof03, n, settings, state=state, ctx=ctx))
+    for n in (32, 64, 128):
+        ctx = ReductionContext(prof03, n, settings)
+        state = solve_gamma(prof03, n, settings, ctx)
+        out[n] = (state, mass_map(prof03, n, settings, state=state, ctx=ctx))
     return out
 
 

@@ -60,7 +60,7 @@ def test_benchmark_span_info_reads_a_representative_call(prof03, chart03, solver
         "potential_coil": ((prof03, 8, y), {"error_estimate": False}),
         "NormalGraphBoundary.radius": ((bnd, np.linspace(0.0, 1.0, 5), 0.2), {}),
         "evaluate_equation": ((prof03, 16, field, 0.4), {"ctx": ctx}),
-        "fixed_point_solve": ((prof03, 16, 0.4, settings), {"ctx": ctx}, solved),
+        "fixed_point_solve": ((prof03, 16, settings), {"ctx": ctx}, solved),
         "solve_gamma": ((prof03, 16, settings, ctx), {}, solved),
         "write_csv": ((tmp_path / "t.csv", ["n"], [(1,)]), {}),
         "write_json": ((tmp_path / "t.json", {"n": 1}), {}),

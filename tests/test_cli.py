@@ -177,10 +177,7 @@ def test_reduce_cli_schema(tmp_path, monkeypatch):
                              final_self_q=5, coulomb_t_stride=3)
     monkeypatch.setattr(reduction, "ReductionSettings", lambda: fast)
     out = tmp_path / "run.json"
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert main(["reduce", "--a", "0.3", "--n", "16", "--out", str(out)]) == 0
+    assert main(["reduce", "--a", "0.3", "--n", "16", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     for key in ("gamma", "lambda", "c", "residual", "h_norm", "m",
                 "iterations", "volume", "volume_ratio", "lambda_convention"):
@@ -188,10 +185,10 @@ def test_reduce_cli_schema(tmp_path, monkeypatch):
     assert abs(doc["c"]) < 1e-6 * abs(doc["lambda"])
     trace = (tmp_path / "run.json.trace.csv").read_text().splitlines()
     assert trace[2].split(",")[0] == "iter"
-    # every fixed-gamma solve is kept, each step with its gamma
+    # one row a Picard step, each with the gamma it used
     assert trace[2].split(",")[:2] == ["iter", "gamma"]
     assert len({line.split(",")[1] for line in trace[3:]}) >= 2
-    assert len(trace) - 3 > doc["iterations"]
+    assert len(trace) - 3 == doc["iterations"]
     # one Coulomb integration at h = 0, one after each Picard step, one final
     assert doc["coulomb_integrations"] == len(trace) - 3 + 2
 

@@ -7,8 +7,7 @@ from scipy.interpolate import CubicSpline
 from conftest import random_symmetric_modes
 from dropcoil.errors import GridMismatch, SingularSystem
 from dropcoil.fields import SymmetricField, cos_coeffs, cos_eval, on_axis_derivatives
-from dropcoil.jacobi import (JacobiSolver, apply_jacobi, hbar_solve,
-                             project_coeffs, solve_projected)
+from dropcoil.jacobi import JacobiSolver
 from dropcoil.profile import build_chart
 
 
@@ -101,9 +100,9 @@ def test_kernel_fields_annihilated(solver03):
     assert r.norm_sup() / f.norm_sup() < 1e-6
 
 
-def test_apply_jacobi_zero(chart03, solver03):
+def test_apply_jacobi_zero(solver03):
     z = solver03.zero_field()
-    assert apply_jacobi(chart03, z, solver=solver03).norm_sup() == 0.0
+    assert solver03.apply(z).norm_sup() == 0.0
 
 
 def test_mode_decoupling_exact(solver03):
@@ -114,10 +113,9 @@ def test_mode_decoupling_exact(solver03):
     assert np.max(np.abs(out.modes[others])) == 0.0
 
 
-def test_hbar_periodic_solution(chart03, solver03):
-    hbar, integral = hbar_solve(chart03, solver=solver03)
-    assert integral > 0
-    resid = solver03.apply_mode(0, hbar) - 1.0
+def test_hbar_periodic_solution(solver03):
+    assert solver03.int_hbar > 0
+    resid = solver03.apply_mode(0, solver03.hbar) - 1.0
     assert np.max(np.abs(resid)) < 1e-6
 
 
@@ -157,17 +155,17 @@ def test_cylinder_chart_is_singular():
         JacobiSolver(build_chart(0.5), kmax=1, m=128)
 
 
-def test_project_coeffs_examples(chart03, solver03):
+def test_project_coeffs_examples(solver03):
     E1 = solver03.zero_field()
     E1.modes[0] = 1.0
-    assert project_coeffs(chart03, E1, solver=solver03) == pytest.approx((0.0, 1.0))
+    assert solver03.project_coeffs(E1) == pytest.approx((0.0, 1.0))
     E2 = solver03.nu2_field()
-    c, d = project_coeffs(chart03, E2, solver=solver03)
+    c, d = solver03.project_coeffs(E2)
     assert (c, d) == pytest.approx((1.0, 0.0), abs=1e-12)
     E3 = solver03.zero_field()
     E3.modes[0] = 3.0
     E3.modes[1] = solver03.kernel.nu2
-    c, d = project_coeffs(chart03, E3, solver=solver03)
+    c, d = solver03.project_coeffs(E3)
     assert (c, d) == pytest.approx((1.0, 3.0))
 
 
@@ -184,13 +182,13 @@ def test_project_coeffs_linearity(solver03, alpha, beta):
     assert d == pytest.approx(alpha * d1 + beta * d2, abs=1e-9)
 
 
-def test_solve_projected_trivial(chart03, solver03):
+def test_solve_projected_trivial(solver03):
     E1 = solver03.zero_field()
     E1.modes[0] = 1.0
-    h, c, d = solve_projected(chart03, E1, solver=solver03)
+    h, c, d = solver03.solve_projected(E1)
     assert h.norm_sup() < 1e-12 and (c, d) == pytest.approx((0.0, 1.0))
     E2 = solver03.nu2_field()
-    h, c, d = solve_projected(chart03, E2, solver=solver03)
+    h, c, d = solver03.solve_projected(E2)
     assert h.norm_sup() < 1e-12 and (c, d) == pytest.approx((1.0, 0.0), abs=1e-12)
 
 
