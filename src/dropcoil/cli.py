@@ -204,7 +204,7 @@ def cmd_reduce(cfg: RunConfig):
         "h": state.h.to_dict(),
     }
     write_json(cfg.out, report, config=cfg.hashable_dict())
-    columns = ["iter", "gamma", "delta_norm", "c", "d", "residual", "step"]
+    columns = ["iter", "gamma", "delta_norm", "c", "d", "residual", "step", "rule"]
     write_csv(str(cfg.out) + ".trace.csv", columns,
               [tuple(row[k] for k in columns) for row in state.history],
               config=cfg.hashable_dict())

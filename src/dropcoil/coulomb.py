@@ -444,6 +444,11 @@ class SelfBlockSettings:
                                  grade_ratio=min(self.grade_ratio, 1.7))
 
 
+def _degenerate_rule(n_phi: int, n_z: int) -> bool:
+    """n_phi = 2 (mod 4) and n_z odd: see ``BlockQuadrature``."""
+    return n_phi % 4 == 2 and n_z % 2 == 1
+
+
 @dataclass
 class BlockQuadrature:
     """Quadrature over one block of the solid in cylindrical coordinates.
@@ -459,6 +464,15 @@ class BlockQuadrature:
         n_r, n_phi, n_z = self.resolution
         if min(n_r, n_phi, n_z) < 2:
             raise DomainError("block quadrature resolution too small")
+        if _degenerate_rule(n_phi, n_z):
+            # Such a rule has nodes at phi = pi/2 and 3pi/2 and at the block's
+            # centre x3 = y3c.  For even n, at a point with theta = pi/2 or
+            # 3pi/2, block n/2 then has a node whose column line passes through
+            # the point: 4c - b^2 = 0, clamped to 1e-300, and M0 blows up
+            # (errors of order 1 at n = 32, with no error raised).
+            raise DomainError(f"block rule (n_phi, n_z) = ({n_phi}, {n_z}) puts a node on "
+                              "the column line of an evaluation point; take n_phi "
+                              "!= 2 (mod 4) or n_z even")
         T = self.profile.T
         xi, wxi = _gl(n_z)
         self.z_nodes = (xi - 0.5) * T
@@ -838,8 +852,9 @@ def potential_coil(profile: DelaunayProfile, n: int, y, quad: BlockQuadrature = 
 
     Sums the per-block integrals I_k; the k = 0 self block uses the
     desingularized rule.  With ``error_estimate`` the whole sum is recomputed
-    at one refinement step and the difference reported (the refined value is
-    returned).
+    at one refinement step, 1.5x the (n_phi, n_z) nodes (one z node more where
+    that rule would raise), and the difference reported (the refined value
+    is returned).
     """
     return _potential_at(AxisymBoundary(profile), profile, n, y, quad, self_cfg,
                          error_estimate, divergence_rtol)
@@ -903,7 +918,8 @@ def _potential_at(boundary, profile, n, y, quad, self_cfg, error_estimate, diver
     err = None
     if error_estimate:
         n_r, n_phi, n_z = quad.resolution
-        fine = BlockQuadrature(profile, (n_r, int(n_phi * 1.5), int(n_z * 1.5)))
+        n_phi, n_z = int(n_phi * 1.5), int(n_z * 1.5)
+        fine = BlockQuadrature(profile, (n_r, n_phi, n_z + _degenerate_rule(n_phi, n_z)))
         Ik_f = one_pass(fine, self_cfg.refined())
         err = float(abs(Ik_f.sum() - Ik.sum()))
         if err > divergence_rtol * max(abs(Ik_f.sum()), 1.0):

@@ -13,9 +13,13 @@ samples and then h <- h + T(G).  Since the linearization of G in h is -J to
 leading order, adding the preconditioned residual contracts; the
 d-projection plays the role of the Lagrange multiplier lambda.
 
-Each Coulomb integral N is paid once per (h, quadrature rule).  The
-normal-graph boundary of the solved h serves the last loop evaluation, the
-final-resolution report and the mass map's volume.
+N is integrated on one of three rules (``CoulombRule``).  The first steps,
+whose updates are large, take N on a coarse tier (``COARSE_TIER``), as an
+inexact Newton method would; once an update falls below ``COARSE_UNTIL``
+the loop rule takes over, and the solve stops only on loop-rule samples.
+The final rule serves the report.  Each Coulomb integral N is paid once
+per (h, rule).  The normal-graph boundary of the solved h serves the last
+loop evaluation, the final-resolution report and the mass map's volume.
 """
 
 from __future__ import annotations
@@ -85,8 +89,61 @@ def gamma_leading(profile: DelaunayProfile, n: int) -> GammaLeading:
     return GammaLeading(gamma=c5 / np.log(n), c3=c3, c5=c5, n=int(n))
 
 
+@dataclass
+class CoulombRule:
+    """One quadrature rule of N: block rule, self-block orders and y3 sub-grid."""
+
+    name: str                  # "coarse", "loop" or "final"
+    quad: BlockQuadrature
+    self_cfg: SelfBlockSettings
+    y3_sub: np.ndarray         # the y3 nodes at which N is integrated
+
+
+COARSE_TIER = ((8, 10), SelfBlockSettings(panel_q=3, core_q=3, column_q=4), 2)
+"""The coarse rule tier of N: block rule (n_phi, n_z), self-block orders, and
+the factor on ``coulomb_t_stride`` of its y3 sub-grid (used where it divides
+``m_t``, else the loop stride).
+
+N error against the final rule, sup |N - N_final| / sup |N_final| at
+a = 0.3, n = 32 and the solved h, and the Coulomb time of one evaluation
+(one thread of a shared 2-core host):
+
+    rule, y3 stride                        N error           time (FAST / desk)
+    FAST loop (12, 14), q (4, 4, 5), 3     1.0e-6            29 ms
+    desk loop (16, 20), q (5, 5, 6), 3     1.2e-7            142 ms
+    tier (8, 10), q (3, 3, 4), 3           1.85e-5           17 / 50 ms
+    tier (8, 10), q (3, 3, 4), 6           1.82e-5 / 1.89e-5 13 / 29 ms
+
+So the tier's error is eps <= 2e-5 at both settings, and twice the stride
+costs it nothing.
+"""
+
+COARSE_UNTIL = 1e-3
+"""Update size above which the next evaluation of N is on the coarse tier.
+
+Inexact Newton (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982):
+a step needs N only to an accuracy in proportion to its update.  The
+iteration contracts by about 0.15 a step, so samples taken after an update
+u feed a step of about 0.15 u.  With COARSE_UNTIL = 50 eps = 1e-3
+(``COARSE_TIER``), the smallest step the tier feeds is 1.5e-4, and the
+tier's error eps = 2e-5 stays below about a tenth of it; every later step is
+fed by the loop rule.  The tier alone lands 1.1e-5 from gamma*, so it may
+not finish a solve (relative shifts).  Against a solve with every evaluation on the loop
+rule: on the Tier-1 cell (a = 0.3, n = 32), 1e-3 puts 3 of 10 evaluations
+on the tier and moves gamma* by 1.2e-9, 1e-4 puts 4 and moves it by
+5.8e-9, and 3e-5 puts 5 and moves it by 2.6e-8.  At 1e-3, the Tier-1 and
+desk settings at n = 16, 32 and 64 keep their evaluation counts, and gamma*
+moves by at most 1.6e-9.
+"""
+
+
 class ReductionContext:
-    """Chart, solver, quadratures and sample grids shared across iterations."""
+    """Chart, solver, quadrature rules and sample grids shared across iterations.
+
+    The loop and final rules come from the settings; the coarse tier
+    (``COARSE_TIER``) is built here once, and is the loop rule itself unless
+    it is cheaper: no more (n_phi, n_z) nodes and no higher self-block order.
+    """
 
     def __init__(self, profile: DelaunayProfile, n: int, settings: ReductionSettings):
         self.profile = profile
@@ -94,19 +151,30 @@ class ReductionContext:
         self.settings = settings
         self.chart = build_chart(profile.a, grid_size=settings.chart_grid)
         self.solver = JacobiSolver(self.chart, kmax=settings.kmax, m=settings.m_t)
-        self.quad = BlockQuadrature(profile, settings.quad_resolution)
-        self.final_quad = BlockQuadrature(profile, settings.final_quad_resolution)
-        self.self_cfg = SelfBlockSettings(panel_q=settings.self_panel_q,
-                                          core_q=settings.self_core_q,
-                                          column_q=settings.self_column_q)
-        q = settings.final_self_q
-        self.final_self_cfg = SelfBlockSettings(panel_q=q, core_q=q, column_q=q + 1)
         self.theta = 2.0 * np.pi * np.arange(settings.ntheta) / settings.ntheta
         self.t_nodes = self.solver.t
         self.y3_nodes = self.solver.z
         stride = settings.coulomb_t_stride
-        self.sub_idx = np.arange(0, settings.m_t + 1, stride)
-        self.y3_sub = self.y3_nodes[self.sub_idx]
+        y3_sub = self.y3_nodes[::stride]
+        loop_cfg = SelfBlockSettings(panel_q=settings.self_panel_q,
+                                     core_q=settings.self_core_q,
+                                     column_q=settings.self_column_q)
+        self.loop_rule = CoulombRule("loop", BlockQuadrature(profile, settings.quad_resolution),
+                                     loop_cfg, y3_sub)
+        q = settings.final_self_q
+        self.final_rule = CoulombRule(
+            "final", BlockQuadrature(profile, settings.final_quad_resolution),
+            SelfBlockSettings(panel_q=q, core_q=q, column_q=q + 1), y3_sub)
+        (nphi, nz), cfg, factor = COARSE_TIER
+        n_r, loop_nphi, loop_nz = settings.quad_resolution
+        tier_cost = (nphi * nz, cfg.panel_q, cfg.core_q, cfg.column_q)
+        loop_cost = (loop_nphi * loop_nz, loop_cfg.panel_q, loop_cfg.core_q, loop_cfg.column_q)
+        self.coarse_rule = self.loop_rule
+        if tier_cost != loop_cost and all(a <= b for a, b in zip(tier_cost, loop_cost)):
+            if settings.m_t % (factor * stride) == 0:
+                stride *= factor
+            self.coarse_rule = CoulombRule("coarse", BlockQuadrature(profile, (n_r, nphi, nz)),
+                                           cfg, self.y3_nodes[::stride])
 
     def zero_field(self) -> SymmetricField:
         return self.solver.zero_field()
@@ -124,9 +192,11 @@ class EquationEval:
     boundary: object = dfield(repr=False)       # solid_boundary of the evaluated h
 
 
-def _coulomb_samples(ctx: ReductionContext, boundary, final: bool) -> np.ndarray:
-    """N at (theta_i, t in sub-grid), cosine-upsampled to the full t grid.
+def _coulomb_samples(ctx: ReductionContext, boundary, final: bool = False,
+                     rule: CoulombRule = None) -> np.ndarray:
+    """N at (theta_i, t in the rule's sub-grid), cosine-upsampled to the full t grid.
 
+    ``rule`` defaults to the final rule with ``final``, else the loop rule.
     Every admissible h, and so N, is even under theta -> pi - theta, so the
     loop and the final report integrate one column of each mirror pair
     (``theta_mirror``) and copy it to the other; a mirrored column differs from its
@@ -134,15 +204,15 @@ def _coulomb_samples(ctx: ReductionContext, boundary, final: bool) -> np.ndarray
     settings).  Every integrated (theta, y3) point goes to the on-surface
     kernel in one batch on the solid's ``boundary``.
     """
-    quad = ctx.final_quad if final else ctx.quad
-    cfg = ctx.final_self_cfg if final else ctx.self_cfg
+    rule = rule or (ctx.final_rule if final else ctx.loop_rule)
+    y3_sub = rule.y3_sub
     own, mirror = theta_mirror(len(ctx.theta))
-    sub = np.empty((len(ctx.theta), len(ctx.y3_sub)))
+    sub = np.empty((len(ctx.theta), len(y3_sub)))
     Ik = surface_potentials(ctx.profile, ctx.n, boundary, ctx.theta[own, None],
-                            ctx.y3_sub[None, :], quad, cfg)
-    sub[own] = Ik.sum(axis=1).reshape(len(own), len(ctx.y3_sub))
+                            y3_sub[None, :], rule.quad, rule.self_cfg)
+    sub[own] = Ik.sum(axis=1).reshape(len(own), len(y3_sub))
     sub[mirror[own]] = sub[own]
-    if len(ctx.y3_sub) == len(ctx.t_nodes):
+    if len(y3_sub) == len(ctx.t_nodes):
         return sub
     coef = cos_coeffs(sub)
     return cos_eval(coef, ctx.t_nodes, ctx.solver.tau)
@@ -159,17 +229,17 @@ def _project_equation(ctx: ReductionContext, H: np.ndarray, N: np.ndarray, gamma
                         H=H, N=N, boundary=boundary)
 
 
-def _equation_samples(ctx: ReductionContext, h: SymmetricField, final: bool = False,
+def _equation_samples(ctx: ReductionContext, h: SymmetricField, rule: CoulombRule,
                       boundary=None, coulomb: bool = True):
     """(H, N, boundary) of h on the sample grid, as ``evaluate_equation`` takes
-    them; N is None without ``coulomb``."""
+    them, N on ``rule``; N is None without ``coulomb``."""
     perturb = None if is_zero_field(h) else h
     patch = build_coil(ctx.profile, ctx.n, perturb, chart=ctx.chart)
     TH, Y3 = np.meshgrid(ctx.theta, ctx.y3_nodes, indexing="ij")
     H = evaluate_forms(patch, TH, Y3).H
     if boundary is None:
         boundary = solid_boundary(ctx.profile, perturb, ctx.chart)
-    N = _coulomb_samples(ctx, boundary, final) if coulomb else None
+    N = _coulomb_samples(ctx, boundary, rule=rule) if coulomb else None
     return H, N, boundary
 
 
@@ -195,7 +265,8 @@ def evaluate_equation(profile: DelaunayProfile, n: int, h: SymmetricField,
     h's solid boundary, else on one built here and returned with the samples.
     """
     ctx = ctx or ReductionContext(profile, n, settings or ReductionSettings())
-    H, N, boundary = _equation_samples(ctx, h, final, boundary, coulomb=gamma != 0.0)
+    rule = ctx.final_rule if final else ctx.loop_rule
+    H, N, boundary = _equation_samples(ctx, h, rule, boundary, coulomb=gamma != 0.0)
     return _project_equation(ctx, H, N, gamma, boundary)
 
 
@@ -214,7 +285,7 @@ class ReductionState:
     symmetry_residual: float
     equation: EquationEval = dfield(repr=False, compare=False)  # the evaluation at h
     coulomb_integrations: int = 0  # Coulomb sample sets integrated, loop and final
-    history: list = dfield(default_factory=list)  # every Picard step, with the gamma it used
+    history: list = dfield(default_factory=list)  # every Picard step: its gamma, its N rule
     lambda_convention: str = "lambda = d-projection of G against hbar"
     residual_final: float = None  # sup |G - d| at the full-resolution report
     c_final: float = None
@@ -235,11 +306,19 @@ def fixed_point_solve(profile: DelaunayProfile, n: int,
     raises NoContraction.  The iteration stops once the update is below
     ``tol_h``.  The returned state is the h after the last step, projected at
     the gamma that step used.
+
+    N is integrated on the coarse tier at h = 0 and after each update above
+    ``COARSE_UNTIL``, else on the loop rule.  The iteration stops only on a
+    step whose samples were on the loop rule, and the evaluation at the h it
+    returns is always on the loop rule, so a converged state's (gamma, c, d,
+    residual) all come from loop-rule samples.  Each ``history`` row names
+    the rule of the samples its step used.
     """
     settings = settings or ReductionSettings()
     ctx = ctx or ReductionContext(profile, n, settings)
     h = ctx.zero_field()
-    H, N, boundary = _equation_samples(ctx, h)
+    rule = ctx.coarse_rule
+    H, N, boundary = _equation_samples(ctx, h, rule)
     evals = 1
     history = []
     nd_prev = None
@@ -262,12 +341,15 @@ def fixed_point_solve(profile: DelaunayProfile, n: int,
             grow = 0
         h = h + step * delta
         history.append({"iter": it, "gamma": gamma, "delta_norm": nd, "c": c, "d": d,
-                        "residual": ev.residual, "step": step})
+                        "residual": ev.residual, "step": step, "rule": rule.name})
         nd_prev = nd
-        H, N, boundary = _equation_samples(ctx, h)
+        small = nd < settings.tol_h * max(1.0, h.norm_sup())
+        converged = small and rule is ctx.loop_rule
+        coarse = nd > COARSE_UNTIL and not small and it < settings.max_iter - 1
+        rule = ctx.coarse_rule if coarse else ctx.loop_rule
+        H, N, boundary = _equation_samples(ctx, h, rule)
         evals += 1
-        if nd < settings.tol_h * max(1.0, h.norm_sup()):
-            converged = True
+        if converged:
             break
     ev = _project_equation(ctx, H, N, gamma, boundary)
     return ReductionState(a=profile.a, n=int(n), gamma=float(gamma), h=h,

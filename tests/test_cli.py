@@ -191,6 +191,12 @@ def test_reduce_cli_schema(tmp_path, monkeypatch):
     assert len(trace) - 3 == doc["iterations"]
     # one Coulomb integration at h = 0, one after each Picard step, one final
     assert doc["coulomb_integrations"] == len(trace) - 3 + 2
+    # each row names the rule of the samples its step used: the coarse tier
+    # first, the loop rule for the steps that stop the solve
+    rules = [line.split(",")[-1] for line in trace[3:]]
+    assert trace[2].split(",")[-1] == "rule"
+    assert rules[0] == "coarse" and rules[-1] == "loop"
+    assert rules == sorted(rules)  # the updates fall: no coarse step after a loop step
 
 
 def _fake_find_neck(m, n, settings=None, **kw):

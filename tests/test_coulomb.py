@@ -40,6 +40,32 @@ def test_block_quadrature_volume(prof03, quad03):
         BlockQuadrature(prof03, (1, 2, 2))
 
 
+@pytest.mark.parametrize("n_phi, n_z", [(6, 7), (10, 7), (14, 9), (18, 21)])
+def test_block_rule_with_node_on_column_line_raises(prof03, n_phi, n_z):
+    # n_phi = 2 (mod 4) with n_z odd puts a node of block n/2 on the column
+    # line of a point at theta = pi/2 or 3pi/2 (n even); one more z node, or
+    # two more phi nodes, clear it
+    with pytest.raises(DomainError):
+        BlockQuadrature(prof03, (2, n_phi, n_z))
+    BlockQuadrature(prof03, (2, n_phi, n_z + 1))
+    BlockQuadrature(prof03, (2, n_phi + 2, n_z))
+
+
+def test_error_estimate_at_quarter_turn(prof03):
+    # the 1.5x refinement of (12, 14) would be (18, 21); it takes (18, 22)
+    # instead, so the estimate at (pi/2, 0) and (3pi/2, 0) is as small as at
+    # a generic point, and the value agrees with a (48, 72) rule at q = 9
+    quad = BlockQuadrature(prof03, (6, 12, 14))
+    ref_quad = BlockQuadrature(prof03, (2, 48, 72))
+    ref_cfg = SelfBlockSettings(panel_q=9, core_q=9, column_q=10)
+    for theta in (np.pi / 2, 3 * np.pi / 2, 1.0):
+        res = potential_coil(prof03, 32, (theta, 0.0), quad=quad)
+        ref = surface_potentials(prof03, 32, AxisymBoundary(prof03), theta, 0.0, ref_quad,
+                                 ref_cfg).sum()
+        assert res.err_est < 1e-7 * res.value
+        assert abs(res.value / ref - 1.0) < 1e-10
+
+
 def test_breakdown_positive_and_symmetric(prof03):
     res = potential_coil(prof03, 8, (np.pi / 2, 0.0), error_estimate=False)
     assert np.all(res.breakdown > 0)

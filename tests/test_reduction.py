@@ -12,8 +12,9 @@ from dropcoil.fields import SymmetricField, cos_coeffs, cos_eval, is_zero_field,
 from dropcoil.geometry import build_sphere, evaluate_forms
 from dropcoil.profile import solve_profile
 import dropcoil.reduction as reduction
-from dropcoil.reduction import (ReductionContext, ReductionSettings,
-                                _coulomb_samples, evaluate_equation,
+from dropcoil.reduction import (COARSE_UNTIL, ReductionContext, ReductionSettings,
+                                _coulomb_samples, _equation_samples, _project_equation,
+                                evaluate_equation,
                                 find_neck_for_mass, fixed_point_solve,
                                 gamma_leading, mass_map, select_block_count,
                                 solve_gamma)
@@ -93,11 +94,14 @@ def test_sphere_sanity_bypasses_coil():
 
 
 def test_fixed_point_first_step_is_projected_solve(prof03, ctx32):
-    # the first step's gamma zeroes c at h = 0; its update is T(G) there
+    # the first step's gamma zeroes c at h = 0 on the coarse tier; its update
+    # is T(G) there
     cheap = replace(FAST, max_iter=1)
     st = fixed_point_solve(prof03, 32, cheap, ctx32)
     gamma = st.history[0]["gamma"]
-    ev = evaluate_equation(prof03, 32, ctx32.zero_field(), gamma, ctx=ctx32)
+    assert st.history[0]["rule"] == "coarse" and ctx32.coarse_rule is not ctx32.loop_rule
+    H, N, boundary = _equation_samples(ctx32, ctx32.zero_field(), ctx32.coarse_rule)
+    ev = _project_equation(ctx32, H, N, gamma, boundary)
     assert abs(ev.c) < 1e-13 * abs(ev.d)
     delta, _, _ = ctx32.solver.solve_projected(ev.field)
     assert st.history[0]["delta_norm"] == pytest.approx(delta.norm_sup(), rel=1e-12)
@@ -115,10 +119,63 @@ def test_fixed_point_contracts(prof03, ctx32):
     assert abs(ctx32.solver.integral_nu2(st.h)) < 1e-10
 
 
+def test_coarse_tier_error_below_its_bound(prof03, ctx32, state32):
+    # COARSE_UNTIL = 50 eps rests on the tier's N error eps <= 2e-5 against
+    # the final rule at the solved h (1.8e-5 measured); the loop rule's own
+    # (1.0e-6) is over ten times smaller, and the tier's sub-grid is half the loop's
+    assert COARSE_UNTIL == pytest.approx(50 * 2e-5)
+    boundary = state32.equation.boundary
+    final = _coulomb_samples(ctx32, boundary, final=True)
+
+    def err(rule):
+        return np.max(np.abs(_coulomb_samples(ctx32, boundary, rule=rule) - final)) / \
+            np.max(np.abs(final))
+
+    assert err(ctx32.coarse_rule) < 2e-5
+    assert err(ctx32.loop_rule) < 2e-5 / 10
+    assert ctx32.coarse_rule.quad.resolution[1:] == (8, 10)
+    assert 2 * (len(ctx32.coarse_rule.y3_sub) - 1) == len(ctx32.loop_rule.y3_sub) - 1
+    # h = 0 and the two updates above COARSE_UNTIL (2.1e-2, 3.6e-3) put 3 of
+    # the solve's 10 sample sets on the tier
+    rules = [row["rule"] for row in state32.history]
+    assert rules == ["coarse"] * 3 + ["loop"] * (len(rules) - 3)
+    assert state32.coulomb_integrations == 10
+
+
+def test_coarse_tier_only_when_cheaper(prof03):
+    # a loop rule with fewer (n_phi, n_z) nodes than the tier keeps its own
+    # rule throughout; a sub-grid that twice the stride does not divide
+    # keeps the loop stride
+    ctx = ReductionContext(prof03, 16, replace(FAST, quad_resolution=(4, 8, 8)))
+    assert ctx.coarse_rule is ctx.loop_rule and ctx.loop_rule.name == "loop"
+    ctx = ReductionContext(prof03, 16, replace(FAST, coulomb_t_stride=8))
+    assert ctx.coarse_rule.name == "coarse"
+    assert np.array_equal(ctx.coarse_rule.y3_sub, ctx.loop_rule.y3_sub)
+    st = fixed_point_solve(prof03, 16, replace(FAST, quad_resolution=(4, 8, 8)))
+    assert st.converged and {row["rule"] for row in st.history} == {"loop"}
+
+
+@pytest.mark.parametrize("tol_h, rules", [(5e-3, ["coarse", "coarse", "loop"]),
+                                          (5e-2, ["coarse", "loop"])])
+def test_solve_ends_on_loop_rule(prof03, ctx32, tol_h, rules):
+    # above COARSE_UNTIL a small update fed by coarse samples does not stop
+    # the solve; the state it returns is a loop-rule evaluation
+    assert tol_h > COARSE_UNTIL
+    st = fixed_point_solve(prof03, 32, replace(FAST, tol_h=tol_h), ctx32)
+    assert st.converged
+    assert [row["rule"] for row in st.history] == rules
+    # the step before the last was small enough to stop, but coarse-fed
+    assert st.history[-2]["rule"] == "coarse" and st.history[-2]["delta_norm"] < tol_h
+    ev = evaluate_equation(prof03, 32, st.h, st.gamma, ctx=ctx32)
+    assert (ev.c, ev.d, ev.residual) == (st.c, st.d, st.residual)
+    assert st.coulomb_integrations == len(rules) + 1
+
+
 def test_coupling_without_root_raises(prof03, ctx32, monkeypatch):
     # N with no nu_2 component leaves c = c_H for every gamma: no root
     monkeypatch.setattr(reduction, "_coulomb_samples",
-                        lambda ctx, boundary, final: np.zeros((len(ctx.theta), len(ctx.t_nodes))))
+                        lambda ctx, boundary, final=False, rule=None:
+                        np.zeros((len(ctx.theta), len(ctx.t_nodes))))
     with pytest.raises(RootNotBracketed):
         fixed_point_solve(prof03, 32, FAST, ctx32)
 
@@ -236,7 +293,7 @@ def test_mirror_columns_need_even_ntheta(prof03, monkeypatch, ntheta, final, col
     samples = _coulomb_samples(ctx, solid_boundary(prof03), final=final)
     assert len(calls) == 1  # one kernel call an evaluation
     assert sorted(set(seen)) == columns
-    assert len(seen) == len(columns) * len(ctx.y3_sub)
+    assert len(seen) == len(columns) * len(ctx.loop_rule.y3_sub)
     # an even function of theta -> pi - theta, constant in y3
     s = np.sin(ctx.theta)[:, None]
     assert np.max(np.abs(samples - (s * s + 0.5 * s))) < 1e-12
@@ -277,16 +334,15 @@ def _column_loop_samples(ctx, h, final, mirror=True):
     With ``mirror`` one column of each theta -> pi - theta pair is integrated
     and copied to the other; without, every column is integrated.
     """
-    quad = ctx.final_quad if final else ctx.quad
-    cfg = ctx.final_self_cfg if final else ctx.self_cfg
+    rule = ctx.final_rule if final else ctx.loop_rule
     boundary = solid_boundary(ctx.profile, h, ctx.chart)
     ntheta = len(ctx.theta)
     cols = np.arange(ntheta)
     mirror = (ntheta // 2 - cols) % ntheta if mirror and ntheta % 2 == 0 else cols
-    sub = np.empty((ntheta, len(ctx.y3_sub)))
+    sub = np.empty((ntheta, len(rule.y3_sub)))
     for i in cols[mirror >= cols]:
-        sub[i] = surface_potentials(ctx.profile, ctx.n, boundary, ctx.theta[i], ctx.y3_sub,
-                                    quad, cfg).sum(axis=1)
+        sub[i] = surface_potentials(ctx.profile, ctx.n, boundary, ctx.theta[i], rule.y3_sub,
+                                    rule.quad, rule.self_cfg).sum(axis=1)
         sub[mirror[i]] = sub[i]
     return cos_eval(cos_coeffs(sub), ctx.t_nodes, ctx.solver.tau)
 
