@@ -12,16 +12,45 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct
 
 from .errors import GridMismatch
+
+
+def dct1(x, axis: int = -1) -> np.ndarray:
+    """Unnormalized DCT-I along ``axis``: y_k = x_0 + (-1)^k x_m + 2 sum_j x_j cos(pi j k / m).
+
+    One real FFT of the even extension (x_0, .., x_m, x_{m-1}, .., x_1), which
+    is how pocketfft forms its DCT-I, so the bits are those of
+    ``scipy.fft.dct(x, type=1)``.  Its inverse is ``dct1(y) * (1 / (2 m))``.
+    """
+    x = np.swapaxes(np.asarray(x, dtype=float), axis, -1)
+    m = x.shape[-1] - 1
+    ext = np.empty(x.shape[:-1] + (2 * m,))
+    ext[..., :m + 1] = x
+    ext[..., m + 1:] = x[..., m - 1:0:-1]
+    return np.swapaxes(np.fft.rfft(ext).real, axis, -1)
+
+
+def dst1(x, axis: int = -1) -> np.ndarray:
+    """Unnormalized DST-I along ``axis``: y_k = 2 sum_j x_j sin(pi (j+1)(k+1) / (n+1)).
+
+    One real FFT of the odd extension (0, x_0, .., x_{n-1}, 0, -x_{n-1}, .., -x_0),
+    as pocketfft forms its DST-I, so the bits are those of
+    ``scipy.fft.dst(x, type=1)``.
+    """
+    x = np.swapaxes(np.asarray(x, dtype=float), axis, -1)
+    n = x.shape[-1]
+    ext = np.zeros(x.shape[:-1] + (2 * n + 2,))
+    ext[..., 1:n + 1] = x
+    ext[..., n + 2:] = -x[..., ::-1]
+    return np.swapaxes(-np.fft.rfft(ext)[..., 1:n + 1].imag, axis, -1)
 
 
 def cos_coeffs(values: np.ndarray) -> np.ndarray:
     """Cosine-series coefficients a_m with v_j = sum_m a_m cos(pi m j / M)."""
     v = np.asarray(values, dtype=float)
     m = v.shape[-1] - 1
-    A = dct(v, type=1, axis=-1)
+    A = dct1(v)
     A = A / (2.0 * m)
     if v.ndim == 1:
         A[1:m] *= 2.0

@@ -20,11 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct, dst, idct
-from scipy.linalg import lu_factor, lu_solve
 
 from .errors import GridMismatch, IllConditioned, SingularSystem
-from .fields import SymmetricField
+from .fields import SymmetricField, dct1, dst1
 from .profile import ConformalChart
 
 DEFAULT_KMAX = 16
@@ -34,9 +32,9 @@ DEFAULT_M = 256  # panels on [0, tau]; 512 per full period
 def _second_derivative_matrix(m: int, tau: float) -> np.ndarray:
     """Spectral d^2/dt^2 on the cosine grid t_j = j tau / m (DCT-I collocation)."""
     eye = np.eye(m + 1)
-    coef = dct(eye, type=1, axis=0)
+    coef = dct1(eye, axis=0)
     lam = -(np.arange(m + 1) * np.pi / tau) ** 2
-    return idct(lam[:, None] * coef, type=1, axis=0)
+    return dct1(lam[:, None] * coef, axis=0) * (1.0 / (2 * m))
 
 
 @dataclass
@@ -80,7 +78,7 @@ class JacobiSolver:
         self.kernel = KernelFields(nu1=self.zp / self.x, nu2=self.zp / self.x,
                                    nu3=-self.xp / self.x)
 
-        self._lu = {}
+        self._systems = []  # per mode k; k = 0 and 1 bordered, (m+2)^2
         for k in range(kmax + 1):
             A = self.D2 + np.diag(self.p - float(k * k))
             if k == 0:
@@ -93,18 +91,17 @@ class JacobiSolver:
                         "(cylinder-degenerate chart?)")
                 B = self._bordered(A, self.x2, self.w * self.x2)
                 self._check(B, 0, deflation_rtol)
-                self._lu[0] = lu_factor(B)
-                self._lu_plain0 = lu_factor(A)  # hbar solve
+                self._systems.append(B)
+                self.hbar = np.linalg.solve(A, self.x2)
             elif k == 1:
                 g = self.x2 * self.kernel.nu2
                 B = self._bordered(A, g, self.w * g)
                 self._check(B, 1, deflation_rtol)
-                self._lu[1] = lu_factor(B)
+                self._systems.append(B)
             else:
                 self._check(A, k, deflation_rtol)
-                self._lu[k] = lu_factor(A)
+                self._systems.append(A)
 
-        self.hbar = lu_solve(self._lu_plain0, self.x2)
         self.int_hbar = 2.0 * np.pi * float(np.sum(self.w * self.hbar * self.x2))
         if self.int_hbar <= 0.0:
             raise SingularSystem("int hbar <= 0; k=0 solve is inconsistent")
@@ -187,7 +184,7 @@ class JacobiSolver:
         rhs0 = np.empty(self.m + 2)
         rhs0[: self.m + 1] = self.x2 * E.modes[0]
         rhs0[-1] = 0.0
-        sol0 = lu_solve(self._lu[0], rhs0)
+        sol0 = np.linalg.solve(self._systems[0], rhs0)
         h[0] = sol0[:-1]
         d = float(sol0[-1])
 
@@ -196,12 +193,12 @@ class JacobiSolver:
             rhs1 = np.empty(self.m + 2)
             rhs1[: self.m + 1] = self.x2 * E.modes[1]
             rhs1[-1] = 0.0
-            sol1 = lu_solve(self._lu[1], rhs1)
+            sol1 = np.linalg.solve(self._systems[1], rhs1)
             h[1] = sol1[:-1]
             c = float(sol1[-1])
 
         for k in range(2, E.kmax + 1):
-            h[k] = lu_solve(self._lu[k], self.x2 * E.modes[k])
+            h[k] = np.linalg.solve(self._systems[k], self.x2 * E.modes[k])
         return SymmetricField(E.kmax, self.tau, h, E.even_y2), c, d
 
     def project_coeffs(self, E: SymmetricField):
@@ -221,9 +218,9 @@ class JacobiSolver:
         out["nu1"] = out["nu2"]  # same radial profile, cos(theta) factor
         # nu3 is odd in t: differentiate in the sine basis
         interior = self.kernel.nu3[1:-1]
-        coef = dst(interior, type=1) / self.m
+        coef = dst1(interior) / self.m
         lam = -((np.arange(1, self.m) * np.pi / self.tau) ** 2)
-        d2 = dst(lam * coef, type=1) / 2.0
+        d2 = dst1(lam * coef) / 2.0
         r3 = (d2 + self.p[1:-1] * interior) / self.x2[1:-1]
         out["nu3"] = float(np.max(np.abs(r3)) / np.max(np.abs(self.kernel.nu3)))
         return out

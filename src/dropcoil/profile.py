@@ -39,11 +39,11 @@ import json
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.fft import dct, dst
 from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, NonConvergence
+from .fields import dct1, dst1
 
 DEFAULT_GRID = 2048  # samples per half-period (panel count; +1 nodes)
 
@@ -106,7 +106,7 @@ def _antiderivative(anti, n: int):
     x[..., :keep] = anti[..., 1:keep + 1]
     phi = np.linspace(0.0, np.pi, n * r + 1)
     G = anti[..., :1] * phi
-    G[..., 1:-1] += 0.5 * dst(x, type=1, axis=-1)
+    G[..., 1:-1] += 0.5 * dst1(x)
     return phi[::r], G[..., ::r]
 
 
@@ -281,7 +281,7 @@ def _block_sums(a: float, m: int):
     f2 = f * f
     dt = 1.0 / np.sqrt(_radicand(a, f))
     ds = (f2 + q) * dt
-    anti = dct(np.stack((ds, dt)), type=1, axis=-1) / m / np.r_[2.0, np.arange(1, m), 2.0 * m]
+    anti = dct1(np.stack((ds, dt))) / m / np.r_[2.0, np.arange(1, m), 2.0 * m]
     w = np.full(m + 1, np.pi / m)
     w[[0, -1]] *= 0.5
     V = 2.0 * np.pi * float(w @ (f2 * ds))
