@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, NoContraction
 
@@ -215,6 +214,7 @@ def sech_moments(horizon: float = DEFAULT_HORIZON) -> MomentTable:
     The sech-power tails beyond the horizon are below 4^m exp(-2 m horizon),
     utterly negligible at horizon = 40.
     """
+    from scipy.integrate import quad
 
     def q(f):
         val, _ = quad(f, 0.0, horizon, limit=200)

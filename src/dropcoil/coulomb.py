@@ -38,8 +38,6 @@ from typing import Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import simpson
-from scipy.optimize import brentq
 
 from .errors import DomainError, NonConvergence, QuadratureDivergence, RootNotBracketed
 from .fields import (SymmetricField, is_zero_field, on_axis_derivatives, series_eval,
@@ -1001,6 +999,8 @@ def ball_potential_exact(s, radius: float = 1.0):
 
 def ball_potential_radial(s, radius: float = 1.0, n_nodes: int = 2001):
     """Same potential by 1D radial quadrature over spherical shells."""
+    from scipy.integrate import simpson
+
     rho = np.linspace(0.0, radius, n_nodes)
     s = np.atleast_1d(np.asarray(s, dtype=float))
     out = np.empty_like(s)
@@ -1063,6 +1063,7 @@ CRITICAL_MASS_CLOSED_FORM = 5.0 * (2.0 ** (1.0 / 3.0) - 1.0) / (1.0 - 2.0 ** (-2
 
 def critical_mass(bracket=(1.0, 8.0)):
     """Root of E(m) = 2 E(m/2) for balls; returns (numeric, closed_form)."""
+    from scipy.optimize import brentq
 
     def gap(m):
         return ball_energy(m) - 2.0 * ball_energy(m / 2.0)

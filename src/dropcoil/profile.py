@@ -39,8 +39,6 @@ import json
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, NonConvergence
 from .fields import dct1, dst1
@@ -110,6 +108,44 @@ def _antiderivative(anti, n: int):
     return phi[::r], G[..., ::r]
 
 
+class CubicHermite:
+    """Piecewise cubic Hermite interpolant through nodal values y and slopes dy.
+
+    With exact slopes its error is at most h^4 max|y''''| / 384 a panel, and it
+    needs no linear solve.  Panel i holds y_i + dy_i u + c2_i u^2 + c3_i u^3,
+    u = x - x_i; points outside the knots extend the end panels.  ``y`` and
+    ``dy`` may stack several curves on leading axes, which share the panel
+    search.  Uniform knots find the panel arithmetically, others by bisection
+    on the interior knots.
+    """
+
+    def __init__(self, x, y, dy, uniform: bool = False):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        dy = np.asarray(dy, dtype=float)
+        h = np.diff(x)
+        chord = np.diff(y, axis=-1) / h
+        d0, d1 = dy[..., :-1], dy[..., 1:]
+        self.x = x
+        self.coef = (y[..., :-1], d0, (3.0 * chord - 2.0 * d0 - d1) / h,
+                     (d0 + d1 - 2.0 * chord) / (h * h))
+        self._inv_step = (len(x) - 1) / (x[-1] - x[0]) if uniform else None
+
+    def __call__(self, u, slope: bool = False):
+        """y at u, or (y, y') with ``slope``; curves stacked in y lead the shape."""
+        u = np.asarray(u, dtype=float)
+        if self._inv_step is None:
+            i = np.searchsorted(self.x[1:-1], u)
+        else:
+            i = np.clip(((u - self.x[0]) * self._inv_step).astype(np.intp), 0, len(self.x) - 2)
+        dx = u - self.x[i]
+        c0, c1, c2, c3 = (c[..., i] for c in self.coef)
+        y = c0 + dx * (c1 + dx * (c2 + dx * c3))
+        if not slope:
+            return y
+        return y, c1 + dx * (2.0 * c2 + 3.0 * dx * c3)
+
+
 class _Record:
     """to_dict/from_dict and JSON over the public dataclass fields, arrays as lists.
 
@@ -157,27 +193,28 @@ class DelaunayProfile(_Record):
     V: float
     Ia: float
     _anti: np.ndarray = field(default=None, repr=False, compare=False)
-    _spline: object = field(default=None, init=False, repr=False, compare=False)
+    _interp: object = field(default=None, init=False, repr=False, compare=False)
 
     def _half_eval(self, u, order):
         """f, and f' when ``order`` >= 1, on the folded coordinate u in [0, T/2].
 
-        The clamped spline (f'(0) = f'(T/2) = 0 exactly) is built on the
-        first call: when the profile was solved, on samples at uniform phi 4x
-        finer than the grid (non-uniform knots s from ``_anti``, f in
-        closed form), else on the grid.
+        The Hermite interpolant of f on its exact slopes f' (0 at both ends)
+        is built on the first call: when the profile was solved, on samples
+        at uniform phi 4x finer than the grid (non-uniform knots s from
+        ``_anti``, f and f' in closed form), else on the stored grid and fp.
         """
         if self.a == CYLINDER_NECK:
             return np.full_like(u, 0.5), np.zeros_like(u)
-        if self._spline is None:
-            s, f = self.grid, self.f
+        if self._interp is None:
+            s, f, fp = self.grid, self.f, self.fp
             if self._anti is not None:
                 phi, s = _antiderivative(self._anti, 4 * (len(self.grid) - 1))
                 f = _radius(self.a, phi)
-            self._spline = CubicSpline(s, f, bc_type=((1, 0.0), (1, 0.0)))
+                fp = _xprime(self.a, phi, f) / (f * f + self.a * (1.0 - self.a))
+            self._interp = CubicHermite(s, f, fp)
         if order == 0:
-            return (self._spline(u),)
-        return self._spline(u), self._spline(u, 1)
+            return (self._interp(u),)
+        return self._interp(u, slope=True)
 
     def evaluate(self, s, order: int = 2):
         """Evaluate (f, f', ..., up to ``order``) at arbitrary axial positions.
@@ -244,19 +281,24 @@ class ConformalChart(_Record):
         return (self.tgrid[m:], self.x[m:], self.xp[m:], self.z[m:], self.zp[m:], self.p[m:])
 
     def t_of_y3(self, y3):
-        """Invert z(t) = y3 on one period (vectorized, spline-based)."""
+        """Invert z(t) = y3 on one period: Hermite interpolant of t(z) with slope 1/z'."""
         if self._t_of_z is None:
-            self._t_of_z = CubicSpline(self.z, self.tgrid)
+            self._t_of_z = CubicHermite(self.z, self.tgrid, 1.0 / self.zp)
         y3 = np.asarray(y3, dtype=float)
         half = np.abs(self.z[-1])
         u = np.mod(y3 + half, 2.0 * half) - half
         return self._t_of_z(u)
 
     def x_of_t(self, t):
-        """(x, x') at arbitrary t in [-tau, tau] (spline-based)."""
+        """(x, x') at arbitrary t in [-tau, tau]: Hermite interpolants on the uniform
+        t grid with slopes x' and x'' = (1 - 2q) x - 2 x^3."""
         if self._x_of_t is None:
-            self._x_of_t = (CubicSpline(self.tgrid, self.x), CubicSpline(self.tgrid, self.xp))
-        return self._x_of_t[0](t), self._x_of_t[1](t)
+            q = self.a * (1.0 - self.a)
+            xpp = (1.0 - 2.0 * q) * self.x - 2.0 * self.x**3
+            self._x_of_t = CubicHermite(self.tgrid, np.stack((self.x, self.xp)),
+                                        np.stack((self.xp, xpp)), uniform=True)
+        x, xp = self._x_of_t(t)
+        return x, xp
 
     def isothermal_residual(self) -> float:
         return float(np.max(np.abs(self.x**2 - self.xp**2 - self.zp**2)))
@@ -314,6 +356,8 @@ def compute_Ia(profile: DelaunayProfile) -> float:
     """
     f, fp, fpp = profile.f, profile.fp, profile.fpp
     one = 1.0 + fp * fp
+    from scipy.integrate import simpson
+
     integrand = f / one**2.5 * (f * fpp * (2.0 - fp * fp) + (1.0 + 3.0 * fp * fp) * one)
     return float(simpson(integrand, x=profile.grid))
 
@@ -324,6 +368,8 @@ def compute_Ia_conformal(chart: ConformalChart) -> float:
     I_a = int_0^tau A B dt,  A = a(1-a) + x^2,
     B = -(z')^2 + 4(x')^2 + a(1-a)/x^2 (3(z')^2 + 2(x')^2).
     """
+    from scipy.integrate import simpson
+
     t, x, xp, _, zp, _ = chart.half_view()
     q = chart.a * (1.0 - chart.a)
     A = q + x * x

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dropcoil.fields import _cos_factor, _powers, _theta_factor, series_eval
+from dropcoil.fields import _cos_factor, _powers, _theta_factor, dct1, dst1, series_eval
 
 # every (i, j) partial that on_axis_derivatives asks for
 PARTIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
@@ -80,3 +80,28 @@ def test_series_eval_open_grid_matmul_matches_dense(t_shape, theta_shape):
                           series_eval(coef, tau, TH.copy(), T.copy(), PARTIALS)):
         assert got.shape == dense.shape == T.shape
         assert np.max(np.abs(got - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+
+# sizes the package transforms (m + 1 = 25, 49; roulette nodes 9..2049; the
+# profile's DST-I at 2047 and 8191) and the sizes around them
+TRANSFORM_SIZES = list(range(9, 70)) + [127, 128, 129, 255, 256, 257, 1025, 2047, 2049,
+                                        4097, 8191, 8193]
+
+
+@pytest.mark.parametrize("n", TRANSFORM_SIZES)
+def test_type1_transforms_match_scipy_bitwise(n):
+    # one rfft of the even/odd extension is pocketfft's own DCT-I/DST-I, so
+    # the bits agree; the inverse DCT-I multiplies by the reciprocal of 2m
+    from scipy.fft import dct, dst, idct
+
+    rng = np.random.default_rng(n)
+    m = n - 1
+    for x, axes in ((rng.standard_normal(n), (-1,)),
+                    (rng.standard_normal((3, n)), (-1, 1)),
+                    (rng.standard_normal((n, 4)), (0,))):
+        for axis in axes:
+            assert np.array_equal(dct1(x, axis=axis), dct(x, type=1, axis=axis))
+            assert np.array_equal(dst1(x, axis=axis), dst(x, type=1, axis=axis))
+            assert np.array_equal(dct1(x, axis=axis) * (1.0 / (2 * m)),
+                                  idct(x, type=1, axis=axis))
+

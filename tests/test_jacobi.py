@@ -215,6 +215,30 @@ def test_solve_projected_random_residual(solver03):
     assert abs(solver03.integral_nu2(proj)) < 1e-10 * scale
 
 
+@pytest.mark.parametrize("kmax, m", [(4, 24), (6, 48)])  # the FAST and desk solvers
+def test_solve_projected_matches_lu_reference_bitwise(kmax, m):
+    # np.linalg.solve on each mode's system is LAPACK's getrf + getrs, the
+    # arithmetic of scipy's lu_factor/lu_solve
+    from scipy.linalg import lu_factor, lu_solve
+
+    S = JacobiSolver(build_chart(0.3, 768), kmax=kmax, m=m)
+    E = random_symmetric_modes(S, kmax, np.random.default_rng(m))
+    h, c, d = S.solve_projected(E)
+    border = (S.x2, S.x2 * S.kernel.nu2)  # bordering columns of k = 0 and 1
+    for k in range(kmax + 1):
+        A = S.D2 + np.diag(S.p - float(k * k))
+        rhs = S.x2 * E.modes[k]
+        if k < 2:
+            A = JacobiSolver._bordered(A, border[k], S.w * border[k])
+            rhs = np.r_[rhs, 0.0]
+        sol = lu_solve(lu_factor(A), rhs)
+        assert np.array_equal(h.modes[k], sol[:m + 1])
+        if k < 2:
+            assert sol[-1] == (c if k else d)
+    hbar = lu_solve(lu_factor(S.D2 + np.diag(S.p)), S.x2)
+    assert np.array_equal(S.hbar, hbar)
+
+
 def test_solve_projected_bound_stable_under_refinement(chart03):
     rng = np.random.default_rng(5)
     ratios = []

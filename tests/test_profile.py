@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 
 from dropcoil.errors import DomainError
 from dropcoil.profile import (CYLINDER_IA, CYLINDER_PERIOD, CYLINDER_VOLUME,
                               DEFAULT_GRID, ConformalChart, DelaunayProfile,
-                              _antiderivative, _block_sums, _modes, build_chart,
+                              _block_sums, _modes, build_chart,
                               compute_Ia, compute_Ia_conformal, profile_scan,
                               solve_profile)
 
@@ -237,27 +236,72 @@ def test_evaluate_periodic_fold(prof03):
     assert np.max(np.abs(fT - f)) < 1e-12
 
 
-def test_profile_spline_built_on_first_evaluate():
+def _roulette_angle(anti, row, target):
+    """phi in [0, pi] with G_row(phi) = target (s for row 0, t for row 1), by Newton."""
+    k = np.arange(1, anti.shape[1])
+    grid = np.linspace(0.0, np.pi, 4097)
+    G = anti[row, 0] * grid + np.sin(np.outer(grid, k)) @ anti[row, 1:]
+    phi = np.interp(target, G, grid)
+    for _ in range(20):
+        g = anti[row, 0] * phi + np.sin(np.outer(phi, k)) @ anti[row, 1:]
+        dg = anti[row, 0] + np.cos(np.outer(phi, k)) @ (k * anti[row, 1:])
+        phi = phi - (g - target) / dg
+    return phi
+
+
+def _exact_f(a, phi):
+    """(f, f') at roulette angle phi in closed form."""
+    f = 0.5 + (0.5 - a) * np.cos(phi)
+    fp = -(0.5 - a) * np.sin(phi) * np.sqrt(f * f + f + a * (1.0 - a)) / (f * f + a * (1.0 - a))
+    return f, fp
+
+
+@pytest.mark.parametrize("a", [0.05, 0.3, 0.45])
+def test_profile_interpolant_built_on_first_evaluate(a):
     # solving keeps the antiderivative coefficients of s(phi); the first evaluation
-    # builds the clamped spline on samples at uniform phi, 4x finer than the
-    # grid, with non-uniform knots s and f in closed form
-    p = solve_profile(0.3)
-    assert p._spline is None and p._anti is not None
-    s = np.linspace(-1.0, 2.0, 57)
+    # builds the Hermite interpolant on samples at uniform phi, 4x finer than the
+    # grid, with non-uniform knots s and f, f' in closed form; later ones reuse it
+    p = solve_profile(a)
+    assert p._interp is None and p._anti is not None
+    rng = np.random.default_rng(7)
+    s = rng.uniform(0.0, 0.5 * p.T, 4000)
     f, fp = p.evaluate(s, order=1)
-    assert p._spline is not None
-    half = 0.5 * p.T
-    phi, sf = _antiderivative(p._anti, 4 * DEFAULT_GRID)
-    assert sf[-1] == half and np.max(np.abs(sf[::4] - p.grid)) < 1e-15
-    eager = CubicSpline(sf, 0.5 + 0.2 * np.cos(phi), bc_type=((1, 0.0), (1, 0.0)))
-    assert np.array_equal(p._spline.x, eager.x) and np.array_equal(p._spline.c, eager.c)
-    u = np.mod(s + half, p.T) - half
-    assert np.array_equal(f, eager(np.abs(u)))
-    assert np.array_equal(fp, np.where(u >= 0.0, 1.0, -1.0) * eager(np.abs(u), 1))
-    # later evaluations reuse it
-    spline = p._spline
+    interp = p._interp
+    assert interp is not None
     p.evaluate(s, order=0)
-    assert p._spline is spline
+    assert p._interp is interp
+    # against the exact roulette inversion s(phi) = s
+    f_ex, fp_ex = _exact_f(a, _roulette_angle(_block_sums(a, _modes(a))[0], 0, s))
+    assert np.max(np.abs(f - f_ex)) <= 2e-15
+    assert np.max(np.abs(fp - fp_ex)) <= 5e-11
+    # a loaded profile interpolates its stored grid and fp: stored at the solved
+    # profile's 4x finer samples it gives the same bits; at the default grid,
+    # knots 4x wider, the errors scale as h^4 (f) and h^3 (f')
+    fine = DelaunayProfile.from_dict(solve_profile(a, grid_size=4 * DEFAULT_GRID).to_dict())
+    for got, want in zip(fine.evaluate(s, order=1), (f, fp)):
+        assert np.array_equal(got, want)
+    f_j, fp_j = DelaunayProfile.from_dict(p.to_dict()).evaluate(s, order=1)
+    assert np.max(np.abs(f_j - f_ex)) <= 4**4 * 2e-15
+    assert np.max(np.abs(fp_j - fp_ex)) <= 4**3 * 5e-11
+
+
+@pytest.mark.parametrize("a", [0.05, 0.3, 0.45])
+def test_chart_interpolants_match_roulette_inversion(a):
+    # x(t) and x'(t) on the uniform t grid, t(z) on the z knots, all Hermite on
+    # closed-form slopes, against Newton inversion of t(phi) and s(phi) = z
+    c = build_chart(a)
+    anti = _block_sums(a, _modes(a))[0]
+    rng = np.random.default_rng(11)
+    t = rng.uniform(-c.tau, c.tau, 4000)
+    f_ex, fp_ex = _exact_f(a, _roulette_angle(anti, 1, np.abs(t)))
+    x, xp = c.x_of_t(t)
+    assert np.max(np.abs(x - f_ex)) <= 1e-11
+    assert np.max(np.abs(xp - np.sign(t) * fp_ex * (f_ex**2 + a * (1.0 - a)))) <= 3e-11
+    y3 = rng.uniform(-c.z[-1], c.z[-1], 4000)
+    phi = _roulette_angle(anti, 0, np.abs(y3))
+    t_ex = np.sign(y3) * (anti[1, 0] * phi
+                          + np.sin(np.outer(phi, np.arange(1, anti.shape[1]))) @ anti[1, 1:])
+    assert np.max(np.abs(c.t_of_y3(y3) - t_ex)) <= 5e-11
 
 
 def test_evaluate_order_zero_matches_order_one(prof03, prof_cyl):
