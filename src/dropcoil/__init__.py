@@ -24,9 +24,13 @@ import ctypes
 # mallopt (not glibc) nothing is set.
 _M_TRIM_THRESHOLD = -1
 try:
-    ctypes.CDLL(None).mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    _mallopt = ctypes.CDLL(None).mallopt
 except (AttributeError, OSError, TypeError):
     pass
+else:
+    _mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    _mallopt.restype = ctypes.c_int
+    _mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 from . import errors  # noqa: F401
 from .asymptotics import ia_slope_check, phi_correction, sech_moments, theta_apply  # noqa: F401
