@@ -18,11 +18,14 @@ import ctypes
 
 # glibc gives the free top of the heap back to the system once it exceeds
 # M_TRIM_THRESHOLD, and the next pass over the same arrays faults those pages
-# in again.  Minor faults a benchmark pass (getrusage ru_minflt) were 6006 for
-# reduce_fast, 403 for reduce_desk and 6151 for tables with glibc's default
-# threshold, and 1, 0 and 32 with 64 MiB, at the same peak memory.  Without
+# in again.  Setting that threshold also freezes glibc's dynamic mmap threshold
+# at 128 KiB, so every larger array would be mapped and faulted afresh; both are
+# set to the values glibc's own dynamic rule reaches at its cap (mmap 32 MiB,
+# trim twice that).  Minor faults a benchmark pass (getrusage ru_minflt), default
+# -> these settings: reduce_fast about 5800 -> 1, reduce_desk 389 -> 0, tables
+# about 8500 -> 5-30 (trim alone: about 750), at the same peak memory.  Without
 # mallopt (not glibc) nothing is set.
-_M_TRIM_THRESHOLD = -1
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 try:
     _mallopt = ctypes.CDLL(None).mallopt
 except (AttributeError, OSError, TypeError):
@@ -30,6 +33,7 @@ except (AttributeError, OSError, TypeError):
 else:
     _mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     _mallopt.restype = ctypes.c_int
+    _mallopt(_M_MMAP_THRESHOLD, 32 << 20)
     _mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 from . import errors  # noqa: F401
