@@ -21,10 +21,10 @@ import ctypes
 # in again.  Setting that threshold also freezes glibc's dynamic mmap threshold
 # at 128 KiB, so every larger array would be mapped and faulted afresh; both are
 # set to the values glibc's own dynamic rule reaches at its cap (mmap 32 MiB,
-# trim twice that).  Minor faults a benchmark pass (getrusage ru_minflt), default
-# -> these settings: reduce_fast about 5800 -> 1, reduce_desk 389 -> 0, tables
-# about 8500 -> 5-30 (trim alone: about 750), at the same peak memory.  Without
-# mallopt (not glibc) nothing is set.
+# trim twice that).  Minor faults a benchmark pass (getrusage ru_minflt), glibc's
+# defaults -> these: reduce_fast about 5800 -> 0-4, reduce_desk 389 -> 0-1, tables
+# about 8500 -> 3-40 (the trim threshold alone: about 750), at the same peak
+# memory.  Without mallopt (not glibc) nothing is set.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 try:
     _mallopt = ctypes.CDLL(None).mallopt

@@ -13,6 +13,10 @@ class only nu_2 survives; the projected problem
 is solved mode by mode on the cosine grid, with bordered systems deflating
 the k = 1 kernel (coefficient c) and pinning the k = 0 mean (coefficient d).
 Surface integrals use the conformal measure dsigma = x(t)^2 dtheta dt.
+d^2/dt^2 is DCT-I collocation (``fields.dct1``).  The solver keeps each mode's
+matrix, (m+2)^2 at most, and solves it with ``np.linalg.solve`` (LAPACK getrf
+and getrs) on every call: at the reduction's m = 24 and 48 a whole projected
+solve takes 0.08 and 0.3 ms, so no factorization is stored.
 """
 
 from __future__ import annotations

@@ -30,7 +30,10 @@ with M eta >= 53 ln 2, so every dropped or aliased coefficient is below double
 rounding, the sine series give s and t between nodes to rounding, and the sums
 (error ~ exp(-2 M eta)) are exact: 32 nodes at a = 0.3, 512 at a = 0.002.
 The profile grid is uniform in phi, with s from one DST-I; the chart keeps a
-uniform t grid by Newton inversion of t(phi).
+uniform t grid by Newton inversion of t(phi).  Both transforms are numpy real
+FFTs (``fields.dct1``, ``fields.dst1``).  Between nodes, f(s), x(t), x'(t) and
+t(z) are piecewise cubic Hermite interpolants (``CubicHermite``) on the exact
+slopes f', x', x'' = (1 - 2q) x - 2x^3 and 1/z', so none needs a linear solve.
 """
 
 from __future__ import annotations
@@ -106,6 +109,13 @@ def _antiderivative(anti, n: int):
     G = anti[..., :1] * phi
     G[..., 1:-1] += 0.5 * dst1(x)
     return phi[::r], G[..., ::r]
+
+
+def _samples(a, anti, n: int):
+    """(s, f, f') at phi_j = j pi / n, from the coefficients ``anti`` of s(phi)."""
+    phi, s = _antiderivative(anti, n)
+    f = _radius(a, phi)
+    return s, f, _xprime(a, phi, f) / (f * f + a * (1.0 - a))
 
 
 class CubicHermite:
@@ -208,9 +218,7 @@ class DelaunayProfile(_Record):
         if self._interp is None:
             s, f, fp = self.grid, self.f, self.fp
             if self._anti is not None:
-                phi, s = _antiderivative(self._anti, 4 * (len(self.grid) - 1))
-                f = _radius(self.a, phi)
-                fp = _xprime(self.a, phi, f) / (f * f + self.a * (1.0 - self.a))
+                s, f, fp = _samples(self.a, self._anti, 4 * (len(self.grid) - 1))
             self._interp = CubicHermite(s, f, fp)
         if order == 0:
             return (self._interp(u),)
@@ -342,9 +350,7 @@ def solve_profile(a: float, grid_size: int = DEFAULT_GRID) -> DelaunayProfile:
     if a == CYLINDER_NECK:
         return _cylinder_profile(grid_size)
     anti, V, Ia = _block_sums(a, _modes(a))
-    phi, s = _antiderivative(anti[0], grid_size)
-    f = _radius(a, phi)
-    fp = _xprime(a, phi, f) / (f * f + a * (1.0 - a))
+    s, f, fp = _samples(a, anti[0], grid_size)
     return DelaunayProfile(a=a, grid=s, f=f, fp=fp, fpp=_fpp_from(f, fp), T=float(2.0 * s[-1]),
                            V=V, Ia=Ia, _anti=anti[0])
 
