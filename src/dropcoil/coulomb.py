@@ -27,7 +27,9 @@ X(0, 0, y3c), on the same (x3, phi) lattice with r by a Gauss rule that is
 exact for them, and the blocks FAR_K0 = 8 .. n - FAR_K0 are that expansion
 evaluated at the point turned by -kT/R: O(L^2) work a block instead of
 O(nodes), with a truncation below 1e-13 a block.  The near blocks stay on the
-closed-form column kernel.
+closed-form columns, with the separated kernel: no regular block's column
+line comes near the evaluation point, so only the self block's columns need
+the guarded one.
 """
 
 from __future__ import annotations
@@ -327,8 +329,11 @@ def _radial_moments(g, blin, cadd, s):
 def _column_values(g, ak, kap, R, s):
     """Column integrals int_0^P (1 + r sin(phi)/R) r / sqrt(Q) dr, into ``s[0]``.
 
-    ``g`` holds the node factors, ``ak`` the block offsets a_k on the
-    lattice (it may be ``s[9]`` itself) and kap = 1 + y2 / R; ``s`` is a
+    The guarded kernel of the self block's columns (``_columns``), whose
+    lines pass arbitrarily close to the evaluation point; the regular
+    blocks, whose columns all stay a block length away, take
+    ``_separated_values``.  ``g`` holds the node factors, ``ak`` the block
+    offsets a_k on the lattice and kap = 1 + y2 / R; ``s`` is a
     ``_scratch`` set of the broadcast shape.  a_k^2 and cadd = a_k^2 kap
     are formed on the lattice.
     """
@@ -342,6 +347,53 @@ def _column_values(g, ak, kap, R, s):
     np.multiply(g["sin_phi"], M2, out=M2)
     np.divide(M2, R, out=M2)
     return np.add(M1, M2, out=M1)
+
+
+def _separated_factors(P, r_eval, chi, phi, w, R):
+    """Node factors of ``_separated_values``, with s = sin(phi)/R and the weight w folded in."""
+    s = np.sin(phi) / R
+    hb0 = np.empty(P.shape)                  # full size, so no pass broadcasts it
+    np.multiply(-r_eval, np.cos(chi), out=hb0)
+    return {"P": P, "q1": 1.0 + P * s, "sh": 0.5 * s, "w": w, "ws32": 1.5 * w * s,
+            "wsph": 0.5 * w * P * s, "wsh": 0.5 * w * s, "hb0": hb0,
+            "Q0": (P - r_eval) ** 2 + 4.0 * P * r_eval * np.sin(0.5 * chi) ** 2}
+
+
+def _separated_values(g, cadd, c, sc, s):
+    """Weighted columns w int_0^P (1 + r s) r / sqrt(Q) dr of a separated block, into ``s[0]``.
+
+    With h = b/2 and Q(P) = Q0 + cadd (1 + P s), M0 = log((sqrt(Q(P)) + P + h)
+    / (sqrt(c) + h)), M1 = sqrt(Q(P)) - sqrt(c) - h M0 and s M2 = (s P/2)
+    sqrt(Q(P)) - (3/2) s h M1 - (s/2) c M0, so the column is
+    (1 - (3/2) s h) M1 + (s P/2) sqrt(Q(P)) - (s/2) c M0.  ``g`` holds the
+    factors of ``_separated_factors``; cadd = a_k^2 kap, c and sqrt(c) are
+    lattice values and ``s`` holds five work arrays of the tile shape.
+    c >= a_k^2 kap > 0, and sqrt(c) + h > 0 while the column's line misses
+    the evaluation point, as every line of a block k >= 1 does on the rules
+    ``BlockQuadrature`` accepts, so neither needs a guard.
+    """
+    V, A, E, G, H = s
+    np.multiply(cadd, g["q1"], out=E)
+    np.add(E, g["Q0"], out=E)
+    np.sqrt(E, out=E)                                              # sqrt(Q(P))
+    np.multiply(cadd, g["sh"], out=H)
+    np.add(H, g["hb0"], out=H)                                     # h = b/2
+    np.add(H, g["P"], out=G)
+    np.add(G, E, out=G)
+    np.add(H, sc, out=V)
+    np.divide(G, V, out=G)
+    np.log(G, out=G)                                               # M0
+    np.subtract(E, sc, out=V)
+    np.multiply(H, G, out=A)
+    np.subtract(V, A, out=V)                                       # M1
+    np.multiply(H, g["ws32"], out=A)
+    np.subtract(g["w"], A, out=A)
+    np.multiply(V, A, out=V)
+    np.multiply(E, g["wsph"], out=E)
+    np.add(V, E, out=V)
+    np.multiply(G, c, out=G)
+    np.multiply(G, g["wsh"], out=G)
+    return np.subtract(V, G, out=V)
 
 
 # ---------------------------------------------------------------------------
@@ -618,9 +670,10 @@ def _duffy_faces(boundary, R, theta, y3c, r_eval, d_xi, d_chi, d_eta, u, W):
         rho_b = boundary.radius(phi, y3c + xi)
         r = rho_b - eta
         ak = 2.0 * R * np.sin(xi / (2.0 * R))
-        kap = 1.0 + (r * np.sin(phi) + y2) / R + r * np.sin(phi) * y2 / R**2
+        x2 = r * np.sin(phi)
+        kap = 1.0 + (x2 + y2) / R + x2 * y2 / R**2
         dist2 = (r - r_eval) ** 2 + 4.0 * r * r_eval * np.sin(0.5 * chi) ** 2 + ak * ak * kap
-        kern = (1.0 + r * np.sin(phi) / R) * r / np.sqrt(np.maximum(dist2, 1e-300))
+        kern = (1.0 + x2 / R) * r / np.sqrt(np.maximum(dist2, 1e-300))
         WW = (W * np.abs(D)
               * (hi[others[0]] - lo[others[0]]) * (hi[others[1]] - lo[others[1]]))
         face = np.sum(kern * WW, axis=(1, 2, 3))
@@ -637,40 +690,51 @@ def _regular_blocks(nodes, ks, R, T, theta, y3c, r_eval):
 
     theta, y3c and r_eval are 1-D arrays of points, and ``nodes`` is the
     lattice rule of ``BlockQuadrature.nodes2d`` centred at y3c: x3 (points,
-    n_z), phi (n_phi,), rho_b (points, n_z, n_phi), w (n_z, n_phi).  A tile
-    is (points, k, n_z, n_phi), filled with points first: max(1, TILE //
-    nodes) points, at most the batch, then as many rows of k as fit.  So a
-    batch sweeps each a_k row over a tile of points whose rho_b factors have
-    the tile's shape, and the kernel passes run flat, not broadcast along k;
-    one point keeps k tiles of max(1, TILE // nodes) rows.  The node factors
-    are formed once per tile of points, and a_k = 2R sin((kT + x3 -
-    y3c)/(2R)) once per (point, k, z node), broadcast over phi, all through
-    one ``_scratch`` set.  Each (point, k) row keeps its own reduction over
-    the flat node axis, so neither the tiling, the lattice nor the other
-    blocks of ``ks`` change a single bit.
+    n_z), phi (n_phi,), rho_b (points, n_z, n_phi), w (n_z, n_phi).  Every
+    block k >= 1 lies a_k >~ T/2 or more from the point for n >= 4, so its
+    columns take the separated kernel ``_separated_values``, without the
+    near-singular guards of the self block's ``_column_values``; a rule that
+    puts a column line through the point is refused by ``BlockQuadrature``.
+    A tile is (points, k, n_z, n_phi), filled with points first: max(1,
+    TILE // nodes) points, at most the batch, then as many rows of k as
+    fit.  So a batch sweeps each a_k row over a tile of points whose rho_b
+    factors have the tile's shape, and the kernel passes run flat, not
+    broadcast along k; one point keeps k tiles of max(1, TILE // nodes)
+    rows.  The node factors, weights folded in, are formed once per tile of
+    points, and a_k^2 kap, c and sqrt(c) once per (point, k, z node),
+    broadcast over phi, all in buffers allocated once a call.  Each
+    (point, k) row keeps its own reduction over the flat node axis, so
+    neither the tiling, the lattice nor the other blocks of ``ks`` change a
+    single bit.
     """
     x3, phi, rho_b, w = nodes
     nk = len(ks)
     pts = min(len(theta), max(1, TILE // w.size))
     rows = min(nk, max(1, TILE // (pts * w.size)))
     kT = np.asarray(ks)[:, None, None] * T
-    scratch = _scratch((pts, rows) + w.shape)
+    shape = (pts, rows) + w.shape
+    scratch = [np.empty(shape) for _ in range(5)] + [np.empty(shape[:-1] + (1,))
+                                                     for _ in range(3)]
     Ik = np.empty((len(theta), nk))
     for p0 in range(0, len(theta), pts):
         p = slice(p0, p0 + pts)
         th, r = theta[p, None, None, None], r_eval[p, None, None, None]
-        g = _node_factors(rho_b[p, None], r, phi - th, phi)
+        g = _separated_factors(rho_b[p, None], r, phi - th, phi, w, R)
         kap = 1.0 + r * np.sin(th) / R
         dx3 = (x3[p] - y3c[p, None])[:, None, :, None]
         for lo in range(0, nk, rows):
             s = [v[:len(theta) - p0, :nk - lo] for v in scratch]
-            ak = s[9]
-            np.add(kT[lo:lo + rows], dx3, out=ak)
-            np.divide(ak, 2.0 * R, out=ak)
-            np.sin(ak, out=ak)
-            np.multiply(ak, 2.0 * R, out=ak)
-            vals = _column_values(g, ak, kap, R, s)
-            np.multiply(vals, w, out=vals)
+            cadd, c, sc = s[5:]
+            np.add(kT[lo:lo + rows], dx3, out=cadd)
+            np.divide(cadd, 2.0 * R, out=cadd)
+            np.sin(cadd, out=cadd)
+            np.multiply(cadd, 2.0 * R, out=cadd)                  # a_k
+            np.multiply(cadd, cadd, out=cadd)
+            np.multiply(cadd, kap, out=cadd)
+            np.multiply(r, r, out=c)
+            np.add(c, cadd, out=c)
+            np.sqrt(c, out=sc)
+            vals = _separated_values(g, cadd, c, sc, s[:5])
             vals.reshape(vals.shape[:2] + (-1,)).sum(axis=2, out=Ik[p, lo:lo + rows])
     return Ik
 

@@ -63,20 +63,22 @@ def _powers(x: np.ndarray, m: int) -> np.ndarray:
     """exp(i k x) for k = 0..m by angle addition; shape x.shape + (m+1,).
 
     One exp per element of x; each further multiply fills the next block of
-    columns, exp(i (k-1+j) x) = exp(i j x) exp(i (k-1) x), so about log2(m)
-    blocked multiplies fill the table.  The only place cos and sin of
+    powers, exp(i (k-1+j) x) = exp(i j x) exp(i (k-1) x), so about log2(m)
+    blocked multiplies fill the table.  The table is held k-major, each power
+    a contiguous slab over x, so every multiply runs along whole slabs; the
+    result is its view with k moved last.  The only place cos and sin of
     multiples of an angle are formed.
     """
-    out = np.empty(x.shape + (m + 1,), dtype=complex)
-    out[..., 0] = 1.0
+    out = np.empty((m + 1,) + x.shape, dtype=complex)
+    out[0] = 1.0
     if m:
-        out[..., 1] = np.exp(1j * x)
-    k = 2  # columns 0..k-1 are filled
+        out[1] = np.exp(1j * x)
+    k = 2  # powers 0..k-1 are filled
     while k <= m:
         n = min(k - 1, m + 1 - k)
-        np.multiply(out[..., 1:n + 1], out[..., k - 1:k], out=out[..., k:k + n])
+        np.multiply(out[1:n + 1], out[k - 1], out=out[k:k + n])
         k += n
-    return out
+    return np.moveaxis(out, 0, -1)
 
 
 def _quarter_turn(E: np.ndarray, j: int) -> np.ndarray:

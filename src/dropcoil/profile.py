@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence
+from .errors import DomainError, GridMismatch, NonConvergence
 from .fields import dct1, dst1
 
 DEFAULT_GRID = 2048  # samples per half-period (panel count; +1 nodes)
@@ -190,7 +190,7 @@ class DelaunayProfile(_Record):
     phi_j = j pi / (len(grid) - 1); f/fp/fpp are the profile and its
     derivatives there.  V is the block volume |Omega_0| and Ia the stability
     integral, both trapezoid sums in phi.  ``_anti`` holds the coefficients of
-    s(phi) (``_antiderivative``; None once loaded from JSON).
+    s(phi) (``_antiderivative``; rebuilt from a when loaded).
     """
 
     KIND = "delaunay-profile"
@@ -205,21 +205,37 @@ class DelaunayProfile(_Record):
     _anti: np.ndarray = field(default=None, repr=False, compare=False)
     _interp: object = field(default=None, init=False, repr=False, compare=False)
 
+    @classmethod
+    def from_dict(cls, d: dict):
+        """The stored profile, with ``_anti`` rebuilt from a, so it interpolates as solved.
+
+        Raises GridMismatch when the stored T, V, Ia or grid differ from the
+        rebuilt ones by more than 1e-12.
+        """
+        prof = super().from_dict(d)
+        if prof.a == CYLINDER_NECK:
+            return prof
+        anti, V, Ia = _block_sums(prof.a, _modes(prof.a))
+        s = _antiderivative(anti[0], len(prof.grid) - 1)[1]
+        gap = max(abs(prof.T - 2.0 * s[-1]), abs(prof.V - V), abs(prof.Ia - Ia),
+                  float(np.max(np.abs(prof.grid - s))))
+        if not gap <= 1e-12:
+            raise GridMismatch(f"stored profile differs from the one rebuilt at a = {prof.a} "
+                               f"by {gap:.3e}")
+        prof._anti = anti[0]
+        return prof
+
     def _half_eval(self, u, order):
         """f, and f' when ``order`` >= 1, on the folded coordinate u in [0, T/2].
 
         The Hermite interpolant of f on its exact slopes f' (0 at both ends)
-        is built on the first call: when the profile was solved, on samples
-        at uniform phi 4x finer than the grid (non-uniform knots s from
-        ``_anti``, f and f' in closed form), else on the stored grid and fp.
+        is built on the first call, on samples at uniform phi 4x finer than
+        the grid (non-uniform knots s from ``_anti``, f and f' in closed form).
         """
         if self.a == CYLINDER_NECK:
             return np.full_like(u, 0.5), np.zeros_like(u)
         if self._interp is None:
-            s, f, fp = self.grid, self.f, self.fp
-            if self._anti is not None:
-                s, f, fp = _samples(self.a, self._anti, 4 * (len(self.grid) - 1))
-            self._interp = CubicHermite(s, f, fp)
+            self._interp = CubicHermite(*_samples(self.a, self._anti, 4 * (len(self.grid) - 1)))
         if order == 0:
             return (self._interp(u),)
         return self._interp(u, slope=True)

@@ -1,4 +1,5 @@
-"""The reduction path runs on numpy alone, and its passes do not fault the heap back in."""
+"""The reduction path and the appendix run on numpy alone, and reduction passes do not
+fault the heap back in."""
 
 import json
 import os
@@ -36,14 +37,32 @@ print(json.dumps({"scipy": sorted(k for k in sys.modules if k.split(".")[0] == "
                   "faults": faults}))
 """
 
+# Runs the appendix through the CLI; prints the scipy modules loaded.
+APPENDIX = """
+import json, os, sys, tempfile
+from dropcoil import cli
+with tempfile.TemporaryDirectory() as out:
+    assert cli.main(["appendix", "--out", os.path.join(out, "appendix.csv")]) == 0
+print(json.dumps({"scipy": sorted(k for k in sys.modules if k.split(".")[0] == "scipy")}))
+"""
 
-def test_reduce_path_loads_no_scipy_and_keeps_its_heap():
+
+def _report(script):
+    """The JSON report a script prints last, run in a fresh interpreter on this dropcoil."""
     src = str(pathlib.Path(dropcoil.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    out = subprocess.run([sys.executable, "-c", GUARD], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True, timeout=300)
-    report = json.loads(out.stdout.strip().splitlines()[-1])
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_appendix_loads_no_scipy():
+    assert _report(APPENDIX)["scipy"] == []
+
+
+def test_reduce_path_loads_no_scipy_and_keeps_its_heap():
+    report = _report(GUARD)
     assert report["scipy"] == []
     if platform.libc_ver()[0] == "glibc":
         # 6006 faults a reduce_fast pass when glibc trims the heap top after

@@ -11,9 +11,9 @@ import dropcoil.coulomb as coulomb
 from dropcoil.coulomb import (BALL_UNIT_COULOMB, ENERGY_GRID, NEWTON_TOL, TILE,
                               AxisymBoundary, BlockQuadrature, CRITICAL_MASS_CLOSED_FORM,
                               NormalGraphBoundary, SelfBlockSettings,
-                              _graded_edges, _node_factors, _panel_rule,
+                              _column_values, _graded_edges, _node_factors, _panel_rule,
                               _radial_moments, _regular_blocks, _scratch, _self_block,
-                              _sym_graded_rules,
+                              _separated_factors, _separated_values, _sym_graded_rules,
                               ball_coulomb_energy, ball_energy,
                               ball_potential_exact, ball_potential_radial,
                               coil_volume, coulomb_energy, critical_mass,
@@ -169,8 +169,9 @@ def test_y2_coefficient_log_law(prof03):
 
 # ---------------------------------------------------------------------------
 # frozen reference: the allocating column kernel the buffered one replaced,
-# with its tiled k-sweep and its self-block columns; the buffered kernel must
-# reproduce every bit of it
+# with its self-block columns, and an allocating transcription of the
+# separated-column kernel with its tiled k-sweep; the buffered kernels must
+# reproduce every bit of them
 # ---------------------------------------------------------------------------
 
 def _radial_moments_ref(P, r_eval, vers_chi, sin_chi, blin, cadd_pos):
@@ -203,6 +204,20 @@ def _column_values_ref(P, r_eval, chi, phi, y2, R, ak):
     return M1 + sin_phi * M2 / R
 
 
+def _separated_values_ref(P, r_eval, chi, phi, w, y2, R, ak):
+    s = np.sin(phi) / R
+    cadd = ak * ak * (1.0 + y2 / R)
+    c = r_eval * r_eval + cadd
+    sc = np.sqrt(c)
+    sQP = np.sqrt(cadd * (1.0 + P * s) + ((P - r_eval) ** 2
+                                          + 4.0 * P * r_eval * np.sin(0.5 * chi) ** 2))
+    h = cadd * (0.5 * s) + -r_eval * np.cos(chi)
+    M0 = np.log((h + P + sQP) / (h + sc))
+    M1 = sQP - sc - h * M0
+    return (M1 * (w - h * (1.5 * w * s)) + sQP * (0.5 * w * P * s)
+            - M0 * c * (0.5 * w * s))
+
+
 def _regular_blocks_ref(nodes, ks, R, T, theta, y3c, r_eval):
     x3, phi, rho_b, w = nodes
     chi = phi - theta
@@ -213,9 +228,9 @@ def _regular_blocks_ref(nodes, ks, R, T, theta, y3c, r_eval):
     ks = np.asarray(ks)[:, None]
     for lo in range(0, len(ks), rows):
         ak = 2.0 * R * np.sin((ks[lo:lo + rows] * T + dx3[None, :]) / (2.0 * R))
-        vals = _column_values_ref(rho_b[None, :], r_eval, chi[None, :], phi[None, :],
-                                  y2, R, ak)
-        Ik[lo:lo + rows] = (vals * w[None, :]).sum(axis=1)
+        vals = _separated_values_ref(rho_b[None, :], r_eval, chi[None, :], phi[None, :],
+                                     w[None, :], y2, R, ak)
+        Ik[lo:lo + rows] = vals.sum(axis=1)
     return Ik
 
 
@@ -306,9 +321,9 @@ def _one_shot_regular_blocks(boundary, quad, n, R, T, theta, y3c, r_eval):
     x3, phi, rho_b, w = _flat_rule(*quad.nodes2d(y3c, boundary))
     k = np.arange(1, n)[:, None]
     ak = 2.0 * R * np.sin((k * T + (x3 - y3c)[None, :]) / (2.0 * R))
-    vals = _column_values_ref(rho_b[None, :], r_eval, (phi - theta)[None, :], phi[None, :],
-                              r_eval * np.sin(theta), R, ak)
-    return (vals * w[None, :]).sum(axis=1)
+    vals = _separated_values_ref(rho_b[None, :], r_eval, (phi - theta)[None, :], phi[None, :],
+                                 w[None, :], r_eval * np.sin(theta), R, ak)
+    return vals.sum(axis=1)
 
 
 @pytest.mark.parametrize("resolution, n, rows", [
@@ -502,6 +517,68 @@ def test_far_blocks_match_gauss_in_r_reference(prof03, chart03, solver03):
                         direct = _regular_blocks(one, ks[sel], R, T, theta[p:p + 1],
                                                  y3c[p:p + 1], r_eval[p:p + 1])[0]
                         assert np.all(err[sel] < np.abs(direct / ref[sel] - 1.0))
+
+
+def _columns_by_gauss_in_r(P, r_eval, chi, phi, cadd, R, q=64):
+    """Columns int_0^P (1 + r sin(phi)/R) r / |x - y| dr by q-node Gauss in r.
+
+    |x - y|^2 = (r - r_eval)^2 + 4 r r_eval sin^2(chi/2) + cadd (1 + r sin(phi)/R)
+    is the chordal identity with cadd = a_k^2 kap; P is (n_z, n_phi) and cadd
+    (k, n_z, 1), one row of k at a time.  Independent of both closed forms.
+    """
+    t, g = coulomb._gl(q)
+    r = P[..., None] * t
+    one = 1.0 + r * (np.sin(phi) / R)[:, None]
+    near = (r - r_eval) ** 2 + (4.0 * r_eval * np.sin(0.5 * chi) ** 2)[:, None] * r
+    num = r * one
+    Q = np.empty(r.shape)
+    out = np.empty(cadd.shape[:1] + P.shape)
+    for row, cols in zip(cadd, out):
+        np.multiply(row[..., None], one, out=Q)
+        np.add(Q, near, out=Q)
+        np.sqrt(Q, out=Q)
+        np.divide(num, Q, out=Q)
+        np.matmul(Q, g, out=cols)
+    return out * P
+
+
+def test_separated_columns_match_gauss_in_r(prof03):
+    # every regular block's columns on five lattice rules, from both closed
+    # forms, against 64-node Gauss in r.  Worst relative errors measured, per
+    # class min(k, n - k) = 1, 2-3, 4-7, >= 8: guarded 2.2e-13, 1.5e-11,
+    # 1.4e-10, 9.2e-9; separated 2.1e-13, 1.2e-11, 1.2e-10, 1.2e-8 (both
+    # lose digits to the M1/M2 cancellation on the far columns)
+    T = prof03.T
+    boundary = AxisymBoundary(prof03)
+    theta, y3 = (v.ravel() for v in np.meshgrid([0.3, np.pi / 2, 1.2, 2.0, 1.5 * np.pi],
+                                                 np.array([0.0, 0.2, 0.45]) * T,
+                                                 indexing="ij"))
+    r_eval, y3c = boundary.surface_point(theta, y3)
+    worst = np.zeros((2, 4))
+    for rule in ((12, 14), (16, 20), (28, 40), (32, 48), (8, 10)):
+        x3, phi, rho_b, w = BlockQuadrature(prof03, (2,) + rule).nodes2d(y3c, boundary)
+        for n in (8, 16, 32, 33, 64, 127):
+            R = n * T / (2.0 * np.pi)
+            ks = np.arange(1, n)
+            cls = np.searchsorted([2, 4, 8], np.minimum(ks, n - ks), side="right")
+            shape = (len(ks),) + w.shape
+            for p in range(len(theta)):
+                P, r, chi = rho_b[p], r_eval[p], phi - theta[p]
+                ak = 2.0 * R * np.sin((ks[:, None, None] * T + (x3[p] - y3c[p])[:, None])
+                                      / (2.0 * R))
+                kap = 1.0 + r * np.sin(theta[p]) / R
+                cadd = ak * ak * kap
+                c = r * r + cadd
+                guarded = _column_values(_node_factors(P, r, chi, phi), ak, kap, R,
+                                         _scratch(shape))
+                separated = _separated_values(
+                    _separated_factors(P, r, chi, phi, np.ones(w.shape), R), cadd, c,
+                    np.sqrt(c), [np.empty(shape) for _ in range(5)])
+                ref = _columns_by_gauss_in_r(P, r, chi, phi, cadd, R)
+                for i, cols in enumerate((guarded, separated)):
+                    np.maximum.at(worst[i], cls, np.abs(cols / ref - 1.0).max(axis=(1, 2)))
+    assert np.all(worst[1] <= 2.0 * worst[0])
+    assert np.all(worst[1] < [1e-12, 1e-10, 1e-9, 1e-7])
 
 
 def test_window_moments_match_legendre_reference(prof03, chart03, solver03):

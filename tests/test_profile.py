@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
-from dropcoil.errors import DomainError
+from dropcoil.errors import DomainError, GridMismatch
 from dropcoil.profile import (CYLINDER_IA, CYLINDER_PERIOD, CYLINDER_VOLUME,
-                              DEFAULT_GRID, ConformalChart, DelaunayProfile,
+                              ConformalChart, DelaunayProfile,
                               _block_sums, _modes, build_chart,
                               compute_Ia, compute_Ia_conformal, profile_scan,
                               solve_profile)
@@ -274,15 +274,24 @@ def test_profile_interpolant_built_on_first_evaluate(a):
     f_ex, fp_ex = _exact_f(a, _roulette_angle(_block_sums(a, _modes(a))[0], 0, s))
     assert np.max(np.abs(f - f_ex)) <= 2e-15
     assert np.max(np.abs(fp - fp_ex)) <= 5e-11
-    # a loaded profile interpolates its stored grid and fp: stored at the solved
-    # profile's 4x finer samples it gives the same bits; at the default grid,
-    # knots 4x wider, the errors scale as h^4 (f) and h^3 (f')
-    fine = DelaunayProfile.from_dict(solve_profile(a, grid_size=4 * DEFAULT_GRID).to_dict())
-    for got, want in zip(fine.evaluate(s, order=1), (f, fp)):
-        assert np.array_equal(got, want)
-    f_j, fp_j = DelaunayProfile.from_dict(p.to_dict()).evaluate(s, order=1)
-    assert np.max(np.abs(f_j - f_ex)) <= 4**4 * 2e-15
-    assert np.max(np.abs(fp_j - fp_ex)) <= 4**3 * 5e-11
+    # a loaded profile rebuilds the coefficients from a, so it gives the solved
+    # profile's bits and meets the same bounds
+    loaded = DelaunayProfile.from_dict(p.to_dict())
+    assert loaded._interp is None and np.array_equal(loaded._anti, p._anti)
+    f_j, fp_j = loaded.evaluate(s, order=1)
+    assert np.array_equal(f_j, f) and np.array_equal(fp_j, fp)
+    assert np.max(np.abs(f_j - f_ex)) <= 2e-15
+    assert np.max(np.abs(fp_j - fp_ex)) <= 5e-11
+
+
+def test_profile_from_dict_checks_stored_data(prof03):
+    # the stored T, V, Ia and grid must be those rebuilt from a
+    d = prof03.to_dict()
+    for key, value in (("T", prof03.T * (1.0 + 1e-11)), ("V", prof03.V + 1e-11),
+                       ("Ia", prof03.Ia - 1e-11), ("a", 0.31),
+                       ("grid", (prof03.grid * (1.0 + 1e-11)).tolist())):
+        with pytest.raises(GridMismatch):
+            DelaunayProfile.from_dict(dict(d, **{key: value}))
 
 
 @pytest.mark.parametrize("a", [0.05, 0.3, 0.45])
