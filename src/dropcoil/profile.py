@@ -190,7 +190,7 @@ class DelaunayProfile(_Record):
     phi_j = j pi / (len(grid) - 1); f/fp/fpp are the profile and its
     derivatives there.  V is the block volume |Omega_0| and Ia the stability
     integral, both trapezoid sums in phi.  ``_anti`` holds the coefficients of
-    s(phi) (``_antiderivative``; rebuilt from a when loaded).
+    s(phi) (``_antiderivative``; a loaded profile is solved afresh).
     """
 
     KIND = "delaunay-profile"
@@ -207,23 +207,20 @@ class DelaunayProfile(_Record):
 
     @classmethod
     def from_dict(cls, d: dict):
-        """The stored profile, with ``_anti`` rebuilt from a, so it interpolates as solved.
+        """The profile solved afresh at the stored a and grid size, so it interpolates as solved.
 
-        Raises GridMismatch when the stored T, V, Ia or grid differ from the
-        rebuilt ones by more than 1e-12.
+        Raises GridMismatch when the stored T, V, Ia, grid, f or fp differ from
+        the solved ones by more than 1e-12.
         """
         prof = super().from_dict(d)
-        if prof.a == CYLINDER_NECK:
-            return prof
-        anti, V, Ia = _block_sums(prof.a, _modes(prof.a))
-        s = _antiderivative(anti[0], len(prof.grid) - 1)[1]
-        gap = max(abs(prof.T - 2.0 * s[-1]), abs(prof.V - V), abs(prof.Ia - Ia),
-                  float(np.max(np.abs(prof.grid - s))))
+        fresh = solve_profile(prof.a, len(prof.grid) - 1)
+        gap = max(abs(prof.T - fresh.T), abs(prof.V - fresh.V), abs(prof.Ia - fresh.Ia),
+                  *(float(np.max(np.abs(getattr(prof, k) - getattr(fresh, k))))
+                    for k in ("grid", "f", "fp")))
         if not gap <= 1e-12:
-            raise GridMismatch(f"stored profile differs from the one rebuilt at a = {prof.a} "
+            raise GridMismatch(f"stored profile differs from the one solved at a = {prof.a} "
                                f"by {gap:.3e}")
-        prof._anti = anti[0]
-        return prof
+        return fresh
 
     def _half_eval(self, u, order):
         """f, and f' when ``order`` >= 1, on the folded coordinate u in [0, T/2].

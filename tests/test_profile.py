@@ -5,7 +5,7 @@ from scipy.integrate import solve_ivp
 
 from dropcoil.errors import DomainError, GridMismatch
 from dropcoil.profile import (CYLINDER_IA, CYLINDER_PERIOD, CYLINDER_VOLUME,
-                              ConformalChart, DelaunayProfile,
+                              DEFAULT_GRID, ConformalChart, DelaunayProfile,
                               _block_sums, _modes, build_chart,
                               compute_Ia, compute_Ia_conformal, profile_scan,
                               solve_profile)
@@ -274,24 +274,37 @@ def test_profile_interpolant_built_on_first_evaluate(a):
     f_ex, fp_ex = _exact_f(a, _roulette_angle(_block_sums(a, _modes(a))[0], 0, s))
     assert np.max(np.abs(f - f_ex)) <= 2e-15
     assert np.max(np.abs(fp - fp_ex)) <= 5e-11
-    # a loaded profile rebuilds the coefficients from a, so it gives the solved
-    # profile's bits and meets the same bounds
+    # a loaded profile is solved afresh at its a and grid size, so it gives the
+    # solved profile's bits and meets the same bounds; so does one stored on a
+    # grid 4x finer than the default
     loaded = DelaunayProfile.from_dict(p.to_dict())
     assert loaded._interp is None and np.array_equal(loaded._anti, p._anti)
     f_j, fp_j = loaded.evaluate(s, order=1)
     assert np.array_equal(f_j, f) and np.array_equal(fp_j, fp)
     assert np.max(np.abs(f_j - f_ex)) <= 2e-15
     assert np.max(np.abs(fp_j - fp_ex)) <= 5e-11
+    fine = solve_profile(a, grid_size=4 * DEFAULT_GRID)
+    fine_j = DelaunayProfile.from_dict(fine.to_dict())
+    assert np.array_equal(fine_j._anti, fine._anti) and np.array_equal(fine_j.grid, fine.grid)
+    for got, want in zip(fine_j.evaluate(s, order=1), fine.evaluate(s, order=1)):
+        assert np.array_equal(got, want)
 
 
-def test_profile_from_dict_checks_stored_data(prof03):
-    # the stored T, V, Ia and grid must be those rebuilt from a
+def test_profile_from_dict_checks_stored_data(prof03, prof_cyl):
+    # the stored T, V, Ia, grid, f and fp must be those solved at the stored a,
+    # and a stored a outside (0, 1/2] is refused as when solving
     d = prof03.to_dict()
     for key, value in (("T", prof03.T * (1.0 + 1e-11)), ("V", prof03.V + 1e-11),
                        ("Ia", prof03.Ia - 1e-11), ("a", 0.31),
-                       ("grid", (prof03.grid * (1.0 + 1e-11)).tolist())):
+                       ("grid", (prof03.grid * (1.0 + 1e-11)).tolist()),
+                       ("f", (prof03.f + 1e-11).tolist()),
+                       ("fp", (prof03.fp * (1.0 + 1e-10)).tolist())):
         with pytest.raises(GridMismatch):
             DelaunayProfile.from_dict(dict(d, **{key: value}))
+    for a in (0.0, 0.7, float("nan")):
+        with pytest.raises(DomainError):
+            DelaunayProfile.from_dict(dict(d, a=a))
+    assert DelaunayProfile.from_dict(prof_cyl.to_dict()).to_dict() == prof_cyl.to_dict()
 
 
 @pytest.mark.parametrize("a", [0.05, 0.3, 0.45])
