@@ -6,11 +6,16 @@
 
 With ``--check`` the runs write into a temporary directory, and every file
 they write (the reduction's trace CSV too) is compared byte for byte with
-its committed copy; the script lists each file that differs and exits 1.
+its committed copy; the script lists each file that differs, with the
+largest absolute and relative change over its numbers (JSON leaves, CSV
+cells), and exits 1.
 """
 import argparse
 import filecmp
+import json
+import math
 import pathlib
+import re
 import sys
 import tempfile
 
@@ -39,17 +44,62 @@ def run_all(out_dir: pathlib.Path) -> int:
     return 0
 
 
+def _numbers(path: pathlib.Path) -> dict:
+    """The numbers of a results file by position: JSON leaves by key path, else
+    the comma- or space-separated cells of each line."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        out = {}
+
+        def walk(key, v):
+            if isinstance(v, dict):
+                for k, x in v.items():
+                    walk(key + (k,), x)
+            elif isinstance(v, list):
+                for i, x in enumerate(v):
+                    walk(key + (i,), x)
+            elif isinstance(v, (int, float)) and not isinstance(v, bool):
+                out[key] = float(v)
+        walk((), json.loads(text))
+        return out
+    out = {}
+    for i, line in enumerate(text.splitlines()):
+        for j, cell in enumerate(re.split(r"[,\s]+", line.strip())):
+            try:
+                out[i, j] = float(cell)
+            except ValueError:
+                pass
+    return out
+
+
+def number_shift(old: pathlib.Path, new: pathlib.Path) -> str:
+    """The largest absolute and relative change between two results files' numbers."""
+    a, b = _numbers(old), _numbers(new)
+    if a.keys() != b.keys():
+        return "its numbers do not line up with the committed copy"
+    diffs = [(abs(b[k] - a[k]), abs(b[k] - a[k]) / abs(a[k]) if a[k] else math.inf)
+             for k in a if b[k] != a[k]]
+    if not diffs:
+        return f"its {len(a)} numbers are unchanged"
+    return (f"largest change {max(d[0] for d in diffs):.3g} absolute, "
+            f"{max(d[1] for d in diffs):.3g} relative, in {len(diffs)} of {len(a)} numbers")
+
+
 def check() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
         code = run_all(tmp)
         if code:
             return code
-        differ = [p.name for p in sorted(tmp.iterdir())
-                  if not (RESULTS / p.name).is_file()
-                  or not filecmp.cmp(p, RESULTS / p.name, shallow=False)]
-    for name in differ:
-        print(f"differs: results/{name}")
+        differ = []
+        for p in sorted(tmp.iterdir()):
+            ref = RESULTS / p.name
+            if not ref.is_file():
+                differ.append(f"results/{p.name} is new")
+            elif not filecmp.cmp(p, ref, shallow=False):
+                differ.append(f"results/{p.name}: {number_shift(ref, p)}")
+    for line in differ:
+        print(f"differs: {line}")
     return 1 if differ else 0
 
 

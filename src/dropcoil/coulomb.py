@@ -28,8 +28,8 @@ exact for them, and the blocks FAR_K0 = 8 .. n - FAR_K0 are that expansion
 evaluated at the point turned by -kT/R: O(L^2) work a block instead of
 O(nodes), with a truncation below 1e-13 a block.  The near blocks stay on the
 closed-form columns, with the separated kernel: no regular block's column
-line comes near the evaluation point, so only the self block's columns need
-the guarded one.
+line comes near the evaluation point, so only the self block's columns with
+|xi| <= d_xi need the guarded one.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, NonConvergence, QuadratureDivergence, RootNotBracketed
 from .fields import (SymmetricField, is_zero_field, on_axis_derivatives, series_eval,
-                     theta_mirror)
+                     shifted_series, theta_mirror)
 from .geometry import build_coil, evaluate_forms
 from .profile import ConformalChart, DelaunayProfile
 
@@ -56,11 +56,10 @@ NEWTON_TOL = 1e-9
 # Axial intervals of the half period [0, T/2] on which rho_h is sampled
 # (doubled once when the axial tail of its series exceeds NEWTON_TOL).
 GRAPH_MZ = 48
-# Elements per tile of the regular-block sweep and of the self-block columns
-# over a batch of points: every temporary of one tile holds at most TILE
-# doubles (96 KiB), whatever n, the node count and the batch size are.  The
-# Duffy core and the normal graph's radius tables, which pay a call a tile,
-# allow 4 TILE.
+# Elements per tile of the regular-block sweep, the self-block columns and
+# the Duffy core over a batch of points: every temporary of one tile's kernel
+# holds at most TILE doubles (96 KiB), whatever n, the node count and the
+# batch size are.
 TILE = 12288
 # (theta, y3) trapezoid nodes over one period of the coil energy's surface rule;
 # the integrand is smooth and periodic, and 32 x 48 moves D by 5e-12.  Both
@@ -81,10 +80,6 @@ FAR_MIN_N = 128
 class AxisymBoundary:
     """Unperturbed block boundary r = f(x3)."""
 
-    # ``_duffy_core`` tiles its faces as for a normal graph of full
-    # GRAPH_MZ + 1 axial modes
-    axial_modes = GRAPH_MZ + 1
-
     def __init__(self, profile: DelaunayProfile):
         self.profile = profile
 
@@ -92,6 +87,14 @@ class AxisymBoundary:
         x3 = np.asarray(x3, dtype=float)
         f = self.profile.evaluate(x3, order=0)[0]
         return np.broadcast_to(f, np.broadcast(phi, x3).shape).copy()
+
+    def radius_about(self, offset):
+        """``radius`` at x3 = centre + offset as a function of (phi, centre)."""
+        def radius(phi, centre):
+            centre = np.asarray(centre, dtype=float)
+            return self.radius(phi, centre.reshape(centre.shape + (1,) * np.ndim(offset))
+                               + offset)
+        return radius
 
     def surface_point(self, theta, y3):
         """(r, x3) of the surface points over broadcast (theta, y3)."""
@@ -113,10 +116,15 @@ class NormalGraphBoundary:
     NEWTON_TOL is sampled again at twice the count; a tail still above it
     raises NonConvergence.  The series is then chopped to the angular rows
     and axial columns up to the last holding a coefficient above
-    8 eps max|c|: what it drops is rounding, and it keeps ``axial_modes``
-    columns.  The boundary keeps a copy of h, so ``surface_point`` and
-    ``radius`` describe the same solid whatever the caller later does to
-    its field.
+    8 eps max|c|: what it drops is rounding.  The boundary keeps a copy of
+    h, so ``surface_point`` and ``radius`` describe the same solid whatever
+    the caller later does to its field.
+
+    ``radius`` evaluates the series at any (phi, x3).  The Coulomb rules ask
+    for rho_h at x3 = centre + offset, a centre a surface point and offsets
+    (z nodes, xi nodes, Duffy face nodes) shared by every point, and take it
+    from ``radius_about``, whose axial tables grow with centres plus offsets
+    instead of their product; the two agree to rounding.
     """
 
     def __init__(self, profile: DelaunayProfile, chart: ConformalChart,
@@ -140,7 +148,6 @@ class NormalGraphBoundary:
         big = np.abs(coef) > 8.0 * np.finfo(float).eps * np.abs(coef).max()
         rows, cols = (np.flatnonzero(big.any(axis=a))[-1] + 1 for a in (1, 0))
         self._coef = np.ascontiguousarray(coef[:rows, :cols])
-        self.axial_modes = self._coef.shape[1]
 
     def _interpolant(self, nphi, mz):
         """Full (nphi/2, mz + 1) series of rho_h from Newton samples over [0, T/2]."""
@@ -175,27 +182,12 @@ class NormalGraphBoundary:
         return rad
 
     def radius(self, phi, x3):
-        """rho_h at broadcast (phi, x3); open grids pay for distinct values only.
+        """rho_h at broadcast (phi, x3); open grids pay for distinct values only."""
+        return series_eval(self._coef, self._tau, phi, x3)[0]
 
-        The axial exp table holds ``axial_modes`` complex values for each
-        x3 value, so a larger call is taken in tiles along the leading axis
-        x3 varies on, whose tables hold at most 4 TILE doubles.  x3 on axis
-        -2 and phi on axis -1 is the open grid ``series_eval`` contracts by
-        one matmul.
-        """
-        phi, x3 = np.asarray(phi, dtype=float), np.asarray(x3, dtype=float)
-        if 2 * self.axial_modes * x3.size <= 4 * TILE:
-            return series_eval(self._coef, self._tau, phi, x3)[0]
-        shape = np.broadcast_shapes(phi.shape, x3.shape)
-        phi, x3 = (v.reshape((1,) * (len(shape) - v.ndim) + v.shape) for v in (phi, x3))
-        ax = next(a for a, m in enumerate(x3.shape) if m > 1)
-        rows = max(1, 2 * TILE * x3.shape[ax] // (self.axial_modes * x3.size))
-        out = np.empty(shape)
-        for lo in range(0, shape[ax], rows):
-            p = (slice(None),) * ax + (slice(lo, lo + rows),)
-            out[p] = series_eval(self._coef, self._tau, phi[p] if phi.shape[ax] > 1 else phi,
-                                 x3[p])[0]
-        return out
+    def radius_about(self, offset):
+        """rho_h at x3 = centre + offset as a function of (phi, centre); see ``shifted_series``."""
+        return shifted_series(self._coef, self._tau, offset)
 
     def surface_point(self, theta, y3):
         """(r, x3) of the graph points over broadcast (theta, y3)."""
@@ -329,13 +321,13 @@ def _radial_moments(g, blin, cadd, s):
 def _column_values(g, ak, kap, R, s):
     """Column integrals int_0^P (1 + r sin(phi)/R) r / sqrt(Q) dr, into ``s[0]``.
 
-    The guarded kernel of the self block's columns (``_columns``), whose
-    lines pass arbitrarily close to the evaluation point; the regular
-    blocks, whose columns all stay a block length away, take
-    ``_separated_values``.  ``g`` holds the node factors, ``ak`` the block
-    offsets a_k on the lattice and kap = 1 + y2 / R; ``s`` is a
-    ``_scratch`` set of the broadcast shape.  a_k^2 and cadd = a_k^2 kap
-    are formed on the lattice.
+    The guarded kernel of the self block's inner and footprint columns
+    (``_columns``), whose lines pass arbitrarily close to the evaluation
+    point; the regular blocks and the self block's outer columns, whose
+    lines all keep a distance from it, take ``_separated_values``.  ``g``
+    holds the node factors, ``ak`` the block offsets a_k on the lattice and
+    kap = 1 + y2 / R; ``s`` is a ``_scratch`` set of the broadcast shape.
+    a_k^2 and cadd = a_k^2 kap are formed on the lattice.
     """
     B, a2, cadd = s[1], s[9], s[10]
     np.multiply(ak, ak, out=a2)
@@ -349,14 +341,28 @@ def _column_values(g, ak, kap, R, s):
     return np.add(M1, M2, out=M1)
 
 
-def _separated_factors(P, r_eval, chi, phi, w, R):
-    """Node factors of ``_separated_values``, with s = sin(phi)/R and the weight w folded in."""
+def _separated_factors(P, r_eval, chi, phi, w, R, out):
+    """Node factors of ``_separated_values``, with s = sin(phi)/R and the weight w folded in.
+
+    The four with P's shape are written into ``out``, arrays the caller
+    allocates once a sweep; hb0 is among them, so no pass broadcasts it.
+    The rest keep the shape of their operands (w may be a scalar).
+    """
+    q1, wsph, hb0, Q0 = out
     s = np.sin(phi) / R
-    hb0 = np.empty(P.shape)                  # full size, so no pass broadcasts it
+    np.multiply(P, s, out=q1)
+    np.add(q1, 1.0, out=q1)
+    np.multiply(0.5 * w, P, out=wsph)
+    np.multiply(wsph, s, out=wsph)
+    np.subtract(P, r_eval, out=Q0)
+    np.multiply(Q0, Q0, out=Q0)
+    np.multiply(P, 4.0, out=hb0)
+    np.multiply(hb0, r_eval, out=hb0)
+    np.multiply(hb0, np.sin(0.5 * chi) ** 2, out=hb0)
+    np.add(Q0, hb0, out=Q0)
     np.multiply(-r_eval, np.cos(chi), out=hb0)
-    return {"P": P, "q1": 1.0 + P * s, "sh": 0.5 * s, "w": w, "ws32": 1.5 * w * s,
-            "wsph": 0.5 * w * P * s, "wsh": 0.5 * w * s, "hb0": hb0,
-            "Q0": (P - r_eval) ** 2 + 4.0 * P * r_eval * np.sin(0.5 * chi) ** 2}
+    return {"P": P, "q1": q1, "sh": 0.5 * s, "w": w, "ws32": 1.5 * w * s, "wsph": wsph,
+            "wsh": 0.5 * w * s, "hb0": hb0, "Q0": Q0}
 
 
 def _separated_values(g, cadd, c, sc, s):
@@ -370,7 +376,8 @@ def _separated_values(g, cadd, c, sc, s):
     lattice values and ``s`` holds five work arrays of the tile shape.
     c >= a_k^2 kap > 0, and sqrt(c) + h > 0 while the column's line misses
     the evaluation point, as every line of a block k >= 1 does on the rules
-    ``BlockQuadrature`` accepts, so neither needs a guard.
+    ``BlockQuadrature`` accepts, and every outer self-block line
+    (``_self_block``), so neither needs a guard.
     """
     V, A, E, G, H = s
     np.multiply(cadd, g["q1"], out=E)
@@ -534,11 +541,12 @@ class BlockQuadrature:
         """(x3, phi, rho_b, w) product rule centred at y3_center, on its lattice.
 
         x3 has shape centres + (n_z,) and rho_b centres + (n_z, n_phi), from
-        one ``radius`` call; phi (n_phi,) and the weights w (n_z, n_phi) are
-        shared by every centre.
+        one ``radius_about`` call; phi (n_phi,) and the weights w (n_z, n_phi)
+        are shared by every centre.
         """
         x3 = np.asarray(y3_center, dtype=float)[..., None] + self.z_nodes
-        return (x3, self.phi_nodes, boundary.radius(self.phi_nodes[None, :], x3[..., None]),
+        return (x3, self.phi_nodes,
+                boundary.radius_about(self.z_nodes[:, None])(self.phi_nodes, y3_center),
                 np.outer(self.z_weights, self.phi_weights))
 
 
@@ -549,35 +557,54 @@ class CoulombResult:
     err_est: Optional[float] = None
 
 
-def _columns(boundary, R, theta, y3c, r_eval, xi, wxi, chi, wchi, depth=None, rho_b=None):
+def _columns(boundary, R, theta, y3c, r_eval, xi, wxi, chi, wchi, depth=None, rho_b=None,
+             separated=False):
     """Analytic-r columns of the k = 0 block summed on a (xi, chi) rule, one value a point.
 
     theta, y3c, r_eval (and ``depth``) hold one value a point and chi, wchi
     one row a point; the xi rule is shared.  Each column runs from the axis
     to rho_b, or to rho_b - depth; ``rho_b`` (points, xi, chi) passes radii
-    the caller already has, else they come from ``boundary``.  Points are
-    taken in tiles of max(1, TILE // (xi nodes x chi nodes)), so, as in the
-    regular blocks, every temporary holds at most TILE doubles whatever the
-    batch size, and one ``_scratch`` set serves every tile.
+    the caller already has, else they come from ``boundary.radius_about``
+    with y3c as the centres and xi as the offsets.  With ``separated`` the
+    columns take the separated kernel ``_separated_values``, else the
+    guarded ``_column_values``: a rule whose xi nodes all keep a distance
+    from 0 has no column line near the evaluation point, and only such a
+    rule may pass it.  A point's column values are summed with the
+    weights by two matrix-vector products, over chi and then xi.  Points
+    are taken in tiles of max(1, TILE // (xi nodes x chi nodes)), so, as in
+    the regular blocks, every temporary holds at most TILE doubles whatever
+    the batch size, and one scratch set serves every tile.
     """
     XI = xi[:, None]
     ak = 2.0 * R * np.sin(XI / (2.0 * R))
+    radius = boundary.radius_about(XI) if rho_b is None else None
     rows = max(1, TILE // (len(xi) * chi.shape[1]))
-    scratch = _scratch((min(rows, len(chi)), len(xi), chi.shape[1]))
+    shape = (min(rows, len(chi)), len(xi), chi.shape[1])
+    scratch = ([np.empty(shape) for _ in range(9)] + [np.empty(shape[:-1] + (1,))
+                                                     for _ in range(3)]
+               if separated else _scratch(shape))
     out = np.empty(len(chi))
     for lo in range(0, len(chi), rows):
         p = slice(lo, lo + rows)
-        th, z3, r = (v[p, None, None] for v in (theta, y3c, r_eval))
+        th, r = theta[p, None, None], r_eval[p, None, None]
         CHI = chi[p, None, :]
         phi = th + CHI
-        P = boundary.radius(phi, z3 + XI) if rho_b is None else rho_b[p]
+        P = radius(phi, y3c[p]) if rho_b is None else rho_b[p]
         if depth is not None:
             P = np.maximum(P - depth[p, None, None], 0.0)
         s = [v[:len(chi) - lo] for v in scratch]
-        vals = _column_values(_node_factors(P, r, CHI, phi), ak, 1.0 + r * np.sin(th) / R,
-                              R, s)
-        np.multiply(vals, wxi[:, None] * wchi[p, None, :], out=vals)
-        out[p] = vals.sum(axis=(1, 2))
+        kap = 1.0 + r * np.sin(th) / R
+        if separated:
+            g = _separated_factors(P, r, CHI, phi, 1.0, R, s[5:9])
+            cadd, c, sc = s[9:]
+            np.multiply(ak * ak, kap, out=cadd)
+            np.multiply(r, r, out=c)
+            np.add(c, cadd, out=c)
+            np.sqrt(c, out=sc)
+            vals = _separated_values(g, cadd, c, sc, s[:5])
+        else:
+            vals = _column_values(_node_factors(P, r, CHI, phi), ak, kap, R, s)
+        out[p] = (wxi @ (vals @ wchi[p, :, None]))[:, 0]
     return out
 
 
@@ -590,17 +617,30 @@ def _self_block(boundary, R, T, theta, y3c, r_eval, cfg: SelfBlockSettings, a_ne
     core in depth coordinates eta = rho_b - r around the singular point.
     The xi rules are shared by every point; the chi rules scale with
     d_chi(r_eval) and are stacked one row a point.
+
+    Only the columns with |xi| <= d_xi need the guarded kernel.  The outer
+    set, |xi| > d_xi with every chi, holds most of the nodes (382,500 of
+    about 496,000 in a desk evaluation), and each of its column lines
+    misses the evaluation point by at least 2R sin(d_xi / 2R) > 0, while
+    r < R on every coil ``build_coil`` accepts: so c = r^2 + a^2 kap > 0
+    and sqrt(c) + b/2 > 0, and it takes the separated kernel.  Against
+    256-node Gauss in r (``test_self_block_outer_columns_match_gauss_in_r``)
+    its worst relative column error is 2.4e-14, against 1.8e-14 for the
+    guarded kernel.  On the inner set, whose lines pass arbitrarily close to
+    the point, the separated form loses 5x (1.3e-14 against 2.6e-15), so
+    the inner set and the footprint keep the guarded kernel.
     """
     rho = cfg.core_size(a_neck, T)
     d_xi = min(rho, T / 4.0)
     d_chi = np.minimum(rho / np.maximum(r_eval, rho), np.pi / 2.0)
     q = cfg.panel_q
 
-    def columns(xi_rule, chi_rule, depth=None, rho_b=None):
-        return _columns(boundary, R, theta, y3c, r_eval, *xi_rule, *chi_rule, depth, rho_b)
+    def columns(xi_rule, chi_rule, **kw):
+        return _columns(boundary, R, theta, y3c, r_eval, *xi_rule, *chi_rule, **kw)
 
     xi_out = [v[0] for v in _sym_graded_rules(d_xi, T / 2.0, d_xi, q)]
-    total = columns(xi_out, _sym_graded_rules(0.0, np.pi, d_chi, q, cfg.grade_ratio))
+    total = columns(xi_out, _sym_graded_rules(0.0, np.pi, d_chi, q, cfg.grade_ratio),
+                    separated=True)
 
     xi_in = _panel_rule(np.array([-d_xi, 0.0, d_xi]), cfg.column_q)
     total += columns(xi_in, _sym_graded_rules(d_chi, np.pi, d_chi, q))
@@ -608,8 +648,8 @@ def _self_block(boundary, R, T, theta, y3c, r_eval, cfg: SelfBlockSettings, a_ne
     # footprint: columns with the depth window [0, d_eta] removed ...
     fp_chi = _panel_rule(np.stack((-d_chi, np.zeros_like(d_chi), d_chi), axis=-1),
                          cfg.column_q)
-    fp_rho = boundary.radius(theta[:, None, None] + fp_chi[0][:, None, :],
-                             y3c[:, None, None] + xi_in[0][:, None])
+    fp_rho = boundary.radius_about(xi_in[0][:, None])(theta[:, None, None]
+                                                      + fp_chi[0][:, None, :], y3c)
     d_eta = np.minimum(rho, 0.45 * fp_rho.min(axis=(1, 2)))
     total += columns(xi_in, fp_chi, depth=d_eta, rho_b=fp_rho)
 
@@ -623,21 +663,18 @@ def _duffy_core(boundary, R, theta, y3c, r_eval, d_xi, d_chi, d_eta, q):
 
     The box is |xi| <= d_xi, |chi| <= d_chi, 0 <= eta <= d_eta with the
     apex at the singular point; theta, y3c, r_eval, d_chi and d_eta hold
-    one value a point, and the faces carry a leading point axis.  A face's
-    largest temporary is the exp table of its ``radius`` call on the normal
-    graph: ``boundary.axial_modes`` complex values for each of the face's
-    q^2 axial positions, 2 axial_modes q^2 doubles a point, where the face
-    grid holds q^3.  A tile pays one radius call and some thirty array
-    operations a face whatever its size, so it is allowed 4 TILE doubles of
-    table, the bound ``NormalGraphBoundary.radius`` keeps: tiles of
-    max(1, 2 TILE // (axial_modes q^2)) points, 17 at q = 7 with the 28
-    modes kept at the desk solution and 64 at q = 4 with the 24 of the
-    Tier-1 one.  A point's face sums do not depend on the tile it falls in.
+    one value a point, and the faces carry a leading point axis.  The
+    kernel's temporaries hold q^3 doubles a point, so tiles of
+    max(1, TILE // q^3) points keep each within TILE: 35 points at q = 7, 98
+    at q = 5.  Each face's radii come from one ``radius_about`` call, the
+    tile's y3c as centres and the face's xi nodes, common to every point, as
+    offsets, so its axial tables do not grow with the face grid.  A point's
+    face sums do not depend on the tile it falls in.
     """
     u, wu = _gl(q)
     U = u[:, None, None]
     W = wu[:, None, None] * wu[None, :, None] * wu[None, None, :] * U * U
-    rows = max(1, 2 * TILE // (boundary.axial_modes * q * q))
+    rows = max(1, TILE // q**3)
     out = np.empty(len(theta))
     for lo in range(0, len(theta), rows):
         p = slice(lo, lo + rows)
@@ -648,8 +685,8 @@ def _duffy_core(boundary, R, theta, y3c, r_eval, d_xi, d_chi, d_eta, q):
 
 def _duffy_faces(boundary, R, theta, y3c, r_eval, d_xi, d_chi, d_eta, u, W):
     """Sum of the five pyramid faces of ``_duffy_core`` over one tile of points."""
-    theta, y3c, r_eval, d_chi, d_eta = (np.reshape(v, (-1, 1, 1, 1))
-                                        for v in (theta, y3c, r_eval, d_chi, d_eta))
+    theta, r_eval, d_chi, d_eta = (np.reshape(v, (-1, 1, 1, 1))
+                                   for v in (theta, r_eval, d_chi, d_eta))
     y2 = r_eval * np.sin(theta)
     U = u[:, None, None]
     lo = (-d_xi, -d_chi, 0.0)
@@ -657,8 +694,8 @@ def _duffy_faces(boundary, R, theta, y3c, r_eval, d_xi, d_chi, d_eta, u, W):
     # the eta = d_eta face only when the depth window is not degenerate
     keep = (d_eta > 1e-14 * np.maximum(d_xi, d_eta)).ravel()
 
-    total = 0.0
-    for axis, D in ((0, lo[0]), (0, hi[0]), (1, lo[1]), (1, hi[1]), (2, hi[2])):
+    def face(axis, D):
+        # one face's sum at each point; its tile-sized temporaries die on return
         others = [a for a in (0, 1, 2) if a != axis]
         rel = {axis: D}
         for a, s in zip(others, (u[:, None], u)):  # the face's two free axes
@@ -667,7 +704,7 @@ def _duffy_faces(boundary, R, theta, y3c, r_eval, d_xi, d_chi, d_eta, u, W):
         chi = U * rel[1]
         eta = U * rel[2]
         phi = theta + chi
-        rho_b = boundary.radius(phi, y3c + xi)
+        rho_b = boundary.radius_about(xi)(phi, y3c)
         r = rho_b - eta
         ak = 2.0 * R * np.sin(xi / (2.0 * R))
         x2 = r * np.sin(phi)
@@ -676,8 +713,12 @@ def _duffy_faces(boundary, R, theta, y3c, r_eval, d_xi, d_chi, d_eta, u, W):
         kern = (1.0 + x2 / R) * r / np.sqrt(np.maximum(dist2, 1e-300))
         WW = (W * np.abs(D)
               * (hi[others[0]] - lo[others[0]]) * (hi[others[1]] - lo[others[1]]))
-        face = np.sum(kern * WW, axis=(1, 2, 3))
-        total = total + (np.where(keep, face, 0.0) if axis == 2 else face)
+        return np.sum(kern * WW, axis=(1, 2, 3))
+
+    total = 0.0
+    for axis, D in ((0, lo[0]), (0, hi[0]), (1, lo[1]), (1, hi[1]), (2, hi[2])):
+        f = face(axis, D)
+        total = total + (np.where(keep, f, 0.0) if axis == 2 else f)
     return total
 
 
@@ -715,11 +756,13 @@ def _regular_blocks(nodes, ks, R, T, theta, y3c, r_eval):
     shape = (pts, rows) + w.shape
     scratch = [np.empty(shape) for _ in range(5)] + [np.empty(shape[:-1] + (1,))
                                                      for _ in range(3)]
+    factors = [np.empty((pts, 1) + w.shape) for _ in range(4)]
     Ik = np.empty((len(theta), nk))
     for p0 in range(0, len(theta), pts):
         p = slice(p0, p0 + pts)
         th, r = theta[p, None, None, None], r_eval[p, None, None, None]
-        g = _separated_factors(rho_b[p, None], r, phi - th, phi, w, R)
+        g = _separated_factors(rho_b[p, None], r, phi - th, phi, w, R,
+                               [v[:len(theta) - p0] for v in factors])
         kap = 1.0 + r * np.sin(th) / R
         dx3 = (x3[p] - y3c[p, None])[:, None, :, None]
         for lo in range(0, nk, rows):

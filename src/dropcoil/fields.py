@@ -131,11 +131,8 @@ def series_eval(coef: np.ndarray, tau: float, theta, t, derivs=((0, 0),)) -> lis
     One exp(i k theta) table on theta's own shape and one exp(i freq t)
     table on t's serve every partial; the cosine factors are contracted with
     the coefficients, then with the angular factors over k, so open grids
-    (``x[:, None]``, ``p[None, :]``) pay for their distinct values only.
-    An open grid with t on axis -2 and theta on axis -1 (t.shape[-1] = 1,
-    theta.shape[-2] = 1; the leading axes broadcast) is contracted over k
-    by one matmul, (..., n_t, k) @ (..., k, n_theta); other shapes by an
-    elementwise product summed over k.
+    (``x[:, None]``, ``p[None, :]``) pay for their distinct values only;
+    ``_sum_over_k`` takes an open grid by one matmul.
     """
     theta = np.asarray(theta, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -146,13 +143,60 @@ def series_eval(coef: np.ndarray, tau: float, theta, t, derivs=((0, 0),)) -> lis
     ang = {i: _theta_factor(E_theta, i) for i in {i for i, _ in derivs}}
     prof = {j: (_cos_factor(E_t, tau, j) @ coef_t).reshape(t.shape + (kmax + 1,))
             for j in {j for _, j in derivs}}
-    if t.shape[-1:] == (1,) and theta.ndim and theta.shape[-2:-1] in ((), (1,)):
-        shape = np.broadcast_shapes(theta.shape, t.shape)
-        ang = {i: np.swapaxes(a.reshape(theta.shape[:-2] + a.shape[-2:]), -1, -2)
-               for i, a in ang.items()}
-        prof = {j: p.reshape(t.shape[:-1] + (kmax + 1,)) for j, p in prof.items()}
-        return [(prof[j] @ ang[i]).reshape(shape) for i, j in derivs]
-    return [np.einsum("...k,...k->...", ang[i], prof[j]) for i, j in derivs]
+    return [_sum_over_k(ang[i], prof[j]) for i, j in derivs]
+
+
+def shifted_series(coef: np.ndarray, tau: float, offset):
+    """``series_eval`` at t = centre + offset, as a function of (theta, centre).
+
+    The offsets are shared by every centre; t has the shape centre.shape +
+    offset.shape, and theta broadcasts to it.  The axial factor comes by
+    angle addition, p_k(c + o) = sum_j a_kj [cos(j w c) cos(j w o)
+    - sin(j w c) sin(j w o)] with w = pi/tau: the offsets' table
+    G = (a_kj cos(j w o), -a_kj sin(j w o)), 2 (m+1) x offsets x (kmax+1)
+    values, is formed once, and each centre's (cos(j w c), sin(j w c)) row
+    times G by one vector-matrix product, so no table grows with centres
+    times offsets but the profile itself, and a centre's values do not
+    depend on the other centres.  It differs from ``series_eval`` at the
+    summed t by rounding only.
+    """
+    offset = np.asarray(offset, dtype=float)
+    kmax, m = coef.shape[0] - 1, coef.shape[1] - 1
+    E_o = _powers(offset.ravel() * (np.pi / tau), m)
+    table = np.empty((2, m + 1, offset.size, kmax + 1))
+    np.multiply(E_o.real.T[:, :, None], coef.T[:, None, :], out=table[0])
+    np.multiply(E_o.imag.T[:, :, None], -coef.T[:, None, :], out=table[1])
+    table = table.reshape(2 * (m + 1), -1)
+
+    def evaluate(theta, centre):
+        centre = np.asarray(centre, dtype=float)
+        # one padding value keeps the powers off a length-1 axis, where
+        # numpy's complex multiply rounds differently
+        E_c = _powers(np.append(centre.ravel(), 0.0) * (np.pi / tau), m)[:-1]
+        # contiguous rows: numpy takes a stack of them one centre at a time (a
+        # strided stack it took as one matrix, whose rows rounded by batch)
+        rows = np.empty((len(E_c), 1, 2 * (m + 1)))
+        rows[:, 0, :m + 1], rows[:, 0, m + 1:] = E_c.real, E_c.imag
+        ang = _theta_factor(_powers(np.asarray(theta, dtype=float), kmax), 0)
+        prof = np.matmul(rows, table).reshape(centre.shape + offset.shape + (kmax + 1,))
+        return _sum_over_k(ang, prof)
+    return evaluate
+
+
+def _sum_over_k(ang: np.ndarray, prof: np.ndarray) -> np.ndarray:
+    """sum_k ang[..., k] prof[..., k] over the broadcast of their leading shapes.
+
+    ``ang`` holds the angular factors on theta's shape and ``prof`` the
+    axial ones on t's.  An open grid with t on axis -2 and theta on axis -1
+    (t.shape[-1] = 1, theta.shape[-2] = 1; the leading axes broadcast) is
+    contracted by one matmul, (..., n_t, k) @ (..., k, n_theta); other
+    shapes by an elementwise product summed over k.
+    """
+    th, t = ang.shape[:-1], prof.shape[:-1]
+    if t[-1:] == (1,) and th and th[-2:-1] in ((), (1,)):
+        a = np.swapaxes(ang.reshape(th[:-2] + ang.shape[-2:]), -1, -2)
+        return (prof.reshape(t[:-1] + prof.shape[-1:]) @ a).reshape(np.broadcast_shapes(th, t))
+    return np.einsum("...k,...k->...", ang, prof)
 
 
 def theta_mirror(ntheta: int):

@@ -21,6 +21,7 @@ from dropcoil.coulomb import (BALL_UNIT_COULOMB, ENERGY_GRID, NEWTON_TOL, TILE,
                               solid_boundary, surface_potentials,
                               toroidal_potential_reference)
 from dropcoil.errors import DomainError, NonConvergence, QuadratureDivergence
+from dropcoil import fields
 from dropcoil.fields import SymmetricField
 from dropcoil.geometry import build_coil, evaluate_forms
 from dropcoil.profile import solve_profile
@@ -235,7 +236,7 @@ def _regular_blocks_ref(nodes, ks, R, T, theta, y3c, r_eval):
 
 
 def _columns_ref(boundary, R, theta, y3c, r_eval, xi, wxi, chi, wchi, depth=None,
-                 rho_b=None):
+                 rho_b=None, separated=False):
     # rho_b is not read: the radii come from the boundary on every tile
     XI = xi[:, None]
     ak = 2.0 * R * np.sin(XI / (2.0 * R))
@@ -243,14 +244,17 @@ def _columns_ref(boundary, R, theta, y3c, r_eval, xi, wxi, chi, wchi, depth=None
     out = np.empty(len(chi))
     for lo in range(0, len(chi), rows):
         p = slice(lo, lo + rows)
-        th, z3, r = (v[p, None, None] for v in (theta, y3c, r_eval))
+        th, r = theta[p, None, None], r_eval[p, None, None]
         CHI = chi[p, None, :]
         phi = th + CHI
-        rb = boundary.radius(phi, z3 + XI)
+        rb = boundary.radius_about(XI)(phi, y3c[p])
         if depth is not None:
             rb = np.maximum(rb - depth[p, None, None], 0.0)
-        vals = _column_values_ref(rb, r, CHI, phi, r * np.sin(th), R, ak)
-        out[p] = (vals * (wxi[:, None] * wchi[p, None, :])).sum(axis=(1, 2))
+        if separated:
+            vals = _separated_values_ref(rb, r, CHI, phi, 1.0, r * np.sin(th), R, ak)
+        else:
+            vals = _column_values_ref(rb, r, CHI, phi, r * np.sin(th), R, ak)
+        out[p] = (wxi @ (vals @ wchi[p, :, None]))[:, 0]
     return out
 
 
@@ -572,13 +576,64 @@ def test_separated_columns_match_gauss_in_r(prof03):
                 guarded = _column_values(_node_factors(P, r, chi, phi), ak, kap, R,
                                          _scratch(shape))
                 separated = _separated_values(
-                    _separated_factors(P, r, chi, phi, np.ones(w.shape), R), cadd, c,
-                    np.sqrt(c), [np.empty(shape) for _ in range(5)])
+                    _separated_factors(P, r, chi, phi, np.ones(w.shape), R,
+                                       [np.empty(w.shape) for _ in range(4)]),
+                    cadd, c, np.sqrt(c), [np.empty(shape) for _ in range(5)])
                 ref = _columns_by_gauss_in_r(P, r, chi, phi, cadd, R)
                 for i, cols in enumerate((guarded, separated)):
                     np.maximum.at(worst[i], cls, np.abs(cols / ref - 1.0).max(axis=(1, 2)))
     assert np.all(worst[1] <= 2.0 * worst[0])
     assert np.all(worst[1] < [1e-12, 1e-10, 1e-9, 1e-7])
+
+
+def test_self_block_outer_columns_match_gauss_in_r(prof03):
+    # the self block's two column sets at six points, n = 16, 32, 128 and
+    # the desk loop and final orders, from both closed forms, against
+    # 256-node Gauss in r (it agreed with 512 nodes to 4.3e-15).  Worst
+    # relative errors measured: outer set, guarded 1.8e-14 and separated
+    # 2.4e-14, so the outer set takes the separated kernel; inner set,
+    # guarded 2.6e-15 and separated 1.3e-14: its lines pass arbitrarily
+    # close to the evaluation point, and the separated form loses 5x there,
+    # so the inner set (and the footprint) keep the guarded one
+    T = prof03.T
+    boundary = AxisymBoundary(prof03)
+    points = [(0.3, 0.0), (np.pi / 2, 0.0), (1.2, 0.45 * T), (2.0, 0.2 * T),
+              (1.5 * np.pi, 0.5 * T), (4.0, 0.3 * T)]
+    worst = {}
+    for n in (16, 32, 128):
+        R = n * T / (2.0 * np.pi)
+        for cfg in (SelfBlockSettings(5, 5, 6), SelfBlockSettings(7, 7, 8)):
+            rho = cfg.core_size(prof03.a, T)
+            d_xi = min(rho, T / 4.0)
+            for theta, y3 in points:
+                r, y3c = (float(v) for v in boundary.surface_point(theta, y3))
+                d_chi = min(rho / max(r, rho), np.pi / 2.0)
+                sets = {"outer": (_sym_graded_rules(d_xi, T / 2.0, d_xi, cfg.panel_q),
+                                  _sym_graded_rules(0.0, np.pi, d_chi, cfg.panel_q,
+                                                    cfg.grade_ratio)),
+                        "inner": (_panel_rule(np.array([[-d_xi, 0.0, d_xi]]), cfg.column_q),
+                                  _sym_graded_rules(d_chi, np.pi, d_chi, cfg.panel_q))}
+                for name, (xi, chi) in sets.items():
+                    xi, chi = xi[0][0], chi[0][0]
+                    phi = theta + chi
+                    P = boundary.radius(phi[None, :], y3c + xi[:, None])
+                    ak = 2.0 * R * np.sin(xi / (2.0 * R))[:, None]
+                    kap = 1.0 + r * np.sin(theta) / R
+                    cadd = ak * ak * kap
+                    c = r * r + cadd
+                    guarded = _column_values(_node_factors(P, r, chi, phi), ak, kap, R,
+                                             _scratch(P.shape))
+                    separated = _separated_values(
+                        _separated_factors(P, r, chi, phi, 1.0, R,
+                                           [np.empty(P.shape) for _ in range(4)]),
+                        cadd, c, np.sqrt(c), [np.empty(P.shape) for _ in range(5)])
+                    ref = _columns_by_gauss_in_r(P, r, chi, phi, cadd[None], R, q=256)[0]
+                    for kernel, cols in (("guarded", guarded), ("separated", separated)):
+                        err = np.max(np.abs(cols / ref - 1.0))
+                        worst[name, kernel] = max(worst.get((name, kernel), 0.0), err)
+    assert worst["outer", "separated"] <= 2.0 * worst["outer", "guarded"]
+    assert worst["outer", "separated"] < 5e-14
+    assert worst["inner", "separated"] > 2.0 * worst["inner", "guarded"]
 
 
 def test_window_moments_match_legendre_reference(prof03, chart03, solver03):
@@ -831,28 +886,65 @@ def test_normal_graph_unresolved_radius_raises(prof03, chart03, solver03):
     assert rows[1] <= 14 < rows[2] <= 28
 
 
+def _radius_about_shapes(prof03, centres):
+    """(phi, offset) of every Coulomb caller of ``radius_about`` at the batch ``centres``.
+
+    nodes2d (desk loop rule), an outer and an inner column set and the
+    footprint (desk self-block orders), a Duffy face at q = 7, and the
+    brute-force oracle's (polar angle, ring angle) grid about one centre.
+    """
+    T = prof03.T
+    quad = BlockQuadrature(prof03, (8, 16, 20))
+    p = len(centres)
+    theta = np.linspace(0.2, 6.0, p)[:, None, None]
+    d_xi = SelfBlockSettings().core_size(prof03.a, T)
+    xi_out = _sym_graded_rules(d_xi, T / 2.0, d_xi, 5)[0][0]
+    xi_in = _panel_rule(np.array([-d_xi, 0.0, d_xi]), 6)[0]
+    chi = _sym_graded_rules(0.0, np.pi, 0.1, 5)[0]
+    u = coulomb._gl(7)[0]
+    U = u[:, None, None]
+    tt = np.linspace(-np.pi, np.pi, 40)
+    return [(quad.phi_nodes, quad.z_nodes[:, None]),
+            (theta + chi, xi_out[:, None]),
+            (theta + chi[:, :12], xi_in[:, None]),
+            (theta + np.linspace(-0.1, 0.1, 12), xi_in[:, None]),
+            (theta[..., None] + U * (0.2 * u - 0.1), U * (0.4 * d_xi * u[:, None] - d_xi)),
+            (tt[None, :], np.linspace(-2.0, 2.0, 60)[:, None] * T)]
+
+
 def test_normal_graph_radius_tables_bounded(prof03, chart03, solver03, monkeypatch):
-    # a call with x3 on its leading axis, open grid or dense, and one with
-    # phi on its leading axis, where x3 varies along a later axis only, are
-    # taken in tiles whose axial exp tables (axial_modes complex values an
-    # x3 value) hold at most 4 TILE doubles; the tiles give the values of
-    # one call
+    # radius_about forms its axial exp tables on the centres and on the
+    # offsets apart, never on their sums: at the desk batch (153 centres),
+    # on every caller's shape, each axial table holds at most centres + 1
+    # or offsets values, of axial_modes complex values each, and all of them
+    # together stay within 4 TILE doubles
     bnd = _batch_boundaries(prof03, chart03, solver03)[1]
-    centres = np.linspace(-0.5, 0.5, 153)[:, None] * prof03.T
-    phi = np.linspace(0.1, 2 * np.pi, 16)
-    x3 = centres + BlockQuadrature(prof03, (8, 16, 20)).z_nodes
-    grids = [(phi[None, :], x3[..., None])]
-    grids.append(tuple(v.copy() for v in np.broadcast_arrays(*grids[0])))
-    grids.append((phi[:, None, None], x3))
-    one_shot = [coulomb.series_eval(bnd._coef, bnd._tau, p, z)[0] for p, z in grids]
+    axial = bnd._coef.shape[1]
+    centres = np.linspace(-0.5, 0.5, 153) * prof03.T
     sizes = []
-    real = coulomb.series_eval
-    monkeypatch.setattr(coulomb, "series_eval",
-                        lambda coef, tau, p, z: sizes.append(np.size(z)) or real(coef, tau, p, z))
-    tiled = [bnd.radius(p, z) for p, z in grids]
-    assert len(sizes) > 2 and 2 * bnd.axial_modes * max(sizes) <= 4 * TILE
-    for t, o in zip(tiled, one_shot):
-        assert np.array_equal(t, o)
+    real = fields._powers
+    monkeypatch.setattr(fields, "_powers",
+                        lambda x, m: (m == axial - 1 and sizes.append(np.size(x))) or real(x, m))
+    for phi, offset in _radius_about_shapes(prof03, centres):
+        sizes.clear()
+        bnd.radius_about(offset)(phi, centres)
+        assert sorted(sizes) == sorted([np.size(offset), len(centres) + 1])
+        assert 2 * axial * sum(sizes) <= 4 * TILE
+
+
+def test_radius_about_matches_radius(prof03, chart03, solver03):
+    # the angle-addition radius against the series at the summed x3, on
+    # every caller's shape and on both boundaries, for a batch and one centre
+    centres = np.linspace(-0.5, 0.5, 9) * prof03.T
+    for boundary in _batch_boundaries(prof03, chart03, solver03):
+        for phi, offset in _radius_about_shapes(prof03, centres):
+            one = phi[3] if phi.ndim > offset.ndim else phi  # phi with a centre axis
+            for c, p in ((centres, phi), (centres[3], one)):
+                x3 = np.reshape(c, np.shape(c) + (1,) * offset.ndim) + offset
+                want = boundary.radius(p, x3)
+                got = boundary.radius_about(offset)(p, c)
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))
 
 
 def test_radius_open_grid_matches_dense(prof03, chart03, solver03):
@@ -910,7 +1002,7 @@ def test_nodes2d_centres_match_single_calls(prof03, chart03, solver03):
         x3 = centres[1] + quad.z_nodes
         X3, PHI = np.meshgrid(x3, quad.phi_nodes, indexing="ij")
         want = (X3.ravel(), PHI.ravel(),
-                boundary.radius(quad.phi_nodes[None, :], x3[:, None]).ravel(),
+                boundary.radius_about(quad.z_nodes[:, None])(quad.phi_nodes, centres[1]).ravel(),
                 np.outer(quad.z_weights, quad.phi_weights).ravel())
         got = _flat_rule(*quad.nodes2d(centres[1], boundary))
         for g, w in zip(got, want):
