@@ -118,13 +118,9 @@ class NormalGraphBoundary:
     and axial columns up to the last holding a coefficient above
     8 eps max|c|: what it drops is rounding.  The boundary keeps a copy of
     h, so ``surface_point`` and ``radius`` describe the same solid whatever
-    the caller later does to its field.
-
-    ``radius`` evaluates the series at any (phi, x3).  The Coulomb rules ask
-    for rho_h at x3 = centre + offset, a centre a surface point and offsets
-    (z nodes, xi nodes, Duffy face nodes) shared by every point, and take it
-    from ``radius_about``, whose axial tables grow with centres plus offsets
-    instead of their product; the two agree to rounding.
+    the caller later does to its field.  The Coulomb rules take rho_h at
+    x3 = centre + offset, offsets shared by every point, from
+    ``radius_about``; it agrees with ``radius`` to rounding.
     """
 
     def __init__(self, profile: DelaunayProfile, chart: ConformalChart,
@@ -564,13 +560,11 @@ def _columns(boundary, R, theta, y3c, r_eval, xi, wxi, chi, wchi, depth=None, rh
     theta, y3c, r_eval (and ``depth``) hold one value a point and chi, wchi
     one row a point; the xi rule is shared.  Each column runs from the axis
     to rho_b, or to rho_b - depth; ``rho_b`` (points, xi, chi) passes radii
-    the caller already has, else they come from ``boundary.radius_about``
-    with y3c as the centres and xi as the offsets.  With ``separated`` the
-    columns take the separated kernel ``_separated_values``, else the
-    guarded ``_column_values``: a rule whose xi nodes all keep a distance
-    from 0 has no column line near the evaluation point, and only such a
-    rule may pass it.  A point's column values are summed with the
-    weights by two matrix-vector products, over chi and then xi.  Points
+    the caller already has, else from ``boundary.radius_about`` (y3c the
+    centres, xi the offsets).  ``separated`` takes the separated kernel
+    instead of the guarded one; only a rule whose xi nodes all keep away
+    from 0 may set it.  The weights enter by two matrix-vector products a
+    point, over chi and then xi.  Points
     are taken in tiles of max(1, TILE // (xi nodes x chi nodes)), so, as in
     the regular blocks, every temporary holds at most TILE doubles whatever
     the batch size, and one scratch set serves every tile.
@@ -618,17 +612,13 @@ def _self_block(boundary, R, T, theta, y3c, r_eval, cfg: SelfBlockSettings, a_ne
     The xi rules are shared by every point; the chi rules scale with
     d_chi(r_eval) and are stacked one row a point.
 
-    Only the columns with |xi| <= d_xi need the guarded kernel.  The outer
-    set, |xi| > d_xi with every chi, holds most of the nodes (382,500 of
-    about 496,000 in a desk evaluation), and each of its column lines
-    misses the evaluation point by at least 2R sin(d_xi / 2R) > 0, while
-    r < R on every coil ``build_coil`` accepts: so c = r^2 + a^2 kap > 0
-    and sqrt(c) + b/2 > 0, and it takes the separated kernel.  Against
-    256-node Gauss in r (``test_self_block_outer_columns_match_gauss_in_r``)
-    its worst relative column error is 2.4e-14, against 1.8e-14 for the
-    guarded kernel.  On the inner set, whose lines pass arbitrarily close to
-    the point, the separated form loses 5x (1.3e-14 against 2.6e-15), so
-    the inner set and the footprint keep the guarded kernel.
+    The outer set, |xi| > d_xi with every chi (382,500 of the 496,332
+    column nodes of a desk evaluation), takes the separated kernel: each of
+    its lines misses the point by at least 2R sin(d_xi / 2R) > 0 and r < R,
+    so c > 0 and sqrt(c) + b/2 > 0.  Against 256-node Gauss in r its worst
+    column error is 2.4e-14 (guarded 1.8e-14); on the inner set, whose lines
+    pass arbitrarily close to the point, it was 5x worse than the guarded
+    kernel, which the inner set and the footprint keep.
     """
     rho = cfg.core_size(a_neck, T)
     d_xi = min(rho, T / 4.0)
@@ -1000,15 +990,16 @@ def surface_potentials(profile: DelaunayProfile, n: int, boundary, theta, y3,
     T = profile.T
     R = n * T / (2.0 * np.pi)
     r_eval, y3c = boundary.surface_point(theta, y3)
-    nodes = quad.nodes2d(y3c, boundary)
     Ik = np.empty((len(theta), n))
+    # the self block first, so the lattice rule is not held through it
+    Ik[:, 0] = _self_block(boundary, R, T, theta, y3c, r_eval, self_cfg, profile.a)
+    nodes = quad.nodes2d(y3c, boundary)
     near = np.arange(1, n)
     if n >= FAR_MIN_N:
         near = np.r_[1:FAR_K0, n - FAR_K0 + 1:n]
         far = np.arange(FAR_K0, n - FAR_K0 + 1)
         Ik[:, far] = _far_blocks(nodes, far, R, T, theta, y3c, r_eval)
     Ik[:, near] = _regular_blocks(nodes, near, R, T, theta, y3c, r_eval)
-    Ik[:, 0] = _self_block(boundary, R, T, theta, y3c, r_eval, self_cfg, profile.a)
     return Ik
 
 

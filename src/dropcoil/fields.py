@@ -150,15 +150,12 @@ def shifted_series(coef: np.ndarray, tau: float, offset):
     """``series_eval`` at t = centre + offset, as a function of (theta, centre).
 
     The offsets are shared by every centre; t has the shape centre.shape +
-    offset.shape, and theta broadcasts to it.  The axial factor comes by
-    angle addition, p_k(c + o) = sum_j a_kj [cos(j w c) cos(j w o)
-    - sin(j w c) sin(j w o)] with w = pi/tau: the offsets' table
-    G = (a_kj cos(j w o), -a_kj sin(j w o)), 2 (m+1) x offsets x (kmax+1)
-    values, is formed once, and each centre's (cos(j w c), sin(j w c)) row
-    times G by one vector-matrix product, so no table grows with centres
-    times offsets but the profile itself, and a centre's values do not
-    depend on the other centres.  It differs from ``series_eval`` at the
-    summed t by rounding only.
+    offset.shape, and theta broadcasts to it.  By angle addition,
+    p_k(c + o) = sum_j a_kj [cos(j w c) cos(j w o) - sin(j w c) sin(j w o)],
+    w = pi/tau: the table (a_kj cos(j w o), -a_kj sin(j w o)) is formed once
+    and each centre's (cos(j w c), sin(j w c)) row multiplies it, so no
+    table grows with centres times offsets, and a centre's values do not
+    depend on the others.  It differs from ``series_eval`` by rounding only.
     """
     offset = np.asarray(offset, dtype=float)
     kmax, m = coef.shape[0] - 1, coef.shape[1] - 1
