@@ -1111,7 +1111,7 @@ def test_desk_evaluation_memory_bounded(prof03):
 
 def test_desk_final_report_memory_bounded(prof03):
     # the final report: 153 points on the (28, 40) lattice, in points-first
-    # regular-block tiles of 10 points, traced 2.4 MiB at its peak; untiled,
+    # regular-block tiles of 10 points, traced 3.1 MiB at its peak; untiled,
     # one regular-block temporary alone would hold 153 x 31 x 1120 doubles
     # (41 MiB)
     assert _desk_evaluation_peak(prof03, final=True) < 5 * 2**20
