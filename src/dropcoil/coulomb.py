@@ -88,12 +88,13 @@ class AxisymBoundary:
         f = self.profile.evaluate(x3, order=0)[0]
         return np.broadcast_to(f, np.broadcast(phi, x3).shape).copy()
 
-    def radius_about(self, offset):
-        """``radius`` at x3 = centre + offset as a function of (phi, centre)."""
-        def radius(phi, centre):
-            centre = np.asarray(centre, dtype=float)
-            return self.radius(phi, centre.reshape(centre.shape + (1,) * np.ndim(offset))
-                               + offset)
+    def radius_about(self, offsets, centre):
+        """``radius`` at x3 = centre[p] + offsets[j] as a function of (phi, j, p)."""
+        centre = np.asarray(centre, dtype=float)
+
+        def radius(phi, j=0, p=None):
+            c, o = (centre if p is None else centre[p]), np.asarray(offsets[j], dtype=float)
+            return self.radius(phi, c.reshape(c.shape + (1,) * o.ndim) + o)
         return radius
 
     def surface_point(self, theta, y3):
@@ -181,9 +182,9 @@ class NormalGraphBoundary:
         """rho_h at broadcast (phi, x3); open grids pay for distinct values only."""
         return series_eval(self._coef, self._tau, phi, x3)[0]
 
-    def radius_about(self, offset):
-        """rho_h at x3 = centre + offset as a function of (phi, centre); see ``shifted_series``."""
-        return shifted_series(self._coef, self._tau, offset)
+    def radius_about(self, offsets, centre):
+        """rho_h at x3 = centre[p] + offsets[j] as a function of (phi, j, p); see ``shifted_series``."""
+        return shifted_series(self._coef, self._tau, offsets, centre)
 
     def surface_point(self, theta, y3):
         """(r, x3) of the graph points over broadcast (theta, y3)."""
@@ -444,7 +445,8 @@ def _sym_graded_rules(delta, outer, h0, q, ratio=2.0):
     h0 ratio^i by a running product and the edges by a running sum, both
     sequential, so each row is bitwise its one-row rule.  The rule of a
     row is its mirrored panels, then its panels; shorter rows are padded
-    with zero-weight copies of their last node.
+    with zero-weight copies of their last node, and each row's rule length
+    is returned too.
     """
     delta, h0 = (np.atleast_1d(v).astype(float) for v in np.broadcast_arrays(delta, h0))
     x01, w01 = _gl(q)
@@ -472,7 +474,7 @@ def _sym_graded_rules(delta, outer, h0, q, ratio=2.0):
     out_nodes = np.take_along_axis(nodes, idx, axis=1)
     np.negative(out_nodes, out=out_nodes, where=j < K)
     out_weights = np.where(j < 2 * K, np.take_along_axis(weights, idx, axis=1), 0.0)
-    return out_nodes, out_weights
+    return out_nodes, out_weights, 2 * K[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +544,7 @@ class BlockQuadrature:
         """
         x3 = np.asarray(y3_center, dtype=float)[..., None] + self.z_nodes
         return (x3, self.phi_nodes,
-                boundary.radius_about(self.z_nodes[:, None])(self.phi_nodes, y3_center),
+                boundary.radius_about([self.z_nodes[:, None]], y3_center)(self.phi_nodes),
                 np.outer(self.z_weights, self.phi_weights))
 
 
@@ -553,53 +555,154 @@ class CoulombResult:
     err_est: Optional[float] = None
 
 
-def _columns(boundary, R, theta, y3c, r_eval, xi, wxi, chi, wchi, depth=None, rho_b=None,
-             separated=False):
+def _columns(radius, j, R, theta, r_eval, xi, wxi, chi, wchi, lengths=None, separated=False,
+             window=None):
     """Analytic-r columns of the k = 0 block summed on a (xi, chi) rule, one value a point.
 
-    theta, y3c, r_eval (and ``depth``) hold one value a point and chi, wchi
-    one row a point; the xi rule is shared.  Each column runs from the axis
-    to rho_b, or to rho_b - depth; ``rho_b`` (points, xi, chi) passes radii
-    the caller already has, else from ``boundary.radius_about`` (y3c the
-    centres, xi the offsets).  ``separated`` takes the separated kernel
-    instead of the guarded one; only a rule whose xi nodes all keep away
-    from 0 may set it.  The weights enter by two matrix-vector products a
-    point, over chi and then xi.  Points
-    are taken in tiles of max(1, TILE // (xi nodes x chi nodes)), so, as in
-    the regular blocks, every temporary holds at most TILE doubles whatever
-    the batch size, and one scratch set serves every tile.
+    theta and r_eval hold one value a point, and chi, wchi one row a point,
+    of which the point's rule is its first ``lengths`` nodes (all when
+    None); the xi rule is shared, the offsets j of ``radius`` (a
+    ``radius_about`` whose centres are the points).  Points are taken in
+    tiles of one rule length, max(1, TILE // (xi nodes x length)) a tile,
+    so no padding node reaches a kernel and every kernel temporary holds at
+    most TILE doubles.  ``separated`` takes ``_outer_values``, else the
+    guarded ``_column_values``.  ``window`` (the core size) removes the
+    depth window [0, d_eta] from each column, d_eta = min(window,
+    0.45 min rho_b) over the point's nodes, and d_eta is returned too.  The
+    weights enter by two matrix-vector products a point, over chi and then xi.
     """
-    XI = xi[:, None]
-    ak = 2.0 * R * np.sin(XI / (2.0 * R))
-    radius = boundary.radius_about(XI) if rho_b is None else None
-    rows = max(1, TILE // (len(xi) * chi.shape[1]))
-    shape = (min(rows, len(chi)), len(xi), chi.shape[1])
-    scratch = ([np.empty(shape) for _ in range(9)] + [np.empty(shape[:-1] + (1,))
-                                                     for _ in range(3)]
-               if separated else _scratch(shape))
-    out = np.empty(len(chi))
-    for lo in range(0, len(chi), rows):
-        p = slice(lo, lo + rows)
-        th, r = theta[p, None, None], r_eval[p, None, None]
-        CHI = chi[p, None, :]
-        phi = th + CHI
-        P = radius(phi, y3c[p]) if rho_b is None else rho_b[p]
-        if depth is not None:
-            P = np.maximum(P - depth[p, None, None], 0.0)
-        s = [v[:len(chi) - lo] for v in scratch]
-        kap = 1.0 + r * np.sin(th) / R
-        if separated:
-            g = _separated_factors(P, r, CHI, phi, 1.0, R, s[5:9])
-            cadd, c, sc = s[9:]
-            np.multiply(ak * ak, kap, out=cadd)
-            np.multiply(r, r, out=c)
-            np.add(c, cadd, out=c)
-            np.sqrt(c, out=sc)
-            vals = _separated_values(g, cadd, c, sc, s[:5])
-        else:
-            vals = _column_values(_node_factors(P, r, CHI, phi), ak, kap, R, s)
-        out[p] = (wxi @ (vals @ wchi[p, :, None]))[:, 0]
-    return out
+    a2 = (2.0 * R * np.sin(xi / (2.0 * R)))[:, None] ** 2
+    # the points sorted by rule length, so that a tile is a slice of them
+    lengths = np.full(len(chi), chi.shape[1]) if lengths is None else lengths
+    order = np.argsort(lengths, kind="stable")
+    lengths = lengths[order]
+    th, r = (np.reshape(v[order], (-1, 1, 1)) for v in (theta, r_eval))
+    kap = 1.0 + r * np.sin(th) / R
+    chi, wchi = chi[order], wchi[order]
+    out, d_eta = np.empty(len(order)), np.empty(len(order))
+    ends = np.r_[np.flatnonzero(np.diff(lengths)) + 1, len(order)]
+    for start, end in zip(np.r_[0, ends[:-1]], ends):
+        L = lengths[start]
+        rows = max(1, TILE // (len(xi) * L))
+        scratch = [np.empty((min(rows, end - start), len(xi), L))
+                   for _ in range(4 if separated else 6)]
+        for lo in range(start, end, rows):
+            p = slice(lo, min(lo + rows, end))
+            s = [v[:p.stop - lo] for v in scratch]
+            CHI = chi[p, None, :L]
+            phi = th[p] + CHI
+            P = radius(phi, j, order[p])
+            if window is not None:
+                d_eta[p] = np.minimum(window, 0.45 * P.min(axis=(1, 2)))
+                P = np.maximum(P - d_eta[p, None, None], 0.0)
+            sums = _self_columns(P, r[p], kap[p] * a2, CHI, phi, wchi[p, :L], R, s,
+                                 guarded=not separated)
+            out[p] = (wxi @ sums)[:, 0]
+    out[order], d_eta[order] = out.copy(), d_eta.copy()
+    return out if window is None else (out, d_eta)
+
+
+def _self_columns(P, r, cadd, chi, phi, wchi, R, s, guarded=False):
+    """Self-block columns int_0^P (1 + r sin(phi)/R) r / sqrt(Q) dr for nodes used once, summed on chi.
+
+    With s = sin(phi)/R, h = b/2 = cadd s/2 - r cos(chi), c = r^2 + cadd,
+    W = P - r and T = cadd s + 4 r sin^2(chi/2) (so P + h = W + T/2),
+    Q(P) = W (W + T) + (r T + cadd), M0 = log((sqrt(Q(P)) + P + h) /
+    (sqrt(c) + h)) and M1 = sqrt(Q(P)) - sqrt(c) - h M0, the column is
+    (1 - (3/2) s h) M1 + (s/2) (P sqrt(Q(P)) - c M0), as in
+    ``_separated_values``; s/2 goes into the chi weights.  ``guarded``
+    takes sqrt(c) + h as (c - h^2) / (sqrt(c) - h) where h < 0, with
+    c - h^2 = (r sin(chi))^2 + cadd (1 - s r cos(chi)) - (cadd s/2)^2, the
+    rationalized form of ``_radial_moments`` for lines that pass close to
+    the point.  P (points, xi, chi) is overwritten; r holds one value a
+    point, cadd one a (point, xi) and chi, phi and the weights wchi one a
+    (point, chi).  Each sum of products of (point, xi) and (point, chi)
+    factors is one batched matmul of rank 2 or 3, which numpy runs faster
+    than a broadcast pass; ``s`` holds four work arrays of P's shape, six
+    when ``guarded``.  Returns (points, xi, 1).
+    """
+    W, Q, H, G = s[:4]
+    rr, ch, cadd = r[:, 0], chi[:, 0], cadd[..., 0]
+    lat = np.empty(cadd.shape + (5,))                              # c, sqrt(c), cadd, 1, cadd^2
+    c, sc = lat[..., 0], lat[..., 1]
+    np.multiply(rr, rr, out=c)
+    np.add(c, cadd, out=c)
+    np.sqrt(c, out=sc)
+    lat[..., 2], lat[..., 3] = cadd, 1.0
+    np.multiply(cadd, cadd, out=lat[..., 4])
+    row = np.empty((len(ch), 19 if guarded else 13, ch.shape[-1]))
+    sr, v, half, hb = row[:, 0], row[:, 1], row[:, 5], row[:, 6]
+    np.sin(phi[:, 0], out=sr)
+    np.divide(sr, R, out=sr)
+    np.multiply(0.5, ch, out=v)
+    np.sin(v, out=v)
+    np.multiply(v, v, out=v)
+    np.multiply(v, 4.0 * rr, out=v)                                # 4 r sin^2(chi/2)
+    np.multiply(sr, rr, out=row[:, 2])
+    np.add(row[:, 2], 1.0, out=row[:, 2])
+    np.multiply(v, rr, out=row[:, 3])
+    np.multiply(sr, 0.5, out=half)
+    np.cos(ch, out=hb)
+    np.multiply(hb, -rr, out=hb)                                   # -r cos(chi)
+    np.multiply(sr, sr, out=row[:, 7])
+    np.multiply(row[:, 7], -0.75, out=row[:, 7])
+    np.multiply(sr, hb, out=row[:, 8])
+    np.multiply(row[:, 8], -1.5, out=row[:, 8])
+    np.add(row[:, 8], 1.0, out=row[:, 8])
+    row[:, (4, 9)], row[:, 10:12], row[:, 12] = 1.0, 0.0, -1.0
+    if guarded:
+        row[:, 13] = 1.0
+        np.negative(half, out=row[:, 14])
+        np.negative(hb, out=row[:, 15])
+        np.multiply(sr, hb, out=row[:, 16])
+        np.subtract(1.0, row[:, 16], out=row[:, 16])
+        np.sin(ch, out=row[:, 17])
+        np.multiply(row[:, 17], rr, out=row[:, 17])
+        np.multiply(row[:, 17], row[:, 17], out=row[:, 17])
+        np.multiply(half, row[:, 14], out=row[:, 18])
+    np.subtract(P, r, out=W)
+    np.matmul(lat[..., 2:4], row[:, 0:2], out=Q)                   # T
+    np.multiply(Q, 0.5, out=G)
+    np.add(G, W, out=G)                                            # P + h
+    np.add(Q, W, out=Q)
+    np.multiply(Q, W, out=Q)
+    np.matmul(lat[..., 2:4], row[:, 2:4], out=W)                   # r T + cadd
+    np.add(Q, W, out=Q)
+    if guarded:
+        np.maximum(Q, 0.0, out=Q)
+    np.sqrt(Q, out=Q)                                              # sqrt(Q(P))
+    np.add(G, Q, out=G)
+    np.matmul(lat[..., 2:4], row[:, 5:7], out=H)                   # h
+    np.matmul(lat[..., 1:4], row[:, 4:7], out=W)                   # sqrt(c) + h
+    if guarded:
+        D, E = s[4:6]
+        np.matmul(lat[..., 1:4], row[:, 13:16], out=D)             # sqrt(c) - h
+        np.matmul(lat[..., 2:5], row[:, 16:19], out=E)             # c - h^2
+        np.divide(E, D, out=W, where=H < 0.0)
+        np.maximum(W, 1e-300, out=W)
+        np.maximum(G, 1e-300, out=G)
+    np.divide(G, W, out=G)
+    np.log(G, out=G)                                               # M0
+    np.matmul(lat[..., 0:2], row[:, 11:13], out=W)                 # -sqrt(c)
+    np.add(W, Q, out=W)
+    np.multiply(H, G, out=H)
+    np.subtract(W, H, out=W)                                       # M1
+    np.matmul(lat[..., 2:4], row[:, 7:9], out=H)                   # 1 - (3/2) s h
+    np.multiply(W, H, out=W)
+    np.multiply(P, Q, out=P)
+    np.matmul(lat[..., 0:2], row[:, 9:11], out=H)                  # c
+    np.multiply(G, H, out=G)
+    np.subtract(P, G, out=P)
+    return W @ wchi[..., None] + P @ (wchi * half)[..., None]
+
+
+@lru_cache(maxsize=16)
+def _xi_rule(d_xi, outer, q):
+    """The self block's outer xi rule on [-outer, -d_xi] u [d_xi, outer], shared by every point."""
+    nodes, weights, _ = _sym_graded_rules(d_xi, outer, d_xi, q)
+    for v in (nodes, weights):
+        v.setflags(write=False)
+    return nodes[0], weights[0]
 
 
 def _self_block(boundary, R, T, theta, y3c, r_eval, cfg: SelfBlockSettings, a_neck: float):
@@ -610,106 +713,122 @@ def _self_block(boundary, R, T, theta, y3c, r_eval, cfg: SelfBlockSettings, a_ne
     depth window [0, d_eta] removed over the footprint, and a Duffy-pyramid
     core in depth coordinates eta = rho_b - r around the singular point.
     The xi rules are shared by every point; the chi rules scale with
-    d_chi(r_eval) and are stacked one row a point.
+    d_chi(r_eval), one row a point.  Every radius comes from one
+    ``radius_about`` over all the xi offsets (outer, inner and footprint,
+    Duffy faces), with the points as centres.
 
-    The outer set, |xi| > d_xi with every chi (382,500 of the 496,332
-    column nodes of a desk evaluation), takes the separated kernel: each of
-    its lines misses the point by at least 2R sin(d_xi / 2R) > 0 and r < R,
-    so c > 0 and sqrt(c) + b/2 > 0.  Against 256-node Gauss in r its worst
-    column error is 2.4e-14 (guarded 1.8e-14); on the inner set, whose lines
-    pass arbitrarily close to the point, it was 5x worse than the guarded
+    At the desk loop batch (153 points, orders (5, 5, 6)) the outer set,
+    |xi| > d_xi with every chi, is 360,150 nodes, the inner set 83,448,
+    the footprint 22,032 and the Duffy core 95,625.  The outer set takes
+    the separated kernel, fused (``_outer_values``): each of its lines
+    misses the point by at least 2R sin(d_xi / 2R) > 0 and r < R, so c > 0
+    and sqrt(c) + b/2 > 0.  Against 256-node Gauss in r its worst column
+    error is 2.4e-14 (guarded 1.8e-14); on the inner set, whose lines pass
+    arbitrarily close to the point, it was 5x worse than the guarded
     kernel, which the inner set and the footprint keep.
     """
     rho = cfg.core_size(a_neck, T)
     d_xi = min(rho, T / 4.0)
     d_chi = np.minimum(rho / np.maximum(r_eval, rho), np.pi / 2.0)
     q = cfg.panel_q
-
-    def columns(xi_rule, chi_rule, **kw):
-        return _columns(boundary, R, theta, y3c, r_eval, *xi_rule, *chi_rule, **kw)
-
-    xi_out = [v[0] for v in _sym_graded_rules(d_xi, T / 2.0, d_xi, q)]
-    total = columns(xi_out, _sym_graded_rules(0.0, np.pi, d_chi, q, cfg.grade_ratio),
-                    separated=True)
-
+    xi_out = _xi_rule(d_xi, T / 2.0, q)
     xi_in = _panel_rule(np.array([-d_xi, 0.0, d_xi]), cfg.column_q)
-    total += columns(xi_in, _sym_graded_rules(d_chi, np.pi, d_chi, q))
+    # the Duffy faces' xi nodes: on xi = -d_xi, on xi = d_xi, and on the other three
+    u = _gl(cfg.core_q)[0]
+    U = u[:, None, None]
+    duffy = (np.stack((U * -d_xi, U * d_xi)), (U * (-d_xi + (d_xi - -d_xi) * u[:, None]))[None])
+    radius = boundary.radius_about((xi_out[0][:, None], xi_in[0][:, None]) + duffy, y3c)
 
+    def columns(j, xi_rule, chi_rule, **kw):
+        return _columns(radius, j, R, theta, r_eval, *xi_rule, *chi_rule, **kw)
+
+    total = columns(0, xi_out, _sym_graded_rules(0.0, np.pi, d_chi, q, cfg.grade_ratio),
+                    separated=True)
+    total += columns(1, xi_in, _sym_graded_rules(d_chi, np.pi, d_chi, q))
     # footprint: columns with the depth window [0, d_eta] removed ...
     fp_chi = _panel_rule(np.stack((-d_chi, np.zeros_like(d_chi), d_chi), axis=-1),
                          cfg.column_q)
-    fp_rho = boundary.radius_about(xi_in[0][:, None])(theta[:, None, None]
-                                                      + fp_chi[0][:, None, :], y3c)
-    d_eta = np.minimum(rho, 0.45 * fp_rho.min(axis=(1, 2)))
-    total += columns(xi_in, fp_chi, depth=d_eta, rho_b=fp_rho)
-
+    fp, d_eta = columns(1, xi_in, fp_chi, window=rho)
     # ... and the Duffy core over the window, apex at the singular point
-    total += _duffy_core(boundary, R, theta, y3c, r_eval, d_xi, d_chi, d_eta, cfg.core_q)
-    return total
+    return total + fp + _duffy_core(radius, 2, duffy, R, theta, r_eval, d_xi, d_chi, d_eta,
+                                    cfg.core_q)
 
 
-def _duffy_core(boundary, R, theta, y3c, r_eval, d_xi, d_chi, d_eta, q):
+def _duffy_core(radius, j, xis, R, theta, r_eval, d_xi, d_chi, d_eta, q):
     """Pyramid decomposition of the core box in (xi, chi, eta) coordinates.
 
     The box is |xi| <= d_xi, |chi| <= d_chi, 0 <= eta <= d_eta with the
-    apex at the singular point; theta, y3c, r_eval, d_chi and d_eta hold
-    one value a point, and the faces carry a leading point axis.  The
-    kernel's temporaries hold q^3 doubles a point, so tiles of
-    max(1, TILE // q^3) points keep each within TILE: 35 points at q = 7, 98
-    at q = 5.  Each face's radii come from one ``radius_about`` call, the
-    tile's y3c as centres and the face's xi nodes, common to every point, as
-    offsets, so its axial tables do not grow with the face grid.  A point's
-    face sums do not depend on the tile it falls in.
+    apex at the singular point; theta, r_eval, d_chi and d_eta hold one
+    value a point.  A face's nodes are u_i times its points, (point, i, a,
+    b) for its free axes a, b.  ``xis`` holds the faces' xi nodes, offsets
+    j (the faces xi = -d_xi, d_xi, (2, q, 1, 1)) and j + 1 (the others,
+    (1, q, q, 1)) of ``radius``, so three radius calls a tile serve the
+    five faces: the two xi faces share one, the two chi faces another, and
+    each is a batched (xi x K)(K x chi) product.  The kernel's temporaries
+    hold q^3 doubles a point, so tiles of max(1, TILE // q^3) points keep
+    each within TILE: 98 points at q = 5.  Every factor of xi or chi alone
+    stays on its own shape, so 13 passes a face run on the tile (over 20
+    before, at 84 ns a node at the desk batch); each point's face sum is
+    one matrix-vector product, times its Jacobian.  A point's face sums do
+    not depend on the tile it falls in.
     """
     u, wu = _gl(q)
     U = u[:, None, None]
-    W = wu[:, None, None] * wu[None, :, None] * wu[None, None, :] * U * U
+    W = (wu[:, None, None] * wu[None, :, None] * wu[None, None, :] * U * U).reshape(-1, 1)
+    pair, grid = ((2.0 * R * np.sin(x / (2.0 * R))) ** 2 for x in xis)
     rows = max(1, TILE // q**3)
     out = np.empty(len(theta))
     for lo in range(0, len(theta), rows):
         p = slice(lo, lo + rows)
-        out[p] = _duffy_faces(boundary, R, theta[p], y3c[p], r_eval[p], d_xi, d_chi[p],
-                              d_eta[p], u, W)
+        th, re, dc, de = (np.reshape(v[p], (-1, 1, 1, 1)) for v in (theta, r_eval, d_chi, d_eta))
+        ky = 1.0 + re * np.sin(th) / R
+
+        def face(rb, eta, phi, chi, a2, jac):
+            s, v = np.sin(phi) / R, (4.0 * re) * np.sin(0.5 * chi) ** 2
+            return _duffy_values(rb - eta, s, v, a2 * ky, re, W)[:, 0, 0] * jac.ravel()
+
+        eta = U * (0.0 + (de - 0.0) * u)                       # (point, i, 1, eta)
+        chi = U * (-dc + (dc - -dc) * u)                       # (point, i, 1, chi)
+        phi = th + chi
+        span = (dc - -dc) * (de - 0.0)
+        # faces xi = -d_xi and d_xi, with chi moved to the first free axis
+        rb = radius(phi[:, None], j, p).swapaxes(-1, -2)
+        cT, pT = chi.swapaxes(-1, -2), phi.swapaxes(-1, -2)
+        total = face(rb[:, 0], eta, pT, cT, pair[0], d_xi * span)
+        total += face(rb[:, 1], eta, pT, cT, pair[1], d_xi * span)
+        # faces chi = -d_chi and d_chi
+        chi2 = U * np.stack((-dc, dc), axis=1)
+        rb = radius(th[:, None] + chi2, j + 1, p)
+        for k in (0, 1):
+            total += face(rb[:, k], eta, th + chi2[:, k], chi2[:, k], grid[0],
+                          dc * (d_xi - -d_xi) * (de - 0.0))
+        # the eta = d_eta face only when the depth window is not degenerate
+        top = face(radius(phi[:, None], j + 1, p)[:, 0], U * de, phi, chi, grid[0],
+                   de * (d_xi - -d_xi) * (dc - -dc))
+        out[p] = total + np.where((de > 1e-14 * np.maximum(d_xi, de)).ravel(), top, 0.0)
     return out
 
 
-def _duffy_faces(boundary, R, theta, y3c, r_eval, d_xi, d_chi, d_eta, u, W):
-    """Sum of the five pyramid faces of ``_duffy_core`` over one tile of points."""
-    theta, r_eval, d_chi, d_eta = (np.reshape(v, (-1, 1, 1, 1))
-                                   for v in (theta, r_eval, d_chi, d_eta))
-    y2 = r_eval * np.sin(theta)
-    U = u[:, None, None]
-    lo = (-d_xi, -d_chi, 0.0)
-    hi = (d_xi, d_chi, d_eta)
-    # the eta = d_eta face only when the depth window is not degenerate
-    keep = (d_eta > 1e-14 * np.maximum(d_xi, d_eta)).ravel()
+def _duffy_values(r, s, v, A, r_eval, W):
+    """sum over a face's nodes of W (1 + r s) r / sqrt(dist^2), (points, 1, 1), r overwritten.
 
-    def face(axis, D):
-        # one face's sum at each point; its tile-sized temporaries die on return
-        others = [a for a in (0, 1, 2) if a != axis]
-        rel = {axis: D}
-        for a, s in zip(others, (u[:, None], u)):  # the face's two free axes
-            rel[a] = lo[a] + (hi[a] - lo[a]) * s
-        xi = U * rel[0]
-        chi = U * rel[1]
-        eta = U * rel[2]
-        phi = theta + chi
-        rho_b = boundary.radius_about(xi)(phi, y3c)
-        r = rho_b - eta
-        ak = 2.0 * R * np.sin(xi / (2.0 * R))
-        x2 = r * np.sin(phi)
-        kap = 1.0 + (x2 + y2) / R + x2 * y2 / R**2
-        dist2 = (r - r_eval) ** 2 + 4.0 * r * r_eval * np.sin(0.5 * chi) ** 2 + ak * ak * kap
-        kern = (1.0 + x2 / R) * r / np.sqrt(np.maximum(dist2, 1e-300))
-        WW = (W * np.abs(D)
-              * (hi[others[0]] - lo[others[0]]) * (hi[others[1]] - lo[others[1]]))
-        return np.sum(kern * WW, axis=(1, 2, 3))
-
-    total = 0.0
-    for axis, D in ((0, lo[0]), (0, hi[0]), (1, lo[1]), (1, hi[1]), (2, hi[2])):
-        f = face(axis, D)
-        total = total + (np.where(keep, f, 0.0) if axis == 2 else f)
-    return total
+    dist^2 = (r - r_eval)^2 + r v + (1 + r s) A, the chordal identity with
+    v = 4 r_eval sin^2(chi/2), s = sin(phi)/R and A = a^2 (1 + y2/R):
+    kap = (1 + x2/R)(1 + y2/R).
+    """
+    g = r * s
+    g += 1.0
+    d = r - r_eval
+    d *= d
+    e = r * v
+    d += e
+    np.multiply(g, A, out=e)
+    d += e
+    np.maximum(d, 1e-300, out=d)
+    np.sqrt(d, out=d)
+    g *= r
+    g /= d
+    return np.matmul(g.reshape(len(g), 1, -1), W)
 
 
 # ---------------------------------------------------------------------------

@@ -78,13 +78,13 @@ def _powers(x: np.ndarray, m: int) -> np.ndarray:
         n = min(k - 1, m + 1 - k)
         np.multiply(out[1:n + 1], out[k - 1], out=out[k:k + n])
         k += n
-    return np.moveaxis(out, 0, -1)
+    return out.transpose(tuple(range(1, out.ndim)) + (0,))
 
 
-def _quarter_turn(E: np.ndarray, j: int) -> np.ndarray:
+def _quarter_turn(E: np.ndarray, j: int, out=None) -> np.ndarray:
     """Re(i^j E) for E = exp(i a): cos(a + j pi/2) = (cos, -sin, -cos, sin)[j mod 4] of a."""
     part = E.imag if j % 2 else E.real
-    return -part if j % 4 in (1, 2) else part.copy()
+    return np.negative(part, out=out) if j % 4 in (1, 2) else np.positive(part, out=out)
 
 
 def _cos_factor(E: np.ndarray, tau: float, j: int) -> np.ndarray:
@@ -105,8 +105,8 @@ def _theta_factor(E: np.ndarray, i: int) -> np.ndarray:
     sin(a + i pi/2) = cos(a + (i-1) pi/2), so odd k take the turn i - 1.
     """
     out = np.empty(E.shape)
-    out[..., 0::2] = _quarter_turn(E[..., 0::2], i)
-    out[..., 1::2] = _quarter_turn(E[..., 1::2], i + 3)
+    _quarter_turn(E[..., 0::2], i, out[..., 0::2])
+    _quarter_turn(E[..., 1::2], i + 3, out[..., 1::2])
     if i:
         out *= np.arange(E.shape[-1]) ** i
     return out
@@ -146,37 +146,46 @@ def series_eval(coef: np.ndarray, tau: float, theta, t, derivs=((0, 0),)) -> lis
     return [_sum_over_k(ang[i], prof[j]) for i, j in derivs]
 
 
-def shifted_series(coef: np.ndarray, tau: float, offset):
-    """``series_eval`` at t = centre + offset, as a function of (theta, centre).
+def shifted_series(coef: np.ndarray, tau: float, offsets, centre):
+    """``series_eval`` at t = centre + o for each array o of ``offsets``.
 
-    The offsets are shared by every centre; t has the shape centre.shape +
-    offset.shape, and theta broadcasts to it.  By angle addition,
-    p_k(c + o) = sum_j a_kj [cos(j w c) cos(j w o) - sin(j w c) sin(j w o)],
-    w = pi/tau: the table (a_kj cos(j w o), -a_kj sin(j w o)) is formed once
-    and each centre's (cos(j w c), sin(j w c)) row multiplies it, so no
-    table grows with centres times offsets, and a centre's values do not
-    depend on the others.  It differs from ``series_eval`` by rounding only.
+    Returns ``evaluate(theta, j=0, p=None)``: the series at t = centre[p] +
+    offsets[j], t of shape centre[p].shape + offsets[j].shape and theta
+    broadcast to it (p indexes centre's first axis; None takes all of
+    centre).  By angle addition, p_k(c + o) = sum_j a_kj [cos(j w c)
+    cos(j w o) - sin(j w c) sin(j w o)], w = pi/tau: one table
+    (a_kj cos(j w o), -a_kj sin(j w o)) over every offset of every array
+    and one (cos(j w c), sin(j w c)) row a centre are formed once, and an
+    evaluation multiplies its centres' rows into its array's columns of the
+    table, so no table grows with centres times offsets, and a centre's
+    values do not depend on the others.  It differs from ``series_eval`` by
+    rounding only.
     """
-    offset = np.asarray(offset, dtype=float)
+    offsets = [np.asarray(o, dtype=float) for o in offsets]
+    centre = np.asarray(centre, dtype=float)
     kmax, m = coef.shape[0] - 1, coef.shape[1] - 1
-    E_o = _powers(offset.ravel() * (np.pi / tau), m)
-    table = np.empty((2, m + 1, offset.size, kmax + 1))
+    flat = np.concatenate([o.ravel() for o in offsets])
+    E_o = _powers(flat * (np.pi / tau), m)
+    table = np.empty((2, m + 1, flat.size, kmax + 1))
     np.multiply(E_o.real.T[:, :, None], coef.T[:, None, :], out=table[0])
     np.multiply(E_o.imag.T[:, :, None], -coef.T[:, None, :], out=table[1])
-    table = table.reshape(2 * (m + 1), -1)
+    # each array's columns contiguous: a strided block slows numpy's stacked matmul
+    ends = np.cumsum([0] + [o.size for o in offsets])
+    tables = [np.ascontiguousarray(table[:, :, a:b]).reshape(2 * (m + 1), -1)
+              for a, b in zip(ends[:-1], ends[1:])]
+    # one padding value keeps the powers off a length-1 axis, where numpy's
+    # complex multiply rounds differently
+    E_c = _powers(np.append(centre.ravel(), 0.0) * (np.pi / tau), m)[:-1]
+    # contiguous rows: numpy takes a stack of them one centre at a time (a
+    # strided stack it took as one matrix, whose rows rounded by batch)
+    rows = np.empty((len(E_c), 1, 2 * (m + 1)))
+    rows[:, 0, :m + 1], rows[:, 0, m + 1:] = E_c.real, E_c.imag
 
-    def evaluate(theta, centre):
-        centre = np.asarray(centre, dtype=float)
-        # one padding value keeps the powers off a length-1 axis, where
-        # numpy's complex multiply rounds differently
-        E_c = _powers(np.append(centre.ravel(), 0.0) * (np.pi / tau), m)[:-1]
-        # contiguous rows: numpy takes a stack of them one centre at a time (a
-        # strided stack it took as one matrix, whose rows rounded by batch)
-        rows = np.empty((len(E_c), 1, 2 * (m + 1)))
-        rows[:, 0, :m + 1], rows[:, 0, m + 1:] = E_c.real, E_c.imag
+    def evaluate(theta, j=0, p=None):
+        lead = centre.shape if p is None else np.shape(centre[p])
+        prof = np.matmul(rows if p is None else rows[p], tables[j])
         ang = _theta_factor(_powers(np.asarray(theta, dtype=float), kmax), 0)
-        prof = np.matmul(rows, table).reshape(centre.shape + offset.shape + (kmax + 1,))
-        return _sum_over_k(ang, prof)
+        return _sum_over_k(ang, prof.reshape(lead + offsets[j].shape + (kmax + 1,)))
     return evaluate
 
 

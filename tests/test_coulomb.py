@@ -170,9 +170,9 @@ def test_y2_coefficient_log_law(prof03):
 
 # ---------------------------------------------------------------------------
 # frozen reference: the allocating column kernel the buffered one replaced,
-# with its self-block columns, and an allocating transcription of the
-# separated-column kernel with its tiled k-sweep; the buffered kernels must
-# reproduce every bit of them
+# and allocating transcriptions of the separated-column kernel with its tiled
+# k-sweep and of the self block's columns and Duffy faces, taken point by
+# point; the buffered kernels must reproduce every bit of them
 # ---------------------------------------------------------------------------
 
 def _radial_moments_ref(P, r_eval, vers_chi, sin_chi, blin, cadd_pos):
@@ -235,26 +235,95 @@ def _regular_blocks_ref(nodes, ks, R, T, theta, y3c, r_eval):
     return Ik
 
 
-def _columns_ref(boundary, R, theta, y3c, r_eval, xi, wxi, chi, wchi, depth=None,
-                 rho_b=None, separated=False):
-    # rho_b is not read: the radii come from the boundary on every tile
-    XI = xi[:, None]
-    ak = 2.0 * R * np.sin(XI / (2.0 * R))
-    rows = max(1, TILE // (len(xi) * chi.shape[1]))
-    out = np.empty(len(chi))
-    for lo in range(0, len(chi), rows):
-        p = slice(lo, lo + rows)
-        th, r = theta[p, None, None], r_eval[p, None, None]
-        CHI = chi[p, None, :]
-        phi = th + CHI
-        rb = boundary.radius_about(XI)(phi, y3c[p])
-        if depth is not None:
-            rb = np.maximum(rb - depth[p, None, None], 0.0)
-        if separated:
-            vals = _separated_values_ref(rb, r, CHI, phi, 1.0, r * np.sin(th), R, ak)
-        else:
-            vals = _column_values_ref(rb, r, CHI, phi, r * np.sin(th), R, ak)
-        out[p] = (wxi @ (vals @ wchi[p, :, None]))[:, 0]
+def _self_columns_ref(P, r, cadd, chi, phi, wchi, R, guarded):
+    """One point's self-block columns summed on chi: (1, xi, 1), as ``_self_columns`` forms them."""
+    c = r * r + cadd
+    sc = np.sqrt(c)
+    lat = np.stack((c, sc, cadd, np.ones_like(c), cadd * cadd), axis=-1)[None, :, 0, :]
+    sr = np.sin(phi) / R
+    v = np.sin(0.5 * chi) * np.sin(0.5 * chi) * (4.0 * r)
+    hb = np.cos(chi) * -r
+    rows = [sr, v, sr * r + 1.0, v * r, 1.0 + 0.0 * sr, sr * 0.5, hb, sr * sr * -0.75,
+            sr * hb * -1.5 + 1.0, 1.0 + 0.0 * sr, 0.0 * sr, 0.0 * sr, -1.0 + 0.0 * sr]
+    if guarded:
+        rows += [1.0 + 0.0 * sr, -(sr * 0.5), -hb, 1.0 - sr * hb, (np.sin(chi) * r) ** 2,
+                 sr * 0.5 * -(sr * 0.5)]
+    row = np.stack(rows)[None]
+    W = P - r
+    T = lat[..., 2:4] @ row[:, 0:2]
+    num = T * 0.5 + W
+    Q = (T + W) * W + lat[..., 2:4] @ row[:, 2:4]
+    if guarded:
+        Q = np.maximum(Q, 0.0)
+    sQ = np.sqrt(Q)
+    num = num + sQ
+    h = lat[..., 2:4] @ row[:, 5:7]
+    den = lat[..., 1:4] @ row[:, 4:7]
+    if guarded:
+        den = np.divide(lat[..., 2:5] @ row[:, 16:19], lat[..., 1:4] @ row[:, 13:16],
+                        out=den, where=h < 0.0)
+        den, num = np.maximum(den, 1e-300), np.maximum(num, 1e-300)
+    M0 = np.log(num / den)
+    M1 = (lat[..., 0:2] @ row[:, 11:13] + sQ) - h * M0
+    V1 = M1 * (lat[..., 2:4] @ row[:, 7:9])
+    V2 = P * sQ - M0 * (lat[..., 0:2] @ row[:, 9:11])
+    return V1 @ wchi[None, :, None] + V2 @ (wchi * (sr * 0.5))[None, :, None]
+
+
+def _columns_ref(radius, j, R, theta, r_eval, xi, wxi, chi, wchi, lengths=None, separated=False,
+                 window=None):
+    """The self block's columns point by point, each on its own rule length."""
+    ak = 2.0 * R * np.sin(xi / (2.0 * R))
+    lengths = np.full(len(chi), chi.shape[1]) if lengths is None else lengths
+    out, d_eta = np.empty(len(chi)), np.empty(len(chi))
+    for p, L in enumerate(lengths):
+        th, r = theta[p:p + 1], r_eval[p:p + 1]                   # one-element arrays
+        phi = th + chi[p, :L]
+        P = radius(phi[None, None, :], j, np.array([p]))[0]
+        if window is not None:
+            d_eta[p] = np.minimum(window, 0.45 * P.min())
+            P = np.maximum(P - d_eta[p], 0.0)
+        cadd = (1.0 + r * np.sin(th) / R) * (ak * ak)[:, None]
+        sums = _self_columns_ref(P, r, cadd, chi[p, :L], phi, wchi[p, :L], R, not separated)
+        out[p] = (wxi @ sums)[0, 0]
+    return out if window is None else (out, d_eta)
+
+
+def _duffy_core_ref(radius, j, xis, R, theta, r_eval, d_xi, d_chi, d_eta, q):
+    """The Duffy faces point by point, as ``_duffy_core`` lays them out."""
+    u, wu = coulomb._gl(q)
+    U = u[:, None, None]
+    W = (wu[:, None, None] * wu[None, :, None] * wu[None, None, :] * U * U).ravel()
+    pair, grid = ((2.0 * R * np.sin(x / (2.0 * R))) ** 2 for x in xis)
+    out = np.empty(len(theta))
+    for p in range(len(theta)):
+        th, re, dc, de = (v[p:p + 1] for v in (theta, r_eval, d_chi, d_eta))
+        ky = 1.0 + re * np.sin(th) / R
+
+        def face(rb, eta, phi, chi, a2):
+            s, v = np.sin(phi) / R, (4.0 * re) * np.sin(0.5 * chi) ** 2
+            r = rb - eta
+            g = r * s + 1.0
+            d = np.sqrt(np.maximum((r - re) * (r - re) + r * v + g * (a2 * ky), 1e-300))
+            return (np.reshape(g * r / d, (1, 1, -1)) @ W[:, None])[0, 0]
+
+        one = np.array([p])
+        eta = U * (0.0 + (de - 0.0) * u)
+        chi = U * (-dc + (dc - -dc) * u)
+        phi = th + chi
+        span = (dc - -dc) * (de - 0.0)
+        rb = radius(phi[None, None], j, one)[0].swapaxes(-1, -2)
+        cT, pT = chi.swapaxes(-1, -2), phi.swapaxes(-1, -2)
+        total = face(rb[0], eta, pT, cT, pair[0]) * (d_xi * span)
+        total += face(rb[1], eta, pT, cT, pair[1]) * (d_xi * span)
+        chi2 = U * np.stack((-dc, dc))[:, None, None]
+        rb = radius(th + chi2[None], j + 1, one)[0]
+        for k in (0, 1):
+            total += face(rb[k], eta, th + chi2[k], chi2[k], grid[0]) * (dc * (d_xi - -d_xi)
+                                                                          * (de - 0.0))
+        top = face(radius(phi[None, None], j + 1, one)[0, 0], U * de, phi, chi, grid[0])
+        top = top * (de * (d_xi - -d_xi) * (dc - -dc))
+        out[p] = (total + np.where(de > 1e-14 * np.maximum(d_xi, de), top, 0.0))[0]
     return out
 
 
@@ -287,15 +356,60 @@ def test_sym_graded_rules_match_per_point_rules(prof03, ratio):
     d_chi = np.r_[np.minimum(rho / np.maximum(r_eval, rho), np.pi / 2.0), np.pi / 2.0, 1e-9]
     for q in (4, 7):
         for delta in (0.0, d_chi):
+            rules = [_sym_graded_rule(dl, np.pi, d, q, ratio)
+                     for dl, d in zip(np.broadcast_to(delta, d_chi.shape), d_chi)]
             got = _sym_graded_rules(delta, np.pi, d_chi, q, ratio)
-            want = _stack_rules([_sym_graded_rule(dl, np.pi, d, q, ratio)
-                                 for dl, d in zip(np.broadcast_to(delta, d_chi.shape), d_chi)])
+            want = _stack_rules(rules)
             assert got[0].shape == want[0].shape
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert np.array_equal(got[2], [len(x) for x, _ in rules])
         d_xi = min(rho, prof03.T / 4.0)
         got = _sym_graded_rules(d_xi, prof03.T / 2.0, d_xi, q, ratio)
         want = _sym_graded_rule(d_xi, prof03.T / 2.0, d_xi, q, ratio)
         assert np.array_equal(got[0][0], want[0]) and np.array_equal(got[1][0], want[1])
+
+
+def test_self_block_integrates_each_points_own_rule(prof03, monkeypatch):
+    # each column set integrates, at every point, exactly that point's rule:
+    # the kernel sees its xi and chi nodes and no others, and the weights
+    # are its own.  The stacked chi rules pad shorter rows with zero-weight
+    # nodes; at the desk loop batch 496,332 column nodes were evaluated, of
+    # which 466,612 carry weight
+    T = prof03.T
+    R = 32 * T / (2.0 * np.pi)
+    cfg = SelfBlockSettings(5, 5, 6)
+    boundary = AxisymBoundary(prof03)
+    r_eval, y3c = boundary.surface_point(BATCH_THETA, BATCH_Y3_OVER_T * T)
+    rho = cfg.core_size(prof03.a, T)
+    d_xi = min(rho, T / 4.0)
+    d_chi = np.minimum(rho / np.maximum(r_eval, rho), np.pi / 2.0)
+    sets, real_columns, real_kernel = [], coulomb._columns, coulomb._self_columns
+
+    def columns(radius, j, R, theta, r_eval, xi, wxi, chi, wchi, lengths=None, **kw):
+        sets.append({"xi": (xi, wxi), "rows": {}})
+        return real_columns(radius, j, R, theta, r_eval, xi, wxi, chi, wchi, lengths, **kw)
+
+    def kernel(P, r, cadd, chi, phi, wchi, *args, **kw):
+        assert P.shape[1:] == (len(sets[-1]["xi"][0]), chi.shape[-1])
+        for rp, c, w in zip(r[:, 0, 0], chi[:, 0], wchi):
+            sets[-1]["rows"][int(np.flatnonzero(r_eval == rp)[0])] = (c.copy(), w.copy())
+        return real_kernel(P, r, cadd, chi, phi, wchi, *args, **kw)
+
+    monkeypatch.setattr(coulomb, "_columns", columns)
+    monkeypatch.setattr(coulomb, "_self_columns", kernel)
+    _self_block(boundary, R, T, BATCH_THETA, y3c, r_eval, cfg, prof03.a)
+    xi_in = _panel_rule(np.array([-d_xi, 0.0, d_xi]), cfg.column_q)
+    want = [(_sym_graded_rule(d_xi, T / 2.0, d_xi, cfg.panel_q),
+             [_sym_graded_rule(0.0, np.pi, d, cfg.panel_q, cfg.grade_ratio) for d in d_chi]),
+            (xi_in, [_sym_graded_rule(d, np.pi, d, cfg.panel_q) for d in d_chi]),
+            (xi_in, [_panel_rule(np.array([-d, 0.0, d]), cfg.column_q) for d in d_chi])]
+    assert len(sets) == len(want)
+    assert len({len(x) for x, _ in want[0][1]}) > 1  # rows of two lengths
+    for got, (xi_rule, chi_rules) in zip(sets, want):
+        assert all(np.array_equal(g, w) for g, w in zip(got["xi"], xi_rule))
+        assert sorted(got["rows"]) == list(range(len(BATCH_THETA)))
+        for p, rule in enumerate(chi_rules):
+            assert all(np.array_equal(g, w) for g, w in zip(got["rows"][p], rule))
 
 
 def _flat_rule(x3, phi, rho_b, w):
@@ -311,12 +425,20 @@ def _regular_blocks_ref_batch(nodes, ks, R, T, theta, y3c, r_eval):
                      for p in range(len(theta))])
 
 
+FROZEN = {"_regular_blocks": _regular_blocks_ref_batch, "_columns": _columns_ref,
+          "_duffy_core": _duffy_core_ref}
+
+
 @pytest.fixture
 def frozen_kernel(monkeypatch):
-    """Swap the frozen reference in for the buffered column kernel."""
+    """Swap the frozen references in for the buffered kernels; ``use()`` returns the names that ran."""
+    ran = set()
+
     def use():
-        monkeypatch.setattr(coulomb, "_regular_blocks", _regular_blocks_ref_batch)
-        monkeypatch.setattr(coulomb, "_columns", _columns_ref)
+        for name, ref in FROZEN.items():
+            monkeypatch.setattr(coulomb, name,
+                                lambda *a, _name=name, _ref=ref, **k: ran.add(_name) or _ref(*a, **k))
+        return ran
     return use
 
 
@@ -406,21 +528,25 @@ def test_radial_moments_match_frozen_reference():
         assert np.all(np.isfinite(w)) and np.array_equal(g, w)
 
 
-def test_self_block_matches_frozen_kernel(prof03, chart03, solver03, frozen_kernel):
-    # one neck and one bulge point, on both boundaries; the footprint columns
-    # reuse the caller's radii, the frozen columns evaluate them again
+@pytest.mark.parametrize("cfg", [SelfBlockSettings(3, 3, 4), SelfBlockSettings(4, 4, 5),
+                                 SelfBlockSettings(5, 5, 6), SelfBlockSettings(7, 7, 8),
+                                 SelfBlockSettings().refined()],
+                         ids=["coarse", "fast_loop", "desk_loop", "default", "refined"])
+def test_self_block_matches_frozen_kernel(prof03, chart03, solver03, frozen_kernel, cfg):
+    # neck and bulge points on both boundaries, at the orders the pipeline
+    # runs: the coarse tier, the FAST and desk loops, the final and refined rules
     T = prof03.T
     R = 16 * T / (2.0 * np.pi)
-    theta, y3 = np.array([1.2, 0.3]), np.array([0.5, 0.0]) * T
-    cfg = SelfBlockSettings()
+    theta, y3 = np.array([1.2, 0.3, 2.0]), np.array([0.5, 0.0, 0.2]) * T
     boundaries = _batch_boundaries(prof03, chart03, solver03)
     points = [b.surface_point(theta, y3) for b in boundaries]
     assert points[0][0][0] < 0.31 < 0.69 < points[0][0][1]
-    got = [_self_block(b, R, T, theta, y3c, r, c, prof03.a)
-           for b, (r, y3c) in zip(boundaries, points) for c in (cfg, cfg.refined())]
-    frozen_kernel()
-    want = [_self_block(b, R, T, theta, y3c, r, c, prof03.a)
-            for b, (r, y3c) in zip(boundaries, points) for c in (cfg, cfg.refined())]
+    got = [_self_block(b, R, T, theta, y3c, r, cfg, prof03.a)
+           for b, (r, y3c) in zip(boundaries, points)]
+    ran = frozen_kernel()
+    want = [_self_block(b, R, T, theta, y3c, r, cfg, prof03.a)
+            for b, (r, y3c) in zip(boundaries, points)]
+    assert ran == {"_columns", "_duffy_core"}
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
 
@@ -434,8 +560,9 @@ def test_potential_coil_matches_frozen_kernel(prof03, frozen_kernel):
         return [[float(v).hex() for v in (r.err_est, *r.breakdown)] for r in res]
 
     got = hexes()
-    frozen_kernel()
+    ran = frozen_kernel()
     assert got == hexes()
+    assert ran == set(FROZEN)
 
 
 @pytest.mark.parametrize("resolution, self_cfg", [
@@ -463,8 +590,9 @@ def test_potential_perturbed_matches_frozen_kernel(prof03, chart03, solver03, fr
         return [[float(v).hex() for v in (r.err_est, *r.breakdown)] for r in res]
 
     got = hexes()
-    frozen_kernel()
+    ran = frozen_kernel()
     assert got == hexes()
+    assert ran == set(FROZEN)
 
 
 def _blocks_by_gauss_in_r(nodes, p, ks, R, T, theta, y3c, r_eval, q=8):
@@ -634,6 +762,55 @@ def test_self_block_outer_columns_match_gauss_in_r(prof03):
     assert worst["outer", "separated"] <= 2.0 * worst["outer", "guarded"]
     assert worst["outer", "separated"] < 5e-14
     assert worst["inner", "separated"] > 2.0 * worst["inner", "guarded"]
+
+
+def test_self_columns_match_gauss_in_r(prof03):
+    # the self block's fused column kernel on the sets of the test above,
+    # outer set separated and inner set guarded, against 256-node Gauss in
+    # r.  Worst relative errors measured: outer 2.3e-14 (the guarded
+    # ``_column_values`` 1.8e-14), inner 2.0e-15 (2.6e-15)
+    T = prof03.T
+    boundary = AxisymBoundary(prof03)
+    points = [(0.3, 0.0), (np.pi / 2, 0.0), (1.2, 0.45 * T), (2.0, 0.2 * T),
+              (1.5 * np.pi, 0.5 * T), (4.0, 0.3 * T)]
+    worst = {}
+    for n in (16, 32, 128):
+        R = n * T / (2.0 * np.pi)
+        for cfg in (SelfBlockSettings(3, 3, 4), SelfBlockSettings(5, 5, 6),
+                    SelfBlockSettings(7, 7, 8)):
+            rho = cfg.core_size(prof03.a, T)
+            d_xi = min(rho, T / 4.0)
+            for theta, y3 in points:
+                r, y3c = (float(v) for v in boundary.surface_point(theta, y3))
+                d_chi = min(rho / max(r, rho), np.pi / 2.0)
+                sets = {"outer": (_sym_graded_rules(d_xi, T / 2.0, d_xi, cfg.panel_q),
+                                  _sym_graded_rules(0.0, np.pi, d_chi, cfg.panel_q,
+                                                    cfg.grade_ratio)),
+                        "inner": (_panel_rule(np.array([[-d_xi, 0.0, d_xi]]), cfg.column_q),
+                                  _sym_graded_rules(d_chi, np.pi, d_chi, cfg.panel_q))}
+                for name, (xi, chi) in sets.items():
+                    xi, chi = xi[0][0], chi[0][0]
+                    phi = theta + chi
+                    P = boundary.radius(phi[None, :], y3c + xi[:, None])
+                    ak = 2.0 * R * np.sin(xi / (2.0 * R))[:, None]
+                    kap = 1.0 + r * np.sin(theta) / R
+                    cadd = ak * ak * kap
+                    ref = _columns_by_gauss_in_r(P, r, chi, phi, cadd[None], R, q=256)[0]
+                    old = _column_values(_node_factors(P, r, chi, phi), ak, kap, R,
+                                         _scratch(P.shape))
+                    # one point a chi node, with one-hot chi weights: its column
+                    L = len(chi)
+                    new = coulomb._self_columns(
+                        np.repeat(P[None], L, axis=0), np.full((L, 1, 1), r),
+                        np.repeat(cadd[None], L, axis=0), np.tile(chi, (L, 1, 1)),
+                        np.tile(phi, (L, 1, 1)), np.eye(L), R,
+                        [np.empty((L,) + P.shape) for _ in range(6)],
+                        guarded=name == "inner")[..., 0].T
+                    for kernel, cols in (("old", old), ("new", new)):
+                        err = np.max(np.abs(cols / ref - 1.0))
+                        worst[name, kernel] = max(worst.get((name, kernel), 0.0), err)
+    assert worst["outer", "new"] <= 2.0 * worst["outer", "old"] and worst["outer", "new"] < 5e-14
+    assert worst["inner", "new"] <= 2.0 * worst["inner", "old"]
 
 
 def test_window_moments_match_legendre_reference(prof03, chart03, solver03):
@@ -890,8 +1067,9 @@ def _radius_about_shapes(prof03, centres):
     """(phi, offset) of every Coulomb caller of ``radius_about`` at the batch ``centres``.
 
     nodes2d (desk loop rule), an outer and an inner column set and the
-    footprint (desk self-block orders), a Duffy face at q = 7, and the
-    brute-force oracle's (polar angle, ring angle) grid about one centre.
+    footprint (desk self-block orders), the Duffy faces at q = 7 (the xi
+    faces, the chi faces and the eta face), and the brute-force oracle's
+    (polar angle, ring angle) grid about one centre.
     """
     T = prof03.T
     quad = BlockQuadrature(prof03, (8, 16, 20))
@@ -903,12 +1081,17 @@ def _radius_about_shapes(prof03, centres):
     chi = _sym_graded_rules(0.0, np.pi, 0.1, 5)[0]
     u = coulomb._gl(7)[0]
     U = u[:, None, None]
+    pair = np.stack((U * -d_xi, U * d_xi))
+    grid = (U * (-d_xi + 2.0 * d_xi * u[:, None]))[None]
+    face_phi = theta[:, None, :, None] + U * (0.2 * u - 0.1)
     tt = np.linspace(-np.pi, np.pi, 40)
     return [(quad.phi_nodes, quad.z_nodes[:, None]),
             (theta + chi, xi_out[:, None]),
             (theta + chi[:, :12], xi_in[:, None]),
             (theta + np.linspace(-0.1, 0.1, 12), xi_in[:, None]),
-            (theta[..., None] + U * (0.2 * u - 0.1), U * (0.4 * d_xi * u[:, None] - d_xi)),
+            (face_phi, pair),
+            (theta[:, None, :, None] + U * np.array([-0.1, 0.1])[:, None, None, None], grid),
+            (face_phi, grid),
             (tt[None, :], np.linspace(-2.0, 2.0, 60)[:, None] * T)]
 
 
@@ -927,22 +1110,29 @@ def test_normal_graph_radius_tables_bounded(prof03, chart03, solver03, monkeypat
                         lambda x, m: (m == axial - 1 and sizes.append(np.size(x))) or real(x, m))
     for phi, offset in _radius_about_shapes(prof03, centres):
         sizes.clear()
-        bnd.radius_about(offset)(phi, centres)
+        bnd.radius_about([offset], centres)(phi)
         assert sorted(sizes) == sorted([np.size(offset), len(centres) + 1])
         assert 2 * axial * sum(sizes) <= 4 * TILE
 
 
 def test_radius_about_matches_radius(prof03, chart03, solver03):
     # the angle-addition radius against the series at the summed x3, on
-    # every caller's shape and on both boundaries, for a batch and one centre
+    # every caller's shape and on both boundaries, for a batch, a slice and
+    # an index array of it, and one centre; all the offsets in one table
     centres = np.linspace(-0.5, 0.5, 9) * prof03.T
+    shapes = _radius_about_shapes(prof03, centres)
+    offsets = [offset for _, offset in shapes]
     for boundary in _batch_boundaries(prof03, chart03, solver03):
-        for phi, offset in _radius_about_shapes(prof03, centres):
+        radius = boundary.radius_about(offsets, centres)
+        for j, (phi, offset) in enumerate(shapes):
             one = phi[3] if phi.ndim > offset.ndim else phi  # phi with a centre axis
-            for c, p in ((centres, phi), (centres[3], one)):
+            part = phi[2:5] if phi.ndim > offset.ndim else phi
+            for c, p, got in ((centres, phi, radius(phi, j)),
+                              (centres[2:5], part, radius(part, j, slice(2, 5))),
+                              (centres[2:5], part, radius(part, j, np.arange(2, 5))),
+                              (centres[3], one, boundary.radius_about([offset], centres[3])(one))):
                 x3 = np.reshape(c, np.shape(c) + (1,) * offset.ndim) + offset
                 want = boundary.radius(p, x3)
-                got = boundary.radius_about(offset)(p, c)
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))
 
@@ -1002,7 +1192,7 @@ def test_nodes2d_centres_match_single_calls(prof03, chart03, solver03):
         x3 = centres[1] + quad.z_nodes
         X3, PHI = np.meshgrid(x3, quad.phi_nodes, indexing="ij")
         want = (X3.ravel(), PHI.ravel(),
-                boundary.radius_about(quad.z_nodes[:, None])(quad.phi_nodes, centres[1]).ravel(),
+                boundary.radius_about([quad.z_nodes[:, None]], centres[1])(quad.phi_nodes).ravel(),
                 np.outer(quad.z_weights, quad.phi_weights).ravel())
         got = _flat_rule(*quad.nodes2d(centres[1], boundary))
         for g, w in zip(got, want):
@@ -1035,7 +1225,8 @@ def test_self_block_batch_matches_single_points(prof03, chart03, solver03):
                               r_eval[p:p + 1], cfg, prof03.a)[0]
                   for p in range(len(BATCH_THETA))]
         assert batch.shape == (len(BATCH_THETA),)
-        assert np.max(np.abs(batch / single - 1.0)) <= 1e-14
+        # each point integrates its own rule in tiles of one rule length
+        assert np.array_equal(batch, single)
 
 
 def test_self_block_batch_memory_bounded(prof03):
