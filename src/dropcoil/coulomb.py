@@ -563,13 +563,15 @@ def _columns(radius, j, R, theta, r_eval, xi, wxi, chi, wchi, lengths=None, sepa
     of which the point's rule is its first ``lengths`` nodes (all when
     None); the xi rule is shared, the offsets j of ``radius`` (a
     ``radius_about`` whose centres are the points).  Points are taken in
-    tiles of one rule length, max(1, TILE // (xi nodes x length)) a tile,
-    so no padding node reaches a kernel and every kernel temporary holds at
-    most TILE doubles.  ``separated`` takes ``_outer_values``, else the
-    guarded ``_column_values``.  ``window`` (the core size) removes the
-    depth window [0, d_eta] from each column, d_eta = min(window,
-    0.45 min rho_b) over the point's nodes, and d_eta is returned too.  The
-    weights enter by two matrix-vector products a point, over chi and then xi.
+    tiles of one rule length, so no padding node reaches a kernel, of
+    max(1, TILE // (m x length)) points, m the larger of the xi nodes and
+    the rows of ``_chi_factors``, so every kernel temporary holds at most
+    TILE doubles; the chi factors are formed for as many whole tiles as
+    TILE holds.  ``separated`` takes
+    the separated form of ``_self_columns``, else the guarded one.
+    ``window`` (the core size) removes the depth window [0, d_eta] from
+    each column, d_eta = min(window, 0.45 min rho_b) over the point's
+    nodes, and d_eta is returned too.
     """
     a2 = (2.0 * R * np.sin(xi / (2.0 * R)))[:, None] ** 2
     # the points sorted by rule length, so that a tile is a slice of them
@@ -582,27 +584,69 @@ def _columns(radius, j, R, theta, r_eval, xi, wxi, chi, wchi, lengths=None, sepa
     out, d_eta = np.empty(len(order)), np.empty(len(order))
     ends = np.r_[np.flatnonzero(np.diff(lengths)) + 1, len(order)]
     for start, end in zip(np.r_[0, ends[:-1]], ends):
-        L = lengths[start]
-        rows = max(1, TILE // (len(xi) * L))
+        L, nrow = lengths[start], 11 if separated else 14
+        rows = max(1, TILE // (max(len(xi), nrow) * L))
+        chunk = max(1, TILE // (nrow * L * rows)) * rows
         scratch = [np.empty((min(rows, end - start), len(xi), L))
                    for _ in range(4 if separated else 6)]
-        for lo in range(start, end, rows):
-            p = slice(lo, min(lo + rows, end))
-            s = [v[:p.stop - lo] for v in scratch]
-            CHI = chi[p, None, :L]
-            phi = th[p] + CHI
-            P = radius(phi, j, order[p])
-            if window is not None:
-                d_eta[p] = np.minimum(window, 0.45 * P.min(axis=(1, 2)))
-                P = np.maximum(P - d_eta[p, None, None], 0.0)
-            sums = _self_columns(P, r[p], kap[p] * a2, CHI, phi, wchi[p, :L], R, s,
-                                 guarded=not separated)
-            out[p] = (wxi @ sums)[:, 0]
+        for c0 in range(start, end, chunk):
+            c = slice(c0, min(c0 + chunk, end))
+            factors = _chi_factors(th[c] + chi[c, None, :L], r[c], chi[c, None, :L], R,
+                                   not separated)
+            for lo in range(c0, c.stop, rows):
+                p = slice(lo, min(lo + rows, c.stop))
+                P = radius(th[p] + chi[p, None, :L], j, order[p])
+                if window is not None:
+                    d_eta[p] = np.minimum(window, 0.45 * P.min(axis=(1, 2)))
+                    P = np.maximum(P - d_eta[p, None, None], 0.0)
+                sums = _self_columns(P, r[p], kap[p] * a2, factors[lo - c0:p.stop - c0],
+                                     wchi[p, :L], [v[:p.stop - lo] for v in scratch],
+                                     not separated)
+                out[p] = (wxi @ sums)[:, 0]
     out[order], d_eta[order] = out.copy(), d_eta.copy()
     return out if window is None else (out, d_eta)
 
 
-def _self_columns(P, r, cadd, chi, phi, wchi, R, s, guarded=False):
+def _chi_factors(phi, r, chi, R, guarded):
+    """The (point, chi) rows of ``_self_columns``, (points, 11 or 14, chi).
+
+    With s = sin(phi)/R and v = 4 r sin^2(chi/2): s, v, 1 + r s, r v, 1,
+    s/2, -r cos(chi), -(3/4) s^2, 1 + (3/2) s r cos(chi), 1, 0, and when
+    ``guarded`` -(1 + s r cos(chi)), -(r sin(chi))^2 and (s/2)^2.
+    """
+    rr, ch = r[:, 0], chi[:, 0]
+    row = np.empty((len(ch), 14 if guarded else 11, ch.shape[-1]))
+    sr, v, half, hb = row[:, 0], row[:, 1], row[:, 5], row[:, 6]
+    np.sin(phi[:, 0], out=sr)
+    np.divide(sr, R, out=sr)
+    np.multiply(0.5, ch, out=v)
+    np.sin(v, out=v)
+    np.multiply(v, v, out=v)
+    np.multiply(v, 4.0 * rr, out=v)
+    np.multiply(sr, rr, out=row[:, 2])
+    np.add(row[:, 2], 1.0, out=row[:, 2])
+    np.multiply(v, rr, out=row[:, 3])
+    np.multiply(sr, 0.5, out=half)
+    np.cos(ch, out=hb)
+    np.multiply(hb, -rr, out=hb)
+    np.multiply(sr, sr, out=row[:, 7])
+    np.multiply(row[:, 7], -0.75, out=row[:, 7])
+    np.multiply(sr, hb, out=row[:, 8])
+    np.multiply(row[:, 8], -1.5, out=row[:, 8])
+    np.add(row[:, 8], 1.0, out=row[:, 8])
+    row[:, (4, 9)], row[:, 10] = 1.0, 0.0
+    if guarded:
+        np.multiply(sr, hb, out=row[:, 11])
+        np.subtract(row[:, 11], 1.0, out=row[:, 11])
+        np.sin(ch, out=row[:, 12])
+        np.multiply(row[:, 12], rr, out=row[:, 12])
+        np.multiply(row[:, 12], row[:, 12], out=row[:, 12])
+        np.negative(row[:, 12], out=row[:, 12])
+        np.multiply(half, half, out=row[:, 13])
+    return row
+
+
+def _self_columns(P, r, cadd, row, wchi, s, guarded=False):
     """Self-block columns int_0^P (1 + r sin(phi)/R) r / sqrt(Q) dr for nodes used once, summed on chi.
 
     With s = sin(phi)/R, h = b/2 = cadd s/2 - r cos(chi), c = r^2 + cadd,
@@ -610,56 +654,27 @@ def _self_columns(P, r, cadd, chi, phi, wchi, R, s, guarded=False):
     Q(P) = W (W + T) + (r T + cadd), M0 = log((sqrt(Q(P)) + P + h) /
     (sqrt(c) + h)) and M1 = sqrt(Q(P)) - sqrt(c) - h M0, the column is
     (1 - (3/2) s h) M1 + (s/2) (P sqrt(Q(P)) - c M0), as in
-    ``_separated_values``; s/2 goes into the chi weights.  ``guarded``
+    ``_separated_values``; s/2 goes into the chi weights wchi.  ``guarded``
     takes sqrt(c) + h as (c - h^2) / (sqrt(c) - h) where h < 0, with
     c - h^2 = (r sin(chi))^2 + cadd (1 - s r cos(chi)) - (cadd s/2)^2, the
     rationalized form of ``_radial_moments`` for lines that pass close to
     the point.  P (points, xi, chi) is overwritten; r holds one value a
-    point, cadd one a (point, xi) and chi, phi and the weights wchi one a
-    (point, chi).  Each sum of products of (point, xi) and (point, chi)
-    factors is one batched matmul of rank 2 or 3, which numpy runs faster
-    than a broadcast pass; ``s`` holds four work arrays of P's shape, six
-    when ``guarded``.  Returns (points, xi, 1).
+    point, cadd one a (point, xi) and ``row`` the (point, chi) factors of
+    ``_chi_factors``.  Each sum of products of (point, xi) and (point,
+    chi) factors is one batched matmul of rank 2 or 3, which numpy runs
+    faster than a broadcast pass; ``s`` holds four work arrays of P's
+    shape, six when ``guarded``.  Returns the chi sums, (points, xi, 1).
     """
     W, Q, H, G = s[:4]
-    rr, ch, cadd = r[:, 0], chi[:, 0], cadd[..., 0]
-    lat = np.empty(cadd.shape + (5,))                              # c, sqrt(c), cadd, 1, cadd^2
+    rr, cadd = r[:, 0], cadd[..., 0]
+    lat = np.empty(cadd.shape + (8,))             # c, sqrt(c), cadd, 1, cadd^2, -sqrt(c), cadd, 1
     c, sc = lat[..., 0], lat[..., 1]
     np.multiply(rr, rr, out=c)
     np.add(c, cadd, out=c)
     np.sqrt(c, out=sc)
-    lat[..., 2], lat[..., 3] = cadd, 1.0
+    np.negative(sc, out=lat[..., 5])
+    lat[..., 2], lat[..., 6], lat[..., 3], lat[..., 7] = cadd, cadd, 1.0, 1.0
     np.multiply(cadd, cadd, out=lat[..., 4])
-    row = np.empty((len(ch), 19 if guarded else 13, ch.shape[-1]))
-    sr, v, half, hb = row[:, 0], row[:, 1], row[:, 5], row[:, 6]
-    np.sin(phi[:, 0], out=sr)
-    np.divide(sr, R, out=sr)
-    np.multiply(0.5, ch, out=v)
-    np.sin(v, out=v)
-    np.multiply(v, v, out=v)
-    np.multiply(v, 4.0 * rr, out=v)                                # 4 r sin^2(chi/2)
-    np.multiply(sr, rr, out=row[:, 2])
-    np.add(row[:, 2], 1.0, out=row[:, 2])
-    np.multiply(v, rr, out=row[:, 3])
-    np.multiply(sr, 0.5, out=half)
-    np.cos(ch, out=hb)
-    np.multiply(hb, -rr, out=hb)                                   # -r cos(chi)
-    np.multiply(sr, sr, out=row[:, 7])
-    np.multiply(row[:, 7], -0.75, out=row[:, 7])
-    np.multiply(sr, hb, out=row[:, 8])
-    np.multiply(row[:, 8], -1.5, out=row[:, 8])
-    np.add(row[:, 8], 1.0, out=row[:, 8])
-    row[:, (4, 9)], row[:, 10:12], row[:, 12] = 1.0, 0.0, -1.0
-    if guarded:
-        row[:, 13] = 1.0
-        np.negative(half, out=row[:, 14])
-        np.negative(hb, out=row[:, 15])
-        np.multiply(sr, hb, out=row[:, 16])
-        np.subtract(1.0, row[:, 16], out=row[:, 16])
-        np.sin(ch, out=row[:, 17])
-        np.multiply(row[:, 17], rr, out=row[:, 17])
-        np.multiply(row[:, 17], row[:, 17], out=row[:, 17])
-        np.multiply(half, row[:, 14], out=row[:, 18])
     np.subtract(P, r, out=W)
     np.matmul(lat[..., 2:4], row[:, 0:2], out=Q)                   # T
     np.multiply(Q, 0.5, out=G)
@@ -676,14 +691,14 @@ def _self_columns(P, r, cadd, chi, phi, wchi, R, s, guarded=False):
     np.matmul(lat[..., 1:4], row[:, 4:7], out=W)                   # sqrt(c) + h
     if guarded:
         D, E = s[4:6]
-        np.matmul(lat[..., 1:4], row[:, 13:16], out=D)             # sqrt(c) - h
-        np.matmul(lat[..., 2:5], row[:, 16:19], out=E)             # c - h^2
+        np.matmul(lat[..., 5:8], row[:, 4:7], out=D)               # h - sqrt(c)
+        np.matmul(lat[..., 2:5], row[:, 11:14], out=E)             # h^2 - c
         np.divide(E, D, out=W, where=H < 0.0)
         np.maximum(W, 1e-300, out=W)
         np.maximum(G, 1e-300, out=G)
     np.divide(G, W, out=G)
     np.log(G, out=G)                                               # M0
-    np.matmul(lat[..., 0:2], row[:, 11:13], out=W)                 # -sqrt(c)
+    np.matmul(lat[..., 5:7], row[:, 9:11], out=W)                  # -sqrt(c)
     np.add(W, Q, out=W)
     np.multiply(H, G, out=H)
     np.subtract(W, H, out=W)                                       # M1
@@ -693,7 +708,7 @@ def _self_columns(P, r, cadd, chi, phi, wchi, R, s, guarded=False):
     np.matmul(lat[..., 0:2], row[:, 9:11], out=H)                  # c
     np.multiply(G, H, out=G)
     np.subtract(P, G, out=P)
-    return W @ wchi[..., None] + P @ (wchi * half)[..., None]
+    return W @ wchi[..., None] + P @ (wchi * row[:, 5])[..., None]
 
 
 @lru_cache(maxsize=16)

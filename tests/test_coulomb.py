@@ -239,15 +239,16 @@ def _self_columns_ref(P, r, cadd, chi, phi, wchi, R, guarded):
     """One point's self-block columns summed on chi: (1, xi, 1), as ``_self_columns`` forms them."""
     c = r * r + cadd
     sc = np.sqrt(c)
-    lat = np.stack((c, sc, cadd, np.ones_like(c), cadd * cadd), axis=-1)[None, :, 0, :]
+    lat = np.stack((c, sc, cadd, np.ones_like(c), cadd * cadd, -sc, cadd, np.ones_like(c)),
+                   axis=-1)[None, :, 0, :]
     sr = np.sin(phi) / R
     v = np.sin(0.5 * chi) * np.sin(0.5 * chi) * (4.0 * r)
     hb = np.cos(chi) * -r
-    rows = [sr, v, sr * r + 1.0, v * r, 1.0 + 0.0 * sr, sr * 0.5, hb, sr * sr * -0.75,
-            sr * hb * -1.5 + 1.0, 1.0 + 0.0 * sr, 0.0 * sr, 0.0 * sr, -1.0 + 0.0 * sr]
+    one, zero = np.ones_like(sr), np.zeros_like(sr)
+    rows = [sr, v, sr * r + 1.0, v * r, one, sr * 0.5, hb, sr * sr * -0.75,
+            sr * hb * -1.5 + 1.0, one, zero]
     if guarded:
-        rows += [1.0 + 0.0 * sr, -(sr * 0.5), -hb, 1.0 - sr * hb, (np.sin(chi) * r) ** 2,
-                 sr * 0.5 * -(sr * 0.5)]
+        rows += [sr * hb - 1.0, -((np.sin(chi) * r) ** 2), (sr * 0.5) * (sr * 0.5)]
     row = np.stack(rows)[None]
     W = P - r
     T = lat[..., 2:4] @ row[:, 0:2]
@@ -260,11 +261,11 @@ def _self_columns_ref(P, r, cadd, chi, phi, wchi, R, guarded):
     h = lat[..., 2:4] @ row[:, 5:7]
     den = lat[..., 1:4] @ row[:, 4:7]
     if guarded:
-        den = np.divide(lat[..., 2:5] @ row[:, 16:19], lat[..., 1:4] @ row[:, 13:16],
+        den = np.divide(lat[..., 2:5] @ row[:, 11:14], lat[..., 5:8] @ row[:, 4:7],
                         out=den, where=h < 0.0)
         den, num = np.maximum(den, 1e-300), np.maximum(num, 1e-300)
     M0 = np.log(num / den)
-    M1 = (lat[..., 0:2] @ row[:, 11:13] + sQ) - h * M0
+    M1 = (lat[..., 5:7] @ row[:, 9:11] + sQ) - h * M0
     V1 = M1 * (lat[..., 2:4] @ row[:, 7:9])
     V2 = P * sQ - M0 * (lat[..., 0:2] @ row[:, 9:11])
     return V1 @ wchi[None, :, None] + V2 @ (wchi * (sr * 0.5))[None, :, None]
@@ -383,20 +384,28 @@ def test_self_block_integrates_each_points_own_rule(prof03, monkeypatch):
     rho = cfg.core_size(prof03.a, T)
     d_xi = min(rho, T / 4.0)
     d_chi = np.minimum(rho / np.maximum(r_eval, rho), np.pi / 2.0)
-    sets, real_columns, real_kernel = [], coulomb._columns, coulomb._self_columns
+    sets = []
+    real = {name: getattr(coulomb, name) for name in ("_columns", "_chi_factors", "_self_columns")}
 
-    def columns(radius, j, R, theta, r_eval, xi, wxi, chi, wchi, lengths=None, **kw):
-        sets.append({"xi": (xi, wxi), "rows": {}})
-        return real_columns(radius, j, R, theta, r_eval, xi, wxi, chi, wchi, lengths, **kw)
+    def point(r):
+        return int(np.flatnonzero(r_eval == r)[0])
 
-    def kernel(P, r, cadd, chi, phi, wchi, *args, **kw):
-        assert P.shape[1:] == (len(sets[-1]["xi"][0]), chi.shape[-1])
-        for rp, c, w in zip(r[:, 0, 0], chi[:, 0], wchi):
-            sets[-1]["rows"][int(np.flatnonzero(r_eval == rp)[0])] = (c.copy(), w.copy())
-        return real_kernel(P, r, cadd, chi, phi, wchi, *args, **kw)
+    def columns(radius, j, R, theta, r_eval, xi, wxi, *args, **kw):
+        sets.append({"xi": (xi, wxi), "nodes": {}, "weights": {}})
+        return real["_columns"](radius, j, R, theta, r_eval, xi, wxi, *args, **kw)
 
-    monkeypatch.setattr(coulomb, "_columns", columns)
-    monkeypatch.setattr(coulomb, "_self_columns", kernel)
+    def chi_factors(phi, r, chi, *args):
+        sets[-1]["nodes"].update((point(rp), c.copy()) for rp, c in zip(r[:, 0, 0], chi[:, 0]))
+        return real["_chi_factors"](phi, r, chi, *args)
+
+    def kernel(P, r, cadd, row, wchi, *args):
+        assert P.shape[1:] == (len(sets[-1]["xi"][0]), wchi.shape[-1])
+        sets[-1]["weights"].update((point(rp), w.copy()) for rp, w in zip(r[:, 0, 0], wchi))
+        return real["_self_columns"](P, r, cadd, row, wchi, *args)
+
+    for name, spy in (("_columns", columns), ("_chi_factors", chi_factors),
+                      ("_self_columns", kernel)):
+        monkeypatch.setattr(coulomb, name, spy)
     _self_block(boundary, R, T, BATCH_THETA, y3c, r_eval, cfg, prof03.a)
     xi_in = _panel_rule(np.array([-d_xi, 0.0, d_xi]), cfg.column_q)
     want = [(_sym_graded_rule(d_xi, T / 2.0, d_xi, cfg.panel_q),
@@ -407,9 +416,10 @@ def test_self_block_integrates_each_points_own_rule(prof03, monkeypatch):
     assert len({len(x) for x, _ in want[0][1]}) > 1  # rows of two lengths
     for got, (xi_rule, chi_rules) in zip(sets, want):
         assert all(np.array_equal(g, w) for g, w in zip(got["xi"], xi_rule))
-        assert sorted(got["rows"]) == list(range(len(BATCH_THETA)))
-        for p, rule in enumerate(chi_rules):
-            assert all(np.array_equal(g, w) for g, w in zip(got["rows"][p], rule))
+        assert sorted(got["nodes"]) == sorted(got["weights"]) == list(range(len(BATCH_THETA)))
+        for p, (nodes, weights) in enumerate(chi_rules):
+            assert np.array_equal(got["nodes"][p], nodes)
+            assert np.array_equal(got["weights"][p], weights)
 
 
 def _flat_rule(x3, phi, rho_b, w):
@@ -799,13 +809,14 @@ def test_self_columns_match_gauss_in_r(prof03):
                     old = _column_values(_node_factors(P, r, chi, phi), ak, kap, R,
                                          _scratch(P.shape))
                     # one point a chi node, with one-hot chi weights: its column
-                    L = len(chi)
+                    L, guarded = len(chi), name == "inner"
+                    rr = np.full((L, 1, 1), r)
+                    row = coulomb._chi_factors(np.tile(phi, (L, 1, 1)), rr,
+                                               np.tile(chi, (L, 1, 1)), R, guarded)
                     new = coulomb._self_columns(
-                        np.repeat(P[None], L, axis=0), np.full((L, 1, 1), r),
-                        np.repeat(cadd[None], L, axis=0), np.tile(chi, (L, 1, 1)),
-                        np.tile(phi, (L, 1, 1)), np.eye(L), R,
-                        [np.empty((L,) + P.shape) for _ in range(6)],
-                        guarded=name == "inner")[..., 0].T
+                        np.repeat(P[None], L, axis=0), rr, np.repeat(cadd[None], L, axis=0),
+                        row, np.eye(L), [np.empty((L,) + P.shape) for _ in range(6)],
+                        guarded)[..., 0].T
                     for kernel, cols in (("old", old), ("new", new)):
                         err = np.max(np.abs(cols / ref - 1.0))
                         worst[name, kernel] = max(worst.get((name, kernel), 0.0), err)
