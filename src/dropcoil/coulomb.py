@@ -94,7 +94,9 @@ class AxisymBoundary:
 
         def radius(phi, j=0, p=None):
             c, o = (centre if p is None else centre[p]), np.asarray(offsets[j], dtype=float)
-            return self.radius(phi, c.reshape(c.shape + (1,) * o.ndim) + o)
+            x3 = c.reshape(c.shape + (1,) * o.ndim) + o
+            return ([self.radius(f, x3) for f in phi] if isinstance(phi, list)
+                    else self.radius(phi, x3))
         return radius
 
     def surface_point(self, theta, y3):
@@ -599,7 +601,7 @@ def _columns(radius, j, R, theta, r_eval, xi, wxi, chi, wchi, lengths=None, sepa
                 if window is not None:
                     d_eta[p] = np.minimum(window, 0.45 * P.min(axis=(1, 2)))
                     P = np.maximum(P - d_eta[p, None, None], 0.0)
-                sums = _self_columns(P, r[p], kap[p] * a2, factors[lo - c0:p.stop - c0],
+                sums = _self_columns(P, r[p], kap[p] * a2, factors[:, lo - c0:p.stop - c0],
                                      wchi[p, :L], [v[:p.stop - lo] for v in scratch],
                                      not separated)
                 out[p] = (wxi @ sums)[:, 0]
@@ -608,41 +610,41 @@ def _columns(radius, j, R, theta, r_eval, xi, wxi, chi, wchi, lengths=None, sepa
 
 
 def _chi_factors(phi, r, chi, R, guarded):
-    """The (point, chi) rows of ``_self_columns``, (points, 11 or 14, chi).
+    """The (point, chi) rows of ``_self_columns``, (11 or 14, points, chi), each contiguous.
 
     With s = sin(phi)/R and v = 4 r sin^2(chi/2): s, v, 1 + r s, r v, 1,
     s/2, -r cos(chi), -(3/4) s^2, 1 + (3/2) s r cos(chi), 1, 0, and when
     ``guarded`` -(1 + s r cos(chi)), -(r sin(chi))^2 and (s/2)^2.
     """
     rr, ch = r[:, 0], chi[:, 0]
-    row = np.empty((len(ch), 14 if guarded else 11, ch.shape[-1]))
-    sr, v, half, hb = row[:, 0], row[:, 1], row[:, 5], row[:, 6]
+    row = np.empty((14 if guarded else 11,) + ch.shape)
+    sr, v, half, hb = row[0], row[1], row[5], row[6]
     np.sin(phi[:, 0], out=sr)
     np.divide(sr, R, out=sr)
     np.multiply(0.5, ch, out=v)
     np.sin(v, out=v)
     np.multiply(v, v, out=v)
     np.multiply(v, 4.0 * rr, out=v)
-    np.multiply(sr, rr, out=row[:, 2])
-    np.add(row[:, 2], 1.0, out=row[:, 2])
-    np.multiply(v, rr, out=row[:, 3])
+    np.multiply(sr, rr, out=row[2])
+    np.add(row[2], 1.0, out=row[2])
+    np.multiply(v, rr, out=row[3])
     np.multiply(sr, 0.5, out=half)
     np.cos(ch, out=hb)
     np.multiply(hb, -rr, out=hb)
-    np.multiply(sr, sr, out=row[:, 7])
-    np.multiply(row[:, 7], -0.75, out=row[:, 7])
-    np.multiply(sr, hb, out=row[:, 8])
-    np.multiply(row[:, 8], -1.5, out=row[:, 8])
-    np.add(row[:, 8], 1.0, out=row[:, 8])
-    row[:, (4, 9)], row[:, 10] = 1.0, 0.0
+    np.multiply(sr, sr, out=row[7])
+    np.multiply(row[7], -0.75, out=row[7])
+    np.multiply(sr, hb, out=row[8])
+    np.multiply(row[8], -1.5, out=row[8])
+    np.add(row[8], 1.0, out=row[8])
+    row[(4, 9), :], row[10] = 1.0, 0.0
     if guarded:
-        np.multiply(sr, hb, out=row[:, 11])
-        np.subtract(row[:, 11], 1.0, out=row[:, 11])
-        np.sin(ch, out=row[:, 12])
-        np.multiply(row[:, 12], rr, out=row[:, 12])
-        np.multiply(row[:, 12], row[:, 12], out=row[:, 12])
-        np.negative(row[:, 12], out=row[:, 12])
-        np.multiply(half, half, out=row[:, 13])
+        np.multiply(sr, hb, out=row[11])
+        np.subtract(row[11], 1.0, out=row[11])
+        np.sin(ch, out=row[12])
+        np.multiply(row[12], rr, out=row[12])
+        np.multiply(row[12], row[12], out=row[12])
+        np.negative(row[12], out=row[12])
+        np.multiply(half, half, out=row[13])
     return row
 
 
@@ -666,8 +668,9 @@ def _self_columns(P, r, cadd, row, wchi, s, guarded=False):
     shape, six when ``guarded``.  Returns the chi sums, (points, xi, 1).
     """
     W, Q, H, G = s[:4]
-    rr, cadd = r[:, 0], cadd[..., 0]
-    lat = np.empty(cadd.shape + (8,))             # c, sqrt(c), cadd, 1, cadd^2, -sqrt(c), cadd, 1
+    rr, cadd, row = r[:, 0], cadd[..., 0], row.transpose(1, 0, 2)
+    # c, sqrt(c), cadd, 1, cadd^2, -sqrt(c), cadd, 1
+    lat = np.empty(cadd.shape + (8,))
     c, sc = lat[..., 0], lat[..., 1]
     np.multiply(rr, rr, out=c)
     np.add(c, cadd, out=c)
@@ -751,7 +754,8 @@ def _self_block(boundary, R, T, theta, y3c, r_eval, cfg: SelfBlockSettings, a_ne
     # the Duffy faces' xi nodes: on xi = -d_xi, on xi = d_xi, and on the other three
     u = _gl(cfg.core_q)[0]
     U = u[:, None, None]
-    duffy = (np.stack((U * -d_xi, U * d_xi)), (U * (-d_xi + (d_xi - -d_xi) * u[:, None]))[None])
+    duffy = (np.stack((u * -d_xi, u * d_xi), axis=-1)[..., None],
+             U * (-d_xi + (d_xi - -d_xi) * u[:, None]))
     radius = boundary.radius_about((xi_out[0][:, None], xi_in[0][:, None]) + duffy, y3c)
 
     def columns(j, xi_rule, chi_rule, **kw):
@@ -776,10 +780,10 @@ def _duffy_core(radius, j, xis, R, theta, r_eval, d_xi, d_chi, d_eta, q):
     apex at the singular point; theta, r_eval, d_chi and d_eta hold one
     value a point.  A face's nodes are u_i times its points, (point, i, a,
     b) for its free axes a, b.  ``xis`` holds the faces' xi nodes, offsets
-    j (the faces xi = -d_xi, d_xi, (2, q, 1, 1)) and j + 1 (the others,
-    (1, q, q, 1)) of ``radius``, so three radius calls a tile serve the
-    five faces: the two xi faces share one, the two chi faces another, and
-    each is a batched (xi x K)(K x chi) product.  The kernel's temporaries
+    j (the faces xi = -d_xi, d_xi, (q, 2, 1)) and j + 1 (the others,
+    (q, q, 1)) of ``radius``: one radius call a tile serves the two xi
+    faces and one the other three, which share its profile, each a batched
+    (xi x K)(K x chi) product over (point, i).  The kernel's temporaries
     hold q^3 doubles a point, so tiles of max(1, TILE // q^3) points keep
     each within TILE: 98 points at q = 5.  Every factor of xi or chi alone
     stays on its own shape, so 13 passes a face run on the tile (over 20
@@ -806,20 +810,19 @@ def _duffy_core(radius, j, xis, R, theta, r_eval, d_xi, d_chi, d_eta, q):
         chi = U * (-dc + (dc - -dc) * u)                       # (point, i, 1, chi)
         phi = th + chi
         span = (dc - -dc) * (de - 0.0)
-        # faces xi = -d_xi and d_xi, with chi moved to the first free axis
-        rb = radius(phi[:, None], j, p).swapaxes(-1, -2)
+        # faces xi = -d_xi and d_xi, (point, i, face, chi), chi then on the first free axis
+        rb = radius(phi, j, p)
         cT, pT = chi.swapaxes(-1, -2), phi.swapaxes(-1, -2)
-        total = face(rb[:, 0], eta, pT, cT, pair[0], d_xi * span)
-        total += face(rb[:, 1], eta, pT, cT, pair[1], d_xi * span)
-        # faces chi = -d_chi and d_chi
-        chi2 = U * np.stack((-dc, dc), axis=1)
-        rb = radius(th[:, None] + chi2, j + 1, p)
+        total = face(rb[:, :, 0, :, None], eta, pT, cT, pair[:, 0:1], d_xi * span)
+        total += face(rb[:, :, 1, :, None], eta, pT, cT, pair[:, 1:2], d_xi * span)
+        # faces chi = -d_chi and d_chi, (point, i, xi, face), and eta = d_eta, one profile
+        chi2 = U * np.concatenate((-dc, dc), axis=-1)
+        rb, top = radius([th + chi2, phi], j + 1, p)
         for k in (0, 1):
-            total += face(rb[:, k], eta, th + chi2[:, k], chi2[:, k], grid[0],
-                          dc * (d_xi - -d_xi) * (de - 0.0))
+            total += face(rb[..., k:k + 1], eta, th + chi2[..., k:k + 1], chi2[..., k:k + 1],
+                          grid, dc * (d_xi - -d_xi) * (de - 0.0))
         # the eta = d_eta face only when the depth window is not degenerate
-        top = face(radius(phi[:, None], j + 1, p)[:, 0], U * de, phi, chi, grid[0],
-                   de * (d_xi - -d_xi) * (dc - -dc))
+        top = face(top, U * de, phi, chi, grid, de * (d_xi - -d_xi) * (dc - -dc))
         out[p] = total + np.where((de > 1e-14 * np.maximum(d_xi, de)).ravel(), top, 0.0)
     return out
 

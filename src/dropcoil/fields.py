@@ -152,7 +152,8 @@ def shifted_series(coef: np.ndarray, tau: float, offsets, centre):
     Returns ``evaluate(theta, j=0, p=None)``: the series at t = centre[p] +
     offsets[j], t of shape centre[p].shape + offsets[j].shape and theta
     broadcast to it (p indexes centre's first axis; None takes all of
-    centre).  By angle addition, p_k(c + o) = sum_j a_kj [cos(j w c)
+    centre); a list of theta arrays gives a list of results, which share
+    the product of rows and table.  By angle addition, p_k(c + o) = sum_j a_kj [cos(j w c)
     cos(j w o) - sin(j w c) sin(j w o)], w = pi/tau: one table
     (a_kj cos(j w o), -a_kj sin(j w o)) over every offset of every array
     and one (cos(j w c), sin(j w c)) row a centre are formed once, and an
@@ -184,8 +185,10 @@ def shifted_series(coef: np.ndarray, tau: float, offsets, centre):
     def evaluate(theta, j=0, p=None):
         lead = centre.shape if p is None else np.shape(centre[p])
         prof = np.matmul(rows if p is None else rows[p], tables[j])
-        ang = _theta_factor(_powers(np.asarray(theta, dtype=float), kmax), 0)
-        return _sum_over_k(ang, prof.reshape(lead + offsets[j].shape + (kmax + 1,)))
+        prof = prof.reshape(lead + offsets[j].shape + (kmax + 1,))
+        return ([_sum_over_k(_theta_factor(_powers(np.asarray(t, dtype=float), kmax), 0), prof)
+                 for t in theta] if isinstance(theta, list) else
+                _sum_over_k(_theta_factor(_powers(np.asarray(theta, dtype=float), kmax), 0), prof))
     return evaluate
 
 

@@ -313,16 +313,16 @@ def _duffy_core_ref(radius, j, xis, R, theta, r_eval, d_xi, d_chi, d_eta, q):
         chi = U * (-dc + (dc - -dc) * u)
         phi = th + chi
         span = (dc - -dc) * (de - 0.0)
-        rb = radius(phi[None, None], j, one)[0].swapaxes(-1, -2)
+        rb = radius(phi[None], j, one)[0]
         cT, pT = chi.swapaxes(-1, -2), phi.swapaxes(-1, -2)
-        total = face(rb[0], eta, pT, cT, pair[0]) * (d_xi * span)
-        total += face(rb[1], eta, pT, cT, pair[1]) * (d_xi * span)
-        chi2 = U * np.stack((-dc, dc))[:, None, None]
-        rb = radius(th + chi2[None], j + 1, one)[0]
+        total = face(rb[:, 0, :, None], eta, pT, cT, pair[:, 0:1]) * (d_xi * span)
+        total += face(rb[:, 1, :, None], eta, pT, cT, pair[:, 1:2]) * (d_xi * span)
+        chi2 = U * np.concatenate((-dc, dc))
+        rb, top = radius([(th + chi2)[None], phi[None]], j + 1, one)
         for k in (0, 1):
-            total += face(rb[k], eta, th + chi2[k], chi2[k], grid[0]) * (dc * (d_xi - -d_xi)
-                                                                          * (de - 0.0))
-        top = face(radius(phi[None, None], j + 1, one)[0, 0], U * de, phi, chi, grid[0])
+            total += face(rb[0][..., k:k + 1], eta, th + chi2[..., k:k + 1], chi2[..., k:k + 1],
+                          grid) * (dc * (d_xi - -d_xi) * (de - 0.0))
+        top = face(top[0], U * de, phi, chi, grid)
         top = top * (de * (d_xi - -d_xi) * (dc - -dc))
         out[p] = (total + np.where(de > 1e-14 * np.maximum(d_xi, de), top, 0.0))[0]
     return out
@@ -1092,16 +1092,16 @@ def _radius_about_shapes(prof03, centres):
     chi = _sym_graded_rules(0.0, np.pi, 0.1, 5)[0]
     u = coulomb._gl(7)[0]
     U = u[:, None, None]
-    pair = np.stack((U * -d_xi, U * d_xi))
-    grid = (U * (-d_xi + 2.0 * d_xi * u[:, None]))[None]
-    face_phi = theta[:, None, :, None] + U * (0.2 * u - 0.1)
+    pair = np.stack((u * -d_xi, u * d_xi), axis=-1)[..., None]
+    grid = U * (-d_xi + 2.0 * d_xi * u[:, None])
+    face_phi = theta[..., None] + U * (0.2 * u - 0.1)
     tt = np.linspace(-np.pi, np.pi, 40)
     return [(quad.phi_nodes, quad.z_nodes[:, None]),
             (theta + chi, xi_out[:, None]),
             (theta + chi[:, :12], xi_in[:, None]),
             (theta + np.linspace(-0.1, 0.1, 12), xi_in[:, None]),
             (face_phi, pair),
-            (theta[:, None, :, None] + U * np.array([-0.1, 0.1])[:, None, None, None], grid),
+            (theta[..., None] + U * np.array([-0.1, 0.1]), grid),
             (face_phi, grid),
             (tt[None, :], np.linspace(-2.0, 2.0, 60)[:, None] * T)]
 
