@@ -571,9 +571,10 @@ def _columns(radius, j, R, theta, r_eval, xi, wxi, chi, wchi, lengths=None, sepa
     TILE doubles; the chi factors are formed for as many whole tiles as
     TILE holds.  ``separated`` takes
     the separated form of ``_self_columns``, else the guarded one.
-    ``window`` (the core size) removes the depth window [0, d_eta] from
-    each column, d_eta = min(window, 0.45 min rho_b) over the point's
-    nodes, and d_eta is returned too.
+    ``window`` = (core size, n) removes the depth window [0, d_eta] from
+    the columns of each point's first n chi nodes (the footprint), d_eta =
+    min(core size, 0.45 min rho_b) over those columns, and d_eta is
+    returned too.
     """
     a2 = (2.0 * R * np.sin(xi / (2.0 * R)))[:, None] ** 2
     # the points sorted by rule length, so that a tile is a slice of them
@@ -599,8 +600,9 @@ def _columns(radius, j, R, theta, r_eval, xi, wxi, chi, wchi, lengths=None, sepa
                 p = slice(lo, min(lo + rows, c.stop))
                 P = radius(th[p] + chi[p, None, :L], j, order[p])
                 if window is not None:
-                    d_eta[p] = np.minimum(window, 0.45 * P.min(axis=(1, 2)))
-                    P = np.maximum(P - d_eta[p, None, None], 0.0)
+                    fp = P[..., :window[1]]
+                    d_eta[p] = np.minimum(window[0], 0.45 * fp.min(axis=(1, 2)))
+                    np.maximum(fp - d_eta[p, None, None], 0.0, out=fp)
                 sums = _self_columns(P, r[p], kap[p] * a2, factors[:, lo - c0:p.stop - c0],
                                      wchi[p, :L], [v[:p.stop - lo] for v in scratch],
                                      not separated)
@@ -758,19 +760,18 @@ def _self_block(boundary, R, T, theta, y3c, r_eval, cfg: SelfBlockSettings, a_ne
              U * (-d_xi + (d_xi - -d_xi) * u[:, None]))
     radius = boundary.radius_about((xi_out[0][:, None], xi_in[0][:, None]) + duffy, y3c)
 
-    def columns(j, xi_rule, chi_rule, **kw):
-        return _columns(radius, j, R, theta, r_eval, *xi_rule, *chi_rule, **kw)
-
-    total = columns(0, xi_out, _sym_graded_rules(0.0, np.pi, d_chi, q, cfg.grade_ratio),
-                    separated=True)
-    total += columns(1, xi_in, _sym_graded_rules(d_chi, np.pi, d_chi, q))
-    # footprint: columns with the depth window [0, d_eta] removed ...
-    fp_chi = _panel_rule(np.stack((-d_chi, np.zeros_like(d_chi), d_chi), axis=-1),
-                         cfg.column_q)
-    fp, d_eta = columns(1, xi_in, fp_chi, window=rho)
+    total = _columns(radius, 0, R, theta, r_eval, *xi_out,
+                     *_sym_graded_rules(0.0, np.pi, d_chi, q, cfg.grade_ratio), separated=True)
+    # the inner set and the footprint on one chi rule a point, the footprint's
+    # nodes first: their columns lose the depth window [0, d_eta] ...
+    fp = _panel_rule(np.stack((-d_chi, np.zeros_like(d_chi), d_chi), axis=-1), cfg.column_q)
+    inner = _sym_graded_rules(d_chi, np.pi, d_chi, q)
+    chi, wchi = (np.concatenate(v, axis=1) for v in zip(fp, inner[:2]))
+    near, d_eta = _columns(radius, 1, R, theta, r_eval, *xi_in, chi, wchi,
+                           inner[2] + fp[0].shape[1], window=(rho, fp[0].shape[1]))
     # ... and the Duffy core over the window, apex at the singular point
-    return total + fp + _duffy_core(radius, 2, duffy, R, theta, r_eval, d_xi, d_chi, d_eta,
-                                    cfg.core_q)
+    return total + near + _duffy_core(radius, 2, duffy, R, theta, r_eval, d_xi, d_chi, d_eta,
+                                      cfg.core_q)
 
 
 def _duffy_core(radius, j, xis, R, theta, r_eval, d_xi, d_chi, d_eta, q):

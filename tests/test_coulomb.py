@@ -282,8 +282,8 @@ def _columns_ref(radius, j, R, theta, r_eval, xi, wxi, chi, wchi, lengths=None, 
         phi = th + chi[p, :L]
         P = radius(phi[None, None, :], j, np.array([p]))[0]
         if window is not None:
-            d_eta[p] = np.minimum(window, 0.45 * P.min())
-            P = np.maximum(P - d_eta[p], 0.0)
+            d_eta[p] = np.minimum(window[0], 0.45 * P[:, :window[1]].min())
+            P[:, :window[1]] = np.maximum(P[:, :window[1]] - d_eta[p], 0.0)
         cadd = (1.0 + r * np.sin(th) / R) * (ak * ak)[:, None]
         sums = _self_columns_ref(P, r, cadd, chi[p, :L], phi, wchi[p, :L], R, not separated)
         out[p] = (wxi @ sums)[0, 0]
@@ -407,11 +407,13 @@ def test_self_block_integrates_each_points_own_rule(prof03, monkeypatch):
                       ("_self_columns", kernel)):
         monkeypatch.setattr(coulomb, name, spy)
     _self_block(boundary, R, T, BATCH_THETA, y3c, r_eval, cfg, prof03.a)
-    xi_in = _panel_rule(np.array([-d_xi, 0.0, d_xi]), cfg.column_q)
+    # the inner set and the footprint share a rule: footprint nodes first
+    near = [[np.concatenate(v) for v in zip(_panel_rule(np.array([-d, 0.0, d]), cfg.column_q),
+                                             _sym_graded_rule(d, np.pi, d, cfg.panel_q))]
+            for d in d_chi]
     want = [(_sym_graded_rule(d_xi, T / 2.0, d_xi, cfg.panel_q),
              [_sym_graded_rule(0.0, np.pi, d, cfg.panel_q, cfg.grade_ratio) for d in d_chi]),
-            (xi_in, [_sym_graded_rule(d, np.pi, d, cfg.panel_q) for d in d_chi]),
-            (xi_in, [_panel_rule(np.array([-d, 0.0, d]), cfg.column_q) for d in d_chi])]
+            (_panel_rule(np.array([-d_xi, 0.0, d_xi]), cfg.column_q), near)]
     assert len(sets) == len(want)
     assert len({len(x) for x, _ in want[0][1]}) > 1  # rows of two lengths
     for got, (xi_rule, chi_rules) in zip(sets, want):
