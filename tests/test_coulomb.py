@@ -11,8 +11,7 @@ import dropcoil.coulomb as coulomb
 from dropcoil.coulomb import (BALL_UNIT_COULOMB, ENERGY_GRID, NEWTON_TOL, TILE,
                               AxisymBoundary, BlockQuadrature, CRITICAL_MASS_CLOSED_FORM,
                               NormalGraphBoundary, SelfBlockSettings,
-                              _column_values, _graded_edges, _node_factors, _panel_rule,
-                              _radial_moments, _regular_blocks, _scratch, _self_block,
+                              _graded_edges, _panel_rule, _regular_blocks, _self_block,
                               _separated_factors, _separated_values, _sym_graded_rules,
                               ball_coulomb_energy, ball_energy,
                               ball_potential_exact, ball_potential_radial,
@@ -169,41 +168,135 @@ def test_y2_coefficient_log_law(prof03):
 
 
 # ---------------------------------------------------------------------------
-# frozen reference: the allocating column kernel the buffered one replaced,
-# and allocating transcriptions of the separated-column kernel with its tiled
-# k-sweep and of the self block's columns and Duffy faces, taken point by
-# point; the buffered kernels must reproduce every bit of them
+# the guarded column kernel the self block took before its fused one, kept
+# as the accuracy baseline of the column tests, and the allocating column
+# kernel it replaced
 # ---------------------------------------------------------------------------
 
-def _radial_moments_ref(P, r_eval, vers_chi, sin_chi, blin, cadd_pos):
-    b = -2.0 * r_eval * (1.0 - vers_chi) + blin
-    c = r_eval * r_eval + cadd_pos
-    QP = (P - r_eval) ** 2 + 2.0 * P * r_eval * vers_chi + blin * P + cadd_pos
-    QP = np.maximum(QP, 0.0)
-    sQP = np.sqrt(QP)
-    sc = np.sqrt(c)
-    up = 2.0 * sQP + 2.0 * (P - r_eval + r_eval * vers_chi) + blin
-    lo_direct = 2.0 * sc + b
-    disc = (4.0 * (r_eval * sin_chi) ** 2
-            + 4.0 * cadd_pos + 4.0 * r_eval * (1.0 - vers_chi) * blin - blin * blin)
-    disc = np.maximum(disc, 1e-300)
-    M0 = np.log(np.where(b >= 0.0,
-                         np.maximum(up, 1e-300) / np.maximum(lo_direct, 1e-300),
-                         np.maximum(up * (2.0 * sc - b), 1e-300) / disc))
-    M1 = sQP - sc - 0.5 * b * M0
-    M2 = ((2.0 * P - 3.0 * b) * sQP + 3.0 * b * sc) / 4.0 - ((4.0 * c - 3.0 * b * b) / 8.0) * M0
-    return M0, M1, M2
+def _node_factors(P, r_eval, chi, phi):
+    """The factors of the column kernel that do not involve a_k.
+
+    Computed once per node set and shared by every a_k row of a sweep:
+    sin(phi), P and, with vers = 1 - cos(chi) taken as 2 sin^2(chi/2) so that
+    it keeps full precision at small chi, the kappa-free parts of b, Q(P),
+    2P + b, 4c - b^2 and the kappa cross term of 4c - b^2.
+    """
+    vers = 2.0 * np.sin(0.5 * chi) ** 2
+    two_p = 2.0 * P
+    return {"sin_phi": np.sin(phi), "P": P, "two_p": two_p, "r2": r_eval * r_eval,
+            "b0": -2.0 * r_eval * (1.0 - vers),
+            "Q0": (P - r_eval) ** 2 + two_p * r_eval * vers,
+            "up0": 2.0 * (P - r_eval + r_eval * vers),
+            "disc0": 4.0 * (r_eval * np.sin(chi)) ** 2,
+            "disc1": 4.0 * r_eval * (1.0 - vers)}
 
 
-def _column_values_ref(P, r_eval, chi, phi, y2, R, ak):
-    vers_chi = 2.0 * np.sin(0.5 * chi) ** 2
-    sin_chi = np.sin(chi)
-    sin_phi = np.sin(phi)
-    blin = ak * ak * sin_phi * (1.0 + y2 / R) / R
-    cadd = ak * ak * (1.0 + y2 / R)
-    _, M1, M2 = _radial_moments_ref(P, r_eval, vers_chi, sin_chi, blin, cadd)
-    return M1 + sin_phi * M2 / R
+def _scratch(shape):
+    """Work arrays of ``_column_values``: eight float and one bool of the tile shape, four of its lattice."""
+    lattice = shape[:-1] + (1,) if shape else ()
+    return ([np.empty(shape) for _ in range(8)] + [np.empty(shape, dtype=bool)]
+            + [np.empty(lattice) for _ in range(4)])
 
+
+def _radial_moments(g, blin, cadd, s):
+    """(M0, M1, M2) with M_m = int_0^P r^m / sqrt(r^2 + b r + c) dr, in scratch ``s``.
+
+    b = -2 r_eval cos_chi + blin, c = r_eval^2 + cadd, with cadd >= 0 and
+    blin the (signed, small) linear kappa term; ``g`` holds the node factors
+    of ``_node_factors``.  ``blin`` may be ``s[1]`` and is overwritten then;
+    ``cadd`` holds lattice values (it may be ``s[10]``), and c, sqrt(c),
+    4 cadd and 4c stay on the lattice too, broadcast only where a node
+    factor enters; 2 sqrt(c), read twice on the tile, is broadcast there
+    once, and sqrt(c) there is its half.  All expressions are grouped so
+    near-singular columns keep full precision, and each is evaluated in the
+    operation order of the allocating reference kept in the tests, or by an
+    exact substitute (x * 0.25 and x * 0.125 round as x/4 and x/8, doubling
+    and halving are exact, ``np.putmask`` copies as the select does), so the
+    bits do not depend on the buffering or on the lattice.
+    """
+    A, B, C, D, E, F, G, H, neg, cadd4, _, c, sc = s
+    np.add(g["b0"], blin, out=C)                                   # b
+    np.add(g["r2"], cadd, out=c)                                   # c
+    # Q(P) assembled from nonnegative geometric pieces
+    np.multiply(blin, g["P"], out=E)
+    np.add(g["Q0"], E, out=E)
+    np.add(E, cadd, out=E)
+    np.maximum(E, 0.0, out=E)
+    np.sqrt(E, out=E)                                              # sqrt(Q(P))
+    np.sqrt(c, out=sc)
+    np.multiply(sc, 2.0, out=D)                                    # 2 sqrt(c)
+    np.multiply(D, 0.5, out=F)                                     # sqrt(c)
+    # 2P + b without the cancellation of P against r_eval cos_chi
+    np.multiply(E, 2.0, out=G)
+    np.add(G, g["up0"], out=G)
+    np.add(G, blin, out=G)                                         # up
+    # 4c - b^2 = 4 [r sin(chi)]^2 + positive kappa terms (stable when b < 0)
+    np.multiply(cadd, 4.0, out=cadd4)
+    np.add(g["disc0"], cadd4, out=A)
+    np.multiply(g["disc1"], blin, out=H)
+    np.add(A, H, out=A)
+    np.multiply(blin, blin, out=B)
+    np.subtract(A, B, out=A)
+    np.maximum(A, 1e-300, out=A)                                   # disc
+    # one log of the selected argument (the b < 0 form rationalizes 2 sqrt(c) + b)
+    np.add(D, C, out=H)
+    np.maximum(H, 1e-300, out=H)
+    np.maximum(G, 1e-300, out=B)
+    np.divide(B, H, out=B)                                         # b >= 0
+    np.subtract(D, C, out=H)
+    np.multiply(G, H, out=H)
+    np.maximum(H, 1e-300, out=H)
+    np.divide(H, A, out=H)                                         # b < 0
+    np.less(C, 0.0, out=neg)
+    np.putmask(B, neg, H)
+    np.log(B, out=B)                                               # M0
+    np.subtract(E, F, out=A)
+    np.multiply(C, 0.5, out=G)
+    np.multiply(G, B, out=G)
+    np.subtract(A, G, out=A)                                       # M1
+    np.multiply(C, 3.0, out=H)                                     # 3b
+    np.subtract(g["two_p"], H, out=G)
+    np.multiply(G, E, out=G)
+    np.multiply(H, F, out=F)
+    np.add(G, F, out=G)
+    np.multiply(G, 0.25, out=G)
+    np.multiply(c, 4.0, out=c)                                     # 4c
+    np.multiply(H, C, out=H)
+    np.subtract(c, H, out=D)
+    np.multiply(D, 0.125, out=D)
+    np.multiply(D, B, out=D)
+    np.subtract(G, D, out=G)                                       # M2
+    return B, A, G
+
+
+def _column_values(g, ak, kap, R, s):
+    """Column integrals int_0^P (1 + r sin(phi)/R) r / sqrt(Q) dr, into ``s[0]``.
+
+    The guarded kernel of the self block's inner and footprint columns
+    (``_columns``), whose lines pass arbitrarily close to the evaluation
+    point; the regular blocks and the self block's outer columns, whose
+    lines all keep a distance from it, take ``_separated_values``.  ``g``
+    holds the node factors, ``ak`` the block offsets a_k on the lattice and
+    kap = 1 + y2 / R; ``s`` is a ``_scratch`` set of the broadcast shape.
+    a_k^2 and cadd = a_k^2 kap are formed on the lattice.
+    """
+    B, a2, cadd = s[1], s[9], s[10]
+    np.multiply(ak, ak, out=a2)
+    np.multiply(a2, g["sin_phi"], out=B)
+    np.multiply(B, kap, out=B)
+    np.divide(B, R, out=B)                                         # blin
+    np.multiply(a2, kap, out=cadd)
+    _, M1, M2 = _radial_moments(g, B, cadd, s)
+    np.multiply(g["sin_phi"], M2, out=M2)
+    np.divide(M2, R, out=M2)
+    return np.add(M1, M2, out=M1)
+
+
+# ---------------------------------------------------------------------------
+# frozen reference: allocating transcriptions of the separated-column kernel
+# with its tiled k-sweep and of the self block's columns and Duffy faces,
+# taken point by point; the buffered kernels must reproduce every bit of them
+# ---------------------------------------------------------------------------
 
 def _separated_values_ref(P, r_eval, chi, phi, w, y2, R, ak):
     s = np.sin(phi) / R
@@ -518,46 +611,48 @@ def test_regular_blocks_batch_matches_single_points(prof03, chart03, solver03, r
 
 
 def test_radial_moments_match_frozen_reference():
-    # the buffered kernel on a (point, k, z, phi) tile against the allocating
-    # reference, bit for bit: chi around the circle gives b < 0 and b >= 0
-    # columns, and P within 1e-9 of r_eval at chi down to 1e-7 with cadd
-    # down to 0 gives near-singular ones
+    # the fused self-block kernel on a (point, xi, chi) tile against its
+    # allocating transcription, both forms, bit for bit: chi around the
+    # circle gives h < 0 and h >= 0 columns, and P within 1e-9 of r_eval at
+    # chi down to 1e-7 with cadd down to 0 gives near-singular ones
     rng = np.random.default_rng(7)
-    shape = (3, 4, 5, 16)
-    r_eval = np.array([0.3, 0.55, 0.8])[:, None, None, None]
+    R = 5.0
+    r_eval = np.array([0.3, 0.55, 0.8])[:, None, None]
     chi = np.r_[-np.pi + 0.1 * rng.random(2), np.linspace(-2.5, 2.5, 8),
                 -1e-7, 1e-7, 1e-5, -1e-3, 3.0, np.pi - 1e-3]
-    P = r_eval * (1.0 + rng.choice([-1.0, 1.0], (3, 1, 5, 16))
-                  * 10.0 ** rng.uniform(-9.0, -0.3, (3, 1, 5, 16)))
-    cadd = np.array([0.0, 1e-14, 1e-3, 0.05])[None, :, None, None] * rng.random((3, 1, 5, 1))
-    blin = 0.02 * rng.standard_normal(shape) * np.sqrt(cadd)
-    b = -2.0 * r_eval * np.cos(chi) + blin
-    assert (b < 0.0).any() and (b >= 0.0).any()
-    got = _radial_moments(_node_factors(P, r_eval, chi, chi), blin, cadd, _scratch(shape))
-    want = _radial_moments_ref(P, r_eval, 2.0 * np.sin(0.5 * chi) ** 2, np.sin(chi), blin,
-                               cadd)
-    for g, w in zip(got, want):
-        assert np.all(np.isfinite(w)) and np.array_equal(g, w)
+    phi = rng.uniform(0.0, 2.0 * np.pi, (3, 1, 1)) + chi
+    P = r_eval * (1.0 + rng.choice([-1.0, 1.0], (3, 20, 16))
+                  * 10.0 ** rng.uniform(-9.0, -0.3, (3, 20, 16)))
+    cadd = np.repeat([0.0, 1e-14, 1e-3, 0.05], 5)[None, :, None] * rng.random((3, 20, 1))
+    wchi = rng.random((3, 16))
+    h = cadd * np.sin(phi) / (2.0 * R) - r_eval * np.cos(chi)
+    assert (h < 0.0).any() and (h >= 0.0).any()
+    for guarded in (True, False):
+        row = coulomb._chi_factors(phi, r_eval, np.broadcast_to(chi, phi.shape), R, guarded)
+        got = coulomb._self_columns(P.copy(), r_eval, cadd, row, wchi,
+                                    [np.empty(P.shape) for _ in range(6)], guarded)
+        for p in range(3):
+            want = _self_columns_ref(P[p], r_eval[p, 0], cadd[p], chi, phi[p, 0], wchi[p], R,
+                                     guarded)
+            assert np.all(np.isfinite(want)) and np.array_equal(got[p], want[0])
 
 
-@pytest.mark.parametrize("cfg", [SelfBlockSettings(3, 3, 4), SelfBlockSettings(4, 4, 5),
-                                 SelfBlockSettings(5, 5, 6), SelfBlockSettings(7, 7, 8),
-                                 SelfBlockSettings().refined()],
-                         ids=["coarse", "fast_loop", "desk_loop", "default", "refined"])
-def test_self_block_matches_frozen_kernel(prof03, chart03, solver03, frozen_kernel, cfg):
+def test_self_block_matches_frozen_kernel(prof03, chart03, solver03, frozen_kernel):
     # neck and bulge points on both boundaries, at the orders the pipeline
     # runs: the coarse tier, the FAST and desk loops, the final and refined rules
     T = prof03.T
     R = 16 * T / (2.0 * np.pi)
     theta, y3 = np.array([1.2, 0.3, 2.0]), np.array([0.5, 0.0, 0.2]) * T
+    cfgs = [SelfBlockSettings(3, 3, 4), SelfBlockSettings(4, 4, 5), SelfBlockSettings(5, 5, 6),
+            SelfBlockSettings(7, 7, 8), SelfBlockSettings().refined()]
     boundaries = _batch_boundaries(prof03, chart03, solver03)
     points = [b.surface_point(theta, y3) for b in boundaries]
     assert points[0][0][0] < 0.31 < 0.69 < points[0][0][1]
-    got = [_self_block(b, R, T, theta, y3c, r, cfg, prof03.a)
-           for b, (r, y3c) in zip(boundaries, points)]
+    got = [_self_block(b, R, T, theta, y3c, r, c, prof03.a)
+           for b, (r, y3c) in zip(boundaries, points) for c in cfgs]
     ran = frozen_kernel()
-    want = [_self_block(b, R, T, theta, y3c, r, cfg, prof03.a)
-            for b, (r, y3c) in zip(boundaries, points)]
+    want = [_self_block(b, R, T, theta, y3c, r, c, prof03.a)
+            for b, (r, y3c) in zip(boundaries, points) for c in cfgs]
     assert ran == {"_columns", "_duffy_core"}
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
@@ -954,15 +1049,20 @@ def _moments_mp(P, r_eval, chi, blin, cadd):
     (0.8000001, 0.8, 1e-6, 0.0, 1e-14, False),
 ])
 def test_radial_moments_match_quadrature(P, r_eval, chi, blin, cadd, b_nonneg):
+    # the guarded self-block column M1 + s M2, s = sin(phi)/R = blin/cadd
     assert (-2.0 * r_eval * np.cos(chi) + blin >= 0.0) == b_nonneg
-    M = _radial_moments(_node_factors(np.array(P), r_eval, chi, 0.0), blin, cadd,
-                        _scratch(()))
+    R, s = 1.0, blin / cadd if cadd else 0.0
+    phi = np.full((1, 1, 1), np.arcsin(s * R))
+    r = np.full((1, 1, 1), r_eval)
+    row = coulomb._chi_factors(phi, r, np.full((1, 1, 1), chi), R, True)
+    col = coulomb._self_columns(np.full((1, 1, 1), P), r, np.full((1, 1, 1), cadd), row,
+                                np.ones((1, 1)), [np.empty((1, 1, 1)) for _ in range(6)],
+                                True)[0, 0, 0]
     refs = [_moments_mp(P, r_eval, chi, blin, cadd)]
     if chi >= 1e-3:  # narrower columns are beyond the adaptive quadrature
         refs.append(_moments_by_quad(P, r_eval, chi, blin, cadd))
-    for ref in refs:
-        for got, want in zip(M, ref):
-            assert abs(float(got) / want - 1.0) < 1e-11
+    for _, M1, M2 in refs:
+        assert abs(col / (M1 + np.sin(phi[0, 0, 0]) / R * M2) - 1.0) < 1e-11
 
 
 def test_perturbed_reduces_to_coil_at_zero(prof03, chart03, solver03):
