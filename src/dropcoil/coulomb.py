@@ -121,9 +121,8 @@ class NormalGraphBoundary:
     and axial columns up to the last holding a coefficient above
     8 eps max|c|: what it drops is rounding.  The boundary keeps a copy of
     h, so ``surface_point`` and ``radius`` describe the same solid whatever
-    the caller later does to its field.  The Coulomb rules take rho_h at
-    x3 = centre + offset, offsets shared by every point, from
-    ``radius_about``; it agrees with ``radius`` to rounding.
+    the caller later does to its field.  The Coulomb rules take rho_h
+    about shared offsets from ``radius_about``, to rounding ``radius``.
     """
 
     def __init__(self, profile: DelaunayProfile, chart: ConformalChart,
@@ -185,7 +184,7 @@ class NormalGraphBoundary:
         return series_eval(self._coef, self._tau, phi, x3)[0]
 
     def radius_about(self, offsets, centre):
-        """rho_h at x3 = centre[p] + offsets[j] as a function of (phi, j, p); see ``shifted_series``."""
+        """rho_h at x3 = centre[p] + offsets[j], a function of (phi, j, p): ``shifted_series``."""
         return shifted_series(self._coef, self._tau, offsets, centre)
 
     def surface_point(self, theta, y3):
@@ -435,20 +434,16 @@ def _columns(radius, j, R, theta, r_eval, xi, wxi, chi, wchi, lengths=None, sepa
              window=None):
     """Analytic-r columns of the k = 0 block summed on a (xi, chi) rule, one value a point.
 
-    theta and r_eval hold one value a point, and chi, wchi one row a point,
-    of which the point's rule is its first ``lengths`` nodes (all when
-    None); the xi rule is shared, the offsets j of ``radius`` (a
-    ``radius_about`` whose centres are the points).  Points are taken in
-    tiles of one rule length, so no padding node reaches a kernel, of
-    max(1, TILE // (m x length)) points, m the larger of the xi nodes and
-    the rows of ``_chi_factors``, so every kernel temporary holds at most
-    TILE doubles; the chi factors are formed for as many whole tiles as
-    TILE holds.  ``separated`` takes
-    the separated form of ``_self_columns``, else the guarded one.
-    ``window`` = (core size, n) removes the depth window [0, d_eta] from
-    the columns of each point's first n chi nodes (the footprint), d_eta =
-    min(core size, 0.45 min rho_b) over those columns, and d_eta is
-    returned too.
+    chi and wchi hold one row a point, whose first ``lengths`` nodes (all
+    when None) are its rule; the xi rule is shared, offsets j of
+    ``radius``.  Points are tiled by rule length, so no padding node
+    reaches the kernel, max(1, TILE // (m x length)) a tile, m the larger
+    of the xi nodes and the ``_chi_factors`` rows.  ``window`` = (core
+    size, n) removes the depth window [0, d_eta] from the columns of each
+    point's first n chi nodes (the footprint), d_eta = min(core size,
+    0.45 min rho_b) there, and returns d_eta too.  A node cost 35 ns on the
+    outer set and 70 ns on the inner set and footprint at the desk loop
+    batch (56 and 87 ns with node-factor buffers and padded rows).
     """
     a2 = (2.0 * R * np.sin(xi / (2.0 * R)))[:, None] ** 2
     # the points sorted by rule length, so that a tile is a slice of them
@@ -486,11 +481,11 @@ def _columns(radius, j, R, theta, r_eval, xi, wxi, chi, wchi, lengths=None, sepa
 
 
 def _chi_factors(phi, r, chi, R, guarded):
-    """The (point, chi) rows of ``_self_columns``, (11 or 14, points, chi), each contiguous.
+    """The (point, chi) factors of ``_self_columns``, (11 or 14, points, chi).
 
     With s = sin(phi)/R and v = 4 r sin^2(chi/2): s, v, 1 + r s, r v, 1,
-    s/2, -r cos(chi), -(3/4) s^2, 1 + (3/2) s r cos(chi), 1, 0, and when
-    ``guarded`` -(1 + s r cos(chi)), -(r sin(chi))^2 and (s/2)^2.
+    s/2, -r cos(chi), -(3/4) s^2, 1 + (3/2) s r cos(chi), 1, 0, and, when
+    ``guarded``, -(1 + s r cos(chi)), -(r sin(chi))^2 and (s/2)^2.
     """
     rr, ch = r[:, 0], chi[:, 0]
     row = np.empty((14 if guarded else 11,) + ch.shape)
@@ -525,22 +520,20 @@ def _chi_factors(phi, r, chi, R, guarded):
 
 
 def _self_columns(P, r, cadd, row, wchi, s, guarded=False):
-    """Self-block columns int_0^P (1 + r sin(phi)/R) r / sqrt(Q) dr for nodes used once, summed on chi.
+    """Self-block columns int_0^P (1 + r sin(phi)/R) r / sqrt(Q) dr, summed on chi.
 
     With s = sin(phi)/R, h = b/2 = cadd s/2 - r cos(chi), c = r^2 + cadd,
-    W = P - r and T = cadd s + 4 r sin^2(chi/2) (so P + h = W + T/2),
-    Q(P) = W (W + T) + (r T + cadd), M0 = log((sqrt(Q(P)) + P + h) /
-    (sqrt(c) + h)) and M1 = sqrt(Q(P)) - sqrt(c) - h M0, the column is
-    (1 - (3/2) s h) M1 + (s/2) (P sqrt(Q(P)) - c M0), as in
-    ``_separated_values``; s/2 goes into the chi weights wchi.  ``guarded``
-    takes sqrt(c) + h as (c - h^2) / (sqrt(c) - h) where h < 0, with
-    c - h^2 = (r sin(chi))^2 + cadd (1 - s r cos(chi)) - (cadd s/2)^2, the
-    rationalized form for lines that pass close to the point.  P (points, xi, chi) is overwritten; r holds one value a
-    point, cadd one a (point, xi) and ``row`` the (point, chi) factors of
-    ``_chi_factors``.  Each sum of products of (point, xi) and (point,
-    chi) factors is one batched matmul of rank 2 or 3, which numpy runs
-    faster than a broadcast pass; ``s`` holds four work arrays of P's
-    shape, six when ``guarded``.  Returns the chi sums, (points, xi, 1).
+    W = P - r and T = cadd s + 4 r sin^2(chi/2) (P + h = W + T/2),
+    Q(P) = W (W + T) + r T + cadd, M0 = log((sqrt(Q(P)) + P + h) /
+    (sqrt(c) + h)) and M1 = sqrt(Q(P)) - sqrt(c) - h M0, a column is
+    (1 - (3/2) s h) M1 + (s/2) (P sqrt(Q(P)) - c M0) as in
+    ``_separated_values``, s/2 taken into the weights.  ``guarded`` takes
+    sqrt(c) + h as (c - h^2) / (sqrt(c) - h) where h < 0, c - h^2 formed
+    without cancellation.  P (points, xi, chi) is overwritten; cadd holds
+    one value a (point, xi), ``row`` the ``_chi_factors``.  Each sum of
+    (point, xi) times (point, chi) factors is one batched rank-2 or rank-3
+    matmul, cheaper in numpy than a broadcast pass.  ``s``: four work
+    arrays of P's shape, six when ``guarded``.  Returns (points, xi, 1).
     """
     W, Q, H, G = s[:4]
     rr, cadd, row = r[:, 0], cadd[..., 0], row.transpose(1, 0, 2)
@@ -591,7 +584,7 @@ def _self_columns(P, r, cadd, row, wchi, s, guarded=False):
 
 @lru_cache(maxsize=16)
 def _xi_rule(d_xi, outer, q):
-    """The self block's outer xi rule on [-outer, -d_xi] u [d_xi, outer], shared by every point."""
+    """The self block's outer xi rule, on [-outer, -d_xi] u [d_xi, outer]."""
     nodes, weights, _ = _sym_graded_rules(d_xi, outer, d_xi, q)
     for v in (nodes, weights):
         v.setflags(write=False)
@@ -605,20 +598,17 @@ def _self_block(boundary, R, T, theta, y3c, r_eval, cfg: SelfBlockSettings, a_ne
     columns away from the evaluation point, closed-form columns with the
     depth window [0, d_eta] removed over the footprint, and a Duffy-pyramid
     core in depth coordinates eta = rho_b - r around the singular point.
-    The xi rules are shared by every point; the chi rules scale with
-    d_chi(r_eval), one row a point.  Every radius comes from one
-    ``radius_about`` over all the xi offsets (outer, inner and footprint,
-    Duffy faces), with the points as centres.
+    The xi rules are shared; the chi rules scale with d_chi(r_eval), one
+    row a point.  All radii come from one ``radius_about`` table.
 
     At the desk loop batch (153 points, orders (5, 5, 6)) the outer set,
-    |xi| > d_xi with every chi, is 360,150 nodes, the inner set 83,448,
-    the footprint 22,032 and the Duffy core 95,625.  The outer set takes
-    the separated kernel, fused (``_outer_values``): each of its lines
-    misses the point by at least 2R sin(d_xi / 2R) > 0 and r < R, so c > 0
-    and sqrt(c) + b/2 > 0.  Against 256-node Gauss in r its worst column
-    error is 2.4e-14 (guarded 1.8e-14); on the inner set, whose lines pass
-    arbitrarily close to the point, it was 5x worse than the guarded
-    kernel, which the inner set and the footprint keep.
+    |xi| > d_xi, is 359,500 nodes, the inner set 85,080, the footprint
+    22,032 and the Duffy core 95,625.  Each outer line misses the point by
+    at least 2R sin(d_xi / 2R) and r < R, so c > 0 and sqrt(c) + b/2 > 0:
+    the outer set takes the separated form, 2.3e-14 from 256-node Gauss in
+    r (guarded 1.8e-14).  Inner lines pass arbitrarily close to the point,
+    and the separated form was 5x worse there, so the inner set and the
+    footprint take the guarded one.
     """
     rho = cfg.core_size(a_neck, T)
     d_xi = min(rho, T / 4.0)
@@ -653,17 +643,13 @@ def _duffy_core(radius, j, xis, R, theta, r_eval, d_xi, d_chi, d_eta, q):
     The box is |xi| <= d_xi, |chi| <= d_chi, 0 <= eta <= d_eta with the
     apex at the singular point; theta, r_eval, d_chi and d_eta hold one
     value a point.  A face's nodes are u_i times its points, (point, i, a,
-    b) for its free axes a, b.  ``xis`` holds the faces' xi nodes, offsets
-    j (the faces xi = -d_xi, d_xi, (q, 2, 1)) and j + 1 (the others,
-    (q, q, 1)) of ``radius``: one radius call a tile serves the two xi
-    faces and one the other three, which share its profile, each a batched
-    (xi x K)(K x chi) product over (point, i).  The kernel's temporaries
-    hold q^3 doubles a point, so tiles of max(1, TILE // q^3) points keep
-    each within TILE: 98 points at q = 5.  Every factor of xi or chi alone
-    stays on its own shape, so 13 passes a face run on the tile (over 20
-    before, at 84 ns a node at the desk batch); each point's face sum is
-    one matrix-vector product, times its Jacobian.  A point's face sums do
-    not depend on the tile it falls in.
+    b) for its free axes a, b; ``xis`` are offsets j (faces xi = -d_xi,
+    d_xi: (q, 2, 1)) and j + 1 (the other three: (q, q, 1)) of ``radius``,
+    so two radius calls a tile serve the five faces.  Tiles of
+    max(1, TILE // q^3) points keep each kernel temporary within TILE.
+    Factors of xi or chi alone keep their own shapes, and a point's face
+    sum is one matrix-vector product whatever its tile.  A node cost 52 ns
+    at the desk loop batch (95 ns with five radius tables a tile).
     """
     u, wu = _gl(q)
     U = u[:, None, None]
@@ -702,7 +688,7 @@ def _duffy_core(radius, j, xis, R, theta, r_eval, d_xi, d_chi, d_eta, q):
 
 
 def _duffy_values(r, s, v, A, r_eval, W):
-    """sum over a face's nodes of W (1 + r s) r / sqrt(dist^2), (points, 1, 1), r overwritten.
+    """Sum over a face's nodes of W (1 + r s) r / sqrt(dist^2), (points, 1, 1).
 
     dist^2 = (r - r_eval)^2 + r v + (1 + r s) A, the chordal identity with
     v = 4 r_eval sin^2(chi/2), s = sin(phi)/R and A = a^2 (1 + y2/R):

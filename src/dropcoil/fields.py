@@ -149,18 +149,16 @@ def series_eval(coef: np.ndarray, tau: float, theta, t, derivs=((0, 0),)) -> lis
 def shifted_series(coef: np.ndarray, tau: float, offsets, centre):
     """``series_eval`` at t = centre + o for each array o of ``offsets``.
 
-    Returns ``evaluate(theta, j=0, p=None)``: the series at t = centre[p] +
-    offsets[j], t of shape centre[p].shape + offsets[j].shape and theta
-    broadcast to it (p indexes centre's first axis; None takes all of
-    centre); a list of theta arrays gives a list of results, which share
-    the product of rows and table.  By angle addition, p_k(c + o) = sum_j a_kj [cos(j w c)
-    cos(j w o) - sin(j w c) sin(j w o)], w = pi/tau: one table
-    (a_kj cos(j w o), -a_kj sin(j w o)) over every offset of every array
-    and one (cos(j w c), sin(j w c)) row a centre are formed once, and an
-    evaluation multiplies its centres' rows into its array's columns of the
-    table, so no table grows with centres times offsets, and a centre's
-    values do not depend on the others.  It differs from ``series_eval`` by
-    rounding only.
+    Returns ``evaluate(theta, j=0, p=None)``: the series at t = centre[p]
+    + offsets[j], of shape centre[p].shape + offsets[j].shape with theta
+    broadcast to it (p indexes centre's first axis, None all of it); a list
+    of theta arrays gives a list of results sharing one profile product.
+    By angle addition, p_k(c + o) = sum_j a_kj [cos(j w c) cos(j w o) -
+    sin(j w c) sin(j w o)], w = pi/tau: one table (a_kj cos(j w o),
+    -a_kj sin(j w o)) over all the offsets and one (cos(j w c), sin(j w c))
+    row a centre are formed once, so no table grows with centres times
+    offsets, and a centre's values do not depend on the others.  It
+    differs from ``series_eval`` by rounding only.
     """
     offsets = [np.asarray(o, dtype=float) for o in offsets]
     centre = np.asarray(centre, dtype=float)

@@ -192,7 +192,7 @@ def _node_factors(P, r_eval, chi, phi):
 
 
 def _scratch(shape):
-    """Work arrays of ``_column_values``: eight float and one bool of the tile shape, four of its lattice."""
+    """Work arrays of ``_column_values``: 8 float, 1 bool of the tile shape, 4 of its lattice."""
     lattice = shape[:-1] + (1,) if shape else ()
     return ([np.empty(shape) for _ in range(8)] + [np.empty(shape, dtype=bool)]
             + [np.empty(lattice) for _ in range(4)])
@@ -536,13 +536,13 @@ FROZEN = {"_regular_blocks": _regular_blocks_ref_batch, "_columns": _columns_ref
 
 @pytest.fixture
 def frozen_kernel(monkeypatch):
-    """Swap the frozen references in for the buffered kernels; ``use()`` returns the names that ran."""
+    """Swap the frozen references in for the buffered kernels; ``use()`` returns those that ran."""
     ran = set()
 
     def use():
         for name, ref in FROZEN.items():
-            monkeypatch.setattr(coulomb, name,
-                                lambda *a, _name=name, _ref=ref, **k: ran.add(_name) or _ref(*a, **k))
+            monkeypatch.setattr(coulomb, name, lambda *a, _name=name, _ref=ref, **k:
+                                ran.add(_name) or _ref(*a, **k))
         return ran
     return use
 
