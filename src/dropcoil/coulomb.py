@@ -430,15 +430,15 @@ class CoulombResult:
     err_est: Optional[float] = None
 
 
-def _columns(radius, j, R, theta, r_eval, xi, wxi, chi, wchi, lengths=None, separated=False,
+def _columns(radius, j, R, theta, r_eval, xi, wxi, chi, wchi, lengths, guarded=True,
              window=None):
     """Analytic-r columns of the k = 0 block summed on a (xi, chi) rule, one value a point.
 
-    chi and wchi hold one row a point, whose first ``lengths`` nodes (all
-    when None) are its rule; the xi rule is shared, offsets j of
-    ``radius``.  Points are tiled by rule length, so no padding node
-    reaches the kernel, max(1, TILE // (m x length)) a tile, m the larger
-    of the xi nodes and the ``_chi_factors`` rows.  ``window`` = (core
+    chi and wchi hold one row a point, whose first ``lengths`` nodes are
+    its rule; the xi rule is shared, offsets j of ``radius``.  Points are
+    tiled by rule length, so no padding node reaches ``_self_columns``,
+    max(1, TILE // (m x length)) a tile, m the larger of the xi nodes and
+    the ``_chi_factors`` rows.  ``window`` = (core
     size, n) removes the depth window [0, d_eta] from the columns of each
     point's first n chi nodes (the footprint), d_eta = min(core size,
     0.45 min rho_b) there, and returns d_eta too.  A node cost 35 ns on the
@@ -447,7 +447,6 @@ def _columns(radius, j, R, theta, r_eval, xi, wxi, chi, wchi, lengths=None, sepa
     """
     a2 = (2.0 * R * np.sin(xi / (2.0 * R)))[:, None] ** 2
     # the points sorted by rule length, so that a tile is a slice of them
-    lengths = np.full(len(chi), chi.shape[1]) if lengths is None else lengths
     order = np.argsort(lengths, kind="stable")
     lengths = lengths[order]
     th, r = (np.reshape(v[order], (-1, 1, 1)) for v in (theta, r_eval))
@@ -456,27 +455,25 @@ def _columns(radius, j, R, theta, r_eval, xi, wxi, chi, wchi, lengths=None, sepa
     out, d_eta = np.empty(len(order)), np.empty(len(order))
     ends = np.r_[np.flatnonzero(np.diff(lengths)) + 1, len(order)]
     for start, end in zip(np.r_[0, ends[:-1]], ends):
-        L, nrow = lengths[start], 11 if separated else 14
+        L, nrow = lengths[start], 14 if guarded else 11
         rows = max(1, TILE // (max(len(xi), nrow) * L))
         chunk = max(1, TILE // (nrow * L * rows)) * rows
         scratch = [np.empty((min(rows, end - start), len(xi), L))
-                   for _ in range(4 if separated else 6)]
+                   for _ in range(6 if guarded else 4)]
         for c0 in range(start, end, chunk):
             c = slice(c0, min(c0 + chunk, end))
-            factors = _chi_factors(th[c] + chi[c, None, :L], r[c], chi[c, None, :L], R,
-                                   not separated)
+            factors = _chi_factors(th[c] + chi[c, None, :L], r[c], chi[c, None, :L], R, guarded)
             for lo in range(c0, c.stop, rows):
                 p = slice(lo, min(lo + rows, c.stop))
                 P = radius(th[p] + chi[p, None, :L], j, order[p])
                 if window is not None:
                     fp = P[..., :window[1]]
-                    d_eta[p] = np.minimum(window[0], 0.45 * fp.min(axis=(1, 2)))
-                    np.maximum(fp - d_eta[p, None, None], 0.0, out=fp)
+                    de = np.minimum(window[0], 0.45 * fp.min(axis=(1, 2)))
+                    np.maximum(fp - de[:, None, None], 0.0, out=fp)
+                    d_eta[order[p]] = de
                 sums = _self_columns(P, r[p], kap[p] * a2, factors[:, lo - c0:p.stop - c0],
-                                     wchi[p, :L], [v[:p.stop - lo] for v in scratch],
-                                     not separated)
-                out[p] = (wxi @ sums)[:, 0]
-    out[order], d_eta[order] = out.copy(), d_eta.copy()
+                                     wchi[p, :L], [v[:p.stop - lo] for v in scratch], guarded)
+                out[order[p]] = (wxi @ sums)[:, 0]
     return out if window is None else (out, d_eta)
 
 
@@ -624,7 +621,7 @@ def _self_block(boundary, R, T, theta, y3c, r_eval, cfg: SelfBlockSettings, a_ne
     radius = boundary.radius_about((xi_out[0][:, None], xi_in[0][:, None]) + duffy, y3c)
 
     total = _columns(radius, 0, R, theta, r_eval, *xi_out,
-                     *_sym_graded_rules(0.0, np.pi, d_chi, q, cfg.grade_ratio), separated=True)
+                     *_sym_graded_rules(0.0, np.pi, d_chi, q, cfg.grade_ratio), guarded=False)
     # the inner set and the footprint on one chi rule a point, the footprint's
     # nodes first: their columns lose the depth window [0, d_eta] ...
     fp = _panel_rule(np.stack((-d_chi, np.zeros_like(d_chi), d_chi), axis=-1), cfg.column_q)

@@ -364,11 +364,10 @@ def _self_columns_ref(P, r, cadd, chi, phi, wchi, R, guarded):
     return V1 @ wchi[None, :, None] + V2 @ (wchi * (sr * 0.5))[None, :, None]
 
 
-def _columns_ref(radius, j, R, theta, r_eval, xi, wxi, chi, wchi, lengths=None, separated=False,
+def _columns_ref(radius, j, R, theta, r_eval, xi, wxi, chi, wchi, lengths, guarded=True,
                  window=None):
     """The self block's columns point by point, each on its own rule length."""
     ak = 2.0 * R * np.sin(xi / (2.0 * R))
-    lengths = np.full(len(chi), chi.shape[1]) if lengths is None else lengths
     out, d_eta = np.empty(len(chi)), np.empty(len(chi))
     for p, L in enumerate(lengths):
         th, r = theta[p:p + 1], r_eval[p:p + 1]                   # one-element arrays
@@ -378,7 +377,7 @@ def _columns_ref(radius, j, R, theta, r_eval, xi, wxi, chi, wchi, lengths=None, 
             d_eta[p] = np.minimum(window[0], 0.45 * P[:, :window[1]].min())
             P[:, :window[1]] = np.maximum(P[:, :window[1]] - d_eta[p], 0.0)
         cadd = (1.0 + r * np.sin(th) / R) * (ak * ak)[:, None]
-        sums = _self_columns_ref(P, r, cadd, chi[p, :L], phi, wchi[p, :L], R, not separated)
+        sums = _self_columns_ref(P, r, cadd, chi[p, :L], phi, wchi[p, :L], R, guarded)
         out[p] = (wxi @ sums)[0, 0]
     return out if window is None else (out, d_eta)
 
