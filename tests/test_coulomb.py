@@ -168,128 +168,49 @@ def test_y2_coefficient_log_law(prof03):
 
 
 # ---------------------------------------------------------------------------
-# the guarded column kernel the self block took before its fused one, kept
-# as the accuracy baseline of the column tests, and the allocating column
-# kernel it replaced
+# the guarded column kernel the self block took before its fused one, in the
+# allocating form its buffered version reproduced bit for bit: the accuracy
+# baseline of the column tests
 # ---------------------------------------------------------------------------
 
-def _node_factors(P, r_eval, chi, phi):
-    """The factors of the column kernel that do not involve a_k.
+def _radial_moments_ref(P, r_eval, vers_chi, sin_chi, blin, cadd_pos):
+    b = -2.0 * r_eval * (1.0 - vers_chi) + blin
+    c = r_eval * r_eval + cadd_pos
+    QP = (P - r_eval) ** 2 + 2.0 * P * r_eval * vers_chi + blin * P + cadd_pos
+    QP = np.maximum(QP, 0.0)
+    sQP = np.sqrt(QP)
+    sc = np.sqrt(c)
+    up = 2.0 * sQP + 2.0 * (P - r_eval + r_eval * vers_chi) + blin
+    lo_direct = 2.0 * sc + b
+    disc = (4.0 * (r_eval * sin_chi) ** 2
+            + 4.0 * cadd_pos + 4.0 * r_eval * (1.0 - vers_chi) * blin - blin * blin)
+    disc = np.maximum(disc, 1e-300)
+    M0 = np.log(np.where(b >= 0.0,
+                         np.maximum(up, 1e-300) / np.maximum(lo_direct, 1e-300),
+                         np.maximum(up * (2.0 * sc - b), 1e-300) / disc))
+    M1 = sQP - sc - 0.5 * b * M0
+    M2 = ((2.0 * P - 3.0 * b) * sQP + 3.0 * b * sc) / 4.0 - ((4.0 * c - 3.0 * b * b) / 8.0) * M0
+    return M0, M1, M2
 
-    Computed once per node set and shared by every a_k row of a sweep:
-    sin(phi), P and, with vers = 1 - cos(chi) taken as 2 sin^2(chi/2) so that
-    it keeps full precision at small chi, the kappa-free parts of b, Q(P),
-    2P + b, 4c - b^2 and the kappa cross term of 4c - b^2.
-    """
-    vers = 2.0 * np.sin(0.5 * chi) ** 2
-    two_p = 2.0 * P
-    return {"sin_phi": np.sin(phi), "P": P, "two_p": two_p, "r2": r_eval * r_eval,
-            "b0": -2.0 * r_eval * (1.0 - vers),
-            "Q0": (P - r_eval) ** 2 + two_p * r_eval * vers,
-            "up0": 2.0 * (P - r_eval + r_eval * vers),
-            "disc0": 4.0 * (r_eval * np.sin(chi)) ** 2,
-            "disc1": 4.0 * r_eval * (1.0 - vers)}
+
+def _node_factors(P, r_eval, chi, phi):
+    """The guarded kernel's node inputs; its allocating form precomputes nothing."""
+    return P, r_eval, chi, phi
 
 
 def _scratch(shape):
-    """Work arrays of ``_column_values``: 8 float, 1 bool of the tile shape, 4 of its lattice."""
-    lattice = shape[:-1] + (1,) if shape else ()
-    return ([np.empty(shape) for _ in range(8)] + [np.empty(shape, dtype=bool)]
-            + [np.empty(lattice) for _ in range(4)])
-
-
-def _radial_moments(g, blin, cadd, s):
-    """(M0, M1, M2) with M_m = int_0^P r^m / sqrt(r^2 + b r + c) dr, in scratch ``s``.
-
-    b = -2 r_eval cos_chi + blin, c = r_eval^2 + cadd, with cadd >= 0 and
-    blin the (signed, small) linear kappa term; ``g`` holds the node factors
-    of ``_node_factors``.  ``blin`` may be ``s[1]`` and is overwritten then;
-    ``cadd`` holds lattice values (it may be ``s[10]``), and c, sqrt(c),
-    4 cadd and 4c stay on the lattice too, broadcast only where a node
-    factor enters; 2 sqrt(c), read twice on the tile, is broadcast there
-    once, and sqrt(c) there is its half.  All expressions are grouped so
-    near-singular columns keep full precision, and each is evaluated in the
-    operation order of the allocating reference kept in the tests, or by an
-    exact substitute (x * 0.25 and x * 0.125 round as x/4 and x/8, doubling
-    and halving are exact, ``np.putmask`` copies as the select does), so the
-    bits do not depend on the buffering or on the lattice.
-    """
-    A, B, C, D, E, F, G, H, neg, cadd4, _, c, sc = s
-    np.add(g["b0"], blin, out=C)                                   # b
-    np.add(g["r2"], cadd, out=c)                                   # c
-    # Q(P) assembled from nonnegative geometric pieces
-    np.multiply(blin, g["P"], out=E)
-    np.add(g["Q0"], E, out=E)
-    np.add(E, cadd, out=E)
-    np.maximum(E, 0.0, out=E)
-    np.sqrt(E, out=E)                                              # sqrt(Q(P))
-    np.sqrt(c, out=sc)
-    np.multiply(sc, 2.0, out=D)                                    # 2 sqrt(c)
-    np.multiply(D, 0.5, out=F)                                     # sqrt(c)
-    # 2P + b without the cancellation of P against r_eval cos_chi
-    np.multiply(E, 2.0, out=G)
-    np.add(G, g["up0"], out=G)
-    np.add(G, blin, out=G)                                         # up
-    # 4c - b^2 = 4 [r sin(chi)]^2 + positive kappa terms (stable when b < 0)
-    np.multiply(cadd, 4.0, out=cadd4)
-    np.add(g["disc0"], cadd4, out=A)
-    np.multiply(g["disc1"], blin, out=H)
-    np.add(A, H, out=A)
-    np.multiply(blin, blin, out=B)
-    np.subtract(A, B, out=A)
-    np.maximum(A, 1e-300, out=A)                                   # disc
-    # one log of the selected argument (the b < 0 form rationalizes 2 sqrt(c) + b)
-    np.add(D, C, out=H)
-    np.maximum(H, 1e-300, out=H)
-    np.maximum(G, 1e-300, out=B)
-    np.divide(B, H, out=B)                                         # b >= 0
-    np.subtract(D, C, out=H)
-    np.multiply(G, H, out=H)
-    np.maximum(H, 1e-300, out=H)
-    np.divide(H, A, out=H)                                         # b < 0
-    np.less(C, 0.0, out=neg)
-    np.putmask(B, neg, H)
-    np.log(B, out=B)                                               # M0
-    np.subtract(E, F, out=A)
-    np.multiply(C, 0.5, out=G)
-    np.multiply(G, B, out=G)
-    np.subtract(A, G, out=A)                                       # M1
-    np.multiply(C, 3.0, out=H)                                     # 3b
-    np.subtract(g["two_p"], H, out=G)
-    np.multiply(G, E, out=G)
-    np.multiply(H, F, out=F)
-    np.add(G, F, out=G)
-    np.multiply(G, 0.25, out=G)
-    np.multiply(c, 4.0, out=c)                                     # 4c
-    np.multiply(H, C, out=H)
-    np.subtract(c, H, out=D)
-    np.multiply(D, 0.125, out=D)
-    np.multiply(D, B, out=D)
-    np.subtract(G, D, out=G)                                       # M2
-    return B, A, G
+    """The guarded kernel's work arrays; its allocating form takes none."""
+    return None
 
 
 def _column_values(g, ak, kap, R, s):
-    """Column integrals int_0^P (1 + r sin(phi)/R) r / sqrt(Q) dr, into ``s[0]``.
-
-    The guarded kernel of the self block's inner and footprint columns
-    (``_columns``), whose lines pass arbitrarily close to the evaluation
-    point; the regular blocks and the self block's outer columns, whose
-    lines all keep a distance from it, take ``_separated_values``.  ``g``
-    holds the node factors, ``ak`` the block offsets a_k on the lattice and
-    kap = 1 + y2 / R; ``s`` is a ``_scratch`` set of the broadcast shape.
-    a_k^2 and cadd = a_k^2 kap are formed on the lattice.
-    """
-    B, a2, cadd = s[1], s[9], s[10]
-    np.multiply(ak, ak, out=a2)
-    np.multiply(a2, g["sin_phi"], out=B)
-    np.multiply(B, kap, out=B)
-    np.divide(B, R, out=B)                                         # blin
-    np.multiply(a2, kap, out=cadd)
-    _, M1, M2 = _radial_moments(g, B, cadd, s)
-    np.multiply(g["sin_phi"], M2, out=M2)
-    np.divide(M2, R, out=M2)
-    return np.add(M1, M2, out=M1)
+    """Guarded columns int_0^P (1 + r sin(phi)/R) r / sqrt(Q) dr, kap = 1 + y2/R."""
+    P, r_eval, chi, phi = g
+    sin_phi = np.sin(phi)
+    blin = ak * ak * sin_phi * kap / R
+    _, M1, M2 = _radial_moments_ref(P, r_eval, 2.0 * np.sin(0.5 * chi) ** 2, np.sin(chi), blin,
+                                    ak * ak * kap)
+    return M1 + sin_phi * M2 / R
 
 
 # ---------------------------------------------------------------------------
