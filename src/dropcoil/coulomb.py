@@ -451,7 +451,6 @@ def _columns(radius, j, R, theta, r_eval, xi, wxi, chi, wchi, lengths, guarded=T
     lengths = lengths[order]
     th, r = (np.reshape(v[order], (-1, 1, 1)) for v in (theta, r_eval))
     kap = 1.0 + r * np.sin(th) / R
-    chi, wchi = chi[order], wchi[order]
     out, d_eta = np.empty(len(order)), np.empty(len(order))
     ends = np.r_[np.flatnonzero(np.diff(lengths)) + 1, len(order)]
     for start, end in zip(np.r_[0, ends[:-1]], ends):
@@ -462,17 +461,19 @@ def _columns(radius, j, R, theta, r_eval, xi, wxi, chi, wchi, lengths, guarded=T
                    for _ in range(6 if guarded else 4)]
         for c0 in range(start, end, chunk):
             c = slice(c0, min(c0 + chunk, end))
-            factors = _chi_factors(th[c] + chi[c, None, :L], r[c], chi[c, None, :L], R, guarded)
+            CHI = chi[order[c], None, :L]
+            factors = _chi_factors(th[c] + CHI, r[c], CHI, R, guarded)
             for lo in range(c0, c.stop, rows):
                 p = slice(lo, min(lo + rows, c.stop))
-                P = radius(th[p] + chi[p, None, :L], j, order[p])
+                P = radius(th[p] + CHI[lo - c0:p.stop - c0], j, order[p])
                 if window is not None:
                     fp = P[..., :window[1]]
                     de = np.minimum(window[0], 0.45 * fp.min(axis=(1, 2)))
                     np.maximum(fp - de[:, None, None], 0.0, out=fp)
                     d_eta[order[p]] = de
                 sums = _self_columns(P, r[p], kap[p] * a2, factors[:, lo - c0:p.stop - c0],
-                                     wchi[p, :L], [v[:p.stop - lo] for v in scratch], guarded)
+                                     wchi[order[p], :L], [v[:p.stop - lo] for v in scratch],
+                                     guarded)
                 out[order[p]] = (wxi @ sums)[:, 0]
     return out if window is None else (out, d_eta)
 
@@ -622,16 +623,21 @@ def _self_block(boundary, R, T, theta, y3c, r_eval, cfg: SelfBlockSettings, a_ne
 
     total = _columns(radius, 0, R, theta, r_eval, *xi_out,
                      *_sym_graded_rules(0.0, np.pi, d_chi, q, cfg.grade_ratio), guarded=False)
-    # the inner set and the footprint on one chi rule a point, the footprint's
-    # nodes first: their columns lose the depth window [0, d_eta] ...
-    fp = _panel_rule(np.stack((-d_chi, np.zeros_like(d_chi), d_chi), axis=-1), cfg.column_q)
-    inner = _sym_graded_rules(d_chi, np.pi, d_chi, q)
-    chi, wchi = (np.concatenate(v, axis=1) for v in zip(fp, inner[:2]))
-    near, d_eta = _columns(radius, 1, R, theta, r_eval, *xi_in, chi, wchi,
-                           inner[2] + fp[0].shape[1], window=(rho, fp[0].shape[1]))
+    # the inner set and the footprint on one chi rule a point: the footprint's
+    # columns lose the depth window [0, d_eta] ...
+    near, d_eta = _columns(radius, 1, R, theta, r_eval, *xi_in, *_near_rule(d_chi, cfg),
+                           window=(rho, 2 * cfg.column_q))
     # ... and the Duffy core over the window, apex at the singular point
     return total + near + _duffy_core(radius, 2, duffy, R, theta, r_eval, d_xi, d_chi, d_eta,
                                       cfg.core_q)
+
+
+def _near_rule(d_chi, cfg):
+    """The inner set's chi rule after the footprint's 2 column_q nodes, one row a point."""
+    fp = _panel_rule(np.stack((-d_chi, np.zeros_like(d_chi), d_chi), axis=-1), cfg.column_q)
+    nodes, weights, lengths = _sym_graded_rules(d_chi, np.pi, d_chi, cfg.panel_q)
+    return (np.concatenate((fp[0], nodes), axis=1), np.concatenate((fp[1], weights), axis=1),
+            lengths + fp[0].shape[1])
 
 
 def _duffy_core(radius, j, xis, R, theta, r_eval, d_xi, d_chi, d_eta, q):
