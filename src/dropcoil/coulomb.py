@@ -486,64 +486,38 @@ def _chi_factors(phi, r, chi, R, guarded):
     ``guarded``, -(1 + s r cos(chi)), -(r sin(chi))^2 and (s/2)^2.
     """
     rr, ch = r[:, 0], chi[:, 0]
-    row = np.empty((14 if guarded else 11,) + ch.shape)
-    sr, v, half, hb = row[0], row[1], row[5], row[6]
-    np.sin(phi[:, 0], out=sr)
-    np.divide(sr, R, out=sr)
-    np.multiply(0.5, ch, out=v)
-    np.sin(v, out=v)
-    np.multiply(v, v, out=v)
-    np.multiply(v, 4.0 * rr, out=v)
-    np.multiply(sr, rr, out=row[2])
-    np.add(row[2], 1.0, out=row[2])
-    np.multiply(v, rr, out=row[3])
-    np.multiply(sr, 0.5, out=half)
-    np.cos(ch, out=hb)
-    np.multiply(hb, -rr, out=hb)
-    np.multiply(sr, sr, out=row[7])
-    np.multiply(row[7], -0.75, out=row[7])
-    np.multiply(sr, hb, out=row[8])
-    np.multiply(row[8], -1.5, out=row[8])
-    np.add(row[8], 1.0, out=row[8])
-    row[(4, 9), :], row[10] = 1.0, 0.0
+    sr = np.sin(phi[:, 0]) / R
+    v = np.sin(0.5 * ch) ** 2 * (4.0 * rr)
+    hb = np.cos(ch) * -rr
+    rows = [sr, v, sr * rr + 1.0, v * rr, 1.0, 0.5 * sr, hb, -0.75 * sr * sr,
+            1.0 - 1.5 * sr * hb, 1.0, 0.0]
     if guarded:
-        np.multiply(sr, hb, out=row[11])
-        np.subtract(row[11], 1.0, out=row[11])
-        np.sin(ch, out=row[12])
-        np.multiply(row[12], rr, out=row[12])
-        np.multiply(row[12], row[12], out=row[12])
-        np.negative(row[12], out=row[12])
-        np.multiply(half, half, out=row[13])
+        rows += [sr * hb - 1.0, -(np.sin(ch) * rr) ** 2, 0.25 * sr * sr]
+    row = np.empty((len(rows),) + ch.shape)
+    for i, x in enumerate(rows):
+        row[i] = x
     return row
 
 
 def _self_columns(P, r, cadd, row, wchi, s, guarded=False):
     """Self-block columns int_0^P (1 + r sin(phi)/R) r / sqrt(Q) dr, summed on chi.
 
-    With s = sin(phi)/R, h = b/2 = cadd s/2 - r cos(chi), c = r^2 + cadd,
+    With s = sin(phi)/R, h = cadd s/2 - r cos(chi), c = r^2 + cadd,
     W = P - r and T = cadd s + 4 r sin^2(chi/2) (P + h = W + T/2),
-    Q(P) = W (W + T) + r T + cadd, M0 = log((sqrt(Q(P)) + P + h) /
-    (sqrt(c) + h)) and M1 = sqrt(Q(P)) - sqrt(c) - h M0, a column is
-    (1 - (3/2) s h) M1 + (s/2) (P sqrt(Q(P)) - c M0) as in
-    ``_separated_values``, s/2 taken into the weights.  ``guarded`` takes
-    sqrt(c) + h as (c - h^2) / (sqrt(c) - h) where h < 0, c - h^2 formed
-    without cancellation.  P (points, xi, chi) is overwritten; cadd holds
-    one value a (point, xi), ``row`` the ``_chi_factors``.  Each sum of
-    (point, xi) times (point, chi) factors is one batched rank-2 or rank-3
-    matmul, cheaper in numpy than a broadcast pass.  ``s``: four work
-    arrays of P's shape, six when ``guarded``.  Returns (points, xi, 1).
+    Q(P) = W (W + T) + r T + cadd, a column is (1 - (3/2) s h) M1 +
+    (s/2) (P sqrt(Q(P)) - c M0) as in ``_separated_values``, s/2 taken into
+    the weights.  ``guarded`` takes sqrt(c) + h as (c - h^2) / (sqrt(c) -
+    h) where h < 0.  P (points, xi, chi) is overwritten; cadd holds one
+    value a (point, xi), ``row`` the ``_chi_factors``.  Each sum of (point,
+    xi) times (point, chi) factors is one batched matmul of rank 2 or 3,
+    cheaper than a broadcast pass.  ``s``: four work arrays of P's shape,
+    six when ``guarded``.  Returns (points, xi, 1).
     """
     W, Q, H, G = s[:4]
     rr, cadd, row = r[:, 0], cadd[..., 0], row.transpose(1, 0, 2)
-    # c, sqrt(c), cadd, 1, cadd^2, -sqrt(c), cadd, 1
-    lat = np.empty(cadd.shape + (8,))
-    c, sc = lat[..., 0], lat[..., 1]
-    np.multiply(rr, rr, out=c)
-    np.add(c, cadd, out=c)
-    np.sqrt(c, out=sc)
-    np.negative(sc, out=lat[..., 5])
-    lat[..., 2], lat[..., 6], lat[..., 3], lat[..., 7] = cadd, cadd, 1.0, 1.0
-    np.multiply(cadd, cadd, out=lat[..., 4])
+    c = rr * rr + cadd
+    sc, one = np.sqrt(c), np.ones_like(c)
+    lat = np.stack((c, sc, cadd, one, cadd * cadd, -sc, cadd, one), axis=-1)
     np.subtract(P, r, out=W)
     np.matmul(lat[..., 2:4], row[:, 0:2], out=Q)                   # T
     np.multiply(Q, 0.5, out=G)

@@ -149,16 +149,13 @@ def series_eval(coef: np.ndarray, tau: float, theta, t, derivs=((0, 0),)) -> lis
 def shifted_series(coef: np.ndarray, tau: float, offsets, centre):
     """``series_eval`` at t = centre + o for each array o of ``offsets``.
 
-    Returns ``evaluate(theta, j=0, p=None)``: the series at t = centre[p]
-    + offsets[j], of shape centre[p].shape + offsets[j].shape with theta
-    broadcast to it (p indexes centre's first axis, None all of it); a list
-    of theta arrays gives a list of results sharing one profile product.
-    By angle addition, p_k(c + o) = sum_j a_kj [cos(j w c) cos(j w o) -
-    sin(j w c) sin(j w o)], w = pi/tau: one table (a_kj cos(j w o),
-    -a_kj sin(j w o)) over all the offsets and one (cos(j w c), sin(j w c))
-    row a centre are formed once, so no table grows with centres times
-    offsets, and a centre's values do not depend on the others.  It
-    differs from ``series_eval`` by rounding only.
+    Returns ``evaluate(theta, j=0, p=None)``, the series at t = centre[p]
+    + offsets[j] (p indexes centre's first axis); a list of theta arrays
+    gives a list of results.  By angle addition, p_k(c + o) = sum_j a_kj
+    [cos(j w c) cos(j w o) - sin(j w c) sin(j w o)], w = pi/tau, from one
+    table over all the offsets and one row a centre, both formed once: no
+    table grows with centres times offsets, and a centre's values do not
+    depend on the others.
     """
     offsets = [np.asarray(o, dtype=float) for o in offsets]
     centre = np.asarray(centre, dtype=float)
@@ -168,12 +165,12 @@ def shifted_series(coef: np.ndarray, tau: float, offsets, centre):
     table = np.empty((2, m + 1, flat.size, kmax + 1))
     np.multiply(E_o.real.T[:, :, None], coef.T[:, None, :], out=table[0])
     np.multiply(E_o.imag.T[:, :, None], -coef.T[:, None, :], out=table[1])
-    # each array's columns contiguous: a strided block slows numpy's stacked matmul
+    # each array's columns contiguous, as numpy's stacked matmul wants them
     ends = np.cumsum([0] + [o.size for o in offsets])
     tables = [np.ascontiguousarray(table[:, :, a:b]).reshape(2 * (m + 1), -1)
               for a, b in zip(ends[:-1], ends[1:])]
-    # one padding value keeps the powers off a length-1 axis, where numpy's
-    # complex multiply rounds differently
+    # a padding value keeps the powers off a length-1 axis (numpy's complex
+    # multiply rounds differently there)
     E_c = _powers(np.append(centre.ravel(), 0.0) * (np.pi / tau), m)[:-1]
     # contiguous rows: numpy takes a stack of them one centre at a time (a
     # strided stack it took as one matrix, whose rows rounded by batch)

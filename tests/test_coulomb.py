@@ -256,13 +256,13 @@ def _self_columns_ref(P, r, cadd, chi, phi, wchi, R, guarded):
     lat = np.stack((c, sc, cadd, np.ones_like(c), cadd * cadd, -sc, cadd, np.ones_like(c)),
                    axis=-1)[None, :, 0, :]
     sr = np.sin(phi) / R
-    v = np.sin(0.5 * chi) * np.sin(0.5 * chi) * (4.0 * r)
+    v = np.sin(0.5 * chi) ** 2 * (4.0 * r)
     hb = np.cos(chi) * -r
     one, zero = np.ones_like(sr), np.zeros_like(sr)
-    rows = [sr, v, sr * r + 1.0, v * r, one, sr * 0.5, hb, sr * sr * -0.75,
-            sr * hb * -1.5 + 1.0, one, zero]
+    rows = [sr, v, sr * r + 1.0, v * r, one, 0.5 * sr, hb, -0.75 * sr * sr,
+            1.0 - 1.5 * sr * hb, one, zero]
     if guarded:
-        rows += [sr * hb - 1.0, -((np.sin(chi) * r) ** 2), (sr * 0.5) * (sr * 0.5)]
+        rows += [sr * hb - 1.0, -(np.sin(chi) * r) ** 2, 0.25 * sr * sr]
     row = np.stack(rows)[None]
     W = P - r
     T = lat[..., 2:4] @ row[:, 0:2]
@@ -282,7 +282,7 @@ def _self_columns_ref(P, r, cadd, chi, phi, wchi, R, guarded):
     M1 = (lat[..., 5:7] @ row[:, 9:11] + sQ) - h * M0
     V1 = M1 * (lat[..., 2:4] @ row[:, 7:9])
     V2 = P * sQ - M0 * (lat[..., 0:2] @ row[:, 9:11])
-    return V1 @ wchi[None, :, None] + V2 @ (wchi * (sr * 0.5))[None, :, None]
+    return V1 @ wchi[None, :, None] + V2 @ (wchi * (0.5 * sr))[None, :, None]
 
 
 def _columns_ref(radius, j, R, theta, r_eval, xi, wxi, chi, wchi, lengths, guarded=True,
