@@ -160,15 +160,14 @@ def shifted_series(coef: np.ndarray, tau: float, offsets, centre):
     offsets = [np.asarray(o, dtype=float) for o in offsets]
     centre = np.asarray(centre, dtype=float)
     kmax, m = coef.shape[0] - 1, coef.shape[1] - 1
-    flat = np.concatenate([o.ravel() for o in offsets])
-    E_o = _powers(flat * (np.pi / tau), m)
-    table = np.empty((2, m + 1, flat.size, kmax + 1))
-    np.multiply(E_o.real.T[:, :, None], coef.T[:, None, :], out=table[0])
-    np.multiply(E_o.imag.T[:, :, None], -coef.T[:, None, :], out=table[1])
-    # each array's columns contiguous, as numpy's stacked matmul wants them
+    E_o = _powers(np.concatenate([o.ravel() for o in offsets]) * (np.pi / tau), m)
     ends = np.cumsum([0] + [o.size for o in offsets])
-    tables = [np.ascontiguousarray(table[:, :, a:b]).reshape(2 * (m + 1), -1)
-              for a, b in zip(ends[:-1], ends[1:])]
+    tables = []  # one contiguous block of columns an array, as numpy's stacked matmul wants
+    for a, b in zip(ends[:-1], ends[1:]):
+        table = np.empty((2, m + 1, b - a, kmax + 1))
+        np.multiply(E_o.real.T[:, a:b, None], coef.T[:, None, :], out=table[0])
+        np.multiply(E_o.imag.T[:, a:b, None], -coef.T[:, None, :], out=table[1])
+        tables.append(table.reshape(2 * (m + 1), -1))
     # a padding value keeps the powers off a length-1 axis (numpy's complex
     # multiply rounds differently there)
     E_c = _powers(np.append(centre.ravel(), 0.0) * (np.pi / tau), m)[:-1]
