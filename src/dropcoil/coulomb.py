@@ -438,10 +438,10 @@ def _columns(radius, j, R, theta, r_eval, xi, wxi, chi, wchi, lengths, guarded=T
     its rule; the xi rule is shared, offsets j of ``radius``.  Points are
     tiled by rule length, so no padding node reaches ``_self_columns``,
     max(1, TILE // (m x length)) a tile, m the larger of the xi nodes and
-    the ``_chi_factors`` rows.  ``window`` = (core
-    size, n) removes the depth window [0, d_eta] from the columns of each
-    point's first n chi nodes (the footprint), d_eta = min(core size,
-    0.45 min rho_b) there, and returns d_eta too.  At the desk loop batch
+    the ``_chi_factors`` rows.  ``window`` = (core size, n) removes the
+    depth window [0, d_eta] from the columns of each point's first n chi
+    nodes (the footprint), d_eta = min(core size, 0.45 min rho_b) there,
+    and returns d_eta too.  At the desk loop batch
     a node cost 25 ns on the outer set and 51 ns on the inner set and
     footprint (35 and 64 ns with node-factor buffers and padded rows).
     """
@@ -499,14 +499,15 @@ def _chi_factors(phi, r, chi, R, guarded):
     return row
 
 
-def _self_columns(P, r, cadd, row, wchi, s, guarded=False):
+def _self_columns(P, r, cadd, row, wchi, s, guarded):
     """Self-block columns int_0^P (1 + r sin(phi)/R) r / sqrt(Q) dr, summed on chi.
 
     With s = sin(phi)/R, h = cadd s/2 - r cos(chi), c = r^2 + cadd,
     W = P - r and T = cadd s + 4 r sin^2(chi/2) (P + h = W + T/2),
-    Q(P) = W (W + T) + r T + cadd, a column is (1 - (3/2) s h) M1 +
-    (s/2) (P sqrt(Q(P)) - c M0) as in ``_separated_values``, s/2 taken into
-    the weights.  ``guarded`` takes sqrt(c) + h as (c - h^2) / (sqrt(c) -
+    Q(P) = W (W + T) + r T + cadd, M0 = log((sqrt(Q(P)) + P + h) /
+    (sqrt(c) + h)) and M1 = sqrt(Q(P)) - sqrt(c) - h M0, a column is
+    (1 - (3/2) s h) M1 + (s/2) (P sqrt(Q(P)) - c M0) as in
+    ``_separated_values``, s/2 taken into the weights.  ``guarded`` takes sqrt(c) + h as (c - h^2) / (sqrt(c) -
     h) where h < 0.  P (points, xi, chi) is overwritten; cadd holds one
     value a (point, xi), ``row`` the ``_chi_factors``.  Each sum of (point,
     xi) times (point, chi) factors is one batched matmul of rank 2 or 3,

@@ -180,9 +180,10 @@ def shifted_series(coef: np.ndarray, tau: float, offsets, centre):
         lead = centre.shape if p is None else np.shape(centre[p])
         prof = np.matmul(rows if p is None else rows[p], tables[j])
         prof = prof.reshape(lead + offsets[j].shape + (kmax + 1,))
-        return ([_sum_over_k(_theta_factor(_powers(np.asarray(t, dtype=float), kmax), 0), prof)
-                 for t in theta] if isinstance(theta, list) else
-                _sum_over_k(_theta_factor(_powers(np.asarray(theta, dtype=float), kmax), 0), prof))
+
+        def series(t):
+            return _sum_over_k(_theta_factor(_powers(np.asarray(t, dtype=float), kmax), 0), prof)
+        return [series(t) for t in theta] if isinstance(theta, list) else series(theta)
     return evaluate
 
 
