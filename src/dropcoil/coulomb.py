@@ -95,8 +95,7 @@ class AxisymBoundary:
         def radius(phi, j=0, p=None):
             c, o = (centre if p is None else centre[p]), np.asarray(offsets[j], dtype=float)
             x3 = c.reshape(c.shape + (1,) * o.ndim) + o
-            return ([self.radius(f, x3) for f in phi] if isinstance(phi, list)
-                    else self.radius(phi, x3))
+            return self.radius(phi, x3)
         return radius
 
     def surface_point(self, theta, y3):
@@ -430,12 +429,12 @@ class CoulombResult:
     err_est: Optional[float] = None
 
 
-def _columns(radius, j, R, theta, r_eval, xi, wxi, chi, wchi, lengths, guarded=True,
+def _columns(radius, R, theta, r_eval, xi, wxi, chi, wchi, lengths, guarded=True,
              window=None):
     """Analytic-r columns of the k = 0 block summed on a (xi, chi) rule, one value a point.
 
     chi and wchi hold one row a point, whose first ``lengths`` nodes are
-    its rule; the xi rule is shared, offsets j of ``radius``.  Points are
+    its rule; the xi rule is shared, the offsets of ``radius``.  Points are
     tiled by rule length, so no padding node reaches ``_self_columns``,
     max(1, TILE // (m x length)) a tile, m the larger of the xi nodes and
     the ``_chi_factors`` rows.  ``window`` = (core size, n) removes the
@@ -465,7 +464,7 @@ def _columns(radius, j, R, theta, r_eval, xi, wxi, chi, wchi, lengths, guarded=T
             factors = _chi_factors(th[c] + CHI, r[c], CHI, R, guarded)
             for lo in range(c0, c.stop, rows):
                 p = slice(lo, min(lo + rows, c.stop))
-                P = radius(th[p] + CHI[lo - c0:p.stop - c0], j, order[p])
+                P = radius(th[p] + CHI[lo - c0:p.stop - c0], 0, order[p])
                 if window is not None:
                     fp = P[..., :window[1]]
                     de = np.minimum(window[0], 0.45 * fp.min(axis=(1, 2)))
@@ -507,12 +506,13 @@ def _self_columns(P, r, cadd, row, wchi, s, guarded):
     Q(P) = W (W + T) + r T + cadd, M0 = log((sqrt(Q(P)) + P + h) /
     (sqrt(c) + h)) and M1 = sqrt(Q(P)) - sqrt(c) - h M0, a column is
     (1 - (3/2) s h) M1 + (s/2) (P sqrt(Q(P)) - c M0) as in
-    ``_separated_values``, s/2 taken into the weights.  ``guarded`` takes sqrt(c) + h as (c - h^2) / (sqrt(c) -
-    h) where h < 0.  P (points, xi, chi) is overwritten; cadd holds one
-    value a (point, xi), ``row`` the ``_chi_factors``.  Each sum of (point,
-    xi) times (point, chi) factors is one batched matmul of rank 2 or 3,
-    cheaper than a broadcast pass.  ``s``: four work arrays of P's shape,
-    six when ``guarded``.  Returns (points, xi, 1).
+    ``_separated_values``, s/2 taken into the weights.  ``guarded`` takes
+    sqrt(c) + h as (c - h^2) / (sqrt(c) - h) where h < 0.  P (points, xi,
+    chi) is overwritten; cadd holds one value a (point, xi), ``row`` the
+    ``_chi_factors``.  Each sum of (point, xi) times (point, chi) factors
+    is one batched matmul of rank 2 or 3, cheaper than a broadcast pass.
+    ``s``: four work arrays of P's shape, six when ``guarded``.  Returns
+    (points, xi, 1).
     """
     W, Q, H, G = s[:4]
     rr, cadd, row = r[:, 0], cadd[..., 0], row.transpose(1, 0, 2)
@@ -572,7 +572,9 @@ def _self_block(boundary, R, T, theta, y3c, r_eval, cfg: SelfBlockSettings, a_ne
     depth window [0, d_eta] removed over the footprint, and a Duffy-pyramid
     core in depth coordinates eta = rho_b - r around the singular point.
     The xi rules are shared; the chi rules scale with d_chi(r_eval), one
-    row a point.  All radii come from one ``radius_about`` table.
+    row a point.  Each of the three sets takes its radii from its own
+    ``radius_about`` table, formed when the set starts, so one table at a
+    time is alive.
 
     At the desk loop batch (153 points, orders (5, 5, 6)) the outer set,
     |xi| > d_xi, is 359,500 nodes, the inner set 85,080, the footprint
@@ -594,17 +596,17 @@ def _self_block(boundary, R, T, theta, y3c, r_eval, cfg: SelfBlockSettings, a_ne
     U = u[:, None, None]
     duffy = (np.stack((u * -d_xi, u * d_xi), axis=-1)[..., None],
              U * (-d_xi + (d_xi - -d_xi) * u[:, None]))
-    radius = boundary.radius_about((xi_out[0][:, None], xi_in[0][:, None]) + duffy, y3c)
 
-    total = _columns(radius, 0, R, theta, r_eval, *xi_out,
-                     *_sym_graded_rules(0.0, np.pi, d_chi, q, cfg.grade_ratio), guarded=False)
+    total = _columns(boundary.radius_about([xi_out[0][:, None]], y3c), R, theta, r_eval,
+                     *xi_out, *_sym_graded_rules(0.0, np.pi, d_chi, q, cfg.grade_ratio),
+                     guarded=False)
     # the inner set and the footprint on one chi rule a point: the footprint's
     # columns lose the depth window [0, d_eta] ...
-    near, d_eta = _columns(radius, 1, R, theta, r_eval, *xi_in, *_near_rule(d_chi, cfg),
-                           window=(rho, 2 * cfg.column_q))
+    near, d_eta = _columns(boundary.radius_about([xi_in[0][:, None]], y3c), R, theta, r_eval,
+                           *xi_in, *_near_rule(d_chi, cfg), window=(rho, 2 * cfg.column_q))
     # ... and the Duffy core over the window, apex at the singular point
-    return total + near + _duffy_core(radius, 2, duffy, R, theta, r_eval, d_xi, d_chi, d_eta,
-                                      cfg.core_q)
+    return total + near + _duffy_core(boundary.radius_about(duffy, y3c), duffy, R, theta,
+                                      r_eval, d_xi, d_chi, d_eta, cfg.core_q)
 
 
 def _near_rule(d_chi, cfg):
@@ -615,19 +617,19 @@ def _near_rule(d_chi, cfg):
             lengths + fp[0].shape[1])
 
 
-def _duffy_core(radius, j, xis, R, theta, r_eval, d_xi, d_chi, d_eta, q):
+def _duffy_core(radius, xis, R, theta, r_eval, d_xi, d_chi, d_eta, q):
     """Pyramid decomposition of the core box in (xi, chi, eta) coordinates.
 
     The box is |xi| <= d_xi, |chi| <= d_chi, 0 <= eta <= d_eta with the
     apex at the singular point; theta, r_eval, d_chi and d_eta hold one
     value a point.  A face's nodes are u_i times its points, (point, i, a,
-    b) for its free axes a, b; ``xis`` are offsets j (faces xi = -d_xi,
-    d_xi: (q, 2, 1)) and j + 1 (the other three: (q, q, 1)) of ``radius``,
-    so two radius calls a tile serve the five faces.  Tiles of
-    max(1, TILE // q^3) points keep each kernel temporary within TILE.
-    Factors of xi or chi alone keep their own shapes, and a point's face
-    sum is one matrix-vector product whatever its tile.  A node cost 56 ns
-    at the desk loop batch (109 ns with five radius tables a tile).
+    b) for its free axes a, b; ``xis`` are the offsets 0 (faces xi =
+    -d_xi, d_xi: (q, 2, 1)) and 1 (the other three: (q, q, 1)) of
+    ``radius``.  Tiles of max(1, TILE // q^3) points keep each kernel
+    temporary within TILE.  Factors of xi or chi alone keep their own
+    shapes, and a point's face sum is one matrix-vector product whatever
+    its tile.  A node cost 56 ns at the desk loop batch (109 ns with five
+    radius tables a tile).
     """
     u, wu = _gl(q)
     U = u[:, None, None]
@@ -649,18 +651,18 @@ def _duffy_core(radius, j, xis, R, theta, r_eval, d_xi, d_chi, d_eta, q):
         phi = th + chi
         span = (dc - -dc) * (de - 0.0)
         # faces xi = -d_xi and d_xi, (point, i, face, chi), chi then on the first free axis
-        rb = radius(phi, j, p)
+        rb = radius(phi, 0, p)
         cT, pT = chi.swapaxes(-1, -2), phi.swapaxes(-1, -2)
         total = face(rb[:, :, 0, :, None], eta, pT, cT, pair[:, 0:1], d_xi * span)
         total += face(rb[:, :, 1, :, None], eta, pT, cT, pair[:, 1:2], d_xi * span)
-        # faces chi = -d_chi and d_chi, (point, i, xi, face), and eta = d_eta, one profile
+        # faces chi = -d_chi and d_chi, (point, i, xi, face)
         chi2 = U * np.concatenate((-dc, dc), axis=-1)
-        rb, top = radius([th + chi2, phi], j + 1, p)
+        rb = radius(th + chi2, 1, p)
         for k in (0, 1):
             total += face(rb[..., k:k + 1], eta, th + chi2[..., k:k + 1], chi2[..., k:k + 1],
                           grid, dc * (d_xi - -d_xi) * (de - 0.0))
         # the eta = d_eta face only when the depth window is not degenerate
-        top = face(top, U * de, phi, chi, grid, de * (d_xi - -d_xi) * (dc - -dc))
+        top = face(radius(phi, 1, p), U * de, phi, chi, grid, de * (d_xi - -d_xi) * (dc - -dc))
         out[p] = total + np.where((de > 1e-14 * np.maximum(d_xi, de)).ravel(), top, 0.0)
     return out
 

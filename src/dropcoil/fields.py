@@ -150,8 +150,7 @@ def shifted_series(coef: np.ndarray, tau: float, offsets, centre):
     """``series_eval`` at t = centre + o for each array o of ``offsets``.
 
     Returns ``evaluate(theta, j=0, p=None)``, the series at t = centre[p]
-    + offsets[j] (p indexes centre's first axis); a list of theta arrays
-    gives a list of results.  By angle addition, p_k(c + o) = sum_j a_kj
+    + offsets[j] (p indexes centre's first axis).  By angle addition, p_k(c + o) = sum_j a_kj
     [cos(j w c) cos(j w o) - sin(j w c) sin(j w o)], w = pi/tau, from one
     table over all the offsets and one row a centre, both formed once: no
     table grows with centres times offsets, and a centre's values do not
@@ -180,10 +179,7 @@ def shifted_series(coef: np.ndarray, tau: float, offsets, centre):
         lead = centre.shape if p is None else np.shape(centre[p])
         prof = np.matmul(rows if p is None else rows[p], tables[j])
         prof = prof.reshape(lead + offsets[j].shape + (kmax + 1,))
-
-        def series(t):
-            return _sum_over_k(_theta_factor(_powers(np.asarray(t, dtype=float), kmax), 0), prof)
-        return [series(t) for t in theta] if isinstance(theta, list) else series(theta)
+        return _sum_over_k(_theta_factor(_powers(np.asarray(theta, dtype=float), kmax), 0), prof)
     return evaluate
 
 

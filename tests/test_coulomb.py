@@ -285,7 +285,7 @@ def _self_columns_ref(P, r, cadd, chi, phi, wchi, R, guarded):
     return V1 @ wchi[None, :, None] + V2 @ (wchi * (0.5 * sr))[None, :, None]
 
 
-def _columns_ref(radius, j, R, theta, r_eval, xi, wxi, chi, wchi, lengths, guarded=True,
+def _columns_ref(radius, R, theta, r_eval, xi, wxi, chi, wchi, lengths, guarded=True,
                  window=None):
     """The self block's columns point by point, each on its own rule length."""
     ak = 2.0 * R * np.sin(xi / (2.0 * R))
@@ -293,7 +293,7 @@ def _columns_ref(radius, j, R, theta, r_eval, xi, wxi, chi, wchi, lengths, guard
     for p, L in enumerate(lengths):
         th, r = theta[p:p + 1], r_eval[p:p + 1]                   # one-element arrays
         phi = th + chi[p, :L]
-        P = radius(phi[None, None, :], j, np.array([p]))[0]
+        P = radius(phi[None, None, :], 0, np.array([p]))[0]
         if window is not None:
             d_eta[p] = np.minimum(window[0], 0.45 * P[:, :window[1]].min())
             P[:, :window[1]] = np.maximum(P[:, :window[1]] - d_eta[p], 0.0)
@@ -303,7 +303,7 @@ def _columns_ref(radius, j, R, theta, r_eval, xi, wxi, chi, wchi, lengths, guard
     return out if window is None else (out, d_eta)
 
 
-def _duffy_core_ref(radius, j, xis, R, theta, r_eval, d_xi, d_chi, d_eta, q):
+def _duffy_core_ref(radius, xis, R, theta, r_eval, d_xi, d_chi, d_eta, q):
     """The Duffy faces point by point, as ``_duffy_core`` lays them out."""
     u, wu = coulomb._gl(q)
     U = u[:, None, None]
@@ -326,16 +326,16 @@ def _duffy_core_ref(radius, j, xis, R, theta, r_eval, d_xi, d_chi, d_eta, q):
         chi = U * (-dc + (dc - -dc) * u)
         phi = th + chi
         span = (dc - -dc) * (de - 0.0)
-        rb = radius(phi[None], j, one)[0]
+        rb = radius(phi[None], 0, one)[0]
         cT, pT = chi.swapaxes(-1, -2), phi.swapaxes(-1, -2)
         total = face(rb[:, 0, :, None], eta, pT, cT, pair[:, 0:1]) * (d_xi * span)
         total += face(rb[:, 1, :, None], eta, pT, cT, pair[:, 1:2]) * (d_xi * span)
         chi2 = U * np.concatenate((-dc, dc))
-        rb, top = radius([(th + chi2)[None], phi[None]], j + 1, one)
+        rb = radius((th + chi2)[None], 1, one)[0]
         for k in (0, 1):
-            total += face(rb[0][..., k:k + 1], eta, th + chi2[..., k:k + 1], chi2[..., k:k + 1],
+            total += face(rb[..., k:k + 1], eta, th + chi2[..., k:k + 1], chi2[..., k:k + 1],
                           grid) * (dc * (d_xi - -d_xi) * (de - 0.0))
-        top = face(top[0], U * de, phi, chi, grid)
+        top = face(radius(phi[None], 1, one)[0], U * de, phi, chi, grid)
         top = top * (de * (d_xi - -d_xi) * (dc - -dc))
         out[p] = (total + np.where(de > 1e-14 * np.maximum(d_xi, de), top, 0.0))[0]
     return out
@@ -403,9 +403,9 @@ def test_self_block_integrates_each_points_own_rule(prof03, monkeypatch):
     def point(r):
         return int(np.flatnonzero(r_eval == r)[0])
 
-    def columns(radius, j, R, theta, r_eval, xi, wxi, *args, **kw):
+    def columns(radius, R, theta, r_eval, xi, wxi, *args, **kw):
         sets.append({"xi": (xi, wxi), "nodes": {}, "weights": {}})
-        return real["_columns"](radius, j, R, theta, r_eval, xi, wxi, *args, **kw)
+        return real["_columns"](radius, R, theta, r_eval, xi, wxi, *args, **kw)
 
     def chi_factors(phi, r, chi, *args):
         sets[-1]["nodes"].update((point(rp), c.copy()) for rp, c in zip(r[:, 0, 0], chi[:, 0]))
@@ -961,20 +961,23 @@ def _moments_mp(P, r_eval, chi, blin, cadd):
         return [float(M0), float(M1), float(M2)]
 
 
-@pytest.mark.parametrize("P, r_eval, chi, blin, cadd, b_nonneg", [
-    (1.1, 0.8, 2.5, 0.01, 0.05, True),        # column behind the axis: b >= 0
-    (1.2, 0.8, 0.3, -0.02, 0.03, False),      # b < 0, rationalized log argument
-    (0.8001, 0.8, 1e-3, 0.0, 0.0, False),     # near-singular k = 0 column
-    (0.80001, 0.8, 1e-4, 0.0, 0.0, False),    # 1 - cos(chi) cancels in float
-    (0.8000001, 0.8, 1e-6, 0.0, 1e-14, False),
+@pytest.mark.parametrize("P, r_eval, chi, phi, cadd, b_nonneg", [
+    (1.1, 0.8, 2.5, np.arcsin(0.2), 0.05, True),    # column behind the axis: b >= 0
+    (1.2, 0.8, 0.3, -np.arcsin(0.4), 0.03, False),  # b < 0, rationalized log argument
+    (0.8001, 0.8, 1e-3, 0.5, 0.0, False),           # near-singular k = 0 column
+    (0.80001, 0.8, 1e-4, 0.5, 0.0, False),          # 1 - cos(chi) cancels in float
+    (0.8000001, 0.8, 1e-6, 0.5, 1e-14, False),
 ])
-def test_radial_moments_match_quadrature(P, r_eval, chi, blin, cadd, b_nonneg):
-    # the guarded self-block column M1 + s M2, s = sin(phi)/R = blin/cadd
+def test_radial_moments_match_quadrature(P, r_eval, chi, phi, cadd, b_nonneg):
+    # the guarded self-block column M1 + s M2, s = sin(phi)/R, at every set
+    # with s != 0: the (s/2)(P sqrt(Q) - c M0) term is held at the
+    # near-singular columns too, where cadd and so blin = cadd s vanish
+    R = 1.0
+    s = np.sin(phi) / R
+    blin = cadd * s
     assert (-2.0 * r_eval * np.cos(chi) + blin >= 0.0) == b_nonneg
-    R, s = 1.0, blin / cadd if cadd else 0.0
-    phi = np.full((1, 1, 1), np.arcsin(s * R))
     r = np.full((1, 1, 1), r_eval)
-    row = coulomb._chi_factors(phi, r, np.full((1, 1, 1), chi), R, True)
+    row = coulomb._chi_factors(np.full((1, 1, 1), phi), r, np.full((1, 1, 1), chi), R, True)
     col = coulomb._self_columns(np.full((1, 1, 1), P), r, np.full((1, 1, 1), cadd), row,
                                 np.ones((1, 1)), [np.empty((1, 1, 1)) for _ in range(6)],
                                 True)[0, 0, 0]
@@ -982,7 +985,7 @@ def test_radial_moments_match_quadrature(P, r_eval, chi, blin, cadd, b_nonneg):
     if chi >= 1e-3:  # narrower columns are beyond the adaptive quadrature
         refs.append(_moments_by_quad(P, r_eval, chi, blin, cadd))
     for _, M1, M2 in refs:
-        assert abs(col / (M1 + np.sin(phi[0, 0, 0]) / R * M2) - 1.0) < 1e-11
+        assert abs(col / (M1 + s * M2) - 1.0) < 1e-11
 
 
 def test_perturbed_reduces_to_coil_at_zero(prof03, chart03, solver03):
@@ -1146,6 +1149,21 @@ def test_normal_graph_radius_tables_bounded(prof03, chart03, solver03, monkeypat
         bnd.radius_about([offset], centres)(phi)
         assert sorted(sizes) == sorted([np.size(offset), len(centres) + 1])
         assert 2 * axial * sum(sizes) <= 4 * TILE
+    # the self block forms one coefficient table a column set (outer, inner
+    # and footprint, Duffy faces), of (2, axial, offsets, angular) doubles;
+    # at the default refined orders (9, 9, 10) each stays within 4 TILE
+    # (one table over all three sets' offsets would hold 7.8 TILE)
+    T = prof03.T
+    theta = np.linspace(0.2, 6.0, len(centres))
+    r_eval, y3c = bnd.surface_point(theta, centres)
+    calls, about = [], bnd.radius_about
+    monkeypatch.setattr(bnd, "radius_about", lambda offsets, centre: (
+        calls.append(sum(np.size(o) for o in offsets)) or about(offsets, centre)))
+    _self_block(bnd, 32 * T / (2.0 * np.pi), T, theta, y3c, r_eval,
+                SelfBlockSettings(9, 9, 10), prof03.a)
+    assert len(calls) == 3
+    for n in calls:
+        assert 2 * axial * n * bnd._coef.shape[0] <= 4 * TILE
 
 
 def test_radius_about_matches_radius(prof03, chart03, solver03):
