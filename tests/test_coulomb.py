@@ -961,31 +961,33 @@ def _moments_mp(P, r_eval, chi, blin, cadd):
         return [float(M0), float(M1), float(M2)]
 
 
-@pytest.mark.parametrize("P, r_eval, chi, phi, cadd, b_nonneg", [
-    (1.1, 0.8, 2.5, np.arcsin(0.2), 0.05, True),    # column behind the axis: b >= 0
-    (1.2, 0.8, 0.3, -np.arcsin(0.4), 0.03, False),  # b < 0, rationalized log argument
-    (0.8001, 0.8, 1e-3, 0.5, 0.0, False),           # near-singular k = 0 column
-    (0.80001, 0.8, 1e-4, 0.5, 0.0, False),          # 1 - cos(chi) cancels in float
-    (0.8000001, 0.8, 1e-6, 0.5, 1e-14, False),
+@pytest.mark.parametrize("P, r_eval, chi, blin, cadd, b_nonneg", [
+    (1.1, 0.8, 2.5, 0.01, 0.05, True),        # column behind the axis: b >= 0
+    (1.2, 0.8, 0.3, -0.02, 0.03, False),      # b < 0, rationalized log argument
+    (0.8001, 0.8, 1e-3, 0.0, 0.0, False),     # near-singular k = 0 column
+    (0.80001, 0.8, 1e-4, 0.0, 0.0, False),    # 1 - cos(chi) cancels in float
+    (0.8000001, 0.8, 1e-6, 0.0, 1e-14, False),
 ])
-def test_radial_moments_match_quadrature(P, r_eval, chi, phi, cadd, b_nonneg):
-    # the guarded self-block column M1 + s M2, s = sin(phi)/R, at every set
-    # with s != 0: the (s/2)(P sqrt(Q) - c M0) term is held at the
-    # near-singular columns too, where cadd and so blin = cadd s vanish
+def test_radial_moments_match_quadrature(P, r_eval, chi, blin, cadd, b_nonneg):
+    # the guarded self-block column M1 + s M2, s = sin(phi)/R, at the set's
+    # own s = blin/cadd (0 where cadd = 0) and at s = 0.5 with blin = cadd s:
+    # cadd = 0 forces blin = 0 but leaves s free, so the column's
+    # (s/2)(P sqrt(Q) - c M0) term is held at the near-singular sets too
     R = 1.0
-    s = np.sin(phi) / R
-    blin = cadd * s
-    assert (-2.0 * r_eval * np.cos(chi) + blin >= 0.0) == b_nonneg
     r = np.full((1, 1, 1), r_eval)
-    row = coulomb._chi_factors(np.full((1, 1, 1), phi), r, np.full((1, 1, 1), chi), R, True)
-    col = coulomb._self_columns(np.full((1, 1, 1), P), r, np.full((1, 1, 1), cadd), row,
-                                np.ones((1, 1)), [np.empty((1, 1, 1)) for _ in range(6)],
-                                True)[0, 0, 0]
-    refs = [_moments_mp(P, r_eval, chi, blin, cadd)]
-    if chi >= 1e-3:  # narrower columns are beyond the adaptive quadrature
-        refs.append(_moments_by_quad(P, r_eval, chi, blin, cadd))
-    for _, M1, M2 in refs:
-        assert abs(col / (M1 + s * M2) - 1.0) < 1e-11
+    for s0 in (blin / cadd if cadd else 0.0, 0.5):
+        phi = np.arcsin(s0 * R)
+        s = np.sin(phi) / R
+        assert (-2.0 * r_eval * np.cos(chi) + cadd * s >= 0.0) == b_nonneg
+        row = coulomb._chi_factors(np.full((1, 1, 1), phi), r, np.full((1, 1, 1), chi), R, True)
+        col = coulomb._self_columns(np.full((1, 1, 1), P), r, np.full((1, 1, 1), cadd), row,
+                                    np.ones((1, 1)), [np.empty((1, 1, 1)) for _ in range(6)],
+                                    True)[0, 0, 0]
+        refs = [_moments_mp(P, r_eval, chi, cadd * s, cadd)]
+        if chi >= 1e-3:  # narrower columns are beyond the adaptive quadrature
+            refs.append(_moments_by_quad(P, r_eval, chi, cadd * s, cadd))
+        for _, M1, M2 in refs:
+            assert abs(col / (M1 + s * M2) - 1.0) < 1e-11
 
 
 def test_perturbed_reduces_to_coil_at_zero(prof03, chart03, solver03):
