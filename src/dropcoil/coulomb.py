@@ -440,9 +440,9 @@ def _columns(radius, R, theta, r_eval, xi, wxi, chi, wchi, lengths, guarded=True
     the ``_chi_factors`` rows.  ``window`` = (core size, n) removes the
     depth window [0, d_eta] from the columns of each point's first n chi
     nodes (the footprint), d_eta = min(core size, 0.45 min rho_b) there,
-    and returns d_eta too.  At the desk loop batch
-    a node cost 25 ns on the outer set and 51 ns on the inner set and
-    footprint (35 and 64 ns with node-factor buffers and padded rows).
+    and returns d_eta too.  At the desk loop batch a node cost 26 ns on
+    the outer set and 58 ns on the inner set and footprint (37 and 69 ns
+    with node-factor buffers and padded rows).
     """
     a2 = (2.0 * R * np.sin(xi / (2.0 * R)))[:, None] ** 2
     # the points sorted by rule length, so that a tile is a slice of them
@@ -628,7 +628,7 @@ def _duffy_core(radius, xis, R, theta, r_eval, d_xi, d_chi, d_eta, q):
     ``radius``.  Tiles of max(1, TILE // q^3) points keep each kernel
     temporary within TILE.  Factors of xi or chi alone keep their own
     shapes, and a point's face sum is one matrix-vector product whatever
-    its tile.  A node cost 56 ns at the desk loop batch (109 ns with five
+    its tile.  A node cost 38 ns at the desk loop batch (68 ns with five
     radius tables a tile).
     """
     u, wu = _gl(q)
