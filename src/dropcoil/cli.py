@@ -243,25 +243,26 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--a", type=float, default=None,
+                        help="neck parameter (scans: see --a-range)")
+    common.add_argument("--a-range", dest="a_range", type=str, default=None,
+                        help="start:stop:step scan grid")
+    common.add_argument("--n", type=int, default=None, help="block count")
+    common.add_argument("--n-list", dest="n_list", type=str, default=None,
+                        help="start:stop:step list of block counts")
+    common.add_argument("--m", type=float, default=None, help="target mass")
+    common.add_argument("--grid", type=str, default=None, help="NTHETAxN3 mesh grid")
+    common.add_argument("--threads", type=int, default=None, help="worker cap")
+    common.add_argument("--out", type=str, default=None, help="output path")
+    common.add_argument("--config", type=str, default=None, help="JSON config file")
+    common.add_argument("--dry-run", action="store_true",
+                        help="print the resolved config and exit")
     parser = argparse.ArgumentParser(prog="dropcoil",
                                      description="coiled Delaunay equilibria toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--a", type=float, default=None,
-                       help="neck parameter (scans: see --a-range)")
-        p.add_argument("--a-range", dest="a_range", type=str, default=None,
-                       help="start:stop:step scan grid")
-        p.add_argument("--n", type=int, default=None, help="block count")
-        p.add_argument("--n-list", dest="n_list", type=str, default=None,
-                       help="start:stop:step list of block counts")
-        p.add_argument("--m", type=float, default=None, help="target mass")
-        p.add_argument("--grid", type=str, default=None, help="NTHETAxN3 mesh grid")
-        p.add_argument("--threads", type=int, default=None, help="worker cap")
-        p.add_argument("--out", type=str, default=None, help="output path")
-        p.add_argument("--config", type=str, default=None, help="JSON config file")
-        p.add_argument("--dry-run", action="store_true",
-                       help="print the resolved config and exit")
+        sub.add_parser(name, parents=[common])
     return parser
 
 

@@ -41,7 +41,8 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import DomainError, NonConvergence, QuadratureDivergence, RootNotBracketed
+from .errors import (DomainError, EmbeddingViolation, NonConvergence, QuadratureDivergence,
+                     RootNotBracketed)
 from .fields import (SymmetricField, is_zero_field, on_axis_derivatives, series_eval,
                      shifted_series, theta_mirror)
 from .geometry import build_coil, evaluate_forms
@@ -65,6 +66,10 @@ TILE = 12288
 # the integrand is smooth and periodic, and 32 x 48 moves D by 5e-12.  Both
 # counts are even and the first a multiple of 4, so the rule folds onto a quarter.
 ENERGY_GRID = (16, 24)
+# (phi, y) trapezoid nodes over one period of ``coil_volume``'s rule; at the
+# desk solution 32 x 48 agrees with a (64, 48) midpoint-Gauss lattice rule on
+# the boundary to 4.4e-16 (16 x 24: 1.1e-14).
+VOLUME_GRID = (32, 48)
 # Far field of the regular blocks (``_far_blocks``, where the three are derived
 # from measured truncation and cost): the multipole order L, the first far
 # block k0 (blocks k0..n-k0 are far) and the smallest n that uses it.
@@ -103,6 +108,21 @@ class AxisymBoundary:
         theta, y3 = np.broadcast_arrays(np.asarray(theta, dtype=float),
                                         np.asarray(y3, dtype=float))
         return self.profile.evaluate(y3, order=0)[0], y3
+
+
+def _graph(profile: DelaunayProfile, chart: ConformalChart, h: SymmetricField, phi, y):
+    """(radius, shift, d shift / dy) of h's normal graph over broadcast (phi, y).
+
+    The graph point over (phi, y) sits at that radius and at axial position
+    y - shift; its angle is phi, since the profile's normal has no angular part.
+    """
+    f, fp, fpp = profile.evaluate(y, order=2)
+    hv, _, h3 = on_axis_derivatives(h, chart, phi, y, order=1)
+    W = 1.0 / np.sqrt(1.0 + fp * fp)
+    Wp = -fp * fpp * W**3
+    shift = fp * hv * W
+    shift3 = fpp * hv * W + fp * h3 * W + fp * hv * Wp
+    return f + hv * W, shift, shift3
 
 
 class NormalGraphBoundary:
@@ -156,21 +176,12 @@ class NormalGraphBoundary:
         samples[mirror[own]] = samples[own]
         return SymmetricField.from_samples(samples, self._tau, nphi // 2 - 1)[0].coeffs()
 
-    def _graph(self, phi, y):
-        f, fp, fpp = self.profile.evaluate(y, order=2)
-        hv, _, h3 = on_axis_derivatives(self.h, self.chart, phi, y, order=1)
-        W = 1.0 / np.sqrt(1.0 + fp * fp)
-        Wp = -fp * fpp * W**3
-        shift = fp * hv * W
-        shift3 = fpp * hv * W + fp * h3 * W + fp * hv * Wp
-        return f + hv * W, shift, shift3
-
     def _radius_newton(self, phi, x3):
         y = x3.copy()
         for _ in range(self.newton_iters):
-            rad, shift, shift3 = self._graph(phi, y)
+            rad, shift, shift3 = _graph(self.profile, self.chart, self.h, phi, y)
             y = y - (y - shift - x3) / (1.0 - shift3)
-        rad, shift, _ = self._graph(phi, y)
+        rad, shift, _ = _graph(self.profile, self.chart, self.h, phi, y)
         resid = float(np.max(np.abs(y - shift - x3)))
         if not resid <= NEWTON_TOL:
             raise NonConvergence(
@@ -188,8 +199,8 @@ class NormalGraphBoundary:
 
     def surface_point(self, theta, y3):
         """(r, x3) of the graph points over broadcast (theta, y3)."""
-        y3 = np.asarray(y3, dtype=float)
-        rad, shift, _ = self._graph(np.asarray(theta, dtype=float), y3)
+        theta, y3 = np.asarray(theta, dtype=float), np.asarray(y3, dtype=float)
+        rad, shift, _ = _graph(self.profile, self.chart, self.h, theta, y3)
         return rad, y3 - shift
 
 
@@ -576,7 +587,7 @@ def _self_block(boundary, R, T, theta, y3c, r_eval, cfg: SelfBlockSettings, a_ne
     ``radius_about`` table, formed when the set starts, so one table at a
     time is alive.
 
-    At the desk loop batch (153 points, orders (5, 5, 6)) the outer set,
+    At a desk batch of 153 points (17 y3 rows, orders (5, 5, 6)) the outer set,
     |xi| > d_xi, is 359,500 nodes, the inner set 85,080, the footprint
     22,032 and the Duffy core 95,625.  Each outer line misses the point by
     at least 2R sin(d_xi / 2R) and r < R, so c > 0 and sqrt(c) + b/2 > 0:
@@ -1151,16 +1162,29 @@ def critical_mass(bracket=(1.0, 8.0)):
 
 
 def coil_volume(profile: DelaunayProfile, n: int, h: SymmetricField = None,
-                chart: ConformalChart = None, boundary=None) -> float:
-    """|Omega~^n_h| by the exact-in-r rule: n int (rho^2/2 + sin(phi) rho^3/(3R)) dphi dx3.
+                chart: ConformalChart = None) -> float:
+    """|Omega~^n_h| = n int int (rad^2/2 + sin(phi) rad^3/(3R)) (1 - d shift/dy) dphi dy.
 
-    The (phi, x3) rule is the block rule with 64 midpoints in phi and 48
-    Gauss nodes in x3 (its r nodes are not used).  A caller that already
-    holds ``solid_boundary(profile, h, chart)`` passes it as ``boundary``.
+    The r integral of the solid, r (1 + r sin(phi)/R) dr, is exact; the
+    (phi, x3) integral changes variables through the normal graph's own map,
+    x3 = y - shift(phi, y) at radius rad(phi, y) (``_graph``), so no boundary
+    is built.  The integrand is smooth and periodic in both, and a
+    ``VOLUME_GRID`` trapezoid over one period takes it; a graph that folds
+    back along the axis (1 - d shift/dy <= 0) raises EmbeddingViolation.
     """
     R = n * profile.T / (2.0 * np.pi)
-    if boundary is None:
-        boundary = solid_boundary(profile, h, chart)
-    _, phi, rho, w = BlockQuadrature(profile, (2, 64, 48)).nodes2d(0.0, boundary)
-    vals = rho**2 / 2.0 + np.sin(phi) * rho**3 / (3.0 * R)
-    return float(n * np.sum(w * vals))
+    n_phi, n_y = VOLUME_GRID
+    phi = 2.0 * np.pi * np.arange(n_phi)[:, None] / n_phi
+    y = profile.T * np.arange(n_y) / n_y
+    if is_zero_field(h):
+        rad, jac = profile.evaluate(y, order=0)[0], 1.0
+    else:
+        if chart is None:
+            raise DomainError("a nonzero normal graph h needs the conformal chart")
+        rad, _, shift3 = _graph(profile, chart, h, phi, y)
+        jac = 1.0 - shift3
+        if not np.min(jac) > 0.0:
+            raise EmbeddingViolation(f"normal graph folds back along the axis: "
+                                     f"1 - d shift/dy = {np.min(jac):.3e}")
+    vals = (rad**2 / 2.0 + np.sin(phi) * rad**3 / (3.0 * R)) * jac
+    return float(n * np.sum(vals) * (2.0 * np.pi / n_phi) * (profile.T / n_y))

@@ -19,7 +19,7 @@ inexact Newton method would; once an update falls below ``COARSE_UNTIL``
 the loop rule takes over, and the solve stops only on loop-rule samples.
 The final rule serves the report.  Each Coulomb integral N is paid once
 per (h, rule).  The normal-graph boundary of the solved h serves the last
-loop evaluation, the final-resolution report and the mass map's volume.
+loop evaluation and the final-resolution report.
 """
 
 from __future__ import annotations
@@ -40,7 +40,13 @@ from .profile import DelaunayProfile, build_chart, solve_profile
 
 @dataclass
 class ReductionSettings:
-    """Grid sizes, quadrature resolutions and loop tolerances (desk scale)."""
+    """Grid sizes, quadrature resolutions and loop tolerances (desk scale).
+
+    ``coulomb_t_stride`` sizes the y3 sub-grid of N's final rule, every
+    stride-th t node, and is the finest sub-grid of the loop rule, which
+    takes a coarser multiple of it where the profile allows
+    (``LOOP_SUBGRID_TOL``).
+    """
 
     kmax: int = 6
     ntheta: int = 16
@@ -101,21 +107,24 @@ class CoulombRule:
 
 COARSE_TIER = ((8, 10), SelfBlockSettings(panel_q=3, core_q=3, column_q=4), 2)
 """The coarse rule tier of N: block rule (n_phi, n_z), self-block orders, and
-the factor on ``coulomb_t_stride`` of its y3 sub-grid (used where it divides
-``m_t``, else the loop stride).
+the factor on the loop rule's y3 stride of its sub-grid (used where it
+divides ``m_t``, else the loop stride).
 
 N error against the final rule, sup |N - N_final| / sup |N_final| at
 a = 0.3, n = 32 and the solved h, and the Coulomb time of one evaluation
-(one thread of a shared 2-core host):
+(one thread of a shared 2-core host), on sub-grids of 17, 9 and 5 y3 rows
+(both loop rules take 9 at this neck, ``LOOP_SUBGRID_TOL``):
 
-    rule, y3 stride                        N error           time (FAST / desk)
-    FAST loop (12, 14), q (4, 4, 5), 3     1.0e-6            29 ms
-    desk loop (16, 20), q (5, 5, 6), 3     1.2e-7            142 ms
-    tier (8, 10), q (3, 3, 4), 3           1.85e-5           17 / 50 ms
-    tier (8, 10), q (3, 3, 4), 6           1.82e-5 / 1.89e-5 13 / 29 ms
+    rule, y3 rows                          N error           time (FAST / desk)
+    FAST loop (12, 14), q (4, 4, 5), 9     1.0e-6            13 ms
+    desk loop (16, 20), q (5, 5, 6), 17    1.2e-7            46 ms
+    desk loop (16, 20), q (5, 5, 6), 9     1.2e-7            24 ms
+    tier (8, 10), q (3, 3, 4), 17          1.85e-5           21 ms (desk)
+    tier (8, 10), q (3, 3, 4), 9           1.85e-5 / 1.90e-5 9 / 11 ms
+    tier (8, 10), q (3, 3, 4), 5           1.83e-5 / 1.84e-5 6 / 7 ms
 
-So the tier's error is eps <= 2e-5 at both settings, and twice the stride
-costs it nothing.
+So the tier's error is eps <= 2e-5 at both settings, and half the loop's
+rows cost it nothing.
 """
 
 COARSE_UNTIL = 1e-3
@@ -136,13 +145,57 @@ desk settings at n = 16, 32 and 64 keep their evaluation counts, and gamma*
 moves by at most 1.6e-9.
 """
 
+LOOP_SUBGRID_TOL = 2.5e-8
+"""Largest error, max |f_sub - f| / max f over the t nodes, of the cosine
+interpolant f_sub of the profile radius f from a y3 sub-grid on which the
+loop rule may integrate N.
+
+N is interpolated in t from the sub-grid as f is, and it is as hard to
+resolve where the neck is thin.  At the desk settings (m_t = 48), n = 32 and
+h = 0, on 9 rows (relative errors; the loop rule's against the final rule):
+
+    a       f, 9 rows   N, 9 rows   loop rule   N 9 rows / loop rule
+    0.1     1.5e-5      5.8e-5      3.0e-5      2.0
+    0.2     4.6e-7      8.1e-7      8.0e-7      1.0
+    0.26    4.7e-8      4.0e-8      9.2e-8      0.44
+    0.27    3.1e-8      2.6e-8      9.7e-8      0.27
+    0.275   2.5e-8      2.0e-8      1.0e-7      0.20
+    0.28    2.0e-8      1.6e-8      1.05e-7     0.15
+    0.3     8.1e-9      5.4e-9      1.2e-7      0.044
+    0.4     1.4e-11     4.1e-11     2.1e-7      2e-4
+
+So N's error follows f's, at 0.7 to 4 times it.  A sub-grid may serve
+the loop while its N error is at most a fifth of the loop rule's own, so
+that it adds at most 20% to the error the loop already accepts; that ratio
+reaches 1/5 at a = 0.275, where f's 9-row error is 2.5e-8.  At the
+Tier-1 ``m_t`` = 24 (9 rows at stride 3), the next coarser candidate, 5
+rows, misses f by 6.8e-8 even at a = 0.45 (fewer rows by more), so those
+settings keep their sub-grid at every neck.
+"""
+
+
+def _loop_stride(solver: JacobiSolver, stride: int) -> int:
+    """The coarsest multiple of ``stride`` dividing m on whose y3 sub-grid the
+    cosine interpolant of the profile radius f meets ``LOOP_SUBGRID_TOL``, else
+    ``stride``."""
+    f = solver.x
+    for s in range(solver.m - solver.m % stride, stride, -stride):
+        if solver.m % s == 0:
+            fit = cos_eval(cos_coeffs(f[::s]), solver.t, solver.tau)
+            if np.max(np.abs(fit - f)) <= LOOP_SUBGRID_TOL * np.max(f):
+                return s
+    return stride
+
 
 class ReductionContext:
     """Chart, solver, quadrature rules and sample grids shared across iterations.
 
-    The loop and final rules come from the settings; the coarse tier
-    (``COARSE_TIER``) is built here once, and is the loop rule itself unless
-    it is cheaper: no more (n_phi, n_z) nodes and no higher self-block order.
+    The loop and final rules come from the settings.  The final rule takes N
+    on every ``coulomb_t_stride``-th y3 node; the loop rule on the coarsest
+    sub-grid the profile allows (``LOOP_SUBGRID_TOL``), which is that one
+    where the neck is thin.  The coarse tier (``COARSE_TIER``) is built here
+    once, and is the loop rule itself unless it is cheaper: no more
+    (n_phi, n_z) nodes and no higher self-block order.
     """
 
     def __init__(self, profile: DelaunayProfile, n: int, settings: ReductionSettings):
@@ -154,17 +207,17 @@ class ReductionContext:
         self.theta = 2.0 * np.pi * np.arange(settings.ntheta) / settings.ntheta
         self.t_nodes = self.solver.t
         self.y3_nodes = self.solver.z
-        stride = settings.coulomb_t_stride
-        y3_sub = self.y3_nodes[::stride]
+        stride = _loop_stride(self.solver, settings.coulomb_t_stride)
         loop_cfg = SelfBlockSettings(panel_q=settings.self_panel_q,
                                      core_q=settings.self_core_q,
                                      column_q=settings.self_column_q)
         self.loop_rule = CoulombRule("loop", BlockQuadrature(profile, settings.quad_resolution),
-                                     loop_cfg, y3_sub)
+                                     loop_cfg, self.y3_nodes[::stride])
         q = settings.final_self_q
         self.final_rule = CoulombRule(
             "final", BlockQuadrature(profile, settings.final_quad_resolution),
-            SelfBlockSettings(panel_q=q, core_q=q, column_q=q + 1), y3_sub)
+            SelfBlockSettings(panel_q=q, core_q=q, column_q=q + 1),
+            self.y3_nodes[::settings.coulomb_t_stride])
         (nphi, nz), cfg, factor = COARSE_TIER
         n_r, loop_nphi, loop_nz = settings.quad_resolution
         tier_cost = (nphi * nz, cfg.panel_q, cfg.core_q, cfg.column_q)
@@ -397,10 +450,9 @@ def mass_map(profile: DelaunayProfile, n: int, settings: ReductionSettings = Non
              state: ReductionState = None, ctx: ReductionContext = None) -> MassMap:
     """m = gamma* |Omega~^n_h| at the solved coupling."""
     settings = settings or ReductionSettings()
-    if state is None:
-        ctx = ctx or ReductionContext(profile, n, settings)
-        state = solve_gamma(profile, n, settings, ctx)
-    vol = coil_volume(profile, n, state.h, boundary=state.equation.boundary)
+    ctx = ctx or ReductionContext(profile, n, settings)
+    state = state or solve_gamma(profile, n, settings, ctx)
+    vol = coil_volume(profile, n, state.h, ctx.chart)
     return MassMap(a=profile.a, n=int(n), gamma=state.gamma, volume=vol,
                    m=state.gamma * vol, volume_ratio=vol / (n * profile.V))
 

@@ -19,7 +19,8 @@ from dropcoil.coulomb import (BALL_UNIT_COULOMB, ENERGY_GRID, NEWTON_TOL, TILE,
                               potential_coil, potential_perturbed,
                               solid_boundary, surface_potentials,
                               toroidal_potential_reference)
-from dropcoil.errors import DomainError, NonConvergence, QuadratureDivergence
+from dropcoil.errors import (DomainError, EmbeddingViolation, NonConvergence,
+                             QuadratureDivergence)
 from dropcoil import fields
 from dropcoil.fields import SymmetricField
 from dropcoil.geometry import build_coil, evaluate_forms
@@ -1198,7 +1199,7 @@ def test_radius_open_grid_matches_dense(prof03, chart03, solver03):
     x3 = np.linspace(-prof03.T, 1.5 * prof03.T, 23)
     phi = np.linspace(0.1, 2 * np.pi, 17)
     u = x3[:7, None, None]
-    open_grids = [(phi[None, :], x3[:, None]),        # nodes2d, coil_volume
+    open_grids = [(phi[None, :], x3[:, None]),        # nodes2d
                   (u * phi[None, :5, None], u),       # a Duffy-core face
                   (np.float64(0.7), x3)]
     for fn in (AxisymBoundary(prof03).radius, NormalGraphBoundary(prof03, chart03, h).radius,
@@ -1348,16 +1349,17 @@ def _desk_evaluation_peak(prof03, final):
 
 
 def test_desk_evaluation_memory_bounded(prof03):
-    # one loop evaluation: 153 points in one batch; with the Duffy core
-    # untiled it peaked at 9 MiB
+    # one loop evaluation: 81 points (9 theta columns x 9 y3 rows) in one
+    # batch; at 153 points (17 rows) with the Duffy core untiled it peaked
+    # at 9 MiB
     assert _desk_evaluation_peak(prof03, final=False) < 6 * 2**20
 
 
 def test_desk_final_report_memory_bounded(prof03):
-    # the final report: 153 points on the (28, 40) lattice, in points-first
-    # regular-block tiles of 10 points, traced 3.1 MiB at its peak; untiled,
-    # one regular-block temporary alone would hold 153 x 31 x 1120 doubles
-    # (41 MiB)
+    # the final report: 153 points (9 theta columns x 17 y3 rows) on the
+    # (28, 40) lattice, in points-first regular-block tiles of 10 points,
+    # traced 3.1 MiB at its peak; untiled, one regular-block temporary alone
+    # would hold 153 x 31 x 1120 doubles (41 MiB)
     assert _desk_evaluation_peak(prof03, final=True) < 5 * 2**20
 
 
@@ -1385,6 +1387,37 @@ def test_coil_volume_perturbed_grows(prof03, chart03, solver03):
     h.modes[0] = 0.01
     v = coil_volume(prof03, 8, h, chart03)
     assert v > 8 * prof03.V  # positive bump adds volume
+
+
+def _coil_volume_lattice(profile, n, boundary, nphi=64, nz=48):
+    """n int (rho^2/2 + sin(phi) rho^3/(3R)) dphi dx3 on the block lattice over the
+    solid's boundary: nphi midpoints in phi, nz Gauss nodes in x3."""
+    R = n * profile.T / (2.0 * np.pi)
+    _, phi, rho, w = BlockQuadrature(profile, (2, nphi, nz)).nodes2d(0.0, boundary)
+    return float(n * np.sum(w * (rho**2 / 2.0 + np.sin(phi) * rho**3 / (3.0 * R))))
+
+
+def test_coil_volume_matches_lattice_rule(prof03, chart03):
+    # oracle: the same integral in x3, on the normal-graph boundary's interpolant,
+    # for zero, the stored `reduce --a 0.3 --n 32` solution and ten times it;
+    # there the (64, 48) lattice is 1e-10 off, and twice and four times its
+    # counts agree with each other, and with the trapezoid, to 5e-14 (the
+    # interpolant's own error)
+    with open(Path(__file__).resolve().parents[1] / "results" / "reduce_a0.3_n32.json") as fh:
+        h = SymmetricField.from_dict(json.load(fh)["h"])
+    for field, lattice, tol in ((None, (64, 48), 1e-14), (h, (64, 48), 1e-14),
+                                (10.0 * h, (128, 96), 1e-13)):
+        want = _coil_volume_lattice(prof03, 32, solid_boundary(prof03, field, chart03),
+                                    *lattice)
+        assert abs(coil_volume(prof03, 32, field, chart03) / want - 1.0) <= tol
+
+
+def test_coil_volume_folded_graph_raises(prof03, chart03, solver03):
+    # an axial ripple steep enough that x3 = y - shift(phi, y) turns back
+    h = solver03.zero_field(kmax=0)
+    h.modes[0] = 0.3 * np.cos(4.0 * np.pi * solver03.t / solver03.tau)
+    with pytest.raises(EmbeddingViolation):
+        coil_volume(prof03, 8, h, chart03)
 
 
 def test_nonzero_h_needs_chart(prof03, solver03):

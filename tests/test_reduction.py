@@ -142,6 +142,37 @@ def test_coarse_tier_error_below_its_bound(prof03, ctx32, state32):
     assert state32.coulomb_integrations == 10
 
 
+@pytest.mark.parametrize("a, rows", [(0.2, 17), (0.3, 9), (0.45, 9)])
+def test_loop_subgrid_follows_profile(a, rows):
+    # desk, n = 32, h = 0: the loop rule takes N on the coarsest sub-grid
+    # LOOP_SUBGRID_TOL allows, whose interpolation error is at most a fifth
+    # of the loop rule's own against the final rule; the final rule keeps
+    # coulomb_t_stride and the coarse tier twice the loop's stride
+    prof = solve_profile(a)
+    settings = ReductionSettings()
+    ctx = ReductionContext(prof, 32, settings)
+    stride = (len(ctx.y3_nodes) - 1) // (rows - 1)
+    assert np.array_equal(ctx.loop_rule.y3_sub, ctx.y3_nodes[::stride])
+    assert np.array_equal(ctx.final_rule.y3_sub, ctx.y3_nodes[::settings.coulomb_t_stride])
+    assert np.array_equal(ctx.coarse_rule.y3_sub, ctx.y3_nodes[::2 * stride])
+    boundary = solid_boundary(prof)
+    every = _coulomb_samples(ctx, boundary, rule=replace(ctx.loop_rule, y3_sub=ctx.y3_nodes))
+    loop = _coulomb_samples(ctx, boundary)
+    final = _coulomb_samples(ctx, boundary, final=True)
+    sub_err = np.max(np.abs(loop - every)) / np.max(np.abs(every))
+    loop_err = np.max(np.abs(every - final)) / np.max(np.abs(final))
+    assert sub_err <= loop_err / 5
+
+
+def test_fast_subgrids_at_every_neck():
+    # at m_t = 24 the loop and the final rule keep 9 rows and the tier 5,
+    # from a thin neck to a thick one
+    for a in (0.1, 0.2, 0.29, 0.3, 0.31, 0.45):
+        ctx = ReductionContext(solve_profile(a), 32, FAST)
+        for rule, stride in ((ctx.coarse_rule, 6), (ctx.loop_rule, 3), (ctx.final_rule, 3)):
+            assert np.array_equal(rule.y3_sub, ctx.y3_nodes[::stride])
+
+
 def test_coarse_tier_only_when_cheaper(prof03):
     # a loop rule with fewer (n_phi, n_z) nodes than the tier keeps its own
     # rule throughout; a sub-grid that twice the stride does not divide
@@ -323,7 +354,10 @@ def test_coulomb_samples_match_frozen(prof03, name, settings, perturbed):
         want = np.array(json.load(fh)[name])
     ctx = ReductionContext(prof03, 32, settings)
     h = _loop_test_field(ctx) if perturbed else ctx.zero_field()
-    got = _coulomb_samples(ctx, solid_boundary(prof03, h, ctx.chart), final=False)
+    # the loop rule on the sub-grid the data were frozen on, every
+    # coulomb_t_stride-th y3 node (the desk loop takes 9 rows at a = 0.3)
+    rule = replace(ctx.loop_rule, y3_sub=ctx.y3_nodes[::settings.coulomb_t_stride])
+    got = _coulomb_samples(ctx, solid_boundary(prof03, h, ctx.chart), rule=rule)
     assert got.shape == want.shape
     assert np.max(np.abs(got / want - 1.0)) < 1e-13
 
@@ -363,7 +397,7 @@ def test_coulomb_samples_batch_matches_column_loop(prof03, settings):
 def test_one_integration_per_h_and_rule(prof03, ctx32, monkeypatch):
     # a gamma solve integrates N once for each (h, rule) it evaluates and
     # builds each nonzero h's normal-graph boundary once; the mass map
-    # takes the solved h's boundary and builds none
+    # builds none
     integrated, built = [], []
     kernel = reduction.surface_potentials
     init = NormalGraphBoundary.__init__
