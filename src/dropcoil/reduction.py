@@ -179,7 +179,7 @@ def _loop_stride(solver: JacobiSolver, stride: int) -> int:
     cosine interpolant of the profile radius f meets ``LOOP_SUBGRID_TOL``, else
     ``stride``."""
     f = solver.x
-    for s in range(solver.m - solver.m % stride, stride, -stride):
+    for s in range(solver.m, stride, -stride):
         if solver.m % s == 0:
             fit = cos_eval(cos_coeffs(f[::s]), solver.t, solver.tau)
             if np.max(np.abs(fit - f)) <= LOOP_SUBGRID_TOL * np.max(f):
@@ -191,9 +191,9 @@ class ReductionContext:
     """Chart, solver, quadrature rules and sample grids shared across iterations.
 
     The loop and final rules come from the settings.  The final rule takes N
-    on every ``coulomb_t_stride``-th y3 node; the loop rule on the coarsest
-    sub-grid the profile allows (``LOOP_SUBGRID_TOL``), which is that one
-    where the neck is thin.  The coarse tier (``COARSE_TIER``) is built here
+    on every ``coulomb_t_stride``-th y3 node, the loop rule on the coarsest
+    sub-grid the profile allows (``LOOP_SUBGRID_TOL``), which is the final
+    rule's where the neck is thin.  The coarse tier (``COARSE_TIER``) is built here
     once, and is the loop rule itself unless it is cheaper: no more
     (n_phi, n_z) nodes and no higher self-block order.
     """
@@ -451,7 +451,8 @@ def mass_map(profile: DelaunayProfile, n: int, settings: ReductionSettings = Non
     """m = gamma* |Omega~^n_h| at the solved coupling."""
     settings = settings or ReductionSettings()
     ctx = ctx or ReductionContext(profile, n, settings)
-    state = state or solve_gamma(profile, n, settings, ctx)
+    if state is None:
+        state = solve_gamma(profile, n, settings, ctx)
     vol = coil_volume(profile, n, state.h, ctx.chart)
     return MassMap(a=profile.a, n=int(n), gamma=state.gamma, volume=vol,
                    m=state.gamma * vol, volume_ratio=vol / (n * profile.V))
