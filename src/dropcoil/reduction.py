@@ -44,8 +44,7 @@ class ReductionSettings:
 
     ``coulomb_t_stride`` sizes the y3 sub-grid of N's final rule, every
     stride-th t node, and is the finest sub-grid of the loop rule, which
-    takes a coarser multiple of it where the profile allows
-    (``LOOP_SUBGRID_TOL``).
+    takes twice the stride where the profile allows (``LOOP_SUBGRID_TOL``).
     """
 
     kmax: int = 6
@@ -147,8 +146,8 @@ moves by at most 1.6e-9.
 
 LOOP_SUBGRID_TOL = 2.5e-8
 """Largest error, max |f_sub - f| / max f over the t nodes, of the cosine
-interpolant f_sub of the profile radius f from a y3 sub-grid on which the
-loop rule may integrate N.
+interpolant f_sub of the profile radius f from the loop rule's candidate y3
+sub-grid, twice ``coulomb_t_stride``.
 
 N is interpolated in t from the sub-grid as f is, and it is as hard to
 resolve where the neck is thin.  At the desk settings (m_t = 48), n = 32 and
@@ -163,27 +162,36 @@ h = 0, on 9 rows (relative errors; the loop rule's against the final rule):
     0.28    2.0e-8      1.6e-8      1.05e-7     0.15
     0.3     8.1e-9      5.4e-9      1.2e-7      0.044
     0.4     1.4e-11     4.1e-11     2.1e-7      2e-4
+    0.45    2.8e-14     5.4e-12     2.1e-7      3e-5
+    0.48    4.3e-16     2.2e-12     2.1e-7      1e-5
 
-So N's error follows f's, at 0.7 to 4 times it.  A sub-grid may serve
-the loop while its N error is at most a fifth of the loop rule's own, so
-that it adds at most 20% to the error the loop already accepts; that ratio
-reaches 1/5 at a = 0.275, where f's 9-row error is 2.5e-8.  At the
-Tier-1 ``m_t`` = 24 (9 rows at stride 3), the next coarser candidate, 5
-rows, misses f by 6.8e-8 even at a = 0.45 (fewer rows by more), so those
-settings keep their sub-grid at every neck.
+From a = 0.1 to 0.4 N's error follows f's, at 0.7 to 4 times it; from
+0.45 on f's is at rounding and N's stays below 1e-11.  A sub-grid may
+serve the loop while its N error is at most a fifth of the loop rule's
+own, so that it adds at most 20% to the error the loop already accepts;
+that ratio reaches 1/5 at a = 0.275, where f's 9-row error is 2.5e-8.
+
+Only twice the final stride is a candidate: the solved h adds axial
+structure that f does not see.  At a = 0.45 and the solved h, N's 5-row
+error is 3.4e-7, above the loop rule's 2.2e-7, though f's 5-row error is
+6.8e-8 and N's at h = 0 is 4.5e-9.  At the Tier-1 ``m_t`` = 24 (9 rows at
+stride 3) the candidate is 5 rows, which miss f by 6.8e-8 at a = 0.45 and
+4.0e-8 at 0.455, so those settings keep their sub-grid on every neck the
+loop solves.  From a = 0.46 (2.2e-8) they take 5 rows, and N's 5-row error
+at a = 0.48, h = 0 is 1.9e-10 against the loop rule's 1.7e-6; no solve
+converges there on either sub-grid (40 steps at 0.46, a folded graph by 0.47).
 """
 
 
 def _loop_stride(solver: JacobiSolver, stride: int) -> int:
-    """The coarsest multiple of ``stride`` dividing m on whose y3 sub-grid the
-    cosine interpolant of the profile radius f meets ``LOOP_SUBGRID_TOL``, else
+    """Twice ``stride`` where it divides m and the cosine interpolant of the
+    profile radius f from its y3 sub-grid meets ``LOOP_SUBGRID_TOL``, else
     ``stride``."""
-    f = solver.x
-    for s in range(solver.m, stride, -stride):
-        if solver.m % s == 0:
-            fit = cos_eval(cos_coeffs(f[::s]), solver.t, solver.tau)
-            if np.max(np.abs(fit - f)) <= LOOP_SUBGRID_TOL * np.max(f):
-                return s
+    f, coarse = solver.x, 2 * stride
+    if solver.m % coarse == 0:
+        fit = cos_eval(cos_coeffs(f[::coarse]), solver.t, solver.tau)
+        if np.max(np.abs(fit - f)) <= LOOP_SUBGRID_TOL * np.max(f):
+            return coarse
     return stride
 
 
@@ -191,9 +199,9 @@ class ReductionContext:
     """Chart, solver, quadrature rules and sample grids shared across iterations.
 
     The loop and final rules come from the settings.  The final rule takes N
-    on every ``coulomb_t_stride``-th y3 node, the loop rule on the coarsest
-    sub-grid the profile allows (``LOOP_SUBGRID_TOL``), which is the final
-    rule's where the neck is thin.  The coarse tier (``COARSE_TIER``) is built here
+    on every ``coulomb_t_stride``-th y3 node, the loop rule on every second
+    of those where the profile allows (``LOOP_SUBGRID_TOL``), else on the
+    final rule's sub-grid.  The coarse tier (``COARSE_TIER``) is built here
     once, and is the loop rule itself unless it is cheaper: no more
     (n_phi, n_z) nodes and no higher self-block order.
     """
@@ -449,11 +457,12 @@ class MassMap:
 def mass_map(profile: DelaunayProfile, n: int, settings: ReductionSettings = None,
              state: ReductionState = None, ctx: ReductionContext = None) -> MassMap:
     """m = gamma* |Omega~^n_h| at the solved coupling."""
-    settings = settings or ReductionSettings()
-    ctx = ctx or ReductionContext(profile, n, settings)
     if state is None:
+        settings = settings or ReductionSettings()
+        ctx = ctx or ReductionContext(profile, n, settings)
         state = solve_gamma(profile, n, settings, ctx)
-    vol = coil_volume(profile, n, state.h, ctx.chart)
+    chart = ctx.chart if ctx is not None else getattr(state.equation.boundary, "chart", None)
+    vol = coil_volume(profile, n, state.h, chart)
     return MassMap(a=profile.a, n=int(n), gamma=state.gamma, volume=vol,
                    m=state.gamma * vol, volume_ratio=vol / (n * profile.V))
 

@@ -7,7 +7,7 @@ import pytest
 
 from dropcoil.coulomb import (GRAPH_MZ, NormalGraphBoundary, ball_potential_exact,
                               solid_boundary, surface_potentials)
-from dropcoil.errors import BracketFailure, DomainError, RootNotBracketed
+from dropcoil.errors import BracketFailure, DomainError, RootNotBracketed, SingularSystem
 from dropcoil.fields import SymmetricField, cos_coeffs, cos_eval, is_zero_field, series_eval
 from dropcoil.geometry import build_sphere, evaluate_forms
 from dropcoil.profile import solve_profile
@@ -142,14 +142,16 @@ def test_coarse_tier_error_below_its_bound(prof03, ctx32, state32):
     assert state32.coulomb_integrations == 10
 
 
-@pytest.mark.parametrize("a, rows", [(0.2, 17), (0.3, 9), (0.45, 9)])
-def test_loop_subgrid_follows_profile(a, rows):
-    # desk, n = 32, h = 0: the loop rule takes N on the coarsest sub-grid
-    # LOOP_SUBGRID_TOL allows, whose interpolation error is at most a fifth
-    # of the loop rule's own against the final rule; the final rule keeps
-    # coulomb_t_stride and the coarse tier twice the loop's stride
+@pytest.mark.parametrize("grid, a, rows", [("desk", 0.2, 17), ("desk", 0.3, 9), ("desk", 0.45, 9),
+                                           ("desk", 0.48, 9), ("fast", 0.48, 5)])
+def test_loop_subgrid_follows_profile(grid, a, rows):
+    # n = 32, h = 0: the loop rule takes N on twice the final rule's stride
+    # where LOOP_SUBGRID_TOL allows, and that sub-grid's interpolation error
+    # is at most a fifth of the loop rule's own against the final rule; the
+    # final rule keeps coulomb_t_stride and the coarse tier twice the loop's
+    # stride.  Near the cylinder f is almost constant, so FAST takes 5 rows
     prof = solve_profile(a)
-    settings = ReductionSettings()
+    settings = FAST if grid == "fast" else ReductionSettings()
     ctx = ReductionContext(prof, 32, settings)
     stride = (len(ctx.y3_nodes) - 1) // (rows - 1)
     assert np.array_equal(ctx.loop_rule.y3_sub, ctx.y3_nodes[::stride])
@@ -164,13 +166,19 @@ def test_loop_subgrid_follows_profile(a, rows):
     assert sub_err <= loop_err / 5
 
 
-def test_fast_subgrids_at_every_neck():
-    # at m_t = 24 the loop and the final rule keep 9 rows and the tier 5,
-    # from a thin neck to a thick one
-    for a in (0.1, 0.2, 0.29, 0.3, 0.31, 0.45):
+def test_fast_subgrids_by_neck(prof_cyl):
+    # at m_t = 24 the loop and the final rule keep 9 rows and the tier 5 on
+    # every neck the loop solves (to a = 0.455); from a = 0.46, where no
+    # solve converges at either sub-grid, f passes on 5 rows and the loop
+    # takes them.  The cylinder has no Jacobi solver, so no context
+    for a, strides in ((0.1, (6, 3, 3)), (0.2, (6, 3, 3)), (0.29, (6, 3, 3)),
+                       (0.3, (6, 3, 3)), (0.31, (6, 3, 3)), (0.45, (6, 3, 3)),
+                       (0.455, (6, 3, 3)), (0.46, (12, 6, 3)), (0.48, (12, 6, 3))):
         ctx = ReductionContext(solve_profile(a), 32, FAST)
-        for rule, stride in ((ctx.coarse_rule, 6), (ctx.loop_rule, 3), (ctx.final_rule, 3)):
+        for rule, stride in zip((ctx.coarse_rule, ctx.loop_rule, ctx.final_rule), strides):
             assert np.array_equal(rule.y3_sub, ctx.y3_nodes[::stride])
+    with pytest.raises(SingularSystem):
+        ReductionContext(prof_cyl, 32, FAST)
 
 
 def test_coarse_tier_only_when_cheaper(prof03):
@@ -253,6 +261,8 @@ def test_mass_map_volume(prof03, ctx32, state32):
     # m(n) ~ (n / ln n) 2 I_a T_a within the o(1) band
     pred = 32 / np.log(32) * 2 * prof03.Ia * prof03.T
     assert mm.m / pred == pytest.approx(1.0, abs=0.25)
+    # without a context the chart comes from the solved state's boundary
+    assert mass_map(prof03, 32, FAST, state=state32) == mm
 
 
 def test_reduction_deterministic(prof03):
