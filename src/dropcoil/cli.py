@@ -195,7 +195,7 @@ def cmd_reduce(cfg: RunConfig):
         "gamma": state.gamma, "lambda": state.lam, "c": state.c,
         "residual": state.residual, "residual_final": state.residual_final,
         "c_final": state.c_final, "h_norm": state.h_norm,
-        "iterations": state.iterations,
+        "iterations": state.iterations, "converged": state.converged,
         "coulomb_integrations": state.coulomb_integrations,
         "gamma_leading": reduction.gamma_leading(prof, n).gamma,
         "volume": mm.volume, "volume_ratio": mm.volume_ratio, "m": mm.m,
@@ -208,6 +208,10 @@ def cmd_reduce(cfg: RunConfig):
     write_csv(str(cfg.out) + ".trace.csv", columns,
               [tuple(row[k] for k in columns) for row in state.history],
               config=cfg.hashable_dict())
+    if not state.converged:  # the outputs stay, to show the unsettled run
+        raise errors.NonConvergence(
+            f"the (h, gamma) iteration did not settle in {state.iterations} steps "
+            f"(last update {state.history[-1]['delta_norm']:.3e}); see {cfg.out}")
 
 
 def cmd_mass_map(cfg: RunConfig):

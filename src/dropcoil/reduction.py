@@ -17,7 +17,9 @@ N is integrated on one of three rules (``CoulombRule``).  The first steps,
 whose updates are large, take N on a coarse tier (``COARSE_TIER``), as an
 inexact Newton method would; once an update falls below ``COARSE_UNTIL``
 the loop rule takes over, and the solve stops only on loop-rule samples.
-The final rule serves the report.  Each Coulomb integral N is paid once
+The final rule serves the report, on every column of the theta grid; the
+loop and coarse rules integrate N on the 2 (kmax + 1) theta nodes that fix
+the modes 0..kmax a step reads.  Each Coulomb integral N is paid once
 per (h, rule).  The normal-graph boundary of the solved h serves the last
 loop evaluation and the final-resolution report.
 """
@@ -96,12 +98,19 @@ def gamma_leading(profile: DelaunayProfile, n: int) -> GammaLeading:
 
 @dataclass
 class CoulombRule:
-    """One quadrature rule of N: block rule, self-block orders and y3 sub-grid."""
+    """One quadrature rule of N: block rule, self-block orders and the
+    (theta, y3) sub-grid on which N is integrated.
+
+    The final rule's theta nodes are the sample grid's; the loop and coarse
+    rules take the 2 (kmax + 1) equispaced nodes that fix N's angular modes
+    0..kmax, the only ones a step reads (``_coulomb_samples``).
+    """
 
     name: str                  # "coarse", "loop" or "final"
     quad: BlockQuadrature
     self_cfg: SelfBlockSettings
     y3_sub: np.ndarray         # the y3 nodes at which N is integrated
+    theta: np.ndarray          # the theta nodes at which N is integrated
 
 
 COARSE_TIER = ((8, 10), SelfBlockSettings(panel_q=3, core_q=3, column_q=4), 2)
@@ -201,8 +210,10 @@ class ReductionContext:
     The loop and final rules come from the settings.  The final rule takes N
     on every ``coulomb_t_stride``-th y3 node, the loop rule on every second
     of those where the profile allows (``LOOP_SUBGRID_TOL``), else on the
-    final rule's sub-grid.  The coarse tier (``COARSE_TIER``) is built here
-    once, and is the loop rule itself unless it is cheaper: no more
+    final rule's sub-grid.  The final rule integrates every column of
+    ``theta``, the loop and coarse rules the 2 (kmax + 1) theta nodes that
+    fix the modes a step reads.  The coarse tier (``COARSE_TIER``) is built
+    here once, and is the loop rule itself unless it is cheaper: no more
     (n_phi, n_z) nodes and no higher self-block order.
     """
 
@@ -213,6 +224,8 @@ class ReductionContext:
         self.chart = build_chart(profile.a, grid_size=settings.chart_grid)
         self.solver = JacobiSolver(self.chart, kmax=settings.kmax, m=settings.m_t)
         self.theta = 2.0 * np.pi * np.arange(settings.ntheta) / settings.ntheta
+        n_sub = 2 * (settings.kmax + 1)
+        theta_sub = 2.0 * np.pi * np.arange(n_sub) / n_sub
         self.t_nodes = self.solver.t
         self.y3_nodes = self.solver.z
         stride = _loop_stride(self.solver, settings.coulomb_t_stride)
@@ -220,12 +233,12 @@ class ReductionContext:
                                      core_q=settings.self_core_q,
                                      column_q=settings.self_column_q)
         self.loop_rule = CoulombRule("loop", BlockQuadrature(profile, settings.quad_resolution),
-                                     loop_cfg, self.y3_nodes[::stride])
+                                     loop_cfg, self.y3_nodes[::stride], theta_sub)
         q = settings.final_self_q
         self.final_rule = CoulombRule(
             "final", BlockQuadrature(profile, settings.final_quad_resolution),
             SelfBlockSettings(panel_q=q, core_q=q, column_q=q + 1),
-            self.y3_nodes[::settings.coulomb_t_stride])
+            self.y3_nodes[::settings.coulomb_t_stride], self.theta)
         (nphi, nz), cfg, factor = COARSE_TIER
         n_r, loop_nphi, loop_nz = settings.quad_resolution
         tier_cost = (nphi * nz, cfg.panel_q, cfg.core_q, cfg.column_q)
@@ -235,7 +248,7 @@ class ReductionContext:
             if settings.m_t % (factor * stride) == 0:
                 stride *= factor
             self.coarse_rule = CoulombRule("coarse", BlockQuadrature(profile, (n_r, nphi, nz)),
-                                           cfg, self.y3_nodes[::stride])
+                                           cfg, self.y3_nodes[::stride], theta_sub)
 
     def zero_field(self) -> SymmetricField:
         return self.solver.zero_field()
@@ -255,24 +268,32 @@ class EquationEval:
 
 def _coulomb_samples(ctx: ReductionContext, boundary, final: bool = False,
                      rule: CoulombRule = None) -> np.ndarray:
-    """N at (theta_i, t in the rule's sub-grid), cosine-upsampled to the full t grid.
+    """N on the rule's (theta, y3) sub-grid, taken to the sample grid
+    (``ctx.theta``, every t node) by its theta modes and t cosine series.
 
     ``rule`` defaults to the final rule with ``final``, else the loop rule.
-    Every admissible h, and so N, is even under theta -> pi - theta, so the
-    loop and the final report integrate one column of each mirror pair
-    (``theta_mirror``) and copy it to the other; a mirrored column differs from its
-    integrated one by rounding only (2e-14 relative at the desk and Tier-1
-    settings).  Every integrated (theta, y3) point goes to the on-surface
-    kernel in one batch on the solid's ``boundary``.
+    Every admissible h, and so N, is even under theta -> pi - theta, so each
+    rule integrates one column of each mirror pair (``theta_mirror``) and
+    copies it to the other; a mirrored column differs from its integrated
+    one by rounding only (2e-14 relative at the desk and Tier-1 settings).
+    Every integrated point goes to the on-surface kernel in one batch on the
+    solid's ``boundary``.  A step reads N only through its theta modes
+    0..kmax, which the 2 (kmax + 1) nodes of the loop and coarse rules fix
+    up to the alias of modes kmax + 2 and above (Trefethen & Weideman, SIAM
+    Review 56, 2014); N's modes fall about 40 times a mode at a = 0.3.  Those
+    rules' N is projected on modes 0..kmax and evaluated on ``ctx.theta``.
     """
     rule = rule or (ctx.final_rule if final else ctx.loop_rule)
-    y3_sub = rule.y3_sub
-    own, mirror = theta_mirror(len(ctx.theta))
-    sub = np.empty((len(ctx.theta), len(y3_sub)))
-    Ik = surface_potentials(ctx.profile, ctx.n, boundary, ctx.theta[own, None],
+    theta, y3_sub = rule.theta, rule.y3_sub
+    own, mirror = theta_mirror(len(theta))
+    sub = np.empty((len(theta), len(y3_sub)))
+    Ik = surface_potentials(ctx.profile, ctx.n, boundary, theta[own, None],
                             y3_sub[None, :], rule.quad, rule.self_cfg)
     sub[own] = Ik.sum(axis=1).reshape(len(own), len(y3_sub))
     sub[mirror[own]] = sub[own]
+    if len(theta) != len(ctx.theta):
+        fld = SymmetricField.from_samples(sub, ctx.solver.tau, ctx.settings.kmax)[0]
+        sub = fld.grid_values(len(ctx.theta))
     if len(y3_sub) == len(ctx.t_nodes):
         return sub
     coef = cos_coeffs(sub)

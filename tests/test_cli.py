@@ -166,7 +166,8 @@ def test_nonlocal_threads_match_serial(tmp_path):
     assert len(lines1) == len(lines2) == 11  # 6 metadata lines, header, 4 rows
 
 
-def test_reduce_cli_schema(tmp_path, monkeypatch):
+def _fast_reduce(monkeypatch, **changes):
+    """Run `reduce` on the Tier-1 FAST settings, with ``changes`` applied."""
     import dropcoil.reduction as reduction
     from dropcoil.reduction import ReductionSettings
 
@@ -174,14 +175,19 @@ def test_reduce_cli_schema(tmp_path, monkeypatch):
                              quad_resolution=(6, 12, 14),
                              final_quad_resolution=(6, 16, 20),
                              self_panel_q=4, self_core_q=4, self_column_q=5,
-                             final_self_q=5, coulomb_t_stride=3)
+                             final_self_q=5, coulomb_t_stride=3, **changes)
     monkeypatch.setattr(reduction, "ReductionSettings", lambda: fast)
+
+
+def test_reduce_cli_schema(tmp_path, monkeypatch):
+    _fast_reduce(monkeypatch)
     out = tmp_path / "run.json"
     assert main(["reduce", "--a", "0.3", "--n", "16", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     for key in ("gamma", "lambda", "c", "residual", "h_norm", "m",
                 "iterations", "volume", "volume_ratio", "lambda_convention"):
         assert key in doc
+    assert doc["converged"] is True
     assert abs(doc["c"]) < 1e-6 * abs(doc["lambda"])
     trace = (tmp_path / "run.json.trace.csv").read_text().splitlines()
     assert trace[2].split(",")[0] == "iter"
@@ -274,6 +280,19 @@ def test_unread_field_rejected(tmp_path, capsys, command, name, value):
     assert f"{command} does not read it" in capsys.readouterr().err
     cfgfile.write_text(json.dumps({name: getattr(RunConfig(command=command), name)}))
     assert main([command, "--config", str(cfgfile), "--dry-run"]) == 0
+
+
+def test_reduce_unconverged_exits_3(tmp_path, monkeypatch, capsys):
+    # a solve that runs out of steps writes its outputs, marked unconverged,
+    # then exits 3 as a numerical failure
+    _fast_reduce(monkeypatch, max_iter=2)
+    out = tmp_path / "run.json"
+    assert main(["reduce", "--a", "0.3", "--n", "16", "--out", str(out)]) == 3
+    assert "did not settle in 2 steps" in capsys.readouterr().err
+    doc = json.loads(out.read_text())
+    assert doc["converged"] is False and doc["iterations"] == 2
+    trace = (tmp_path / "run.json.trace.csv").read_text().splitlines()
+    assert len(trace) - 3 == 2
 
 
 def test_reduce_rejects_grid_and_m(tmp_path, capsys):

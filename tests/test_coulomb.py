@@ -1349,9 +1349,9 @@ def _desk_evaluation_peak(prof03, final):
 
 
 def test_desk_evaluation_memory_bounded(prof03):
-    # one loop evaluation: 81 points (9 theta columns x 9 y3 rows) in one
-    # batch; at 153 points (17 rows) with the Duffy core untiled it peaked
-    # at 9 MiB
+    # one loop evaluation: 63 points (7 theta columns x 9 y3 rows) in one
+    # batch, traced 1.3 MiB at its peak as at 81 points (9 columns); at 153
+    # points (17 rows) with the Duffy core untiled it peaked at 9 MiB
     assert _desk_evaluation_peak(prof03, final=False) < 6 * 2**20
 
 

@@ -8,7 +8,8 @@ import pytest
 from dropcoil.coulomb import (GRAPH_MZ, NormalGraphBoundary, ball_potential_exact,
                               solid_boundary, surface_potentials)
 from dropcoil.errors import BracketFailure, DomainError, RootNotBracketed, SingularSystem
-from dropcoil.fields import SymmetricField, cos_coeffs, cos_eval, is_zero_field, series_eval
+from dropcoil.fields import (SymmetricField, cos_coeffs, cos_eval, is_zero_field, series_eval,
+                             theta_mirror)
 from dropcoil.geometry import build_sphere, evaluate_forms
 from dropcoil.profile import solve_profile
 import dropcoil.reduction as reduction
@@ -181,6 +182,33 @@ def test_fast_subgrids_by_neck(prof_cyl):
         ReductionContext(prof_cyl, 32, FAST)
 
 
+@pytest.mark.parametrize("a", [0.2, 0.3, 0.45])
+@pytest.mark.parametrize("grid", ["fast", "desk"])
+def test_loop_theta_subgrid_alias(grid, a):
+    # the loop and coarse rules integrate N on 2 (kmax + 1) theta nodes, one
+    # own column a mode 0..kmax, and a step reads N's modes 0..kmax only;
+    # those differ from the modes of N on every column of ctx.theta by an
+    # alias of modes kmax + 2 and above, at most a twentieth of the loop
+    # rule's own error against the final rule at h = 0 and at the solved h
+    settings = FAST if grid == "fast" else ReductionSettings()
+    prof = solve_profile(a)
+    for n in (16, 32):
+        ctx = ReductionContext(prof, n, settings)
+        for rule in (ctx.loop_rule, ctx.coarse_rule):
+            assert len(theta_mirror(len(rule.theta))[0]) == settings.kmax + 1
+        assert ctx.final_rule.theta is ctx.theta
+        st = fixed_point_solve(prof, n, settings, ctx)
+        assert st.converged
+        for boundary in (solid_boundary(prof), st.equation.boundary):
+            def modes(**rule):
+                N = _coulomb_samples(ctx, boundary, **rule)
+                return SymmetricField.from_samples(N, ctx.solver.tau, settings.kmax)[0].modes
+
+            every = modes(rule=replace(ctx.loop_rule, theta=ctx.theta))
+            alias = np.max(np.abs(modes() - every))
+            assert alias <= np.max(np.abs(every - modes(final=True))) / 20
+
+
 def test_coarse_tier_only_when_cheaper(prof03):
     # a loop rule with fewer (n_phi, n_z) nodes than the tier keeps its own
     # rule throughout; a sub-grid that twice the stride does not divide
@@ -301,8 +329,8 @@ def test_settings_validation():
 
 
 def test_mirrored_samples_match_full_grid(prof03):
-    # the loop and the final report integrate one theta column of each
-    # mirror pair; integrating every column gives the same samples to rounding
+    # each rule integrates one column of each mirror pair of its own theta
+    # grid; integrating every column gives the same samples to rounding
     for settings in (ReductionSettings(), FAST):
         ctx = ReductionContext(prof03, 32, settings)
         for h in (_loop_test_field(ctx), ctx.zero_field()):
@@ -314,12 +342,15 @@ def test_mirrored_samples_match_full_grid(prof03):
 
 
 @pytest.mark.parametrize("ntheta,final,columns", [
-    (12, False, [0, 1, 2, 3, 7, 8, 9]),
+    (12, False, [0, 1, 2, 6, 7]),   # the loop's 2 (kmax + 1) = 10 theta nodes
     (12, True, [0, 1, 2, 3, 7, 8, 9]),
-    (11, False, list(range(11))),   # pi - theta_i is off an odd grid
+    (11, False, [0, 1, 2, 6, 7]),   # the loop's theta grid does not follow ntheta
+    (11, True, list(range(11))),    # pi - theta_i is off an odd grid
 ])
 def test_mirror_columns_need_even_ntheta(prof03, monkeypatch, ntheta, final, columns):
     ctx = ReductionContext(prof03, 16, replace(FAST, ntheta=ntheta))
+    rule = ctx.final_rule if final else ctx.loop_rule
+    assert len(rule.theta) == (ntheta if final else 2 * (FAST.kmax + 1))
     seen = []
     calls = []
 
@@ -327,14 +358,14 @@ def test_mirror_columns_need_even_ntheta(prof03, monkeypatch, ntheta, final, col
         # one row a point over broadcast (theta, y3); the row sum is the potential
         theta, y3 = np.broadcast_arrays(theta, y3)
         calls.append(theta.size)
-        seen.extend(int(round(th * ntheta / (2 * np.pi))) for th in theta.ravel())
+        seen.extend(int(round(th * len(rule.theta) / (2 * np.pi))) for th in theta.ravel())
         return (np.sin(theta) ** 2 + 0.5 * np.sin(theta)).reshape(-1, 1)
 
     monkeypatch.setattr(reduction, "surface_potentials", fake_kernel)
     samples = _coulomb_samples(ctx, solid_boundary(prof03), final=final)
     assert len(calls) == 1  # one kernel call an evaluation
     assert sorted(set(seen)) == columns
-    assert len(seen) == len(columns) * len(ctx.loop_rule.y3_sub)
+    assert len(seen) == len(columns) * len(rule.y3_sub)
     # an even function of theta -> pi - theta, constant in y3
     s = np.sin(ctx.theta)[:, None]
     assert np.max(np.abs(samples - (s * s + 0.5 * s))) < 1e-12
@@ -364,30 +395,36 @@ def test_coulomb_samples_match_frozen(prof03, name, settings, perturbed):
         want = np.array(json.load(fh)[name])
     ctx = ReductionContext(prof03, 32, settings)
     h = _loop_test_field(ctx) if perturbed else ctx.zero_field()
-    # the loop rule on the sub-grid the data were frozen on, every
-    # coulomb_t_stride-th y3 node (the desk loop takes 9 rows at a = 0.3)
-    rule = replace(ctx.loop_rule, y3_sub=ctx.y3_nodes[::settings.coulomb_t_stride])
+    # the loop rule on the sub-grid the data were frozen on, every theta
+    # column and every coulomb_t_stride-th y3 node (the desk loop takes 9
+    # rows and 2 (kmax + 1) theta nodes at a = 0.3)
+    rule = replace(ctx.loop_rule, y3_sub=ctx.y3_nodes[::settings.coulomb_t_stride],
+                   theta=ctx.theta)
     got = _coulomb_samples(ctx, solid_boundary(prof03, h, ctx.chart), rule=rule)
     assert got.shape == want.shape
     assert np.max(np.abs(got / want - 1.0)) < 1e-13
 
 
 def _column_loop_samples(ctx, h, final, mirror=True):
-    """N on the sub-grid, one surface_potentials call per integrated theta column.
+    """N on the rule's (theta, y3) sub-grid, one surface_potentials call per
+    integrated theta column, taken to the sample grid as ``_coulomb_samples`` does.
 
     With ``mirror`` one column of each theta -> pi - theta pair is integrated
     and copied to the other; without, every column is integrated.
     """
     rule = ctx.final_rule if final else ctx.loop_rule
     boundary = solid_boundary(ctx.profile, h, ctx.chart)
-    ntheta = len(ctx.theta)
+    ntheta = len(rule.theta)
     cols = np.arange(ntheta)
     mirror = (ntheta // 2 - cols) % ntheta if mirror and ntheta % 2 == 0 else cols
     sub = np.empty((ntheta, len(rule.y3_sub)))
     for i in cols[mirror >= cols]:
-        sub[i] = surface_potentials(ctx.profile, ctx.n, boundary, ctx.theta[i], rule.y3_sub,
+        sub[i] = surface_potentials(ctx.profile, ctx.n, boundary, rule.theta[i], rule.y3_sub,
                                     rule.quad, rule.self_cfg).sum(axis=1)
         sub[mirror[i]] = sub[i]
+    if ntheta != len(ctx.theta):
+        fld = SymmetricField.from_samples(sub, ctx.solver.tau, ctx.settings.kmax)[0]
+        sub = fld.grid_values(len(ctx.theta))
     return cos_eval(cos_coeffs(sub), ctx.t_nodes, ctx.solver.tau)
 
 
