@@ -9,6 +9,7 @@ a step).  A JSON --config file provides defaults that explicit flags override;
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -246,6 +247,7 @@ COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)  # one parser a process; parse_args keeps no state
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--a", type=float, default=None,
@@ -271,8 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
         if args.dry_run:

@@ -7,8 +7,11 @@ in omega = (theta, y3); fundamental forms follow from
     H = -trace(A),
 
 with nu the outward unit normal Y_1 x Y_2 / |Y_1 x Y_2| (H = +2 on the unit
-sphere).  The coiled patch bends n periods of the straight surface around a
-circle of radius R = n T / (2 pi); with a normal perturbation h the position is
+sphere), formed component-wise.  On an open grid (theta[:, None], y3[None, :])
+the curve is evaluated on y3's shape and cos/sin theta on theta's, bit for bit
+as on the meshgrid.  The coiled patch bends n periods of the straight surface
+around a circle of radius R = n T / (2 pi); with a normal perturbation h the
+position is
 
     ( f_h cos th, (R + f_h sin th) cos((y3 - b)/R), (R + f_h sin th) sin((y3 - b)/R) ),
     f_h = f + h W,  b = f' h W,  W = (1 + f'^2)^{-1/2}.
@@ -16,7 +19,7 @@ circle of radius R = n T / (2 pi); with a normal perturbation h the position is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -36,7 +39,11 @@ class FundamentalForms:
 
 @dataclass
 class SurfacePatch:
-    """One of: straight-delaunay, coiled, sphere, cylinder (h optional)."""
+    """One of: straight-delaunay, coiled, sphere, cylinder (h optional).
+
+    Unperturbed, the h terms are the scalar 0.0 through the same arithmetic
+    (f + 0 W = f), so no grid of zeros is formed.
+    """
 
     kind: str
     profile: Optional[DelaunayProfile] = None
@@ -45,7 +52,6 @@ class SurfacePatch:
     radius: Optional[float] = None
     h: Optional[SymmetricField] = None
     chart: Optional[ConformalChart] = None
-    _kappa_max: float = field(default=0.0, repr=False)
 
     def y3_domain(self):
         if self.kind == "sphere":
@@ -70,34 +76,32 @@ class SurfacePatch:
             fppp = -3.0 * r * r * y3 / f**5
             return f, fp, fpp, fppp
         if self.kind == "cylinder":
-            f = np.full_like(y3, self.radius)
             z = np.zeros_like(y3)
-            return f, z, z.copy(), z.copy()
+            return np.full_like(y3, self.radius), z, z, z
         return self.profile.evaluate(y3, order=3)
 
     def _perturbation(self, theta, y3):
-        """h and its (theta, y3) derivatives; zeros when unperturbed."""
+        """h and its (theta, y3) derivatives; the scalar 0.0 when unperturbed."""
         if self.h is None:
-            z = np.zeros(np.broadcast(theta, y3).shape)
-            return (z,) + tuple(z.copy() for _ in range(5))
+            return (0.0,) * 6
         if self.chart is None:
             raise DomainError("perturbed patch needs the conformal chart")
         return on_axis_derivatives(self.h, self.chart, theta, y3, order=2)
 
     # -- position and derivatives -----------------------------------------
 
-    def derivatives(self, theta, y3):
-        """Position and first/second derivatives, dict of (..., 3) arrays."""
+    def _frame(self, theta, y3):
+        """Position and derivatives as (x, y, z) tuples, keyed as ``_KEYS``,
+        on the broadcast of theta and y3: the curve is evaluated on y3's own
+        shape and cos/sin theta on theta's."""
         theta = np.asarray(theta, dtype=float)
         y3 = np.asarray(y3, dtype=float)
-        theta, y3 = np.broadcast_arrays(theta, y3)
         f, fp, fpp, fppp = self._curve(y3)
         hv, h_th, h_3, h_thth, h_th3, h_33 = self._perturbation(theta, y3)
 
         if self.h is not None:
             kap2 = 1.0 / (f * np.sqrt(1.0 + fp * fp))
-            kap1 = 2.0 - kap2
-            kmax = np.maximum(np.abs(kap1), np.abs(kap2))
+            kmax = np.maximum(np.abs(2.0 - kap2), np.abs(kap2))
             if np.any(1.0 - hv * kmax <= 0.0):
                 raise EmbeddingViolation("normal graph folds over: 1 - h*kappa <= 0")
 
@@ -121,73 +125,69 @@ class SurfacePatch:
                 + fp * h_33 * W + 2.0 * fp * h_3 * Wp + fp * hv * Wpp)
 
         ct, st = np.cos(theta), np.sin(theta)
+        # the straight patch's frame; the coil bends its (y, z)
+        x = (u * ct, u_th * ct - u * st, u_3 * ct,
+             u_thth * ct - 2.0 * u_th * st - u * ct, u_th3 * ct - u_3 * st, u_33 * ct)
+        y = (u * st, u_th * st + u * ct, u_3 * st,
+             u_thth * st + 2.0 * u_th * ct - u * st, u_th3 * st + u_3 * ct, u_33 * st)
+        z = (y3 - b, -b_th, 1.0 - b_3, -b_thth, -b_th3, -b_33)
+        if self.kind == "coiled":
+            y, z = _bend(self.R, y, z)
+        return dict(zip(_KEYS, zip(x, y, z)))
 
-        def vec(x, y, z):
-            return np.stack(np.broadcast_arrays(x, y, z), axis=-1)
-
-        if self.kind != "coiled":
-            P = vec(u * ct, u * st, y3 - b)
-            P_th = vec(u_th * ct - u * st, u_th * st + u * ct, -b_th)
-            P_3 = vec(u_3 * ct, u_3 * st, 1.0 - b_3)
-            P_thth = vec(u_thth * ct - 2.0 * u_th * st - u * ct,
-                         u_thth * st + 2.0 * u_th * ct - u * st, -b_thth)
-            P_th3 = vec(u_th3 * ct - u_3 * st, u_th3 * st + u_3 * ct, -b_th3)
-            P_33 = vec(u_33 * ct, u_33 * st, -b_33)
-        else:
-            R = self.R
-            Q = R + u * st
-            Q_th = u_th * st + u * ct
-            Q_3 = u_3 * st
-            Q_thth = u_thth * st + 2.0 * u_th * ct - u * st
-            Q_th3 = u_th3 * st + u_3 * ct
-            Q_33 = u_33 * st
-
-            psi = (y3 - b) / R
-            ps_th = -b_th / R
-            ps_3 = (1.0 - b_3) / R
-            ps_thth = -b_thth / R
-            ps_th3 = -b_th3 / R
-            ps_33 = -b_33 / R
-
-            cp, sp = np.cos(psi), np.sin(psi)
-
-            def second(Qab, Qa, Qb, pa, pb, pab):
-                comp2 = Qab * cp - Qa * pb * sp - Qb * pa * sp - Q * pab * sp - Q * pa * pb * cp
-                comp3 = Qab * sp + Qa * pb * cp + Qb * pa * cp + Q * pab * cp - Q * pa * pb * sp
-                return comp2, comp3
-
-            P = vec(u * ct, Q * cp, Q * sp)
-            P_th = vec(u_th * ct - u * st, Q_th * cp - Q * ps_th * sp, Q_th * sp + Q * ps_th * cp)
-            P_3 = vec(u_3 * ct, Q_3 * cp - Q * ps_3 * sp, Q_3 * sp + Q * ps_3 * cp)
-            c2, c3 = second(Q_thth, Q_th, Q_th, ps_th, ps_th, ps_thth)
-            P_thth = vec(u_thth * ct - 2.0 * u_th * st - u * ct, c2, c3)
-            c2, c3 = second(Q_th3, Q_th, Q_3, ps_th, ps_3, ps_th3)
-            P_th3 = vec(u_th3 * ct - u_3 * st, c2, c3)
-            c2, c3 = second(Q_33, Q_3, Q_3, ps_3, ps_3, ps_33)
-            P_33 = vec(u_33 * ct, c2, c3)
-
-        return {"P": P, "P_th": P_th, "P_3": P_3,
-                "P_thth": P_thth, "P_th3": P_th3, "P_33": P_33}
+    def derivatives(self, theta, y3):
+        """Position and first/second derivatives, dict of (..., 3) arrays."""
+        return {k: _stack(*v) for k, v in self._frame(theta, y3).items()}
 
     def position(self, theta, y3):
-        return self.derivatives(theta, y3)["P"]
+        return _stack(*self._frame(theta, y3)["P"])
+
+
+_KEYS = ("P", "P_th", "P_3", "P_thth", "P_th3", "P_33")
+
+
+def _bend(R, y, z):
+    """(y, z) -> Q (cos psi, sin psi) with Q = R + y, psi = z / R, and the
+    derivatives by the chain rule: the straight frame coiled around x."""
+    Q = (R + y[0],) + y[1:]
+    p = [c / R for c in z]
+    cp, sp = np.cos(p[0]), np.sin(p[0])
+    yb, zb = [Q[0] * cp], [Q[0] * sp]
+    for a in (1, 2):
+        yb.append(Q[a] * cp - Q[0] * p[a] * sp)
+        zb.append(Q[a] * sp + Q[0] * p[a] * cp)
+    for ab, a, b in ((3, 1, 1), (4, 1, 2), (5, 2, 2)):
+        yb.append(Q[ab] * cp - Q[a] * p[b] * sp - Q[b] * p[a] * sp - Q[0] * p[ab] * sp
+                  - Q[0] * p[a] * p[b] * cp)
+        zb.append(Q[ab] * sp + Q[a] * p[b] * cp + Q[b] * p[a] * cp + Q[0] * p[ab] * cp
+                  - Q[0] * p[a] * p[b] * sp)
+    return yb, zb
+
+
+def _stack(*parts):
+    """The parts broadcast together and stacked on a new last axis."""
+    return np.stack(np.broadcast_arrays(*parts), axis=-1)
+
+
+def _dot(a, b):
+    """Component-wise a . b, summed in numpy's order for a length-3 axis."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def evaluate_forms(patch: SurfacePatch, theta, y3) -> FundamentalForms:
     """Metric, shape operator, mean curvature at broadcast (theta, y3)."""
-    d = patch.derivatives(theta, y3)
+    d = patch._frame(theta, y3)
     Y1, Y2 = d["P_th"], d["P_3"]
-    g11 = np.sum(Y1 * Y1, axis=-1)
-    g12 = np.sum(Y1 * Y2, axis=-1)
-    g22 = np.sum(Y2 * Y2, axis=-1)
+    g11, g12, g22 = _dot(Y1, Y1), _dot(Y1, Y2), _dot(Y2, Y2)
     det = g11 * g22 - g12 * g12
     if np.any(det <= 0.0):
         raise DegenerateMetric("det g <= 0: self-intersecting parametrization")
-    N = np.cross(Y1, Y2)
-    nu = N / np.sqrt(det)[..., None]
-    ii11 = np.sum(nu * d["P_thth"], axis=-1)
-    ii12 = np.sum(nu * d["P_th3"], axis=-1)
-    ii22 = np.sum(nu * d["P_33"], axis=-1)
+    # Y1 x Y2 as np.cross forms it
+    N = (Y1[1] * Y2[2] - Y1[2] * Y2[1], Y1[2] * Y2[0] - Y1[0] * Y2[2],
+         Y1[0] * Y2[1] - Y1[1] * Y2[0])
+    norm = np.sqrt(det)
+    nu = tuple(c / norm for c in N)
+    ii11, ii12, ii22 = (_dot(nu, d[k]) for k in ("P_thth", "P_th3", "P_33"))
     # A = g^{-1} II
     inv = 1.0 / det
     A11 = inv * (g22 * ii11 - g12 * ii12)
@@ -195,16 +195,16 @@ def evaluate_forms(patch: SurfacePatch, theta, y3) -> FundamentalForms:
     A21 = inv * (-g12 * ii11 + g11 * ii12)
     A22 = inv * (-g12 * ii12 + g11 * ii22)
     H = -(A11 + A22)
-    g = np.stack([np.stack([g11, g12], axis=-1), np.stack([g12, g22], axis=-1)], axis=-2)
-    A = np.stack([np.stack([A11, A12], axis=-1), np.stack([A21, A22], axis=-1)], axis=-2)
-    return FundamentalForms(g=g, A=A, H=H, normal=nu)
+    g = np.stack([_stack(g11, g12), _stack(g12, g22)], axis=-2)
+    A = np.stack([_stack(A11, A12), _stack(A21, A22)], axis=-2)
+    return FundamentalForms(g=g, A=A, H=H, normal=_stack(*nu))
 
 
 def straight_normal(profile: DelaunayProfile, theta, y3):
     """Closed-form outward normal of the unperturbed straight patch."""
     f, fp = profile.evaluate(y3, order=1)
     W = 1.0 / np.sqrt(1.0 + fp * fp)
-    return np.stack(np.broadcast_arrays(W * np.cos(theta), W * np.sin(theta), -W * fp), axis=-1)
+    return _stack(W * np.cos(theta), W * np.sin(theta), -W * fp)
 
 
 def build_sphere(radius: float = 1.0) -> SurfacePatch:
@@ -260,22 +260,22 @@ def curvature_expansion_check(profile: DelaunayProfile, n_list,
     if n_list[0] < 8:
         raise DomainError("expansion check needs n >= 8")
     th = np.linspace(0.0, 2.0 * np.pi, ntheta, endpoint=False)
-    y3 = np.linspace(-profile.T / 2.0, profile.T / 2.0, n3)
-    TH, Y3 = np.meshgrid(th, y3, indexing="ij")
-    phi = curvature_profile_coefficient(profile, Y3)
-    f = profile.evaluate(Y3, order=0)[0]
+    y3 = np.linspace(-profile.T / 2.0, profile.T / 2.0, n3)[None, :]
+    phi = curvature_profile_coefficient(profile, y3)
+    f = profile.evaluate(y3, order=0)[0]
+    x = np.sin(th)
+    y2 = f * x[:, None]
+    phi0 = float(curvature_profile_coefficient(profile, np.array(0.0)))
     errs = []
     phi_errs = []
     for n in n_list:
         patch = build_coil(profile, n)
-        H = evaluate_forms(patch, TH, Y3).H
-        first = (f * np.sin(TH)) / (patch.R * f) * phi
+        H = evaluate_forms(patch, th[:, None], y3).H
+        first = y2 / (patch.R * f) * phi
         errs.append(float(np.max(np.abs(H - 2.0 - first))))
         # recover Phi(0) by fitting (H-2) R against y2/f = sin(theta) at y3 = 0
         H0 = evaluate_forms(patch, th, np.zeros_like(th)).H
-        x = np.sin(th)
         slope = float(np.dot(x, (H0 - 2.0) * patch.R) / np.dot(x, x))
-        phi0 = float(curvature_profile_coefficient(profile, np.array(0.0)))
         phi_errs.append(abs(slope - phi0) / abs(phi0))
     exponent = float(np.polyfit(np.log(n_list), np.log(errs), 1)[0])
     return ExpansionReport(a=profile.a, n_list=n_list, max_err=errs,
@@ -318,9 +318,8 @@ def export_mesh(patch: SurfacePatch, resolution, path) -> None:
     if patch.kind == "cylinder":
         lo, hi = -1.0, 1.0
     y3 = np.linspace(lo, hi, n3, endpoint=not closed3)
-    TH, Y3 = np.meshgrid(th, y3, indexing="ij")
-    forms = evaluate_forms(patch, TH, Y3)
-    P = patch.derivatives(TH, Y3)["P"]
+    forms = evaluate_forms(patch, th[:, None], y3[None, :])
+    P = patch.position(th[:, None], y3[None, :])
 
     verts = P.reshape(-1, 3)
     norms = forms.normal.reshape(-1, 3)
@@ -342,8 +341,7 @@ def _export_sphere(patch, ntheta, nphi, path):
     th = np.linspace(0.0, 2.0 * np.pi, ntheta, endpoint=False)
     lat = np.pi * (np.arange(1, nphi + 1)) / (nphi + 1)  # colatitude from +e3 pole
     y3 = r * np.cos(lat)
-    TH, Y3 = np.meshgrid(th, y3, indexing="ij")
-    P = patch.derivatives(TH, Y3)["P"]
+    P = patch.position(th[:, None], y3[None, :])
     nu = P / r
 
     verts = [np.array([0.0, 0.0, r])] + list(P.reshape(-1, 3)) + [np.array([0.0, 0.0, -r])]

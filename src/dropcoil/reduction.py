@@ -317,8 +317,7 @@ def _equation_samples(ctx: ReductionContext, h: SymmetricField, rule: CoulombRul
     them, N on ``rule``; N is None without ``coulomb``."""
     perturb = None if is_zero_field(h) else h
     patch = build_coil(ctx.profile, ctx.n, perturb, chart=ctx.chart)
-    TH, Y3 = np.meshgrid(ctx.theta, ctx.y3_nodes, indexing="ij")
-    H = evaluate_forms(patch, TH, Y3).H
+    H = evaluate_forms(patch, ctx.theta[:, None], ctx.y3_nodes[None, :]).H
     if boundary is None:
         boundary = solid_boundary(ctx.profile, perturb, ctx.chart)
     N = _coulomb_samples(ctx, boundary, rule=rule) if coulomb else None

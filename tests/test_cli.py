@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dropcoil.cli import RunConfig, main, parse_grid, parse_range
+from dropcoil.cli import RunConfig, build_parser, main, parse_grid, parse_range
 from dropcoil.errors import BracketFailure, DomainError
 
 
@@ -59,6 +59,26 @@ def test_threads_rejected_where_ignored(tmp_path, capsys):
     assert not out.exists()
     assert main(["reduce", "--threads", "1", "--dry-run"]) == 0
     assert main(["nonlocal-check", "--threads", "2", "--dry-run"]) == 0
+
+
+def test_parser_reused_after_refusals(tmp_path, capsys):
+    # main builds its parser once a process; a refused call leaves nothing
+    # behind for the next one
+    assert build_parser() is build_parser()
+    args = ["ia-scan", "--a-range", "0.1:0.2:0.1"]
+    assert main(args + ["--out", str(tmp_path / "first.csv")]) == 0
+    assert main(args + ["--dry-run"]) == 0
+    dry = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--seed", "3", "--threads", "2", "--out", str(tmp_path / "o.csv")])
+    assert exc.value.code == 2
+    assert main(["reduce", "--threads", "2", "--a", "0.2", "--out", str(tmp_path / "o.csv")]) == 2
+    capsys.readouterr()
+    assert main(args + ["--dry-run"]) == 0
+    assert capsys.readouterr().out == dry
+    assert main(args + ["--out", str(tmp_path / "again.csv")]) == 0
+    assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "first.csv").read_bytes()
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_missing_out_is_usage_error():

@@ -173,6 +173,72 @@ def test_embedding_violation_checks(prof03, chart03, solver03):
         build_coil(prof03, 3, huge, chart=chart03)
 
 
+def _loop_like_field(solver):
+    """A perturbation on modes 0..4 of the size the reduction loop meets."""
+    h = solver.zero_field(kmax=4)
+    c = np.cos(np.pi * solver.t / solver.tau)
+    h.modes[0] = 0.01 * c + 0.004
+    h.modes[1] = 0.004 * solver.kernel.nu2
+    h.modes[2] = 0.005 * np.cos(2 * np.pi * solver.t / solver.tau)
+    h.modes[3] = 0.002 * c
+    h.modes[4] = 0.001
+    return h
+
+
+def _open_grid(n1=16, n2=25, span=1.2):
+    th = np.linspace(0, 2 * np.pi, n1, endpoint=False)
+    return th[:, None], np.linspace(-span, span, n2)[None, :]
+
+
+@pytest.mark.parametrize("kind", ["sphere", "cylinder", "straight", "straight-h",
+                                  "coiled", "coiled-h"])
+def test_open_grid_forms_match_meshgrid(prof03, chart03, solver03, kind):
+    # the frame evaluates the curve on y3's own shape and cos/sin on theta's;
+    # an open grid gives the meshgrid's forms and derivatives bit for bit
+    h = _loop_like_field(solver03) if kind.endswith("-h") else None
+    patch = {"sphere": lambda: build_sphere(1.3),
+             "cylinder": lambda: build_cylinder(0.4),
+             "straight": lambda: build_straight(prof03, h, chart03),
+             "coiled": lambda: build_coil(prof03, 12, h, chart03)}[kind.split("-")[0]]()
+    th, y3 = _open_grid()
+    TH, Y3 = np.broadcast_arrays(th, y3)
+    F_open, F_mesh = evaluate_forms(patch, th, y3), evaluate_forms(patch, TH, Y3)
+    for name in ("H", "g", "A", "normal"):
+        assert np.array_equal(getattr(F_open, name), getattr(F_mesh, name)), name
+    assert F_open.H.shape == TH.shape and F_open.g.shape == TH.shape + (2, 2)
+    d_open, d_mesh = patch.derivatives(th, y3), patch.derivatives(TH, Y3)
+    assert sorted(d_open) == ["P", "P_3", "P_33", "P_th", "P_th3", "P_thth"]
+    for key, value in d_open.items():
+        assert value.shape == TH.shape + (3,)
+        assert np.array_equal(value, d_mesh[key]), key
+    assert np.array_equal(patch.position(th, y3), d_mesh["P"])
+
+
+@pytest.mark.parametrize("n", [12, 32])
+def test_zero_field_coil_matches_unperturbed(prof03, chart03, solver03, n):
+    # an all-zero SymmetricField goes through the h terms as arrays of
+    # zeros, h = None as the scalar 0.0: the same H either way
+    th, y3 = _open_grid(64, 33, prof03.T / 2)
+    H_none = evaluate_forms(build_coil(prof03, n), th, y3).H
+    zero = build_coil(prof03, n, solver03.zero_field(kmax=3), chart03)
+    assert np.array_equal(evaluate_forms(zero, th, y3).H, H_none)
+
+
+def test_open_grid_errors(prof03, chart03, solver03):
+    th, y3 = _open_grid(8, 9, prof03.T / 2)
+    big = solver03.zero_field(kmax=0)
+    big.modes[0] = 0.5  # folds the graph at the neck
+    patch = build_coil(prof03, 12, big, chart=chart03)
+    for grid in ((th, y3), np.broadcast_arrays(th, y3)):
+        with pytest.raises(EmbeddingViolation):
+            evaluate_forms(patch, *grid)
+        with pytest.raises(EmbeddingViolation):
+            patch.derivatives(*grid)
+        # a zero-radius cylinder has Y_theta = 0 everywhere
+        with pytest.raises(DegenerateMetric):
+            evaluate_forms(build_cylinder(0.0), *grid)
+
+
 # ---- meshes ---------------------------------------------------------------
 
 def load_obj(path):
