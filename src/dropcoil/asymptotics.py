@@ -140,25 +140,24 @@ class SmallAExpansion:
         return self.x0 * (1.0 + self.a * (-1.0 + self.tgrid * np.tanh(self.tgrid))) + self.phia
 
 
-def phi_correction(a: float, tol: float = 1e-12, horizon: float = None,
-                   n_grid: int = 4001, window: float = 4.0,
-                   max_iter: int = 80) -> SmallAExpansion:
+def phi_correction(a: float) -> SmallAExpansion:
     """Picard iteration phi <- Theta(rhs(phi)) for the remainder of Eq-(xa) form.
 
     rhs(phi) = 2 a^2 x0 - 2 a (1-a)(a phi_cf + phi) - 6 x0 (a phi_cf + phi)^2
                - 2 (a phi_cf + phi)^3,
     whose phi = 0 part reproduces the printed inhomogeneity.  The expansion is
     local: it holds on compacts below the half-period tau(a) ~ -log a + log 4,
-    and beyond tau the cubic terms defeat the contraction, so the default
-    horizon is -log a + 1.15 (just under tau).  Norms and the contraction
-    ratios are reported on [0, window].
+    and beyond tau the cubic terms defeat the contraction, so the grid runs
+    over [0, -log a + 1.15] (just under tau), 4001 points.  The iteration
+    stops once a sweep moves phi by less than 1e-12 max(1, sup |phi|), and
+    raises NoContraction after 80 sweeps.  Norms and the contraction ratios
+    are reported on the window [0, 4].
     """
     if not (0.0 < a <= 0.05):
         raise DomainError("phi_correction is for 0 < a <= 0.05")
-    if horizon is None:
-        horizon = -np.log(a) + 1.15
-    window = min(window, horizon)
-    t = np.linspace(0.0, horizon, n_grid)
+    horizon = -np.log(a) + 1.15
+    window = min(4.0, horizon)
+    t = np.linspace(0.0, horizon, 4001)
     xx0 = x0(t)
     pcf = phi_first_order(t)
 
@@ -169,17 +168,17 @@ def phi_correction(a: float, tol: float = 1e-12, horizon: float = None,
     psi = np.zeros_like(t)
     ratios = []
     prev_delta = None
-    for _ in range(max_iter):
+    for _ in range(80):
         new = theta_apply(rhs(psi), t)
         delta = float(np.max(np.abs(new - psi)))
         if prev_delta is not None and prev_delta > 0.0:
             ratios.append(delta / prev_delta)
         psi = new
-        if delta < tol * max(1.0, float(np.max(np.abs(psi)))):
+        if delta < 1e-12 * max(1.0, float(np.max(np.abs(psi)))):
             break
         prev_delta = delta
     else:
-        raise NoContraction(f"phi correction did not settle within {max_iter} sweeps")
+        raise NoContraction("phi correction did not settle within 80 sweeps")
     keep = t <= window
     sup_w = float(np.max(np.abs(psi[keep])))
     return SmallAExpansion(a=a, tgrid=t, x0=xx0, x0p=x0_kernel(t), phi=pcf,
@@ -208,16 +207,16 @@ class MomentTable:
         return max(abs(self.values[k] - self.exact[k]) for k in self.exact)
 
 
-def sech_moments(horizon: float = DEFAULT_HORIZON) -> MomentTable:
+def sech_moments() -> MomentTable:
     """The five appendix moments and the grand slope combination, by quadrature.
 
-    One composite Gauss-Legendre rule, 40 panels of 16 nodes on [0, horizon],
-    serves all six integrands; it matches the closed forms to rounding.  The
-    sech-power tails beyond the horizon are below 4^m exp(-2 m horizon),
-    utterly negligible at horizon = 40.
+    One composite Gauss-Legendre rule, 40 panels of 16 nodes on
+    [0, DEFAULT_HORIZON], serves all six integrands; it matches the closed
+    forms to rounding.  The sech-power tails beyond the horizon are below
+    4^m exp(-2 m horizon), utterly negligible at horizon = 40.
     """
     x, w = leggauss(16)
-    half = 0.5 * horizon / 40
+    half = 0.5 * DEFAULT_HORIZON / 40
     t = (half * (2 * np.arange(40)[:, None] + 1.0 + x)).ravel()
     wt = np.tile(half * w, 40)
     s2, tt = sech(t) ** 2, t * np.tanh(t)

@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -44,13 +43,6 @@ def parse_grid(text: str):
     return int(parts[0]), int(parts[1])
 
 
-def ordered_map(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))  # order preserved => deterministic
-
-
 @dataclass
 class RunConfig:
     """Resolved per-command parameters (round-trips through JSON)."""
@@ -62,7 +54,6 @@ class RunConfig:
     n_list: str = "8:64:8"
     m: float = 40.0
     grid: str = ""
-    threads: int = 1
     out: str = ""
 
     def to_dict(self) -> dict:
@@ -84,14 +75,13 @@ class RunConfig:
 
 # the RunConfig fields each command reads besides ``command`` and ``out``;
 # setting any other field away from its default is refused, so no flag is
-# accepted and then ignored.  ``threads`` marks the commands that spread
-# their work over worker threads (ordered_map).
+# accepted and then ignored
 READS = {
     "profile": ("a",),
-    "ia-scan": ("a", "a_range", "threads"),
+    "ia-scan": ("a", "a_range"),
     "coil-mesh": ("a", "n", "grid"),
     "curvature-check": ("a", "n_list"),
-    "nonlocal-check": ("a", "n_list", "threads"),
+    "nonlocal-check": ("a", "n_list"),
     "reduce": ("a", "n"),
     "mass-map": ("a", "n", "m"),
     "appendix": (),
@@ -105,7 +95,7 @@ def _resolve_config(args) -> RunConfig:
             base = json.load(fh)
     base["command"] = args.command
     cfg = RunConfig.from_dict(base)
-    for name in ("a", "a_range", "n", "n_list", "m", "grid", "threads", "out"):
+    for name in ("a", "a_range", "n", "n_list", "m", "grid", "out"):
         val = getattr(args, name, None)
         if val is not None:
             setattr(cfg, name, val)
@@ -114,12 +104,9 @@ def _resolve_config(args) -> RunConfig:
         val = getattr(cfg, f.name)
         if f.name in ("command", "out") + READS[cfg.command] or val == getattr(default, f.name):
             continue
-        if f.name == "threads":
-            threaded = [c for c, read in READS.items() if "threads" in read]
-            why = f"runs serially; only {' and '.join(threaded)} use worker threads"
-        else:
-            why = f"does not read it (it reads {', '.join(READS[cfg.command]) or 'no field'})"
-        raise errors.DomainError(f"--{f.name.replace('_', '-')} {val}: {cfg.command} {why}")
+        raise errors.DomainError(
+            f"--{f.name.replace('_', '-')} {val}: {cfg.command} does not read it "
+            f"(it reads {', '.join(READS[cfg.command]) or 'no field'})")
     if cfg.a_range and cfg.a != default.a:  # a scan reads --a only without --a-range
         raise errors.DomainError(f"--a {cfg.a}: {cfg.command} scans --a-range {cfg.a_range}")
     return cfg
@@ -135,13 +122,7 @@ def cmd_profile(cfg: RunConfig):
 
 
 def cmd_ia_scan(cfg: RunConfig):
-    a_values = parse_range(cfg.a_range or str(cfg.a))
-
-    def row(a):
-        p = profile.solve_profile(a)
-        return (p.a, p.T, p.V, p.Ia)
-
-    rows = ordered_map(row, a_values, cfg.threads)
+    rows = profile.profile_scan(parse_range(cfg.a_range or str(cfg.a)))
     write_csv(cfg.out, ["a", "T", "V", "Ia"], rows, config=cfg.hashable_dict())
 
 
@@ -166,13 +147,10 @@ def cmd_nonlocal_check(cfg: RunConfig):
     n_list = [int(v) for v in parse_range(cfg.n_list)]
     prof = profile.solve_profile(cfg.a)
     y = (np.pi / 2.0, 0.0)
-
-    def row(n):
-        res = coulomb.potential_coil(prof, n, y)
-        ref = coulomb.toroidal_potential_reference(prof, n, y) if n <= 8 else ""
-        return (n, res.value, res.err_est, ref)
-
-    rows = ordered_map(row, n_list, cfg.threads)
+    results = [coulomb.potential_coil(prof, n, y) for n in n_list]
+    rows = [(n, res.value, res.err_est,
+             coulomb.toroidal_potential_reference(prof, n, y) if n <= 8 else "")
+            for n, res in zip(n_list, results)]
     slope, intercept = np.polyfit(np.log(n_list), [r[1] for r in rows], 1)
     target = 2.0 * prof.V / prof.T
     # the intercept is reported, not asserted: the constant term of the
@@ -259,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="start:stop:step list of block counts")
     common.add_argument("--m", type=float, default=None, help="target mass")
     common.add_argument("--grid", type=str, default=None, help="NTHETAxN3 mesh grid")
-    common.add_argument("--threads", type=int, default=None, help="worker cap")
     common.add_argument("--out", type=str, default=None, help="output path")
     common.add_argument("--config", type=str, default=None, help="JSON config file")
     common.add_argument("--dry-run", action="store_true",

@@ -41,11 +41,10 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import (DomainError, EmbeddingViolation, NonConvergence, QuadratureDivergence,
-                     RootNotBracketed)
+from .errors import DomainError, EmbeddingViolation, NonConvergence, QuadratureDivergence
 from .fields import (SymmetricField, is_zero_field, on_axis_derivatives, series_eval,
                      shifted_series, theta_mirror)
-from .geometry import build_coil, evaluate_forms
+from .geometry import build_coil, evaluate_forms, normal_graph_map
 from .profile import ConformalChart, DelaunayProfile
 
 DEFAULT_RESOLUTION = (24, 32, 48)  # (n_r, n_phi, n_z)
@@ -54,6 +53,8 @@ DEFAULT_RESOLUTION = (24, 32, 48)  # (n_r, n_phi, n_z)
 # sum of |c| over its last angular row or its last axial column), which
 # tracked the interpolant's error to within a factor of 3-10 where measured.
 NEWTON_TOL = 1e-9
+# Newton steps of that inversion before its residual is checked.
+NEWTON_STEPS = 3
 # Axial intervals of the half period [0, T/2] on which rho_h is sampled
 # (doubled once when the axial tail of its series exceeds NEWTON_TOL).
 GRAPH_MZ = 48
@@ -62,6 +63,9 @@ GRAPH_MZ = 48
 # holds at most TILE doubles (96 KiB), whatever n, the node count and the
 # batch size are.
 TILE = 12288
+# Largest change of a potential under the error estimate's refinement, relative
+# to max(|value|, 1), before QuadratureDivergence is raised.
+DIVERGENCE_RTOL = 1e-3
 # (theta, y3) trapezoid nodes over one period of the coil energy's surface rule;
 # the integrand is smooth and periodic, and 32 x 48 moves D by 5e-12.  Both
 # counts are even and the first a multiple of 4, so the rule folds onto a quarter.
@@ -118,11 +122,7 @@ def _graph(profile: DelaunayProfile, chart: ConformalChart, h: SymmetricField, p
     """
     f, fp, fpp = profile.evaluate(y, order=2)
     hv, _, h3 = on_axis_derivatives(h, chart, phi, y, order=1)
-    W = 1.0 / np.sqrt(1.0 + fp * fp)
-    Wp = -fp * fpp * W**3
-    shift = fp * hv * W
-    shift3 = fpp * hv * W + fp * h3 * W + fp * hv * Wp
-    return f + hv * W, shift, shift3
+    return normal_graph_map(f, fp, fpp, hv, h3)[2:]
 
 
 class NormalGraphBoundary:
@@ -145,11 +145,10 @@ class NormalGraphBoundary:
     """
 
     def __init__(self, profile: DelaunayProfile, chart: ConformalChart,
-                 h: SymmetricField, newton_iters: int = 3):
+                 h: SymmetricField):
         self.profile = profile
         self.chart = chart
         self.h = h.copy()
-        self.newton_iters = newton_iters
         self._tau = 0.5 * profile.T
         shape = (max(4 * (h.kmax + 1) + 8, 24), GRAPH_MZ)
         coef = self._interpolant(*shape)
@@ -178,7 +177,7 @@ class NormalGraphBoundary:
 
     def _radius_newton(self, phi, x3):
         y = x3.copy()
-        for _ in range(self.newton_iters):
+        for _ in range(NEWTON_STEPS):
             rad, shift, shift3 = _graph(self.profile, self.chart, self.h, phi, y)
             y = y - (y - shift - x3) / (1.0 - shift3)
         rad, shift, _ = _graph(self.profile, self.chart, self.h, phi, y)
@@ -186,7 +185,7 @@ class NormalGraphBoundary:
         if not resid <= NEWTON_TOL:
             raise NonConvergence(
                 f"normal-graph axial inversion residual {resid:.3e} > {NEWTON_TOL:.0e} "
-                f"after {self.newton_iters} Newton steps")
+                f"after {NEWTON_STEPS} Newton steps")
         return rad
 
     def radius(self, phi, x3):
@@ -929,33 +928,32 @@ def _far_blocks(nodes, ks, R, T, theta, y3c, r_eval):
 
 
 def potential_coil(profile: DelaunayProfile, n: int, y, quad: BlockQuadrature = None,
-                   self_cfg: SelfBlockSettings = None, error_estimate: bool = True,
-                   divergence_rtol: float = 1e-3) -> CoulombResult:
+                   self_cfg: SelfBlockSettings = None,
+                   error_estimate: bool = True) -> CoulombResult:
     """Newton potential of the coiled solid at the surface point y = (theta, y3).
 
     Sums the per-block integrals I_k; the k = 0 self block uses the
     desingularized rule.  With ``error_estimate`` the whole sum is recomputed
     at one refinement step, 1.5x the (n_phi, n_z) nodes (one z node more where
     that rule would raise), and the difference reported (the refined value
-    is returned).
+    is returned); a change above ``DIVERGENCE_RTOL`` raises
+    QuadratureDivergence.
     """
     return _potential_at(AxisymBoundary(profile), profile, n, y, quad, self_cfg,
-                         error_estimate, divergence_rtol)
+                         error_estimate)
 
 
 def potential_perturbed(profile: DelaunayProfile, n: int, h: SymmetricField, y,
                         chart: ConformalChart = None, quad: BlockQuadrature = None,
-                        self_cfg: SelfBlockSettings = None, error_estimate: bool = True,
-                        divergence_rtol: float = 1e-3) -> CoulombResult:
+                        self_cfg: SelfBlockSettings = None,
+                        error_estimate: bool = True) -> CoulombResult:
     """Potential of the normal-graph solid at the moved point X(y_h).
 
-    h = 0 reduces exactly to potential_coil (same code path).
+    The solid's boundary is ``solid_boundary``'s, so at h = 0 it is the
+    profile's and the value is potential_coil's.
     """
-    boundary = solid_boundary(profile, h, chart)
-    if isinstance(boundary, AxisymBoundary):
-        return potential_coil(profile, n, y, quad, self_cfg, error_estimate, divergence_rtol)
-    return _potential_at(boundary, profile, n, y, quad, self_cfg,
-                         error_estimate, divergence_rtol)
+    return _potential_at(solid_boundary(profile, h, chart), profile, n, y, quad, self_cfg,
+                         error_estimate)
 
 
 def surface_potentials(profile: DelaunayProfile, n: int, boundary, theta, y3,
@@ -991,7 +989,7 @@ def surface_potentials(profile: DelaunayProfile, n: int, boundary, theta, y3,
     return Ik
 
 
-def _potential_at(boundary, profile, n, y, quad, self_cfg, error_estimate, divergence_rtol):
+def _potential_at(boundary, profile, n, y, quad, self_cfg, error_estimate):
     quad = quad or BlockQuadrature(profile)
     self_cfg = self_cfg or SelfBlockSettings()
 
@@ -1006,7 +1004,7 @@ def _potential_at(boundary, profile, n, y, quad, self_cfg, error_estimate, diver
         fine = BlockQuadrature(profile, (n_r, n_phi, n_z + _degenerate_rule(n_phi, n_z)))
         Ik_f = one_pass(fine, self_cfg.refined())
         err = float(abs(Ik_f.sum() - Ik.sum()))
-        if err > divergence_rtol * max(abs(Ik_f.sum()), 1.0):
+        if err > DIVERGENCE_RTOL * max(abs(Ik_f.sum()), 1.0):
             raise QuadratureDivergence(
                 f"potential refinement moved by {err:.3e} (value {Ik_f.sum():.6e})")
         Ik = Ik_f
@@ -1083,11 +1081,11 @@ def ball_potential_exact(s, radius: float = 1.0):
     return np.where(s <= radius, inside, outside)
 
 
-def ball_potential_radial(s, radius: float = 1.0, n_nodes: int = 2001):
-    """Same potential by 1D radial quadrature over spherical shells."""
+def ball_potential_radial(s, radius: float = 1.0):
+    """Same potential by 1D radial quadrature: Simpson over 2001 spherical shells."""
     from scipy.integrate import simpson
 
-    rho = np.linspace(0.0, radius, n_nodes)
+    rho = np.linspace(0.0, radius, 2001)
     s = np.atleast_1d(np.asarray(s, dtype=float))
     out = np.empty_like(s)
     for i, si in enumerate(s):
@@ -1147,17 +1145,15 @@ def coulomb_energy(region, quad: BlockQuadrature = None,
 CRITICAL_MASS_CLOSED_FORM = 5.0 * (2.0 ** (1.0 / 3.0) - 1.0) / (1.0 - 2.0 ** (-2.0 / 3.0))
 
 
-def critical_mass(bracket=(1.0, 8.0)):
-    """Root of E(m) = 2 E(m/2) for balls; returns (numeric, closed_form)."""
+def critical_mass():
+    """Root of E(m) = 2 E(m/2) for balls on m in [1, 8], where the gap changes
+    sign; returns (numeric, closed_form)."""
     from scipy.optimize import brentq
 
     def gap(m):
         return ball_energy(m) - 2.0 * ball_energy(m / 2.0)
 
-    lo, hi = bracket
-    if gap(lo) * gap(hi) > 0.0:
-        raise RootNotBracketed(f"E(m) - 2E(m/2) does not change sign on {bracket}")
-    root = brentq(gap, lo, hi, xtol=1e-12, rtol=1e-14)
+    root = brentq(gap, 1.0, 8.0, xtol=1e-12, rtol=1e-14)
     return float(root), CRITICAL_MASS_CLOSED_FORM
 
 

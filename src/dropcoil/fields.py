@@ -50,12 +50,8 @@ def cos_coeffs(values: np.ndarray) -> np.ndarray:
     """Cosine-series coefficients a_m with v_j = sum_m a_m cos(pi m j / M)."""
     v = np.asarray(values, dtype=float)
     m = v.shape[-1] - 1
-    A = dct1(v)
-    A = A / (2.0 * m)
-    if v.ndim == 1:
-        A[1:m] *= 2.0
-    else:
-        A[..., 1:m] *= 2.0
+    A = dct1(v) / (2.0 * m)
+    A[..., 1:m] *= 2.0
     return A
 
 
@@ -219,29 +215,24 @@ class SymmetricField:
 
     ``modes[k]`` holds the t-profile of the k-th angular mode on the uniform
     grid [0, tau]; its angular factor is cos(k theta) for even k and
-    sin(k theta) for odd k.  With ``even_y2`` set, only even-k (cosine)
-    modes may be populated.
+    sin(k theta) for odd k.
     """
 
     kmax: int
     tau: float
     modes: np.ndarray  # (kmax+1, m+1)
-    even_y2: bool = False
 
     def __post_init__(self):
         self.modes = np.asarray(self.modes, dtype=float)
         if self.modes.shape[0] != self.kmax + 1:
             raise GridMismatch("modes row count does not match kmax")
-        if self.even_y2:
-            self.modes[1::2] = 0.0
 
     @classmethod
-    def zero(cls, kmax: int, tau: float, m: int, even_y2: bool = False) -> "SymmetricField":
-        return cls(kmax=kmax, tau=tau, modes=np.zeros((kmax + 1, m + 1)), even_y2=even_y2)
+    def zero(cls, kmax: int, tau: float, m: int) -> "SymmetricField":
+        return cls(kmax=kmax, tau=tau, modes=np.zeros((kmax + 1, m + 1)))
 
     @classmethod
-    def from_samples(cls, samples: np.ndarray, tau: float, kmax: int,
-                     even_y2: bool = False):
+    def from_samples(cls, samples: np.ndarray, tau: float, kmax: int):
         """Project grid samples (ntheta, m+1) at theta_i = 2 pi i / ntheta.
 
         Returns (field, symmetry_residual): the residual is the sup of the
@@ -266,15 +257,10 @@ class SymmetricField:
             inadmissible = sk if k % 2 == 0 else ck
             drop = max(drop, float(np.max(np.abs(inadmissible))))
             if k <= kmax:
-                wanted = admissible
-                if even_y2 and k % 2 == 1:
-                    drop = max(drop, float(np.max(np.abs(wanted))))
-                else:
-                    modes[k] = wanted
+                modes[k] = admissible
             else:
                 drop = max(drop, float(np.max(np.abs(admissible))))
-        f = cls(kmax=kmax, tau=tau, modes=modes, even_y2=even_y2)
-        return f, drop
+        return cls(kmax=kmax, tau=tau, modes=modes), drop
 
     @property
     def m(self) -> int:
@@ -302,21 +288,20 @@ class SymmetricField:
         return SymmetricField(self.kmax, self.tau, modes)
 
     def copy(self) -> "SymmetricField":
-        return SymmetricField(self.kmax, self.tau, self.modes.copy(), self.even_y2)
+        return SymmetricField(self.kmax, self.tau, self.modes.copy())
 
     def _binary(self, other, op):
         if not isinstance(other, SymmetricField):
             return NotImplemented
         if other.modes.shape != self.modes.shape or other.tau != self.tau:
             raise GridMismatch("field grids differ")
-        return SymmetricField(self.kmax, self.tau, op(self.modes, other.modes),
-                              self.even_y2 and other.even_y2)
+        return SymmetricField(self.kmax, self.tau, op(self.modes, other.modes))
 
     def __add__(self, other):
         return self._binary(other, np.add)
 
     def __mul__(self, scalar):
-        return SymmetricField(self.kmax, self.tau, self.modes * float(scalar), self.even_y2)
+        return SymmetricField(self.kmax, self.tau, self.modes * float(scalar))
 
     __rmul__ = __mul__
 
@@ -325,14 +310,14 @@ class SymmetricField:
             "kind": "symmetric-field",
             "kmax": self.kmax,
             "tau": self.tau,
-            "even_y2": self.even_y2,
             "modes": self.modes.tolist(),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "SymmetricField":
-        return cls(kmax=d["kmax"], tau=d["tau"], modes=np.asarray(d["modes"]),
-                   even_y2=d.get("even_y2", False))
+        """The field written by ``to_dict``; other keys (an ``even_y2`` flag
+        written by earlier versions, always false) are ignored."""
+        return cls(kmax=d["kmax"], tau=d["tau"], modes=np.asarray(d["modes"]))
 
 
 def is_zero_field(h: SymmetricField) -> bool:

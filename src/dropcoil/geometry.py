@@ -105,20 +105,16 @@ class SurfacePatch:
             if np.any(1.0 - hv * kmax <= 0.0):
                 raise EmbeddingViolation("normal graph folds over: 1 - h*kappa <= 0")
 
-        W = 1.0 / np.sqrt(1.0 + fp * fp)
-        Wp = -fp * fpp * W**3
+        W, Wp, u, b, b_3 = normal_graph_map(f, fp, fpp, hv, h_3)
         Wpp = -(fpp * fpp + fp * fppp) * W**3 + 3.0 * fp**2 * fpp**2 * W**5
 
-        u = f + hv * W
         u_th = h_th * W
         u_3 = fp + h_3 * W + hv * Wp
         u_thth = h_thth * W
         u_th3 = h_th3 * W + h_th * Wp
         u_33 = fpp + h_33 * W + 2.0 * h_3 * Wp + hv * Wpp
 
-        b = fp * hv * W
         b_th = fp * h_th * W
-        b_3 = fpp * hv * W + fp * h_3 * W + fp * hv * Wp
         b_thth = fp * h_thth * W
         b_th3 = fpp * h_th * W + fp * h_th3 * W + fp * h_th * Wp
         b_33 = (fppp * hv * W + 2.0 * fpp * h_3 * W + 2.0 * fpp * hv * Wp
@@ -144,6 +140,18 @@ class SurfacePatch:
 
 
 _KEYS = ("P", "P_th", "P_3", "P_thth", "P_th3", "P_33")
+
+
+def normal_graph_map(f, fp, fpp, hv, h_3):
+    """(W, W', u, b, db/dy3) of the normal graph of h over the profile f(y3).
+
+    W = (1 + f'^2)^{-1/2} and W' = dW/dy3; the graph point over (theta, y3)
+    sits at radius u = f + h W and axial position y3 - b, b = f' h W.  hv and
+    h_3 are h and dh/dy3.  The one place this map is spelled out.
+    """
+    W = 1.0 / np.sqrt(1.0 + fp * fp)
+    Wp = -fp * fpp * W**3
+    return W, Wp, f + hv * W, fp * hv * W, fpp * hv * W + fp * h_3 * W + fp * hv * Wp
 
 
 def _bend(R, y, z):
@@ -253,14 +261,17 @@ class ExpansionReport:
     phi_fit_rel_err: list   # coefficient recovery at y3 = 0, per n
 
 
-def curvature_expansion_check(profile: DelaunayProfile, n_list,
-                              ntheta: int = 64, n3: int = 129) -> ExpansionReport:
-    """Measure the n^-2 remainder of the first-order coil curvature expansion."""
+def curvature_expansion_check(profile: DelaunayProfile, n_list) -> ExpansionReport:
+    """Measure the n^-2 remainder of the first-order coil curvature expansion.
+
+    The remainder is taken on a grid of 64 theta nodes by 129 y3 nodes over
+    one period.
+    """
     n_list = sorted(int(n) for n in n_list)
     if n_list[0] < 8:
         raise DomainError("expansion check needs n >= 8")
-    th = np.linspace(0.0, 2.0 * np.pi, ntheta, endpoint=False)
-    y3 = np.linspace(-profile.T / 2.0, profile.T / 2.0, n3)[None, :]
+    th = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    y3 = np.linspace(-profile.T / 2.0, profile.T / 2.0, 129)[None, :]
     phi = curvature_profile_coefficient(profile, y3)
     f = profile.evaluate(y3, order=0)[0]
     x = np.sin(th)

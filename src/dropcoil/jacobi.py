@@ -31,6 +31,10 @@ from .profile import ConformalChart
 
 DEFAULT_KMAX = 16
 DEFAULT_M = 256  # panels on [0, tau]; 512 per full period
+# Smallest ratio of the least to the largest singular value a mode's system
+# may have; below it the system has a numerical kernel (SingularSystem for
+# the k = 0 operator, IllConditioned for a bordered or k >= 2 system).
+DEFLATION_RTOL = 1e-10
 
 
 def _second_derivative_matrix(m: int, tau: float) -> np.ndarray:
@@ -53,8 +57,7 @@ class KernelFields:
 class JacobiSolver:
     """Chart-bound spectral solver for the projected Jacobi problem."""
 
-    def __init__(self, chart: ConformalChart, kmax: int = DEFAULT_KMAX, m: int = DEFAULT_M,
-                 deflation_rtol: float = 1e-10):
+    def __init__(self, chart: ConformalChart, kmax: int = DEFAULT_KMAX, m: int = DEFAULT_M):
         half = chart.half_size
         if half % m != 0:
             raise GridMismatch(f"chart half grid ({half}) not divisible by solver size {m}")
@@ -89,21 +92,21 @@ class JacobiSolver:
                 # invertible on the even subspace for a < 1/2; at the cylinder
                 # the marginal cos(t) mode makes it genuinely singular
                 sv = np.linalg.svd(A, compute_uv=False)
-                if sv[-1] < deflation_rtol * sv[0]:
+                if sv[-1] < DEFLATION_RTOL * sv[0]:
                     raise SingularSystem(
                         "theta-independent operator numerically singular "
                         "(cylinder-degenerate chart?)")
                 B = self._bordered(A, self.x2, self.w * self.x2)
-                self._check(B, 0, deflation_rtol)
+                self._check(B, 0)
                 self._systems.append(B)
                 self.hbar = np.linalg.solve(A, self.x2)
             elif k == 1:
                 g = self.x2 * self.kernel.nu2
                 B = self._bordered(A, g, self.w * g)
-                self._check(B, 1, deflation_rtol)
+                self._check(B, 1)
                 self._systems.append(B)
             else:
-                self._check(A, k, deflation_rtol)
+                self._check(A, k)
                 self._systems.append(A)
 
         self.int_hbar = 2.0 * np.pi * float(np.sum(self.w * self.hbar * self.x2))
@@ -121,13 +124,11 @@ class JacobiSolver:
         return B
 
     @staticmethod
-    def _check(A, k, rtol=None):
+    def _check(A, k):
         sv = np.linalg.svd(A, compute_uv=False)
-        if rtol is not None and sv[-1] < rtol * sv[0]:
+        if sv[-1] < DEFLATION_RTOL * sv[0]:
             # a k >= 2 mode has no periodic Jacobi field; near-singularity is a bug upstream
             raise IllConditioned(f"unexpected near-kernel in mode k={k}", mode=k)
-        if sv[-1] == 0.0:
-            raise SingularSystem(f"singular system in mode k={k}")
 
     # ---- field plumbing -------------------------------------------------
 
@@ -137,9 +138,8 @@ class JacobiSolver:
         if h.kmax > self.kmax:
             raise GridMismatch(f"field kmax {h.kmax} exceeds solver kmax {self.kmax}")
 
-    def zero_field(self, kmax=None, even_y2=False) -> SymmetricField:
-        return SymmetricField.zero(self.kmax if kmax is None else kmax, self.tau,
-                                   self.m, even_y2=even_y2)
+    def zero_field(self, kmax=None) -> SymmetricField:
+        return SymmetricField.zero(self.kmax if kmax is None else kmax, self.tau, self.m)
 
     def nu2_field(self) -> SymmetricField:
         f = self.zero_field(kmax=max(self.kmax, 1))
@@ -176,7 +176,7 @@ class JacobiSolver:
         out = np.empty_like(h.modes)
         for k in range(h.kmax + 1):
             out[k] = (self.D2 @ h.modes[k] + (self.p - k * k) * h.modes[k]) / self.x2
-        return SymmetricField(h.kmax, self.tau, out, h.even_y2)
+        return SymmetricField(h.kmax, self.tau, out)
 
     def apply_mode(self, k: int, prof: np.ndarray) -> np.ndarray:
         return (self.D2 @ prof + (self.p - k * k) * prof) / self.x2
@@ -203,7 +203,7 @@ class JacobiSolver:
 
         for k in range(2, E.kmax + 1):
             h[k] = np.linalg.solve(self._systems[k], self.x2 * E.modes[k])
-        return SymmetricField(E.kmax, self.tau, h, E.even_y2), c, d
+        return SymmetricField(E.kmax, self.tau, h), c, d
 
     def project_coeffs(self, E: SymmetricField):
         """(c, d) = (int E nu_2 / int nu_2^2, int E hbar / int hbar)."""
@@ -229,7 +229,7 @@ class JacobiSolver:
         out["nu3"] = float(np.max(np.abs(r3)) / np.max(np.abs(self.kernel.nu3)))
         return out
 
-    def hbar_variation_of_parameters(self, t_max_frac: float = 0.9):
+    def hbar_variation_of_parameters(self):
         """The zero-initial-condition solution via variation of parameters:
 
             h(t) = nu3(t) int_0^t nu3(s)^{-2} int_0^s x^2 nu3  ds.
@@ -238,12 +238,12 @@ class JacobiSolver:
         h > 0 on (0, tau); it differs from the even *periodic* solution
         held in ``hbar`` by an even homogeneous solution (the
         periodic one is what the projection duality needs).  Returns
-        (t, values) on t <= t_max_frac * tau, away from the nu3 zero at tau.
+        (t, values) on t <= 0.9 tau, away from the nu3 zero at tau.
         """
         from scipy.integrate import cumulative_simpson
 
         n_fine = 16 * self.m
-        tf = np.linspace(0.0, t_max_frac * self.tau, n_fine + 1)
+        tf = np.linspace(0.0, 0.9 * self.tau, n_fine + 1)
         x, xp = self.chart.x_of_t(tf)
         nu3 = -xp / x
         inner = cumulative_simpson(x * x * nu3, x=tf, initial=0.0)

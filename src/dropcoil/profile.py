@@ -452,10 +452,6 @@ def build_chart(a: float, grid_size: int = 1024) -> ConformalChart:
                           p=_chart_potential(a, x))
 
 
-def profile_scan(a_values, grid_size: int = DEFAULT_GRID):
+def profile_scan(a_values):
     """Rows (a, T, V, Ia) for a list of neck parameters."""
-    rows = []
-    for a in a_values:
-        p = solve_profile(a, grid_size=grid_size)
-        rows.append((p.a, p.T, p.V, p.Ia))
-    return rows
+    return [(p.a, p.T, p.V, p.Ia) for p in map(solve_profile, a_values)]

@@ -62,7 +62,6 @@ class ReductionSettings:
     coulomb_t_stride: int = 3
     tol_h: float = 1e-7
     max_iter: int = 40
-    damping: float = 0.5
     # Not a setting: the iteration sets c = 0 by construction.  The benchmark's
     # |c| check (perfbench/workloads.py) is its only reader; the benchmark
     # restatement on ROADMAP.md replaces that read by the fixed bound 1e-6 |d|,
@@ -254,6 +253,22 @@ class ReductionContext:
         return self.solver.zero_field()
 
 
+def _context(profile: DelaunayProfile, n: int, settings: ReductionSettings,
+             ctx: ReductionContext) -> ReductionContext:
+    """``ctx``, checked against (profile, n), or a new context for them.
+
+    A context holds the profile, chart, solver and rules of one (a, n); one
+    built for another (a, n) raises DomainError, so no result is recorded at
+    (a, n) from numbers computed elsewhere.
+    """
+    if ctx is None:
+        return ReductionContext(profile, n, settings or ReductionSettings())
+    if ctx.profile.a != profile.a or ctx.n != n:
+        raise DomainError(f"reduction context built for a = {ctx.profile.a}, n = {ctx.n}, "
+                          f"used at a = {profile.a}, n = {n}")
+    return ctx
+
+
 @dataclass
 class EquationEval:
     field: SymmetricField      # G projected on the symmetry class
@@ -266,12 +281,10 @@ class EquationEval:
     boundary: object = dfield(repr=False)       # solid_boundary of the evaluated h
 
 
-def _coulomb_samples(ctx: ReductionContext, boundary, final: bool = False,
-                     rule: CoulombRule = None) -> np.ndarray:
+def _coulomb_samples(ctx: ReductionContext, boundary, rule: CoulombRule) -> np.ndarray:
     """N on the rule's (theta, y3) sub-grid, taken to the sample grid
     (``ctx.theta``, every t node) by its theta modes and t cosine series.
 
-    ``rule`` defaults to the final rule with ``final``, else the loop rule.
     Every admissible h, and so N, is even under theta -> pi - theta, so each
     rule integrates one column of each mirror pair (``theta_mirror``) and
     copies it to the other; a mirrored column differs from its integrated
@@ -283,7 +296,6 @@ def _coulomb_samples(ctx: ReductionContext, boundary, final: bool = False,
     Review 56, 2014); N's modes fall about 40 times a mode at a = 0.3.  Those
     rules' N is projected on modes 0..kmax and evaluated on ``ctx.theta``.
     """
-    rule = rule or (ctx.final_rule if final else ctx.loop_rule)
     theta, y3_sub = rule.theta, rule.y3_sub
     own, mirror = theta_mirror(len(theta))
     sub = np.empty((len(theta), len(y3_sub)))
@@ -320,7 +332,7 @@ def _equation_samples(ctx: ReductionContext, h: SymmetricField, rule: CoulombRul
     H = evaluate_forms(patch, ctx.theta[:, None], ctx.y3_nodes[None, :]).H
     if boundary is None:
         boundary = solid_boundary(ctx.profile, perturb, ctx.chart)
-    N = _coulomb_samples(ctx, boundary, rule=rule) if coulomb else None
+    N = _coulomb_samples(ctx, boundary, rule) if coulomb else None
     return H, N, boundary
 
 
@@ -345,7 +357,7 @@ def evaluate_equation(profile: DelaunayProfile, n: int, h: SymmetricField,
     every call with gamma != 0, on ``boundary`` when the caller already holds
     h's solid boundary, else on one built here and returned with the samples.
     """
-    ctx = ctx or ReductionContext(profile, n, settings or ReductionSettings())
+    ctx = _context(profile, n, settings, ctx)
     rule = ctx.final_rule if final else ctx.loop_rule
     H, N, boundary = _equation_samples(ctx, h, rule, boundary, coulomb=gamma != 0.0)
     return _project_equation(ctx, H, N, gamma, boundary)
@@ -383,8 +395,8 @@ def fixed_point_solve(profile: DelaunayProfile, n: int,
 
     Each step sets gamma = -c_H / c_N from the current H and N samples, so
     G = H + gamma N has c = 0, and takes h <- h + step T(G).  The step halves
-    (``damping``) while the update norm grows; a third growth in a row
-    raises NoContraction.  The iteration stops once the update is below
+    while the update norm grows; a third growth in a row raises
+    NoContraction.  The iteration stops once the update is below
     ``tol_h``.  The returned state is the h after the last step, projected at
     the gamma that step used.
 
@@ -396,7 +408,7 @@ def fixed_point_solve(profile: DelaunayProfile, n: int,
     the rule of the samples its step used.
     """
     settings = settings or ReductionSettings()
-    ctx = ctx or ReductionContext(profile, n, settings)
+    ctx = _context(profile, n, settings, ctx)
     h = ctx.zero_field()
     rule = ctx.coarse_rule
     H, N, boundary = _equation_samples(ctx, h, rule)
@@ -412,7 +424,7 @@ def fixed_point_solve(profile: DelaunayProfile, n: int,
         delta, c, d = ctx.solver.solve_projected(ev.field)
         nd = delta.norm_sup()
         if nd_prev is not None and nd > nd_prev:
-            step *= settings.damping
+            step *= 0.5
             grow += 1
             if grow >= 3:
                 raise NoContraction(
@@ -454,7 +466,7 @@ def solve_gamma(profile: DelaunayProfile, n: int,
     settings = settings or ReductionSettings()
     if n < 16:
         raise DomainError("solve_gamma needs n >= 16")
-    ctx = ctx or ReductionContext(profile, n, settings)
+    ctx = _context(profile, n, settings, ctx)
     state = fixed_point_solve(profile, n, settings, ctx)
     fin = evaluate_equation(profile, n, state.h, state.gamma, ctx=ctx, final=True,
                             boundary=state.equation.boundary)
@@ -477,9 +489,9 @@ class MassMap:
 def mass_map(profile: DelaunayProfile, n: int, settings: ReductionSettings = None,
              state: ReductionState = None, ctx: ReductionContext = None) -> MassMap:
     """m = gamma* |Omega~^n_h| at the solved coupling."""
+    if state is None or ctx is not None:
+        ctx = _context(profile, n, settings, ctx)
     if state is None:
-        settings = settings or ReductionSettings()
-        ctx = ctx or ReductionContext(profile, n, settings)
         state = solve_gamma(profile, n, settings, ctx)
     chart = ctx.chart if ctx is not None else getattr(state.equation.boundary, "chart", None)
     vol = coil_volume(profile, n, state.h, chart)

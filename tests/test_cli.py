@@ -21,7 +21,7 @@ def test_parse_range():
 
 def test_config_roundtrip():
     cfg = RunConfig(command="ia-scan", a=0.2, a_range="0.1:0.2:0.05", n=8,
-                    m=12.5, out="x.csv", threads=2)
+                    m=12.5, grid="16x32", out="x.csv")
     again = RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
     assert again == cfg
 
@@ -47,18 +47,18 @@ def test_seed_is_rejected(tmp_path, capsys):
     assert not (tmp_path / "o.csv").exists()
 
 
-def test_threads_rejected_where_ignored(tmp_path, capsys):
-    # only ia-scan and nonlocal-check use worker threads
-    out = tmp_path / "run.json"
-    assert main(["reduce", "--threads", "2", "--out", str(out)]) == 2
-    assert "--threads 2: reduce runs serially" in capsys.readouterr().err
+def test_threads_is_refused(tmp_path, capsys):
+    # every command runs serially, so a worker count would be accepted and ignored
+    out = tmp_path / "scan.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["ia-scan", "--a-range", "0.1:0.2:0.1", "--threads", "2", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
     cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"threads": 4}))
-    assert main(["appendix", "--config", str(cfgfile), "--out", str(out)]) == 2
-    assert "appendix runs serially" in capsys.readouterr().err
+    cfgfile.write_text(json.dumps({"a_range": "0.1:0.2:0.1", "threads": 2}))
+    assert main(["ia-scan", "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert "unknown config keys: threads" in capsys.readouterr().err
     assert not out.exists()
-    assert main(["reduce", "--threads", "1", "--dry-run"]) == 0
-    assert main(["nonlocal-check", "--threads", "2", "--dry-run"]) == 0
 
 
 def test_parser_reused_after_refusals(tmp_path, capsys):
@@ -72,7 +72,7 @@ def test_parser_reused_after_refusals(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(args + ["--seed", "3", "--threads", "2", "--out", str(tmp_path / "o.csv")])
     assert exc.value.code == 2
-    assert main(["reduce", "--threads", "2", "--a", "0.2", "--out", str(tmp_path / "o.csv")]) == 2
+    assert main(["reduce", "--grid", "16x32", "--a", "0.2", "--out", str(tmp_path / "o.csv")]) == 2
     capsys.readouterr()
     assert main(args + ["--dry-run"]) == 0
     assert capsys.readouterr().out == dry
@@ -155,35 +155,12 @@ def test_appendix_cli(tmp_path):
 
 def test_config_file_and_flag_override(tmp_path):
     cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"a_range": "0.1:0.2:0.1", "threads": 2}))
+    cfgfile.write_text(json.dumps({"a_range": "0.1:0.2:0.1"}))
     out = tmp_path / "o.csv"
     assert main(["ia-scan", "--config", str(cfgfile), "--a-range", "0.2:0.3:0.1",
                  "--out", str(out)]) == 0
     first = out.read_text().splitlines()[3]
     assert float(first.split(",")[0]) == pytest.approx(0.2)
-
-
-def test_threads_flag_matches_serial(tmp_path):
-    s1, s2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
-    main(["ia-scan", "--a-range", "0.1:0.3:0.1", "--threads", "1", "--out", str(s1)])
-    main(["ia-scan", "--a-range", "0.1:0.3:0.1", "--threads", "3", "--out", str(s2)])
-    # ordered collection keeps thread runs byte-identical up to the config hash line
-    body1 = [l for l in s1.read_text().splitlines() if not l.startswith("#")]
-    body2 = [l for l in s2.read_text().splitlines() if not l.startswith("#")]
-    assert body1 == body2
-
-
-def test_nonlocal_threads_match_serial(tmp_path):
-    # worker threads each sweep their own scratch arrays: a shared buffer
-    # would mix the potentials of concurrent rows
-    s1, s2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
-    main(["nonlocal-check", "--n-list", "8:32:8", "--threads", "1", "--out", str(s1)])
-    main(["nonlocal-check", "--n-list", "8:32:8", "--threads", "2", "--out", str(s2)])
-    # only the config hash line differs: it hashes --threads
-    lines1, lines2 = s1.read_text().splitlines(), s2.read_text().splitlines()
-    assert [l for l in lines1 if "config-hash" not in l] == \
-        [l for l in lines2 if "config-hash" not in l]
-    assert len(lines1) == len(lines2) == 11  # 6 metadata lines, header, 4 rows
 
 
 def _fast_reduce(monkeypatch, **changes):

@@ -1,5 +1,5 @@
-"""The reduction path and the appendix run on numpy alone, and reduction passes do not
-fault the heap back in."""
+"""The reduction path and the appendix run on numpy alone, the CLI imports no thread
+pool, and reduction passes do not fault the heap back in."""
 
 import json
 import os
@@ -46,6 +46,15 @@ with tempfile.TemporaryDirectory() as out:
 print(json.dumps({"scipy": sorted(k for k in sys.modules if k.split(".")[0] == "scipy")}))
 """
 
+# Imports the CLI; prints the concurrent modules loaded (the thread pool's
+# package; numpy itself loads ``threading``, so that one is not listed).
+CLI_IMPORT = """
+import json, sys
+import dropcoil.cli
+print(json.dumps({"concurrent": sorted(k for k in sys.modules
+                                       if k.split(".")[0] == "concurrent")}))
+"""
+
 
 def _report(script):
     """The JSON report a script prints last, run in a fresh interpreter on this dropcoil."""
@@ -55,6 +64,11 @@ def _report(script):
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True, timeout=300)
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_cli_import_loads_no_thread_pool():
+    # every command runs serially, so the CLI has no pool to import
+    assert _report(CLI_IMPORT)["concurrent"] == []
 
 
 def test_appendix_loads_no_scipy():

@@ -141,9 +141,10 @@ def test_refinement_within_error_estimate(prof03):
     assert abs(res_dbl.value - res.value) <= max(res.err_est, 1e-9) * 3
 
 
-def test_quadrature_divergence_guard(prof03):
+def test_quadrature_divergence_guard(prof03, monkeypatch):
+    monkeypatch.setattr(coulomb, "DIVERGENCE_RTOL", 1e-14)
     with pytest.raises(QuadratureDivergence):
-        potential_coil(prof03, 8, (np.pi / 2, 0.0), divergence_rtol=1e-14)
+        potential_coil(prof03, 8, (np.pi / 2, 0.0))
 
 
 def test_log_slope_matches_volume_over_period(prof03):
@@ -599,9 +600,10 @@ def test_potential_coil_matches_frozen_kernel(prof03, frozen_kernel):
     ((2, 3, 5), SelfBlockSettings()),  # n_phi != n_z: a z/phi mix-up changes the bits
 ])
 def test_potential_perturbed_matches_frozen_kernel(prof03, chart03, solver03, frozen_kernel,
-                                                   resolution, self_cfg):
+                                                   monkeypatch, resolution, self_cfg):
     # both boundaries at the reduction loop's rules; the error estimate adds
     # the 1.5x refined rule of each, and its divergence guard is not under test
+    monkeypatch.setattr(coulomb, "DIVERGENCE_RTOL", np.inf)
     quad = BlockQuadrature(prof03, resolution)
     h = solver03.zero_field(kmax=4)
     c = np.cos(np.pi * solver03.t / solver03.tau)
@@ -612,8 +614,7 @@ def test_potential_perturbed_matches_frozen_kernel(prof03, chart03, solver03, fr
     fields = (solver03.zero_field(kmax=4), h)
 
     def hexes():
-        res = [potential_perturbed(prof03, n, f, y, chart=chart03, quad=quad, self_cfg=self_cfg,
-                                   divergence_rtol=np.inf)
+        res = [potential_perturbed(prof03, n, f, y, chart=chart03, quad=quad, self_cfg=self_cfg)
                for n in (16, 32, 128) for f in fields for y in ((0.7, 0.4), (np.pi / 2, 0.0))]
         return [[float(v).hex() for v in (r.err_est, *r.breakdown)] for r in res]
 
@@ -1071,12 +1072,13 @@ def test_normal_graph_boundary_keeps_its_h(prof03, chart03, solver03):
         assert [float(v).hex() for v in a.ravel()] == [float(v).hex() for v in b.ravel()]
 
 
-def test_normal_graph_newton_residual_checked(prof03, chart03, solver03):
+def test_normal_graph_newton_residual_checked(prof03, chart03, solver03, monkeypatch):
     h = solver03.zero_field(kmax=1)
     h.modes[0] = 0.02
     NormalGraphBoundary(prof03, chart03, h)  # three steps reach the tolerance
+    monkeypatch.setattr(coulomb, "NEWTON_STEPS", 0)
     with pytest.raises(NonConvergence):
-        NormalGraphBoundary(prof03, chart03, h, newton_iters=0)
+        NormalGraphBoundary(prof03, chart03, h)
 
 
 def test_normal_graph_unresolved_radius_raises(prof03, chart03, solver03):

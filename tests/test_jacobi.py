@@ -26,11 +26,6 @@ def test_field_symmetries(kmax, rnd):
     assert np.allclose(f.evaluate(th, t + 4.0), v, atol=1e-10)
 
 
-def test_field_even_y2_restriction():
-    f = SymmetricField(3, 1.0, np.ones((4, 9)), even_y2=True)
-    assert np.all(f.modes[1::2] == 0.0)
-
-
 def test_field_from_samples_roundtrip(solver03):
     rng = np.random.default_rng(7)
     f = random_symmetric_modes(solver03, 5, rng)
@@ -121,7 +116,7 @@ def test_hbar_periodic_solution(solver03):
 
 def test_hbar_variation_of_parameters(chart03, solver03):
     # the zero-initial-condition object carries the pointwise properties
-    tf, vals = solver03.hbar_variation_of_parameters(0.9)
+    tf, vals = solver03.hbar_variation_of_parameters()
     assert vals[0] == pytest.approx(0.0, abs=1e-12)
     assert np.min(vals) > -1e-10  # positive except at t = 0
     # it solves h'' + p h = x^2 with zero data: compare with an IVP
@@ -248,15 +243,6 @@ def test_solve_projected_bound_stable_under_refinement(chart03):
         h, _, _ = S.solve_projected(E)
         ratios.append(h.norm_sup() / E.norm_sup())
     assert abs(ratios[1] / ratios[0] - 1.0) < 0.05
-
-
-def test_solve_projected_preserves_even_y2(solver03):
-    E = solver03.zero_field(even_y2=True)
-    E.modes[0] = 1.0 + 0.2 * np.cos(np.pi * solver03.t / solver03.tau)
-    E.modes[2] = 0.3 * np.cos(2 * np.pi * solver03.t / solver03.tau)
-    h, _, _ = solver03.solve_projected(E)
-    assert h.even_y2
-    assert np.max(np.abs(h.modes[1::2])) == 0.0
 
 
 def test_self_adjointness(solver03):

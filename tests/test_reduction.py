@@ -126,7 +126,7 @@ def test_coarse_tier_error_below_its_bound(prof03, ctx32, state32):
     # (1.0e-6) is over ten times smaller, and the tier's sub-grid is half the loop's
     assert COARSE_UNTIL == pytest.approx(50 * 2e-5)
     boundary = state32.equation.boundary
-    final = _coulomb_samples(ctx32, boundary, final=True)
+    final = _coulomb_samples(ctx32, boundary, rule=ctx32.final_rule)
 
     def err(rule):
         return np.max(np.abs(_coulomb_samples(ctx32, boundary, rule=rule) - final)) / \
@@ -160,8 +160,8 @@ def test_loop_subgrid_follows_profile(grid, a, rows):
     assert np.array_equal(ctx.coarse_rule.y3_sub, ctx.y3_nodes[::2 * stride])
     boundary = solid_boundary(prof)
     every = _coulomb_samples(ctx, boundary, rule=replace(ctx.loop_rule, y3_sub=ctx.y3_nodes))
-    loop = _coulomb_samples(ctx, boundary)
-    final = _coulomb_samples(ctx, boundary, final=True)
+    loop = _coulomb_samples(ctx, boundary, rule=ctx.loop_rule)
+    final = _coulomb_samples(ctx, boundary, rule=ctx.final_rule)
     sub_err = np.max(np.abs(loop - every)) / np.max(np.abs(every))
     loop_err = np.max(np.abs(every - final)) / np.max(np.abs(final))
     assert sub_err <= loop_err / 5
@@ -200,13 +200,13 @@ def test_loop_theta_subgrid_alias(grid, a):
         st = fixed_point_solve(prof, n, settings, ctx)
         assert st.converged
         for boundary in (solid_boundary(prof), st.equation.boundary):
-            def modes(**rule):
-                N = _coulomb_samples(ctx, boundary, **rule)
+            def modes(rule):
+                N = _coulomb_samples(ctx, boundary, rule=rule)
                 return SymmetricField.from_samples(N, ctx.solver.tau, settings.kmax)[0].modes
 
-            every = modes(rule=replace(ctx.loop_rule, theta=ctx.theta))
-            alias = np.max(np.abs(modes() - every))
-            assert alias <= np.max(np.abs(every - modes(final=True))) / 20
+            every = modes(replace(ctx.loop_rule, theta=ctx.theta))
+            alias = np.max(np.abs(modes(ctx.loop_rule) - every))
+            assert alias <= np.max(np.abs(every - modes(ctx.final_rule))) / 20
 
 
 def test_coarse_tier_only_when_cheaper(prof03):
@@ -238,10 +238,25 @@ def test_solve_ends_on_loop_rule(prof03, ctx32, tol_h, rules):
     assert st.coulomb_integrations == len(rules) + 1
 
 
+def test_context_for_another_a_or_n_raises(prof03, ctx32, state32):
+    # the context fixes the profile, chart, solver and rules, so one built for
+    # another neck or block count would compute there and be recorded here
+    h = ctx32.zero_field()
+    for prof, n in ((solve_profile(0.2), 32), (prof03, 16)):
+        with pytest.raises(DomainError, match="built for a = 0.3, n = 32"):
+            evaluate_equation(prof, n, h, 0.4, ctx=ctx32)
+        with pytest.raises(DomainError, match="built for a = 0.3, n = 32"):
+            fixed_point_solve(prof, n, FAST, ctx32)
+        with pytest.raises(DomainError, match="built for a = 0.3, n = 32"):
+            solve_gamma(prof, n, FAST, ctx32)
+        with pytest.raises(DomainError, match="built for a = 0.3, n = 32"):
+            mass_map(prof, n, FAST, state=state32, ctx=ctx32)
+
+
 def test_coupling_without_root_raises(prof03, ctx32, monkeypatch):
     # N with no nu_2 component leaves c = c_H for every gamma: no root
     monkeypatch.setattr(reduction, "_coulomb_samples",
-                        lambda ctx, boundary, final=False, rule=None:
+                        lambda ctx, boundary, rule:
                         np.zeros((len(ctx.theta), len(ctx.t_nodes))))
     with pytest.raises(RootNotBracketed):
         fixed_point_solve(prof03, 32, FAST, ctx32)
@@ -337,7 +352,8 @@ def test_mirrored_samples_match_full_grid(prof03):
             boundary = solid_boundary(prof03, h, ctx.chart)
             for final in (False, True):
                 full = _column_loop_samples(ctx, h, final, mirror=False)
-                mirrored = _coulomb_samples(ctx, boundary, final)
+                rule = ctx.final_rule if final else ctx.loop_rule
+                mirrored = _coulomb_samples(ctx, boundary, rule=rule)
                 assert np.max(np.abs(mirrored - full)) <= 1e-12 * np.max(np.abs(full))
 
 
@@ -362,7 +378,7 @@ def test_mirror_columns_need_even_ntheta(prof03, monkeypatch, ntheta, final, col
         return (np.sin(theta) ** 2 + 0.5 * np.sin(theta)).reshape(-1, 1)
 
     monkeypatch.setattr(reduction, "surface_potentials", fake_kernel)
-    samples = _coulomb_samples(ctx, solid_boundary(prof03), final=final)
+    samples = _coulomb_samples(ctx, solid_boundary(prof03), rule=rule)
     assert len(calls) == 1  # one kernel call an evaluation
     assert sorted(set(seen)) == columns
     assert len(seen) == len(columns) * len(rule.y3_sub)
@@ -435,7 +451,8 @@ def test_coulomb_samples_batch_matches_column_loop(prof03, settings):
     for h in (_loop_test_field(ctx), ctx.zero_field()):
         boundary = solid_boundary(prof03, h, ctx.chart)
         for final in (False, True):
-            got = _coulomb_samples(ctx, boundary, final=final)
+            got = _coulomb_samples(ctx, boundary,
+                                   rule=ctx.final_rule if final else ctx.loop_rule)
             want = _column_loop_samples(ctx, h, final)
             assert [float(v).hex() for v in got.ravel()] == \
                 [float(v).hex() for v in want.ravel()]
