@@ -33,6 +33,8 @@ def parse_range(text: str):
     if step <= 0:
         raise errors.DomainError("range step must be positive")
     count = int(np.floor((stop - start) / step + 0.5)) + 1
+    if count < 1:
+        raise errors.DomainError(f"range {text!r} is empty: stop lies below start")
     return [start + i * step for i in range(count)]
 
 
@@ -145,6 +147,9 @@ def cmd_curvature_check(cfg: RunConfig):
 
 def cmd_nonlocal_check(cfg: RunConfig):
     n_list = [int(v) for v in parse_range(cfg.n_list)]
+    if len(set(n_list)) < 2:
+        raise errors.DomainError(f"the log-law slope is fitted over n and needs at least "
+                                 f"two distinct n, got {n_list}")
     prof = profile.solve_profile(cfg.a)
     y = (np.pi / 2.0, 0.0)
     results = [coulomb.potential_coil(prof, n, y) for n in n_list]

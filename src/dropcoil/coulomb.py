@@ -1050,19 +1050,17 @@ def toroidal_potential_reference(profile: DelaunayProfile, n: int, y, q: int = 4
     # section radius at axial arc position R * ang and polar angle tt
     F = boundary.radius(tt[None, :], R * ang[:, None])
 
-    A, Tt = np.meshgrid(ang, tt, indexing="ij")
-    WA, WTt = np.meshgrid(ang_w, tt_w, indexing="ij")
+    # the radial sweep's invariants, on the axes they vary along
+    cos_a, sin_a = np.cos(ang)[:, None], np.sin(ang)[:, None]
+    cos_t, sin_t = np.cos(tt)[None, :], np.sin(tt)[None, :]
+    W2 = ang_w[:, None] * tt_w[None, :]
     total = 0.0
     for j, r01 in enumerate(rr):
         rho = F * r01
-        c1 = rho * np.cos(Tt)
-        c2 = rho * np.sin(Tt)
-        px = c1
-        py = (R + c2) * np.cos(A)
-        pz = (R + c2) * np.sin(A)
-        d = np.sqrt((px - P0[0]) ** 2 + (py - P0[1]) ** 2 + (pz - P0[2]) ** 2)
-        dV = WA * WTt * rho * (R + c2) * F * rr_w[j]
-        total += float(np.sum(dV / d))
+        ring = R + rho * sin_t
+        d = np.sqrt((rho * cos_t - P0[0]) ** 2 + (ring * cos_a - P0[1]) ** 2
+                    + (ring * sin_a - P0[2]) ** 2)
+        total += float(np.sum(W2 * rho * ring * F * rr_w[j] / d))
     return total
 
 

@@ -19,6 +19,7 @@ position is
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,12 +30,31 @@ from .fields import SymmetricField, on_axis_derivatives
 from .profile import ConformalChart, DelaunayProfile
 
 
-@dataclass
 class FundamentalForms:
-    g: np.ndarray       # (..., 2, 2)
-    A: np.ndarray       # (..., 2, 2) shape operator
-    H: np.ndarray       # mean curvature (sum of principal curvatures)
-    normal: np.ndarray  # (..., 3) outward unit normal
+    """Mean curvature H (the sum of the principal curvatures) of one frame.
+
+    The metric g (..., 2, 2), the shape operator A (..., 2, 2) and the outward
+    unit normal (..., 3) are given as component tuples (g11, g12, g22),
+    (A11, A12, A21, A22) and (nu1, nu2, nu3), and stacked on first read: the
+    curvature check and the reduction loop read only H.
+    """
+
+    def __init__(self, g, A, H, normal):
+        self._g, self._A, self.H, self._normal = g, A, H, normal
+
+    @functools.cached_property
+    def g(self) -> np.ndarray:
+        g11, g12, g22 = self._g
+        return np.stack([_stack(g11, g12), _stack(g12, g22)], axis=-2)
+
+    @functools.cached_property
+    def A(self) -> np.ndarray:
+        A11, A12, A21, A22 = self._A
+        return np.stack([_stack(A11, A12), _stack(A21, A22)], axis=-2)
+
+    @functools.cached_property
+    def normal(self) -> np.ndarray:
+        return _stack(*self._normal)
 
 
 @dataclass
@@ -90,10 +110,10 @@ class SurfacePatch:
 
     # -- position and derivatives -----------------------------------------
 
-    def _frame(self, theta, y3):
-        """Position and derivatives as (x, y, z) tuples, keyed as ``_KEYS``,
-        on the broadcast of theta and y3: the curve is evaluated on y3's own
-        shape and cos/sin theta on theta's."""
+    def _straight_frame(self, theta, y3):
+        """The straight patch's position and derivatives: the (x, y, z) component
+        tuples, each ordered as ``_KEYS``, on the broadcast of theta and y3.  The
+        curve is evaluated on y3's own shape and cos/sin theta on theta's."""
         theta = np.asarray(theta, dtype=float)
         y3 = np.asarray(y3, dtype=float)
         f, fp, fpp, fppp = self._curve(y3)
@@ -121,22 +141,24 @@ class SurfacePatch:
                 + fp * h_33 * W + 2.0 * fp * h_3 * Wp + fp * hv * Wpp)
 
         ct, st = np.cos(theta), np.sin(theta)
-        # the straight patch's frame; the coil bends its (y, z)
         x = (u * ct, u_th * ct - u * st, u_3 * ct,
              u_thth * ct - 2.0 * u_th * st - u * ct, u_th3 * ct - u_3 * st, u_33 * ct)
         y = (u * st, u_th * st + u * ct, u_3 * st,
              u_thth * st + 2.0 * u_th * ct - u * st, u_th3 * st + u_3 * ct, u_33 * st)
         z = (y3 - b, -b_th, 1.0 - b_3, -b_thth, -b_th3, -b_33)
-        if self.kind == "coiled":
-            y, z = _bend(self.R, y, z)
-        return dict(zip(_KEYS, zip(x, y, z)))
+        return x, y, z
+
+    def _frame(self, theta, y3):
+        """The straight frame, bent around the coil's circle when the patch is coiled."""
+        frame = self._straight_frame(theta, y3)
+        return _bend(self.R, frame) if self.kind == "coiled" else frame
 
     def derivatives(self, theta, y3):
         """Position and first/second derivatives, dict of (..., 3) arrays."""
-        return {k: _stack(*v) for k, v in self._frame(theta, y3).items()}
+        return {k: _stack(*v) for k, v in zip(_KEYS, zip(*self._frame(theta, y3)))}
 
     def position(self, theta, y3):
-        return _stack(*self._frame(theta, y3)["P"])
+        return _stack(*(c[0] for c in self._frame(theta, y3)))
 
 
 _KEYS = ("P", "P_th", "P_3", "P_thth", "P_th3", "P_33")
@@ -154,9 +176,10 @@ def normal_graph_map(f, fp, fpp, hv, h_3):
     return W, Wp, f + hv * W, fp * hv * W, fpp * hv * W + fp * h_3 * W + fp * hv * Wp
 
 
-def _bend(R, y, z):
-    """(y, z) -> Q (cos psi, sin psi) with Q = R + y, psi = z / R, and the
+def _bend(R, frame):
+    """(x, y, z) -> (x, Q cos psi, Q sin psi) with Q = R + y, psi = z / R, and the
     derivatives by the chain rule: the straight frame coiled around x."""
+    x, y, z = frame
     Q = (R + y[0],) + y[1:]
     p = [c / R for c in z]
     cp, sp = np.cos(p[0]), np.sin(p[0])
@@ -169,7 +192,7 @@ def _bend(R, y, z):
                   - Q[0] * p[a] * p[b] * cp)
         zb.append(Q[ab] * sp + Q[a] * p[b] * cp + Q[b] * p[a] * cp + Q[0] * p[ab] * cp
                   - Q[0] * p[a] * p[b] * sp)
-    return yb, zb
+    return x, yb, zb
 
 
 def _stack(*parts):
@@ -184,7 +207,12 @@ def _dot(a, b):
 
 def evaluate_forms(patch: SurfacePatch, theta, y3) -> FundamentalForms:
     """Metric, shape operator, mean curvature at broadcast (theta, y3)."""
-    d = patch._frame(theta, y3)
+    return _forms(patch._frame(theta, y3))
+
+
+def _forms(frame) -> FundamentalForms:
+    """The fundamental forms of an (x, y, z) frame as ``SurfacePatch._frame`` gives it."""
+    d = dict(zip(_KEYS, zip(*frame)))
     Y1, Y2 = d["P_th"], d["P_3"]
     g11, g12, g22 = _dot(Y1, Y1), _dot(Y1, Y2), _dot(Y2, Y2)
     det = g11 * g22 - g12 * g12
@@ -202,10 +230,7 @@ def evaluate_forms(patch: SurfacePatch, theta, y3) -> FundamentalForms:
     A12 = inv * (g22 * ii12 - g12 * ii22)
     A21 = inv * (-g12 * ii11 + g11 * ii12)
     A22 = inv * (-g12 * ii12 + g11 * ii22)
-    H = -(A11 + A22)
-    g = np.stack([_stack(g11, g12), _stack(g12, g22)], axis=-2)
-    A = np.stack([_stack(A11, A12), _stack(A21, A22)], axis=-2)
-    return FundamentalForms(g=g, A=A, H=H, normal=_stack(*nu))
+    return FundamentalForms((g11, g12, g22), (A11, A12, A21, A22), -(A11 + A22), nu)
 
 
 def straight_normal(profile: DelaunayProfile, theta, y3):
@@ -265,28 +290,40 @@ def curvature_expansion_check(profile: DelaunayProfile, n_list) -> ExpansionRepo
     """Measure the n^-2 remainder of the first-order coil curvature expansion.
 
     The remainder is taken on a grid of 64 theta nodes by 129 y3 nodes over
-    one period.
+    one period.  The straight frame does not depend on n: it is built once,
+    and each coil bends it around its own circle.  The decay is fitted over
+    at least two distinct n, and Phi(0) = 4a - 1 must not vanish (a = 1/4),
+    since its fit is reported relative to it.
     """
     n_list = sorted(int(n) for n in n_list)
+    if len(set(n_list)) < 2:
+        raise DomainError(f"expansion check fits a decay over n and needs at least two "
+                          f"distinct n, got {n_list}")
     if n_list[0] < 8:
         raise DomainError("expansion check needs n >= 8")
+    phi0 = float(curvature_profile_coefficient(profile, np.array(0.0)))
+    if phi0 == 0.0:
+        raise DomainError(f"Phi(0) = 4a - 1 is 0 at a = {profile.a}: the relative error "
+                          f"of its fit is undefined")
     th = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     y3 = np.linspace(-profile.T / 2.0, profile.T / 2.0, 129)[None, :]
     phi = curvature_profile_coefficient(profile, y3)
     f = profile.evaluate(y3, order=0)[0]
     x = np.sin(th)
     y2 = f * x[:, None]
-    phi0 = float(curvature_profile_coefficient(profile, np.array(0.0)))
+    straight = build_straight(profile)
+    period = straight._straight_frame(th[:, None], y3)
+    bulge = straight._straight_frame(th, np.zeros_like(th))
     errs = []
     phi_errs = []
     for n in n_list:
-        patch = build_coil(profile, n)
-        H = evaluate_forms(patch, th[:, None], y3).H
-        first = y2 / (patch.R * f) * phi
+        R = build_coil(profile, n).R
+        H = _forms(_bend(R, period)).H
+        first = y2 / (R * f) * phi
         errs.append(float(np.max(np.abs(H - 2.0 - first))))
         # recover Phi(0) by fitting (H-2) R against y2/f = sin(theta) at y3 = 0
-        H0 = evaluate_forms(patch, th, np.zeros_like(th)).H
-        slope = float(np.dot(x, (H0 - 2.0) * patch.R) / np.dot(x, x))
+        H0 = _forms(_bend(R, bulge)).H
+        slope = float(np.dot(x, (H0 - 2.0) * R) / np.dot(x, x))
         phi_errs.append(abs(slope - phi0) / abs(phi0))
     exponent = float(np.polyfit(np.log(n_list), np.log(errs), 1)[0])
     return ExpansionReport(a=profile.a, n_list=n_list, max_err=errs,

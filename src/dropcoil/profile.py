@@ -353,6 +353,11 @@ def _block_sums(a: float, m: int):
     return anti, V, Ia
 
 
+def _period(anti) -> float:
+    """T = 2 s(pi) = 2 pi C_0: the DST-I leaves the end node alone, and phi ends on pi."""
+    return float(2.0 * (anti[0, 0] * np.pi))
+
+
 def solve_profile(a: float, grid_size: int = DEFAULT_GRID) -> DelaunayProfile:
     """The profile on [0, T/2] from the roulette quadratures (module docstring).
 
@@ -364,7 +369,7 @@ def solve_profile(a: float, grid_size: int = DEFAULT_GRID) -> DelaunayProfile:
         return _cylinder_profile(grid_size)
     anti, V, Ia = _block_sums(a, _modes(a))
     s, f, fp = _samples(a, anti[0], grid_size)
-    return DelaunayProfile(a=a, grid=s, f=f, fp=fp, fpp=_fpp_from(f, fp), T=float(2.0 * s[-1]),
+    return DelaunayProfile(a=a, grid=s, f=f, fp=fp, fpp=_fpp_from(f, fp), T=_period(anti),
                            V=V, Ia=Ia, _anti=anti[0])
 
 
@@ -453,5 +458,13 @@ def build_chart(a: float, grid_size: int = 1024) -> ConformalChart:
 
 
 def profile_scan(a_values):
-    """Rows (a, T, V, Ia) for a list of neck parameters."""
-    return [(p.a, p.T, p.V, p.Ia) for p in map(solve_profile, a_values)]
+    """Rows (a, T, V, Ia) for a list of neck parameters, as ``solve_profile`` gives
+    them, from the roulette sums alone: no profile grid is sampled."""
+    rows = []
+    for a in map(check_neck, a_values):
+        if a == CYLINDER_NECK:
+            rows.append((a, CYLINDER_PERIOD, CYLINDER_VOLUME, CYLINDER_IA))
+        else:
+            anti, V, Ia = _block_sums(a, _modes(a))
+            rows.append((a, _period(anti), V, Ia))
+    return rows

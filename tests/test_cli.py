@@ -14,6 +14,9 @@ def test_parse_range():
         parse_range("1:2")
     with pytest.raises(DomainError):
         parse_range("1:2:-1")
+    assert parse_range("0.3:0.29:0.1") == [0.3]  # the stop is within half a step
+    with pytest.raises(DomainError, match="is empty"):
+        parse_range("0.3:0.1:0.01")
     assert parse_grid("16x32") == (16, 32)
     with pytest.raises(DomainError):
         parse_grid("16-32")
@@ -307,3 +310,20 @@ def test_ia_scan_rejects_a_beside_a_range(tmp_path, capsys):
     assert "--a 0.2: ia-scan scans --a-range 0.1:0.2:0.1" in capsys.readouterr().err
     assert not out.exists()
     assert main(["ia-scan", "--a", "0.2", "--dry-run"]) == 0
+
+
+@pytest.mark.parametrize("args, message", [
+    (["ia-scan", "--a-range", "0.3:0.1:0.01"], "range '0.3:0.1:0.01' is empty"),
+    (["nonlocal-check", "--n-list", "64:16:16"], "range '64:16:16' is empty"),
+    (["curvature-check", "--n-list", "64:8:8"], "range '64:8:8' is empty"),
+    (["nonlocal-check", "--n-list", "64"], "needs at least two distinct n, got [64]"),
+    (["curvature-check", "--n-list", "64"], "needs at least two distinct n, got [64]"),
+    (["curvature-check", "--a", "0.25"], "Phi(0) = 4a - 1 is 0 at a = 0.25"),
+])
+def test_unfittable_lists_are_refused(tmp_path, capsys, args, message):
+    # an empty range, a line through one n and a fit relative to Phi(0) = 0
+    # are refused before anything is written
+    out = tmp_path / "o.csv"
+    assert main(args + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -97,6 +97,13 @@ def test_small_n_brute_force_oracle(prof03):
     assert abs(res2.value - ref2) / ref2 < 1e-2
 
 
+@pytest.mark.parametrize("n, want", [(4, "0x1.64ec37db4ed4cp+2"), (8, "0x1.be85a9599ce64p+2")])
+def test_brute_force_oracle_bits(prof03, n, want):
+    # the radial sweep's invariants are formed once, in the same operations and
+    # order as at each node: the oracle keeps the bits it had with them inside
+    assert float(toroidal_potential_reference(prof03, n, (np.pi / 2, 0.0))).hex() == want
+
+
 def _oracle_field(solver03, amp):
     """The brute-force oracle's field: a mean bump and four modes, sup |h| = amp."""
     h = solver03.zero_field(kmax=4)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from dropcoil.geometry import (build_coil, build_cylinder, build_sphere,
                                build_straight, curvature_expansion_check,
                                curvature_profile_coefficient, evaluate_forms,
                                export_mesh, straight_normal)
+from dropcoil.geometry import _bend, _forms
 from dropcoil.jacobi import JacobiSolver
 from dropcoil.profile import solve_profile
 
@@ -123,6 +126,30 @@ def test_curvature_expansion_needs_n8(prof03):
         curvature_expansion_check(prof03, [4, 8])
 
 
+@pytest.mark.parametrize("n_list", [[], [64], [16, 16]])
+def test_curvature_expansion_needs_two_distinct_n(prof03, n_list):
+    # a line through one point has no decay exponent to report
+    with pytest.raises(DomainError, match="two distinct n"):
+        curvature_expansion_check(prof03, n_list)
+
+
+def test_curvature_expansion_refuses_vanishing_phi0():
+    # Phi(0) = 4a - 1 is 0 at a = 1/4, and the fit's error is relative to it
+    with pytest.raises(DomainError, match=r"Phi\(0\) = 4a - 1 is 0 at a = 0.25"):
+        curvature_expansion_check(solve_profile(0.25), [8, 16])
+
+
+def test_curvature_expansion_bends_one_straight_frame(prof03):
+    # each n bends the one straight frame; the coil patch bends its own, and
+    # the two give H with the same bits
+    th = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)[:, None]
+    y3 = np.linspace(-prof03.T / 2.0, prof03.T / 2.0, 129)[None, :]
+    frame = build_straight(prof03)._straight_frame(th, y3)
+    for n in (8, 40):
+        patch = build_coil(prof03, n)
+        assert np.array_equal(_forms(_bend(patch.R, frame)).H, evaluate_forms(patch, th, y3).H)
+
+
 def test_phi_coefficient_value(prof03):
     # at y3 = 0: f = 1-a, f' = 0, f'' = 1/(1-a) - 2, so Phi(0) = 4a - 1
     phi0 = curvature_profile_coefficient(prof03, np.array(0.0))
@@ -212,6 +239,25 @@ def test_open_grid_forms_match_meshgrid(prof03, chart03, solver03, kind):
         assert value.shape == TH.shape + (3,)
         assert np.array_equal(value, d_mesh[key]), key
     assert np.array_equal(patch.position(th, y3), d_mesh["P"])
+
+
+def test_lazy_forms_keep_stacked_bits(prof03, chart03, solver03):
+    # g, A and the normal are stacked on first read, from the components H is
+    # formed from; sha256 of the arrays the forms stacked eagerly, on a
+    # perturbed coil at the desk's a = 0.3, n = 32
+    F = evaluate_forms(build_coil(prof03, 32, _loop_like_field(solver03), chart03),
+                       *_open_grid(16, 25, prof03.T / 2))
+    assert not {"g", "A", "normal"} & set(vars(F))
+    want = {"g": "5817e73669da286a6d181f70561ee16365e8799ff20f531896212627e4fc1c02",
+            "A": "61978e0227a6fa619dc316f8f8623496a1e6e2ad2a01e5f2695e399dc0b53fd7",
+            "normal": "f47357685c30a62d40ff2ef0b4d435defda9088c96fc6631a72b55c045683e3c",
+            "H": "a22eda15c4e6cb4a0124561663e93bf03cb6f9a5f1d7b573431d8f7c03d12081"}
+    shapes = {"g": (16, 25, 2, 2), "A": (16, 25, 2, 2), "normal": (16, 25, 3), "H": (16, 25)}
+    for name, digest in want.items():
+        value = getattr(F, name)
+        assert value.shape == shapes[name] and value.dtype == np.float64, name
+        assert hashlib.sha256(np.ascontiguousarray(value).tobytes()).hexdigest() == digest, name
+        assert getattr(F, name) is value, name
 
 
 @pytest.mark.parametrize("n", [12, 32])

@@ -82,6 +82,17 @@ def test_positivity_scan():
     assert all(r[3] > 0 for r in rows)
 
 
+def test_profile_scan_rows_match_solve_profile():
+    # the scan takes T = 2 pi C_0 from the roulette sums; solve_profile's T,
+    # its grid's end node doubled, has the same bits (the criterion-6 grid,
+    # the appendix's necks and the cylinder)
+    a_values = [0.01 + i * 0.01 for i in range(49)] + [0.002, 0.005, 0.01, 0.5]
+    for row, a in zip(profile_scan(a_values), a_values):
+        p = solve_profile(a)
+        assert [float(v).hex() for v in row] == [float(v).hex() for v in (p.a, p.T, p.V, p.Ia)]
+        assert p.T == 2.0 * p.grid[-1]
+
+
 def test_chart_isothermal_identity():
     c = build_chart(0.2)
     assert c.isothermal_residual() < 1e-12
