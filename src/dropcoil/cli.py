@@ -1,6 +1,7 @@
 """Batch front-end: every pipeline as a subcommand with deterministic outputs.
 
-Exit codes: 0 success, 2 validation/usage failure, 3 numerical failure.
+Exit codes: 0 success, 2 validation/usage failure (an unwritable --out and a
+--config value of the wrong type among them), 3 numerical failure.
 Range flags accept start:stop:step syntax (inclusive of the stop within half
 a step).  A JSON --config file provides defaults that explicit flags override;
 --dry-run prints the resolved configuration and exits.
@@ -45,6 +46,10 @@ def parse_grid(text: str):
     return int(parts[0]), int(parts[1])
 
 
+# the JSON values each RunConfig field type accepts; an int stands for a float
+_JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float)}
+
+
 @dataclass
 class RunConfig:
     """Resolved per-command parameters (round-trips through JSON)."""
@@ -69,9 +74,18 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        """The config of ``d``, each value checked against its field's type."""
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = sorted(set(d) - set(types))
         if unknown:
             raise errors.DomainError(f"unknown config keys: {', '.join(unknown)}")
+        d = dict(d)
+        for key, val in d.items():
+            if isinstance(val, bool) or not isinstance(val, _JSON_TYPES[types[key]]):
+                raise errors.DomainError(f"config key {key!r}: {types[key]} expected, "
+                                         f"got {json.dumps(val)}")
+            if types[key] == "float":
+                d[key] = float(val)
         return cls(**d)
 
 
@@ -266,7 +280,8 @@ def main(argv=None) -> int:
             return 2
         COMMANDS[args.command](cfg)
         return 0
-    except (errors.DomainError, errors.GridMismatch, FileNotFoundError, ValueError) as exc:
+    except (errors.DomainError, errors.GridMismatch, errors.IoError, FileNotFoundError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except errors.DropcoilError as exc:

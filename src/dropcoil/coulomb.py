@@ -930,17 +930,10 @@ def _far_blocks(nodes, ks, R, T, theta, y3c, r_eval):
 def potential_coil(profile: DelaunayProfile, n: int, y, quad: BlockQuadrature = None,
                    self_cfg: SelfBlockSettings = None,
                    error_estimate: bool = True) -> CoulombResult:
-    """Newton potential of the coiled solid at the surface point y = (theta, y3).
-
-    Sums the per-block integrals I_k; the k = 0 self block uses the
-    desingularized rule.  With ``error_estimate`` the whole sum is recomputed
-    at one refinement step, 1.5x the (n_phi, n_z) nodes (one z node more where
-    that rule would raise), and the difference reported (the refined value
-    is returned); a change above ``DIVERGENCE_RTOL`` raises
-    QuadratureDivergence.
-    """
-    return _potential_at(AxisymBoundary(profile), profile, n, y, quad, self_cfg,
-                         error_estimate)
+    """Newton potential of the coiled solid at the surface point y = (theta, y3):
+    ``potential_perturbed`` at h = 0."""
+    return potential_perturbed(profile, n, None, y, quad=quad, self_cfg=self_cfg,
+                               error_estimate=error_estimate)
 
 
 def potential_perturbed(profile: DelaunayProfile, n: int, h: SymmetricField, y,
@@ -950,10 +943,33 @@ def potential_perturbed(profile: DelaunayProfile, n: int, h: SymmetricField, y,
     """Potential of the normal-graph solid at the moved point X(y_h).
 
     The solid's boundary is ``solid_boundary``'s, so at h = 0 it is the
-    profile's and the value is potential_coil's.
+    profile's.  Sums the per-block integrals I_k; the k = 0 self block uses
+    the desingularized rule.  With ``error_estimate`` the whole sum is
+    recomputed at one refinement step, 1.5x the (n_phi, n_z) nodes (one z
+    node more where that rule would raise), and the difference reported (the
+    refined value is returned); a change above ``DIVERGENCE_RTOL`` raises
+    QuadratureDivergence.
     """
-    return _potential_at(solid_boundary(profile, h, chart), profile, n, y, quad, self_cfg,
-                         error_estimate)
+    boundary = solid_boundary(profile, h, chart)
+    quad = quad or BlockQuadrature(profile)
+    self_cfg = self_cfg or SelfBlockSettings()
+
+    def one_pass(q2d, cfg):
+        return surface_potentials(profile, n, boundary, float(y[0]), float(y[1]), q2d, cfg)[0]
+
+    Ik = one_pass(quad, self_cfg)
+    err = None
+    if error_estimate:
+        n_r, n_phi, n_z = quad.resolution
+        n_phi, n_z = int(n_phi * 1.5), int(n_z * 1.5)
+        fine = BlockQuadrature(profile, (n_r, n_phi, n_z + _degenerate_rule(n_phi, n_z)))
+        Ik_f = one_pass(fine, self_cfg.refined())
+        err = float(abs(Ik_f.sum() - Ik.sum()))
+        if err > DIVERGENCE_RTOL * max(abs(Ik_f.sum()), 1.0):
+            raise QuadratureDivergence(
+                f"potential refinement moved by {err:.3e} (value {Ik_f.sum():.6e})")
+        Ik = Ik_f
+    return CoulombResult(value=float(Ik.sum()), breakdown=Ik, err_est=err)
 
 
 def surface_potentials(profile: DelaunayProfile, n: int, boundary, theta, y3,
@@ -987,28 +1003,6 @@ def surface_potentials(profile: DelaunayProfile, n: int, boundary, theta, y3,
         Ik[:, far] = _far_blocks(nodes, far, R, T, theta, y3c, r_eval)
     Ik[:, near] = _regular_blocks(nodes, near, R, T, theta, y3c, r_eval)
     return Ik
-
-
-def _potential_at(boundary, profile, n, y, quad, self_cfg, error_estimate):
-    quad = quad or BlockQuadrature(profile)
-    self_cfg = self_cfg or SelfBlockSettings()
-
-    def one_pass(q2d, cfg):
-        return surface_potentials(profile, n, boundary, float(y[0]), float(y[1]), q2d, cfg)[0]
-
-    Ik = one_pass(quad, self_cfg)
-    err = None
-    if error_estimate:
-        n_r, n_phi, n_z = quad.resolution
-        n_phi, n_z = int(n_phi * 1.5), int(n_z * 1.5)
-        fine = BlockQuadrature(profile, (n_r, n_phi, n_z + _degenerate_rule(n_phi, n_z)))
-        Ik_f = one_pass(fine, self_cfg.refined())
-        err = float(abs(Ik_f.sum() - Ik.sum()))
-        if err > DIVERGENCE_RTOL * max(abs(Ik_f.sum()), 1.0):
-            raise QuadratureDivergence(
-                f"potential refinement moved by {err:.3e} (value {Ik_f.sum():.6e})")
-        Ik = Ik_f
-    return CoulombResult(value=float(Ik.sum()), breakdown=Ik, err_est=err)
 
 
 def toroidal_potential_reference(profile: DelaunayProfile, n: int, y, q: int = 4,
@@ -1102,25 +1096,18 @@ def ball_energy(m: float) -> float:
     return 4.0 * np.pi * r * r + ball_coulomb_energy(r)
 
 
-def coulomb_energy(region, quad: BlockQuadrature = None,
+def coulomb_energy(profile: DelaunayProfile, n: int, quad: BlockQuadrature = None,
                    self_cfg: SelfBlockSettings = None) -> float:
-    """D(Omega) = 1/2 int int dx dy / |x - y|.
+    """D(Omega) = 1/2 int int dx dy / |x - y| of the coiled solid.
 
-    region is ("ball", radius) or ("coil", profile, n).  Ball by the radial
-    closed form; coil by the Pohozaev identity D = (1/5) int_Sigma u (x . nu)
-    dsigma, with u from ``surface_potentials`` on the ENERGY_GRID trapezoid
-    rule over one period and x measured from the coil centre, so every block
-    contributes the same.  The integrand is even under theta -> pi - theta
+    By the Pohozaev identity D = (1/5) int_Sigma u (x . nu) dsigma, with u
+    from ``surface_potentials`` on the ENERGY_GRID trapezoid rule over one
+    period and x measured from the coil centre, so every block contributes
+    the same.  The integrand is even under theta -> pi - theta
     and y3 -> -y3, so the rule runs over the quarter theta in [pi/2, 3pi/2],
     y3 in [-T/2, 0], counting each node once on the lines a map fixes and
     twice elsewhere.
     """
-    kind = region[0]
-    if kind == "ball":
-        return ball_coulomb_energy(region[1])
-    if kind != "coil":
-        raise DomainError(f"unknown region kind {kind!r}")
-    profile, n = region[1], int(region[2])
     quad = quad or BlockQuadrature(profile)
     self_cfg = self_cfg or SelfBlockSettings()
     n_th, n_z = ENERGY_GRID

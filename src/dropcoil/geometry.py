@@ -73,17 +73,6 @@ class SurfacePatch:
     h: Optional[SymmetricField] = None
     chart: Optional[ConformalChart] = None
 
-    def y3_domain(self):
-        if self.kind == "sphere":
-            r = self.radius
-            return (-r, r)
-        if self.kind == "cylinder":
-            return (-np.inf, np.inf)
-        T = self.profile.T
-        if self.kind == "coiled":
-            return (-T / 2.0, -T / 2.0 + self.n * T)
-        return (-T / 2.0, T / 2.0)
-
     # -- profile data of the generating curve ------------------------------
 
     def _curve(self, y3):
@@ -336,73 +325,37 @@ def _fmt(x: float) -> str:
     return format(float(x), ".9g")
 
 
-def _write_obj(path, vertices, normals, faces):
+def export_mesh(patch: SurfacePatch, resolution, path) -> None:
+    """Triangulated OBJ export of a coil's n periods, y3 from -T/2; the closed
+    theta and y3 seams are welded by index reuse.  Other patches are refused."""
+    ntheta, n3 = int(resolution[0]), int(resolution[1])
+    if ntheta < 8 or n3 < 8:
+        raise DomainError("mesh resolution must be at least (8, 8)")
+    if patch.kind != "coiled":
+        raise DomainError(f"mesh export takes a coiled patch, got {patch.kind!r}")
+
+    th = np.linspace(0.0, 2.0 * np.pi, ntheta, endpoint=False)
+    T = patch.profile.T
+    y3 = np.linspace(-T / 2.0, -T / 2.0 + patch.n * T, n3, endpoint=False)
+    forms = evaluate_forms(patch, th[:, None], y3[None, :])
+    P = patch.position(th[:, None], y3[None, :])
+
+    idx = lambda i, j: (i % ntheta) * n3 + j % n3
+    faces = []
+    for i in range(ntheta):
+        for j in range(n3):
+            v00, v10 = idx(i, j), idx(i + 1, j)
+            v01, v11 = idx(i, j + 1), idx(i + 1, j + 1)
+            faces.append((v00, v10, v11))
+            faces.append((v00, v11, v01))
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("# dropcoil surface mesh\n")
-            for v in vertices:
+            for v in P.reshape(-1, 3):
                 fh.write(f"v {_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}\n")
-            for vn in normals:
+            for vn in forms.normal.reshape(-1, 3):
                 fh.write(f"vn {_fmt(vn[0])} {_fmt(vn[1])} {_fmt(vn[2])}\n")
             for a, b, c in faces:
                 fh.write(f"f {a+1}//{a+1} {b+1}//{b+1} {c+1}//{c+1}\n")
     except OSError as exc:
         raise IoError(f"cannot write mesh to {path}: {exc}") from exc
-
-
-def export_mesh(patch: SurfacePatch, resolution, path) -> None:
-    """Triangulated OBJ export; closed kinds weld seams by index reuse."""
-    ntheta, n3 = int(resolution[0]), int(resolution[1])
-    if ntheta < 8 or n3 < 8:
-        raise DomainError("mesh resolution must be at least (8, 8)")
-
-    if patch.kind == "sphere":
-        _export_sphere(patch, ntheta, n3, path)
-        return
-
-    th = np.linspace(0.0, 2.0 * np.pi, ntheta, endpoint=False)
-    closed3 = patch.kind == "coiled"
-    lo, hi = patch.y3_domain()
-    if patch.kind == "cylinder":
-        lo, hi = -1.0, 1.0
-    y3 = np.linspace(lo, hi, n3, endpoint=not closed3)
-    forms = evaluate_forms(patch, th[:, None], y3[None, :])
-    P = patch.position(th[:, None], y3[None, :])
-
-    verts = P.reshape(-1, 3)
-    norms = forms.normal.reshape(-1, 3)
-    idx = lambda i, j: (i % ntheta) * n3 + (j % n3 if closed3 else j)
-    faces = []
-    jmax = n3 if closed3 else n3 - 1
-    for i in range(ntheta):
-        for j in range(jmax):
-            v00, v10 = idx(i, j), idx(i + 1, j)
-            v01, v11 = idx(i, j + 1), idx(i + 1, j + 1)
-            faces.append((v00, v10, v11))
-            faces.append((v00, v11, v01))
-    _write_obj(path, verts, norms, faces)
-
-
-def _export_sphere(patch, ntheta, nphi, path):
-    """Closed sphere: nphi interior latitude rows plus two pole vertices."""
-    r = patch.radius
-    th = np.linspace(0.0, 2.0 * np.pi, ntheta, endpoint=False)
-    lat = np.pi * (np.arange(1, nphi + 1)) / (nphi + 1)  # colatitude from +e3 pole
-    y3 = r * np.cos(lat)
-    P = patch.position(th[:, None], y3[None, :])
-    nu = P / r
-
-    verts = [np.array([0.0, 0.0, r])] + list(P.reshape(-1, 3)) + [np.array([0.0, 0.0, -r])]
-    norms = [np.array([0.0, 0.0, 1.0])] + list(nu.reshape(-1, 3)) + [np.array([0.0, 0.0, -1.0])]
-    north, south = 0, len(verts) - 1
-    idx = lambda i, j: 1 + (i % ntheta) * nphi + j
-    faces = []
-    for i in range(ntheta):
-        faces.append((north, idx(i, 0), idx(i + 1, 0)))
-        for j in range(nphi - 1):
-            v00, v10 = idx(i, j), idx(i + 1, j)
-            v01, v11 = idx(i, j + 1), idx(i + 1, j + 1)
-            faces.append((v00, v11, v10))
-            faces.append((v00, v01, v11))
-        faces.append((south, idx(i + 1, nphi - 1), idx(i, nphi - 1)))
-    _write_obj(path, verts, norms, faces)

@@ -49,8 +49,7 @@ def _second_derivative_matrix(m: int, tau: float) -> np.ndarray:
 class KernelFields:
     """Radial profiles of the translation Jacobi fields on the solver grid."""
 
-    nu1: np.ndarray  # pairs with cos(theta); odd under theta -> pi - theta
-    nu2: np.ndarray  # pairs with sin(theta); the symmetric-class kernel
+    nu2: np.ndarray  # pairs with sin(theta), nu1 with cos(theta); the symmetric-class kernel
     nu3: np.ndarray  # theta-independent, odd in t
 
 
@@ -82,8 +81,7 @@ class JacobiSolver:
         self.w = w
 
         self.D2 = _second_derivative_matrix(m, self.tau)
-        self.kernel = KernelFields(nu1=self.zp / self.x, nu2=self.zp / self.x,
-                                   nu3=-self.xp / self.x)
+        self.kernel = KernelFields(nu2=self.zp / self.x, nu3=-self.xp / self.x)
 
         self._systems = []  # per mode k; k = 0 and 1 bordered, (m+2)^2
         for k in range(kmax + 1):
@@ -175,7 +173,7 @@ class JacobiSolver:
         self._require(h)
         out = np.empty_like(h.modes)
         for k in range(h.kmax + 1):
-            out[k] = (self.D2 @ h.modes[k] + (self.p - k * k) * h.modes[k]) / self.x2
+            out[k] = self.apply_mode(k, h.modes[k])
         return SymmetricField(h.kmax, self.tau, out)
 
     def apply_mode(self, k: int, prof: np.ndarray) -> np.ndarray:
@@ -215,11 +213,10 @@ class JacobiSolver:
     # ---- diagnostics ----------------------------------------------------
 
     def kernel_residuals(self) -> dict:
-        """sup |J[nu_j]| relative to sup |nu_j| for the three Jacobi fields."""
+        """sup |J[nu_j]| relative to sup |nu_j| for nu2 and nu3 (nu1 has nu2's radial profile)."""
         out = {}
         r2 = self.apply_mode(1, self.kernel.nu2)
         out["nu2"] = float(np.max(np.abs(r2)) / np.max(np.abs(self.kernel.nu2)))
-        out["nu1"] = out["nu2"]  # same radial profile, cos(theta) factor
         # nu3 is odd in t: differentiate in the sine basis
         interior = self.kernel.nu3[1:-1]
         coef = dst1(interior) / self.m

@@ -38,12 +38,11 @@ slopes f', x', x'' = (1 - 2q) x - 2x^3 and 1/z', so none needs a linear solve.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DomainError, GridMismatch, NonConvergence
+from .errors import DomainError, NonConvergence
 from .fields import dct1, dst1
 
 DEFAULT_GRID = 2048  # samples per half-period (panel count; +1 nodes)
@@ -157,10 +156,7 @@ class CubicHermite:
 
 
 class _Record:
-    """to_dict/from_dict and JSON over the public dataclass fields, arrays as lists.
-
-    Keys that are not fields (such as the ``tol`` of older files) are ignored.
-    """
+    """to_dict over the public dataclass fields, arrays as lists."""
 
     KIND = ""
 
@@ -168,18 +164,6 @@ class _Record:
         d = {f.name: getattr(self, f.name) for f in fields(self) if not f.name.startswith("_")}
         d = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in d.items()}
         return dict(d, kind=self.KIND)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, d: dict):
-        names = [f.name for f in fields(cls) if not f.name.startswith("_")]
-        return cls(**{k: np.asarray(d[k]) if isinstance(d[k], list) else d[k] for k in names})
-
-    @classmethod
-    def from_json(cls, text: str):
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass
@@ -190,7 +174,7 @@ class DelaunayProfile(_Record):
     phi_j = j pi / (len(grid) - 1); f/fp/fpp are the profile and its
     derivatives there.  V is the block volume |Omega_0| and Ia the stability
     integral, both trapezoid sums in phi.  ``_anti`` holds the coefficients of
-    s(phi) (``_antiderivative``; a loaded profile is solved afresh).
+    s(phi) (``_antiderivative``).
     """
 
     KIND = "delaunay-profile"
@@ -204,23 +188,6 @@ class DelaunayProfile(_Record):
     Ia: float
     _anti: np.ndarray = field(default=None, repr=False, compare=False)
     _interp: object = field(default=None, init=False, repr=False, compare=False)
-
-    @classmethod
-    def from_dict(cls, d: dict):
-        """The profile solved afresh at the stored a and grid size, so it interpolates as solved.
-
-        Raises GridMismatch when the stored T, V, Ia, grid, f or fp differ from
-        the solved ones by more than 1e-12.
-        """
-        prof = super().from_dict(d)
-        fresh = solve_profile(prof.a, len(prof.grid) - 1)
-        gap = max(abs(prof.T - fresh.T), abs(prof.V - fresh.V), abs(prof.Ia - fresh.Ia),
-                  *(float(np.max(np.abs(getattr(prof, k) - getattr(fresh, k))))
-                    for k in ("grid", "f", "fp")))
-        if not gap <= 1e-12:
-            raise GridMismatch(f"stored profile differs from the one solved at a = {prof.a} "
-                               f"by {gap:.3e}")
-        return fresh
 
     def _half_eval(self, u, order):
         """f, and f' when ``order`` >= 1, on the folded coordinate u in [0, T/2].

@@ -277,7 +277,7 @@ class EquationEval:
     residual: float            # sup |G - d| over the sample grid
     symmetry_residual: float   # angular components outside the class
     H: np.ndarray = dfield(repr=False)          # mean curvature samples
-    N: np.ndarray = dfield(repr=False)          # Coulomb samples; None at gamma = 0
+    N: np.ndarray = dfield(repr=False)          # Coulomb samples
     boundary: object = dfield(repr=False)       # solid_boundary of the evaluated h
 
 
@@ -306,16 +306,13 @@ def _coulomb_samples(ctx: ReductionContext, boundary, rule: CoulombRule) -> np.n
     if len(theta) != len(ctx.theta):
         fld = SymmetricField.from_samples(sub, ctx.solver.tau, ctx.settings.kmax)[0]
         sub = fld.grid_values(len(ctx.theta))
-    if len(y3_sub) == len(ctx.t_nodes):
-        return sub
-    coef = cos_coeffs(sub)
-    return cos_eval(coef, ctx.t_nodes, ctx.solver.tau)
+    return cos_eval(cos_coeffs(sub), ctx.t_nodes, ctx.solver.tau)
 
 
 def _project_equation(ctx: ReductionContext, H: np.ndarray, N: np.ndarray, gamma: float,
                       boundary) -> EquationEval:
-    """G = H + gamma N (G = H at gamma = 0) and its projections on the sample grid."""
-    G = H + gamma * N if gamma != 0.0 else H
+    """G = H + gamma N and its projections on the sample grid."""
+    G = H + gamma * N
     fld, drop = SymmetricField.from_samples(G, ctx.solver.tau, ctx.settings.kmax)
     c, d = ctx.solver.project_coeffs(fld)
     residual = float(np.max(np.abs(G - d)))
@@ -324,16 +321,15 @@ def _project_equation(ctx: ReductionContext, H: np.ndarray, N: np.ndarray, gamma
 
 
 def _equation_samples(ctx: ReductionContext, h: SymmetricField, rule: CoulombRule,
-                      boundary=None, coulomb: bool = True):
+                      boundary=None):
     """(H, N, boundary) of h on the sample grid, as ``evaluate_equation`` takes
-    them, N on ``rule``; N is None without ``coulomb``."""
+    them, N on ``rule``."""
     perturb = None if is_zero_field(h) else h
     patch = build_coil(ctx.profile, ctx.n, perturb, chart=ctx.chart)
     H = evaluate_forms(patch, ctx.theta[:, None], ctx.y3_nodes[None, :]).H
     if boundary is None:
         boundary = solid_boundary(ctx.profile, perturb, ctx.chart)
-    N = _coulomb_samples(ctx, boundary, rule) if coulomb else None
-    return H, N, boundary
+    return H, _coulomb_samples(ctx, boundary, rule), boundary
 
 
 def _coupling(ctx: ReductionContext, H: np.ndarray, N: np.ndarray) -> float:
@@ -354,12 +350,12 @@ def evaluate_equation(profile: DelaunayProfile, n: int, h: SymmetricField,
 
     lambda is identified with the d-projection; the returned residual is
     sup |G - d| over the grid (c reported separately).  N is integrated on
-    every call with gamma != 0, on ``boundary`` when the caller already holds
-    h's solid boundary, else on one built here and returned with the samples.
+    every call, on ``boundary`` when the caller already holds h's solid
+    boundary, else on one built here and returned with the samples.
     """
     ctx = _context(profile, n, settings, ctx)
     rule = ctx.final_rule if final else ctx.loop_rule
-    H, N, boundary = _equation_samples(ctx, h, rule, boundary, coulomb=gamma != 0.0)
+    H, N, boundary = _equation_samples(ctx, h, rule, boundary)
     return _project_equation(ctx, H, N, gamma, boundary)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -327,3 +328,62 @@ def test_unfittable_lists_are_refused(tmp_path, capsys, args, message):
     assert main(args + ["--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args, digest", [
+    (["profile", "--a", "0.3"],
+     "5c900ce2708d8057557e85e90fc3d09967effc449ae519e104c18347d2706504"),
+    (["coil-mesh", "--a", "0.3", "--n", "6", "--grid", "16x48"],
+     "95f2f0c26755aec15d3d51ec32535a1bfadd163a4480c032149e0e13daed75ce"),
+    (["appendix"],
+     "3a88bc37e4f1ffbb5ce5f4ff51355e1642c5647341e4da6cdfed94d97d7b2841"),
+])
+def test_outputs_outside_results_keep_their_bytes(tmp_path, args, digest):
+    # the outputs results/ does not hold, pinned by sha256 of the file
+    out = tmp_path / "out"
+    assert main(args + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args", [
+    ["profile", "--a", "0.3"],
+    ["coil-mesh", "--a", "0.3", "--n", "6", "--grid", "16x48"],
+    ["ia-scan", "--a-range", "0.1:0.2:0.1"],
+])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, args):
+    # a path that cannot be opened is the caller's mistake, not a numerical failure
+    out = tmp_path / "missing" / "out"
+    assert main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and "numerical failure" not in err
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("profile", {"a": None}, "config key 'a': float expected, got null"),
+    ("mass-map", {"m": "40"}, "config key 'm': float expected, got \"40\""),
+    ("coil-mesh", {"n": "x"}, "config key 'n': int expected, got \"x\""),
+    ("mass-map", {"m": True}, "config key 'm': float expected, got true"),
+    ("coil-mesh", {"n": 6.0}, "config key 'n': int expected, got 6.0"),
+    ("ia-scan", {"a_range": 0.1}, "config key 'a_range': str expected, got 0.1"),
+])
+def test_config_value_of_wrong_type_is_refused(tmp_path, capsys, command, config, message):
+    # each --config value is checked against its field's type before anything runs
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_int_for_float_field_matches_flag(tmp_path, capsys):
+    # a JSON int for a float field is taken as that float: the resolved config,
+    # and so its hash, is the one the flag gives
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"m": 40}))
+    assert main(["mass-map", "--config", str(cfgfile), "--dry-run"]) == 0
+    from_config = capsys.readouterr().out
+    assert main(["mass-map", "--m", "40", "--dry-run"]) == 0
+    assert capsys.readouterr().out == from_config
+    assert json.loads(from_config)["m"] == 40.0 and '"m":40.0' in from_config

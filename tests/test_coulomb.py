@@ -1461,7 +1461,7 @@ def test_unit_ball_coulomb_energy_from_potential():
 
 
 def test_energy_scaling_degree_five():
-    assert coulomb_energy(("ball", 2.0)) == pytest.approx(32 * coulomb_energy(("ball", 1.0)))
+    assert ball_coulomb_energy(2.0) == pytest.approx(32 * ball_coulomb_energy(1.0))
 
 
 def test_ball_energy_scaling_identity():
@@ -1485,12 +1485,10 @@ def test_critical_mass():
 
 def test_coil_energy_consistency(prof03):
     # the Pohozaev energy at the default quadrature against a refined one
-    e1 = coulomb_energy(("coil", prof03, 4))
-    e2 = coulomb_energy(("coil", prof03, 4), quad=BlockQuadrature(prof03, (24, 48, 72)),
+    e1 = coulomb_energy(prof03, 4)
+    e2 = coulomb_energy(prof03, 4, quad=BlockQuadrature(prof03, (24, 48, 72)),
                         self_cfg=SelfBlockSettings().refined())
     assert abs(e1 - e2) / e2 <= 1e-7
-    with pytest.raises(DomainError):
-        coulomb_energy(("pyramid", 1.0))
 
 
 @pytest.mark.parametrize("n", [4, 8])
@@ -1508,7 +1506,7 @@ def test_coil_energy_quarter_matches_full_grid(prof03, n):
     x_nu = np.sum(patch.position(theta, y3) * forms.normal, axis=-1)
     dsigma = np.sqrt(np.linalg.det(forms.g))
     full = n * 2.0 * np.pi * T / (n_th * n_z) * np.sum(u.reshape(theta.shape) * x_nu * dsigma) / 5.0
-    assert abs(coulomb_energy(("coil", prof03, n)) / full - 1.0) <= 1e-13
+    assert abs(coulomb_energy(prof03, n) / full - 1.0) <= 1e-13
 
 
 def _coil_energy_boundary_integral(prof, n, n_th, n_z):
@@ -1546,5 +1544,5 @@ def test_coil_energy_boundary_oracle(prof03):
     coarse = _coil_energy_boundary_integral(prof03, 4, 16, 24)
     fine = _coil_energy_boundary_integral(prof03, 4, 24, 36)
     oracle = fine + (fine - coarse) / (1.5**3 - 1.0)
-    energy = coulomb_energy(("coil", prof03, 4))
+    energy = coulomb_energy(prof03, 4)
     assert abs(energy - oracle) / oracle <= 1e-5

@@ -321,19 +321,6 @@ def signed_volume(verts, faces):
     return float(np.sum(np.einsum("ij,ij->i", v[:, 0], np.cross(v[:, 1], v[:, 2])))) / 6.0
 
 
-def test_sphere_mesh(tmp_path):
-    path = tmp_path / "sphere.obj"
-    export_mesh(build_sphere(1.0), (16, 16), path)
-    verts, faces = load_obj(path)
-    assert len(faces) == 512
-    chi, _ = euler_characteristic(faces)
-    assert chi == 2
-    assert boundary_edge_count(faces) == 0
-    vol = signed_volume(verts, faces)
-    assert vol > 0  # outward, counter-clockwise
-    assert vol == pytest.approx(4 * np.pi / 3, rel=0.05)
-
-
 def test_coil_mesh_closed_torus(prof03, tmp_path):
     path = tmp_path / "coil.obj"
     export_mesh(build_coil(prof03, 12), (32, 32 * 12), path)
@@ -344,16 +331,19 @@ def test_coil_mesh_closed_torus(prof03, tmp_path):
     assert signed_volume(verts, faces) > 0
 
 
-def test_straight_mesh_open_tube(prof03, tmp_path):
-    path = tmp_path / "tube.obj"
-    export_mesh(build_straight(prof03), (24, 16), path)
-    _, faces = load_obj(path)
-    assert boundary_edge_count(faces) == 2 * 24
-
-
 def test_mesh_resolution_validation(prof03, tmp_path):
     with pytest.raises(DomainError):
-        export_mesh(build_straight(prof03), (4, 16), tmp_path / "x.obj")
+        export_mesh(build_coil(prof03, 6), (4, 16), tmp_path / "x.obj")
+
+
+def test_mesh_export_refuses_other_patches(prof03, tmp_path):
+    # only coils are exported; the sphere, cylinder and straight patches serve
+    # the curvature checks
+    path = tmp_path / "x.obj"
+    for patch in (build_sphere(1.0), build_cylinder(0.5), build_straight(prof03)):
+        with pytest.raises(DomainError, match="mesh export takes a coiled patch"):
+            export_mesh(patch, (16, 16), path)
+    assert not path.exists()
 
 
 def test_mesh_deterministic(prof03, tmp_path):

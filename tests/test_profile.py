@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
-from dropcoil.errors import DomainError, GridMismatch
+from dropcoil.errors import DomainError
 from dropcoil.profile import (CYLINDER_IA, CYLINDER_PERIOD, CYLINDER_VOLUME,
-                              DEFAULT_GRID, ConformalChart, DelaunayProfile,
                               _block_sums, _modes, build_chart,
                               compute_Ia, compute_Ia_conformal, profile_scan,
                               solve_profile)
@@ -215,28 +214,6 @@ def test_roulette_matches_ode_oracle(a):
     assert np.max(np.abs(z - zo)) < 1e-11
 
 
-def test_profile_json_roundtrip(prof03):
-    p2 = DelaunayProfile.from_json(prof03.to_json())
-    # files written while profiles carried an ODE tolerance still load
-    old = dict(prof03.to_dict(), tol=1e-10)
-    assert DelaunayProfile.from_dict(old).to_dict() == p2.to_dict()
-    assert p2.a == prof03.a and p2.T == prof03.T
-    assert np.allclose(p2.f, prof03.f)
-    s = np.linspace(-1.0, 2.0, 57)
-    f1 = prof03.evaluate(s, order=2)
-    f2 = p2.evaluate(s, order=2)
-    for u, v in zip(f1, f2):
-        assert np.max(np.abs(u - v)) < 1e-9
-
-
-def test_chart_json_roundtrip(chart03):
-    c2 = ConformalChart.from_json(chart03.to_json())
-    assert ConformalChart.from_dict(dict(chart03.to_dict(), tol=1e-11)).tau == c2.tau
-    assert c2.tau == chart03.tau
-    y3 = np.linspace(-1.0, 1.0, 11)
-    assert np.max(np.abs(c2.t_of_y3(y3) - chart03.t_of_y3(y3))) < 1e-10
-
-
 def test_evaluate_periodic_fold(prof03):
     s = np.linspace(-3 * prof03.T, 3 * prof03.T, 301)
     f, fp, fpp = prof03.evaluate(s, order=2)
@@ -285,37 +262,6 @@ def test_profile_interpolant_built_on_first_evaluate(a):
     f_ex, fp_ex = _exact_f(a, _roulette_angle(_block_sums(a, _modes(a))[0], 0, s))
     assert np.max(np.abs(f - f_ex)) <= 2e-15
     assert np.max(np.abs(fp - fp_ex)) <= 5e-11
-    # a loaded profile is solved afresh at its a and grid size, so it gives the
-    # solved profile's bits and meets the same bounds; so does one stored on a
-    # grid 4x finer than the default
-    loaded = DelaunayProfile.from_dict(p.to_dict())
-    assert loaded._interp is None and np.array_equal(loaded._anti, p._anti)
-    f_j, fp_j = loaded.evaluate(s, order=1)
-    assert np.array_equal(f_j, f) and np.array_equal(fp_j, fp)
-    assert np.max(np.abs(f_j - f_ex)) <= 2e-15
-    assert np.max(np.abs(fp_j - fp_ex)) <= 5e-11
-    fine = solve_profile(a, grid_size=4 * DEFAULT_GRID)
-    fine_j = DelaunayProfile.from_dict(fine.to_dict())
-    assert np.array_equal(fine_j._anti, fine._anti) and np.array_equal(fine_j.grid, fine.grid)
-    for got, want in zip(fine_j.evaluate(s, order=1), fine.evaluate(s, order=1)):
-        assert np.array_equal(got, want)
-
-
-def test_profile_from_dict_checks_stored_data(prof03, prof_cyl):
-    # the stored T, V, Ia, grid, f and fp must be those solved at the stored a,
-    # and a stored a outside (0, 1/2] is refused as when solving
-    d = prof03.to_dict()
-    for key, value in (("T", prof03.T * (1.0 + 1e-11)), ("V", prof03.V + 1e-11),
-                       ("Ia", prof03.Ia - 1e-11), ("a", 0.31),
-                       ("grid", (prof03.grid * (1.0 + 1e-11)).tolist()),
-                       ("f", (prof03.f + 1e-11).tolist()),
-                       ("fp", (prof03.fp * (1.0 + 1e-10)).tolist())):
-        with pytest.raises(GridMismatch):
-            DelaunayProfile.from_dict(dict(d, **{key: value}))
-    for a in (0.0, 0.7, float("nan")):
-        with pytest.raises(DomainError):
-            DelaunayProfile.from_dict(dict(d, a=a))
-    assert DelaunayProfile.from_dict(prof_cyl.to_dict()).to_dict() == prof_cyl.to_dict()
 
 
 @pytest.mark.parametrize("a", [0.05, 0.3, 0.45])
@@ -340,7 +286,7 @@ def test_chart_interpolants_match_roulette_inversion(a):
 def test_evaluate_order_zero_matches_order_one(prof03, prof_cyl):
     # order 0 evaluates f alone, with the same bits as the f of order 1
     s = np.linspace(-3.0, 4.0, 301)
-    for p in (prof03, DelaunayProfile.from_dict(prof03.to_dict()), prof_cyl):
+    for p in (prof03, prof_cyl):
         f0 = p.evaluate(s, order=0)
         assert len(f0) == 1
         assert np.array_equal(f0[0], p.evaluate(s, order=1)[0])
