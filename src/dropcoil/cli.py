@@ -107,8 +107,14 @@ READS = {
 def _resolve_config(args) -> RunConfig:
     base = {}
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            base = json.load(fh)
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                base = json.load(fh)
+        except OSError as exc:
+            raise errors.DomainError(f"cannot read --config {args.config}: {exc}") from exc
+        if not isinstance(base, dict):
+            raise errors.DomainError(f"--config {args.config} holds JSON that is not an "
+                                     "object of config keys")
     base["command"] = args.command
     cfg = RunConfig.from_dict(base)
     for name in ("a", "a_range", "n", "n_list", "m", "grid", "out"):
@@ -153,8 +159,8 @@ def cmd_curvature_check(cfg: RunConfig):
     n_list = [int(v) for v in parse_range(cfg.n_list)]
     prof = profile.solve_profile(cfg.a)
     rep = geometry.curvature_expansion_check(prof, n_list)
-    rows = list(zip(rep.n_list, rep.max_err, rep.phi_fit_rel_err))
-    write_csv(cfg.out, ["n", "max_err", "phi_fit_rel_err"], rows,
+    rows = list(zip(rep.n_list, rep.max_err, rep.phi_fit_rel_err, rep.phi_fit_abs_err))
+    write_csv(cfg.out, ["n", "max_err", "phi_fit_rel_err", "phi_fit_abs_err"], rows,
               config=cfg.hashable_dict(),
               extra_meta={"decay_exponent": rep.decay_exponent, "a": rep.a})
 
@@ -280,8 +286,7 @@ def main(argv=None) -> int:
             return 2
         COMMANDS[args.command](cfg)
         return 0
-    except (errors.DomainError, errors.GridMismatch, errors.IoError, FileNotFoundError,
-            ValueError) as exc:
+    except (errors.DomainError, errors.GridMismatch, errors.IoError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except errors.DropcoilError as exc:

@@ -23,13 +23,13 @@ D = 1/2 int int dx dy / |x - y| = (1/5) int_Sigma u (x . nu) dsigma.
 Far blocks come from a multipole expansion.  Block k is the evaluation
 point's window block turned by kT/R about the coil axis, so from n = FAR_MIN_N
 on, each point forms the window's moments once, to order FAR_ORDER = 8, about
-X(0, 0, y3c), on the same (x3, phi) lattice with r by a Gauss rule that is
-exact for them, and the blocks FAR_K0 = 8 .. n - FAR_K0 are that expansion
-evaluated at the point turned by -kT/R: O(L^2) work a block instead of
-O(nodes), with a truncation below 1e-13 a block.  The near blocks stay on the
-closed-form columns, with the separated kernel: no regular block's column
-line comes near the evaluation point, so only the self block's columns with
-|xi| <= d_xi need the guarded one.
+X(0, 0, y3c): row by row in closed form in r, summed on phi against a cached
+harmonic table and carried to the centre by the addition theorem.  The blocks
+FAR_K0 = 8 .. n - FAR_K0 are that expansion evaluated at the point turned by
+-kT/R: O(L^2) work a block instead of O(nodes), with a truncation below 1e-13
+a block.  The near blocks stay on the closed-form columns, with the separated
+kernel: no regular block's column line comes near the evaluation point, so
+only the self block's columns with |xi| <= d_xi need the guarded one.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ VOLUME_GRID = (32, 48)
 # block k0 (blocks k0..n-k0 are far) and the smallest n that uses it.
 FAR_ORDER = 8
 FAR_K0 = 8
-FAR_MIN_N = 128
+FAR_MIN_N = 48
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +383,11 @@ class SelfBlockSettings:
                                  grade_ratio=min(self.grade_ratio, 1.7))
 
 
+def _phi_nodes(n_phi: int):
+    """The block rule's n_phi midpoint nodes in phi."""
+    return 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
+
+
 def _degenerate_rule(n_phi: int, n_z: int) -> bool:
     """n_phi = 2 (mod 4) and n_z odd: see ``BlockQuadrature``."""
     return n_phi % 4 == 2 and n_z % 2 == 1
@@ -416,7 +421,7 @@ class BlockQuadrature:
         xi, wxi = _gl(n_z)
         self.z_nodes = (xi - 0.5) * T
         self.z_weights = wxi * T
-        self.phi_nodes = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
+        self.phi_nodes = _phi_nodes(n_phi)
         self.phi_weights = np.full(n_phi, 2.0 * np.pi / n_phi)
 
     def nodes2d(self, y3_center, boundary):
@@ -759,105 +764,117 @@ def _regular_blocks(nodes, ks, R, T, theta, y3c, r_eval):
     return Ik
 
 
+def _solid_harmonics(zeta, xi):
+    """Regular solid harmonics R_l^m = |d|^l P_l^m(cos) e^{i m azimuth} / (l + m)!, m <= l.
+
+    At real (zeta, xi), the coil axis as polar axis, as rows [l][m]: R_m^m =
+    (-xi/2)^m / m!, R_{m+1}^m = zeta R_m^m, (l - m)(l + m) R_l^m = (2l - 1) zeta
+    R_{l-1}^m - (zeta^2 + xi^2) R_{l-2}^m; at complex xi, xi^m times the same
+    polynomial in zeta and |xi|^2.
+    """
+    L = FAR_ORDER
+    out = [[None] * (L + 1) for _ in range(L + 1)]
+    diag = np.ones_like(zeta)
+    for m in range(L + 1):
+        diag = out[m][m] = diag * (-0.5 / m) * xi if m else diag
+        for l in range(m + 1, L + 1):
+            out[l][m] = zeta * out[l - 1][m] if l == m + 1 else (
+                ((2 * l - 1) * zeta * out[l - 1][m] - (zeta * zeta + xi * xi) * out[l - 2][m])
+                / ((l - m) * (l + m)))
+    return out
+
+
+@lru_cache(maxsize=16)
+def _phi_table(n_phi):
+    """Per j, R_j^mu(cos phi, sin phi), mu <= j, over j + 2 atop over j + 3: (2 n_phi, j + 1)."""
+    R = _solid_harmonics(np.cos(_phi_nodes(n_phi)), np.sin(_phi_nodes(n_phi)))
+    tables = tuple(np.concatenate([np.stack(R[j][:j + 1], axis=-1) / (j + i) for i in (2, 3)])
+                   for j in range(FAR_ORDER + 1))
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
+@lru_cache(maxsize=1)
+def _translation_terms():
+    """``_window_moments``' columns, (n, |k|) for b^n cos and (n, 2L + 1 + |k|)
+    for b^n sin(k alpha/2), and its terms' (column, j mu) entries, real
+    coefficients, run starts and slots (re, im of M_l^m).  Term (l, m, j, mu),
+    455 at L = 8, is (-1)^mu [mu < 0] R_n^nu(0, 1) (-i)^nu S_j^|mu| b^n
+    e^{-i k alpha/2}, n = l - j, nu = |m - mu| <= n, n - nu even, k = m + mu.
+    """
+    L = FAR_ORDER
+    c, terms = _solid_harmonics(np.zeros(()), np.ones(())), []
+    for l in range(L + 1):
+        for m, j in ((m, j) for m in range(l + 1) for j in range(l + 1)):
+            n = l - j
+            for mu in range(max(-j, m - n), min(j, m + n) + 1):
+                nu, k = abs(m - mu), m + mu
+                if (n - nu) % 2:
+                    continue
+                z = float(c[n][nu]) * (-1.0) ** (-mu if mu < 0 else 0) * (-1j) ** nu
+                sin = -1j * ((k > 0) - (k < 0)) * z
+                for col, f in (((n, abs(k)), z), ((n, 2 * L + 1 + abs(k)), sin)):
+                    terms += [(2 * (l * (L + 1) + m) + part, col, j * (j + 1) // 2 + abs(mu), v)
+                              for part, v in enumerate((f.real, f.imag)) if v]
+    terms.sort(key=lambda t: t[0])
+    cols = {key: i for i, key in enumerate(sorted({t[1] for t in terms}))}
+    slot = np.array([t[0] for t in terms])
+    first = np.r_[0, np.flatnonzero(np.diff(slot)) + 1]
+    entry = np.array([cols[t[1]] * (L + 1) * (L + 2) // 2 + t[2] for t in terms])
+    out = np.array(list(cols)), entry, np.array([t[3] for t in terms]), first, slot[first]
+    for v in out:
+        v.setflags(write=False)
+    return out
+
+
 def _window_moments(nodes, R, y3c):
     """Multipole moments of each point's window block, (points, L + 1, L + 1) complex.
 
-    M[p, l, m] = sum_nodes wt conj(R_l^m(d)) for m <= l <= L = FAR_ORDER,
-    d = X(x) - X(0, 0, y3c) in the frame turned by -y3c/R about the coil
-    axis, so that d = (r cos phi, (R + r sin phi) e^{i x3'/R} - R) with
-    x3' = x3 - y3c, written (zeta, xi): the coil axis is the polar axis.
-    R_l^m(d) = |d|^l P_l^m(cos) e^{i m azimuth} / (l + m)! is the regular
-    solid harmonic, (-xi / 2)^m / m! times a real polynomial of zeta and
-    |d|^2 taken here as s_l^m Q_l^m, with Q_m^m = 1, Q_{m+1}^m = zeta,
-    Q_l^m = zeta Q_{l-1}^m - c_l^m |d|^2 Q_{l-2}^m,
-    c_l^m = (l - 1 + m)(l - 1 - m) / ((2l - 1)(2l - 3)) and
-    s_l^m = prod_{j = m+2..l} (2j - 1) / ((j + m)(j - m)): the Legendre
-    recurrence with its factors moved into one scale a moment.  The nodes
-    are the window's (x3, phi) lattice from ``nodes2d`` times a Gauss rule
-    in r on [0, rho_b] with FAR_ORDER // 2 + 2 nodes and weight
-    r (1 + r sin(phi)/R): exact for these polynomials of degree l + 2 in r.
-    A point's nodes are taken in tiles of z rows of at most TILE / 2 nodes
-    (complex temporaries), several points a tile when a whole lattice
-    fits, with one scratch set a call.
+    M[p, l, m] = sum wt conj(R_l^m(d)), m <= l <= L = FAR_ORDER, over the
+    ``nodes2d`` lattice and r in [0, rho_b], wt = w r (1 + s r), s = sin(phi)/R,
+    d = X(x) - X(0, 0, y3c) turned by -y3c/R about the coil axis.  On the row
+    at x3, alpha = (x3 - y3c)/R, b = 2R sin(alpha/2): d = rA + B, A = (cos phi,
+    sin phi e^{i alpha}), B = (0, i b e^{i alpha/2}), so the row's moments are
+    e^{-i mu alpha} S_j^mu, S_j^mu = sum_phi w (rho_b^{j+2}/(j+2) + s rho_b^{j+3}
+    /(j+3)) R_j^mu(cos phi, sin phi) (r exact, as the Gauss rule in r was), one
+    matmul a j on ``_phi_table``.  R_l^m(rA + B) = sum R_j^mu(rA) R_{l-j}^{m-mu}(B),
+    R_n^nu(B) = R_n^nu(0, 1) (i b)^nu b^{n-nu} e^{i nu alpha/2}, takes them to
+    the centre: one matmul over rows, its entries weighed by
+    ``_translation_terms``.  Tiles of points keep lattice temporaries within
+    TILE doubles (one point at least; the rows' sum adds 45 x 117 a point);
+    each matmul is one point's, so the batch changes no bit.
     """
     x3, phi, rho_b, w = nodes
-    L = FAR_ORDER
-    t, g = _gl(L // 2 + 2)
-    n_z, n_phi = w.shape
-    row = n_phi * len(t)
-    rows = min(n_z, max(1, TILE // (2 * row)))
-    pts = min(len(y3c), max(1, TILE // (2 * n_z * row)) if rows == n_z else 1)
-    c, scale = np.zeros((L + 1, L + 1)), np.zeros((L + 1, L + 1))
-    s_mm = 1.0
-    for m in range(L + 1):
-        s_mm *= -0.5 / m if m else 1.0
-        s = s_mm
-        for l in range(m, L + 1):
-            if l > m + 1:
-                s *= (2 * l - 1) / ((l + m) * (l - m))
-                c[l, m] = (l - 1 + m) * (l - 1 - m) / ((2 * l - 1) * (2 * l - 3))
-            scale[l, m] = s
-    sin_phi, cos_phi = np.sin(phi)[:, None], np.cos(phi)[:, None]
-    shape = (pts, rows, n_phi, len(t))
-    real = [np.empty(shape) for _ in range(8)]
-    ones = np.ones(shape)
-    W, xib = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
-    part = np.zeros((pts, L + 1, L + 1, 1, 2))
-    S = np.zeros((len(y3c), L + 1, L + 1, 2))
+    L, (n_z, n_phi) = FAR_ORDER, w.shape
+    cols, entry, coef, first, slot = _translation_terms()
+    table, nj = _phi_table(n_phi), (L + 1) * (L + 2) // 2
+    pts = min(len(y3c), max(1, TILE // (n_z * max(2 * n_phi, len(cols)))))
+    s = np.sin(phi) / R
+    M = np.zeros((len(y3c), (L + 1) ** 2 * 2))
     for p0 in range(0, len(y3c), pts):
-        for z0 in range(0, n_z, rows):
-            P, Z = slice(p0, p0 + pts), slice(z0, z0 + rows)
-            ti = (slice(0, len(y3c[P])), slice(0, len(w[Z])))
-            r, u, zeta, rho2, a, *pool = (v[ti] for v in real)
-            W_, xib_ = W[ti], xib[ti]
-            xp = ((x3[P, Z] - y3c[P, None]) / R)[..., None, None]
-            rb = rho_b[P, Z, :, None]
-            np.multiply(rb, t, out=r)
-            np.multiply(r, sin_phi, out=u)
-            np.multiply(r, cos_phi, out=zeta)
-            # xi = d2 + i d3: d2 = u cos(x3'/R) - 2R sin^2(x3'/2R), d3 = (R + u) sin(x3'/R)
-            d2, d3 = pool[0], pool[1]
-            np.multiply(u, np.cos(xp), out=d2)
-            np.subtract(d2, 2.0 * R * np.sin(0.5 * xp) ** 2, out=d2)
-            np.add(u, R, out=d3)
-            np.multiply(d3, np.sin(xp), out=d3)
-            xib_.real = d2
-            np.negative(d3, out=xib_.imag)                          # conj(xi)
-            np.multiply(d2, d2, out=rho2)
-            np.multiply(d3, d3, out=d3)
-            np.add(rho2, d3, out=rho2)
-            np.multiply(zeta, zeta, out=a)
-            np.add(rho2, a, out=rho2)                               # |d|^2
-            # W = wt = w rho_b g r (1 + u / R), times conj(xi)^m below
-            np.divide(u, R, out=a)
-            np.add(a, 1.0, out=a)
-            np.multiply(a, r, out=a)
-            np.multiply(a, rb * g, out=a)
-            np.multiply(a, w[Z, :, None], out=a)
-            W_.real, W_.imag = a, 0.0
-            # every real factor as (points, 1, nodes), so q @ W sums a point's nodes
-            flat = (len(r), 1, -1)
-            Wv = W_.view(float).reshape(len(r), -1, 2)
-            one, zeta, rho2, a = (v.reshape(flat) for v in (ones[ti], zeta, rho2, a))
-            pool = [v.reshape(flat) for v in pool]
-            out = part[:len(r)]
-            for m in range(L + 1):
-                if m:
-                    np.multiply(W_, xib_, out=W_)
-                q_prev, q = None, one
-                for l in range(m, L + 1):
-                    if l == m + 1:
-                        q_prev, q = q, zeta
-                    elif l > m + 1:
-                        nxt = pool[l % 3]
-                        np.multiply(q, zeta, out=a)
-                        np.multiply(q_prev, rho2, out=nxt)
-                        np.multiply(nxt, c[l, m], out=nxt)
-                        np.subtract(a, nxt, out=nxt)
-                        q_prev, q = q, nxt
-                    np.matmul(q, Wv, out=out[:, l, m])
-            S[P] += out[..., 0, :]
-    return scale * (S[..., 0] + 1j * S[..., 1])
+        P = slice(p0, p0 + pts)
+        rb = rho_b[P]
+        # w rho_b^{j+2} and w s rho_b^{j+3} side by side, one power of rho_b a j
+        pw = np.empty(rb.shape[:2] + (2, n_phi))
+        np.multiply(rb * rb, w, out=pw[..., 0, :])
+        np.multiply(pw[..., 0, :], rb * s, out=pw[..., 1, :])
+        S = np.empty(rb.shape[:2] + (nj,))
+        for j in range(L + 1):
+            pw *= rb[..., None, :] if j else 1.0
+            np.matmul(pw.reshape(rb.shape[:2] + (-1,)), table[j],
+                      out=S[..., j * (j + 1) // 2:(j + 1) * (j + 2) // 2])
+        alpha = (x3[P] - y3c[P, None]) / R
+        bn = np.empty((len(rb), L + 1, n_z))
+        bn[:, 0], bn[:, 1:] = 1.0, (2.0 * R * np.sin(0.5 * alpha))[:, None]
+        np.cumprod(bn, axis=1, out=bn)
+        half = 0.5 * np.arange(2 * L + 1)[:, None] * alpha[:, None]
+        trig = np.concatenate((np.cos(half), np.sin(half)), axis=1)
+        V = bn[:, cols[:, 0]]
+        V *= trig[:, cols[:, 1]]
+        vals = np.matmul(V, S).reshape(len(rb), -1)
+        M[P, slot] = np.add.reduceat(vals[:, entry] * coef, first, axis=1)
+    return M.view(complex).reshape(len(y3c), L + 1, L + 1)
 
 
 def _far_blocks(nodes, ks, R, T, theta, y3c, r_eval):
@@ -875,23 +892,26 @@ def _far_blocks(nodes, ks, R, T, theta, y3c, r_eval):
     formed for every m at once.  Tiles of (m, point, k) hold at most TILE
     doubles.
 
-    The constants were chosen by measurement at a = 0.3 on a 2-core host,
-    one thread.  Truncation, against the same lattice with r by 30-node
-    Gauss (both log-law rules (32, 48) and (48, 72), both boundaries,
-    n = 128 and 1024, blocks k and n - k at two points), largest relative
-    error a block: L = 6: 1.6e-11 at k = 8, 9.8e-14 at k = 16; L = 8: 1.2e-12
-    at k = 6, 8.8e-14 at k = 8, 1.2e-14 at k = 10; L = 10: 8.4e-15 at k = 6.
-    On that reference the column kernel is off by 1e-13 to 4e-9 on the
-    blocks a quarter coil away (its M1/M2 cancellation).  Odd L gain little
-    over the even order below.  Cost at one point, n = 1024, the expansion
-    plus the 2 (k0 - 1) near blocks on the column kernel, (32, 48) and
-    (48, 72): L = 6, k0 = 16: 5.0 and 8.8 ms; L = 8, k0 = 8: 4.7 and 7.8 ms;
-    L = 10, k0 = 6: 5.8 and 9.6 ms.  So L = 8, k0 = 8.  The expansion's
-    fixed cost (the moments) beats the column kernel on blocks 8..n-8 at one
-    point on all four rules in use, the Tier-1 loop (12, 14), the desk loop
-    (16, 20) and the log law's two, by a time ratio of 0.83, 0.59, 0.26 and
-    0.25 at n = 128; at n = 112 the (12, 14) ratio was 0.89 and 0.94 in two
-    runs, at n = 96 0.98 and 1.04.  So FAR_MIN_N = 128.
+    Measured at a = 0.3, 2-core host, one thread.  Truncation against the
+    lattice with r by 30-node Gauss (log-law rules, both boundaries, n = 128
+    and 1024, blocks k and n - k at two points), largest relative error a
+    block: L = 6: 1.6e-11 at k = 8, 9.8e-14 at k = 16; L = 8: 1.2e-12 at
+    k = 6, 8.8e-14 at k = 8; L = 10: 8.4e-15 at k = 6 (the column kernel:
+    1e-13 to 4e-9 a quarter coil away).  Cost at one point, n = 1024, with
+    the 2 (k0 - 1) near blocks, (32, 48) and (48, 72): L = 6, k0 = 16: 1.76,
+    2.76 ms; L = 8, k0 = 8: 1.36, 2.13 ms; L = 10, k0 = 6: 1.79, 2.21 ms.
+    So L = 8, k0 = 8.  The expansion's time over the column kernel's on
+    blocks 8..n-8, on its callers' shapes, at n = 40 / 48 / 56 / 64:
+
+        log law (32, 48), 1 point              0.49  0.37  0.31  0.27
+        log law (48, 72), 1 point              0.24  0.19  0.16  0.14
+        coarse tier (8, 10), 25 and 35 points  1.01  0.94  0.83  0.78
+        FAST loop (12, 14), 45 points          0.76  0.64  0.61  0.51
+        (16, 20), 63 points (FAST final, desk) 0.51  0.43  0.36  0.33
+        desk final (28, 40), 153 points        0.28  0.22  0.18  0.16
+
+    (the larger of two shapes that share a row; at other points the coarse
+    tier gave 0.97, 0.88 and 0.84).  So FAR_MIN_N = 48.
     """
     L = FAR_ORDER
     M = _window_moments(nodes, R, y3c)

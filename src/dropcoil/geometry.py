@@ -273,6 +273,7 @@ class ExpansionReport:
     max_err: list          # max |H - 2 - y2/(R f) Phi| per n
     decay_exponent: float   # fitted slope of log max_err vs log n
     phi_fit_rel_err: list   # coefficient recovery at y3 = 0, per n
+    phi_fit_abs_err: list   # the same, |fitted Phi(0) - Phi(0)|, per n
 
 
 def curvature_expansion_check(profile: DelaunayProfile, n_list) -> ExpansionReport:
@@ -282,7 +283,8 @@ def curvature_expansion_check(profile: DelaunayProfile, n_list) -> ExpansionRepo
     one period.  The straight frame does not depend on n: it is built once,
     and each coil bends it around its own circle.  The decay is fitted over
     at least two distinct n, and Phi(0) = 4a - 1 must not vanish (a = 1/4),
-    since its fit is reported relative to it.
+    since its fit is reported relative to it.  Near a = 1/4 that ratio says
+    little, so the fit's absolute error is reported too.
     """
     n_list = sorted(int(n) for n in n_list)
     if len(set(n_list)) < 2:
@@ -304,7 +306,7 @@ def curvature_expansion_check(profile: DelaunayProfile, n_list) -> ExpansionRepo
     period = straight._straight_frame(th[:, None], y3)
     bulge = straight._straight_frame(th, np.zeros_like(th))
     errs = []
-    phi_errs = []
+    phi_errs, phi_abs = [], []
     for n in n_list:
         R = build_coil(profile, n).R
         H = _forms(_bend(R, period)).H
@@ -313,10 +315,12 @@ def curvature_expansion_check(profile: DelaunayProfile, n_list) -> ExpansionRepo
         # recover Phi(0) by fitting (H-2) R against y2/f = sin(theta) at y3 = 0
         H0 = _forms(_bend(R, bulge)).H
         slope = float(np.dot(x, (H0 - 2.0) * R) / np.dot(x, x))
-        phi_errs.append(abs(slope - phi0) / abs(phi0))
+        phi_abs.append(abs(slope - phi0))
+        phi_errs.append(phi_abs[-1] / abs(phi0))
     exponent = float(np.polyfit(np.log(n_list), np.log(errs), 1)[0])
     return ExpansionReport(a=profile.a, n_list=n_list, max_err=errs,
-                           decay_exponent=exponent, phi_fit_rel_err=phi_errs)
+                           decay_exponent=exponent, phi_fit_rel_err=phi_errs,
+                           phi_fit_abs_err=phi_abs)
 
 
 # ---- OBJ export -----------------------------------------------------------

@@ -387,3 +387,23 @@ def test_config_int_for_float_field_matches_flag(tmp_path, capsys):
     assert main(["mass-map", "--m", "40", "--dry-run"]) == 0
     assert capsys.readouterr().out == from_config
     assert json.loads(from_config)["m"] == 40.0 and '"m":40.0' in from_config
+
+
+@pytest.mark.parametrize("content, message", [
+    ("[1]", "holds JSON that is not an object of config keys"),
+    ("\"a\"", "holds JSON that is not an object of config keys"),
+    (None, "cannot read --config"),       # a directory
+    ("missing", "cannot read --config"),  # no such file
+], ids=["list", "string", "directory", "missing"])
+def test_config_not_an_object_or_unreadable_is_refused(tmp_path, capsys, content, message):
+    # exit 2 with one error line, no traceback, before anything runs
+    cfg = tmp_path / "cfg.json"
+    if content is None:
+        cfg.mkdir()
+    elif content != "missing":
+        cfg.write_text(content)
+    out = tmp_path / "o"
+    assert main(["profile", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+    assert not out.exists()

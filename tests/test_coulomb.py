@@ -660,6 +660,109 @@ def _blocks_by_gauss_in_r(nodes, p, ks, R, T, theta, y3c, r_eval, q=8):
     return out
 
 
+def _window_moments_gauss_in_r(nodes, R, y3c):
+    """The window moments of ``coulomb._window_moments`` with r by a Gauss rule, one node a term.
+
+    The route the closed-form rows replaced, kept as their oracle.
+
+    M[p, l, m] = sum_nodes wt conj(R_l^m(d)) for m <= l <= L = coulomb.FAR_ORDER,
+    d = X(x) - X(0, 0, y3c) in the frame turned by -y3c/R about the coil
+    axis, so that d = (r cos phi, (R + r sin phi) e^{i x3'/R} - R) with
+    x3' = x3 - y3c, written (zeta, xi): the coil axis is the polar axis.
+    R_l^m(d) = |d|^l P_l^m(cos) e^{i m azimuth} / (l + m)! is the regular
+    solid harmonic, (-xi / 2)^m / m! times a real polynomial of zeta and
+    |d|^2 taken here as s_l^m Q_l^m, with Q_m^m = 1, Q_{m+1}^m = zeta,
+    Q_l^m = zeta Q_{l-1}^m - c_l^m |d|^2 Q_{l-2}^m,
+    c_l^m = (l - 1 + m)(l - 1 - m) / ((2l - 1)(2l - 3)) and
+    s_l^m = prod_{j = m+2..l} (2j - 1) / ((j + m)(j - m)): the Legendre
+    recurrence with its factors moved into one scale a moment.  The nodes
+    are the window's (x3, phi) lattice from ``nodes2d`` times a Gauss rule
+    in r on [0, rho_b] with FAR_ORDER // 2 + 2 nodes and weight
+    r (1 + r sin(phi)/R): exact for these polynomials of degree l + 2 in r.
+    A point's nodes are taken in tiles of z rows of at most TILE / 2 nodes
+    (complex temporaries), several points a tile when a whole lattice
+    fits, with one scratch set a call.
+    """
+    x3, phi, rho_b, w = nodes
+    L = coulomb.FAR_ORDER
+    t, g = coulomb._gl(L // 2 + 2)
+    n_z, n_phi = w.shape
+    row = n_phi * len(t)
+    rows = min(n_z, max(1, TILE // (2 * row)))
+    pts = min(len(y3c), max(1, TILE // (2 * n_z * row)) if rows == n_z else 1)
+    c, scale = np.zeros((L + 1, L + 1)), np.zeros((L + 1, L + 1))
+    s_mm = 1.0
+    for m in range(L + 1):
+        s_mm *= -0.5 / m if m else 1.0
+        s = s_mm
+        for l in range(m, L + 1):
+            if l > m + 1:
+                s *= (2 * l - 1) / ((l + m) * (l - m))
+                c[l, m] = (l - 1 + m) * (l - 1 - m) / ((2 * l - 1) * (2 * l - 3))
+            scale[l, m] = s
+    sin_phi, cos_phi = np.sin(phi)[:, None], np.cos(phi)[:, None]
+    shape = (pts, rows, n_phi, len(t))
+    real = [np.empty(shape) for _ in range(8)]
+    ones = np.ones(shape)
+    W, xib = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+    part = np.zeros((pts, L + 1, L + 1, 1, 2))
+    S = np.zeros((len(y3c), L + 1, L + 1, 2))
+    for p0 in range(0, len(y3c), pts):
+        for z0 in range(0, n_z, rows):
+            P, Z = slice(p0, p0 + pts), slice(z0, z0 + rows)
+            ti = (slice(0, len(y3c[P])), slice(0, len(w[Z])))
+            r, u, zeta, rho2, a, *pool = (v[ti] for v in real)
+            W_, xib_ = W[ti], xib[ti]
+            xp = ((x3[P, Z] - y3c[P, None]) / R)[..., None, None]
+            rb = rho_b[P, Z, :, None]
+            np.multiply(rb, t, out=r)
+            np.multiply(r, sin_phi, out=u)
+            np.multiply(r, cos_phi, out=zeta)
+            # xi = d2 + i d3: d2 = u cos(x3'/R) - 2R sin^2(x3'/2R), d3 = (R + u) sin(x3'/R)
+            d2, d3 = pool[0], pool[1]
+            np.multiply(u, np.cos(xp), out=d2)
+            np.subtract(d2, 2.0 * R * np.sin(0.5 * xp) ** 2, out=d2)
+            np.add(u, R, out=d3)
+            np.multiply(d3, np.sin(xp), out=d3)
+            xib_.real = d2
+            np.negative(d3, out=xib_.imag)                          # conj(xi)
+            np.multiply(d2, d2, out=rho2)
+            np.multiply(d3, d3, out=d3)
+            np.add(rho2, d3, out=rho2)
+            np.multiply(zeta, zeta, out=a)
+            np.add(rho2, a, out=rho2)                               # |d|^2
+            # W = wt = w rho_b g r (1 + u / R), times conj(xi)^m below
+            np.divide(u, R, out=a)
+            np.add(a, 1.0, out=a)
+            np.multiply(a, r, out=a)
+            np.multiply(a, rb * g, out=a)
+            np.multiply(a, w[Z, :, None], out=a)
+            W_.real, W_.imag = a, 0.0
+            # every real factor as (points, 1, nodes), so q @ W sums a point's nodes
+            flat = (len(r), 1, -1)
+            Wv = W_.view(float).reshape(len(r), -1, 2)
+            one, zeta, rho2, a = (v.reshape(flat) for v in (ones[ti], zeta, rho2, a))
+            pool = [v.reshape(flat) for v in pool]
+            out = part[:len(r)]
+            for m in range(L + 1):
+                if m:
+                    np.multiply(W_, xib_, out=W_)
+                q_prev, q = None, one
+                for l in range(m, L + 1):
+                    if l == m + 1:
+                        q_prev, q = q, zeta
+                    elif l > m + 1:
+                        nxt = pool[l % 3]
+                        np.multiply(q, zeta, out=a)
+                        np.multiply(q_prev, rho2, out=nxt)
+                        np.multiply(nxt, c[l, m], out=nxt)
+                        np.subtract(a, nxt, out=nxt)
+                        q_prev, q = q, nxt
+                    np.matmul(q, Wv, out=out[:, l, m])
+            S[P] += out[..., 0, :]
+    return scale * (S[..., 0] + 1j * S[..., 1])
+
+
 def test_far_blocks_match_gauss_in_r_reference(prof03, chart03, solver03):
     # the log law's two rules, a point whose window is cut near the period's end
     T = prof03.T
@@ -669,7 +772,7 @@ def test_far_blocks_match_gauss_in_r_reference(prof03, chart03, solver03):
         for boundary in _batch_boundaries(prof03, chart03, solver03):
             r_eval, y3c = boundary.surface_point(theta, y3)
             nodes = quad.nodes2d(y3c, boundary)
-            for n in (32, 128, 1024):
+            for n in (32, coulomb.FAR_MIN_N, 128, 1024):
                 R = n * T / (2.0 * np.pi)
                 ks = np.arange(coulomb.FAR_K0, n - coulomb.FAR_K0 + 1)
                 far = coulomb._far_blocks(nodes, ks, R, T, theta, y3c, r_eval)
@@ -685,6 +788,27 @@ def test_far_blocks_match_gauss_in_r_reference(prof03, chart03, solver03):
                         direct = _regular_blocks(one, ks[sel], R, T, theta[p:p + 1],
                                                  y3c[p:p + 1], r_eval[p:p + 1])[0]
                         assert np.all(err[sel] < np.abs(direct / ref[sel] - 1.0))
+
+
+def test_far_blocks_match_gauss_in_r_moments(prof03, chart03, solver03, monkeypatch):
+    # the far blocks from the closed-form row moments against those from
+    # the Gauss-in-r moments they replaced, on the loop and log-law rules
+    # and both boundaries (largest relative difference measured: 4e-15)
+    T = prof03.T
+    theta, y3 = np.array([0.7, 4.0]), np.array([0.4, -0.45 * T])
+    for resolution in ((6, 12, 14), (8, 16, 20), (24, 32, 48), (24, 48, 72)):
+        quad = BlockQuadrature(prof03, resolution)
+        for boundary in _batch_boundaries(prof03, chart03, solver03):
+            r_eval, y3c = boundary.surface_point(theta, y3)
+            nodes = quad.nodes2d(y3c, boundary)
+            for n in (coulomb.FAR_MIN_N, 128, 1024):
+                R = n * T / (2.0 * np.pi)
+                ks = np.arange(coulomb.FAR_K0, n - coulomb.FAR_K0 + 1)
+                far = coulomb._far_blocks(nodes, ks, R, T, theta, y3c, r_eval)
+                with monkeypatch.context() as m:
+                    m.setattr(coulomb, "_window_moments", _window_moments_gauss_in_r)
+                    ref = coulomb._far_blocks(nodes, ks, R, T, theta, y3c, r_eval)
+                assert np.max(np.abs(far / ref - 1.0)) < 1e-14
 
 
 def _columns_by_gauss_in_r(P, r_eval, chi, phi, cadd, R, q=64):

@@ -121,6 +121,19 @@ def test_curvature_expansion_decay(prof03):
     assert rep.phi_fit_rel_err[rep.n_list.index(32)] < 0.05
 
 
+def test_curvature_expansion_absolute_fit_near_quarter():
+    # Phi(0) = 4a - 1 = -0.004 at a = 0.249, so the relative fit error is
+    # large at n = 8 (8.19 measured) while the absolute one is small and
+    # falls with n like the remainder
+    rep = curvature_expansion_check(solve_profile(0.249), [8, 16, 32, 64])
+    phi0 = 4 * 0.249 - 1.0
+    assert rep.phi_fit_rel_err[0] > 1.0
+    assert rep.phi_fit_abs_err == sorted(rep.phi_fit_abs_err, reverse=True)
+    assert rep.phi_fit_abs_err[0] < 0.05
+    for rel, ab in zip(rep.phi_fit_rel_err, rep.phi_fit_abs_err):
+        assert rel == pytest.approx(ab / abs(phi0), rel=1e-12)
+
+
 def test_curvature_expansion_needs_n8(prof03):
     with pytest.raises(DomainError):
         curvature_expansion_check(prof03, [4, 8])
