@@ -3,8 +3,9 @@
 Exit codes: 0 success, 2 validation/usage failure (an unwritable --out and a
 --config value of the wrong type among them), 3 numerical failure.
 Range flags accept start:stop:step syntax (inclusive of the stop within half
-a step).  A JSON --config file provides defaults that explicit flags override;
---dry-run prints the resolved configuration and exits.
+a step) of finite parts and at most ``MAX_RANGE_POINTS`` points; an --n-list
+value must be an integer.  A JSON --config file provides defaults that
+explicit flags override; --dry-run prints the resolved configuration and exits.
 """
 
 from __future__ import annotations
@@ -23,20 +24,38 @@ from . import asymptotics, coulomb, errors, geometry, profile, reduction
 from .serialize import canonical_json, write_csv, write_json
 
 
+MAX_RANGE_POINTS = 1000  # 40 times the largest committed grid (ia-scan's 25 points)
+
+
 def parse_range(text: str):
     """start:stop:step -> inclusive grid; a bare number -> [number]."""
     parts = str(text).split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise errors.DomainError(f"range syntax is start:stop:step, got {text!r}")
-    start, stop, step = (float(p) for p in parts)
+    values = [float(p) for p in parts]
+    if not np.all(np.isfinite(values)):
+        raise errors.DomainError(f"range {text!r} has a part that is not finite")
+    if len(values) == 1:
+        return values
+    start, stop, step = values
     if step <= 0:
         raise errors.DomainError("range step must be positive")
-    count = int(np.floor((stop - start) / step + 0.5)) + 1
+    count = np.floor((stop - start) / step + 0.5) + 1  # inf once the quotient overflows
     if count < 1:
         raise errors.DomainError(f"range {text!r} is empty: stop lies below start")
-    return [start + i * step for i in range(count)]
+    if count > MAX_RANGE_POINTS:
+        raise errors.DomainError(f"range {text!r} has {count:.4g} points, "
+                                 f"more than {MAX_RANGE_POINTS}")
+    return [start + i * step for i in range(int(count))]
+
+
+def parse_n_list(text: str):
+    """``parse_range`` of block counts; a value that is not an integer is refused."""
+    values = parse_range(text)
+    odd = [v for v in values if v != int(v)]
+    if odd:
+        raise errors.DomainError(f"--n-list {text}: n = {odd[0]} is not an integer")
+    return [int(v) for v in values]
 
 
 def parse_grid(text: str):
@@ -156,7 +175,7 @@ def cmd_coil_mesh(cfg: RunConfig):
 
 
 def cmd_curvature_check(cfg: RunConfig):
-    n_list = [int(v) for v in parse_range(cfg.n_list)]
+    n_list = parse_n_list(cfg.n_list)
     prof = profile.solve_profile(cfg.a)
     rep = geometry.curvature_expansion_check(prof, n_list)
     rows = list(zip(rep.n_list, rep.max_err, rep.phi_fit_rel_err, rep.phi_fit_abs_err))
@@ -166,7 +185,7 @@ def cmd_curvature_check(cfg: RunConfig):
 
 
 def cmd_nonlocal_check(cfg: RunConfig):
-    n_list = [int(v) for v in parse_range(cfg.n_list)]
+    n_list = parse_n_list(cfg.n_list)
     if len(set(n_list)) < 2:
         raise errors.DomainError(f"the log-law slope is fitted over n and needs at least "
                                  f"two distinct n, got {n_list}")
@@ -190,10 +209,9 @@ def cmd_nonlocal_check(cfg: RunConfig):
 def cmd_reduce(cfg: RunConfig):
     n = cfg.n or 32
     prof = profile.solve_profile(cfg.a)
-    settings = reduction.ReductionSettings()
-    ctx = reduction.ReductionContext(prof, n, settings)
-    state = reduction.solve_gamma(prof, n, settings, ctx)
-    mm = reduction.mass_map(prof, n, settings, state=state, ctx=ctx)
+    ctx = reduction.ReductionContext(prof, n, reduction.ReductionSettings())
+    state = reduction.solve_gamma(prof, n, ctx=ctx)
+    mm = reduction.mass_map(prof, n, state=state, ctx=ctx)
     report = {
         "a": prof.a, "n": n,
         "gamma": state.gamma, "lambda": state.lam, "c": state.c,

@@ -94,18 +94,12 @@ class JacobiSolver:
                     raise SingularSystem(
                         "theta-independent operator numerically singular "
                         "(cylinder-degenerate chart?)")
-                B = self._bordered(A, self.x2, self.w * self.x2)
-                self._check(B, 0)
-                self._systems.append(B)
                 self.hbar = np.linalg.solve(A, self.x2)
-            elif k == 1:
-                g = self.x2 * self.kernel.nu2
-                B = self._bordered(A, g, self.w * g)
-                self._check(B, 1)
-                self._systems.append(B)
-            else:
-                self._check(A, k)
-                self._systems.append(A)
+            if k < 2:  # border with the mean (k = 0) or the nu_2 kernel (k = 1)
+                g = self.x2 if k == 0 else self.x2 * self.kernel.nu2
+                A = self._bordered(A, g, self.w * g)
+            self._check(A, k)
+            self._systems.append(A)
 
         self.int_hbar = 2.0 * np.pi * float(np.sum(self.w * self.hbar * self.x2))
         if self.int_hbar <= 0.0:
@@ -183,24 +177,15 @@ class JacobiSolver:
         """Unique (h, c, d) with J[h] = E - c nu_2 - d, int h = int h nu_2 = 0."""
         self._require(E)
         h = np.zeros_like(E.modes)
-        rhs0 = np.empty(self.m + 2)
-        rhs0[: self.m + 1] = self.x2 * E.modes[0]
-        rhs0[-1] = 0.0
-        sol0 = np.linalg.solve(self._systems[0], rhs0)
-        h[0] = sol0[:-1]
-        d = float(sol0[-1])
-
-        c = 0.0
-        if E.kmax >= 1:
-            rhs1 = np.empty(self.m + 2)
-            rhs1[: self.m + 1] = self.x2 * E.modes[1]
-            rhs1[-1] = 0.0
-            sol1 = np.linalg.solve(self._systems[1], rhs1)
-            h[1] = sol1[:-1]
-            c = float(sol1[-1])
-
-        for k in range(2, E.kmax + 1):
-            h[k] = np.linalg.solve(self._systems[k], self.x2 * E.modes[k])
+        border = [0.0, 0.0]  # the bordered k = 0 and k = 1 systems' last unknowns, d and c
+        for k in range(E.kmax + 1):
+            rhs = self.x2 * E.modes[k]
+            if k < 2:
+                sol = np.linalg.solve(self._systems[k], np.append(rhs, 0.0))
+                h[k], border[k] = sol[:-1], float(sol[-1])
+            else:
+                h[k] = np.linalg.solve(self._systems[k], rhs)
+        d, c = border
         return SymmetricField(E.kmax, self.tau, h), c, d
 
     def project_coeffs(self, E: SymmetricField):

@@ -52,15 +52,25 @@ CYLINDER_PERIOD = np.pi
 CYLINDER_VOLUME = np.pi**2 / 4.0
 CYLINDER_IA = np.pi / 4.0
 
+MAX_MODES = 1 << 14
+"""Largest roulette node count M (``_modes``) a neck may need, which sets the
+floor a = 6.3e-7 (M doubles for each quartering of a).  The chart's dense
+(M, grid_size + 1) sine matrix is 134 MB there at its 1024 panels; at
+a = 1e-8 it would be 1.07 GB, and below a = 2.8e-17 eta rounds to 0."""
+
 NEWTON_MAX = 8
 NEWTON_STOP = 1e-8  # then the next error is below 1e-14 (quadratic factor <= 80 at a >= 1e-4)
 
 
 def check_neck(a: float) -> float:
-    """Validate the neck parameter and return it as a float."""
+    """Validate the neck parameter and return it as a float: 0 < a <= 1/2,
+    and a neck below 1/2 needs at most ``MAX_MODES`` roulette nodes."""
     a = float(a)
     if not (0.0 < a <= 0.5):
         raise DomainError(f"neck parameter a={a} outside (0, 1/2]")
+    if a < 0.5 and not MAX_MODES * _eta(a) >= 53.0 * np.log(2.0):
+        raise DomainError(f"neck parameter a={a} needs more than {MAX_MODES} roulette nodes "
+                          "(the floor is a = 6.3e-7)")
     return a
 
 
@@ -76,10 +86,14 @@ def _fppp_from(f, fp, fpp):
     return 2.0 * fp * fpp / f - one * fp / f**2 - 6.0 * fp * fpp * np.sqrt(one)
 
 
+def _eta(a: float) -> float:
+    """The decay rate eta of the roulette series, cosh eta = 1 + 2a/b (a < 1/2)."""
+    return np.arccosh(1.0 + 2.0 * a / (0.5 - a))
+
+
 def _modes(a: float) -> int:
     """Roulette node count M: least power of two (>= 8) with M eta >= 53 ln 2."""
-    eta = np.arccosh(1.0 + 2.0 * a / (0.5 - a))
-    return max(8, 1 << int(np.ceil(np.log2(53.0 * np.log(2.0) / eta))))
+    return max(8, 1 << int(np.ceil(np.log2(53.0 * np.log(2.0) / _eta(a)))))
 
 
 def _radius(a, phi):

@@ -11,7 +11,11 @@ G = H + gamma N is affine in gamma, so its nu_2-projection c = c_H + gamma c_N
 vanishes at gamma = -c_H / c_N: each step takes that gamma from the current
 samples and then h <- h + T(G).  Since the linearization of G in h is -J to
 leading order, adding the preconditioned residual contracts; the
-d-projection plays the role of the Lagrange multiplier lambda.
+d-projection plays the role of the Lagrange multiplier lambda.  A step map
+takes h to its samples H, N (``_equation_samples``) and those to gamma, G
+and T(G) (``_step``); the driver (``fixed_point_solve``) picks each step's
+rule, halves steps, stops and keeps the ``history``.  Settings come from
+the context alone: other settings passed with one raise DomainError.
 
 N is integrated on one of three rules (``CoulombRule``).  The first steps,
 whose updates are large, take N on a coarse tier (``COARSE_TIER``), as an
@@ -255,17 +259,22 @@ class ReductionContext:
 
 def _context(profile: DelaunayProfile, n: int, settings: ReductionSettings,
              ctx: ReductionContext) -> ReductionContext:
-    """``ctx``, checked against (profile, n), or a new context for them.
+    """``ctx``, checked against (profile, n, settings), or a new context for them.
 
-    A context holds the profile, chart, solver and rules of one (a, n); one
-    built for another (a, n) raises DomainError, so no result is recorded at
-    (a, n) from numbers computed elsewhere.
+    A context holds the profile, chart, solver, rules and settings of one
+    (a, n); one built for another (a, n), or given with other settings, raises
+    DomainError, so no result is recorded at (a, n) or at settings from
+    numbers computed with others.  ``settings`` None takes the context's.
     """
     if ctx is None:
         return ReductionContext(profile, n, settings or ReductionSettings())
     if ctx.profile.a != profile.a or ctx.n != n:
         raise DomainError(f"reduction context built for a = {ctx.profile.a}, n = {ctx.n}, "
                           f"used at a = {profile.a}, n = {n}")
+    if settings is not None and settings != ctx.settings:
+        built = vars(ctx.settings)
+        diff = ", ".join(f"{k} = {v}" for k, v in vars(settings).items() if v != built[k])
+        raise DomainError(f"settings {diff} differ from the reduction context's")
     return ctx
 
 
@@ -332,14 +341,19 @@ def _equation_samples(ctx: ReductionContext, h: SymmetricField, rule: CoulombRul
     return H, _coulomb_samples(ctx, boundary, rule), boundary
 
 
-def _coupling(ctx: ReductionContext, H: np.ndarray, N: np.ndarray) -> float:
-    """gamma = -c_H / c_N, the root of c(H + gamma N) = c_H + gamma c_N."""
+def _step(ctx: ReductionContext, H: np.ndarray, N: np.ndarray, boundary):
+    """One Picard step from h's samples: (gamma, ev, delta, c, d).
+
+    gamma = -c_H / c_N is the root of c(H + gamma N) = c_H + gamma c_N, ev
+    is G = H + gamma N projected, and (delta, c, d) = T(G) is the update.
+    """
     c_H, c_N = (ctx.solver.project_coeffs(
         SymmetricField.from_samples(S, ctx.solver.tau, ctx.settings.kmax)[0])[0] for S in (H, N))
     gamma = -c_H / c_N if c_N != 0.0 else np.inf
     if not 0.0 < gamma < np.inf:
         raise RootNotBracketed(f"c = {c_H:.3e} + gamma ({c_N:.3e}) has no root gamma > 0")
-    return gamma
+    ev = _project_equation(ctx, H, N, gamma, boundary)
+    return (gamma, ev, *ctx.solver.solve_projected(ev.field))
 
 
 def evaluate_equation(profile: DelaunayProfile, n: int, h: SymmetricField,
@@ -387,14 +401,15 @@ class ReductionState:
 def fixed_point_solve(profile: DelaunayProfile, n: int,
                       settings: ReductionSettings = None,
                       ctx: ReductionContext = None) -> ReductionState:
-    """Damped Picard iteration on (h, gamma) from h = 0.
+    """Damped Picard iteration on (h, gamma) from h = 0: the driver of the
+    step map ``_equation_samples`` then ``_step``.
 
     Each step sets gamma = -c_H / c_N from the current H and N samples, so
     G = H + gamma N has c = 0, and takes h <- h + step T(G).  The step halves
     while the update norm grows; a third growth in a row raises
-    NoContraction.  The iteration stops once the update is below
-    ``tol_h``.  The returned state is the h after the last step, projected at
-    the gamma that step used.
+    NoContraction.  The iteration stops once the update is below the
+    context's ``tol_h``, or after its ``max_iter`` steps.  The returned state
+    is the h after the last step, projected at the gamma that step used.
 
     N is integrated on the coarse tier at h = 0 and after each update above
     ``COARSE_UNTIL``, else on the loop rule.  The iteration stops only on a
@@ -403,50 +418,41 @@ def fixed_point_solve(profile: DelaunayProfile, n: int,
     residual) all come from loop-rule samples.  Each ``history`` row names
     the rule of the samples its step used.
     """
-    settings = settings or ReductionSettings()
     ctx = _context(profile, n, settings, ctx)
+    tol_h, max_iter = ctx.settings.tol_h, ctx.settings.max_iter
     h = ctx.zero_field()
     rule = ctx.coarse_rule
     H, N, boundary = _equation_samples(ctx, h, rule)
-    evals = 1
     history = []
-    nd_prev = None
     grow = 0
-    step = 1.0
     converged = False
-    for it in range(settings.max_iter):
-        gamma = _coupling(ctx, H, N)
-        ev = _project_equation(ctx, H, N, gamma, boundary)
-        delta, c, d = ctx.solver.solve_projected(ev.field)
+    for it in range(max_iter):
+        gamma, ev, delta, c, d = _step(ctx, H, N, boundary)
         nd = delta.norm_sup()
-        if nd_prev is not None and nd > nd_prev:
-            step *= 0.5
-            grow += 1
-            if grow >= 3:
-                raise NoContraction(
-                    f"update norm grew 3 times (last {nd:.3e} > {nd_prev:.3e})")
-        else:
-            step = 1.0
-            grow = 0
+        grow = grow + 1 if history and nd > history[-1]["delta_norm"] else 0
+        if grow >= 3:
+            raise NoContraction(f"update norm grew 3 times "
+                                f"(last {nd:.3e} > {history[-1]['delta_norm']:.3e})")
+        step = 0.5 ** grow
         h = h + step * delta
         history.append({"iter": it, "gamma": gamma, "delta_norm": nd, "c": c, "d": d,
                         "residual": ev.residual, "step": step, "rule": rule.name})
-        nd_prev = nd
-        small = nd < settings.tol_h * max(1.0, h.norm_sup())
+        small = nd < tol_h * max(1.0, h.norm_sup())
         converged = small and rule is ctx.loop_rule
-        coarse = nd > COARSE_UNTIL and not small and it < settings.max_iter - 1
+        coarse = nd > COARSE_UNTIL and not small and it < max_iter - 1
         rule = ctx.coarse_rule if coarse else ctx.loop_rule
         H, N, boundary = _equation_samples(ctx, h, rule)
-        evals += 1
         if converged:
             break
     ev = _project_equation(ctx, H, N, gamma, boundary)
+    # one sample set at h = 0 and one after each step
     return ReductionState(a=profile.a, n=int(n), gamma=float(gamma), h=h,
                           c=ev.c, d=ev.d, residual=ev.residual,
                           iterations=len(history), converged=converged,
                           h_norm=h.norm_sup(),
                           symmetry_residual=ev.symmetry_residual,
-                          equation=ev, coulomb_integrations=evals, history=history)
+                          equation=ev, coulomb_integrations=len(history) + 1,
+                          history=history)
 
 
 def solve_gamma(profile: DelaunayProfile, n: int,
@@ -459,11 +465,10 @@ def solve_gamma(profile: DelaunayProfile, n: int,
     report it, and ``coulomb_integrations`` counts the loop's sample sets
     and the report's.
     """
-    settings = settings or ReductionSettings()
     if n < 16:
         raise DomainError("solve_gamma needs n >= 16")
     ctx = _context(profile, n, settings, ctx)
-    state = fixed_point_solve(profile, n, settings, ctx)
+    state = fixed_point_solve(profile, n, ctx=ctx)
     fin = evaluate_equation(profile, n, state.h, state.gamma, ctx=ctx, final=True,
                             boundary=state.equation.boundary)
     state.residual_final = fin.residual
@@ -484,13 +489,11 @@ class MassMap:
 
 def mass_map(profile: DelaunayProfile, n: int, settings: ReductionSettings = None,
              state: ReductionState = None, ctx: ReductionContext = None) -> MassMap:
-    """m = gamma* |Omega~^n_h| at the solved coupling."""
-    if state is None or ctx is not None:
-        ctx = _context(profile, n, settings, ctx)
+    """m = gamma* |Omega~^n_h| at the solved coupling, on the context's chart."""
+    ctx = _context(profile, n, settings, ctx)
     if state is None:
-        state = solve_gamma(profile, n, settings, ctx)
-    chart = ctx.chart if ctx is not None else getattr(state.equation.boundary, "chart", None)
-    vol = coil_volume(profile, n, state.h, chart)
+        state = solve_gamma(profile, n, ctx=ctx)
+    vol = coil_volume(profile, n, state.h, ctx.chart)
     return MassMap(a=profile.a, n=int(n), gamma=state.gamma, volume=vol,
                    m=state.gamma * vol, volume_ratio=vol / (n * profile.V))
 
@@ -512,13 +515,8 @@ def find_neck_for_mass(m: float, n: int, bracket=(0.1, 0.42),
     Returns the accepted neck's MassMap (its ``a`` is b), or the one at the
     midpoint of the last bracket when the bisection runs out.
     """
-    settings = settings or ReductionSettings()
-
     def mass_of(b):
-        prof = solve_profile(b)
-        ctx = ReductionContext(prof, n, settings)
-        st = solve_gamma(prof, n, settings, ctx)
-        return mass_map(prof, n, settings, state=st, ctx=ctx)
+        return mass_map(solve_profile(b), n, settings)
 
     lo, hi = bracket
     m_lo, m_hi = mass_of(lo).m, mass_of(hi).m

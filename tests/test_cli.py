@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from dropcoil.cli import RunConfig, build_parser, main, parse_grid, parse_range
+from dropcoil.cli import (MAX_RANGE_POINTS, RunConfig, build_parser, main, parse_grid,
+                          parse_n_list, parse_range)
 from dropcoil.errors import BracketFailure, DomainError
 
 
@@ -18,6 +19,17 @@ def test_parse_range():
     assert parse_range("0.3:0.29:0.1") == [0.3]  # the stop is within half a step
     with pytest.raises(DomainError, match="is empty"):
         parse_range("0.3:0.1:0.01")
+    assert len(parse_range(f"1:{MAX_RANGE_POINTS}:1")) == MAX_RANGE_POINTS
+    with pytest.raises(DomainError, match=f"has {MAX_RANGE_POINTS + 1} points, more than"):
+        parse_range(f"1:{MAX_RANGE_POINTS + 1}:1")
+    for text in ("inf", "nan", "0.1:inf:0.1", "0.1:0.2:inf", "-inf:0.2:0.1"):
+        with pytest.raises(DomainError, match="has a part that is not finite"):
+            parse_range(text)
+    with pytest.raises(DomainError, match="has inf points"):  # (stop - start) / step overflows
+        parse_range("-1e308:1e308:1e-10")
+    assert parse_n_list("8:64:8") == list(range(8, 65, 8))
+    with pytest.raises(DomainError, match="n = 8.5 is not an integer"):
+        parse_n_list("8:12:0.5")
     assert parse_grid("16x32") == (16, 32)
     with pytest.raises(DomainError):
         parse_grid("16-32")
@@ -327,6 +339,34 @@ def test_unfittable_lists_are_refused(tmp_path, capsys, args, message):
     out = tmp_path / "o.csv"
     assert main(args + ["--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["ia-scan", "--a-range", "0.1:inf:0.1"], "range '0.1:inf:0.1' has a part that is not finite"),
+    (["curvature-check", "--n-list", "8:inf:8"], "range '8:inf:8' has a part that is not finite"),
+    (["ia-scan", "--a-range", "0.1:0.2:inf"], "range '0.1:0.2:inf' has a part that is not finite"),
+    (["ia-scan", "--a-range", "0.1:0.2:1e-4"], "'0.1:0.2:1e-4' has 1001 points, more than 1000"),
+    (["curvature-check", "--n-list", "8:12:0.5"], "--n-list 8:12:0.5: n = 8.5 is not an integer"),
+    (["nonlocal-check", "--n-list", "8:12:0.5"], "--n-list 8:12:0.5: n = 8.5 is not an integer"),
+])
+def test_unbounded_or_fractional_ranges_are_refused(tmp_path, capsys, args, message):
+    # a part that is not finite overflowed the point count or gave a = nan,
+    # a huge count built its list without end, and int() truncated a
+    # fractional n into a duplicate: each is a usage error, with no output
+    out = tmp_path / "o.csv"
+    assert main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_neck_below_the_floor_is_refused(tmp_path, capsys):
+    # a = 1e-300 rounded eta to 0 and exited 1 with an OverflowError
+    out = tmp_path / "p.json"
+    assert main(["profile", "--a", "1e-300", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "needs more than 16384 roulette nodes" in err and "Traceback" not in err
     assert not out.exists()
 
 

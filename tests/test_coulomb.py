@@ -1008,7 +1008,8 @@ def test_window_moments_match_legendre_reference(prof03, chart03, solver03):
 
 @pytest.mark.parametrize("resolution", [(6, 12, 14), (24, 32, 48)])
 def test_far_blocks_batch_matches_single_points(prof03, resolution):
-    # 6 points share a moment tile at (12, 14); one point spans two at (32, 48)
+    # the moments take 7 points a tile on (12, 14) and 2 on (32, 48), so the
+    # 5-point batch is one tile on the first rule and three on the second
     quad = BlockQuadrature(prof03, resolution)
     boundary = AxisymBoundary(prof03)
     T = prof03.T

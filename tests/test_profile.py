@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from dropcoil.errors import DomainError
-from dropcoil.profile import (CYLINDER_IA, CYLINDER_PERIOD, CYLINDER_VOLUME,
-                              _block_sums, _modes, build_chart,
+from dropcoil.profile import (CYLINDER_IA, CYLINDER_PERIOD, CYLINDER_VOLUME, MAX_MODES,
+                              _block_sums, _modes, build_chart, check_neck,
                               compute_Ia, compute_Ia_conformal, profile_scan,
                               solve_profile)
 
@@ -29,6 +29,19 @@ def test_neck_validation():
         solve_profile(0.6)
     with pytest.raises(DomainError):
         build_chart(-0.1)
+
+
+def test_necks_past_the_node_cap_are_refused():
+    # the node count, and with it the chart's dense (M, grid + 1) sine
+    # matrix, grows as a^(-1/2); below a = 2.8e-17 eta rounds to 0 and
+    # _modes overflows.  A neck that needs more than MAX_MODES nodes is
+    # refused before anything is built; the cylinder has no node count
+    assert _modes(1e-4) == 2048 and _modes(1e-6) == _modes(6.3e-7) == MAX_MODES
+    for a in (1e-300, 2e-17, 1e-8, 6e-7):
+        for build in (solve_profile, build_chart, lambda a: profile_scan([a])):
+            with pytest.raises(DomainError, match=f"needs more than {MAX_MODES} roulette nodes"):
+                build(a)
+    assert check_neck(6.3e-7) == 6.3e-7 and check_neck(0.5) == 0.5
 
 
 def test_small_neck_limit_sphere_profile():

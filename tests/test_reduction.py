@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -7,7 +8,8 @@ import pytest
 
 from dropcoil.coulomb import (GRAPH_MZ, NormalGraphBoundary, ball_potential_exact,
                               solid_boundary, surface_potentials)
-from dropcoil.errors import BracketFailure, DomainError, RootNotBracketed, SingularSystem
+from dropcoil.errors import (BracketFailure, DomainError, NoContraction, RootNotBracketed,
+                             SingularSystem)
 from dropcoil.fields import (SymmetricField, cos_coeffs, cos_eval, is_zero_field, series_eval,
                              theta_mirror)
 from dropcoil.geometry import build_sphere, evaluate_forms
@@ -94,17 +96,18 @@ def test_sphere_sanity_bypasses_coil():
     assert np.max(np.abs(G - (2 / r + gamma * 4 * np.pi / 3 * r**2))) < 1e-10
 
 
-def test_fixed_point_first_step_is_projected_solve(prof03, ctx32):
+def test_fixed_point_first_step_is_projected_solve(prof03):
     # the first step's gamma zeroes c at h = 0 on the coarse tier; its update
     # is T(G) there
     cheap = replace(FAST, max_iter=1)
-    st = fixed_point_solve(prof03, 32, cheap, ctx32)
+    ctx = ReductionContext(prof03, 32, cheap)
+    st = fixed_point_solve(prof03, 32, cheap, ctx)
     gamma = st.history[0]["gamma"]
-    assert st.history[0]["rule"] == "coarse" and ctx32.coarse_rule is not ctx32.loop_rule
-    H, N, boundary = _equation_samples(ctx32, ctx32.zero_field(), ctx32.coarse_rule)
-    ev = _project_equation(ctx32, H, N, gamma, boundary)
+    assert st.history[0]["rule"] == "coarse" and ctx.coarse_rule is not ctx.loop_rule
+    H, N, boundary = _equation_samples(ctx, ctx.zero_field(), ctx.coarse_rule)
+    ev = _project_equation(ctx, H, N, gamma, boundary)
     assert abs(ev.c) < 1e-13 * abs(ev.d)
-    delta, _, _ = ctx32.solver.solve_projected(ev.field)
+    delta, _, _ = ctx.solver.solve_projected(ev.field)
     assert st.history[0]["delta_norm"] == pytest.approx(delta.norm_sup(), rel=1e-12)
     assert np.array_equal(st.h.modes, delta.modes)
 
@@ -118,6 +121,62 @@ def test_fixed_point_contracts(prof03, ctx32):
     # mean-zero is enforced exactly by the bordered solve
     assert abs(ctx32.solver.integral(st.h)) < 1e-10
     assert abs(ctx32.solver.integral_nu2(st.h)) < 1e-10
+
+
+# sha256 of every number the (h, gamma) loop and its final-rule report give at
+# FAST, n = 32 (``_loop_bits``).  0.3 converges in 8 full steps; 0.455 halves
+# 14 of its 32 steps; 0.46 stops unconverged after max_iter = 40 steps
+LOOP_BITS = {
+    0.3: "fff914ba9ae103ff13d7fceee35242b45b0d9f799a0311f0ec9b3879af335a80",
+    0.455: "8dd46f9e4f67c64b21abb61cae11d2c19eb56d028b7d604c09a14099991a2324",
+    0.46: "bc7eea844ae5aec62d8856b3a1ca0dfbea29f235225d28f2bb8f28da72695b0e",
+}
+
+
+def _loop_bits(state):
+    """sha256 of the float.hex of every history row (rule and step included),
+    the h modes, gamma, c, d, both residuals, c_final, the integration count
+    and the convergence flag."""
+    def word(v):
+        return float(v).hex() if isinstance(v, float) else repr(v)
+
+    words = [f"{k}={word(v)}" for row in state.history for k, v in sorted(row.items())]
+    words += [word(v) for v in state.h.modes.ravel()]
+    words += [word(getattr(state, k)) for k in ("gamma", "c", "d", "residual", "residual_final",
+                                                 "c_final", "coulomb_integrations", "converged")]
+    return hashlib.sha256("\n".join(words).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("a", sorted(LOOP_BITS))
+def test_loop_keeps_every_bit(a):
+    # a restructured loop gives every bit of the one it replaced, on a
+    # converging, a step-halving and an unconverged solve
+    state = solve_gamma(solve_profile(a), 32, FAST)
+    assert _loop_bits(state) == LOOP_BITS[a]
+
+
+@pytest.mark.parametrize("factors, raises", [((1e-3, 1e-2, 1e-1, 1.0), True),
+                                             ((1e-3, 1e-2, 1e-1, 1e-2), False)])
+def test_growing_updates_halve_the_step(prof03, monkeypatch, factors, raises):
+    # each update is scaled by the next factor; starting small keeps h near 0,
+    # so the unscaled update barely moves and the scaled norm follows the
+    # factors.  A growth halves the step, a third in a row raises
+    # NoContraction, and a shrink restores the full step
+    settings = replace(FAST, max_iter=len(factors))
+    ctx = ReductionContext(prof03, 32, settings)
+    solve, scale = ctx.solver.solve_projected, iter(factors)
+
+    def scaled(E):
+        delta, c, d = solve(E)
+        return next(scale) * delta, c, d
+
+    monkeypatch.setattr(ctx.solver, "solve_projected", scaled)
+    if raises:
+        with pytest.raises(NoContraction, match=r"update norm grew 3 times \(last .* > .*\)"):
+            fixed_point_solve(prof03, 32, settings, ctx)
+    else:
+        st = fixed_point_solve(prof03, 32, settings, ctx)
+        assert [row["step"] for row in st.history] == [1.0, 0.5, 0.25, 1.0]
 
 
 def test_coarse_tier_error_below_its_bound(prof03, ctx32, state32):
@@ -224,16 +283,18 @@ def test_coarse_tier_only_when_cheaper(prof03):
 
 @pytest.mark.parametrize("tol_h, rules", [(5e-3, ["coarse", "coarse", "loop"]),
                                           (5e-2, ["coarse", "loop"])])
-def test_solve_ends_on_loop_rule(prof03, ctx32, tol_h, rules):
+def test_solve_ends_on_loop_rule(prof03, tol_h, rules):
     # above COARSE_UNTIL a small update fed by coarse samples does not stop
     # the solve; the state it returns is a loop-rule evaluation
     assert tol_h > COARSE_UNTIL
-    st = fixed_point_solve(prof03, 32, replace(FAST, tol_h=tol_h), ctx32)
+    settings = replace(FAST, tol_h=tol_h)
+    ctx = ReductionContext(prof03, 32, settings)
+    st = fixed_point_solve(prof03, 32, settings, ctx)
     assert st.converged
     assert [row["rule"] for row in st.history] == rules
     # the step before the last was small enough to stop, but coarse-fed
     assert st.history[-2]["rule"] == "coarse" and st.history[-2]["delta_norm"] < tol_h
-    ev = evaluate_equation(prof03, 32, st.h, st.gamma, ctx=ctx32)
+    ev = evaluate_equation(prof03, 32, st.h, st.gamma, ctx=ctx)
     assert (ev.c, ev.d, ev.residual) == (st.c, st.d, st.residual)
     assert st.coulomb_integrations == len(rules) + 1
 
@@ -251,6 +312,25 @@ def test_context_for_another_a_or_n_raises(prof03, ctx32, state32):
             solve_gamma(prof, n, FAST, ctx32)
         with pytest.raises(DomainError, match="built for a = 0.3, n = 32"):
             mass_map(prof, n, FAST, state=state32, ctx=ctx32)
+
+
+def test_settings_other_than_the_contexts_raise(prof03, ctx32, state32):
+    # the context is the one source of settings: other settings passed with
+    # it are refused rather than run at the context's; equal settings, or
+    # none, run as before
+    other = replace(FAST, kmax=6)
+    h = ctx32.zero_field()
+    for call in (lambda s: evaluate_equation(prof03, 32, h, 0.4, ctx=ctx32, settings=s),
+                 lambda s: fixed_point_solve(prof03, 32, s, ctx32),
+                 lambda s: solve_gamma(prof03, 32, s, ctx32),
+                 lambda s: mass_map(prof03, 32, s, state=state32, ctx=ctx32)):
+        with pytest.raises(DomainError, match="settings kmax = 6 differ from the reduction "
+                                              "context's"):
+            call(other)
+    st = solve_gamma(prof03, 32, ctx=ctx32)
+    assert st.gamma == state32.gamma and np.array_equal(st.h.modes, state32.h.modes)
+    assert mass_map(prof03, 32, replace(FAST), state=st, ctx=ctx32) == \
+        mass_map(prof03, 32, state=state32, ctx=ctx32)
 
 
 def test_coupling_without_root_raises(prof03, ctx32, monkeypatch):
@@ -304,7 +384,7 @@ def test_mass_map_volume(prof03, ctx32, state32):
     # m(n) ~ (n / ln n) 2 I_a T_a within the o(1) band
     pred = 32 / np.log(32) * 2 * prof03.Ia * prof03.T
     assert mm.m / pred == pytest.approx(1.0, abs=0.25)
-    # without a context the chart comes from the solved state's boundary
+    # without a context mass_map builds one from the settings, on the solve's chart
     assert mass_map(prof03, 32, FAST, state=state32) == mm
 
 
