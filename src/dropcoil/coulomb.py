@@ -42,8 +42,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, EmbeddingViolation, NonConvergence, QuadratureDivergence
-from .fields import (SymmetricField, is_zero_field, on_axis_derivatives, series_eval,
-                     shifted_series, theta_mirror)
+from .fields import (SymmetricField, graph_height, is_zero_field, series_eval, shifted_series,
+                     theta_mirror)
 from .geometry import build_coil, evaluate_forms, normal_graph_map
 from .profile import ConformalChart, DelaunayProfile
 
@@ -98,13 +98,19 @@ class AxisymBoundary:
         return np.broadcast_to(f, np.broadcast(phi, x3).shape).copy()
 
     def radius_about(self, offsets, centre):
-        """``radius`` at x3 = centre[p] + offsets[j] as a function of (phi, j, p)."""
+        """``radius`` at x3 = centre[p] + offsets[j] as a function of (phi, j, p).
+
+        The profile is evaluated at every centre + offset once, here, one
+        table an offset array; the function broadcasts the table's rows to
+        phi's shape, as a copy its caller may overwrite.
+        """
         centre = np.asarray(centre, dtype=float)
+        tables = [self.profile.evaluate(centre.reshape(centre.shape + (1,) * np.ndim(o)) + o,
+                                        order=0)[0] for o in offsets]
 
         def radius(phi, j=0, p=None):
-            c, o = (centre if p is None else centre[p]), np.asarray(offsets[j], dtype=float)
-            x3 = c.reshape(c.shape + (1,) * o.ndim) + o
-            return self.radius(phi, x3)
+            f = tables[j] if p is None else tables[j][p]
+            return np.broadcast_to(f, np.broadcast_shapes(np.shape(phi), f.shape)).copy()
         return radius
 
     def surface_point(self, theta, y3):
@@ -114,15 +120,15 @@ class AxisymBoundary:
         return self.profile.evaluate(y3, order=0)[0], y3
 
 
-def _graph(profile: DelaunayProfile, chart: ConformalChart, h: SymmetricField, phi, y):
+def _graph(profile: DelaunayProfile, chart: ConformalChart, h: tuple, phi, y):
     """(radius, shift, d shift / dy) of h's normal graph over broadcast (phi, y).
 
-    The graph point over (phi, y) sits at that radius and at axial position
-    y - shift; its angle is phi, since the profile's normal has no angular part.
+    ``h`` is the pair (``coeffs()``, tau) of the field.  The graph point over
+    (phi, y) sits at that radius and at axial position y - shift; its angle
+    is phi, since the profile's normal has no angular part.
     """
     f, fp, fpp = profile.evaluate(y, order=2)
-    hv, _, h3 = on_axis_derivatives(h, chart, phi, y, order=1)
-    return normal_graph_map(f, fp, fpp, hv, h3)[2:]
+    return normal_graph_map(f, fp, fpp, *graph_height(*h, chart, phi, y))[2:]
 
 
 class NormalGraphBoundary:
@@ -139,8 +145,9 @@ class NormalGraphBoundary:
     raises NonConvergence.  The series is then chopped to the angular rows
     and axial columns up to the last holding a coefficient above
     8 eps max|c|: what it drops is rounding.  The boundary keeps a copy of
-    h, so ``surface_point`` and ``radius`` describe the same solid whatever
-    the caller later does to its field.  The Coulomb rules take rho_h
+    h, and its cosine coefficients formed once for every ``_graph`` call, so
+    ``surface_point`` and ``radius`` describe the same solid whatever the
+    caller later does to its field.  The Coulomb rules take rho_h
     about shared offsets from ``radius_about``, to rounding ``radius``.
     """
 
@@ -149,6 +156,7 @@ class NormalGraphBoundary:
         self.profile = profile
         self.chart = chart
         self.h = h.copy()
+        self._h = self.h.coeffs(), h.tau
         self._tau = 0.5 * profile.T
         shape = (max(4 * (h.kmax + 1) + 8, 24), GRAPH_MZ)
         coef = self._interpolant(*shape)
@@ -178,9 +186,9 @@ class NormalGraphBoundary:
     def _radius_newton(self, phi, x3):
         y = x3.copy()
         for _ in range(NEWTON_STEPS):
-            rad, shift, shift3 = _graph(self.profile, self.chart, self.h, phi, y)
+            rad, shift, shift3 = _graph(self.profile, self.chart, self._h, phi, y)
             y = y - (y - shift - x3) / (1.0 - shift3)
-        rad, shift, _ = _graph(self.profile, self.chart, self.h, phi, y)
+        rad, shift, _ = _graph(self.profile, self.chart, self._h, phi, y)
         resid = float(np.max(np.abs(y - shift - x3)))
         if not resid <= NEWTON_TOL:
             raise NonConvergence(
@@ -199,7 +207,7 @@ class NormalGraphBoundary:
     def surface_point(self, theta, y3):
         """(r, x3) of the graph points over broadcast (theta, y3)."""
         theta, y3 = np.asarray(theta, dtype=float), np.asarray(y3, dtype=float)
-        rad, shift, _ = _graph(self.profile, self.chart, self.h, theta, y3)
+        rad, shift, _ = _graph(self.profile, self.chart, self._h, theta, y3)
         return rad, y3 - shift
 
 
@@ -570,13 +578,38 @@ def _self_columns(P, r, cadd, row, wchi, s, guarded):
     return W @ wchi[..., None] + P @ (wchi * row[:, 5])[..., None]
 
 
+def _read_only(arrays):
+    """``arrays`` as a tuple, each made read-only: a cached rule no caller may write."""
+    for v in arrays:
+        v.setflags(write=False)
+    return tuple(arrays)
+
+
 @lru_cache(maxsize=16)
 def _xi_rule(d_xi, outer, q):
     """The self block's outer xi rule, on [-outer, -d_xi] u [d_xi, outer]."""
-    nodes, weights, _ = _sym_graded_rules(d_xi, outer, d_xi, q)
-    for v in (nodes, weights):
-        v.setflags(write=False)
+    nodes, weights, _ = _read_only(_sym_graded_rules(d_xi, outer, d_xi, q))
     return nodes[0], weights[0]
+
+
+# The chi rules depend on the points only through d_chi, which is keyed by its
+# bytes.  A one-point caller (the log law, ``nonlocal-check``) repeats its key
+# at every n, for the base and the refined rule; the reduction loop's points
+# move with h, so two entries a rule are all that is ever reused.
+@lru_cache(maxsize=2)
+def _outer_chi_rule(d_chi, q, ratio):
+    """The outer set's chi rules, graded toward 0 from h0 = d_chi: one row a d_chi of the bytes."""
+    return _read_only(_sym_graded_rules(0.0, np.pi, np.frombuffer(d_chi), q, ratio))
+
+
+@lru_cache(maxsize=2)
+def _near_rule(d_chi, column_q, panel_q):
+    """The footprint's 2 column_q chi nodes, then the inner set's: one row a d_chi of the bytes."""
+    d_chi = np.frombuffer(d_chi)
+    fp = _panel_rule(np.stack((-d_chi, np.zeros_like(d_chi), d_chi), axis=-1), column_q)
+    nodes, weights, lengths = _sym_graded_rules(d_chi, np.pi, d_chi, panel_q)
+    return _read_only((np.concatenate((fp[0], nodes), axis=1),
+                       np.concatenate((fp[1], weights), axis=1), lengths + fp[0].shape[1]))
 
 
 def _self_block(boundary, R, T, theta, y3c, r_eval, cfg: SelfBlockSettings, a_neck: float):
@@ -587,9 +620,12 @@ def _self_block(boundary, R, T, theta, y3c, r_eval, cfg: SelfBlockSettings, a_ne
     depth window [0, d_eta] removed over the footprint, and a Duffy-pyramid
     core in depth coordinates eta = rho_b - r around the singular point.
     The xi rules are shared; the chi rules scale with d_chi(r_eval), one
-    row a point.  Each of the three sets takes its radii from its own
-    ``radius_about`` table, formed when the set starts, so one table at a
-    time is alive.
+    row a point, and are memoized on d_chi's bytes and the orders
+    (``_outer_chi_rule``, ``_near_rule``), so a point evaluated again, at
+    another n or by the refined pass, reuses them.  Each of the three sets
+    takes its radii from its own ``radius_about`` table (the profile's
+    values, or the normal graph's axial tables), formed when the set
+    starts, so one table at a time is alive.
 
     At a desk batch of 153 points (17 y3 rows, orders (5, 5, 6)) the outer set,
     |xi| > d_xi, is 359,500 nodes, the inner set 85,080, the footprint
@@ -612,24 +648,17 @@ def _self_block(boundary, R, T, theta, y3c, r_eval, cfg: SelfBlockSettings, a_ne
     duffy = (np.stack((u * -d_xi, u * d_xi), axis=-1)[..., None],
              U * (-d_xi + (d_xi - -d_xi) * u[:, None]))
 
+    key = d_chi.tobytes()
     total = _columns(boundary.radius_about([xi_out[0][:, None]], y3c), R, theta, r_eval,
-                     *xi_out, *_sym_graded_rules(0.0, np.pi, d_chi, q, cfg.grade_ratio),
-                     guarded=False)
+                     *xi_out, *_outer_chi_rule(key, q, cfg.grade_ratio), guarded=False)
     # the inner set and the footprint on one chi rule a point: the footprint's
     # columns lose the depth window [0, d_eta] ...
     near, d_eta = _columns(boundary.radius_about([xi_in[0][:, None]], y3c), R, theta, r_eval,
-                           *xi_in, *_near_rule(d_chi, cfg), window=(rho, 2 * cfg.column_q))
+                           *xi_in, *_near_rule(key, cfg.column_q, cfg.panel_q),
+                           window=(rho, 2 * cfg.column_q))
     # ... and the Duffy core over the window, apex at the singular point
     return total + near + _duffy_core(boundary.radius_about(duffy, y3c), duffy, R, theta,
                                       r_eval, d_xi, d_chi, d_eta, cfg.core_q)
-
-
-def _near_rule(d_chi, cfg):
-    """The inner set's chi rule after the footprint's 2 column_q nodes, one row a point."""
-    fp = _panel_rule(np.stack((-d_chi, np.zeros_like(d_chi), d_chi), axis=-1), cfg.column_q)
-    nodes, weights, lengths = _sym_graded_rules(d_chi, np.pi, d_chi, cfg.panel_q)
-    return (np.concatenate((fp[0], nodes), axis=1), np.concatenate((fp[1], weights), axis=1),
-            lengths + fp[0].shape[1])
 
 
 def _duffy_core(radius, xis, R, theta, r_eval, d_xi, d_chi, d_eta, q):
@@ -788,11 +817,8 @@ def _solid_harmonics(zeta, xi):
 def _phi_table(n_phi):
     """Per j, R_j^mu(cos phi, sin phi), mu <= j, over j + 2 atop over j + 3: (2 n_phi, j + 1)."""
     R = _solid_harmonics(np.cos(_phi_nodes(n_phi)), np.sin(_phi_nodes(n_phi)))
-    tables = tuple(np.concatenate([np.stack(R[j][:j + 1], axis=-1) / (j + i) for i in (2, 3)])
-                   for j in range(FAR_ORDER + 1))
-    for t in tables:
-        t.setflags(write=False)
-    return tables
+    return _read_only([np.concatenate([np.stack(R[j][:j + 1], axis=-1) / (j + i) for i in (2, 3)])
+                       for j in range(FAR_ORDER + 1)])
 
 
 @lru_cache(maxsize=1)
@@ -822,10 +848,8 @@ def _translation_terms():
     slot = np.array([t[0] for t in terms])
     first = np.r_[0, np.flatnonzero(np.diff(slot)) + 1]
     entry = np.array([cols[t[1]] * (L + 1) * (L + 2) // 2 + t[2] for t in terms])
-    out = np.array(list(cols)), entry, np.array([t[3] for t in terms]), first, slot[first]
-    for v in out:
-        v.setflags(write=False)
-    return out
+    return _read_only((np.array(list(cols)), entry, np.array([t[3] for t in terms]), first,
+                       slot[first]))
 
 
 def _window_moments(nodes, R, y3c):
@@ -1182,7 +1206,7 @@ def coil_volume(profile: DelaunayProfile, n: int, h: SymmetricField = None,
     else:
         if chart is None:
             raise DomainError("a nonzero normal graph h needs the conformal chart")
-        rad, _, shift3 = _graph(profile, chart, h, phi, y)
+        rad, _, shift3 = _graph(profile, chart, (h.coeffs(), h.tau), phi, y)
         jac = 1.0 - shift3
         if not np.min(jac) > 0.0:
             raise EmbeddingViolation(f"normal graph folds back along the axis: "

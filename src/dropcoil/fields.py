@@ -332,9 +332,7 @@ def on_axis_derivatives(h: SymmetricField, chart, theta, y3, order: int = 2):
     follow from t'(y3) = 1/z'(t) and t''(y3) = -2 x x' / (z')^3.
     Returns (h, h_th, h_3[, h_thth, h_th3, h_33]) broadcast over (theta, y3).
     """
-    t = chart.t_of_y3(np.asarray(y3, dtype=float))
-    x, xp = chart.x_of_t(t)
-    zp = chart.a * (1.0 - chart.a) + x * x
+    t, x, xp, zp = _chart_at(chart, y3)
     tp = 1.0 / zp
     derivs = ((0, 0), (1, 0), (0, 1)) + (((2, 0), (1, 1), (0, 2)) if order >= 2 else ())
     h0, h_th, h_t, *second = series_eval(h.coeffs(), h.tau, theta, t, derivs)
@@ -344,3 +342,21 @@ def on_axis_derivatives(h: SymmetricField, chart, theta, y3, order: int = 2):
         tpp = -2.0 * x * xp / zp**3
         out += [h_thth, h_tht * tp, h_tt * tp * tp + h_t * tpp]
     return tuple(out)
+
+
+def graph_height(coef: np.ndarray, tau: float, chart, theta, y3):
+    """(h, h_3) of ``on_axis_derivatives``, bitwise, from h's ``coeffs()`` and ``tau``.
+
+    For a caller that evaluates one field many times: it forms the
+    coefficients once, and no theta derivative is formed.
+    """
+    t, _, _, zp = _chart_at(chart, y3)
+    h0, h_t = series_eval(coef, tau, theta, t, ((0, 0), (0, 1)))
+    return h0, h_t * (1.0 / zp)
+
+
+def _chart_at(chart, y3):
+    """(t, x, x', z') of the chart at y3."""
+    t = chart.t_of_y3(np.asarray(y3, dtype=float))
+    x, xp = chart.x_of_t(t)
+    return t, x, xp, chart.a * (1.0 - chart.a) + x * x

@@ -489,17 +489,30 @@ class MassMap:
 
 def mass_map(profile: DelaunayProfile, n: int, settings: ReductionSettings = None,
              state: ReductionState = None, ctx: ReductionContext = None) -> MassMap:
-    """m = gamma* |Omega~^n_h| at the solved coupling, on the context's chart."""
+    """m = gamma* |Omega~^n_h| at the solved coupling, on the context's chart.
+
+    A ``state`` solved at another (a, n) raises DomainError.
+    """
     ctx = _context(profile, n, settings, ctx)
     if state is None:
         state = solve_gamma(profile, n, ctx=ctx)
+    elif state.a != profile.a or state.n != n:
+        raise DomainError(f"reduction state solved at a = {state.a}, n = {state.n}, "
+                          f"used at a = {profile.a}, n = {n}")
     vol = coil_volume(profile, n, state.h, ctx.chart)
     return MassMap(a=profile.a, n=int(n), gamma=state.gamma, volume=vol,
                    m=state.gamma * vol, volume_ratio=vol / (n * profile.V))
 
 
+def _check_mass(m: float):
+    """Refuse a target mass that is not finite and positive."""
+    if not (np.isfinite(m) and m > 0.0):
+        raise DomainError(f"mass {m} is not finite and positive")
+
+
 def select_block_count(m: float, profile: DelaunayProfile) -> int:
     """Block-count heuristic n ~ [m (log m - log log m) C_a], C_a = 1/(2 I_a T_a)."""
+    _check_mass(m)
     if m <= np.e:
         raise DomainError("mass too small for the block-count heuristic")
     Ca = 1.0 / (2.0 * profile.Ia * profile.T)
@@ -513,8 +526,11 @@ def find_neck_for_mass(m: float, n: int, bracket=(0.1, 0.42),
     """Bisection on the neck parameter b so that mass_map(b, n).m = m.
 
     Returns the accepted neck's MassMap (its ``a`` is b), or the one at the
-    midpoint of the last bracket when the bisection runs out.
+    midpoint of the last bracket when the bisection runs out.  A mass that
+    is not finite and positive raises DomainError before anything is solved.
     """
+    _check_mass(m)
+
     def mass_of(b):
         return mass_map(solve_profile(b), n, settings)
 

@@ -254,6 +254,24 @@ def test_mass_map_solves_final_neck_once(tmp_path, monkeypatch):
     assert json.loads(out.read_text())["b"] == 0.31
 
 
+@pytest.mark.parametrize("n", [[], ["--n", "64"]])
+@pytest.mark.parametrize("m", ["inf", "nan", "-5", "0"])
+def test_mass_that_is_not_finite_and_positive_is_refused(tmp_path, monkeypatch, capsys, n, m):
+    # refused up front, by the block-count heuristic at the default n and by
+    # the neck search at a given n, before any mass map is solved
+    import dropcoil.reduction as reduction
+
+    def solve(*args, **kw):
+        raise AssertionError("mass-map solved with a refused mass")
+
+    monkeypatch.setattr(reduction, "mass_map", solve)
+    monkeypatch.setattr(reduction, "solve_gamma", solve)
+    out = tmp_path / "mass.json"
+    assert main(["mass-map", "--m", m, *n, "--out", str(out)]) == 2
+    assert f"mass {float(m)} is not finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_tol_is_rejected(tmp_path, capsys):
     # the profile and chart are closed forms with no solver tolerance, so a
     # --tol would be accepted and ignored

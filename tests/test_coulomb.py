@@ -631,6 +631,66 @@ def test_potential_perturbed_matches_frozen_kernel(prof03, chart03, solver03, fr
     assert ran == set(FROZEN)
 
 
+# potential_coil (value, err_est) at a = 0.3, each taken in a fresh interpreter
+POINT_PINS = {
+    (np.pi / 2, 0.0): {4: ("0x1.64f0f8cfedfffp+2", "0x1.357f142000000p-22"),
+                       8: ("0x1.be11a3c1b9eddp+2", "0x1.501c8e0000000p-24"),
+                       16: ("0x1.0b81861b4c84ep+3", "0x1.4fcb140000000p-25"),
+                       32: ("0x1.3710922d48c96p+3", "0x1.ea8b3a0000000p-26"),
+                       64: ("0x1.61ac0df7b69e8p+3", "0x1.ad1a740000000p-26"),
+                       1024: ("0x1.03761da2a677fp+4", "0x1.82d0c40000000p-26")},
+    (0.7, 0.4): {4: ("0x1.6dee1a19fc0b1p+2", "0x1.d2b7198000000p-25"),
+                 8: ("0x1.c629782c98802p+2", "0x1.540af60000000p-26"),
+                 16: ("0x1.0e8c21ee406c4p+3", "0x1.d1ba880000000p-27"),
+                 32: ("0x1.392a8d397c86ap+3", "0x1.a41eb80000000p-27"),
+                 64: ("0x1.6315f0ea895c7p+3", "0x1.9a2fa80000000p-27"),
+                 1024: ("0x1.03adee9486afbp+4", "0x1.9815280000000p-27")},
+}
+
+
+@pytest.mark.parametrize("y", list(POINT_PINS))
+def test_repeated_point_keeps_fresh_bits(prof03, y):
+    # the log law's order: every n twice in one process, so later calls find
+    # the point's self-block rules built; each keeps a fresh interpreter's bits
+    for _ in range(2):
+        for n, want in POINT_PINS[y].items():
+            res = potential_coil(prof03, n, y)
+            assert (float(res.value).hex(), float(res.err_est).hex()) == want
+
+
+def test_memoized_chi_rules_match_fresh_builds(prof03, chart03, solver03):
+    # the cached rules are fresh builds' own, element for element, and no
+    # caller can write them
+    T = prof03.T
+    cfg = SelfBlockSettings(5, 5, 6)
+    rho = cfg.core_size(prof03.a, T)
+    r_eval = AxisymBoundary(prof03).surface_point(BATCH_THETA, BATCH_Y3_OVER_T * T)[0]
+    d_chi = np.minimum(rho / np.maximum(r_eval, rho), np.pi / 2.0)
+    for c in (cfg, cfg.refined()):
+        outer = coulomb._outer_chi_rule(d_chi.tobytes(), c.panel_q, c.grade_ratio)
+        near = coulomb._near_rule(d_chi.tobytes(), c.column_q, c.panel_q)
+        fp = _panel_rule(np.stack((-d_chi, np.zeros_like(d_chi), d_chi), axis=-1), c.column_q)
+        inner = _sym_graded_rules(d_chi, np.pi, d_chi, c.panel_q)
+        want = (_sym_graded_rules(0.0, np.pi, d_chi, c.panel_q, c.grade_ratio),
+                (np.concatenate((fp[0], inner[0]), axis=1),
+                 np.concatenate((fp[1], inner[1]), axis=1), inner[2] + 2 * c.column_q))
+        for got, ref in zip((outer, near), want):
+            assert len(got) == len(ref) == 3
+            for g, w in zip(got, ref):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+                assert not g.flags.writeable
+                with pytest.raises(ValueError):
+                    g[0] = 0
+    # a reduction batch at several rules keeps no more than the bound
+    boundary = _batch_boundaries(prof03, chart03, solver03)[1]
+    for c in (SelfBlockSettings(4, 4, 5), SelfBlockSettings(5, 5, 6), SelfBlockSettings()):
+        surface_potentials(prof03, 32, boundary, BATCH_THETA, BATCH_Y3_OVER_T * T,
+                           BlockQuadrature(prof03, (6, 12, 14)), c)
+    for rule in (coulomb._outer_chi_rule, coulomb._near_rule):
+        info = rule.cache_info()
+        assert info.maxsize == 2 and info.currsize == 2
+
+
 def _blocks_by_gauss_in_r(nodes, p, ks, R, T, theta, y3c, r_eval, q=8):
     """Blocks ks at point p on its own (x3, phi) lattice, r by q-node Gauss, 1/|x - y| summed.
 
@@ -1323,6 +1383,8 @@ def test_radius_about_matches_radius(prof03, chart03, solver03):
                 want = boundary.radius(p, x3)
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))
+                if isinstance(boundary, AxisymBoundary):  # the profile's own values
+                    assert np.array_equal(got, want)
 
 
 def test_radius_open_grid_matches_dense(prof03, chart03, solver03):

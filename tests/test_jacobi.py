@@ -6,7 +6,8 @@ from scipy.interpolate import CubicSpline
 
 from conftest import random_symmetric_modes
 from dropcoil.errors import GridMismatch, SingularSystem
-from dropcoil.fields import SymmetricField, cos_coeffs, cos_eval, on_axis_derivatives
+from dropcoil.fields import (SymmetricField, cos_coeffs, cos_eval, graph_height,
+                             on_axis_derivatives)
 from dropcoil.jacobi import JacobiSolver
 from dropcoil.profile import build_chart
 
@@ -81,6 +82,17 @@ def test_on_axis_derivatives_match_differences(chart03, solver03):
     for exact, fd in differences:
         assert exact.shape == (4, 6)
         assert np.max(np.abs(exact - fd)) < 1e-6 * np.max(np.abs(exact))
+
+
+def test_graph_height_is_on_axis_derivatives_bitwise(chart03, solver03):
+    # the normal graph's (h, h_3) from stored coefficients, without h_theta
+    h = random_symmetric_modes(solver03, 4, np.random.default_rng(11))
+    th = np.array([0.3, 1.2, 2.0, 4.4])[:, None]
+    y3 = np.array([-0.9, -0.4, -0.05, 0.05, 0.4, 0.9])[None, :]
+    got = graph_height(h.coeffs(), h.tau, chart03, th, y3)
+    for order in (1, 2):
+        want = on_axis_derivatives(h, chart03, th, y3, order=order)
+        assert all(np.array_equal(g, w) for g, w in zip(got, (want[0], want[2])))
 
 
 # ---- Jacobi operator ------------------------------------------------------

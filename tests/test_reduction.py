@@ -314,6 +314,15 @@ def test_context_for_another_a_or_n_raises(prof03, ctx32, state32):
             mass_map(prof, n, FAST, state=state32, ctx=ctx32)
 
 
+def test_mass_map_refuses_a_state_of_another_a_or_n(prof03, state32):
+    # the state's gamma and h belong to its own (a, n): a mass map elsewhere
+    # from them would report a mass no solve at that cell gave
+    for prof, n in ((solve_profile(0.2), 32), (prof03, 64)):
+        with pytest.raises(DomainError, match=f"reduction state solved at a = 0.3, n = 32, "
+                                              f"used at a = {prof.a}, n = {n}"):
+            mass_map(prof, n, FAST, state=state32)
+
+
 def test_settings_other_than_the_contexts_raise(prof03, ctx32, state32):
     # the context is the one source of settings: other settings passed with
     # it are refused rather than run at the context's; equal settings, or
