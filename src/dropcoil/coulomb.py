@@ -373,22 +373,9 @@ def _sym_graded_rules(delta, outer, h0, q, ratio=2.0):
 # quadrature configuration and block rule
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SelfBlockSettings:
-    """Singular k = 0 block: quadrature orders and chi grading."""
-
-    panel_q: int = 7
-    core_q: int = 7
-    column_q: int = 8
-    grade_ratio: float = 2.0
-
-    def core_size(self, a_neck: float, T: float) -> float:
-        return min(a_neck, T / 8.0) / 4.0
-
-    def refined(self) -> "SelfBlockSettings":
-        return SelfBlockSettings(panel_q=self.panel_q + 2,
-                                 core_q=self.core_q + 2, column_q=self.column_q + 2,
-                                 grade_ratio=min(self.grade_ratio, 1.7))
+def core_size(a_neck: float, T: float) -> float:
+    """Half-width rho of the self block's Duffy core."""
+    return min(a_neck, T / 8.0) / 4.0
 
 
 def _phi_nodes(n_phi: int):
@@ -403,19 +390,26 @@ def _degenerate_rule(n_phi: int, n_z: int) -> bool:
 
 @dataclass
 class BlockQuadrature:
-    """Quadrature over one block of the solid in cylindrical coordinates.
+    """One Coulomb rule: the block rule over the solid and the self block's rule.
 
     ``resolution`` = (n_r, n_phi, n_z).  Every integral over the solid takes
     r in closed form on the (n_phi, n_z) product rule, so no rule reads n_r.
+    The singular k = 0 block (``_self_block``) takes Gauss order ``q`` on its
+    graded panels and its Duffy core, q + 1 on its footprint columns, and
+    grades the outer set's chi panels by ``grade_ratio``.
     """
 
     profile: DelaunayProfile
     resolution: tuple = DEFAULT_RESOLUTION
+    q: int = 7
+    grade_ratio: float = 2.0
 
     def __post_init__(self):
         n_r, n_phi, n_z = self.resolution
         if min(n_r, n_phi, n_z) < 2:
             raise DomainError("block quadrature resolution too small")
+        if self.q < 1:
+            raise DomainError(f"self-block order q = {self.q} must be at least 1")
         if _degenerate_rule(n_phi, n_z):
             # Such a rule has nodes at phi = pi/2 and 3pi/2 and at the block's
             # centre x3 = y3c.  For even n, at a point with theta = pi/2 or
@@ -431,6 +425,14 @@ class BlockQuadrature:
         self.z_weights = wxi * T
         self.phi_nodes = _phi_nodes(n_phi)
         self.phi_weights = np.full(n_phi, 2.0 * np.pi / n_phi)
+
+    def refined(self) -> "BlockQuadrature":
+        """One refinement step: 1.5x the (n_phi, n_z) nodes (one z node more
+        where that rule would be refused), order q + 2 and ratio at most 1.7."""
+        n_r, n_phi, n_z = self.resolution
+        n_phi, n_z = int(n_phi * 1.5), int(n_z * 1.5)
+        return BlockQuadrature(self.profile, (n_r, n_phi, n_z + _degenerate_rule(n_phi, n_z)),
+                               self.q + 2, min(self.grade_ratio, 1.7))
 
     def nodes2d(self, y3_center, boundary):
         """(x3, phi, rho_b, w) product rule centred at y3_center, on its lattice.
@@ -595,39 +597,36 @@ def _xi_rule(d_xi, outer, q):
 # The chi rules depend on the points only through d_chi, which is keyed by its
 # bytes.  A one-point caller (the log law, ``nonlocal-check``) repeats its key
 # at every n, for the base and the refined rule; the reduction loop's points
-# move with h, so two entries a rule are all that is ever reused.
+# move with h, so two entries, one a rule, are all that is ever reused.
 @lru_cache(maxsize=2)
-def _outer_chi_rule(d_chi, q, ratio):
-    """The outer set's chi rules, graded toward 0 from h0 = d_chi: one row a d_chi of the bytes."""
-    return _read_only(_sym_graded_rules(0.0, np.pi, np.frombuffer(d_chi), q, ratio))
-
-
-@lru_cache(maxsize=2)
-def _near_rule(d_chi, column_q, panel_q):
-    """The footprint's 2 column_q chi nodes, then the inner set's: one row a d_chi of the bytes."""
+def _chi_rules(d_chi, q, ratio):
+    """The self block's chi rules, one row a d_chi of the bytes: the outer
+    set's, graded by ``ratio`` toward 0 from h0 = d_chi, and the near rule,
+    the footprint's 2 (q + 1) nodes then the inner set's, graded by 2 from d_chi."""
     d_chi = np.frombuffer(d_chi)
-    fp = _panel_rule(np.stack((-d_chi, np.zeros_like(d_chi), d_chi), axis=-1), column_q)
-    nodes, weights, lengths = _sym_graded_rules(d_chi, np.pi, d_chi, panel_q)
-    return _read_only((np.concatenate((fp[0], nodes), axis=1),
-                       np.concatenate((fp[1], weights), axis=1), lengths + fp[0].shape[1]))
+    fp = _panel_rule(np.stack((-d_chi, np.zeros_like(d_chi), d_chi), axis=-1), q + 1)
+    nodes, weights, lengths = _sym_graded_rules(d_chi, np.pi, d_chi, q)
+    near = (np.concatenate((fp[0], nodes), axis=1), np.concatenate((fp[1], weights), axis=1),
+            lengths + fp[0].shape[1])
+    return (_read_only(_sym_graded_rules(0.0, np.pi, d_chi, q, ratio)), _read_only(near))
 
 
-def _self_block(boundary, R, T, theta, y3c, r_eval, cfg: SelfBlockSettings, a_neck: float):
+def _self_block(boundary, R, T, theta, y3c, r_eval, quad: BlockQuadrature, a_neck: float):
     """Singular k = 0 block integral at on-surface points, one value a point.
 
-    theta, y3c and r_eval are 1-D arrays of points.  Graded analytic-r
-    columns away from the evaluation point, closed-form columns with the
-    depth window [0, d_eta] removed over the footprint, and a Duffy-pyramid
-    core in depth coordinates eta = rho_b - r around the singular point.
-    The xi rules are shared; the chi rules scale with d_chi(r_eval), one
-    row a point, and are memoized on d_chi's bytes and the orders
-    (``_outer_chi_rule``, ``_near_rule``), so a point evaluated again, at
-    another n or by the refined pass, reuses them.  Each of the three sets
-    takes its radii from its own ``radius_about`` table (the profile's
-    values, or the normal graph's axial tables), formed when the set
-    starts, so one table at a time is alive.
+    theta, y3c and r_eval are 1-D arrays of points; ``quad`` gives the order
+    q and the grading ratio.  Graded analytic-r columns away from the
+    evaluation point, closed-form columns with the depth window [0, d_eta]
+    removed over the footprint, and a Duffy-pyramid core in depth
+    coordinates eta = rho_b - r around the singular point.  The xi rules are
+    shared; the chi rules scale with d_chi(r_eval), one row a point, and are
+    memoized on d_chi's bytes, q and the ratio (``_chi_rules``), so a point
+    evaluated again, at another n or by the refined pass, reuses them.  Each
+    of the three sets takes its radii from its own ``radius_about`` table
+    (the profile's values, or the normal graph's axial tables), formed when
+    the set starts, so one table at a time is alive.
 
-    At a desk batch of 153 points (17 y3 rows, orders (5, 5, 6)) the outer set,
+    At a desk batch of 153 points (17 y3 rows, q = 5) the outer set,
     |xi| > d_xi, is 359,500 nodes, the inner set 85,080, the footprint
     22,032 and the Duffy core 95,625.  Each outer line misses the point by
     at least 2R sin(d_xi / 2R) and r < R, so c > 0 and sqrt(c) + b/2 > 0:
@@ -636,29 +635,28 @@ def _self_block(boundary, R, T, theta, y3c, r_eval, cfg: SelfBlockSettings, a_ne
     and the separated form was 5x worse there, so the inner set and the
     footprint take the guarded one.
     """
-    rho = cfg.core_size(a_neck, T)
+    rho = core_size(a_neck, T)
     d_xi = min(rho, T / 4.0)
     d_chi = np.minimum(rho / np.maximum(r_eval, rho), np.pi / 2.0)
-    q = cfg.panel_q
+    q = quad.q
     xi_out = _xi_rule(d_xi, T / 2.0, q)
-    xi_in = _panel_rule(np.array([-d_xi, 0.0, d_xi]), cfg.column_q)
+    xi_in = _panel_rule(np.array([-d_xi, 0.0, d_xi]), q + 1)
     # the Duffy faces' xi nodes: on xi = -d_xi, on xi = d_xi, and on the other three
-    u = _gl(cfg.core_q)[0]
+    u = _gl(q)[0]
     U = u[:, None, None]
     duffy = (np.stack((u * -d_xi, u * d_xi), axis=-1)[..., None],
              U * (-d_xi + (d_xi - -d_xi) * u[:, None]))
 
-    key = d_chi.tobytes()
+    chi_out, chi_near = _chi_rules(d_chi.tobytes(), q, quad.grade_ratio)
     total = _columns(boundary.radius_about([xi_out[0][:, None]], y3c), R, theta, r_eval,
-                     *xi_out, *_outer_chi_rule(key, q, cfg.grade_ratio), guarded=False)
+                     *xi_out, *chi_out, guarded=False)
     # the inner set and the footprint on one chi rule a point: the footprint's
     # columns lose the depth window [0, d_eta] ...
     near, d_eta = _columns(boundary.radius_about([xi_in[0][:, None]], y3c), R, theta, r_eval,
-                           *xi_in, *_near_rule(key, cfg.column_q, cfg.panel_q),
-                           window=(rho, 2 * cfg.column_q))
+                           *xi_in, *chi_near, window=(rho, 2 * (q + 1)))
     # ... and the Duffy core over the window, apex at the singular point
     return total + near + _duffy_core(boundary.radius_about(duffy, y3c), duffy, R, theta,
-                                      r_eval, d_xi, d_chi, d_eta, cfg.core_q)
+                                      r_eval, d_xi, d_chi, d_eta, q)
 
 
 def _duffy_core(radius, xis, R, theta, r_eval, d_xi, d_chi, d_eta, q):
@@ -972,42 +970,34 @@ def _far_blocks(nodes, ks, R, T, theta, y3c, r_eval):
 
 
 def potential_coil(profile: DelaunayProfile, n: int, y, quad: BlockQuadrature = None,
-                   self_cfg: SelfBlockSettings = None,
                    error_estimate: bool = True) -> CoulombResult:
     """Newton potential of the coiled solid at the surface point y = (theta, y3):
     ``potential_perturbed`` at h = 0."""
-    return potential_perturbed(profile, n, None, y, quad=quad, self_cfg=self_cfg,
-                               error_estimate=error_estimate)
+    return potential_perturbed(profile, n, None, y, quad=quad, error_estimate=error_estimate)
 
 
 def potential_perturbed(profile: DelaunayProfile, n: int, h: SymmetricField, y,
                         chart: ConformalChart = None, quad: BlockQuadrature = None,
-                        self_cfg: SelfBlockSettings = None,
                         error_estimate: bool = True) -> CoulombResult:
     """Potential of the normal-graph solid at the moved point X(y_h).
 
     The solid's boundary is ``solid_boundary``'s, so at h = 0 it is the
     profile's.  Sums the per-block integrals I_k; the k = 0 self block uses
     the desingularized rule.  With ``error_estimate`` the whole sum is
-    recomputed at one refinement step, 1.5x the (n_phi, n_z) nodes (one z
-    node more where that rule would raise), and the difference reported (the
+    recomputed on ``quad.refined()`` and the difference reported (the
     refined value is returned); a change above ``DIVERGENCE_RTOL`` raises
     QuadratureDivergence.
     """
     boundary = solid_boundary(profile, h, chart)
     quad = quad or BlockQuadrature(profile)
-    self_cfg = self_cfg or SelfBlockSettings()
 
-    def one_pass(q2d, cfg):
-        return surface_potentials(profile, n, boundary, float(y[0]), float(y[1]), q2d, cfg)[0]
+    def one_pass(rule):
+        return surface_potentials(profile, n, boundary, float(y[0]), float(y[1]), rule)[0]
 
-    Ik = one_pass(quad, self_cfg)
+    Ik = one_pass(quad)
     err = None
     if error_estimate:
-        n_r, n_phi, n_z = quad.resolution
-        n_phi, n_z = int(n_phi * 1.5), int(n_z * 1.5)
-        fine = BlockQuadrature(profile, (n_r, n_phi, n_z + _degenerate_rule(n_phi, n_z)))
-        Ik_f = one_pass(fine, self_cfg.refined())
+        Ik_f = one_pass(quad.refined())
         err = float(abs(Ik_f.sum() - Ik.sum()))
         if err > DIVERGENCE_RTOL * max(abs(Ik_f.sum()), 1.0):
             raise QuadratureDivergence(
@@ -1017,7 +1007,7 @@ def potential_perturbed(profile: DelaunayProfile, n: int, h: SymmetricField, y,
 
 
 def surface_potentials(profile: DelaunayProfile, n: int, boundary, theta, y3,
-                       quad: BlockQuadrature, self_cfg: SelfBlockSettings) -> np.ndarray:
+                       quad: BlockQuadrature) -> np.ndarray:
     """Block integrals I_k, k = 0..n-1, at the surface points over (theta, y3).
 
     theta and y3 broadcast to a batch of points; row p of the (points, n)
@@ -1038,7 +1028,7 @@ def surface_potentials(profile: DelaunayProfile, n: int, boundary, theta, y3,
     r_eval, y3c = boundary.surface_point(theta, y3)
     Ik = np.empty((len(theta), n))
     # the self block first, so the lattice rule is not held through it
-    Ik[:, 0] = _self_block(boundary, R, T, theta, y3c, r_eval, self_cfg, profile.a)
+    Ik[:, 0] = _self_block(boundary, R, T, theta, y3c, r_eval, quad, profile.a)
     nodes = quad.nodes2d(y3c, boundary)
     near = np.arange(1, n)
     if n >= FAR_MIN_N:
@@ -1140,8 +1130,7 @@ def ball_energy(m: float) -> float:
     return 4.0 * np.pi * r * r + ball_coulomb_energy(r)
 
 
-def coulomb_energy(profile: DelaunayProfile, n: int, quad: BlockQuadrature = None,
-                   self_cfg: SelfBlockSettings = None) -> float:
+def coulomb_energy(profile: DelaunayProfile, n: int, quad: BlockQuadrature = None) -> float:
     """D(Omega) = 1/2 int int dx dy / |x - y| of the coiled solid.
 
     By the Pohozaev identity D = (1/5) int_Sigma u (x . nu) dsigma, with u
@@ -1153,7 +1142,6 @@ def coulomb_energy(profile: DelaunayProfile, n: int, quad: BlockQuadrature = Non
     twice elsewhere.
     """
     quad = quad or BlockQuadrature(profile)
-    self_cfg = self_cfg or SelfBlockSettings()
     n_th, n_z = ENERGY_GRID
     T = profile.T
     i = np.arange(n_th // 4, 3 * n_th // 4 + 1)
@@ -1161,8 +1149,8 @@ def coulomb_energy(profile: DelaunayProfile, n: int, quad: BlockQuadrature = Non
     theta, y3 = np.meshgrid(2.0 * np.pi * i / n_th, T * (j / n_z - 0.5), indexing="ij")
     mult = np.outer(np.where((i == i[0]) | (i == i[-1]), 1.0, 2.0),
                     np.where((j == j[0]) | (j == j[-1]), 1.0, 2.0))
-    u = surface_potentials(profile, n, AxisymBoundary(profile), theta, y3, quad,
-                           self_cfg).sum(axis=1).reshape(theta.shape)
+    u = surface_potentials(profile, n, AxisymBoundary(profile), theta, y3,
+                           quad).sum(axis=1).reshape(theta.shape)
     patch = build_coil(profile, n)
     forms = evaluate_forms(patch, theta, y3)
     x_nu = np.sum(patch.position(theta, y3) * forms.normal, axis=-1)

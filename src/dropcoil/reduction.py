@@ -35,8 +35,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .coulomb import (BlockQuadrature, SelfBlockSettings, coil_volume, solid_boundary,
-                      surface_potentials)
+from .coulomb import BlockQuadrature, coil_volume, solid_boundary, surface_potentials
 from .errors import BracketFailure, DomainError, NoContraction, RootNotBracketed
 from .fields import SymmetricField, cos_coeffs, cos_eval, is_zero_field, theta_mirror
 from .geometry import build_coil, evaluate_forms
@@ -60,6 +59,10 @@ class ReductionSettings:
     quad_resolution: tuple = (8, 16, 20)
     final_quad_resolution: tuple = (8, 28, 40)
     self_panel_q: int = 5
+    # Not settings: the self block takes order q on its panels and core and
+    # q + 1 on its footprint columns (``BlockQuadrature``), so these must be
+    # self_panel_q and self_panel_q + 1.  The benchmark restatement on
+    # ROADMAP.md deletes them with its edit of the benchmark's settings.
     self_core_q: int = 5
     self_column_q: int = 6
     final_self_q: int = 7
@@ -75,6 +78,10 @@ class ReductionSettings:
     def __post_init__(self):
         if self.max_iter < 1:
             raise DomainError("max_iter must be at least 1")
+        if self.kmax < 0 or self.m_t < 1 or self.coulomb_t_stride < 1:
+            raise DomainError("kmax must be at least 0, m_t and coulomb_t_stride at least 1")
+        if self.self_core_q != self.self_panel_q or self.self_column_q != self.self_panel_q + 1:
+            raise DomainError("self-block orders must be (q, q, q + 1), q = self_panel_q")
         if self.chart_grid % self.m_t != 0:
             raise DomainError("chart_grid must be a multiple of m_t")
         if self.m_t % self.coulomb_t_stride != 0:
@@ -101,8 +108,8 @@ def gamma_leading(profile: DelaunayProfile, n: int) -> GammaLeading:
 
 @dataclass
 class CoulombRule:
-    """One quadrature rule of N: block rule, self-block orders and the
-    (theta, y3) sub-grid on which N is integrated.
+    """One quadrature rule of N: the Coulomb rule (block rule and self-block
+    order) and the (theta, y3) sub-grid on which N is integrated.
 
     The final rule's theta nodes are the sample grid's; the loop and coarse
     rules take the 2 (kmax + 1) equispaced nodes that fix N's angular modes
@@ -111,13 +118,12 @@ class CoulombRule:
 
     name: str                  # "coarse", "loop" or "final"
     quad: BlockQuadrature
-    self_cfg: SelfBlockSettings
     y3_sub: np.ndarray         # the y3 nodes at which N is integrated
     theta: np.ndarray          # the theta nodes at which N is integrated
 
 
-COARSE_TIER = ((8, 10), SelfBlockSettings(panel_q=3, core_q=3, column_q=4), 2)
-"""The coarse rule tier of N: block rule (n_phi, n_z), self-block orders, and
+COARSE_TIER = ((8, 10), 3, 2)
+"""The coarse rule tier of N: block rule (n_phi, n_z), self-block order q, and
 the factor on the loop rule's y3 stride of its sub-grid (used where it
 divides ``m_t``, else the loop stride).
 
@@ -127,12 +133,12 @@ a = 0.3, n = 32 and the solved h, and the Coulomb time of one evaluation
 (both loop rules take 9 at this neck, ``LOOP_SUBGRID_TOL``):
 
     rule, y3 rows                          N error           time (FAST / desk)
-    FAST loop (12, 14), q (4, 4, 5), 9     1.0e-6            13 ms
-    desk loop (16, 20), q (5, 5, 6), 17    1.2e-7            46 ms
-    desk loop (16, 20), q (5, 5, 6), 9     1.2e-7            24 ms
-    tier (8, 10), q (3, 3, 4), 17          1.85e-5           21 ms (desk)
-    tier (8, 10), q (3, 3, 4), 9           1.85e-5 / 1.90e-5 9 / 11 ms
-    tier (8, 10), q (3, 3, 4), 5           1.83e-5 / 1.84e-5 6 / 7 ms
+    FAST loop (12, 14), q 4, 9             1.0e-6            13 ms
+    desk loop (16, 20), q 5, 17            1.2e-7            46 ms
+    desk loop (16, 20), q 5, 9             1.2e-7            24 ms
+    tier (8, 10), q 3, 17                  1.85e-5           21 ms (desk)
+    tier (8, 10), q 3, 9                   1.85e-5 / 1.90e-5 9 / 11 ms
+    tier (8, 10), q 3, 5                   1.83e-5 / 1.84e-5 6 / 7 ms
 
 So the tier's error is eps <= 2e-5 at both settings, and half the loop's
 rows cost it nothing.
@@ -232,26 +238,23 @@ class ReductionContext:
         self.t_nodes = self.solver.t
         self.y3_nodes = self.solver.z
         stride = _loop_stride(self.solver, settings.coulomb_t_stride)
-        loop_cfg = SelfBlockSettings(panel_q=settings.self_panel_q,
-                                     core_q=settings.self_core_q,
-                                     column_q=settings.self_column_q)
-        self.loop_rule = CoulombRule("loop", BlockQuadrature(profile, settings.quad_resolution),
-                                     loop_cfg, self.y3_nodes[::stride], theta_sub)
-        q = settings.final_self_q
+        self.loop_rule = CoulombRule(
+            "loop", BlockQuadrature(profile, settings.quad_resolution, settings.self_panel_q),
+            self.y3_nodes[::stride], theta_sub)
         self.final_rule = CoulombRule(
-            "final", BlockQuadrature(profile, settings.final_quad_resolution),
-            SelfBlockSettings(panel_q=q, core_q=q, column_q=q + 1),
+            "final", BlockQuadrature(profile, settings.final_quad_resolution,
+                                     settings.final_self_q),
             self.y3_nodes[::settings.coulomb_t_stride], self.theta)
-        (nphi, nz), cfg, factor = COARSE_TIER
+        (nphi, nz), q, factor = COARSE_TIER
         n_r, loop_nphi, loop_nz = settings.quad_resolution
-        tier_cost = (nphi * nz, cfg.panel_q, cfg.core_q, cfg.column_q)
-        loop_cost = (loop_nphi * loop_nz, loop_cfg.panel_q, loop_cfg.core_q, loop_cfg.column_q)
+        tier_cost = (nphi * nz, q)
+        loop_cost = (loop_nphi * loop_nz, settings.self_panel_q)
         self.coarse_rule = self.loop_rule
         if tier_cost != loop_cost and all(a <= b for a, b in zip(tier_cost, loop_cost)):
             if settings.m_t % (factor * stride) == 0:
                 stride *= factor
-            self.coarse_rule = CoulombRule("coarse", BlockQuadrature(profile, (n_r, nphi, nz)),
-                                           cfg, self.y3_nodes[::stride], theta_sub)
+            self.coarse_rule = CoulombRule("coarse", BlockQuadrature(profile, (n_r, nphi, nz), q),
+                                           self.y3_nodes[::stride], theta_sub)
 
     def zero_field(self) -> SymmetricField:
         return self.solver.zero_field()
@@ -309,7 +312,7 @@ def _coulomb_samples(ctx: ReductionContext, boundary, rule: CoulombRule) -> np.n
     own, mirror = theta_mirror(len(theta))
     sub = np.empty((len(theta), len(y3_sub)))
     Ik = surface_potentials(ctx.profile, ctx.n, boundary, theta[own, None],
-                            y3_sub[None, :], rule.quad, rule.self_cfg)
+                            y3_sub[None, :], rule.quad)
     sub[own] = Ik.sum(axis=1).reshape(len(own), len(y3_sub))
     sub[mirror[own]] = sub[own]
     if len(theta) != len(ctx.theta):

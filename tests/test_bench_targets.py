@@ -11,11 +11,11 @@ import numpy as np
 from dropcoil.coulomb import NormalGraphBoundary
 from dropcoil.reduction import ReductionContext, ReductionSettings
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _spans_module():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _perfbench_module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
@@ -31,7 +31,7 @@ def _target_function(modname, path):
 
 
 def test_benchmark_span_targets_resolve():
-    spans = _spans_module()
+    spans = _perfbench_module("spans")
     for name, modname, path, factory in spans.targets():
         fn = _target_function(modname, path)
         assert inspect.isfunction(fn), f"{name}: {modname}.{path} is not a function"
@@ -65,7 +65,7 @@ def test_benchmark_span_info_reads_a_representative_call(prof03, chart03, solver
         "write_csv": ((tmp_path / "t.csv", ["n"], [(1,)]), {}),
         "write_json": ((tmp_path / "t.json", {"n": 1}), {}),
     }
-    for name, modname, path, factory in _spans_module().targets():
+    for name, modname, path, factory in _perfbench_module("spans").targets():
         if factory is None:
             continue
         assert path in calls, f"{name}: no representative call of {modname}.{path}"
@@ -73,3 +73,12 @@ def test_benchmark_span_info_reads_a_representative_call(prof03, chart03, solver
         args, kwargs, *stand_in = calls[path]
         result = stand_in[0] if stand_in else fn(*args, **kwargs)
         assert factory(fn)(args, kwargs, result) is not None, f"{name}: {path}"
+
+
+def test_benchmark_settings_build_contexts(prof03):
+    # the benchmark's FAST settings and the desk defaults each build a
+    # context, so a settings check that refuses them fails here
+    fast = _perfbench_module("workloads").FAST
+    for settings in (fast, ReductionSettings()):
+        ctx = ReductionContext(prof03, 32, settings)
+        assert ctx.settings is settings

@@ -10,12 +10,12 @@ from scipy import integrate
 import dropcoil.coulomb as coulomb
 from dropcoil.coulomb import (BALL_UNIT_COULOMB, ENERGY_GRID, NEWTON_TOL, TILE,
                               AxisymBoundary, BlockQuadrature, CRITICAL_MASS_CLOSED_FORM,
-                              NormalGraphBoundary, SelfBlockSettings,
-                              _graded_edges, _panel_rule, _regular_blocks, _self_block,
+                              NormalGraphBoundary, _graded_edges, _panel_rule, _regular_blocks,
+                              _self_block,
                               _separated_factors, _separated_values, _sym_graded_rules,
                               ball_coulomb_energy, ball_energy,
                               ball_potential_exact, ball_potential_radial,
-                              coil_volume, coulomb_energy, critical_mass,
+                              coil_volume, core_size, coulomb_energy, critical_mass,
                               potential_coil, potential_perturbed,
                               solid_boundary, surface_potentials,
                               toroidal_potential_reference)
@@ -52,17 +52,29 @@ def test_block_rule_with_node_on_column_line_raises(prof03, n_phi, n_z):
     BlockQuadrature(prof03, (2, n_phi + 2, n_z))
 
 
+@pytest.mark.parametrize("resolution, q, fine", [
+    ((24, 32, 48), 7, (24, 48, 72)),   # the default rule
+    ((8, 16, 20), 5, (8, 24, 30)),     # desk loop rule
+    ((8, 28, 40), 7, (8, 42, 60)),     # desk final rule
+    ((6, 12, 14), 4, (6, 18, 22)),     # FAST loop rule: (18, 21) is refused, so one z node more
+], ids=["default", "desk_loop", "desk_final", "fast_loop"])
+def test_refined_rule(prof03, resolution, q, fine):
+    # 1.5x the (n_phi, n_z) nodes, order q + 2 and ratio 1.7, as the error
+    # estimate has always refined
+    rule = BlockQuadrature(prof03, resolution, q).refined()
+    assert (rule.resolution, rule.q, rule.grade_ratio) == (fine, q + 2, 1.7)
+
+
 def test_error_estimate_at_quarter_turn(prof03):
     # the 1.5x refinement of (12, 14) would be (18, 21); it takes (18, 22)
     # instead, so the estimate at (pi/2, 0) and (3pi/2, 0) is as small as at
     # a generic point, and the value agrees with a (48, 72) rule at q = 9
     quad = BlockQuadrature(prof03, (6, 12, 14))
-    ref_quad = BlockQuadrature(prof03, (2, 48, 72))
-    ref_cfg = SelfBlockSettings(panel_q=9, core_q=9, column_q=10)
+    ref_quad = BlockQuadrature(prof03, (2, 48, 72), 9)
     for theta in (np.pi / 2, 3 * np.pi / 2, 1.0):
         res = potential_coil(prof03, 32, (theta, 0.0), quad=quad)
-        ref = surface_potentials(prof03, 32, AxisymBoundary(prof03), theta, 0.0, ref_quad,
-                                 ref_cfg).sum()
+        ref = surface_potentials(prof03, 32, AxisymBoundary(prof03), theta, 0.0,
+                                 ref_quad).sum()
         assert res.err_est < 1e-7 * res.value
         assert abs(res.value / ref - 1.0) < 1e-10
 
@@ -141,9 +153,8 @@ def test_n_validation(prof03):
 def test_refinement_within_error_estimate(prof03):
     res = potential_coil(prof03, 8, (1.1, 0.2))  # refined value + estimate
     n_r, n_phi, n_z = BlockQuadrature(prof03).resolution
-    dbl = BlockQuadrature(prof03, (n_r, 2 * n_phi, 2 * n_z))
-    res_dbl = potential_coil(prof03, 8, (1.1, 0.2), quad=dbl,
-                             self_cfg=SelfBlockSettings(panel_q=9, core_q=9, column_q=10),
+    dbl = (n_r, 2 * n_phi, 2 * n_z)
+    res_dbl = potential_coil(prof03, 8, (1.1, 0.2), quad=BlockQuadrature(prof03, dbl, 9),
                              error_estimate=False)
     assert abs(res_dbl.value - res.value) <= max(res.err_est, 1e-9) * 3
 
@@ -373,8 +384,7 @@ def _stack_rules(rules):
 def test_sym_graded_rules_match_per_point_rules(prof03, ratio):
     # the self block's chi rules (from 0 and from d_chi, up to pi) and its xi
     # rule, over the d_chi of a neck-to-bulge batch and the extremes pi/2 and 1e-9
-    cfg = SelfBlockSettings()
-    rho = cfg.core_size(prof03.a, prof03.T)
+    rho = core_size(prof03.a, prof03.T)
     r_eval = np.linspace(0.29, 0.71, 23)
     d_chi = np.r_[np.minimum(rho / np.maximum(r_eval, rho), np.pi / 2.0), np.pi / 2.0, 1e-9]
     for q in (4, 7):
@@ -400,10 +410,10 @@ def test_self_block_integrates_each_points_own_rule(prof03, monkeypatch):
     # which 466,612 carry weight
     T = prof03.T
     R = 32 * T / (2.0 * np.pi)
-    cfg = SelfBlockSettings(5, 5, 6)
+    cfg = BlockQuadrature(prof03, q=5)
     boundary = AxisymBoundary(prof03)
     r_eval, y3c = boundary.surface_point(BATCH_THETA, BATCH_Y3_OVER_T * T)
-    rho = cfg.core_size(prof03.a, T)
+    rho = core_size(prof03.a, T)
     d_xi = min(rho, T / 4.0)
     d_chi = np.minimum(rho / np.maximum(r_eval, rho), np.pi / 2.0)
     sets = []
@@ -430,12 +440,12 @@ def test_self_block_integrates_each_points_own_rule(prof03, monkeypatch):
         monkeypatch.setattr(coulomb, name, spy)
     _self_block(boundary, R, T, BATCH_THETA, y3c, r_eval, cfg, prof03.a)
     # the inner set and the footprint share a rule: footprint nodes first
-    near = [[np.concatenate(v) for v in zip(_panel_rule(np.array([-d, 0.0, d]), cfg.column_q),
-                                             _sym_graded_rule(d, np.pi, d, cfg.panel_q))]
+    near = [[np.concatenate(v) for v in zip(_panel_rule(np.array([-d, 0.0, d]), cfg.q + 1),
+                                             _sym_graded_rule(d, np.pi, d, cfg.q))]
             for d in d_chi]
-    want = [(_sym_graded_rule(d_xi, T / 2.0, d_xi, cfg.panel_q),
-             [_sym_graded_rule(0.0, np.pi, d, cfg.panel_q, cfg.grade_ratio) for d in d_chi]),
-            (_panel_rule(np.array([-d_xi, 0.0, d_xi]), cfg.column_q), near)]
+    want = [(_sym_graded_rule(d_xi, T / 2.0, d_xi, cfg.q),
+             [_sym_graded_rule(0.0, np.pi, d, cfg.q, cfg.grade_ratio) for d in d_chi]),
+            (_panel_rule(np.array([-d_xi, 0.0, d_xi]), cfg.q + 1), near)]
     assert len(sets) == len(want)
     assert len({len(x) for x, _ in want[0][1]}) > 1  # rows of two lengths
     for got, (xi_rule, chi_rules) in zip(sets, want):
@@ -572,8 +582,8 @@ def test_self_block_matches_frozen_kernel(prof03, chart03, solver03, frozen_kern
     T = prof03.T
     R = 16 * T / (2.0 * np.pi)
     theta, y3 = np.array([1.2, 0.3, 2.0]), np.array([0.5, 0.0, 0.2]) * T
-    cfgs = [SelfBlockSettings(3, 3, 4), SelfBlockSettings(4, 4, 5), SelfBlockSettings(5, 5, 6),
-            SelfBlockSettings(7, 7, 8), SelfBlockSettings().refined()]
+    cfgs = [BlockQuadrature(prof03, q=q) for q in (3, 4, 5, 7)]
+    cfgs.append(BlockQuadrature(prof03).refined())
     boundaries = _batch_boundaries(prof03, chart03, solver03)
     points = [b.surface_point(theta, y3) for b in boundaries]
     assert points[0][0][0] < 0.31 < 0.69 < points[0][0][1]
@@ -601,17 +611,17 @@ def test_potential_coil_matches_frozen_kernel(prof03, frozen_kernel):
     assert ran == set(FROZEN)
 
 
-@pytest.mark.parametrize("resolution, self_cfg", [
-    ((8, 16, 20), SelfBlockSettings(panel_q=5, core_q=5, column_q=6)),  # desk loop rule
-    ((6, 12, 14), SelfBlockSettings(panel_q=4, core_q=4, column_q=5)),  # FAST loop rule
-    ((2, 3, 5), SelfBlockSettings()),  # n_phi != n_z: a z/phi mix-up changes the bits
-])
+@pytest.mark.parametrize("resolution, q", [
+    ((8, 16, 20), 5),  # desk loop rule
+    ((6, 12, 14), 4),  # FAST loop rule
+    ((2, 3, 5), 7),  # n_phi != n_z: a z/phi mix-up changes the bits
+], ids=["desk", "fast", "mixed"])
 def test_potential_perturbed_matches_frozen_kernel(prof03, chart03, solver03, frozen_kernel,
-                                                   monkeypatch, resolution, self_cfg):
+                                                   monkeypatch, resolution, q):
     # both boundaries at the reduction loop's rules; the error estimate adds
     # the 1.5x refined rule of each, and its divergence guard is not under test
     monkeypatch.setattr(coulomb, "DIVERGENCE_RTOL", np.inf)
-    quad = BlockQuadrature(prof03, resolution)
+    quad = BlockQuadrature(prof03, resolution, q)
     h = solver03.zero_field(kmax=4)
     c = np.cos(np.pi * solver03.t / solver03.tau)
     h.modes[0] = 0.02 * c + 0.01
@@ -621,7 +631,7 @@ def test_potential_perturbed_matches_frozen_kernel(prof03, chart03, solver03, fr
     fields = (solver03.zero_field(kmax=4), h)
 
     def hexes():
-        res = [potential_perturbed(prof03, n, f, y, chart=chart03, quad=quad, self_cfg=self_cfg)
+        res = [potential_perturbed(prof03, n, f, y, chart=chart03, quad=quad)
                for n in (16, 32, 128) for f in fields for y in ((0.7, 0.4), (np.pi / 2, 0.0))]
         return [[float(v).hex() for v in (r.err_est, *r.breakdown)] for r in res]
 
@@ -662,33 +672,32 @@ def test_memoized_chi_rules_match_fresh_builds(prof03, chart03, solver03):
     # the cached rules are fresh builds' own, element for element, and no
     # caller can write them
     T = prof03.T
-    cfg = SelfBlockSettings(5, 5, 6)
-    rho = cfg.core_size(prof03.a, T)
+    cfg = BlockQuadrature(prof03, q=5)
+    rho = core_size(prof03.a, T)
     r_eval = AxisymBoundary(prof03).surface_point(BATCH_THETA, BATCH_Y3_OVER_T * T)[0]
     d_chi = np.minimum(rho / np.maximum(r_eval, rho), np.pi / 2.0)
     for c in (cfg, cfg.refined()):
-        outer = coulomb._outer_chi_rule(d_chi.tobytes(), c.panel_q, c.grade_ratio)
-        near = coulomb._near_rule(d_chi.tobytes(), c.column_q, c.panel_q)
-        fp = _panel_rule(np.stack((-d_chi, np.zeros_like(d_chi), d_chi), axis=-1), c.column_q)
-        inner = _sym_graded_rules(d_chi, np.pi, d_chi, c.panel_q)
-        want = (_sym_graded_rules(0.0, np.pi, d_chi, c.panel_q, c.grade_ratio),
+        got = coulomb._chi_rules(d_chi.tobytes(), c.q, c.grade_ratio)
+        fp = _panel_rule(np.stack((-d_chi, np.zeros_like(d_chi), d_chi), axis=-1), c.q + 1)
+        inner = _sym_graded_rules(d_chi, np.pi, d_chi, c.q)
+        want = (_sym_graded_rules(0.0, np.pi, d_chi, c.q, c.grade_ratio),
                 (np.concatenate((fp[0], inner[0]), axis=1),
-                 np.concatenate((fp[1], inner[1]), axis=1), inner[2] + 2 * c.column_q))
-        for got, ref in zip((outer, near), want):
-            assert len(got) == len(ref) == 3
-            for g, w in zip(got, ref):
+                 np.concatenate((fp[1], inner[1]), axis=1), inner[2] + 2 * (c.q + 1)))
+        assert len(got) == len(want) == 2
+        for rule, ref in zip(got, want):
+            assert len(rule) == len(ref) == 3
+            for g, w in zip(rule, ref):
                 assert g.dtype == w.dtype and np.array_equal(g, w)
                 assert not g.flags.writeable
                 with pytest.raises(ValueError):
                     g[0] = 0
     # a reduction batch at several rules keeps no more than the bound
     boundary = _batch_boundaries(prof03, chart03, solver03)[1]
-    for c in (SelfBlockSettings(4, 4, 5), SelfBlockSettings(5, 5, 6), SelfBlockSettings()):
+    for q in (4, 5, 7):
         surface_potentials(prof03, 32, boundary, BATCH_THETA, BATCH_Y3_OVER_T * T,
-                           BlockQuadrature(prof03, (6, 12, 14)), c)
-    for rule in (coulomb._outer_chi_rule, coulomb._near_rule):
-        info = rule.cache_info()
-        assert info.maxsize == 2 and info.currsize == 2
+                           BlockQuadrature(prof03, (6, 12, 14), q))
+    info = coulomb._chi_rules.cache_info()
+    assert info.maxsize == 2 and info.currsize == 2
 
 
 def _blocks_by_gauss_in_r(nodes, p, ks, R, T, theta, y3c, r_eval, q=8):
@@ -950,17 +959,17 @@ def test_self_block_outer_columns_match_gauss_in_r(prof03):
     worst = {}
     for n in (16, 32, 128):
         R = n * T / (2.0 * np.pi)
-        for cfg in (SelfBlockSettings(5, 5, 6), SelfBlockSettings(7, 7, 8)):
-            rho = cfg.core_size(prof03.a, T)
+        for cfg in (BlockQuadrature(prof03, q=5), BlockQuadrature(prof03, q=7)):
+            rho = core_size(prof03.a, T)
             d_xi = min(rho, T / 4.0)
             for theta, y3 in points:
                 r, y3c = (float(v) for v in boundary.surface_point(theta, y3))
                 d_chi = min(rho / max(r, rho), np.pi / 2.0)
-                sets = {"outer": (_sym_graded_rules(d_xi, T / 2.0, d_xi, cfg.panel_q),
-                                  _sym_graded_rules(0.0, np.pi, d_chi, cfg.panel_q,
+                sets = {"outer": (_sym_graded_rules(d_xi, T / 2.0, d_xi, cfg.q),
+                                  _sym_graded_rules(0.0, np.pi, d_chi, cfg.q,
                                                     cfg.grade_ratio)),
-                        "inner": (_panel_rule(np.array([[-d_xi, 0.0, d_xi]]), cfg.column_q),
-                                  _sym_graded_rules(d_chi, np.pi, d_chi, cfg.panel_q))}
+                        "inner": (_panel_rule(np.array([[-d_xi, 0.0, d_xi]]), cfg.q + 1),
+                                  _sym_graded_rules(d_chi, np.pi, d_chi, cfg.q))}
                 for name, (xi, chi) in sets.items():
                     xi, chi = xi[0][0], chi[0][0]
                     phi = theta + chi
@@ -996,18 +1005,18 @@ def test_self_columns_match_gauss_in_r(prof03):
     worst = {}
     for n in (16, 32, 128):
         R = n * T / (2.0 * np.pi)
-        for cfg in (SelfBlockSettings(3, 3, 4), SelfBlockSettings(5, 5, 6),
-                    SelfBlockSettings(7, 7, 8)):
-            rho = cfg.core_size(prof03.a, T)
+        for cfg in (BlockQuadrature(prof03, q=3), BlockQuadrature(prof03, q=5),
+                    BlockQuadrature(prof03, q=7)):
+            rho = core_size(prof03.a, T)
             d_xi = min(rho, T / 4.0)
             for theta, y3 in points:
                 r, y3c = (float(v) for v in boundary.surface_point(theta, y3))
                 d_chi = min(rho / max(r, rho), np.pi / 2.0)
-                sets = {"outer": (_sym_graded_rules(d_xi, T / 2.0, d_xi, cfg.panel_q),
-                                  _sym_graded_rules(0.0, np.pi, d_chi, cfg.panel_q,
+                sets = {"outer": (_sym_graded_rules(d_xi, T / 2.0, d_xi, cfg.q),
+                                  _sym_graded_rules(0.0, np.pi, d_chi, cfg.q,
                                                     cfg.grade_ratio)),
-                        "inner": (_panel_rule(np.array([[-d_xi, 0.0, d_xi]]), cfg.column_q),
-                                  _sym_graded_rules(d_chi, np.pi, d_chi, cfg.panel_q))}
+                        "inner": (_panel_rule(np.array([[-d_xi, 0.0, d_xi]]), cfg.q + 1),
+                                  _sym_graded_rules(d_chi, np.pi, d_chi, cfg.q))}
                 for name, (xi, chi) in sets.items():
                     xi, chi = xi[0][0], chi[0][0]
                     phi = theta + chi
@@ -1090,15 +1099,14 @@ def test_surface_potentials_far_field_above_crossover(prof03):
     # below FAR_MIN_N every block comes from the column kernel; from it on,
     # blocks FAR_K0..n-FAR_K0 come from the expansion and the rest do not move
     boundary = AxisymBoundary(prof03)
-    quad = BlockQuadrature(prof03, (6, 12, 14))
-    cfg = SelfBlockSettings(panel_q=4, core_q=4, column_q=5)
+    quad = BlockQuadrature(prof03, (6, 12, 14), 4)
     T = prof03.T
     theta, y3 = np.array([0.7, 2.0]), np.array([0.4, -0.3])
     r_eval, y3c = boundary.surface_point(theta, y3)
     nodes = quad.nodes2d(y3c, boundary)
     for n in (coulomb.FAR_MIN_N - 16, coulomb.FAR_MIN_N):
         R = n * T / (2.0 * np.pi)
-        Ik = surface_potentials(prof03, n, boundary, theta, y3, quad, cfg)
+        Ik = surface_potentials(prof03, n, boundary, theta, y3, quad)
         direct = _regular_blocks(nodes, np.arange(1, n), R, T, theta, y3c, r_eval)
         far = np.zeros(n - 1, dtype=bool)
         if n >= coulomb.FAR_MIN_N:
@@ -1308,7 +1316,7 @@ def _radius_about_shapes(prof03, centres):
     quad = BlockQuadrature(prof03, (8, 16, 20))
     p = len(centres)
     theta = np.linspace(0.2, 6.0, p)[:, None, None]
-    d_xi = SelfBlockSettings().core_size(prof03.a, T)
+    d_xi = core_size(prof03.a, T)
     xi_out = _sym_graded_rules(d_xi, T / 2.0, d_xi, 5)[0][0]
     xi_in = _panel_rule(np.array([-d_xi, 0.0, d_xi]), 6)[0]
     chi = _sym_graded_rules(0.0, np.pi, 0.1, 5)[0]
@@ -1357,7 +1365,7 @@ def test_normal_graph_radius_tables_bounded(prof03, chart03, solver03, monkeypat
     monkeypatch.setattr(bnd, "radius_about", lambda offsets, centre: (
         calls.append(sum(np.size(o) for o in offsets)) or about(offsets, centre)))
     _self_block(bnd, 32 * T / (2.0 * np.pi), T, theta, y3c, r_eval,
-                SelfBlockSettings(9, 9, 10), prof03.a)
+                BlockQuadrature(prof03, q=9), prof03.a)
     assert len(calls) == 3
     for n in calls:
         assert 2 * axial * n * bnd._coef.shape[0] <= 4 * TILE
@@ -1460,14 +1468,14 @@ def test_self_block_batch_matches_single_points(prof03, chart03, solver03):
     T = prof03.T
     n = 16
     R = n * T / (2.0 * np.pi)
-    cfg = SelfBlockSettings()
-    rho = cfg.core_size(prof03.a, T)
+    cfg = BlockQuadrature(prof03)
+    rho = core_size(prof03.a, T)
     for boundary in _batch_boundaries(prof03, chart03, solver03):
         r_eval, y3c = boundary.surface_point(BATCH_THETA, BATCH_Y3_OVER_T * T)
         # the chi rules scale with r_eval: neck and bulge rows differ in
         # length, so the stacked rule pads the shorter rows
         d_chi = rho / np.maximum(r_eval, rho)
-        lengths = {len(_sym_graded_rule(0.0, np.pi, d, cfg.panel_q, cfg.grade_ratio)[0])
+        lengths = {len(_sym_graded_rule(0.0, np.pi, d, cfg.q, cfg.grade_ratio)[0])
                    for d in d_chi}
         assert len(lengths) > 1
         batch = _self_block(boundary, R, T, BATCH_THETA, y3c, r_eval, cfg, prof03.a)
@@ -1487,7 +1495,7 @@ def test_self_block_batch_memory_bounded(prof03):
     boundary = AxisymBoundary(prof03)
     theta = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     r_eval, y3c = boundary.surface_point(theta, np.linspace(-T / 2, T / 2, 64))
-    cfg = SelfBlockSettings()
+    cfg = BlockQuadrature(prof03)
     _self_block(boundary, R, T, theta[:2], y3c[:2], r_eval[:2], cfg, prof03.a)
     started = not tracemalloc.is_tracing()
     if started:
@@ -1525,7 +1533,7 @@ def test_self_block_desk_final_batch_memory_bounded(prof03, chart03, solver03):
     R = 32 * T / (2.0 * np.pi)
     theta = np.repeat(2.0 * np.pi * np.arange(16) / 16, 17)
     y3 = np.tile(np.linspace(-T / 2, T / 2, 17), 16)
-    cfg = SelfBlockSettings(panel_q=7, core_q=7, column_q=8)
+    cfg = BlockQuadrature(prof03, q=7)
     for boundary in _batch_boundaries(prof03, chart03, solver03):
         r_eval, y3c = boundary.surface_point(theta, y3)
         _self_block(boundary, R, T, theta[:2], y3c[:2], r_eval[:2], cfg, prof03.a)
@@ -1673,8 +1681,7 @@ def test_critical_mass():
 def test_coil_energy_consistency(prof03):
     # the Pohozaev energy at the default quadrature against a refined one
     e1 = coulomb_energy(prof03, 4)
-    e2 = coulomb_energy(prof03, 4, quad=BlockQuadrature(prof03, (24, 48, 72)),
-                        self_cfg=SelfBlockSettings().refined())
+    e2 = coulomb_energy(prof03, 4, quad=BlockQuadrature(prof03).refined())
     assert abs(e1 - e2) / e2 <= 1e-7
 
 
@@ -1687,7 +1694,7 @@ def test_coil_energy_quarter_matches_full_grid(prof03, n):
     theta, y3 = np.meshgrid(2.0 * np.pi * np.arange(n_th) / n_th,
                             T * (np.arange(n_z) / n_z - 0.5), indexing="ij")
     u = surface_potentials(prof03, n, AxisymBoundary(prof03), theta, y3,
-                           BlockQuadrature(prof03), SelfBlockSettings()).sum(axis=1)
+                           BlockQuadrature(prof03)).sum(axis=1)
     patch = build_coil(prof03, n)
     forms = evaluate_forms(patch, theta, y3)
     x_nu = np.sum(patch.position(theta, y3) * forms.normal, axis=-1)

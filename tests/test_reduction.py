@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dropcoil.coulomb import (GRAPH_MZ, NormalGraphBoundary, ball_potential_exact,
-                              solid_boundary, surface_potentials)
+from dropcoil.coulomb import (GRAPH_MZ, BlockQuadrature, NormalGraphBoundary,
+                              ball_potential_exact, solid_boundary, surface_potentials)
 from dropcoil.errors import (BracketFailure, DomainError, NoContraction, RootNotBracketed,
                              SingularSystem)
 from dropcoil.fields import (SymmetricField, cos_coeffs, cos_eval, is_zero_field, series_eval,
@@ -268,6 +268,24 @@ def test_loop_theta_subgrid_alias(grid, a):
             assert alias <= np.max(np.abs(every - modes(ctx.final_rule))) / 20
 
 
+@pytest.mark.parametrize("build", [
+    lambda p: ReductionSettings(coulomb_t_stride=0),
+    lambda p: ReductionSettings(m_t=0),
+    lambda p: ReductionSettings(kmax=-1),
+    lambda p: ReductionSettings(self_core_q=4),
+    lambda p: ReductionSettings(self_column_q=5),
+    lambda p: BlockQuadrature(p, q=0),
+    lambda p: ReductionContext(p, 16, replace(FAST, self_panel_q=0, self_core_q=0,
+                                              self_column_q=1)),
+    lambda p: ReductionContext(p, 16, replace(FAST, final_self_q=0)),
+], ids=["stride", "m_t", "kmax", "core_q", "column_q", "q", "loop_q", "final_q"])
+def test_bad_rule_settings_refused_where_built(prof03, build):
+    # each is refused when the settings or the rule is built, not by an
+    # untyped error later (a final order of 0 once reached the final report)
+    with pytest.raises(DomainError):
+        build(prof03)
+
+
 def test_coarse_tier_only_when_cheaper(prof03):
     # a loop rule with fewer (n_phi, n_z) nodes than the tier keeps its own
     # rule throughout; a sub-grid that twice the stride does not divide
@@ -459,7 +477,7 @@ def test_mirror_columns_need_even_ntheta(prof03, monkeypatch, ntheta, final, col
     seen = []
     calls = []
 
-    def fake_kernel(profile, n, boundary, theta, y3, quad, self_cfg):
+    def fake_kernel(profile, n, boundary, theta, y3, quad):
         # one row a point over broadcast (theta, y3); the row sum is the potential
         theta, y3 = np.broadcast_arrays(theta, y3)
         calls.append(theta.size)
@@ -525,7 +543,7 @@ def _column_loop_samples(ctx, h, final, mirror=True):
     sub = np.empty((ntheta, len(rule.y3_sub)))
     for i in cols[mirror >= cols]:
         sub[i] = surface_potentials(ctx.profile, ctx.n, boundary, rule.theta[i], rule.y3_sub,
-                                    rule.quad, rule.self_cfg).sum(axis=1)
+                                    rule.quad).sum(axis=1)
         sub[mirror[i]] = sub[i]
     if ntheta != len(ctx.theta):
         fld = SymmetricField.from_samples(sub, ctx.solver.tau, ctx.settings.kmax)[0]
@@ -555,10 +573,10 @@ def test_one_integration_per_h_and_rule(prof03, ctx32, monkeypatch):
     kernel = reduction.surface_potentials
     init = NormalGraphBoundary.__init__
 
-    def counting_kernel(profile, n, boundary, theta, y3, quad, self_cfg):
+    def counting_kernel(profile, n, boundary, theta, y3, quad):
         h = getattr(boundary, "h", None)
         integrated.append((None if h is None else h.modes.tobytes(), quad.resolution))
-        return kernel(profile, n, boundary, theta, y3, quad, self_cfg)
+        return kernel(profile, n, boundary, theta, y3, quad)
 
     def counting_init(self, profile, chart, h, *args, **kwargs):
         built.append(h.modes.tobytes())
