@@ -71,51 +71,37 @@ def l0_apply(tgrid: np.ndarray, v: np.ndarray) -> np.ndarray:
     return d2 - v + 6.0 * sech(tgrid) ** 2 * v
 
 
-def theta_apply(h: np.ndarray, tgrid: np.ndarray) -> np.ndarray:
-    """Theta(h) on the grid: the zero-initial-condition solution of L0 psi = h.
+def variation_of_parameters(t, f, kernel) -> np.ndarray:
+    """psi = k(t) int_0^t k(s)^{-2} int_0^s f k on the grid t, t[0] = 0: the zero-initial-
+    condition solution of psi'' + c psi = f, k(0) = 0 a kernel element (f, k callables).
 
-    Nested Gauss-Legendre panel quadrature on a cubic-spline model of h; the
-    removable 0/0 at t = 0 is patched by the series limit
-    (inner integral ~ h(0) t^2 / 2, kernel^2 ~ t^2).
+    Nested 8-node Gauss-Legendre panels on the grid intervals; the inner integral at an
+    outer node is its panel's prefix plus the rule on the partial panel.  No node sits at
+    t = 0, so the removable 0/0 of k^{-2} there is never formed.
     """
-    from scipy.interpolate import CubicSpline
-
-    h = np.asarray(h, dtype=float)
-    tgrid = np.asarray(tgrid, dtype=float)
-    if tgrid[0] != 0.0:
-        raise DomainError("theta_apply grid must start at t = 0")
-    hs = CubicSpline(tgrid, h)
+    t = np.asarray(t, dtype=float)
+    if t[0] != 0.0:
+        raise DomainError("variation of parameters needs a grid starting at t = 0")
     xg, wg = leggauss(8)
     xg = 0.5 * (xg + 1.0)
     wg = 0.5 * wg
+    lo = t[:-1, None]
+    width = np.diff(t)
+    sub = lo + width[:, None] * xg                       # (N-1, 8)
+    inner = np.concatenate(([0.0], np.cumsum((f(sub) * kernel(sub) * wg).sum(axis=1) * width)))
+    part = sub - lo                                      # upper limit - lo
+    nodes = lo[..., None] + part[..., None] * xg
+    partial = (f(nodes) * kernel(nodes) * wg).sum(axis=-1) * part
+    outer_per = ((inner[:-1, None] + partial) / kernel(sub) ** 2 * wg).sum(axis=1) * width
+    return kernel(t) * np.concatenate(([0.0], np.cumsum(outer_per)))
 
-    lo = tgrid[:-1]
-    width = np.diff(tgrid)
-    sub = lo[:, None] + width[:, None] * xg[None, :]          # (N-1, 8)
 
-    def g_inner(s):
-        return hs(s) * x0_kernel(s)
+def theta_apply(h: np.ndarray, tgrid: np.ndarray) -> np.ndarray:
+    """Theta(h) on the grid: the zero-initial-condition solution of L0 psi = h,
+    by ``variation_of_parameters`` on a cubic-spline model of h."""
+    from scipy.interpolate import CubicSpline
 
-    inner_per = (g_inner(sub) * wg[None, :]).sum(axis=1) * width
-    A_nodes = np.concatenate(([0.0], np.cumsum(inner_per)))
-
-    # inner integral at each outer sub-node: prefix + partial panel integral
-    part_lo = lo[:, None, None]
-    part_w = (sub - lo[:, None])[:, :, None]                   # upper limit - lo
-    part_nodes = part_lo + part_w * xg[None, None, :]
-    partial = (g_inner(part_nodes) * wg[None, None, :]).sum(axis=-1) * (sub - lo[:, None])
-    A_sub = A_nodes[:-1, None] + partial
-
-    k0_sub = x0_kernel(sub)
-    B_sub = np.empty_like(sub)
-    small = sub < 1e-6
-    B_sub[~small] = A_sub[~small] / k0_sub[~small] ** 2
-    if np.any(small):
-        h0, h1 = float(hs(0.0)), float(hs(0.0, 1))
-        B_sub[small] = 0.5 * h0 + h1 * sub[small] / 3.0
-    outer_per = (B_sub * wg[None, :]).sum(axis=1) * width
-    outer = np.concatenate(([0.0], np.cumsum(outer_per)))
-    return x0_kernel(tgrid) * outer
+    return variation_of_parameters(tgrid, CubicSpline(tgrid, h), x0_kernel)
 
 
 @dataclass

@@ -42,8 +42,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, EmbeddingViolation, NonConvergence, QuadratureDivergence
-from .fields import (SymmetricField, graph_height, is_zero_field, series_eval, shifted_series,
-                     theta_mirror)
+from .fields import (SymmetricField, is_zero_field, on_axis_derivatives, series_eval,
+                     shifted_series, theta_mirror)
 from .geometry import build_coil, evaluate_forms, normal_graph_map
 from .profile import ConformalChart, DelaunayProfile
 
@@ -128,7 +128,8 @@ def _graph(profile: DelaunayProfile, chart: ConformalChart, h: tuple, phi, y):
     is phi, since the profile's normal has no angular part.
     """
     f, fp, fpp = profile.evaluate(y, order=2)
-    return normal_graph_map(f, fp, fpp, *graph_height(*h, chart, phi, y))[2:]
+    hv, h_3 = on_axis_derivatives(*h, chart, phi, y, ((0, 0), (0, 1)))
+    return normal_graph_map(f, fp, fpp, hv, h_3)[2:]
 
 
 class NormalGraphBoundary:

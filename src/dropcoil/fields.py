@@ -62,8 +62,9 @@ def _powers(x: np.ndarray, m: int) -> np.ndarray:
     powers, exp(i (k-1+j) x) = exp(i j x) exp(i (k-1) x), so about log2(m)
     blocked multiplies fill the table.  The table is held k-major, each power
     a contiguous slab over x, so every multiply runs along whole slabs; the
-    result is its view with k moved last.  The only place cos and sin of
-    multiples of an angle are formed.
+    result is its view with k moved last.  Every series evaluator here takes
+    its cos and sin of multiples of an angle from it; ``profile.build_chart``
+    forms its own, by ``np.sin(np.outer(k, phi))``.
     """
     out = np.empty((m + 1,) + x.shape, dtype=complex)
     out[0] = 1.0
@@ -325,38 +326,21 @@ def is_zero_field(h: SymmetricField) -> bool:
     return h is None or not np.any(h.modes)
 
 
-def on_axis_derivatives(h: SymmetricField, chart, theta, y3, order: int = 2):
-    """Evaluate h and its (theta, y3) derivatives through the chart.
+def on_axis_derivatives(coef: np.ndarray, tau: float, chart, theta, y3, derivs) -> list:
+    """Partials d^i/dtheta^i d^j/dy3^j, j <= 2, of h through the chart.
 
-    The field is stored against the isothermal parameter t; y3-derivatives
-    follow from t'(y3) = 1/z'(t) and t''(y3) = -2 x x' / (z')^3.
-    Returns (h, h_th, h_3[, h_thth, h_th3, h_33]) broadcast over (theta, y3).
+    ``coef`` and ``tau`` are h's ``coeffs()`` and half-period, so a caller that
+    evaluates one field many times forms the coefficients once.  The field is
+    stored against the isothermal parameter t; y3-derivatives follow from
+    t'(y3) = 1/z'(t) and t''(y3) = -2 x x' / (z')^3.  One array, broadcast
+    over (theta, y3), is returned per (i, j) in ``derivs``.
     """
-    t, x, xp, zp = _chart_at(chart, y3)
-    tp = 1.0 / zp
-    derivs = ((0, 0), (1, 0), (0, 1)) + (((2, 0), (1, 1), (0, 2)) if order >= 2 else ())
-    h0, h_th, h_t, *second = series_eval(h.coeffs(), h.tau, theta, t, derivs)
-    out = [h0, h_th, h_t * tp]
-    if order >= 2:
-        h_thth, h_tht, h_tt = second
-        tpp = -2.0 * x * xp / zp**3
-        out += [h_thth, h_tht * tp, h_tt * tp * tp + h_t * tpp]
-    return tuple(out)
-
-
-def graph_height(coef: np.ndarray, tau: float, chart, theta, y3):
-    """(h, h_3) of ``on_axis_derivatives``, bitwise, from h's ``coeffs()`` and ``tau``.
-
-    For a caller that evaluates one field many times: it forms the
-    coefficients once, and no theta derivative is formed.
-    """
-    t, _, _, zp = _chart_at(chart, y3)
-    h0, h_t = series_eval(coef, tau, theta, t, ((0, 0), (0, 1)))
-    return h0, h_t * (1.0 / zp)
-
-
-def _chart_at(chart, y3):
-    """(t, x, x', z') of the chart at y3."""
     t = chart.t_of_y3(np.asarray(y3, dtype=float))
     x, xp = chart.x_of_t(t)
-    return t, x, xp, chart.a * (1.0 - chart.a) + x * x
+    zp = chart.a * (1.0 - chart.a) + x * x
+    tp = 1.0 / zp
+    need = list(dict.fromkeys([*derivs, *((i, 1) for i, j in derivs if j == 2)]))
+    h = dict(zip(need, series_eval(coef, tau, theta, t, need)))
+    chain = (lambda i: h[i, 0], lambda i: h[i, 1] * tp,
+             lambda i: h[i, 2] * tp * tp + h[i, 1] * (-2.0 * x * xp / zp**3))
+    return [chain[j](i) for i, j in derivs]

@@ -95,7 +95,8 @@ class SurfacePatch:
             return (0.0,) * 6
         if self.chart is None:
             raise DomainError("perturbed patch needs the conformal chart")
-        return on_axis_derivatives(self.h, self.chart, theta, y3, order=2)
+        return on_axis_derivatives(self.h.coeffs(), self.h.tau, self.chart, theta, y3,
+                                   ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)))
 
     # -- position and derivatives -----------------------------------------
 

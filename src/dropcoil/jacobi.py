@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .asymptotics import variation_of_parameters
 from .errors import GridMismatch, IllConditioned, SingularSystem
 from .fields import SymmetricField, dct1, dst1
 from .profile import ConformalChart
@@ -220,23 +221,12 @@ class JacobiSolver:
         h > 0 on (0, tau); it differs from the even *periodic* solution
         held in ``hbar`` by an even homogeneous solution (the
         periodic one is what the projection duality needs).  Returns
-        (t, values) on t <= 0.9 tau, away from the nu3 zero at tau.
+        (t, values) on t <= 0.9 tau, away from the nu3 zero at tau, by
+        ``variation_of_parameters``, the quadrature of ``theta_apply``.
         """
-        from scipy.integrate import cumulative_simpson
+        def nu3(t):
+            x, xp = self.chart.x_of_t(t)
+            return -xp / x
 
-        n_fine = 16 * self.m
-        tf = np.linspace(0.0, 0.9 * self.tau, n_fine + 1)
-        x, xp = self.chart.x_of_t(tf)
-        nu3 = -xp / x
-        inner = cumulative_simpson(x * x * nu3, x=tf, initial=0.0)
-        integrand = np.zeros_like(tf)
-        nz = nu3 != 0.0
-        integrand[nz] = inner[nz] / nu3[nz] ** 2
-        # removable limit at t = 0: x^2 nu3 = -(x^2/2)' gives inner ~ -x0 x0'' t^2/2
-        x0 = x[0]
-        q = self.chart.a * (1.0 - self.chart.a)
-        xpp0 = (1.0 - 2.0 * q) * x0 - 2.0 * x0**3
-        integrand[0] = -x0**3 / (2.0 * xpp0)
-        outer = cumulative_simpson(integrand, x=tf, initial=0.0)
-        return tf, nu3 * outer
-
+        tf = np.linspace(0.0, 0.9 * self.tau, 16 * self.m + 1)
+        return tf, variation_of_parameters(tf, lambda t: self.chart.x_of_t(t)[0] ** 2, nu3)

@@ -28,7 +28,8 @@ the zero f = -a of f^2 + f + q = (f + a)(f + 1 - a), at cos phi = -1 - 2a/b:
 A_k ~ exp(-k eta), cosh eta = 1 + 2a/b.  M is the least power of two (>= 8)
 with M eta >= 53 ln 2, so every dropped or aliased coefficient is below double
 rounding, the sine series give s and t between nodes to rounding, and the sums
-(error ~ exp(-2 M eta)) are exact: 32 nodes at a = 0.3, 512 at a = 0.002.
+(error ~ exp(-2 M eta)) are exact: 32 nodes at a = 0.3, 512 at a = 0.002, and
+8 at the cylinder b = 0 (f = 1/2, eta = inf), which takes this path too.
 The profile grid is uniform in phi, with s from one DST-I; the chart keeps a
 uniform t grid by Newton inversion of t(phi).  Both transforms are numpy real
 FFTs (``fields.dct1``, ``fields.dst1``).  Between nodes, f(s), x(t), x'(t) and
@@ -47,11 +48,6 @@ from .fields import dct1, dst1
 
 DEFAULT_GRID = 2048  # samples per half-period (panel count; +1 nodes)
 
-CYLINDER_NECK = 0.5
-CYLINDER_PERIOD = np.pi
-CYLINDER_VOLUME = np.pi**2 / 4.0
-CYLINDER_IA = np.pi / 4.0
-
 MAX_MODES = 1 << 14
 """Largest roulette node count M (``_modes``) a neck may need, which sets the
 floor a = 6.3e-7 (M doubles for each quartering of a).  The chart's dense
@@ -64,11 +60,11 @@ NEWTON_STOP = 1e-8  # then the next error is below 1e-14 (quadratic factor <= 80
 
 def check_neck(a: float) -> float:
     """Validate the neck parameter and return it as a float: 0 < a <= 1/2,
-    and a neck below 1/2 needs at most ``MAX_MODES`` roulette nodes."""
+    and the neck needs at most ``MAX_MODES`` roulette nodes."""
     a = float(a)
     if not (0.0 < a <= 0.5):
         raise DomainError(f"neck parameter a={a} outside (0, 1/2]")
-    if a < 0.5 and not MAX_MODES * _eta(a) >= 53.0 * np.log(2.0):
+    if not MAX_MODES * _eta(a) >= 53.0 * np.log(2.0):
         raise DomainError(f"neck parameter a={a} needs more than {MAX_MODES} roulette nodes "
                           "(the floor is a = 6.3e-7)")
     return a
@@ -87,13 +83,15 @@ def _fppp_from(f, fp, fpp):
 
 
 def _eta(a: float) -> float:
-    """The decay rate eta of the roulette series, cosh eta = 1 + 2a/b (a < 1/2)."""
-    return np.arccosh(1.0 + 2.0 * a / (0.5 - a))
+    """The decay rate eta of the roulette series, cosh eta = 1 + 2a/b; inf at the
+    cylinder b = 0, whose series is its constant term."""
+    b = 0.5 - a
+    return np.inf if b == 0.0 else np.arccosh(1.0 + 2.0 * a / b)
 
 
 def _modes(a: float) -> int:
     """Roulette node count M: least power of two (>= 8) with M eta >= 53 ln 2."""
-    return max(8, 1 << int(np.ceil(np.log2(53.0 * np.log(2.0) / _eta(a)))))
+    return 1 << int(np.ceil(np.log2(max(8.0, 53.0 * np.log(2.0) / _eta(a)))))
 
 
 def _radius(a, phi):
@@ -106,7 +104,7 @@ def _radicand(a, f):
 
 def _xprime(a, phi, f):
     """x' = -b sin phi sqrt(f^2 + f + q), exactly 0 at the bulge and neck."""
-    xp = -(0.5 - a) * np.sin(phi) * np.sqrt(_radicand(a, f))
+    xp = (a - 0.5) * np.sin(phi) * np.sqrt(_radicand(a, f))
     xp[0] = xp[-1] = 0.0
     return xp
 
@@ -210,8 +208,6 @@ class DelaunayProfile(_Record):
         is built on the first call, on samples at uniform phi 4x finer than
         the grid (non-uniform knots s from ``_anti``, f and f' in closed form).
         """
-        if self.a == CYLINDER_NECK:
-            return np.full_like(u, 0.5), np.zeros_like(u)
         if self._interp is None:
             self._interp = CubicHermite(*_samples(self.a, self._anti, 4 * (len(self.grid) - 1)))
         if order == 0:
@@ -306,16 +302,6 @@ class ConformalChart(_Record):
         return float(np.max(np.abs(self.x**2 - self.xp**2 - self.zp**2)))
 
 
-def _cylinder_profile(grid_size: int) -> DelaunayProfile:
-    s = np.linspace(0.0, CYLINDER_PERIOD / 2.0, grid_size + 1)
-    f = np.full_like(s, 0.5)
-    zero = np.zeros_like(s)
-    return DelaunayProfile(
-        a=CYLINDER_NECK, grid=s, f=f, fp=zero, fpp=zero,
-        T=CYLINDER_PERIOD, V=CYLINDER_VOLUME, Ia=CYLINDER_IA,
-    )
-
-
 def _block_sums(a: float, m: int):
     """(anti, V, Ia) on m + 1 nodes; ``anti`` holds C_0 and the sine coefficients of s
     and t (rows), V and Ia are trapezoid sums, Ia by the reduced integrand."""
@@ -346,8 +332,6 @@ def solve_profile(a: float, grid_size: int = DEFAULT_GRID) -> DelaunayProfile:
     stored grid is ``grid_size`` + 1 samples at uniform phi.
     """
     a = check_neck(a)
-    if a == CYLINDER_NECK:
-        return _cylinder_profile(grid_size)
     anti, V, Ia = _block_sums(a, _modes(a))
     s, f, fp = _samples(a, anti[0], grid_size)
     return DelaunayProfile(a=a, grid=s, f=f, fp=fp, fpp=_fpp_from(f, fp), T=_period(anti),
@@ -387,16 +371,6 @@ def _chart_potential(a, x):
     return 2.0 * x * x + 2.0 * q * q / (x * x)
 
 
-def _cylinder_chart(grid_size: int) -> ConformalChart:
-    tau = np.pi
-    t = np.linspace(-tau, tau, 2 * grid_size + 1)
-    x = np.full_like(t, 0.5)
-    return ConformalChart(
-        a=CYLINDER_NECK, tgrid=t, x=x, xp=np.zeros_like(t), z=0.5 * t,
-        zp=np.full_like(t, 0.5), tau=tau, p=np.full_like(t, 1.0),
-    )
-
-
 def build_chart(a: float, grid_size: int = 1024) -> ConformalChart:
     """The conformal chart on a uniform t grid from the roulette (module docstring).
 
@@ -406,8 +380,6 @@ def build_chart(a: float, grid_size: int = 1024) -> ConformalChart:
     uniform phi; x and x' are closed forms in phi, and z = s(phi).
     """
     a = check_neck(a)
-    if a == CYLINDER_NECK:
-        return _cylinder_chart(grid_size)
     anti = _block_sums(a, _modes(a))[0]
     phi, G = _antiderivative(anti, grid_size)
     tau = float(G[1, -1])
@@ -443,9 +415,6 @@ def profile_scan(a_values):
     them, from the roulette sums alone: no profile grid is sampled."""
     rows = []
     for a in map(check_neck, a_values):
-        if a == CYLINDER_NECK:
-            rows.append((a, CYLINDER_PERIOD, CYLINDER_VOLUME, CYLINDER_IA))
-        else:
-            anti, V, Ia = _block_sums(a, _modes(a))
-            rows.append((a, _period(anti), V, Ia))
+        anti, V, Ia = _block_sums(a, _modes(a))
+        rows.append((a, _period(anti), V, Ia))
     return rows

@@ -82,8 +82,10 @@ class ReductionSettings:
             raise DomainError("kmax must be at least 0, m_t and coulomb_t_stride at least 1")
         if self.self_core_q != self.self_panel_q or self.self_column_q != self.self_panel_q + 1:
             raise DomainError("self-block orders must be (q, q, q + 1), q = self_panel_q")
-        if self.chart_grid % self.m_t != 0:
-            raise DomainError("chart_grid must be a multiple of m_t")
+        if self.chart_grid < self.m_t or self.chart_grid % self.m_t != 0:
+            raise DomainError("chart_grid must be a positive multiple of m_t")
+        if self.ntheta < 2 * (self.kmax + 1):
+            raise DomainError(f"ntheta must be at least 2 (kmax + 1) = {2 * (self.kmax + 1)}")
         if self.m_t % self.coulomb_t_stride != 0:
             raise DomainError("m_t must be a multiple of coulomb_t_stride")
 

@@ -6,7 +6,7 @@ from scipy.interpolate import CubicSpline
 from dropcoil.asymptotics import (GRAND_COMBINATION_EXACT, even_homogeneous,
                                   ia_slope_check, l0_apply, phi_correction,
                                   phi_first_order, sech, sech_moments,
-                                  theta_apply, x0, x0_kernel)
+                                  theta_apply, variation_of_parameters, x0, x0_kernel)
 from dropcoil.errors import DomainError
 from dropcoil.profile import build_chart, profile_scan
 
@@ -30,6 +30,16 @@ def test_l0_annihilates_kernel_and_phi():
 def test_theta_zero():
     t = np.linspace(0, 12, 2001)
     assert np.max(np.abs(theta_apply(np.zeros_like(t), t))) == 0.0
+
+
+def test_variation_of_parameters_exact():
+    # kernel sin of psi'' + psi: the zero-data solution for f = 1 is 1 - cos t
+    for n, tol in ((31, 1e-12), (301, 1e-14)):
+        t = np.linspace(0.0, 3.0, n)
+        psi = variation_of_parameters(t, np.ones_like, np.sin)
+        assert np.max(np.abs(psi - (1.0 - np.cos(t)))) < tol
+    with pytest.raises(DomainError, match="starting at t = 0"):
+        variation_of_parameters(np.linspace(0.1, 3.0, 31), np.ones_like, np.sin)
 
 
 def test_theta_solves_l0():

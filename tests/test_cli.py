@@ -133,6 +133,10 @@ def test_profile_json(tmp_path):
     assert doc["profile"]["a"] == 0.25
     assert doc["chart"]["tau"] > 0
     assert "config_hash" in doc
+    # the cylinder takes the roulette path and meets its closed forms exactly
+    assert main(["profile", "--a", "0.5", "--out", str(out)]) == 0
+    prof = json.loads(out.read_text())["profile"]
+    assert (prof["T"], prof["V"], prof["Ia"]) == (np.pi, np.pi**2 / 4, np.pi / 4)
 
 
 def test_coil_mesh_cli(tmp_path):

@@ -6,8 +6,7 @@ from scipy.interpolate import CubicSpline
 
 from conftest import random_symmetric_modes
 from dropcoil.errors import GridMismatch, SingularSystem
-from dropcoil.fields import (SymmetricField, cos_coeffs, cos_eval, graph_height,
-                             on_axis_derivatives)
+from dropcoil.fields import SymmetricField, cos_coeffs, cos_eval, on_axis_derivatives
 from dropcoil.jacobi import JacobiSolver
 from dropcoil.profile import build_chart
 
@@ -63,6 +62,10 @@ def test_cosine_series_derivatives():
     assert np.max(np.abs(cos_eval(c, tq, tau, deriv=1) - exact)) < 1e-10
 
 
+# (h, h_th, h_3, h_thth, h_th3, h_33), as the perturbed patch asks for them
+ALL_DERIVS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+
+
 def test_on_axis_derivatives_match_differences(chart03, solver03):
     # y3 on both sides of 0: the cosine series is evaluated at negative t unfolded
     h = random_symmetric_modes(solver03, 4, np.random.default_rng(11))
@@ -71,9 +74,10 @@ def test_on_axis_derivatives_match_differences(chart03, solver03):
     e = 1e-4
 
     def f(dth, dy3):
-        return on_axis_derivatives(h, chart03, th + dth, y3 + dy3, order=1)[0]
+        return on_axis_derivatives(h.coeffs(), h.tau, chart03, th + dth, y3 + dy3, ((0, 0),))[0]
 
-    h0, h_th, h_3, h_thth, h_th3, h_33 = on_axis_derivatives(h, chart03, th, y3)
+    h0, h_th, h_3, h_thth, h_th3, h_33 = on_axis_derivatives(h.coeffs(), h.tau, chart03, th, y3,
+                                                             ALL_DERIVS)
     differences = [(h_th, (f(e, 0) - f(-e, 0)) / (2 * e)),
                    (h_3, (f(0, e) - f(0, -e)) / (2 * e)),
                    (h_thth, (f(e, 0) - 2 * h0 + f(-e, 0)) / e**2),
@@ -84,15 +88,15 @@ def test_on_axis_derivatives_match_differences(chart03, solver03):
         assert np.max(np.abs(exact - fd)) < 1e-6 * np.max(np.abs(exact))
 
 
-def test_graph_height_is_on_axis_derivatives_bitwise(chart03, solver03):
-    # the normal graph's (h, h_3) from stored coefficients, without h_theta
+def test_on_axis_derivatives_subset_is_bitwise(chart03, solver03):
+    # the normal graph's (h, h_3), without h_theta, are the full call's entries
     h = random_symmetric_modes(solver03, 4, np.random.default_rng(11))
     th = np.array([0.3, 1.2, 2.0, 4.4])[:, None]
     y3 = np.array([-0.9, -0.4, -0.05, 0.05, 0.4, 0.9])[None, :]
-    got = graph_height(h.coeffs(), h.tau, chart03, th, y3)
-    for order in (1, 2):
-        want = on_axis_derivatives(h, chart03, th, y3, order=order)
-        assert all(np.array_equal(g, w) for g, w in zip(got, (want[0], want[2])))
+    want = on_axis_derivatives(h.coeffs(), h.tau, chart03, th, y3, ALL_DERIVS)
+    for derivs in (((0, 0), (0, 1)), ((0, 2),), ((1, 1), (0, 0))):
+        got = on_axis_derivatives(h.coeffs(), h.tau, chart03, th, y3, derivs)
+        assert all(np.array_equal(g, want[ALL_DERIVS.index(d)]) for g, d in zip(got, derivs))
 
 
 # ---- Jacobi operator ------------------------------------------------------
@@ -142,7 +146,7 @@ def test_hbar_variation_of_parameters(chart03, solver03):
     sol = solve_ivp(rhs, (0, tf[-1]), (1 - a, 0.0, 0.0, 0.0), method="DOP853",
                     rtol=1e-12, atol=1e-13, dense_output=True)
     ref = sol.sol(tf)[2]
-    assert np.max(np.abs(vals - ref)) < 1e-8
+    assert np.max(np.abs(vals - ref)) < 1e-11
     # periodic hbar differs from it by an even homogeneous solution
     hb = cos_eval(cos_coeffs(solver03.hbar), tf, solver03.tau)
     diff = hb - vals

@@ -4,17 +4,16 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from dropcoil.errors import DomainError
-from dropcoil.profile import (CYLINDER_IA, CYLINDER_PERIOD, CYLINDER_VOLUME, MAX_MODES,
-                              _block_sums, _modes, build_chart, check_neck,
+from dropcoil.profile import (MAX_MODES, _block_sums, _modes, build_chart, check_neck,
                               compute_Ia, compute_Ia_conformal, profile_scan,
                               solve_profile)
 
 
 def test_cylinder_closed_forms():
     p = solve_profile(0.5)
-    assert p.T == CYLINDER_PERIOD == pytest.approx(np.pi)
-    assert p.V == CYLINDER_VOLUME == pytest.approx(np.pi**2 / 4)
-    assert p.Ia == CYLINDER_IA == pytest.approx(np.pi / 4)
+    assert p.T == np.pi
+    assert p.V == np.pi**2 / 4
+    assert p.Ia == np.pi / 4
     # quadrature paths reproduce the closed forms
     assert compute_Ia(p) == pytest.approx(np.pi / 4, abs=1e-8)
     c = build_chart(0.5)
@@ -35,7 +34,7 @@ def test_necks_past_the_node_cap_are_refused():
     # the node count, and with it the chart's dense (M, grid + 1) sine
     # matrix, grows as a^(-1/2); below a = 2.8e-17 eta rounds to 0 and
     # _modes overflows.  A neck that needs more than MAX_MODES nodes is
-    # refused before anything is built; the cylinder has no node count
+    # refused before anything is built; the cylinder takes the floor of 8
     assert _modes(1e-4) == 2048 and _modes(1e-6) == _modes(6.3e-7) == MAX_MODES
     for a in (1e-300, 2e-17, 1e-8, 6e-7):
         for build in (solve_profile, build_chart, lambda a: profile_scan([a])):

@@ -278,7 +278,13 @@ def test_loop_theta_subgrid_alias(grid, a):
     lambda p: ReductionContext(p, 16, replace(FAST, self_panel_q=0, self_core_q=0,
                                               self_column_q=1)),
     lambda p: ReductionContext(p, 16, replace(FAST, final_self_q=0)),
-], ids=["stride", "m_t", "kmax", "core_q", "column_q", "q", "loop_q", "final_q"])
+    lambda p: replace(FAST, chart_grid=0),
+    lambda p: replace(FAST, chart_grid=-24),
+    lambda p: replace(FAST, ntheta=0),
+    lambda p: replace(FAST, ntheta=3),
+    lambda p: replace(FAST, ntheta=9),
+], ids=["stride", "m_t", "kmax", "core_q", "column_q", "q", "loop_q", "final_q",
+        "chart_grid_0", "chart_grid_neg", "ntheta_0", "ntheta_3", "ntheta_9"])
 def test_bad_rule_settings_refused_where_built(prof03, build):
     # each is refused when the settings or the rule is built, not by an
     # untyped error later (a final order of 0 once reached the final report)
@@ -345,13 +351,13 @@ def test_settings_other_than_the_contexts_raise(prof03, ctx32, state32):
     # the context is the one source of settings: other settings passed with
     # it are refused rather than run at the context's; equal settings, or
     # none, run as before
-    other = replace(FAST, kmax=6)
+    other = replace(FAST, kmax=5)
     h = ctx32.zero_field()
     for call in (lambda s: evaluate_equation(prof03, 32, h, 0.4, ctx=ctx32, settings=s),
                  lambda s: fixed_point_solve(prof03, 32, s, ctx32),
                  lambda s: solve_gamma(prof03, 32, s, ctx32),
                  lambda s: mass_map(prof03, 32, s, state=state32, ctx=ctx32)):
-        with pytest.raises(DomainError, match="settings kmax = 6 differ from the reduction "
+        with pytest.raises(DomainError, match="settings kmax = 5 differ from the reduction "
                                               "context's"):
             call(other)
     st = solve_gamma(prof03, 32, ctx=ctx32)
