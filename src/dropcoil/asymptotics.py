@@ -109,11 +109,8 @@ class SmallAExpansion:
     a: float
     tgrid: np.ndarray
     x0: np.ndarray
-    x0p: np.ndarray          # kernel element sech tanh
-    phi: np.ndarray          # first-order closed form
     phia: np.ndarray         # computed remainder, O(a^2)
-    window: float            # norms reported on [0, window]
-    sup_window: float        # sup |phia| on the window
+    sup_window: float        # sup |phia| on the window [0, min(4, horizon)]
     ratio_history: list = field(default_factory=list)
 
     @property
@@ -167,8 +164,7 @@ def phi_correction(a: float) -> SmallAExpansion:
         raise NoContraction("phi correction did not settle within 80 sweeps")
     keep = t <= window
     sup_w = float(np.max(np.abs(psi[keep])))
-    return SmallAExpansion(a=a, tgrid=t, x0=xx0, x0p=x0_kernel(t), phi=pcf,
-                           phia=psi, window=window, sup_window=sup_w,
+    return SmallAExpansion(a=a, tgrid=t, x0=xx0, phia=psi, sup_window=sup_w,
                            ratio_history=ratios)
 
 
@@ -226,7 +222,6 @@ class SlopeFit:
     slope: float
     intercept: float
     curvature: float  # second-difference estimate of d^2 I / da^2
-    points: list
 
 
 def ia_slope_check(scan_rows) -> SlopeFit:
@@ -248,5 +243,4 @@ def ia_slope_check(scan_rows) -> SlopeFit:
     fwd = np.diff(iv) / np.diff(av)
     mids = 0.5 * (av[1:] + av[:-1])
     curvature = float(np.max(np.abs(np.diff(fwd) / np.diff(mids)))) if len(fwd) > 1 else 0.0
-    return SlopeFit(slope=float(slope), intercept=float(intercept),
-                    curvature=curvature, points=pts)
+    return SlopeFit(slope=float(slope), intercept=float(intercept), curvature=curvature)

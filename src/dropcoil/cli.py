@@ -82,9 +82,6 @@ class RunConfig:
     grid: str = ""
     out: str = ""
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def hashable_dict(self) -> dict:
         """Config identifying the computation (output path excluded)."""
         d = asdict(self)
@@ -222,7 +219,7 @@ def cmd_reduce(cfg: RunConfig):
         "gamma_leading": reduction.gamma_leading(prof, n).gamma,
         "volume": mm.volume, "volume_ratio": mm.volume_ratio, "m": mm.m,
         "symmetry_residual": state.symmetry_residual,
-        "lambda_convention": state.lambda_convention,
+        "lambda_convention": reduction.LAMBDA_CONVENTION,
         "h": state.h.to_dict(),
     }
     write_json(cfg.out, report, config=cfg.hashable_dict())
@@ -297,7 +294,7 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args)
         if args.dry_run:
-            print(canonical_json(cfg.to_dict()))
+            print(canonical_json(asdict(cfg)))
             return 0
         if not cfg.out:
             print("error: --out is required", file=sys.stderr)

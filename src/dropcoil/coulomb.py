@@ -43,7 +43,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, EmbeddingViolation, NonConvergence, QuadratureDivergence
 from .fields import (SymmetricField, is_zero_field, on_axis_derivatives, series_eval,
-                     shifted_series, theta_mirror)
+                     shifted_series, theta_grid, theta_mirror)
 from .geometry import build_coil, evaluate_forms, normal_graph_map
 from .profile import ConformalChart, DelaunayProfile
 
@@ -177,7 +177,7 @@ class NormalGraphBoundary:
     def _interpolant(self, nphi, mz):
         """Full (nphi/2, mz + 1) series of rho_h from Newton samples over [0, T/2]."""
         own, mirror = theta_mirror(nphi)
-        phi_s = 2.0 * np.pi * own / nphi
+        phi_s = theta_grid(nphi)[own]
         x3_s = self._tau * np.arange(mz + 1) / mz
         samples = np.empty((nphi, mz + 1))
         samples[own] = self._radius_newton(phi_s[:, None], x3_s[None, :])
@@ -1147,7 +1147,7 @@ def coulomb_energy(profile: DelaunayProfile, n: int, quad: BlockQuadrature = Non
     T = profile.T
     i = np.arange(n_th // 4, 3 * n_th // 4 + 1)
     j = np.arange(n_z // 2 + 1)
-    theta, y3 = np.meshgrid(2.0 * np.pi * i / n_th, T * (j / n_z - 0.5), indexing="ij")
+    theta, y3 = np.meshgrid(theta_grid(n_th)[i], T * (j / n_z - 0.5), indexing="ij")
     mult = np.outer(np.where((i == i[0]) | (i == i[-1]), 1.0, 2.0),
                     np.where((j == j[0]) | (j == j[-1]), 1.0, 2.0))
     u = surface_potentials(profile, n, AxisymBoundary(profile), theta, y3,
@@ -1188,7 +1188,7 @@ def coil_volume(profile: DelaunayProfile, n: int, h: SymmetricField = None,
     """
     R = n * profile.T / (2.0 * np.pi)
     n_phi, n_y = VOLUME_GRID
-    phi = 2.0 * np.pi * np.arange(n_phi)[:, None] / n_phi
+    phi = theta_grid(n_phi)[:, None]
     y = profile.T * np.arange(n_y) / n_y
     if is_zero_field(h):
         rad, jac = profile.evaluate(y, order=0)[0], 1.0

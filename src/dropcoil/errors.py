@@ -36,10 +36,6 @@ class SingularSystem(DropcoilError):
 class IllConditioned(DropcoilError):
     """Unexpected near-kernel in a mode solve."""
 
-    def __init__(self, message, mode=None):
-        super().__init__(message)
-        self.mode = mode
-
 
 class NoContraction(NonConvergence):
     """Fixed-point iteration kept expanding after damping."""

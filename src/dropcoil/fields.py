@@ -109,13 +109,14 @@ def _theta_factor(E: np.ndarray, i: int) -> np.ndarray:
     return out
 
 
-def cos_eval(coeffs: np.ndarray, t, tau: float, deriv: int = 0) -> np.ndarray:
-    """Evaluate a cosine series (or its t-derivatives) at arbitrary t.
+def cos_eval(coeffs: np.ndarray, t, tau: float) -> np.ndarray:
+    """Evaluate a cosine series at arbitrary t (``series_eval`` takes its
+    t-derivatives).
 
     Returns an array with shape coeffs.shape[:-1] + t.shape.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    basis = _cos_factor(_powers(t * (np.pi / tau), coeffs.shape[-1] - 1), tau, deriv)
+    basis = _cos_factor(_powers(t * (np.pi / tau), coeffs.shape[-1] - 1), tau, 0)
     return np.tensordot(coeffs, basis, axes=(-1, -1))
 
 
@@ -196,8 +197,13 @@ def _sum_over_k(ang: np.ndarray, prof: np.ndarray) -> np.ndarray:
     return np.einsum("...k,...k->...", ang, prof)
 
 
+def theta_grid(ntheta: int) -> np.ndarray:
+    """The angular sample grid theta_i = 2 pi i / ntheta, i = 0..ntheta-1."""
+    return 2.0 * np.pi * np.arange(ntheta) / ntheta
+
+
 def theta_mirror(ntheta: int):
-    """(own, mirror) for the angular grid theta_i = 2 pi i / ntheta.
+    """(own, mirror) for the angular grid ``theta_grid(ntheta)``.
 
     theta -> pi - theta maps column i to mirror[i] = (ntheta/2 - i) mod
     ntheta when ntheta is even; ``own`` lists one column of each mirror pair
@@ -234,7 +240,7 @@ class SymmetricField:
 
     @classmethod
     def from_samples(cls, samples: np.ndarray, tau: float, kmax: int):
-        """Project grid samples (ntheta, m+1) at theta_i = 2 pi i / ntheta.
+        """Project grid samples (ntheta, m+1) on ``theta_grid(ntheta)``.
 
         Returns (field, symmetry_residual): the residual is the sup of the
         angular components outside the admissible class.
@@ -244,24 +250,15 @@ class SymmetricField:
         if ntheta < 2 * (kmax + 1):
             raise GridMismatch(f"need at least {2*(kmax+1)} theta samples for kmax={kmax}")
         spec = np.fft.rfft(samples, axis=0)
-        ncoef = spec.shape[0]
-        modes = np.zeros((kmax + 1, samples.shape[1]))
-        drop = 0.0
-        for k in range(ncoef):
-            scale = 1.0 / ntheta if k == 0 else 2.0 / ntheta
-            ck = spec[k].real * scale          # cos(k theta) component
-            sk = -spec[k].imag * scale         # sin(k theta) component
-            if k == ntheta // 2 and ntheta % 2 == 0:
-                ck = spec[k].real / ntheta
-                sk = 0.0
-            admissible = ck if k % 2 == 0 else sk
-            inadmissible = sk if k % 2 == 0 else ck
-            drop = max(drop, float(np.max(np.abs(inadmissible))))
-            if k <= kmax:
-                modes[k] = admissible
-            else:
-                drop = max(drop, float(np.max(np.abs(admissible))))
-        return cls(kmax=kmax, tau=tau, modes=modes), drop
+        k = np.arange(spec.shape[0])[:, None]
+        w = np.where(k == 0, 1.0 / ntheta, 2.0 / ntheta)
+        cos_k, sin_k = spec.real * w, -spec.imag * w  # the cos(k theta), sin(k theta) parts
+        if ntheta % 2 == 0:  # the Nyquist row holds a cosine only
+            cos_k[-1], sin_k[-1] = spec[-1].real / ntheta, 0.0
+        odd = k % 2 == 1  # the admissible part, as in ``_theta_factor``
+        admissible, other = np.where(odd, sin_k, cos_k), np.where(odd, cos_k, sin_k)
+        drop = float(np.max(np.abs(np.concatenate((other, admissible[kmax + 1:])))))
+        return cls(kmax=kmax, tau=tau, modes=admissible[:kmax + 1]), drop
 
     @property
     def m(self) -> int:
@@ -276,9 +273,8 @@ class SymmetricField:
         return series_eval(self.coeffs(), self.tau, theta, t)[0]
 
     def grid_values(self, ntheta: int = 64) -> np.ndarray:
-        """Values on the tensor grid theta_i = 2 pi i/ntheta x stored t grid."""
-        th = np.linspace(0.0, 2.0 * np.pi, ntheta, endpoint=False)
-        return _theta_factor(_powers(th, self.kmax), 0) @ self.modes
+        """Values on the tensor grid ``theta_grid(ntheta)`` x stored t grid."""
+        return _theta_factor(_powers(theta_grid(ntheta), self.kmax), 0) @ self.modes
 
     def norm_sup(self, ntheta: int = 64) -> float:
         return float(np.max(np.abs(self.grid_values(ntheta))))

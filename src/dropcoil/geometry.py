@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateMetric, DomainError, EmbeddingViolation, IoError
-from .fields import SymmetricField, on_axis_derivatives
+from .fields import SymmetricField, is_zero_field, on_axis_derivatives, theta_grid
 from .profile import ConformalChart, DelaunayProfile
 
 
@@ -245,9 +245,11 @@ def build_straight(profile: DelaunayProfile, h: SymmetricField = None,
 
 def build_coil(profile: DelaunayProfile, n: int, h: SymmetricField = None,
                chart: ConformalChart = None) -> SurfacePatch:
-    """Coil n blocks around the circle of radius R = n T / (2 pi)."""
+    """Coil n blocks around the circle of radius R = n T / (2 pi); a zero h
+    is the unperturbed coil."""
     if n < 3:
         raise DomainError(f"coil needs n >= 3 blocks, got {n}")
+    h = None if is_zero_field(h) else h
     R = n * profile.T / (2.0 * np.pi)
     fh_max = 1.0 - profile.a
     if h is not None:
@@ -297,7 +299,7 @@ def curvature_expansion_check(profile: DelaunayProfile, n_list) -> ExpansionRepo
     if phi0 == 0.0:
         raise DomainError(f"Phi(0) = 4a - 1 is 0 at a = {profile.a}: the relative error "
                           f"of its fit is undefined")
-    th = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    th = theta_grid(64)
     y3 = np.linspace(-profile.T / 2.0, profile.T / 2.0, 129)[None, :]
     phi = curvature_profile_coefficient(profile, y3)
     f = profile.evaluate(y3, order=0)[0]
@@ -339,7 +341,7 @@ def export_mesh(patch: SurfacePatch, resolution, path) -> None:
     if patch.kind != "coiled":
         raise DomainError(f"mesh export takes a coiled patch, got {patch.kind!r}")
 
-    th = np.linspace(0.0, 2.0 * np.pi, ntheta, endpoint=False)
+    th = theta_grid(ntheta)
     T = patch.profile.T
     y3 = np.linspace(-T / 2.0, -T / 2.0 + patch.n * T, n3, endpoint=False)
     forms = evaluate_forms(patch, th[:, None], y3[None, :])

@@ -30,8 +30,6 @@ from .errors import GridMismatch, IllConditioned, SingularSystem
 from .fields import SymmetricField, dct1, dst1
 from .profile import ConformalChart
 
-DEFAULT_KMAX = 16
-DEFAULT_M = 256  # panels on [0, tau]; 512 per full period
 # Smallest ratio of the least to the largest singular value a mode's system
 # may have; below it the system has a numerical kernel (SingularSystem for
 # the k = 0 operator, IllConditioned for a bordered or k >= 2 system).
@@ -57,7 +55,7 @@ class KernelFields:
 class JacobiSolver:
     """Chart-bound spectral solver for the projected Jacobi problem."""
 
-    def __init__(self, chart: ConformalChart, kmax: int = DEFAULT_KMAX, m: int = DEFAULT_M):
+    def __init__(self, chart: ConformalChart, kmax: int, m: int):
         half = chart.half_size
         if half % m != 0:
             raise GridMismatch(f"chart half grid ({half}) not divisible by solver size {m}")
@@ -121,7 +119,7 @@ class JacobiSolver:
         sv = np.linalg.svd(A, compute_uv=False)
         if sv[-1] < DEFLATION_RTOL * sv[0]:
             # a k >= 2 mode has no periodic Jacobi field; near-singularity is a bug upstream
-            raise IllConditioned(f"unexpected near-kernel in mode k={k}", mode=k)
+            raise IllConditioned(f"unexpected near-kernel in mode k={k}")
 
     # ---- field plumbing -------------------------------------------------
 

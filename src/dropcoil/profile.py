@@ -39,6 +39,7 @@ slopes f', x', x'' = (1 - 2q) x - 2x^3 and 1/z', so none needs a linear solve.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -199,17 +200,16 @@ class DelaunayProfile(_Record):
     V: float
     Ia: float
     _anti: np.ndarray = field(default=None, repr=False, compare=False)
-    _interp: object = field(default=None, init=False, repr=False, compare=False)
+
+    @functools.cached_property
+    def _interp(self):
+        """The Hermite interpolant of f on its exact slopes f' (0 at both ends),
+        on samples at uniform phi 4x finer than the grid (non-uniform knots s
+        from ``_anti``, f and f' in closed form); built on first use."""
+        return CubicHermite(*_samples(self.a, self._anti, 4 * (len(self.grid) - 1)))
 
     def _half_eval(self, u, order):
-        """f, and f' when ``order`` >= 1, on the folded coordinate u in [0, T/2].
-
-        The Hermite interpolant of f on its exact slopes f' (0 at both ends)
-        is built on the first call, on samples at uniform phi 4x finer than
-        the grid (non-uniform knots s from ``_anti``, f and f' in closed form).
-        """
-        if self._interp is None:
-            self._interp = CubicHermite(*_samples(self.a, self._anti, 4 * (len(self.grid) - 1)))
+        """f, and f' when ``order`` >= 1, on the folded coordinate u in [0, T/2]."""
         if order == 0:
             return (self._interp(u),)
         return self._interp(u, slope=True)
@@ -265,8 +265,6 @@ class ConformalChart(_Record):
     zp: np.ndarray
     tau: float
     p: np.ndarray
-    _t_of_z: object = field(default=None, repr=False, compare=False)
-    _x_of_t: object = field(default=None, repr=False, compare=False)
 
     @property
     def half_size(self) -> int:
@@ -278,10 +276,19 @@ class ConformalChart(_Record):
         m = self.half_size
         return (self.tgrid[m:], self.x[m:], self.xp[m:], self.z[m:], self.zp[m:], self.p[m:])
 
+    @functools.cached_property
+    def _t_of_z(self):
+        return CubicHermite(self.z, self.tgrid, 1.0 / self.zp)
+
+    @functools.cached_property
+    def _x_of_t(self):
+        q = self.a * (1.0 - self.a)
+        xpp = (1.0 - 2.0 * q) * self.x - 2.0 * self.x**3
+        return CubicHermite(self.tgrid, np.stack((self.x, self.xp)),
+                            np.stack((self.xp, xpp)), uniform=True)
+
     def t_of_y3(self, y3):
         """Invert z(t) = y3 on one period: Hermite interpolant of t(z) with slope 1/z'."""
-        if self._t_of_z is None:
-            self._t_of_z = CubicHermite(self.z, self.tgrid, 1.0 / self.zp)
         y3 = np.asarray(y3, dtype=float)
         half = np.abs(self.z[-1])
         u = np.mod(y3 + half, 2.0 * half) - half
@@ -290,13 +297,7 @@ class ConformalChart(_Record):
     def x_of_t(self, t):
         """(x, x') at arbitrary t in [-tau, tau]: Hermite interpolants on the uniform
         t grid with slopes x' and x'' = (1 - 2q) x - 2 x^3."""
-        if self._x_of_t is None:
-            q = self.a * (1.0 - self.a)
-            xpp = (1.0 - 2.0 * q) * self.x - 2.0 * self.x**3
-            self._x_of_t = CubicHermite(self.tgrid, np.stack((self.x, self.xp)),
-                                        np.stack((self.xp, xpp)), uniform=True)
-        x, xp = self._x_of_t(t)
-        return x, xp
+        return tuple(self._x_of_t(t))
 
     def isothermal_residual(self) -> float:
         return float(np.max(np.abs(self.x**2 - self.xp**2 - self.zp**2)))

@@ -37,7 +37,7 @@ import numpy as np
 
 from .coulomb import BlockQuadrature, coil_volume, solid_boundary, surface_potentials
 from .errors import BracketFailure, DomainError, NoContraction, RootNotBracketed
-from .fields import SymmetricField, cos_coeffs, cos_eval, is_zero_field, theta_mirror
+from .fields import SymmetricField, cos_coeffs, cos_eval, theta_grid, theta_mirror
 from .geometry import build_coil, evaluate_forms
 from .jacobi import JacobiSolver
 from .profile import DelaunayProfile, build_chart, solve_profile
@@ -78,8 +78,9 @@ class ReductionSettings:
     def __post_init__(self):
         if self.max_iter < 1:
             raise DomainError("max_iter must be at least 1")
-        if self.kmax < 0 or self.m_t < 1 or self.coulomb_t_stride < 1:
-            raise DomainError("kmax must be at least 0, m_t and coulomb_t_stride at least 1")
+        if self.kmax < 1 or self.m_t < 1 or self.coulomb_t_stride < 1:
+            # nu_2, whose projection c fixes gamma, lives in mode 1
+            raise DomainError("kmax, m_t and coulomb_t_stride must be at least 1")
         if self.self_core_q != self.self_panel_q or self.self_column_q != self.self_panel_q + 1:
             raise DomainError("self-block orders must be (q, q, q + 1), q = self_panel_q")
         if self.chart_grid < self.m_t or self.chart_grid % self.m_t != 0:
@@ -234,9 +235,8 @@ class ReductionContext:
         self.settings = settings
         self.chart = build_chart(profile.a, grid_size=settings.chart_grid)
         self.solver = JacobiSolver(self.chart, kmax=settings.kmax, m=settings.m_t)
-        self.theta = 2.0 * np.pi * np.arange(settings.ntheta) / settings.ntheta
-        n_sub = 2 * (settings.kmax + 1)
-        theta_sub = 2.0 * np.pi * np.arange(n_sub) / n_sub
+        self.theta = theta_grid(settings.ntheta)
+        theta_sub = theta_grid(2 * (settings.kmax + 1))
         self.t_nodes = self.solver.t
         self.y3_nodes = self.solver.z
         stride = _loop_stride(self.solver, settings.coulomb_t_stride)
@@ -290,8 +290,6 @@ class EquationEval:
     d: float
     residual: float            # sup |G - d| over the sample grid
     symmetry_residual: float   # angular components outside the class
-    H: np.ndarray = dfield(repr=False)          # mean curvature samples
-    N: np.ndarray = dfield(repr=False)          # Coulomb samples
     boundary: object = dfield(repr=False)       # solid_boundary of the evaluated h
 
 
@@ -331,18 +329,17 @@ def _project_equation(ctx: ReductionContext, H: np.ndarray, N: np.ndarray, gamma
     c, d = ctx.solver.project_coeffs(fld)
     residual = float(np.max(np.abs(G - d)))
     return EquationEval(field=fld, c=c, d=d, residual=residual, symmetry_residual=drop,
-                        H=H, N=N, boundary=boundary)
+                        boundary=boundary)
 
 
 def _equation_samples(ctx: ReductionContext, h: SymmetricField, rule: CoulombRule,
                       boundary=None):
     """(H, N, boundary) of h on the sample grid, as ``evaluate_equation`` takes
     them, N on ``rule``."""
-    perturb = None if is_zero_field(h) else h
-    patch = build_coil(ctx.profile, ctx.n, perturb, chart=ctx.chart)
+    patch = build_coil(ctx.profile, ctx.n, h, chart=ctx.chart)
     H = evaluate_forms(patch, ctx.theta[:, None], ctx.y3_nodes[None, :]).H
     if boundary is None:
-        boundary = solid_boundary(ctx.profile, perturb, ctx.chart)
+        boundary = solid_boundary(ctx.profile, h, ctx.chart)
     return H, _coulomb_samples(ctx, boundary, rule), boundary
 
 
@@ -378,29 +375,39 @@ def evaluate_equation(profile: DelaunayProfile, n: int, h: SymmetricField,
     return _project_equation(ctx, H, N, gamma, boundary)
 
 
+LAMBDA_CONVENTION = "lambda = d-projection of G against hbar"
+
+
 @dataclass
 class ReductionState:
+    """A solved (h, gamma): the loop-rule evaluation at h, every step's
+    ``history`` row and, once ``solve_gamma`` has reported, the ``final``-rule
+    evaluation.  Every other number is read from these."""
+
     a: float
     n: int
     gamma: float
     h: SymmetricField
-    c: float
-    d: float
-    residual: float
-    iterations: int
     converged: bool
-    h_norm: float
-    symmetry_residual: float
     equation: EquationEval = dfield(repr=False, compare=False)  # the evaluation at h
-    coulomb_integrations: int = 0  # Coulomb sample sets integrated, loop and final
     history: list = dfield(default_factory=list)  # every Picard step: its gamma, its N rule
-    lambda_convention: str = "lambda = d-projection of G against hbar"
-    residual_final: float = None  # sup |G - d| at the full-resolution report
-    c_final: float = None
+    final: EquationEval = dfield(default=None, repr=False, compare=False)
+
+    c = property(lambda self: self.equation.c)
+    d = lam = property(lambda self: self.equation.d)
+    residual = property(lambda self: self.equation.residual)
+    symmetry_residual = property(lambda self: self.equation.symmetry_residual)
+    iterations = property(lambda self: len(self.history))
+    h_norm = property(lambda self: self.h.norm_sup())
+    # sup |G - d| and c at the full-resolution report
+    residual_final = property(lambda self: None if self.final is None else self.final.residual)
+    c_final = property(lambda self: None if self.final is None else self.final.c)
 
     @property
-    def lam(self) -> float:
-        return self.d
+    def coulomb_integrations(self) -> int:
+        """Coulomb sample sets integrated: one at h = 0, one after each step,
+        and the report's."""
+        return len(self.history) + 1 + (self.final is not None)
 
 
 def fixed_point_solve(profile: DelaunayProfile, n: int,
@@ -449,14 +456,8 @@ def fixed_point_solve(profile: DelaunayProfile, n: int,
         H, N, boundary = _equation_samples(ctx, h, rule)
         if converged:
             break
-    ev = _project_equation(ctx, H, N, gamma, boundary)
-    # one sample set at h = 0 and one after each step
-    return ReductionState(a=profile.a, n=int(n), gamma=float(gamma), h=h,
-                          c=ev.c, d=ev.d, residual=ev.residual,
-                          iterations=len(history), converged=converged,
-                          h_norm=h.norm_sup(),
-                          symmetry_residual=ev.symmetry_residual,
-                          equation=ev, coulomb_integrations=len(history) + 1,
+    return ReductionState(a=profile.a, n=int(n), gamma=float(gamma), h=h, converged=converged,
+                          equation=_project_equation(ctx, H, N, gamma, boundary),
                           history=history)
 
 
@@ -466,19 +467,16 @@ def solve_gamma(profile: DelaunayProfile, n: int,
     """The (h, gamma) iteration of ``fixed_point_solve`` and a final-rule report.
 
     The solved (h, gamma) is evaluated once more on the final quadrature rule
-    (the loop runs at reduced resolution); ``residual_final`` and ``c_final``
-    report it, and ``coulomb_integrations`` counts the loop's sample sets
-    and the report's.
+    (the loop runs at reduced resolution) and attached as the state's
+    ``final``, which ``residual_final``, ``c_final`` and
+    ``coulomb_integrations`` read.
     """
     if n < 16:
         raise DomainError("solve_gamma needs n >= 16")
     ctx = _context(profile, n, settings, ctx)
     state = fixed_point_solve(profile, n, ctx=ctx)
-    fin = evaluate_equation(profile, n, state.h, state.gamma, ctx=ctx, final=True,
-                            boundary=state.equation.boundary)
-    state.residual_final = fin.residual
-    state.c_final = fin.c
-    state.coulomb_integrations += 1
+    state.final = evaluate_equation(profile, n, state.h, state.gamma, ctx=ctx, final=True,
+                                    boundary=state.equation.boundary)
     return state
 
 

@@ -17,7 +17,7 @@ def chart03():
 
 @pytest.fixture(scope="session")
 def solver03(chart03):
-    return JacobiSolver(chart03)
+    return JacobiSolver(chart03, kmax=16, m=256)
 
 
 @pytest.fixture(scope="session")

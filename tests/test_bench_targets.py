@@ -3,6 +3,7 @@
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -82,3 +83,18 @@ def test_benchmark_settings_build_contexts(prof03):
     for settings in (fast, ReductionSettings()):
         ctx = ReductionContext(prof03, 32, settings)
         assert ctx.settings is settings
+
+
+def test_benchmark_operations_pass_their_checks(tmp_path):
+    # every workload at the default seed, with the committed reference: set
+    # up once, each operation run once, and none reports a failed check, so
+    # an attribute the checks read that goes away fails here, not only in a
+    # benchmark run
+    workloads = _perfbench_module("workloads")
+    reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
+    for name, workload in workloads.WORKLOADS.items():
+        bench = workload(workloads.DEFAULT_SEED, reference, tmp_path)
+        bench.setup()
+        for op, run in bench.ops():
+            _, failures = run()
+            assert failures == [], f"{name}.{op}: {failures}"

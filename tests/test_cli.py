@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ def test_parse_range():
 def test_config_roundtrip():
     cfg = RunConfig(command="ia-scan", a=0.2, a_range="0.1:0.2:0.05", n=8,
                     m=12.5, grid="16x32", out="x.csv")
-    again = RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+    again = RunConfig.from_dict(json.loads(json.dumps(asdict(cfg))))
     assert again == cfg
 
 

@@ -262,7 +262,7 @@ def test_profile_interpolant_built_on_first_evaluate(a):
     # builds the Hermite interpolant on samples at uniform phi, 4x finer than the
     # grid, with non-uniform knots s and f, f' in closed form; later ones reuse it
     p = solve_profile(a)
-    assert p._interp is None and p._anti is not None
+    assert "_interp" not in vars(p) and p._anti is not None
     rng = np.random.default_rng(7)
     s = rng.uniform(0.0, 0.5 * p.T, 4000)
     f, fp = p.evaluate(s, order=1)

@@ -125,11 +125,13 @@ def test_fixed_point_contracts(prof03, ctx32):
 
 # sha256 of every number the (h, gamma) loop and its final-rule report give at
 # FAST, n = 32 (``_loop_bits``).  0.3 converges in 8 full steps; 0.455 halves
-# 14 of its 32 steps; 0.46 stops unconverged after max_iter = 40 steps
+# 14 of its 32 steps; 0.46 stops unconverged after max_iter = 40 steps.
+# The coarse and loop rules' N lands on ``theta_grid``'s nodes, where H is
+# sampled; a grid 1 ulp off at 2 of FAST's 12 columns moves every pin
 LOOP_BITS = {
-    0.3: "fff914ba9ae103ff13d7fceee35242b45b0d9f799a0311f0ec9b3879af335a80",
-    0.455: "8dd46f9e4f67c64b21abb61cae11d2c19eb56d028b7d604c09a14099991a2324",
-    0.46: "bc7eea844ae5aec62d8856b3a1ca0dfbea29f235225d28f2bb8f28da72695b0e",
+    0.3: "76b7bf8e48a21ba6bd963ab7cb2de72837226b42ba82fc160720f44fb2df83be",
+    0.455: "7a1d5d88a63787630f3436c71a802e378aa699a51b7bd37b16be0393015a0cbf",
+    0.46: "0615d0491b52a3d3aa0dfba57c992efcdf74c974edb59d76d86837c1a880fcc5",
 }
 
 
@@ -272,6 +274,7 @@ def test_loop_theta_subgrid_alias(grid, a):
     lambda p: ReductionSettings(coulomb_t_stride=0),
     lambda p: ReductionSettings(m_t=0),
     lambda p: ReductionSettings(kmax=-1),
+    lambda p: ReductionSettings(kmax=0),
     lambda p: ReductionSettings(self_core_q=4),
     lambda p: ReductionSettings(self_column_q=5),
     lambda p: BlockQuadrature(p, q=0),
@@ -283,7 +286,7 @@ def test_loop_theta_subgrid_alias(grid, a):
     lambda p: replace(FAST, ntheta=0),
     lambda p: replace(FAST, ntheta=3),
     lambda p: replace(FAST, ntheta=9),
-], ids=["stride", "m_t", "kmax", "core_q", "column_q", "q", "loop_q", "final_q",
+], ids=["stride", "m_t", "kmax", "kmax_0", "core_q", "column_q", "q", "loop_q", "final_q",
         "chart_grid_0", "chart_grid_neg", "ntheta_0", "ntheta_3", "ntheta_9"])
 def test_bad_rule_settings_refused_where_built(prof03, build):
     # each is refused when the settings or the rule is built, not by an
@@ -445,6 +448,18 @@ def test_find_neck_for_mass(prof03):
     assert abs(mm.m - target) < 0.02 * target
     with pytest.raises(BracketFailure):
         find_neck_for_mass(1e6, 16, bracket=(0.25, 0.35), settings=FAST)
+
+
+def test_find_neck_for_mass_runs_out(prof03):
+    # the a = 0.3 mass from (0.2, 0.45): the midpoints 0.325 and 0.2625 miss
+    # it by more than rtol and move hi, then lo; two bisections run out, and
+    # the last bracket's midpoint is returned
+    target = mass_map(prof03, 16, FAST).m
+    mm = find_neck_for_mass(target, 16, bracket=(0.2, 0.45), settings=FAST,
+                            max_bisect=2, rtol=1e-6)
+    assert mm.a == 0.29375 and mm.n == 16
+    m_lo, m_hi = (mass_map(solve_profile(b), 16, FAST).m for b in (0.2625, 0.325))
+    assert m_lo < mm.m < m_hi
 
 
 def test_settings_validation():
